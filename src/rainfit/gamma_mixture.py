@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _LOG_CLAMP = 12.0
+_FLOAT_MIN = np.finfo(float).min
 _DEFAULT_RNG = RngState(seed=0x6A77A)
 
 
@@ -103,16 +104,54 @@ class DamslethHyper:
 DEFAULT_HYPER = DamslethHyper()
 
 
-def _component_log_pdf(y: np.ndarray, params: GammaMixtureParams) -> np.ndarray:
-    """(K, n) matrix of log[pi_k Ga(y; a_k, b_k)]; -inf rows for pi_k = 0."""
-    a = np.array(params.shapes)[:, None]
-    b = np.array(params.scales)[:, None]
-    w = np.array(params.weights)[:, None]
-    log_y = np.log(y)[None, :]
-    terms = (a - 1.0) * log_y - y[None, :] / b - _special.gammaln(a) - a * np.log(b)
-    with np.errstate(divide="ignore"):
-        terms = terms + np.log(w)
-    return terms
+class _LogDensity:
+    """Per-point log mixture density of one sample y > 0, for K-vectors w, a, b.
+
+    The density has this one code path: mixture_log_pdf builds one per call
+    and fit_map one per fit.  ln y and the scratch arrays are made here, so
+    the thousands of evaluations in a fit allocate nothing of size n.  Each
+    call overwrites the array the previous call returned.
+    """
+
+    def __init__(self, y: np.ndarray, k: int) -> None:
+        self._y = y
+        self._log_y = np.log(y)
+        self._terms = np.empty((k, y.size))
+        self._quotient = np.empty((k, y.size))
+        self._max = np.empty(y.size)
+        self._out = np.empty(y.size)
+
+    def component_terms(
+        self, w: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        """(K, n) matrix of log[pi_k Ga(y; a_k, b_k)]; -inf rows for pi_k = 0."""
+        a = a[:, None]
+        b = b[:, None]
+        terms = np.multiply(a - 1.0, self._log_y, out=self._terms)
+        terms -= np.divide(self._y, b, out=self._quotient)
+        terms -= _special.gammaln(a)
+        terms -= a * np.log(b)
+        with np.errstate(divide="ignore"):
+            terms += np.log(w)[:, None]
+        return terms
+
+    def __call__(self, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """m + ln sum_k exp(t_k - m) with t the component terms, m = max_k t_k.
+
+        Shifting by the column maximum keeps exp() in range; a zero-weight
+        component's -inf row contributes exp(-inf) = 0.  The floor on m
+        turns a column that is -inf throughout (y / b overflowed for every
+        component) into -inf rather than -inf - -inf = nan.
+        """
+        terms = self.component_terms(w, a, b)
+        m = np.max(terms, axis=0, out=self._max)
+        np.maximum(m, _FLOAT_MIN, out=m)
+        terms -= m
+        np.exp(terms, out=terms)
+        out = np.sum(terms, axis=0, out=self._out)
+        np.log(out, out=out)
+        out += m
+        return out
 
 
 def mixture_log_pdf(y, params: GammaMixtureParams):
@@ -122,7 +161,8 @@ def mixture_log_pdf(y, params: GammaMixtureParams):
     arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("y must be finite and > 0")
-    out = _special.logsumexp(_component_log_pdf(arr, params), axis=0)
+    w, a, b = (np.array(t) for t in (params.weights, params.shapes, params.scales))
+    out = _LogDensity(arr, w.size)(w, a, b)
     return float(out[0]) if scalar else out
 
 
@@ -187,6 +227,17 @@ def mixture_simulate(n: int, params: GammaMixtureParams, rng: RngState) -> np.nd
     return _quantile_array(rng.uniforms(n), params)
 
 
+def _log_prior(a: np.ndarray, b: np.ndarray, hyper: DamslethHyper) -> float:
+    """Damsleth log prior summed over the K-vectors of shapes a and scales b."""
+    u, v, rho, q, r = hyper.u, hyper.v, hyper.rho, hyper.q, hyper.r
+    log_b = np.log(b)
+    per_component = (
+        u * math.log(v) - math.lgamma(u) - (u + 1.0) * log_b - v / b
+        + (a - 1.0) * math.log(rho) - a * q * log_b - r * _special.gammaln(a)
+    )
+    return float(np.sum(per_component))
+
+
 def log_posterior(
     data,
     params: GammaMixtureParams,
@@ -205,26 +256,26 @@ def log_posterior(
         loglik = float(np.sum(mixture_log_pdf(arr, params)))
     else:
         loglik = 0.0
-    u, v, rho, q, r = hyper.u, hyper.v, hyper.rho, hyper.q, hyper.r
-    prior = 0.0
-    for a, b in zip(params.shapes, params.scales):
-        log_b = math.log(b)
-        prior += u * math.log(v) - math.lgamma(u) - (u + 1.0) * log_b - v / b
-        prior += (a - 1.0) * math.log(rho) - a * q * log_b - r * math.lgamma(a)
-    return loglik + prior
+    return loglik + _log_prior(np.array(params.shapes), np.array(params.scales), hyper)
 
 
 # --- MAP fitting -----------------------------------------------------------
 
 
-def _params_from_z(z: np.ndarray, k: int) -> GammaMixtureParams:
+def _arrays_from_z(
+    z: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight, shape and scale K-vectors of the transformed point z."""
     logits = np.concatenate([z[: k - 1], [0.0]])
-    logits = logits - np.max(logits)
+    logits -= logits.max()
     w = np.exp(logits)
-    w = w / np.sum(w)
-    log_a = np.clip(z[k - 1 : 2 * k - 1], -_LOG_CLAMP, _LOG_CLAMP)
-    log_b = np.clip(z[2 * k - 1 :], -_LOG_CLAMP, _LOG_CLAMP)
-    return GammaMixtureParams(tuple(w), tuple(np.exp(log_a)), tuple(np.exp(log_b)))
+    w /= w.sum()
+    shapes_scales = np.exp(np.clip(z[k - 1 :], -_LOG_CLAMP, _LOG_CLAMP))
+    return w, shapes_scales[:k], shapes_scales[k:]
+
+
+def _params_from_z(z: np.ndarray, k: int) -> GammaMixtureParams:
+    return GammaMixtureParams(*(tuple(arr) for arr in _arrays_from_z(z, k)))
 
 
 def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
@@ -260,6 +311,26 @@ def _canonical_order(params: GammaMixtureParams) -> GammaMixtureParams:
     )
 
 
+def _map_objective(x: np.ndarray, k: int, hyper: DamslethHyper):
+    """z -> -log_posterior(x, _params_from_z(z, k), hyper) / n, or inf.
+
+    x must already be validated.  ln x and the density's scratch arrays are
+    made once here, and no GammaMixtureParams is built or validated per call.
+    """
+    log_density = _LogDensity(x, k)
+    n = x.size
+
+    def objective(z: np.ndarray) -> float:
+        w, a, b = _arrays_from_z(z, k)
+        loglik = float(np.sum(log_density(w, a, b)))
+        value = -(loglik + _log_prior(a, b, hyper)) / n
+        if not math.isfinite(value):
+            return math.inf
+        return value
+
+    return objective
+
+
 def fit_map(
     data,
     k: int,
@@ -290,16 +361,7 @@ def fit_map(
     n = x.size
     dim = 3 * k - 1
 
-    trace: list[float] = []
-
-    def objective(z: np.ndarray) -> float:
-        params = _params_from_z(z, k)
-        value = -log_posterior(x, params, hyper) / n
-        if not math.isfinite(value):
-            return math.inf
-        trace.append(value)
-        return value
-
+    objective = _map_objective(x, k, hyper)
     init = _sliced_init(x, k)
     starts = jittered_starts(init, restarts + 1, rng)
     best = None
@@ -311,9 +373,6 @@ def fit_map(
             best_index = index
     assert best is not None
 
-    running_best = np.minimum.accumulate(np.array(trace))
-    monotone = bool(np.all(np.diff(running_best) <= 0.0))
-
     params = _canonical_order(_params_from_z(best.x, k))
     log_ab = np.log(np.array(params.shapes + params.scales))
     diag = FitDiagnostics(
@@ -323,6 +382,5 @@ def fit_map(
         n_iter=best.n_iter,
         boundary_hit=bool(np.any(np.abs(log_ab) >= _LOG_CLAMP - 1e-9)),
         small_sample=n < 50 * dim,
-        trace_monotone=monotone,
     )
     return params, diag

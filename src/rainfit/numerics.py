@@ -316,7 +316,6 @@ class FitDiagnostics:
     boundary_hit: bool = False
     small_sample: bool = False
     residual: float | None = None
-    trace_monotone: bool | None = None
     message: str = ""
 
     def to_dict(self) -> dict:
@@ -331,8 +330,6 @@ class FitDiagnostics:
         }
         if self.residual is not None:
             out["residual"] = float(self.residual)
-        if self.trace_monotone is not None:
-            out["trace_monotone"] = bool(self.trace_monotone)
         if self.message:
             out["message"] = self.message
         return out

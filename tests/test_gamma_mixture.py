@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from rainfit.gamma_mixture import (
     DEFAULT_HYPER,
     DamslethHyper,
     GammaMixtureParams,
+    _LogDensity,
+    _map_objective,
+    _params_from_z,
+    _sliced_init,
     fit_map,
     log_posterior,
     mixture_cdf,
@@ -18,7 +22,7 @@ from rainfit.gamma_mixture import (
     mixture_quantile,
     mixture_simulate,
 )
-from rainfit.numerics import RngState, nelder_mead
+from rainfit.numerics import RngState, jittered_starts, nelder_mead
 
 import oracles
 
@@ -28,6 +32,11 @@ K3_PARAMS = GammaMixtureParams(
     weights=(0.25, 0.45, 0.30),
     shapes=(0.8, 2.5, 6.0),
     scales=(0.6, 2.0, 4.5),
+)
+
+# The truth mixture of acceptance criterion C6.
+C6_PARAMS = GammaMixtureParams(
+    weights=(0.3, 0.5, 0.2), shapes=(0.5, 2.0, 8.0), scales=(0.5, 2.0, 5.0)
 )
 
 
@@ -186,6 +195,63 @@ def test_log_posterior_rho_irrelevant_at_unit_shape():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+# --- density kernel and fit objective ---------------------------------------------
+
+E12 = math.exp(12.0)
+WIDE_Y = np.logspace(-3.0, 4.0, 2001)
+
+
+@pytest.mark.parametrize(
+    "y, params",
+    [
+        (mixture_simulate(1000, C6_PARAMS, RngState(seed=7)), C6_PARAMS),
+        (WIDE_Y, C6_PARAMS),
+        # A zero weight gives a -inf row of terms.
+        (
+            WIDE_Y,
+            GammaMixtureParams((0.6, 0.0, 0.4), (0.5, 2.0, 8.0), (0.5, 2.0, 5.0)),
+        ),
+        # Shapes and scales at the e^+-12 clamp box.
+        (
+            WIDE_Y,
+            GammaMixtureParams(
+                (0.25, 0.25, 0.25, 0.25),
+                (1 / E12, E12, 1 / E12, E12),
+                (E12, 1 / E12, 1 / E12, E12),
+            ),
+        ),
+        (WIDE_Y, GammaMixtureParams((0.5, 0.5), (1 / E12, E12), (1 / E12, E12))),
+    ],
+    ids=["c6-n1000", "c6-wide-y", "zero-weight", "clamp-box", "clamp-box-k2"],
+)
+def test_log_density_kernel_matches_scipy_logsumexp(y, params):
+    w, a, b = (np.array(t) for t in (params.weights, params.shapes, params.scales))
+    density = _LogDensity(y, w.size)
+    got = density(w, a, b).copy()
+    terms = density.component_terms(w, a, b).copy()
+    ref = special.logsumexp(terms, axis=0)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-12
+    assert np.array_equal(mixture_log_pdf(y, params), got)
+
+
+def test_log_pdf_underflows_to_minus_infinity():
+    # y / b overflows for both components, so every term is -inf.
+    gm = GammaMixtureParams((0.5, 0.5), (1.0, 2.0), (0.5, 0.25))
+    with np.errstate(over="ignore", divide="ignore"):
+        assert mixture_log_pdf(1e308, gm) == -math.inf
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_map_objective_equals_public_log_posterior(k):
+    x = mixture_simulate(1000, C6_PARAMS, RngState(seed=7))
+    objective = _map_objective(x, k, DEFAULT_HYPER)
+    starts = jittered_starts(_sliced_init(x, k), 5, RngState(seed=7).derive(k))
+    for z in starts:
+        want = -log_posterior(x, _params_from_z(z, k), DEFAULT_HYPER) / x.size
+        assert objective(z) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # --- MAP fitting ------------------------------------------------------------------
 
 
@@ -194,7 +260,6 @@ def test_map_recovers_single_gamma_quantiles():
     data = mixture_simulate(20_000, truth, RngState(seed=10))
     fitted, diag = fit_map(data, 2)
     assert diag.converged
-    assert diag.trace_monotone
     for p in SEVEN_P:
         d = math.log(mixture_quantile(p, fitted) / mixture_quantile(p, truth))
         assert abs(d) <= 0.03

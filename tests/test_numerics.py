@@ -264,7 +264,6 @@ def test_diagnostics_serialize_to_plain_json():
         restart_index=np.int64(1),
         n_iter=200,
         residual=np.float64(1e-9),
-        trace_monotone=True,
     )
     encoded = json.dumps(diag.to_dict())
     back = json.loads(encoded)
