@@ -264,14 +264,18 @@ def _multistart_minimize(
 
     Starting points where the objective is not finite are nudged toward
     heavier tails (xi upward) a few times before giving up on that start.
+    Returns the best result, its start's index and the objective
+    evaluations summed over all starts, probes included.
     """
     starts = jittered_starts(init, restarts + 1, rng)
     best = None
     best_index = -1
+    n_eval = 0
     for index, t0 in enumerate(starts):
         t0 = t0.copy()
         ok = False
         for _ in range(5):
+            n_eval += 1
             if np.isfinite(objective(t0)):
                 ok = True
                 break
@@ -279,12 +283,13 @@ def _multistart_minimize(
         if not ok:
             continue
         result = nelder_mead(objective, t0, xatol=xatol, fatol=fatol, max_iter=max_iter)
+        n_eval += result.n_eval
         if best is None or result.value < best.value:
             best = result
             best_index = index
     if best is None:
         raise RuntimeError("no feasible starting point found")
-    return best, best_index
+    return best, best_index, n_eval
 
 
 def fit_mle(
@@ -355,7 +360,7 @@ def _fit_mle_impl(
         return -total / n_total if math.isfinite(total) else math.inf
 
     init = np.array([0.0, math.log(float(np.mean(exceed))), _xi_to_s(0.1)])
-    best, best_index = _multistart_minimize(
+    best, best_index, n_eval = _multistart_minimize(
         neg_mean_loglik, init, restarts, rng, max_iter=max_iter
     )
     params = _theta_from_t(best.x)
@@ -364,6 +369,7 @@ def _fit_mle_impl(
         objective=-best.value * n_total,
         restart_index=best_index,
         n_iter=best.n_iter,
+        n_eval=n_eval,
         boundary_hit=_boundary_hit(params),
         small_sample=n_total < _SMALL_SAMPLE_N,
     )
@@ -417,7 +423,7 @@ def fit_pwm_from_moments(
         return (g1 / g0 - r1_target) ** 2 + (g2 / g0 - r2_target) ** 2
 
     init = np.array([0.0, 0.1])
-    best, best_index = _multistart_minimize(
+    best, best_index, n_eval = _multistart_minimize(
         objective, init, restarts, rng, max_iter=max_iter, xatol=1e-10, fatol=1e-16
     )
     kappa, xi = unpack(best.x)
@@ -429,6 +435,7 @@ def fit_pwm_from_moments(
         objective=best.value,
         restart_index=best_index,
         n_iter=best.n_iter,
+        n_eval=n_eval,
         boundary_hit=_boundary_hit(params),
         residual=residual,
     )
@@ -523,7 +530,7 @@ def fit_pwm_censored_from_moments(
     init = np.array(
         [0.0, math.log(mean_start if mean_start is not None else nu0), _xi_to_s(0.1)]
     )
-    best, best_index = _multistart_minimize(
+    best, best_index, n_eval = _multistart_minimize(
         objective, init, restarts, rng, max_iter=max_iter, xatol=1e-10, fatol=1e-16
     )
     params = _theta_from_t(best.x)
@@ -533,6 +540,7 @@ def fit_pwm_censored_from_moments(
         objective=best.value,
         restart_index=best_index,
         n_iter=best.n_iter,
+        n_eval=n_eval,
         boundary_hit=_boundary_hit(params),
         residual=residual,
     )

@@ -5,8 +5,9 @@ with b_k a scale (not a rate).  The prior is the conjugate family of
 Damsleth: b_k ~ InverseGamma(u, v) and p(a_k | b_k) proportional to
 rho^(a_k - 1) / (b_k^(a_k q) Gamma(a_k)^r), with defaults u = 1.1, v = 2,
 rho = q = r = 1, and a flat prior over the weight simplex.  The posterior
-mode is found by direct simplex search in the transformed space
-(softmax weights, ln a_k, ln b_k), dimension 3K - 1.
+mode is found by L-BFGS-B on the analytic gradient in the transformed
+space (softmax logits, ln a_k, ln b_k), dimension 3K - 1, with ln a_k and
+ln b_k boxed to [-12, 12].
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize as _optimize
 from scipy import special as _special
 
 from .empirical import empirical_quantile
@@ -23,7 +25,7 @@ from .numerics import (
     RngState,
     brent_root,
     jittered_starts,
-    nelder_mead,
+    nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
     reg_lower_incomplete_gamma,
 )
 
@@ -39,6 +41,13 @@ __all__ = [
 ]
 
 _LOG_CLAMP = 12.0
+# L-BFGS-B stops on a relative objective change below _FTOL or a projected
+# gradient below _GTOL (both on the per-observation objective); a fit counts
+# as converged when the projected gradient at the returned point is at most
+# _CONVERGED_GTOL, however the line search ended.
+_FTOL = 1e-15
+_GTOL = 1e-10
+_CONVERGED_GTOL = 1e-6
 _FLOAT_MIN = np.finfo(float).min
 _DEFAULT_RNG = RngState(seed=0x6A77A)
 
@@ -135,23 +144,50 @@ class _LogDensity:
             terms += np.log(w)[:, None]
         return terms
 
-    def __call__(self, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """m + ln sum_k exp(t_k - m) with t the component terms, m = max_k t_k.
+    def _shifted_exp(
+        self, w: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """exp(t - m) in place of the terms t, and its column sums.
 
-        Shifting by the column maximum keeps exp() in range; a zero-weight
-        component's -inf row contributes exp(-inf) = 0.  The floor on m
-        turns a column that is -inf throughout (y / b overflowed for every
-        component) into -inf rather than -inf - -inf = nan.
+        m = max_k t_k is left in self._max.  Shifting by the column maximum
+        keeps exp() in range; a zero-weight component's -inf row contributes
+        exp(-inf) = 0.  The floor on m turns a column that is -inf
+        throughout (y / b overflowed for every component) into -inf rather
+        than -inf - -inf = nan.
         """
         terms = self.component_terms(w, a, b)
         m = np.max(terms, axis=0, out=self._max)
         np.maximum(m, _FLOAT_MIN, out=m)
         terms -= m
         np.exp(terms, out=terms)
-        out = np.sum(terms, axis=0, out=self._out)
+        return terms, np.sum(terms, axis=0, out=self._out)
+
+    def __call__(self, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """m + ln sum_k exp(t_k - m) with t the component terms, m = max_k t_k."""
+        _, out = self._shifted_exp(w, a, b)
         np.log(out, out=out)
-        out += m
+        out += self._max
         return out
+
+    def log_lik_and_stats(
+        self, w: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Log likelihood and the K-vectors N = sum r, S1 = sum r y, Sl = sum r ln y.
+
+        r are the responsibilities exp(t - m) / sum_k exp(t_k - m), formed in
+        place of the terms; the likelihood is the sum of what __call__
+        returns, by the same operations.  The sums over y are numpy
+        reductions into the scratch arrays, so they do not depend on BLAS.
+        """
+        resp, total = self._shifted_exp(w, a, b)
+        resp /= total
+        np.log(total, out=total)
+        total += self._max
+        loglik = float(np.sum(total))
+        n_k = np.sum(resp, axis=1)
+        s1 = np.sum(np.multiply(resp, self._y, out=self._quotient), axis=1)
+        sl = np.sum(np.multiply(resp, self._log_y, out=self._quotient), axis=1)
+        return loglik, n_k, s1, sl
 
 
 def mixture_log_pdf(y, params: GammaMixtureParams):
@@ -270,7 +306,7 @@ def _arrays_from_z(
     logits -= logits.max()
     w = np.exp(logits)
     w /= w.sum()
-    shapes_scales = np.exp(np.clip(z[k - 1 :], -_LOG_CLAMP, _LOG_CLAMP))
+    shapes_scales = np.exp(z[k - 1 :])
     return w, shapes_scales[:k], shapes_scales[k:]
 
 
@@ -311,24 +347,62 @@ def _canonical_order(params: GammaMixtureParams) -> GammaMixtureParams:
     )
 
 
-def _map_objective(x: np.ndarray, k: int, hyper: DamslethHyper):
-    """z -> -log_posterior(x, _params_from_z(z, k), hyper) / n, or inf.
+def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
+    """z -> (f, grad f), f = -log_posterior(x, _params_from_z(z, k), hyper) / n.
 
-    x must already be validated.  ln x and the density's scratch arrays are
-    made once here, and no GammaMixtureParams is built or validated per call.
+    x must already be validated.  One (K, n) pass gives both: with
+    responsibilities r, N_k = sum r, S1_k = sum r y and Sl_k = sum r ln y,
+    the log posterior's partial derivatives are
+        d/d ln a_k = a_k (Sl_k - N_k psi(a_k) - N_k ln b_k)
+                     + a_k (ln rho - q ln b_k - r psi(a_k)),
+        d/d ln b_k = S1_k / b_k - a_k N_k - (u + 1) + v / b_k - a_k q,
+        d/d logit_j = N_j - n w_j,
+    the logit of component K being fixed at 0.  A non-finite value is
+    returned as inf with a zero gradient.
     """
-    log_density = _LogDensity(x, k)
+    density = _LogDensity(x, k)
     n = x.size
+    u, v, q, r = hyper.u, hyper.v, hyper.q, hyper.r
+    log_rho = math.log(hyper.rho)
 
-    def objective(z: np.ndarray) -> float:
+    def value_and_gradient(z: np.ndarray) -> tuple[float, np.ndarray]:
         w, a, b = _arrays_from_z(z, k)
-        loglik = float(np.sum(log_density(w, a, b)))
+        loglik, n_k, s1, sl = density.log_lik_and_stats(w, a, b)
         value = -(loglik + _log_prior(a, b, hyper)) / n
         if not math.isfinite(value):
-            return math.inf
-        return value
+            return math.inf, np.zeros(z.size)
+        psi = _special.digamma(a)
+        log_b = np.log(b)
+        grad = np.concatenate([
+            n_k[: k - 1] - n * w[: k - 1],
+            a * (sl - n_k * (psi + log_b) + log_rho - q * log_b - r * psi),
+            s1 / b - a * n_k - (u + 1.0) + v / b - a * q,
+        ])
+        return value, grad / -n
 
-    return objective
+    return value_and_gradient
+
+
+def _lbfgsb(value_and_gradient, z0: np.ndarray, k: int, max_iter: int):
+    """Minimize from z0, clipped into the box on ln a and ln b, by L-BFGS-B.
+
+    Returns scipy's result and whether it converged: whether the projected
+    gradient max |P(z - g) - z| at the returned point, P the projection onto
+    the box, is at most _CONVERGED_GTOL.  That test, not scipy's status,
+    decides, since a line search can stop short at a stationary point.
+    """
+    lower = np.concatenate([np.full(k - 1, -np.inf), np.full(2 * k, -_LOG_CLAMP)])
+    upper = -lower
+    result = _optimize.minimize(
+        value_and_gradient,
+        np.clip(z0, lower, upper),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=_optimize.Bounds(lower, upper),
+        options={"maxiter": max_iter, "ftol": _FTOL, "gtol": _GTOL},
+    )
+    step = np.clip(result.x - result.jac, lower, upper) - result.x
+    return result, float(np.max(np.abs(step))) <= _CONVERGED_GTOL
 
 
 def fit_map(
@@ -340,13 +414,17 @@ def fit_map(
     rng: RngState | None = None,
     max_iter: int = 5000,
 ) -> tuple[GammaMixtureParams, FitDiagnostics]:
-    """MAP fit of a K-component gamma mixture by multistart simplex search.
+    """MAP fit of a K-component gamma mixture by multistart L-BFGS-B.
 
     Starts from a quantile-sliced moment-matched point plus `restarts`
-    jittered copies and maximizes log_posterior in the transformed space.
-    Components of the returned mode are sorted by mean a_k b_k ascending;
-    label order carries no meaning during optimization.  K larger than
-    n/10 is rejected as unidentifiable at that sample size.
+    jittered copies, each clipped into the box |ln a_k|, |ln b_k| <= 12,
+    and maximizes log_posterior in the transformed space using its analytic
+    gradient; `max_iter` caps the L-BFGS-B iterations per start.  The fit
+    is converged when the best start ends where the projected gradient of
+    the per-observation objective is at most 1e-6.  Components of the
+    returned mode are sorted by mean a_k b_k ascending; label order carries
+    no meaning during optimization.  K larger than n/10 is rejected as
+    unidentifiable at that sample size.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -361,25 +439,29 @@ def fit_map(
     n = x.size
     dim = 3 * k - 1
 
-    objective = _map_objective(x, k, hyper)
-    init = _sliced_init(x, k)
-    starts = jittered_starts(init, restarts + 1, rng)
+    value_and_gradient = _map_value_and_gradient(x, k, hyper)
+    starts = jittered_starts(_sliced_init(x, k), restarts + 1, rng)
     best = None
     best_index = -1
+    n_eval = 0
     for index, z0 in enumerate(starts):
-        result = nelder_mead(objective, z0, max_iter=max_iter)
-        if best is None or result.value < best.value:
-            best = result
+        result, converged = _lbfgsb(value_and_gradient, z0, k, max_iter)
+        n_eval += result.nfev
+        if best is None or result.fun < best.fun:
+            best, best_converged = result, converged
             best_index = index
     assert best is not None
+    if not math.isfinite(best.fun):
+        raise ValueError("the log posterior is not finite at any start")
 
     params = _canonical_order(_params_from_z(best.x, k))
     log_ab = np.log(np.array(params.shapes + params.scales))
     diag = FitDiagnostics(
-        converged=best.converged,
-        objective=-best.value * n,
+        converged=best_converged,
+        objective=-best.fun * n,
         restart_index=best_index,
-        n_iter=best.n_iter,
+        n_iter=best.nit,
+        n_eval=n_eval,
         boundary_hit=bool(np.any(np.abs(log_ab) >= _LOG_CLAMP - 1e-9)),
         small_sample=n < 50 * dim,
     )

@@ -115,6 +115,7 @@ class NelderMeadResult:
     value: float
     converged: bool
     n_iter: int
+    n_eval: int
 
 
 def nelder_mead(
@@ -130,9 +131,9 @@ def nelder_mead(
     Stops as soon as the simplex diameter (max-norm spread of the vertices)
     drops to xatol, or the spread of vertex values drops to fatol, or
     max_iter iterations have run; `converged` reports whether a tolerance
-    was met.  The objective must be finite at x0; non-finite values at
-    later proposals are treated as +inf (rejected), which makes hard
-    parameter clamps safe.
+    was met and `n_eval` counts the calls of f.  The objective must be
+    finite at x0; non-finite values at later proposals are treated as +inf
+    (rejected), which makes hard parameter clamps safe.
 
     Deterministic: the initial simplex is built from x0 by perturbing one
     coordinate at a time (5% relative, or 2.5e-4 for zero coordinates) and
@@ -142,12 +143,15 @@ def nelder_mead(
     if x0.ndim != 1:
         raise ValueError("x0 must be one-dimensional")
     n = x0.size
+    n_eval = 0
 
     def safe_f(x: np.ndarray) -> float:
+        nonlocal n_eval
+        n_eval += 1
         v = f(x)
         return float(v) if np.isfinite(v) else math.inf
 
-    f0 = f(x0)
+    f0 = safe_f(x0)
     if not np.isfinite(f0):
         raise ValueError("objective is not finite at the initial point")
 
@@ -205,6 +209,7 @@ def nelder_mead(
         value=float(vals[order[0]]),
         converged=converged,
         n_iter=n_iter,
+        n_eval=n_eval,
     )
 
 
@@ -304,15 +309,17 @@ class FitDiagnostics:
 
     `objective` is the criterion value at the optimum (log-likelihood or
     log-posterior for likelihood fits, squared moment residual for moment
-    fits).  `boundary_hit` marks solutions pinned to a parameter clamp and
-    `small_sample` marks fits run on fewer observations than the rule of
-    thumb for the parameter count.
+    fits).  `n_iter` counts the best start's iterations and `n_eval` the
+    objective evaluations summed over all starts.  `boundary_hit` marks
+    solutions pinned to a parameter clamp and `small_sample` marks fits run
+    on fewer observations than the rule of thumb for the parameter count.
     """
 
     converged: bool
     objective: float
     restart_index: int
     n_iter: int
+    n_eval: int = 0
     boundary_hit: bool = False
     small_sample: bool = False
     residual: float | None = None
@@ -325,6 +332,7 @@ class FitDiagnostics:
             "objective": float(self.objective),
             "restart_index": int(self.restart_index),
             "n_iter": int(self.n_iter),
+            "n_eval": int(self.n_eval),
             "boundary_hit": bool(self.boundary_hit),
             "small_sample": bool(self.small_sample),
         }

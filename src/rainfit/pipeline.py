@@ -80,7 +80,7 @@ class RunConfig:
     `methods` are registry names; `threshold_mm` feeds the censored
     estimators only.  `timeout_s` is enforced after the fact: a fit that
     exceeds it keeps its numbers but is marked non-converged, since a
-    cooperative in-process interrupt of a simplex search is not worth the
+    cooperative in-process interrupt of an optimizer is not worth the
     complexity.  `min_wet` drops sites with too few wet days before any
     fitting.
     """

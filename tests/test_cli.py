@@ -182,6 +182,25 @@ def test_benchmark_single_method_row(tmp_path, capsys):
     assert "naveau-pwm" in stdout
 
 
+def test_benchmark_records_evaluation_counts(tmp_path):
+    manifest = small_manifest(tmp_path, n_sites=1)
+    counts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        args = ["benchmark", "--manifest", str(manifest), "--out", str(out)]
+        assert main(args + ["--egpd-restarts", "1", "--mixture-restarts", "1"]) == 0
+        records = [
+            json.loads(line)
+            for line in (out / "fits.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert len(records) == 7
+        counts.append({r["method"]: r["diagnostics"]["n_eval"] for r in records})
+        for name in TABLE_FILES:
+            assert "n_eval" not in (out / name).read_text(encoding="utf-8")
+    assert all(n > 0 for n in counts[0].values())
+    assert counts[1] == counts[0]
+
+
 def test_benchmark_all_fits_failed(tmp_path, capsys):
     # Every value sits below the censoring threshold, so the censored
     # methods cannot fit anything.

@@ -160,6 +160,17 @@ def test_nelder_mead_constant_objective():
     assert res.value == 3.5
 
 
+def test_nelder_mead_counts_its_evaluations():
+    calls = []
+
+    def f(v):
+        calls.append(v.copy())
+        return float(np.sum((v - 0.5) ** 2))
+
+    res = nelder_mead(f, [1.0, 1.0, 1.0])
+    assert res.n_eval == len(calls) > res.n_iter
+
+
 def test_nelder_mead_rejects_nonfinite_start():
     with pytest.raises(ValueError):
         nelder_mead(lambda v: float("nan"), [0.0])
