@@ -153,8 +153,11 @@ def classify(d_values) -> str:
     arr = np.asarray(d_values, dtype=float)
     if arr.size < 4:
         raise ValueError("need at least 4 values to classify an IQR")
-    q1 = empirical_quantile(arr, 0.25)
-    q3 = empirical_quantile(arr, 0.75)
+    return _iqr_class(empirical_quantile(arr, 0.25), empirical_quantile(arr, 0.75))
+
+
+def _iqr_class(q1: float, q3: float) -> str:
+    """The U/O/N rule on a quartile pair: U if q3 < 0, O if q1 > 0, else N."""
     if q3 < 0.0:
         return "U"
     if q1 > 0.0:
@@ -214,15 +217,6 @@ def _cell_from_d(d: np.ndarray) -> SummaryCell:
     iqr = q3 - q1
     in_lo = d[d >= q1 - 1.5 * iqr]
     in_hi = d[d <= q3 + 1.5 * iqr]
-    # The U/O/N rule is well defined for any n >= 1 (q1 = q3 = d[0] when
-    # degenerate), so summary cells are always classified even though the
-    # standalone classify() keeps its >= 4 precondition.
-    if q3 < 0.0:
-        klass = "U"
-    elif q1 > 0.0:
-        klass = "O"
-    else:
-        klass = "N"
     return SummaryCell(
         n_sites=n,
         median=med,
@@ -232,7 +226,10 @@ def _cell_from_d(d: np.ndarray) -> SummaryCell:
         hi=float(d[-1]),
         whisker_lo=float(in_lo[0]) if in_lo.size else q1,
         whisker_hi=float(in_hi[-1]) if in_hi.size else q3,
-        klass=klass,
+        # The U/O/N rule is well defined for any n >= 1 (q1 = q3 = d[0] when
+        # degenerate), so summary cells are always classified even though
+        # the standalone classify() keeps its >= 4 precondition.
+        klass=_iqr_class(q1, q3),
     )
 
 

@@ -1,10 +1,9 @@
 """Shared numerical kernels.
 
-Special functions, root finding, a simplex minimizer, fixed-order panel
-quadrature, and deterministic splittable random streams.  Everything in this
-module is a pure function of its explicit inputs so that the statistical
-modules built on top stay reproducible to the bit across runs, platforms,
-and worker counts.
+Special functions, root finding, a simplex minimizer, and deterministic
+splittable random streams.  Everything in this module is a pure function of
+its explicit inputs so that the statistical modules built on top stay
+reproducible to the bit across runs, platforms, and worker counts.
 """
 
 from __future__ import annotations
@@ -23,10 +22,7 @@ __all__ = [
     "NelderMeadResult",
     "RngState",
     "brent_root",
-    "gauss_legendre_integrate",
     "jittered_starts",
-    "log_beta",
-    "log_gamma",
     "nelder_mead",
     "reg_lower_incomplete_gamma",
     "splitmix64",
@@ -36,19 +32,6 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-
-
-def log_gamma(x: float | np.ndarray) -> float | np.ndarray:
-    """Natural log of the gamma function for positive arguments.
-
-    Raises ValueError when any argument is <= 0 (the real-axis poles and the
-    reflection region are out of scope for positive-data likelihoods).
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or np.any(~np.isfinite(arr)):
-        raise ValueError("log_gamma requires finite x > 0")
-    out = _special.gammaln(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def reg_lower_incomplete_gamma(a: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
@@ -66,13 +49,6 @@ def reg_lower_incomplete_gamma(a: float | np.ndarray, x: float | np.ndarray) -> 
     if np.isscalar(a) and np.isscalar(x):
         return float(out)
     return out
-
-
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), a, b > 0."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("log_beta requires a > 0 and b > 0")
-    return float(_special.betaln(a, b))
 
 
 def brent_root(
@@ -211,34 +187,6 @@ def nelder_mead(
         n_iter=n_iter,
         n_eval=n_eval,
     )
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def gauss_legendre_integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    *,
-    panels: int = 64,
-) -> float:
-    """Integrate f over [lo, hi] with fixed 32-point Gauss-Legendre panels.
-
-    The interval is split into `panels` equal pieces and the 32-node rule is
-    applied on each, so the node set is a pure function of (lo, hi, panels).
-    f must accept a numpy array of abscissae and return values elementwise.
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-        raise ValueError("integration interval must be finite with lo < hi")
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    fv = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return float(np.sum(half * (fv * _GL_WEIGHTS[None, :]).sum(axis=1)))
 
 
 def splitmix64(x: int) -> int:

@@ -9,22 +9,20 @@ package's own generator, so the package output itself (captured once) is
 the reference.
 
 test_acceptance.py re-derives the cheap closed forms live so that a silent
-edit to a literal cannot go unnoticed.
+edit to a literal cannot go unnoticed.  The file also holds the reference
+procedures the tests measure against: a fixed Gauss-Legendre panel rule
+for smooth integrands and a Kolmogorov-Smirnov check.
 """
 
 import math
 
-# --- special functions ------------------------------------------------
+import numpy as np
 
-# 9! = 362880 exactly; ln of the exact integer.
-LOG_GAMMA_10 = 12.801827480081469
+# --- special functions ------------------------------------------------
 
 # Regularized lower incomplete gamma P(3, 3) by the closed form
 # 1 - e^{-3} (1 + 3 + 9/2); mpmath dps=40 agrees to all printed digits.
 REG_GAMMA_3_3 = 0.5768099188731565
-
-# B(2, 3) = 1! 2! / 4! = 1/12; ln(1/12).
-LOG_BETA_2_3 = -2.4849066497880004
 
 # Root of P(3, x) = 1/2 on [0, 20]: bisection (200 halvings) on the closed
 # form 1 - e^{-x}(1 + x + x^2/2) evaluated with mpmath at dps=40.
@@ -64,7 +62,8 @@ PWM_K2_S1_XI0 = (1.5, 25.0 / 24.0, 49.0 / 60.0)
 # Conditional PWMs of Y | Y >= 1 for (kappa=2, sigma=5, xi=0.2), i.e.
 # nu_j^c = integral_0^1 Q(p_L + (1 - p_L) t) t^j dt, computed by mpmath
 # dps=40 adaptive quadrature with the u -> 1 endpoint evaluated through
-# expm1/log1p to keep 40-digit accuracy.
+# expm1/log1p to keep 40-digit accuracy.  conditional_pwms must reproduce
+# them to 1e-12 relative.
 COND_PWMS_K2_S5_XI02_YL1 = (
     10.019428232982701,
     7.222983662769103,
@@ -73,12 +72,6 @@ COND_PWMS_K2_S5_XI02_YL1 = (
 
 # egpd_cdf(1) for the same parameters: (1 - 1.04^{-5})^2 by hand.
 P_L_K2_S5_XI02_YL1 = 0.0317099553070953
-
-# The fixed 64-panel Gauss-Legendre rule the package uses for the targets
-# above carries a relative bias of about 1e-4 from the u -> 1 endpoint
-# singularity; tests pin the forward map at this tolerance rather than
-# pretending the rule is exact.
-COND_PWM_QUAD_RTOL = 2e-4
 
 # --- gamma mixture prior ----------------------------------------------
 
@@ -99,10 +92,24 @@ ASINH_8 = 2.7764722807237177
 KS_CONST_1PCT = 1.63
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def gauss_legendre_integrate(f, lo: float, hi: float, *, panels: int = 64) -> float:
+    """Integrate f over [lo, hi] with `panels` equal panels of the 32-node
+    Gauss-Legendre rule.  f takes and returns numpy arrays elementwise.
+    Exact for polynomials of degree <= 63; accurate only for integrands
+    smooth on the closed interval."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    fv = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return float(np.sum(half * (fv * _GL_WEIGHTS[None, :]).sum(axis=1)))
+
+
 def ks_statistic(sorted_values, cdf) -> float:
     """Two-sided KS distance between a sorted sample and a CDF callable."""
-    import numpy as np
-
     x = np.asarray(sorted_values, dtype=float)
     n = x.size
     f = np.asarray(cdf(x), dtype=float)
@@ -113,7 +120,5 @@ def ks_statistic(sorted_values, cdf) -> float:
 
 def ks_ok(values, cdf) -> bool:
     """KS statistic below the 1% critical value for this sample size."""
-    import numpy as np
-
     x = np.sort(np.asarray(values, dtype=float))
     return ks_statistic(x, cdf) < KS_CONST_1PCT / math.sqrt(x.size)

@@ -360,15 +360,10 @@ def test_c11_discretization_bias(capsys):
 def test_c12_frozen_oracles(capsys):
     recomputed = {}
 
-    recomputed["LOG_GAMMA_10"] = (
-        math.log(math.factorial(9)),
-        oracles.LOG_GAMMA_10,
-    )
     recomputed["REG_GAMMA_3_3"] = (
         -math.expm1(-3.0) - math.exp(-3.0) * (3.0 + 4.5),
         oracles.REG_GAMMA_3_3,
     )
-    recomputed["LOG_BETA_2_3"] = (math.log(1.0 / 12.0), oracles.LOG_BETA_2_3)
 
     with mp.workdps(40):
         # median of the unit-scale shape-3 gamma via closed-form bisection

@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ from rainfit.egpd import (
     gp_cdf,
     theoretical_pwm,
 )
-from rainfit.numerics import RngState, gauss_legendre_integrate
+import rainfit.egpd
+from rainfit.numerics import RngState
 
 import oracles
 
@@ -194,7 +196,7 @@ def test_density_integrates_to_one():
             y = np.maximum(t * t, 1e-300)
             return np.exp(egpd_log_pdf(y, params)) * 2.0 * t
 
-        total = gauss_legendre_integrate(
+        total = oracles.gauss_legendre_integrate(
             integrand, 0.0, math.sqrt(hi), panels=64
         )
         assert 0.9999 - 1e-4 <= total <= 1.0 + 1e-6
@@ -273,7 +275,7 @@ def test_pwm_matches_quantile_quadrature():
                     u = np.clip(u, 1e-300, 1.0 - 2.0**-53)
                     return egpd_quantile(u, params) * u**j * du
 
-                quad = gauss_legendre_integrate(integrand, 0.0, 1.0, panels=96)
+                quad = oracles.gauss_legendre_integrate(integrand, 0.0, 1.0, panels=96)
                 closed = theoretical_pwm(j, params)
                 assert closed == pytest.approx(quad, rel=1e-6)
 
@@ -392,10 +394,122 @@ def test_pwm_exponential_data():
 def test_conditional_pwms_against_exact_integrals():
     got = conditional_pwms(EgpdParams(2.0, 5.0, 0.2), 1.0)
     for g, expect in zip(got, oracles.COND_PWMS_K2_S5_XI02_YL1):
-        assert g == pytest.approx(expect, rel=oracles.COND_PWM_QUAD_RTOL)
+        assert g == pytest.approx(expect, rel=1e-12)
     assert egpd_cdf(1.0, EgpdParams(2.0, 5.0, 0.2)) == pytest.approx(
         oracles.P_L_K2_S5_XI02_YL1, rel=1e-12
     )
+
+
+def test_conditional_pwms_at_zero_threshold_are_the_plain_pwms():
+    # p_L = 0 makes Y | Y >= 0 the whole distribution; xi up to 0.95 puts
+    # the strongest (1 - u)^(-xi) singularity the fitting box allows at u = 1.
+    for kappa in (0.3, 1.0, 2.0, 8.0):
+        for xi in (-0.45, -0.2, 0.1, 0.3, 0.6, 0.8, 0.95):
+            params = EgpdParams(kappa, 3.0, xi)
+            got = conditional_pwms(params, 0.0)
+            for j in (0, 1, 2):
+                assert got[j] == pytest.approx(theoretical_pwm(j, params), rel=1e-12)
+
+
+def _mp_conditional_pwms(kappa: float, sigma: float, xi: float, threshold: float):
+    """nu_j^c at 60 digits, integrated over v = 1 - u^(1/kappa) on (0, v_L).
+
+    There u = (1 - v)^kappa, du = -kappa (1 - v)^(kappa - 1) dv and
+    Q = (sigma/xi)(v^(-xi) - 1), with v_L = 1 - H(threshold).
+    """
+    with mp.workdps(60):
+        k, s, x, c = (mp.mpf(v) for v in (kappa, sigma, xi, threshold))
+        v_l = mp.exp(-c / s) if xi == 0.0 else (1 + x * c / s) ** (-1 / x)
+        p_l = (1 - v_l) ** k
+        cache = {}  # the three integrals share their nodes
+
+        def parts(v):
+            if v not in cache:
+                q = -s * mp.log(v) if xi == 0.0 else s / x * (v ** (-x) - 1)
+                t = ((1 - v) ** k - p_l) / (1 - p_l)
+                cache[v] = (q * k * (1 - v) ** (k - 1) / (1 - p_l), t)
+            return cache[v]
+
+        out = []
+        for j in (0, 1, 2):
+
+            def integrand(v):
+                weight, t = parts(v)
+                return weight * t**j
+
+            out.append(float(mp.quad(integrand, [0, v_l / 2, v_l])))
+        return out, float(p_l)
+
+
+def test_conditional_pwms_against_60_digit_quadrature():
+    worst = 0.0
+    for kappa in (0.09, 1.0, 6.0):
+        for xi in (-0.45, -1e-3, 0.0, 1e-3, 0.3, 0.6):
+            params = EgpdParams(kappa, 4.0, xi)
+            for p_target in (0.5, 0.95, 0.99):
+                threshold = float(egpd_quantile(p_target, params))
+                ref, p_l = _mp_conditional_pwms(kappa, 4.0, xi, threshold)
+                assert p_l == pytest.approx(p_target, rel=1e-9)
+                got = conditional_pwms(params, threshold)
+                err = max(abs(g - r) / abs(r) for g, r in zip(got, ref))
+                worst = max(worst, err)
+    assert worst <= 1e-12
+
+
+def test_conditional_pwms_continuous_across_xi_zero():
+    for kappa in (0.09, 1.0, 6.0):
+        at_zero = conditional_pwms(EgpdParams(kappa, 4.0, 0.0), 1.0)
+        for delta in (1e-6, 1e-9, 1e-12):
+            for sign in (-1.0, 1.0):
+                near = conditional_pwms(EgpdParams(kappa, 4.0, sign * delta), 1.0)
+                for a, b in zip(near, at_zero):
+                    # |d nu / d xi| is a few nu here; allow 100 nu per unit xi.
+                    assert abs(a - b) <= 100.0 * delta * b + 1e-14 * b
+
+
+def test_conditional_pwms_error_paths():
+    params = EgpdParams(2.0, 5.0, -0.25)  # support ends at 20
+    for bad in (-1.0, float("nan"), float("inf"), 20.0, 25.0):
+        with pytest.raises(ValueError):
+            conditional_pwms(params, bad)
+
+
+def test_censored_mass_is_egpd_cdf_to_the_bit():
+    # The censored MLE reads F(threshold) from this helper; equality to the
+    # bit keeps that fit's trajectory identical to the array path.
+    grid = np.concatenate([[0.0, 1e-9, 0.3, 1.0], np.geomspace(1e-3, 400.0, 57)])
+    for kappa in (0.09, 1.0, 6.0):
+        for xi in (-0.45, -1e-9, 0.0, 1e-9, 0.2, 0.95):
+            params = EgpdParams(kappa, 5.0, xi)
+            for c in grid:
+                p_l, one_minus_p = rainfit.egpd._censored_mass(float(c), params)
+                assert p_l == egpd_cdf(float(c), params)
+                expect = 1.0 - p_l if p_l < 0.5 else None
+                if expect is not None:
+                    assert one_minus_p == pytest.approx(expect, rel=1e-14)
+    # 1 - F near F = 1, where 1 - p_l would cancel: kappa = 2, sigma = 5,
+    # xi = 0.2 at c = 1e4 has 1 - F = 1 - (1 - 2001^-5)^2 (mpmath, 40 digits).
+    with mp.workdps(40):
+        expect = float(1 - (1 - mp.mpf(2001) ** -5) ** 2)
+    got = rainfit.egpd._censored_mass(1e4, EgpdParams(2.0, 5.0, 0.2))[1]
+    assert got == pytest.approx(expect, rel=1e-13)
+
+
+def test_censored_pwm_fit_calls_conditional_pwms_through_module_global(monkeypatch):
+    # Benchmark tracing wraps rainfit.egpd.conditional_pwms in place; the fit
+    # must look the name up at call time or those counters read zero.
+    calls = []
+    original = rainfit.egpd.conditional_pwms
+
+    def counting(params, threshold):
+        calls.append(threshold)
+        return original(params, threshold)
+
+    monkeypatch.setattr(rainfit.egpd, "conditional_pwms", counting)
+    data = egpd_simulate(400, EgpdParams(0.8, 4.0, 0.15), RngState(seed=21))
+    fit_pwm_censored(data, CensoringSpec(threshold=1.0), restarts=0)
+    assert len(calls) > 0
+    assert set(calls) == {1.0}
 
 
 def test_censored_pwm_fixed_point_from_own_moments():

@@ -14,6 +14,7 @@ from rainfit.evaluation import (
     MethodId,
     PAPER_QUANTILES,
     QuantileSet,
+    _cell_from_d,
     asinh_axis_transform,
     classify,
     log_ratio_metric,
@@ -81,6 +82,12 @@ def test_classify_order_invariant():
 def test_classify_needs_four_values():
     with pytest.raises(ValueError):
         classify([0.1, 0.2, 0.3])
+
+
+@given(st.lists(st.sampled_from([-0.5, -0.1, 0.0, 0.1, 0.5]), min_size=4, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_summary_cells_classify_like_classify(values):
+    assert _cell_from_d(np.array(values)).klass == classify(values)
 
 
 # --- FitResult -------------------------------------------------------------------

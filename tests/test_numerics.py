@@ -13,44 +13,13 @@ from rainfit.numerics import (
     FitDiagnostics,
     RngState,
     brent_root,
-    gauss_legendre_integrate,
     jittered_starts,
-    log_beta,
-    log_gamma,
     nelder_mead,
     reg_lower_incomplete_gamma,
     splitmix64,
 )
 
 import oracles
-
-
-# --- log_gamma ----------------------------------------------------------
-
-
-def test_log_gamma_at_known_points():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-    assert log_gamma(10.0) == pytest.approx(oracles.LOG_GAMMA_10, abs=1e-12)
-
-
-def test_log_gamma_rejects_nonpositive():
-    for x in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-
-def test_log_gamma_recurrence_on_grid():
-    # lgamma(x + 1) = lgamma(x) + ln x, checked on a 1000-point log grid.
-    # Near x = 1e5 the recurrence involves cancelling terms of size ~1e6,
-    # so a fixed 1e-11 bound is unreachable in double precision no matter
-    # how the function is computed; allow a few ulps of the large term.
-    x = np.geomspace(0.1, 1e5, 1000)
-    big = np.abs(log_gamma(x + 1.0))
-    err = np.abs(log_gamma(x + 1.0) - log_gamma(x) - np.log(x))
-    assert np.all(err <= 1e-11 + 8.0 * np.finfo(float).eps * big)
-    # Where absolute accuracy is meaningful the strict bound holds outright.
-    assert float(np.max(err[x <= 1e3])) <= 1e-11
 
 
 # --- regularized incomplete gamma ----------------------------------------
@@ -78,21 +47,6 @@ def test_reg_gamma_monotone_and_saturates():
         assert np.all(np.diff(vals) >= -1e-15)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         assert vals[-1] >= 1.0 - 1e-10
-
-
-# --- log_beta -------------------------------------------------------------
-
-
-def test_log_beta_known_points():
-    assert log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_beta(2.0, 3.0) == pytest.approx(oracles.LOG_BETA_2_3, abs=1e-12)
-    assert log_beta(5.0, 1.0) == pytest.approx(-math.log(5.0), abs=1e-13)
-
-
-def test_log_beta_matches_gamma_identity():
-    for a, b in ((0.25, 0.75), (2.0, 7.5), (30.0, 0.1)):
-        expect = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-        assert log_beta(a, b) == pytest.approx(expect, abs=1e-12)
 
 
 # --- brent_root -----------------------------------------------------------
@@ -190,20 +144,20 @@ def test_nelder_mead_treats_nonfinite_proposals_as_walls():
     assert res.x[0] == pytest.approx(1.0, abs=1e-6)
 
 
-# --- gauss_legendre_integrate ------------------------------------------------
+# --- the Gauss-Legendre panel rule that test_egpd.py uses as an oracle ------
 
 
 def test_quadrature_polynomials_exact():
-    assert gauss_legendre_integrate(lambda x: x, 0.0, 1.0) == pytest.approx(
+    assert oracles.gauss_legendre_integrate(lambda x: x, 0.0, 1.0) == pytest.approx(
         0.5, abs=1e-14
     )
-    assert gauss_legendre_integrate(lambda x: x**3, 0.0, 1.0) == pytest.approx(
+    assert oracles.gauss_legendre_integrate(lambda x: x**3, 0.0, 1.0) == pytest.approx(
         0.25, abs=1e-14
     )
 
 
 def test_quadrature_sine():
-    got = gauss_legendre_integrate(np.sin, 0.0, math.pi, panels=16)
+    got = oracles.gauss_legendre_integrate(np.sin, 0.0, math.pi, panels=16)
     assert got == pytest.approx(2.0, abs=1e-10)
 
 
