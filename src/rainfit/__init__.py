@@ -5,144 +5,10 @@ likelihood or probability weighted moments, each with a left-censored
 variant) and gamma mixtures with 2 to 4 components (by MAP under a
 conjugate prior), then scores every method by the log ratio of fitted to
 empirical quantiles across a corpus of sites.
+
+Import names from the submodules (`rainfit.egpd`, `rainfit.gamma_mixture`,
+`rainfit.pipeline`, ...): the package itself exports only `__version__`,
+so importing one submodule loads no other.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
-
-from .corpus import (
-    CorpusError,
-    EmptySeriesError,
-    GeneratorSpec,
-    MalformedRowError,
-    Manifest,
-    PRESETS,
-    SiteSeries,
-    build_preset,
-    filter_corpus,
-    load_manifest,
-    load_site,
-    save_site,
-    simulate_corpus,
-    simulate_site,
-    write_manifest,
-)
-from .egpd import (
-    CensoringSpec,
-    EgpdParams,
-    conditional_pwms,
-    egpd_cdf,
-    egpd_log_pdf,
-    egpd_quantile,
-    egpd_simulate,
-    fit_mle,
-    fit_mle_censored,
-    fit_pwm,
-    fit_pwm_censored,
-    fit_pwm_censored_from_moments,
-    fit_pwm_from_moments,
-    theoretical_pwm,
-)
-from .empirical import SortedSample, empirical_pwm, empirical_quantile
-from .evaluation import (
-    EvaluationSummary,
-    FitResult,
-    MethodId,
-    PAPER_QUANTILES,
-    QuantileSet,
-    SummaryCell,
-    asinh_axis_transform,
-    classify,
-    log_ratio_metric,
-    summarize,
-)
-from .gamma_mixture import (
-    DEFAULT_HYPER,
-    DamslethHyper,
-    GammaMixtureParams,
-    fit_map,
-    log_posterior,
-    mixture_cdf,
-    mixture_log_pdf,
-    mixture_quantile,
-    mixture_simulate,
-)
-from .numerics import FitDiagnostics, RngState
-from .pipeline import (
-    AllFitsFailedError,
-    ConfigError,
-    RunConfig,
-    known_methods,
-    register_method,
-    run_benchmark,
-    run_fits,
-    run_single_fit,
-    summarize_results,
-)
-
-__all__ = [
-    "AllFitsFailedError",
-    "CensoringSpec",
-    "ConfigError",
-    "CorpusError",
-    "DEFAULT_HYPER",
-    "DamslethHyper",
-    "EgpdParams",
-    "EmptySeriesError",
-    "EvaluationSummary",
-    "FitDiagnostics",
-    "FitResult",
-    "GammaMixtureParams",
-    "GeneratorSpec",
-    "MalformedRowError",
-    "Manifest",
-    "MethodId",
-    "PAPER_QUANTILES",
-    "PRESETS",
-    "QuantileSet",
-    "RngState",
-    "RunConfig",
-    "SiteSeries",
-    "SortedSample",
-    "SummaryCell",
-    "__version__",
-    "asinh_axis_transform",
-    "build_preset",
-    "classify",
-    "conditional_pwms",
-    "egpd_cdf",
-    "egpd_log_pdf",
-    "egpd_quantile",
-    "egpd_simulate",
-    "empirical_pwm",
-    "empirical_quantile",
-    "filter_corpus",
-    "fit_map",
-    "fit_mle",
-    "fit_mle_censored",
-    "fit_pwm",
-    "fit_pwm_censored",
-    "fit_pwm_censored_from_moments",
-    "fit_pwm_from_moments",
-    "known_methods",
-    "load_manifest",
-    "load_site",
-    "log_posterior",
-    "log_ratio_metric",
-    "mixture_cdf",
-    "mixture_log_pdf",
-    "mixture_quantile",
-    "mixture_simulate",
-    "register_method",
-    "run_benchmark",
-    "run_fits",
-    "run_single_fit",
-    "save_site",
-    "simulate_corpus",
-    "simulate_site",
-    "summarize",
-    "summarize_results",
-    "theoretical_pwm",
-    "write_manifest",
-]

@@ -28,7 +28,7 @@ from .corpus import (
     simulate_corpus,
     write_manifest,
 )
-from .evaluation import MethodId, QuantileSet
+from .evaluation import PAPER_METHOD_ORDER, QuantileSet
 from .pipeline import (
     AllFitsFailedError,
     ConfigError,
@@ -41,12 +41,10 @@ from .pipeline import (
     write_report_files,
 )
 
-_CANONICAL_METHODS = tuple(m.value for m in MethodId)
-
 
 def _parse_methods(text: str | None) -> tuple[str, ...]:
     if text is None or text.strip().lower() == "all":
-        return _CANONICAL_METHODS
+        return PAPER_METHOD_ORDER
     methods = tuple(part.strip() for part in text.split(",") if part.strip())
     if not methods:
         raise ConfigError("--methods lists no method names")
@@ -150,7 +148,7 @@ def cmd_report(args) -> int:
     qset = _parse_quantiles(args.quantiles) if args.quantiles else None
     summary = summarize_results(results, qset)
     present = {r.method for r in results}
-    for m in _CANONICAL_METHODS:
+    for m in PAPER_METHOD_ORDER:
         if m not in present:
             print(f"warning: no records for method {m}", file=sys.stderr)
     for line in summary.warnings:

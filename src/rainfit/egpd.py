@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .empirical import SortedSample, empirical_pwm
 from .numerics import (
@@ -236,7 +235,9 @@ def theoretical_pwm(j: int, params: EgpdParams) -> float:
         raise ValueError("PWMs require xi < 1")
     m = j + 1.0
     if abs(xi) < XI_EPS:
-        return sigma / m * (float(_special.digamma(kappa * m + 1.0)) + EULER_GAMMA)
+        from scipy.special import digamma
+
+        return sigma / m * (float(digamma(kappa * m + 1.0)) + EULER_GAMMA)
     return sigma / xi * _pwm_shape(j, kappa, xi)
 
 

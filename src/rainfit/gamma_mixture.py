@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _optimize
-from scipy import special as _special
 
 from .empirical import empirical_quantile
 from .numerics import (
@@ -123,6 +121,9 @@ class _LogDensity:
     """
 
     def __init__(self, y: np.ndarray, k: int) -> None:
+        from scipy.special import gammaln
+
+        self._gammaln = gammaln
         self._y = y
         self._log_y = np.log(y)
         self._terms = np.empty((k, y.size))
@@ -138,7 +139,7 @@ class _LogDensity:
         b = b[:, None]
         terms = np.multiply(a - 1.0, self._log_y, out=self._terms)
         terms -= np.divide(self._y, b, out=self._quotient)
-        terms -= _special.gammaln(a)
+        terms -= self._gammaln(a)
         terms -= a * np.log(b)
         with np.errstate(divide="ignore"):
             terms += np.log(w)[:, None]
@@ -263,13 +264,19 @@ def mixture_simulate(n: int, params: GammaMixtureParams, rng: RngState) -> np.nd
     return _quantile_array(rng.uniforms(n), params)
 
 
-def _log_prior(a: np.ndarray, b: np.ndarray, hyper: DamslethHyper) -> float:
-    """Damsleth log prior summed over the K-vectors of shapes a and scales b."""
+def _log_prior(
+    a: np.ndarray, b: np.ndarray, hyper: DamslethHyper, log_gamma_a: np.ndarray
+) -> float:
+    """Damsleth log prior summed over the K-vectors of shapes a and scales b.
+
+    log_gamma_a is ln Gamma(a), which the caller computes with the gammaln
+    it has bound.
+    """
     u, v, rho, q, r = hyper.u, hyper.v, hyper.rho, hyper.q, hyper.r
     log_b = np.log(b)
     per_component = (
         u * math.log(v) - math.lgamma(u) - (u + 1.0) * log_b - v / b
-        + (a - 1.0) * math.log(rho) - a * q * log_b - r * _special.gammaln(a)
+        + (a - 1.0) * math.log(rho) - a * q * log_b - r * log_gamma_a
     )
     return float(np.sum(per_component))
 
@@ -287,12 +294,15 @@ def log_posterior(
         (a - 1) ln rho - a q ln b - r lgamma(a).
     The flat simplex prior on weights contributes zero.
     """
+    from scipy.special import gammaln
+
     arr = np.asarray(data, dtype=float)
     if arr.size:
         loglik = float(np.sum(mixture_log_pdf(arr, params)))
     else:
         loglik = 0.0
-    return loglik + _log_prior(np.array(params.shapes), np.array(params.scales), hyper)
+    a = np.array(params.shapes)
+    return loglik + _log_prior(a, np.array(params.scales), hyper, gammaln(a))
 
 
 # --- MAP fitting -----------------------------------------------------------
@@ -358,8 +368,11 @@ def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
         d/d ln b_k = S1_k / b_k - a_k N_k - (u + 1) + v / b_k - a_k q,
         d/d logit_j = N_j - n w_j,
     the logit of component K being fixed at 0.  A non-finite value is
-    returned as inf with a zero gradient.
+    returned as inf with a zero gradient.  scipy's gammaln and digamma are
+    bound here, once per fit, so an evaluation runs no import statement.
     """
+    from scipy.special import digamma, gammaln
+
     density = _LogDensity(x, k)
     n = x.size
     u, v, q, r = hyper.u, hyper.v, hyper.q, hyper.r
@@ -368,10 +381,10 @@ def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
     def value_and_gradient(z: np.ndarray) -> tuple[float, np.ndarray]:
         w, a, b = _arrays_from_z(z, k)
         loglik, n_k, s1, sl = density.log_lik_and_stats(w, a, b)
-        value = -(loglik + _log_prior(a, b, hyper)) / n
+        value = -(loglik + _log_prior(a, b, hyper, gammaln(a))) / n
         if not math.isfinite(value):
             return math.inf, np.zeros(z.size)
-        psi = _special.digamma(a)
+        psi = digamma(a)
         log_b = np.log(b)
         grad = np.concatenate([
             n_k[: k - 1] - n * w[: k - 1],
@@ -391,14 +404,16 @@ def _lbfgsb(value_and_gradient, z0: np.ndarray, k: int, max_iter: int):
     the box, is at most _CONVERGED_GTOL.  That test, not scipy's status,
     decides, since a line search can stop short at a stationary point.
     """
+    from scipy.optimize import Bounds, minimize
+
     lower = np.concatenate([np.full(k - 1, -np.inf), np.full(2 * k, -_LOG_CLAMP)])
     upper = -lower
-    result = _optimize.minimize(
+    result = minimize(
         value_and_gradient,
         np.clip(z0, lower, upper),
         jac=True,
         method="L-BFGS-B",
-        bounds=_optimize.Bounds(lower, upper),
+        bounds=Bounds(lower, upper),
         options={"maxiter": max_iter, "ftol": _FTOL, "gtol": _GTOL},
     )
     step = np.clip(result.x - result.jac, lower, upper) - result.x

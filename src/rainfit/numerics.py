@@ -4,6 +4,14 @@ Special functions, root finding, a simplex minimizer, and deterministic
 splittable random streams.  Everything in this module is a pure function of
 its explicit inputs so that the statistical modules built on top stay
 reproducible to the bit across runs, platforms, and worker counts.
+
+Importing any rainfit module loads numpy alone.  scipy is imported inside
+the functions that call it: `reg_lower_incomplete_gamma` (gammainc) and
+`brent_root` (brentq) here, `egpd.theoretical_pwm` (digamma, xi -> 0 only),
+and in `gamma_mixture` the density, the MAP objective (gammaln, digamma,
+bound once per fit) and L-BFGS-B.  `pipeline.run_fits` imports
+scipy.optimize once, before it times a fit or forks a worker pool, so no
+fit's time and no worker pays for the import.
 """
 
 from __future__ import annotations
@@ -13,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as _optimize
-from scipy import special as _special
 
 __all__ = [
     "EULER_GAMMA",
@@ -45,7 +51,9 @@ def reg_lower_incomplete_gamma(a: float | np.ndarray, x: float | np.ndarray) -> 
         raise ValueError("shape parameter must be > 0")
     if np.any(x_arr < 0.0):
         raise ValueError("x must be >= 0")
-    out = _special.gammainc(a_arr, x_arr)
+    from scipy.special import gammainc
+
+    out = gammainc(a_arr, x_arr)
     if np.isscalar(a) and np.isscalar(x):
         return float(out)
     return out
@@ -75,7 +83,9 @@ def brent_root(
         return float(hi)
     if np.sign(f_lo) == np.sign(f_hi):
         raise ValueError("interval does not bracket a root")
-    root, info = _optimize.brentq(
+    from scipy.optimize import brentq
+
+    root, info = brentq(
         f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps, maxiter=max_iter, full_output=True
     )
     if not info.converged:

@@ -250,7 +250,9 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     Sites are ordered by id and methods by registry index; task i gets the
     RNG stream derived from (seed, site index, method index).  With
     jobs > 1 the tasks run in a fork-start process pool, mapped in order,
-    so results are identical to the serial path.
+    so results are identical to the serial path.  scipy.optimize is
+    imported here, before any fit is timed and before the pool forks, so
+    neither the first fit's seconds nor each worker pay for the import.
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -259,6 +261,8 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     for m in config.methods:
         if m not in _REGISTRY:
             raise ConfigError(f"unknown method {m!r}; known: {sorted(_REGISTRY)}")
+    import scipy.optimize  # noqa: F401 - loaded once, ahead of the fits
+
     base = RngState(config.seed)
     tasks = []
     for si, series in enumerate(sites):
@@ -308,7 +312,11 @@ def empirical_quantile_map(results: Iterable[FitResult]) -> dict[str, dict[float
 def summarize_results(
     results: Iterable[FitResult], qset: QuantileSet | None = None
 ) -> EvaluationSummary:
-    """Summarize records without re-reading the corpus (report path)."""
+    """Summarize records from the empirical quantiles they carry.
+
+    `run_benchmark` and `report` both come here, so `report` rebuilds the
+    benchmark's tables by construction.
+    """
     results = list(results)
     if qset is None:
         ps = sorted({p for r in results for p in (r.empirical_quantiles or {})})
@@ -378,11 +386,7 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     write_records(out_dir / "fits.jsonl", results)
     if all(r.error is not None or not r.converged for r in results):
         raise AllFitsFailedError(f"all {len(results)} fits failed; see fits.jsonl")
-    summary = summarize(
-        results,
-        {s.site_id: {p: empirical_quantile(s.values, p) for p in config.quantiles.probabilities} for s in kept},
-        config.quantiles,
-    )
+    summary = summarize_results(results, config.quantiles)
     if dropped:
         summary.warnings.insert(0, f"{dropped} site(s) dropped below min_wet={config.min_wet}")
     write_report_files(out_dir, summary, svg=config.svg)

@@ -1,5 +1,6 @@
 """Gamma mixtures: density, CDF/quantile, posterior, and MAP fitting."""
 
+import builtins
 import json
 import math
 
@@ -267,6 +268,27 @@ def test_map_objective_equals_public_log_posterior(k):
                 value_and_gradient(z + step)[0] - value_and_gradient(z - step)[0]
             ) / (2.0 * h)
         assert np.max(np.abs(grad - central)) <= 1e-7 * (1.0 + np.max(np.abs(grad)))
+
+
+def test_map_objective_runs_no_import_per_evaluation(monkeypatch):
+    # scipy is imported where it is called; the objective binds its special
+    # functions once per fit, so evaluations after the first import nothing.
+    x = mixture_simulate(1000, C6_PARAMS, RngState(seed=7))
+    value_and_gradient = _map_value_and_gradient(x, 3, DEFAULT_HYPER)
+    z = _sliced_init(x, 3)
+    value_and_gradient(z)
+    imports = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imports.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    for i in range(100):
+        value_and_gradient(z + 1e-3 * i)
+    monkeypatch.undo()
+    assert imports == []
 
 
 # --- MAP fitting ------------------------------------------------------------------
