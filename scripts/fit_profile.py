@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Fit chosen methods to a corpus and print what each fit cost, as JSON.
+
+    python3 scripts/fit_profile.py --preset paper-like-50 --seed 1 --sites 0,1,25
+    python3 scripts/fit_profile.py --manifest corpus/manifest.json --methods naveau-pwm-c
+
+The corpus is a preset draw (optionally a subset of its site indices) or a
+manifest.  Sites below --min-wet are dropped and the rest are sorted by id;
+each (site, method) fit then draws from the RNG stream `rainfit benchmark`
+gives it, so a fit here repeats the benchmark's fit of the same corpus and
+flags.  Fits run serially in this process, after scipy.optimize is
+imported (as `run_fits` does) and one untimed warm-up fit.  One BLAS thread
+is used unless the environment already sets the thread count.
+
+The JSON has one record per fit (evaluations, seconds, objective, residual,
+converged, restarts at the best objective) and, per method, the totals and
+medians of evaluations and seconds.  Evaluation counts repeat exactly for a
+given corpus and code; seconds do not.  Run it with PYTHONPATH pointing at
+the `src/` of the checkout to measure.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import json
+import statistics
+import sys
+import time
+
+
+def _sites(args):
+    from rainfit.corpus import build_preset, filter_corpus, load_manifest, simulate_corpus
+    from rainfit.pipeline import materialize_corpus
+
+    if args.manifest:
+        sites = materialize_corpus(load_manifest(args.manifest))
+    else:
+        specs = build_preset(args.preset, args.seed)
+        if args.sites:
+            specs = [specs[int(i)] for i in args.sites.split(",")]
+        sites = simulate_corpus(specs)
+    kept, _ = filter_corpus(sites, args.min_wet)
+    return sorted(kept, key=lambda s: s.site_id)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", help="corpus preset, e.g. paper-like-50")
+    source.add_argument("--manifest", help="corpus manifest JSON")
+    parser.add_argument("--seed", type=int, default=1, help="preset draw and fit seed (default 1)")
+    parser.add_argument("--sites", help="comma-separated preset site indices (default all)")
+    parser.add_argument("--methods", help="comma-separated methods (default all seven)")
+    # Restart defaults are the paper-mixed benchmark workload's.
+    parser.add_argument("--egpd-restarts", type=int, default=2)
+    parser.add_argument("--mixture-restarts", type=int, default=1)
+    parser.add_argument("--threshold-mm", type=float, default=1.0)
+    parser.add_argument("--min-wet", type=int, default=100)
+    args = parser.parse_args(argv)
+
+    import scipy.optimize  # noqa: F401 - loaded before any fit is timed, as run_fits does
+
+    from rainfit.evaluation import PAPER_METHOD_ORDER
+    from rainfit.numerics import RngState
+    from rainfit.pipeline import RunConfig, known_methods, run_single_fit
+
+    methods = tuple(args.methods.split(",")) if args.methods else PAPER_METHOD_ORDER
+    config = RunConfig(
+        methods=methods,
+        seed=args.seed,
+        threshold_mm=args.threshold_mm,
+        egpd_restarts=args.egpd_restarts,
+        mixture_restarts=args.mixture_restarts,
+        min_wet=args.min_wet,
+    )
+    sites = _sites(args)
+    registry = list(known_methods())
+    base = RngState(config.seed)
+    run_single_fit(sites[0], methods[0], config, base)  # warm-up
+
+    fits = []
+    for si, series in enumerate(sites):
+        for method in config.methods:
+            rng = base.derive(si, registry.index(method))
+            t0 = time.perf_counter()
+            result = run_single_fit(series, method, config, rng)
+            seconds = time.perf_counter() - t0
+            diag = result.diagnostics or {}
+            fits.append({
+                "site": series.site_id,
+                "method": method,
+                "n": series.n_wet,
+                "n_eval": diag.get("n_eval"),
+                "seconds": seconds,
+                "objective": diag.get("objective"),
+                "residual": diag.get("residual"),
+                "converged": result.converged,
+                "restarts_at_best": diag.get("restarts_at_best"),
+                "error": result.error,
+            })
+
+    per_method = {}
+    for method in config.methods:
+        rows = [f for f in fits if f["method"] == method]
+        evals = [f["n_eval"] or 0 for f in rows]
+        secs = [f["seconds"] for f in rows]
+        per_method[method] = {
+            "fits": len(rows),
+            "failed": sum(not f["converged"] for f in rows),
+            "n_eval_total": sum(evals),
+            "n_eval_median": statistics.median(evals),
+            "seconds_total": sum(secs),
+            "seconds_median": statistics.median(secs),
+        }
+    json.dump({"methods": per_method, "fits": fits}, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,12 @@ to the tail fit.  The censored PWM fit matches conditional PWMs of
 Y | Y >= threshold, which `conditional_pwms` integrates with a fixed
 tanh-sinh rule that resolves the (1 - u)^(-xi) endpoint singularity of the
 quantile function to near machine precision.
+
+Every fit runs `numerics.multistart` from a fixed start plus jittered
+copies.  The likelihood fits profile kappa out in closed form and run
+L-BFGS-B over (ln sigma, xi) on the analytic gradient, with xi mapped so
+that no trial point puts an observation outside the support.  The PWM
+fits solve their moment equations by Levenberg-Marquardt.
 """
 
 from __future__ import annotations
@@ -28,7 +34,10 @@ from .numerics import (
     FitDiagnostics,
     RngState,
     jittered_starts,
-    nelder_mead,
+    lbfgsb,
+    multistart,
+    nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
+    solve_least_squares,
 )
 
 __all__ = [
@@ -57,6 +66,8 @@ XI_MIN = -0.5
 XI_MAX = 0.95
 
 _LOG_CLAMP = 12.0
+_KAPPA_MIN = math.exp(-_LOG_CLAMP)
+_KAPPA_MAX = math.exp(_LOG_CLAMP)
 _LN2 = math.log(2.0)
 _DEFAULT_RNG = RngState(seed=0x5EED0F17)
 _SMALL_SAMPLE_N = 100
@@ -221,24 +232,84 @@ def egpd_simulate(n: int, params: EgpdParams, rng: RngState) -> np.ndarray:
 def theoretical_pwm(j: int, params: EgpdParams) -> float:
     """Probability weighted moment nu_j = E[Y F(Y)^j] in closed form.
 
-    With m = j + 1, nu_j = (sigma/xi) [kappa B(kappa m, 1 - xi) - 1/m],
-    evaluated as (sigma/xi) expm1(delta)/m with
+    With m = j + 1, nu_j = (sigma/xi) [kappa B(kappa m, 1 - xi) - 1/m]
+    = sigma s_j(kappa, xi), where s_j = expm1(delta)/(m xi) with
     delta = lgamma(kappa m + 1) + lgamma(1 - xi) - lgamma(kappa m + 1 - xi)
-    to avoid the cancellation of the two terms at small xi.  The xi -> 0
-    limit is exact: nu_j = (sigma/m) [psi(kappa m + 1) + euler_gamma].
-    Requires xi < 1 - 1e-6 for the moment to exist.
+    (see `_pwm_shapes`).  s_j has no 0/0 at xi = 0, where it takes its limit
+    (psi(kappa m + 1) + euler_gamma)/m.  Requires xi < 1 - 1e-6 for the
+    moment to exist.
     """
     if j not in (0, 1, 2):
         raise ValueError("moment order j must be 0, 1 or 2")
-    kappa, sigma, xi = params.kappa, params.sigma, params.xi
-    if xi >= 1.0 - 1e-6:
+    if params.xi >= 1.0 - 1e-6:
         raise ValueError("PWMs require xi < 1")
-    m = j + 1.0
-    if abs(xi) < XI_EPS:
-        from scipy.special import digamma
+    shapes, _, _ = _pwm_shapes()(params.kappa, params.xi)
+    return params.sigma * float(shapes[j])
 
-        return sigma / m * (float(digamma(kappa * m + 1.0)) + EULER_GAMMA)
-    return sigma / xi * _pwm_shape(j, kappa, xi)
+
+# --- PWM shapes --------------------------------------------------------------
+
+_PWM_M = np.array([1.0, 2.0, 3.0])  # m = j + 1
+# Below |xi| = 0.05, delta_j is summed as its series in xi,
+#   delta = (psi(a) + euler_gamma) xi + sum_{k>=2} (zeta(k) - zeta(k, a)) xi^k / k,
+# a = kappa m + 1, through k = 12: the first omitted term is below 3e-17 of
+# the sum.  Above it the three lgamma terms cancel to delta with a relative
+# error of about eps lgamma(a) / delta; against 50-digit mpmath the worst
+# error of s_j over xi in [-0.5, 0.95] is 4e-14 at kappa = 6 and 4e-13 at
+# kappa = 30.
+_XI_SERIES = 0.05
+_SERIES_K = np.arange(2.0, 13.0)
+
+
+def _pwm_shapes():
+    """Bind scipy's special functions once; return the PWM shape function.
+
+    shapes(kappa, xi) returns three 3-vectors over j = 0, 1, 2: s_j, with
+    nu_j = sigma s_j, and the derivatives d ln s_j / d ln kappa and
+    d ln s_j / d xi.  s_j = D_j E(xi D_j) / m with D = delta / xi, smooth
+    through xi = 0, and E(x) = expm1(x) / x.  D and its derivatives come
+    from the series above for |xi| < 0.05, from digamma differences
+    otherwise:
+        dD/dxi = (psi(a - xi) - psi(1 - xi) - D) / xi,
+        dD/da  = (psi(a) - psi(a - xi)) / xi = sum_{k>=1} zeta(k + 1, a) xi^(k-1).
+    """
+    from scipy.special import digamma, gammaln, zeta
+
+    zeta_k = zeta(_SERIES_K)[:, None]
+    orders = np.arange(_SERIES_K.size + 1.0)
+    zeta_rows = np.arange(2.0, _SERIES_K.size + 3.0)[:, None]
+
+    def shapes(kappa: float, xi: float):
+        a = kappa * _PWM_M + 1.0
+        if abs(xi) < _XI_SERIES:
+            hurwitz = zeta(zeta_rows, a)  # zeta(k, a) for k = 2..13
+            powers = xi**orders  # xi^0 .. xi^11
+            diff = (zeta_k - hurwitz[:-1]) / _SERIES_K[:, None]
+            d = digamma(a) + EULER_GAMMA + powers[1:] @ diff
+            d_xi = ((_SERIES_K - 1.0) * powers[:-1]) @ diff
+            d_a = powers @ hurwitz
+        else:
+            d = (gammaln(a) + gammaln(1.0 - xi) - gammaln(a - xi)) / xi
+            psi_shift = digamma(a - xi)
+            d_xi = (psi_shift - digamma(1.0 - xi) - d) / xi
+            d_a = (digamma(a) - psi_shift) / xi
+        delta = xi * d
+        if xi == 0.0:
+            rel, lam = np.ones(3), np.full(3, 0.5)
+        else:
+            rel = np.expm1(delta) / delta
+            # lam = d ln E / d delta = e^delta / expm1(delta) - 1 / delta,
+            # by its series where the closed form would lose eps / delta^2.
+            if abs(delta).max() < 0.05:
+                lam = 0.5 + delta / 12.0 - delta**3 / 720.0 + delta**5 / 30240.0
+            else:
+                lam = 1.0 / -np.expm1(-delta) - 1.0 / delta
+        out = d * rel / _PWM_M
+        dln_xi = d_xi / d + lam * (d + xi * d_xi)
+        dln_kappa = kappa * _PWM_M * d_a * (1.0 / d + lam * xi)
+        return out, dln_kappa, dln_xi
+
+    return shapes
 
 
 # --- fitting machinery -----------------------------------------------------
@@ -254,10 +325,13 @@ def _s_to_xi(s: float) -> float:
     return XI_MIN + (XI_MAX - XI_MIN) / (1.0 + math.exp(-s))
 
 
-def _theta_from_t(t: np.ndarray) -> EgpdParams:
-    log_kappa = min(max(float(t[0]), -_LOG_CLAMP), _LOG_CLAMP)
-    log_sigma = min(max(float(t[1]), -_LOG_CLAMP), _LOG_CLAMP)
-    return EgpdParams(math.exp(log_kappa), math.exp(log_sigma), _s_to_xi(float(t[2])))
+def _exp_clamped(log_value: float) -> float:
+    return math.exp(min(max(float(log_value), -_LOG_CLAMP), _LOG_CLAMP))
+
+
+def _clamped(log_kappa: float, xi: float) -> tuple[float, float]:
+    """(kappa, xi) with ln kappa clamped to [-12, 12] and xi to [-0.5, 0.95]."""
+    return _exp_clamped(log_kappa), min(max(float(xi), XI_MIN), XI_MAX)
 
 
 def _boundary_hit(params: EgpdParams) -> bool:
@@ -280,48 +354,6 @@ def _validate_data(data) -> np.ndarray:
     return arr
 
 
-def _multistart_minimize(
-    objective,
-    init: np.ndarray,
-    restarts: int,
-    rng: RngState,
-    *,
-    max_iter: int,
-    xatol: float = 1e-9,
-    fatol: float = 1e-10,
-):
-    """Run nelder_mead from init and `restarts` jittered copies; keep the best.
-
-    Starting points where the objective is not finite are nudged toward
-    heavier tails (xi upward) a few times before giving up on that start.
-    Returns the best result, its start's index and the objective
-    evaluations summed over all starts, probes included.
-    """
-    starts = jittered_starts(init, restarts + 1, rng)
-    best = None
-    best_index = -1
-    n_eval = 0
-    for index, t0 in enumerate(starts):
-        t0 = t0.copy()
-        ok = False
-        for _ in range(5):
-            n_eval += 1
-            if np.isfinite(objective(t0)):
-                ok = True
-                break
-            t0[-1] += 1.0
-        if not ok:
-            continue
-        result = nelder_mead(objective, t0, xatol=xatol, fatol=fatol, max_iter=max_iter)
-        n_eval += result.n_eval
-        if best is None or result.value < best.value:
-            best = result
-            best_index = index
-    if best is None:
-        raise RuntimeError("no feasible starting point found")
-    return best, best_index, n_eval
-
-
 def fit_mle(
     data,
     *,
@@ -329,15 +361,20 @@ def fit_mle(
     rng: RngState | None = None,
     max_iter: int = 5000,
 ) -> tuple[EgpdParams, FitDiagnostics]:
-    """Maximum likelihood fit over (ln kappa, ln sigma, logit-scaled xi).
+    """Maximum likelihood fit, kappa profiled out, by multistart L-BFGS-B.
 
-    Starts from kappa=1, sigma=mean(data), xi=0.1 plus `restarts` jittered
+    kappa has a closed-form maximizer for each (sigma, xi), so L-BFGS-B
+    maximizes the profile likelihood over (ln sigma, xi) on its analytic
+    gradient (see `_profile_loglik`); `max_iter` caps its iterations per
+    start.  Starts from sigma=mean(data), xi=0.1 plus `restarts` jittered
     copies (multiplicative jitter bounded by e^0.5, seeded by `rng`), and
-    keeps the best mode.  Non-convergence is flagged in the diagnostics,
-    never raised; the best candidate is always returned.
+    keeps the best mode.  Converged means the projected gradient of the
+    per-observation objective is at most 1e-6 there.  Non-convergence is
+    flagged in the diagnostics, never raised; the best candidate is always
+    returned.
     """
     x = _validate_data(data)
-    return _fit_mle_impl(x, x, 0, restarts, rng, max_iter)
+    return _fit_mle_impl(x, 0, restarts, rng, max_iter)
 
 
 def fit_mle_censored(
@@ -363,11 +400,110 @@ def fit_mle_censored(
         raise ValueError("all data fall below the censoring threshold")
     if exceed.size < 30:
         raise ValueError("need at least 30 observations at or above the threshold")
-    return _fit_mle_impl(x, exceed, n_below, restarts, rng, max_iter, threshold=spec.threshold)
+    return _fit_mle_impl(exceed, n_below, restarts, rng, max_iter, threshold=spec.threshold)
+
+
+# 1 + xi max(y) / sigma stays at or above this on every trial point of the
+# likelihood fits, so the largest observation never leaves the support.
+_EDGE_MARGIN = 1e-10
+
+
+def _xi_floor(sigma: float, y_max: float) -> float:
+    """Lowest xi the likelihood fits try at this sigma: -0.5, or just above
+    the xi at which max(y) would sit on the support's upper end."""
+    return max(XI_MIN, -(1.0 - _EDGE_MARGIN) * sigma / y_max)
+
+
+# While |z| < 1e-3 for every point, (ln(1 + z) - z/(1 + z)) / z^2 is summed
+# as its series 1/2 - 2z/3 + 3z^2/4 - 4z^3/5 + 5z^4/6 (truncation below
+# 1e-15 relative).  Otherwise the closed form's cancellation costs at most
+# 2 eps / |z| relative per point, which is below 1e-11 of the gradient.
+_PHI_SERIES = 1e-3
+_PHI_COEFFS = (5.0 / 6.0, -4.0 / 5.0, 3.0 / 4.0, -2.0 / 3.0, 0.5)
+
+
+def _gp_terms(u: np.ndarray, xi: float):
+    """Per-point GP pieces at u = y / sigma, for the profile likelihood.
+
+    Returns (ln(1 + z), L, ln H, q, p, r) with z = xi u, H the GP CDF,
+    L = ln(1 + z) / xi = -ln(1 - H) (u at xi = 0), q = u / (1 + z),
+    p = (L - q) / xi = u^2 (ln(1 + z) - z/(1 + z)) / z^2 and
+    r = 1 / (e^L - 1).  With them the GP log density is
+    ln h = -ln sigma - ln(1 + z) - L, and the derivatives in
+    (ln sigma, xi) are
+        d ln h = (-1 + (1 + xi) q,  p - q),   d ln H = (-q r,  -p r).
+    """
+    z = xi * u
+    log1p_z = np.log1p(z)
+    q = u / (1.0 + z)
+    if abs(xi) * float(np.max(u)) < _PHI_SERIES:
+        big_l = log1p_z / xi if xi != 0.0 else u
+        phi = _PHI_COEFFS[0]
+        for coeff in _PHI_COEFFS[1:]:
+            phi = phi * z + coeff
+        p = u * u * phi
+    else:
+        big_l = log1p_z / xi
+        p = (big_l - q) / xi
+    big_h = -np.expm1(-big_l)
+    r = np.exp(-big_l) / big_h
+    return log1p_z, big_l, np.log(big_h), q, p, r
+
+
+def _profile_loglik(exceed: np.ndarray, n_below: int, threshold: float | None):
+    """x = (ln sigma, v) -> (-profile log-likelihood / n, gradient, kappa-hat, xi).
+
+    kappa is profiled out: dl/dkappa = 0 gives
+        kappa-hat = -n_exc / (sum ln H(y_i) + n_below ln H(threshold)),
+    clamped to e^+-12.  kappa-hat is either stationary or held at a clamp,
+    so (envelope theorem) the profile's gradient is the likelihood's
+    gradient in (ln sigma, xi) at fixed kappa = kappa-hat.  xi = lo +
+    (0.95 - lo) v with lo = `_xi_floor(sigma, max(y))`, so every v in
+    [0, 1] keeps max(y), and the threshold below it, inside the support:
+    the objective is finite on the whole box, and L-BFGS-B never meets an
+    infinite value or a penalty.
+    """
+    n_exc = exceed.size
+    n_total = n_exc + n_below
+    y_max = float(np.max(exceed))
+
+    def evaluate(x: np.ndarray):
+        log_sigma, v = float(x[0]), float(x[1])
+        sigma = math.exp(log_sigma)
+        lo = _xi_floor(sigma, y_max)
+        xi = lo + (XI_MAX - lo) * v
+        log1p_z, big_l, log_big_h, q, p, r = _gp_terms(exceed / sigma, xi)
+        sum_log_big_h = float(np.sum(log_big_h))
+        total = sum_log_big_h
+        if n_below:
+            c_terms = _gp_terms(np.array([threshold / sigma]), xi)
+            log_big_h_c, q_c, p_c, r_c = (float(t[0]) for t in c_terms[2:])
+            total += n_below * log_big_h_c
+        kappa = min(n_exc / -total, _KAPPA_MAX) if total < 0.0 else _KAPPA_MAX
+        kappa = max(kappa, _KAPPA_MIN)
+        loglik = (
+            n_exc * (math.log(kappa) - log_sigma)
+            - float(np.sum(log1p_z)) - float(np.sum(big_l))
+            + (kappa - 1.0) * sum_log_big_h
+        )
+        sum_q = float(np.sum(q))
+        sum_p = float(np.sum(p))
+        d_log_sigma = -n_exc + (1.0 + xi) * sum_q - (kappa - 1.0) * float(np.sum(q * r))
+        d_xi = sum_p - sum_q - (kappa - 1.0) * float(np.sum(p * r))
+        if n_below:
+            loglik += n_below * kappa * log_big_h_c
+            d_log_sigma -= n_below * kappa * q_c * r_c
+            d_xi -= n_below * kappa * p_c * r_c
+        # Chain rule through xi(ln sigma, v): d lo / d ln sigma is lo where
+        # the support edge sets lo, and 0 where -0.5 does.
+        d_lo = lo if lo > XI_MIN else 0.0
+        grad = np.array([d_log_sigma + d_xi * (1.0 - v) * d_lo, d_xi * (XI_MAX - lo)])
+        return -loglik / n_total, grad / -n_total, kappa, xi
+
+    return evaluate
 
 
 def _fit_mle_impl(
-    full: np.ndarray,
     exceed: np.ndarray,
     n_below: int,
     restarts: int,
@@ -377,40 +513,44 @@ def _fit_mle_impl(
     threshold: float | None = None,
 ) -> tuple[EgpdParams, FitDiagnostics]:
     rng = rng if rng is not None else _DEFAULT_RNG
-    n_total = full.size
+    n_total = exceed.size + n_below
+    evaluate = _profile_loglik(exceed, n_below, threshold)
+    y_max = float(np.max(exceed))
 
-    def neg_mean_loglik(t: np.ndarray) -> float:
-        params = _theta_from_t(t)
-        total = float(np.sum(egpd_log_pdf(exceed, params)))
-        if n_below > 0:
-            mass = _censored_mass(threshold, params)[0]
-            if mass <= 0.0:
-                return math.inf
-            total += n_below * math.log(mass)
-        return -total / n_total if math.isfinite(total) else math.inf
+    def value_and_gradient(x: np.ndarray):
+        value, grad, _, _ = evaluate(x)
+        return value, grad
 
+    def start(t: np.ndarray) -> np.ndarray:
+        # (ln kappa, ln sigma, xi logit) -> (ln sigma, v); kappa is profiled.
+        # A start with max(y) beyond its support edge is moved towards
+        # heavier tails, a logit step at a time.
+        log_sigma = min(max(float(t[1]), -_LOG_CLAMP), _LOG_CLAMP)
+        lo = _xi_floor(math.exp(log_sigma), y_max)
+        s = float(t[2])
+        for _ in range(5):
+            if _s_to_xi(s) > lo:
+                break
+            s += 1.0
+        v = (_s_to_xi(s) - lo) / (XI_MAX - lo)
+        return np.array([log_sigma, min(max(v, 0.0), 1.0)])
+
+    lower = np.array([-_LOG_CLAMP, 0.0])
+    upper = np.array([_LOG_CLAMP, 1.0])
     init = np.array([0.0, math.log(float(np.mean(exceed))), _xi_to_s(0.1)])
-    best, best_index, n_eval = _multistart_minimize(
-        neg_mean_loglik, init, restarts, rng, max_iter=max_iter
+    run = multistart(
+        lambda x0: lbfgsb(value_and_gradient, x0, lower, upper, max_iter=max_iter),
+        [start(t) for t in jittered_starts(init, restarts + 1, rng)],
     )
-    params = _theta_from_t(best.x)
-    diag = FitDiagnostics(
-        converged=best.converged,
-        objective=-best.value * n_total,
-        restart_index=best_index,
-        n_iter=best.n_iter,
-        n_eval=n_eval,
+    _, _, kappa, xi = evaluate(run.best.x)
+    params = EgpdParams(kappa, math.exp(float(run.best.x[0])), xi)
+    diag = run.diagnostics(
+        converged=run.best.converged,
+        objective=-run.best.value * n_total,
         boundary_hit=_boundary_hit(params),
         small_sample=n_total < _SMALL_SAMPLE_N,
     )
     return params, diag
-
-
-def _pwm_shape(j: int, kappa: float, xi: float) -> float:
-    """g_j(kappa, xi) = kappa B(kappa(j+1), 1-xi) - 1/(j+1), via expm1."""
-    a = kappa * (j + 1.0) + 1.0
-    delta = math.lgamma(a) + math.lgamma(1.0 - xi) - math.lgamma(a - xi)
-    return math.expm1(delta) / (j + 1.0)
 
 
 def fit_pwm_from_moments(
@@ -424,48 +564,44 @@ def fit_pwm_from_moments(
 ) -> tuple[EgpdParams, FitDiagnostics]:
     """Solve the two-ratio PWM system for (kappa, xi), then back out sigma.
 
-    Matches nu1/nu0 and nu2/nu0 against g_j(kappa, xi)/g_0(kappa, xi) by
-    least squares over (ln kappa, xi), with xi clipped to the fitting box
-    and kept off the xi=0 branch (|xi| >= 1e-8, where g_j/xi is 0/0).
-    sigma = xi nu0 / g_0.  Converged means the optimizer stopped and the
-    residual norm is at most 1e-6.
+    Solves s_1/s_0 = nu1/nu0 and s_2/s_0 = nu2/nu0 (see `_pwm_shapes`) by
+    Levenberg-Marquardt over (ln kappa, xi), on the analytic Jacobian, from
+    (0, 0.1) plus `restarts` jittered copies; `max_iter` caps the residual
+    evaluations per start.  ln kappa is clamped to [-12, 12] and xi to
+    [-0.5, 0.95] inside the residuals, and s_j is smooth through xi = 0,
+    so no value of xi needs special handling.  sigma = nu0 / s_0.
+    Converged means the solver stopped on a tolerance and the residual
+    norm is at most 1e-6.
     """
     if not all(math.isfinite(v) and v > 0.0 for v in (nu0, nu1, nu2)):
         raise ValueError("probability weighted moments must be finite and > 0")
     rng = rng if rng is not None else _DEFAULT_RNG
-    r1_target = nu1 / nu0
-    r2_target = nu2 / nu0
+    targets = np.array([nu1 / nu0, nu2 / nu0])
+    shapes = _pwm_shapes()
 
-    def unpack(z: np.ndarray) -> tuple[float, float]:
-        log_kappa = min(max(float(z[0]), -_LOG_CLAMP), _LOG_CLAMP)
-        xi = min(max(float(z[1]), XI_MIN), XI_MAX)
-        if abs(xi) < XI_EPS:
-            xi = XI_EPS if xi >= 0.0 else -XI_EPS
-        return math.exp(log_kappa), xi
+    def residuals(z: np.ndarray) -> np.ndarray:
+        out, _, _ = shapes(*_clamped(z[0], z[1]))
+        return out[1:] / out[0] - targets
 
-    def objective(z: np.ndarray) -> float:
-        kappa, xi = unpack(z)
-        g0 = _pwm_shape(0, kappa, xi)
-        g1 = _pwm_shape(1, kappa, xi)
-        g2 = _pwm_shape(2, kappa, xi)
-        if g0 == 0.0 or not all(map(math.isfinite, (g0, g1, g2))):
-            return math.inf
-        return (g1 / g0 - r1_target) ** 2 + (g2 / g0 - r2_target) ** 2
+    def jacobian(z: np.ndarray) -> np.ndarray:
+        out, dln_kappa, dln_xi = shapes(*_clamped(z[0], z[1]))
+        jac = (out[1:] / out[0])[:, None] * np.column_stack(
+            [dln_kappa[1:] - dln_kappa[0], dln_xi[1:] - dln_xi[0]]
+        )
+        # Past a clamp the residuals do not move with that coordinate.
+        jac[:, [abs(z[0]) > _LOG_CLAMP, not XI_MIN <= z[1] <= XI_MAX]] = 0.0
+        return jac
 
-    init = np.array([0.0, 0.1])
-    best, best_index, n_eval = _multistart_minimize(
-        objective, init, restarts, rng, max_iter=max_iter, xatol=1e-10, fatol=1e-16
+    run = multistart(
+        lambda z0: solve_least_squares(residuals, z0, jacobian=jacobian, max_eval=max_iter),
+        jittered_starts(np.array([0.0, 0.1]), restarts + 1, rng),
     )
-    kappa, xi = unpack(best.x)
-    sigma = xi * nu0 / _pwm_shape(0, kappa, xi)
-    params = EgpdParams(kappa, sigma, xi)
-    residual = math.sqrt(best.value)
-    diag = FitDiagnostics(
-        converged=best.converged and residual <= 1e-6,
-        objective=best.value,
-        restart_index=best_index,
-        n_iter=best.n_iter,
-        n_eval=n_eval,
+    kappa, xi = _clamped(*run.best.x)
+    params = EgpdParams(kappa, nu0 / float(shapes(kappa, xi)[0][0]), xi)
+    residual = math.sqrt(run.best.value)
+    diag = run.diagnostics(
+        converged=run.best.converged and residual <= 1e-6,
+        objective=run.best.value,
         boundary_hit=_boundary_hit(params),
         residual=residual,
     )
@@ -547,42 +683,51 @@ def fit_pwm_censored_from_moments(
 ) -> tuple[EgpdParams, FitDiagnostics]:
     """Solve conditional_pwms(params, threshold) = (nu0, nu1, nu2).
 
-    Least squares on relative residuals over all three transformed
-    parameters; used by fit_pwm_censored with the exceedance sample's
-    empirical PWMs plugged in.
+    Levenberg-Marquardt on the three relative residuals over
+    (ln kappa, ln sigma, xi), with a forward-difference Jacobian, from
+    kappa = 1, sigma = mean_start (nu0 if None), xi = 0.1 plus `restarts`
+    jittered copies; `max_iter` caps the residual evaluations per start.
+    ln kappa and ln sigma are clamped to [-12, 12] and xi to [-0.5, 0.95]
+    inside the residuals.  Where the threshold is at or beyond the
+    support's upper end, the model's PWMs are taken as those of a point
+    mass at the threshold, (c, c/2, c/3): their limit as that end falls to
+    the threshold.  So the residuals are finite at every trial point.
+    Converged means the solver stopped on a tolerance and the residual
+    norm is at most 1e-6.  fit_pwm_censored calls this with the exceedance
+    sample's empirical PWMs.
     """
     if not (nu0 > 0.0 and nu1 > 0.0 and nu2 > 0.0):
         raise ValueError("conditional PWMs must be > 0")
     rng = rng if rng is not None else _DEFAULT_RNG
     nu_hat = np.array([nu0, nu1, nu2])
+    # Conditional PWMs of a point mass at the threshold: the limit as the
+    # support's upper end falls to the threshold.
+    nu_edge = threshold / np.array([1.0, 2.0, 3.0])
 
-    def objective(t: np.ndarray) -> float:
-        params = _theta_from_t(t)
-        if params.xi < 0.0 and -params.sigma / params.xi <= threshold:
-            return math.inf
+    def unpack(t: np.ndarray) -> EgpdParams:
+        kappa, xi = _clamped(t[0], t[2])
+        return EgpdParams(kappa, _exp_clamped(t[1]), xi)
+
+    def residuals(t: np.ndarray) -> np.ndarray:
         try:
-            nu_model = np.array(conditional_pwms(params, threshold))
-        except ValueError:
-            return math.inf
-        if not np.all(np.isfinite(nu_model)):
-            return math.inf
-        rel = (nu_model - nu_hat) / nu_hat
-        return float(np.dot(rel, rel))
+            nu_model = np.array(conditional_pwms(unpack(t), threshold))
+        except ValueError:  # the threshold is at or beyond the support's end
+            nu_model = nu_edge
+        return (nu_model - nu_hat) / nu_hat
 
     init = np.array(
         [0.0, math.log(mean_start if mean_start is not None else nu0), _xi_to_s(0.1)]
     )
-    best, best_index, n_eval = _multistart_minimize(
-        objective, init, restarts, rng, max_iter=max_iter, xatol=1e-10, fatol=1e-16
+    starts = jittered_starts(init, restarts + 1, rng)
+    run = multistart(
+        lambda t0: solve_least_squares(residuals, t0, max_eval=max_iter),
+        [np.array([t[0], t[1], _s_to_xi(float(t[2]))]) for t in starts],
     )
-    params = _theta_from_t(best.x)
-    residual = math.sqrt(best.value)
-    diag = FitDiagnostics(
-        converged=best.converged and residual <= 1e-6,
-        objective=best.value,
-        restart_index=best_index,
-        n_iter=best.n_iter,
-        n_eval=n_eval,
+    params = unpack(run.best.x)
+    residual = math.sqrt(run.best.value)
+    diag = run.diagnostics(
+        converged=run.best.converged and residual <= 1e-6,
+        objective=run.best.value,
         boundary_hit=_boundary_hit(params),
         residual=residual,
     )
@@ -600,8 +745,8 @@ def fit_pwm_censored(
     """Censored PWM: exceedance PWMs matched to conditional theoretical PWMs.
 
     The empirical PWMs of {y : y >= threshold} are matched against the
-    conditional moments of Y | Y >= threshold by least squares on relative
-    residuals, over all three transformed parameters.
+    conditional moments of Y | Y >= threshold by solving the three
+    equations in (kappa, sigma, xi); see fit_pwm_censored_from_moments.
     """
     x = _validate_data(data)
     threshold = spec.threshold

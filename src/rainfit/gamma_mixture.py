@@ -23,6 +23,8 @@ from .numerics import (
     RngState,
     brent_root,
     jittered_starts,
+    lbfgsb,
+    multistart,
     nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
     reg_lower_incomplete_gamma,
 )
@@ -39,13 +41,6 @@ __all__ = [
 ]
 
 _LOG_CLAMP = 12.0
-# L-BFGS-B stops on a relative objective change below _FTOL or a projected
-# gradient below _GTOL (both on the per-observation objective); a fit counts
-# as converged when the projected gradient at the returned point is at most
-# _CONVERGED_GTOL, however the line search ended.
-_FTOL = 1e-15
-_GTOL = 1e-10
-_CONVERGED_GTOL = 1e-6
 _FLOAT_MIN = np.finfo(float).min
 _DEFAULT_RNG = RngState(seed=0x6A77A)
 
@@ -396,28 +391,10 @@ def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
     return value_and_gradient
 
 
-def _lbfgsb(value_and_gradient, z0: np.ndarray, k: int, max_iter: int):
-    """Minimize from z0, clipped into the box on ln a and ln b, by L-BFGS-B.
-
-    Returns scipy's result and whether it converged: whether the projected
-    gradient max |P(z - g) - z| at the returned point, P the projection onto
-    the box, is at most _CONVERGED_GTOL.  That test, not scipy's status,
-    decides, since a line search can stop short at a stationary point.
-    """
-    from scipy.optimize import Bounds, minimize
-
+def _map_bounds(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """L-BFGS-B box of the transformed space: free logits, |ln a|, |ln b| <= 12."""
     lower = np.concatenate([np.full(k - 1, -np.inf), np.full(2 * k, -_LOG_CLAMP)])
-    upper = -lower
-    result = minimize(
-        value_and_gradient,
-        np.clip(z0, lower, upper),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=Bounds(lower, upper),
-        options={"maxiter": max_iter, "ftol": _FTOL, "gtol": _GTOL},
-    )
-    step = np.clip(result.x - result.jac, lower, upper) - result.x
-    return result, float(np.max(np.abs(step))) <= _CONVERGED_GTOL
+    return lower, -lower
 
 
 def fit_map(
@@ -455,28 +432,20 @@ def fit_map(
     dim = 3 * k - 1
 
     value_and_gradient = _map_value_and_gradient(x, k, hyper)
-    starts = jittered_starts(_sliced_init(x, k), restarts + 1, rng)
-    best = None
-    best_index = -1
-    n_eval = 0
-    for index, z0 in enumerate(starts):
-        result, converged = _lbfgsb(value_and_gradient, z0, k, max_iter)
-        n_eval += result.nfev
-        if best is None or result.fun < best.fun:
-            best, best_converged = result, converged
-            best_index = index
-    assert best is not None
-    if not math.isfinite(best.fun):
+    lower, upper = _map_bounds(k)
+    run = multistart(
+        lambda z0: lbfgsb(value_and_gradient, z0, lower, upper, max_iter=max_iter),
+        jittered_starts(_sliced_init(x, k), restarts + 1, rng),
+    )
+    best = run.best
+    if not math.isfinite(best.value):
         raise ValueError("the log posterior is not finite at any start")
 
     params = _canonical_order(_params_from_z(best.x, k))
     log_ab = np.log(np.array(params.shapes + params.scales))
-    diag = FitDiagnostics(
-        converged=best_converged,
-        objective=-best.fun * n,
-        restart_index=best_index,
-        n_iter=best.nit,
-        n_eval=n_eval,
+    diag = run.diagnostics(
+        converged=best.converged,
+        objective=-best.value * n,
         boundary_hit=bool(np.any(np.abs(log_ab) >= _LOG_CLAMP - 1e-9)),
         small_sample=n < 50 * dim,
     )

@@ -1,17 +1,23 @@
 """Shared numerical kernels.
 
-Special functions, root finding, a simplex minimizer, and deterministic
-splittable random streams.  Everything in this module is a pure function of
-its explicit inputs so that the statistical modules built on top stay
-reproducible to the bit across runs, platforms, and worker counts.
+Special functions, root finding, the local solvers and the multistart
+driver every fit runs, and deterministic splittable random streams.
+Everything in this module is a pure function of its explicit inputs so that
+the statistical modules built on top stay reproducible to the bit across
+runs, platforms, and worker counts.
+
+`multistart` runs one local solve from each start and keeps the best; both
+model families call it.  The local solves are `lbfgsb` (L-BFGS-B on an
+analytic gradient: the gamma-mixture MAP and the two EGPD likelihood fits)
+and `solve_least_squares` (the two EGPD moment systems).  `nelder_mead` is
+kept for tests and tracing and no fit calls it.
 
 Importing any rainfit module loads numpy alone.  scipy is imported inside
-the functions that call it: `reg_lower_incomplete_gamma` (gammainc) and
-`brent_root` (brentq) here, `egpd.theoretical_pwm` (digamma, xi -> 0 only),
-and in `gamma_mixture` the density, the MAP objective (gammaln, digamma,
-bound once per fit) and L-BFGS-B.  `pipeline.run_fits` imports
-scipy.optimize once, before it times a fit or forks a worker pool, so no
-fit's time and no worker pays for the import.
+the functions that call it: `reg_lower_incomplete_gamma` (gammainc),
+`brent_root` (brentq), `lbfgsb` and `solve_least_squares` here, and the
+special functions the EGPD and mixture objectives bind once per fit.
+`pipeline.run_fits` imports scipy.optimize once, before it times a fit or
+forks a worker pool, so no fit's time and no worker pays for the import.
 """
 
 from __future__ import annotations
@@ -25,12 +31,16 @@ import numpy as np
 __all__ = [
     "EULER_GAMMA",
     "FitDiagnostics",
-    "NelderMeadResult",
+    "LocalResult",
+    "Multistart",
     "RngState",
     "brent_root",
     "jittered_starts",
+    "lbfgsb",
+    "multistart",
     "nelder_mead",
     "reg_lower_incomplete_gamma",
+    "solve_least_squares",
     "splitmix64",
 ]
 
@@ -38,6 +48,19 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+# L-BFGS-B stops on a relative objective change below _FTOL or a projected
+# gradient below _GTOL (both on a per-observation objective); a solve counts
+# as converged when the projected gradient at the returned point is at most
+# _CONVERGED_GTOL, however the line search ended.
+_FTOL = 1e-15
+_GTOL = 1e-10
+_CONVERGED_GTOL = 1e-6
+# A start "reached the best mode" when its final objective is within this
+# relative distance of the best start's; the absolute floor covers moment
+# fits whose best residual is zero.
+_BEST_RTOL = 1e-6
+_BEST_ATOL = 1e-12
 
 
 def reg_lower_incomplete_gamma(a: float | np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
@@ -94,8 +117,8 @@ def brent_root(
 
 
 @dataclass
-class NelderMeadResult:
-    """Outcome of a simplex minimization."""
+class LocalResult:
+    """Outcome of one local solve from one start."""
 
     x: np.ndarray
     value: float
@@ -111,7 +134,7 @@ def nelder_mead(
     xatol: float = 1e-9,
     fatol: float = 1e-10,
     max_iter: int = 5000,
-) -> NelderMeadResult:
+) -> LocalResult:
     """Minimize f by the Nelder-Mead simplex method.
 
     Stops as soon as the simplex diameter (max-norm spread of the vertices)
@@ -190,12 +213,139 @@ def nelder_mead(
                     vals[i] = safe_f(verts[i])
 
     order = np.argsort(vals, kind="stable")
-    return NelderMeadResult(
+    return LocalResult(
         x=verts[order[0]].copy(),
         value=float(vals[order[0]]),
         converged=converged,
         n_iter=n_iter,
         n_eval=n_eval,
+    )
+
+
+def lbfgsb(
+    value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    *,
+    max_iter: int,
+) -> LocalResult:
+    """Minimize from x0, clipped into the box [lower, upper], by L-BFGS-B.
+
+    value_and_gradient(x) returns the objective and its gradient; max_iter
+    caps the iterations.  `converged` is whether the projected gradient
+    max |P(x - g) - x| at the returned point, P the projection onto the
+    box, is at most 1e-6.  That test, not scipy's status, decides, since a
+    line search can stop short at a stationary point.
+    """
+    from scipy.optimize import Bounds, minimize
+
+    result = minimize(
+        value_and_gradient,
+        np.clip(x0, lower, upper),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=Bounds(lower, upper),
+        options={"maxiter": max_iter, "ftol": _FTOL, "gtol": _GTOL},
+    )
+    step = np.clip(result.x - result.jac, lower, upper) - result.x
+    return LocalResult(
+        x=result.x,
+        value=float(result.fun),
+        converged=float(np.max(np.abs(step))) <= _CONVERGED_GTOL,
+        n_iter=int(result.nit),
+        n_eval=int(result.nfev),
+    )
+
+
+def solve_least_squares(
+    residuals: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    *,
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+    max_eval: int,
+) -> LocalResult:
+    """Minimize |residuals(x)|^2 from x0 by Levenberg-Marquardt (MINPACK).
+
+    `jacobian` defaults to forward differences with steps of 1.5e-8.
+    max_eval caps the Levenberg-Marquardt calls of `residuals`; `n_eval`
+    counts every call, difference steps included, and `n_iter` the
+    Jacobians, one per iteration.  The `value` is the squared residual
+    norm and `converged` says the solver met a tolerance before the budget
+    ran out; whether the residual is small enough is the caller's test.
+    The solve is unconstrained: a caller with parameter limits clamps
+    inside `residuals` (and zeroes the matching Jacobian columns).
+    """
+    from scipy.optimize import approx_fprime, least_squares
+
+    n_eval = 0
+
+    def counted(x: np.ndarray) -> np.ndarray:
+        nonlocal n_eval
+        n_eval += 1
+        return residuals(x)
+
+    result = least_squares(
+        counted,
+        x0,
+        jac=jacobian if jacobian is not None else (lambda x: approx_fprime(x, counted)),
+        method="lm",
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+        max_nfev=max_eval,
+    )
+    return LocalResult(
+        x=result.x,
+        value=float(np.dot(result.fun, result.fun)),
+        converged=result.status > 0,
+        n_iter=int(result.njev),
+        n_eval=n_eval,
+    )
+
+
+@dataclass
+class Multistart:
+    """Best of several local solves.
+
+    `index` is the start that reached `best` (the first, on ties), `n_eval`
+    the evaluations summed over all starts, and `at_best` the number of
+    starts whose final value is within 1e-6 relative (1e-12 absolute) of
+    the best.
+    """
+
+    best: LocalResult
+    index: int
+    n_eval: int
+    at_best: int
+
+    def diagnostics(self, **fields) -> FitDiagnostics:
+        """FitDiagnostics of the best start; `fields` gives the rest."""
+        return FitDiagnostics(
+            restart_index=self.index,
+            n_iter=self.best.n_iter,
+            n_eval=self.n_eval,
+            restarts_at_best=self.at_best,
+            **fields,
+        )
+
+
+def multistart(
+    solve: Callable[[np.ndarray], LocalResult], starts: Sequence[np.ndarray]
+) -> Multistart:
+    """Run `solve` from every start and keep the lowest final value."""
+    results = [solve(x0) for x0 in starts]
+    index = 0
+    for i, result in enumerate(results):
+        if result.value < results[index].value:
+            index = i
+    best = results[index]
+    tol = _BEST_RTOL * abs(best.value) + _BEST_ATOL
+    return Multistart(
+        best=best,
+        index=index,
+        n_eval=sum(r.n_eval for r in results),
+        at_best=sum(abs(r.value - best.value) <= tol for r in results),
     )
 
 
@@ -267,10 +417,12 @@ class FitDiagnostics:
 
     `objective` is the criterion value at the optimum (log-likelihood or
     log-posterior for likelihood fits, squared moment residual for moment
-    fits).  `n_iter` counts the best start's iterations and `n_eval` the
-    objective evaluations summed over all starts.  `boundary_hit` marks
-    solutions pinned to a parameter clamp and `small_sample` marks fits run
-    on fewer observations than the rule of thumb for the parameter count.
+    fits).  `n_iter` counts the best start's iterations, `n_eval` the
+    objective evaluations summed over all starts, and `restarts_at_best`
+    the starts that ended within 1e-6 relative of the best objective.
+    `boundary_hit` marks solutions pinned to a parameter clamp and
+    `small_sample` marks fits run on fewer observations than the rule of
+    thumb for the parameter count.
     """
 
     converged: bool
@@ -278,6 +430,7 @@ class FitDiagnostics:
     restart_index: int
     n_iter: int
     n_eval: int = 0
+    restarts_at_best: int = 0
     boundary_hit: bool = False
     small_sample: bool = False
     residual: float | None = None
@@ -291,6 +444,7 @@ class FitDiagnostics:
             "restart_index": int(self.restart_index),
             "n_iter": int(self.n_iter),
             "n_eval": int(self.n_eval),
+            "restarts_at_best": int(self.restarts_at_best),
             "boundary_hit": bool(self.boundary_hit),
             "small_sample": bool(self.small_sample),
         }

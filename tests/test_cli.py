@@ -194,10 +194,16 @@ def test_benchmark_records_evaluation_counts(tmp_path):
             for line in (out / "fits.jsonl").read_text(encoding="utf-8").splitlines()
         ]
         assert len(records) == 7
-        counts.append({r["method"]: r["diagnostics"]["n_eval"] for r in records})
+        counts.append({
+            r["method"]: (r["diagnostics"]["n_eval"], r["diagnostics"]["restarts_at_best"])
+            for r in records
+        })
         for name in TABLE_FILES:
-            assert "n_eval" not in (out / name).read_text(encoding="utf-8")
-    assert all(n > 0 for n in counts[0].values())
+            text = (out / name).read_text(encoding="utf-8")
+            assert "n_eval" not in text
+            assert "restarts_at_best" not in text
+    # Two starts per fit (one restart): at least the best one is at the best.
+    assert all(n > 0 and 1 <= at_best <= 2 for n, at_best in counts[0].values())
     assert counts[1] == counts[0]
 
 

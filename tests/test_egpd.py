@@ -280,7 +280,107 @@ def test_pwm_matches_quantile_quadrature():
                 assert closed == pytest.approx(quad, rel=1e-6)
 
 
+def _mp_pwm_shape(kappa: float, xi: float, j: int):
+    """s_j = (kappa B(kappa m, 1 - xi) - 1/m) / xi at 50 digits, m = j + 1."""
+    with mp.workdps(50):
+        k, x, m = mp.mpf(kappa), mp.mpf(xi), j + 1
+        a = k * m + 1
+        if xi == 0.0:
+            return (mp.digamma(a) + mp.euler) / m
+        delta = mp.loggamma(a) + mp.loggamma(1 - x) - mp.loggamma(a - x)
+        return mp.expm1(delta) / (m * x)
+
+
+def test_pwm_shapes_against_50_digit_mpmath_near_xi_zero():
+    shapes = rainfit.egpd._pwm_shapes()
+    worst = 0.0
+    for kappa in (0.09, 1.0, 6.0):
+        for xi in (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3):
+            for sign in (1.0, -1.0):
+                got = shapes(kappa, sign * xi)[0]
+                for j in (0, 1, 2):
+                    ref = _mp_pwm_shape(kappa, sign * xi, j)
+                    worst = max(worst, float(abs((got[j] - ref) / ref)))
+    assert worst <= 1e-13
+
+
+def test_pwm_shapes_continuous_across_series_switch():
+    shapes = rainfit.egpd._pwm_shapes()
+    switch = rainfit.egpd._XI_SERIES
+    for kappa in (0.09, 1.0, 6.0):
+        for sign in (1.0, -1.0):
+            below = shapes(kappa, sign * switch * (1.0 - 1e-15))
+            above = shapes(kappa, sign * switch)
+            for j in (0, 1, 2):
+                assert below[0][j] == pytest.approx(above[0][j], rel=1e-12)
+                assert below[1][j] == pytest.approx(above[1][j], rel=1e-9)
+                assert below[2][j] == pytest.approx(above[2][j], rel=1e-9)
+
+
+def test_pwm_shape_derivatives_match_central_differences():
+    shapes = rainfit.egpd._pwm_shapes()
+    h = 1e-6
+    for kappa in (0.09, 1.0, 6.0):
+        for xi in (-0.45, -0.02, 0.0, 1e-9, 0.049, 0.3, 0.9):
+            _, dln_kappa, dln_xi = shapes(kappa, xi)
+            log_k = math.log(kappa)
+            fd_kappa = (
+                np.log(shapes(math.exp(log_k + h), xi)[0])
+                - np.log(shapes(math.exp(log_k - h), xi)[0])
+            ) / (2.0 * h)
+            fd_xi = (
+                np.log(shapes(kappa, xi + h)[0]) - np.log(shapes(kappa, xi - h)[0])
+            ) / (2.0 * h)
+            assert np.allclose(dln_kappa, fd_kappa, rtol=1e-7, atol=1e-9)
+            assert np.allclose(dln_xi, fd_xi, rtol=1e-7, atol=1e-9)
+
+
 # --- MLE ------------------------------------------------------------------------
+
+
+def _profile_point(sigma: float, xi: float, y_max: float) -> np.ndarray:
+    lo = rainfit.egpd._xi_floor(sigma, y_max)
+    return np.array([math.log(sigma), (xi - lo) / (0.95 - lo)])
+
+
+def test_profile_loglik_gradient_matches_central_differences():
+    data = egpd_simulate(800, EgpdParams(1.5, 4.0, 0.15), RngState(seed=31))
+    y_max = float(np.max(data))
+    exceed = data[data >= 1.0]
+    cases = (
+        (data, 0, None),
+        (exceed, data.size - exceed.size, 1.0),
+    )
+    points = [
+        (4.0, 0.15),
+        (2.0, 1e-12),
+        (9.0, 0.8),
+        # Close to the xi < 0 support edge: 1 + xi max(y) / sigma = 0.01.
+        (0.4 * y_max, -0.99 * 0.4),
+        (0.6 * y_max, -0.45),
+    ]
+    for sample, n_below, threshold in cases:
+        evaluate = rainfit.egpd._profile_loglik(sample, n_below, threshold)
+        for sigma, xi in points:
+            x = _profile_point(sigma, xi, y_max)
+            value, grad, _, _ = evaluate(x)
+            assert math.isfinite(value)
+            for i in (0, 1):
+                step = np.zeros(2)
+                step[i] = 1e-7
+                fd = (evaluate(x + step)[0] - evaluate(x - step)[0]) / 2e-7
+                assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_profile_loglik_is_finite_on_the_whole_box():
+    # Every (ln sigma, v) L-BFGS-B may try keeps max(y) inside the support.
+    data = egpd_simulate(500, EgpdParams(0.7, 2.0, -0.2), RngState(seed=32))
+    evaluate = rainfit.egpd._profile_loglik(data, 0, None)
+    for log_sigma in (-12.0, -3.0, 0.0, math.log(float(np.max(data)) / 2.0), 5.0, 12.0):
+        for v in (0.0, 1e-12, 0.3, 1.0):
+            value, grad, kappa, xi = evaluate(np.array([log_sigma, v]))
+            assert math.isfinite(value) and np.all(np.isfinite(grad))
+            assert -0.5 <= xi <= 0.95 and math.exp(-12) <= kappa <= math.exp(12)
 
 
 def test_mle_recovers_simulated_parameters():
@@ -300,6 +400,15 @@ def test_mle_on_gp_data_finds_kappa_near_one():
     fitted, diag = fit_mle(data)
     assert diag.converged
     assert 0.8 <= fitted.kappa <= 1.25
+
+
+def test_mle_never_worse_than_simplex_on_c3():
+    # -64006.51675447177 is the log-likelihood the multistart simplex search
+    # reached on acceptance criterion C3's fixture.
+    data = egpd_simulate(20_000, EgpdParams(2.0, 5.0, 0.2), RngState(seed=7))
+    _, diag = fit_mle(data, rng=RngState(seed=7).derive(1))
+    assert diag.converged
+    assert diag.objective >= -64006.51675447177
 
 
 def test_mle_constant_data_does_not_crash():
@@ -345,6 +454,22 @@ def test_censored_mle_handles_discretized_data():
     assert d99 <= 0.05
 
 
+def _c5_discretized_sample() -> np.ndarray:
+    raw = egpd_simulate(20_000, EgpdParams(2.0, 5.0, 0.2), RngState(seed=13))
+    data = np.round(raw / 0.2) * 0.2
+    return data[data > 0.0]
+
+
+def test_censored_mle_never_worse_than_simplex_on_c5():
+    # -64422.60706338743 is what the simplex search reached on acceptance
+    # criterion C5's discretized fixture.
+    _, diag = fit_mle_censored(
+        _c5_discretized_sample(), CensoringSpec(1.0), rng=RngState(seed=13).derive(1)
+    )
+    assert diag.converged
+    assert diag.objective >= -64422.60706338743
+
+
 def test_censored_mle_error_paths():
     with pytest.raises(ValueError):
         fit_mle_censored(np.full(200, 0.5), CensoringSpec(threshold=1.0))
@@ -373,6 +498,15 @@ def test_pwm_recovers_simulated_parameters():
     fitted, diag = fit_pwm(data)
     assert diag.converged
     assert max_log_ratio(fitted, truth) <= 0.05
+
+
+def test_pwm_residual_never_above_simplex_on_c4():
+    # 3.252971275318998e-09 is the residual the simplex search left on
+    # acceptance criterion C4's fixture.
+    data = egpd_simulate(50_000, EgpdParams(2.0, 5.0, 0.2), RngState(seed=3))
+    _, diag = fit_pwm(data, rng=RngState(seed=3).derive(1))
+    assert diag.converged
+    assert diag.residual <= 3.252971275318998e-09
 
 
 def test_pwm_exponential_data():
@@ -475,8 +609,8 @@ def test_conditional_pwms_error_paths():
 
 
 def test_censored_mass_is_egpd_cdf_to_the_bit():
-    # The censored MLE reads F(threshold) from this helper; equality to the
-    # bit keeps that fit's trajectory identical to the array path.
+    # conditional_pwms reads p_L = F(threshold) from this helper; it must
+    # agree with the public CDF to the bit.
     grid = np.concatenate([[0.0, 1e-9, 0.3, 1.0], np.geomspace(1e-3, 400.0, 57)])
     for kappa in (0.09, 1.0, 6.0):
         for xi in (-0.45, -1e-9, 0.0, 1e-9, 0.2, 0.95):
@@ -531,6 +665,38 @@ def test_censored_pwm_inactive_threshold_matches_plain_pwm():
     for p in (0.25, 0.5, 0.75, 0.9, 0.99):
         d = math.log(egpd_quantile(p, cens) / egpd_quantile(p, plain))
         assert abs(d) <= 1e-3
+
+
+def test_censored_pwm_residual_never_above_simplex_on_c5():
+    # 4.230785770474421e-09 is the simplex search's residual on C5's fixture.
+    _, diag = fit_pwm_censored(
+        _c5_discretized_sample(), CensoringSpec(1.0), rng=RngState(seed=13).derive(1)
+    )
+    assert diag.converged
+    assert diag.residual <= 4.230785770474421e-09
+
+
+@pytest.mark.parametrize("scale", [0.1, 25.4])
+def test_fits_are_equivariant_under_a_change_of_units(scale):
+    # Rescaling the data and the threshold by c rescales sigma and every
+    # fitted quantile by c and leaves kappa and xi where they were.
+    data = egpd_simulate(600, EgpdParams(1.3, 4.0, 0.15), RngState(seed=33))
+    fits = (
+        lambda y, c: fit_mle(y, restarts=1),
+        lambda y, c: fit_pwm(y, restarts=1),
+        lambda y, c: fit_mle_censored(y, CensoringSpec(c), restarts=1),
+        lambda y, c: fit_pwm_censored(y, CensoringSpec(c), restarts=1),
+    )
+    for fit in fits:
+        base, base_diag = fit(data, 1.0)
+        scaled, scaled_diag = fit(data * scale, scale)
+        assert base_diag.converged and scaled_diag.converged
+        assert scaled.kappa == pytest.approx(base.kappa, rel=1e-6)
+        assert scaled.xi == pytest.approx(base.xi, rel=1e-6, abs=1e-9)
+        for p in SEVEN_P:
+            assert egpd_quantile(p, scaled) == pytest.approx(
+                scale * egpd_quantile(p, base), rel=1e-6
+            )
 
 
 def test_censored_pwm_error_paths():

@@ -13,7 +13,7 @@ from rainfit.gamma_mixture import (
     DamslethHyper,
     GammaMixtureParams,
     _LogDensity,
-    _lbfgsb,
+    _map_bounds,
     _map_value_and_gradient,
     _params_from_z,
     _sliced_init,
@@ -24,7 +24,7 @@ from rainfit.gamma_mixture import (
     mixture_quantile,
     mixture_simulate,
 )
-from rainfit.numerics import RngState, jittered_starts, nelder_mead
+from rainfit.numerics import RngState, jittered_starts, lbfgsb, nelder_mead
 
 import oracles
 
@@ -320,9 +320,10 @@ def test_map_converged_reads_the_projected_gradient():
     # status scipy reports, the projected gradient there decides.
     w, a, b = (np.array(t) for t in (fitted.weights, fitted.shapes, fitted.scales))
     mode = np.concatenate([np.log(w[:-1] / w[-1]), np.log(a), np.log(b)])
-    result, converged = _lbfgsb(_map_value_and_gradient(x, 3, DEFAULT_HYPER), mode, 3, 5000)
-    assert converged
-    assert -result.fun * x.size >= diag.objective - 1e-9 * abs(diag.objective)
+    value_and_gradient = _map_value_and_gradient(x, 3, DEFAULT_HYPER)
+    result = lbfgsb(value_and_gradient, mode, *_map_bounds(3), max_iter=5000)
+    assert result.converged
+    assert -result.value * x.size >= diag.objective - 1e-9 * abs(diag.objective)
 
 
 def test_map_never_worse_than_simplex_on_c6():

@@ -13,9 +13,13 @@ from rainfit.numerics import (
     FitDiagnostics,
     RngState,
     brent_root,
+    LocalResult,
     jittered_starts,
+    lbfgsb,
+    multistart,
     nelder_mead,
     reg_lower_incomplete_gamma,
+    solve_least_squares,
     splitmix64,
 )
 
@@ -144,6 +148,65 @@ def test_nelder_mead_treats_nonfinite_proposals_as_walls():
     assert res.x[0] == pytest.approx(1.0, abs=1e-6)
 
 
+# --- local solvers and the multistart driver --------------------------------
+
+
+def test_lbfgsb_stops_at_the_box_and_reads_the_projected_gradient():
+    def value_and_gradient(x):
+        return float(np.sum((x - 2.0) ** 2)), 2.0 * (x - 2.0)
+
+    lower, upper = np.array([-1.0, -1.0]), np.array([1.0, 3.0])
+    res = lbfgsb(value_and_gradient, np.array([5.0, -4.0]), lower, upper, max_iter=100)
+    assert res.converged
+    assert res.x == pytest.approx([1.0, 2.0], abs=1e-9)
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    assert res.n_eval >= res.n_iter >= 1
+    stopped = lbfgsb(value_and_gradient, np.array([-1.0, -1.0]), lower, upper, max_iter=0)
+    assert not stopped.converged
+
+
+def test_solve_least_squares_counts_every_residual_call():
+    calls = []
+
+    def residuals(x):
+        calls.append(x.copy())
+        return np.array([x[0] ** 2 - 2.0, x[0] * x[1] - 3.0])
+
+    res = solve_least_squares(residuals, np.array([1.0, 1.0]), max_eval=200)
+    assert res.converged
+    assert res.x == pytest.approx([math.sqrt(2.0), 3.0 / math.sqrt(2.0)], rel=1e-12)
+    assert res.value <= 1e-28
+    # Forward differences are counted too.
+    assert res.n_eval == len(calls) > res.n_iter
+
+
+def test_solve_least_squares_uses_the_given_jacobian():
+    def residuals(x):
+        return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
+
+    def jacobian(x):
+        return np.array([[1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+    res = solve_least_squares(residuals, np.array([-1.2, 1.0]), jacobian=jacobian, max_eval=200)
+    assert res.converged
+    assert res.x == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
+def test_multistart_keeps_the_first_best_and_counts_starts_at_it():
+    values = iter([3.0, 1.0, 1.0 + 1e-9, 1.0, 2.0])
+
+    def solve(x0):
+        return LocalResult(x=x0, value=next(values), converged=True, n_iter=2, n_eval=5)
+
+    run = multistart(solve, [np.array([float(i)]) for i in range(5)])
+    assert run.index == 1
+    assert run.best.x[0] == 1.0
+    assert run.n_eval == 25
+    assert run.at_best == 3
+    diag = run.diagnostics(converged=True, objective=-1.0)
+    assert (diag.restart_index, diag.n_iter, diag.n_eval, diag.restarts_at_best) == (1, 2, 25, 3)
+
+
 # --- the Gauss-Legendre panel rule that test_egpd.py uses as an oracle ------
 
 
@@ -228,11 +291,13 @@ def test_diagnostics_serialize_to_plain_json():
         objective=np.float64(-12.5),
         restart_index=np.int64(1),
         n_iter=200,
+        restarts_at_best=np.int64(2),
         residual=np.float64(1e-9),
     )
     encoded = json.dumps(diag.to_dict())
     back = json.loads(encoded)
     assert back["converged"] is True
+    assert back["restarts_at_best"] == 2
     assert back["objective"] == -12.5
     assert back["restart_index"] == 1
     assert back["residual"] == 1e-9
