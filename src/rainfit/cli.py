@@ -12,6 +12,15 @@ where every fit failed).
 
 from __future__ import annotations
 
+import os
+
+# One BLAS/OpenMP thread unless the user chose otherwise.  The fits are
+# small-matrix work that extra threads only slow down: a 3-site benchmark
+# with two worker processes took about twice the wall time on 2 cores.
+# This runs before any module here imports numpy.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import json
 import sys

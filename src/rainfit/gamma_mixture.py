@@ -21,12 +21,10 @@ from .empirical import empirical_quantile
 from .numerics import (
     FitDiagnostics,
     RngState,
-    brent_root,
     jittered_starts,
     lbfgsb,
     multistart,
     nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
-    reg_lower_incomplete_gamma,
 )
 
 __all__ = [
@@ -107,42 +105,42 @@ DEFAULT_HYPER = DamslethHyper()
 
 
 class _LogDensity:
-    """Per-point log mixture density of one sample y > 0, for K-vectors w, a, b.
+    """Per-point log mixture density of one sample y > 0, for K weights w,
+    shapes a and scales b.
 
     The density has this one code path: mixture_log_pdf builds one per call
-    and fit_map one per fit.  ln y and the scratch arrays are made here, so
-    the thousands of evaluations in a fit allocate nothing of size n.  Each
-    call overwrites the array the previous call returned.
+    and fit_map one per fit.  Component k's term
+        t_k = c_k + (a_k - 1) ln y - y / b_k,
+        c_k = ln w_k - ln Gamma(a_k) - a_k ln b_k,
+    is row k of the (K, 3) coefficients (a_k - 1, -1 / b_k, c_k) times the
+    rows (ln y, y, 1): one einsum.  The coefficients are K scalars computed
+    with `math`, since numpy's per-call overhead exceeds the arithmetic at
+    K <= 4.  The rows and the scratch arrays are made here, so the thousands
+    of evaluations in a fit allocate nothing of size n.  Each call
+    overwrites the array the previous call returned.  einsum runs its own
+    loops, not BLAS, so no thread count changes a result.
     """
 
     def __init__(self, y: np.ndarray, k: int) -> None:
-        from scipy.special import gammaln
-
-        self._gammaln = gammaln
-        self._y = y
-        self._log_y = np.log(y)
+        self._basis = np.array([np.log(y), y, np.ones(y.size)])
+        self._coef = np.empty((k, 3))
         self._terms = np.empty((k, y.size))
-        self._quotient = np.empty((k, y.size))
-        self._max = np.empty(y.size)
-        self._out = np.empty(y.size)
+        # Rows 1/s, y/s and ln y/s for the statistics.  Until those are
+        # formed, row 0 holds the column sums s and row 2 the maxima m.
+        self._weights = np.empty((3, y.size))
+        self._sums = self._weights[0]
+        self._max = self._weights[2]
 
-    def component_terms(
-        self, w: np.ndarray, a: np.ndarray, b: np.ndarray
-    ) -> np.ndarray:
+    def component_terms(self, w, a, b) -> np.ndarray:
         """(K, n) matrix of log[pi_k Ga(y; a_k, b_k)]; -inf rows for pi_k = 0."""
-        a = a[:, None]
-        b = b[:, None]
-        terms = np.multiply(a - 1.0, self._log_y, out=self._terms)
-        terms -= np.divide(self._y, b, out=self._quotient)
-        terms -= self._gammaln(a)
-        terms -= a * np.log(b)
-        with np.errstate(divide="ignore"):
-            terms += np.log(w)[:, None]
-        return terms
+        rows = []
+        for wk, ak, bk in zip(w, a, b):
+            log_wk = math.log(wk) if wk > 0.0 else -math.inf
+            rows.append((ak - 1.0, -1.0 / bk, log_wk - math.lgamma(ak) - ak * math.log(bk)))
+        self._coef[:] = rows
+        return np.einsum("kj,jn->kn", self._coef, self._basis, out=self._terms)
 
-    def _shifted_exp(
-        self, w: np.ndarray, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _shifted_exp(self, w, a, b) -> tuple[np.ndarray, np.ndarray]:
         """exp(t - m) in place of the terms t, and its column sums.
 
         m = max_k t_k is left in self._max.  Shifting by the column maximum
@@ -152,38 +150,36 @@ class _LogDensity:
         than -inf - -inf = nan.
         """
         terms = self.component_terms(w, a, b)
-        m = np.max(terms, axis=0, out=self._max)
+        m = np.maximum.reduce(terms, axis=0, out=self._max)
         np.maximum(m, _FLOAT_MIN, out=m)
         terms -= m
         np.exp(terms, out=terms)
-        return terms, np.sum(terms, axis=0, out=self._out)
+        return terms, np.add.reduce(terms, axis=0, out=self._sums)
 
-    def __call__(self, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def __call__(self, w, a, b) -> np.ndarray:
         """m + ln sum_k exp(t_k - m) with t the component terms, m = max_k t_k."""
         _, out = self._shifted_exp(w, a, b)
         np.log(out, out=out)
         out += self._max
         return out
 
-    def log_lik_and_stats(
-        self, w: np.ndarray, a: np.ndarray, b: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Log likelihood and the K-vectors N = sum r, S1 = sum r y, Sl = sum r ln y.
+    def log_lik_and_stats(self, w, a, b) -> tuple[float, np.ndarray]:
+        """Log likelihood and the (3, K) rows N = sum r, S1 = sum r y, Sl = sum r ln y.
 
-        r are the responsibilities exp(t - m) / sum_k exp(t_k - m), formed in
-        place of the terms; the likelihood is the sum of what __call__
-        returns, by the same operations.  The sums over y are numpy
-        reductions into the scratch arrays, so they do not depend on BLAS.
+        The responsibilities are r = e / s with e = exp(t - m) and s its
+        column sums, so the three rows are one einsum of e against 1/s, y/s
+        and ln y/s.  The likelihood is the sum of what __call__ returns, by
+        the same operations.
         """
-        resp, total = self._shifted_exp(w, a, b)
-        resp /= total
-        np.log(total, out=total)
-        total += self._max
-        loglik = float(np.sum(total))
-        n_k = np.sum(resp, axis=1)
-        s1 = np.sum(np.multiply(resp, self._y, out=self._quotient), axis=1)
-        sl = np.sum(np.multiply(resp, self._log_y, out=self._quotient), axis=1)
-        return loglik, n_k, s1, sl
+        e, total = self._shifted_exp(w, a, b)
+        weights = self._weights
+        log_density = np.log(total, out=weights[1])
+        log_density += self._max
+        loglik = float(np.add.reduce(log_density))
+        np.divide(1.0, total, out=total)
+        np.multiply(self._basis[1], total, out=weights[1])
+        np.multiply(self._basis[0], total, out=weights[2])
+        return loglik, np.einsum("jn,kn->jk", weights, e)
 
 
 def mixture_log_pdf(y, params: GammaMixtureParams):
@@ -193,9 +189,21 @@ def mixture_log_pdf(y, params: GammaMixtureParams):
     arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("y must be finite and > 0")
-    w, a, b = (np.array(t) for t in (params.weights, params.shapes, params.scales))
-    out = _LogDensity(arr, w.size)(w, a, b)
+    density = _LogDensity(arr, params.n_components)
+    out = density(params.weights, params.shapes, params.scales)
     return float(out[0]) if scalar else out
+
+
+def _cdf_of(params: GammaMixtureParams):
+    """The mixture CDF as a function of a 1-D array y >= 0, unchecked.
+
+    The parameter arrays are bound once, for callers that evaluate it in a
+    loop.
+    """
+    from scipy.special import gammainc
+
+    w, a, b = (np.array(t)[:, None] for t in (params.weights, params.shapes, params.scales))
+    return lambda y: np.clip(np.add.reduce(w * gammainc(a, y / b), axis=0), 0.0, 1.0)
 
 
 def mixture_cdf(y, params: GammaMixtureParams):
@@ -205,11 +213,7 @@ def mixture_cdf(y, params: GammaMixtureParams):
     arr = np.atleast_1d(arr)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("y must be finite and >= 0")
-    a = np.array(params.shapes)[:, None]
-    b = np.array(params.scales)[:, None]
-    w = np.array(params.weights)[:, None]
-    out = np.sum(w * reg_lower_incomplete_gamma(a, arr[None, :] / b), axis=0)
-    out = np.clip(out, 0.0, 1.0)
+    out = _cdf_of(params)(arr)
     return float(out[0]) if scalar else out
 
 
@@ -224,30 +228,30 @@ def _quantile_bracket(params: GammaMixtureParams, p_max: float) -> float:
     raise RuntimeError("failed to bracket the mixture quantile")
 
 
-def mixture_quantile(p: float, params: GammaMixtureParams) -> float:
-    """Invert the mixture CDF by Brent's method; |cdf(result) - p| <= 1e-10.
+def mixture_quantile(p, params: GammaMixtureParams):
+    """Inverse mixture CDF at a scalar or an array of levels inside (0, 1).
 
-    The bracket starts at max_k(a_k b_k) + 10 max_k(b_k sqrt(a_k)) and
-    doubles until it covers p.
+    Bisection, 64 halvings of one bracket [0, hi] shared by every level;
+    hi starts at max_k(a_k b_k) + 10 max_k(b_k sqrt(a_k)) and doubles until
+    it covers the largest level.  Each result is within hi / 2^64 of the
+    quantile: below a component of shape well under 1, a level of 1e-6 or
+    less has only that absolute accuracy.
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
+    arr = np.asarray(p, dtype=float)
+    u = np.atleast_1d(arr)
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
-    hi = _quantile_bracket(params, p)
-    return brent_root(lambda y: mixture_cdf(y, params) - p, 0.0, hi, tol=1e-13)
-
-
-def _quantile_array(u: np.ndarray, params: GammaMixtureParams) -> np.ndarray:
-    """Vectorized inverse CDF by bisection on a shared bracket."""
     hi_edge = _quantile_bracket(params, float(np.max(u)))
+    cdf = _cdf_of(params)
     lo = np.zeros_like(u)
     hi = np.full_like(u, hi_edge)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        below = mixture_cdf(mid, params) < u
+        below = cdf(mid) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    out = 0.5 * (lo + hi)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def mixture_simulate(n: int, params: GammaMixtureParams, rng: RngState) -> np.ndarray:
@@ -256,24 +260,22 @@ def mixture_simulate(n: int, params: GammaMixtureParams, rng: RngState) -> np.nd
         raise ValueError("n must be >= 0")
     if n == 0:
         return np.empty(0)
-    return _quantile_array(rng.uniforms(n), params)
+    return mixture_quantile(rng.uniforms(n), params)
 
 
-def _log_prior(
-    a: np.ndarray, b: np.ndarray, hyper: DamslethHyper, log_gamma_a: np.ndarray
-) -> float:
-    """Damsleth log prior summed over the K-vectors of shapes a and scales b.
-
-    log_gamma_a is ln Gamma(a), which the caller computes with the gammaln
-    it has bound.
-    """
-    u, v, rho, q, r = hyper.u, hyper.v, hyper.rho, hyper.q, hyper.r
-    log_b = np.log(b)
-    per_component = (
-        u * math.log(v) - math.lgamma(u) - (u + 1.0) * log_b - v / b
-        + (a - 1.0) * math.log(rho) - a * q * log_b - r * log_gamma_a
-    )
-    return float(np.sum(per_component))
+def _log_prior(a, b, hyper: DamslethHyper) -> float:
+    """Damsleth log prior summed over the K shapes a and scales b (scalars)."""
+    u, v, q, r = hyper.u, hyper.v, hyper.q, hyper.r
+    log_rho = math.log(hyper.rho)
+    constant = u * math.log(v) - math.lgamma(u) - log_rho
+    total = 0.0
+    for ak, bk in zip(a, b):
+        log_bk = math.log(bk)
+        total += (
+            constant + ak * (log_rho - q * log_bk) - (u + 1.0) * log_bk - v / bk
+            - r * math.lgamma(ak)
+        )
+    return total
 
 
 def log_posterior(
@@ -289,34 +291,35 @@ def log_posterior(
         (a - 1) ln rho - a q ln b - r lgamma(a).
     The flat simplex prior on weights contributes zero.
     """
-    from scipy.special import gammaln
-
     arr = np.asarray(data, dtype=float)
     if arr.size:
         loglik = float(np.sum(mixture_log_pdf(arr, params)))
     else:
         loglik = 0.0
-    a = np.array(params.shapes)
-    return loglik + _log_prior(a, np.array(params.scales), hyper, gammaln(a))
+    return loglik + _log_prior(params.shapes, params.scales, hyper)
 
 
 # --- MAP fitting -----------------------------------------------------------
 
 
-def _arrays_from_z(
-    z: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weight, shape and scale K-vectors of the transformed point z."""
-    logits = np.concatenate([z[: k - 1], [0.0]])
-    logits -= logits.max()
-    w = np.exp(logits)
-    w /= w.sum()
-    shapes_scales = np.exp(z[k - 1 :])
-    return w, shapes_scales[:k], shapes_scales[k:]
+def _components_from_z(
+    zl: list[float], k: int
+) -> tuple[list[float], list[float], list[float]]:
+    """Weights, shapes and scales of the transformed point zl, as floats."""
+    logits = zl[: k - 1] + [0.0]
+    top = max(logits)
+    e = [math.exp(t - top) for t in logits]
+    total = sum(e)
+    return (
+        [ej / total for ej in e],
+        [math.exp(t) for t in zl[k - 1 : 2 * k - 1]],
+        [math.exp(t) for t in zl[2 * k - 1 :]],
+    )
 
 
 def _params_from_z(z: np.ndarray, k: int) -> GammaMixtureParams:
-    return GammaMixtureParams(*(tuple(arr) for arr in _arrays_from_z(z, k)))
+    w, a, b = _components_from_z(np.asarray(z, dtype=float).tolist(), k)
+    return GammaMixtureParams(tuple(w), tuple(a), tuple(b))
 
 
 def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
@@ -362,11 +365,13 @@ def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
                      + a_k (ln rho - q ln b_k - r psi(a_k)),
         d/d ln b_k = S1_k / b_k - a_k N_k - (u + 1) + v / b_k - a_k q,
         d/d logit_j = N_j - n w_j,
-    the logit of component K being fixed at 0.  A non-finite value is
-    returned as inf with a zero gradient.  scipy's gammaln and digamma are
-    bound here, once per fit, so an evaluation runs no import statement.
+    the logit of component K being fixed at 0.  Everything of size K is
+    scalar `math`, as in the density's coefficients and the prior.  A
+    non-finite value is returned as inf with a zero gradient.  scipy's
+    digamma is bound here, once per fit, so an evaluation runs no import
+    statement.
     """
-    from scipy.special import digamma, gammaln
+    from scipy.special import digamma
 
     density = _LogDensity(x, k)
     n = x.size
@@ -374,19 +379,24 @@ def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
     log_rho = math.log(hyper.rho)
 
     def value_and_gradient(z: np.ndarray) -> tuple[float, np.ndarray]:
-        w, a, b = _arrays_from_z(z, k)
-        loglik, n_k, s1, sl = density.log_lik_and_stats(w, a, b)
-        value = -(loglik + _log_prior(a, b, hyper, gammaln(a))) / n
+        zl = z.tolist()
+        w, a, b = _components_from_z(zl, k)
+        loglik, stats = density.log_lik_and_stats(w, a, b)
+        value = -(loglik + _log_prior(a, b, hyper)) / n
         if not math.isfinite(value):
             return math.inf, np.zeros(z.size)
-        psi = digamma(a)
-        log_b = np.log(b)
-        grad = np.concatenate([
-            n_k[: k - 1] - n * w[: k - 1],
-            a * (sl - n_k * (psi + log_b) + log_rho - q * log_b - r * psi),
-            s1 / b - a * n_k - (u + 1.0) + v / b - a * q,
-        ])
-        return value, grad / -n
+        n_k, s1, sl = stats.tolist()
+        psi = digamma(a).tolist()
+        grad = [nj - n * wj for nj, wj in zip(n_k[: k - 1], w)]
+        grad += [
+            ak * (slk - nk * (pk + lbk) + log_rho - q * lbk - r * pk)
+            for ak, nk, slk, pk, lbk in zip(a, n_k, sl, psi, zl[2 * k - 1 :])
+        ]
+        grad += [
+            (s1k + v) / bk - ak * (nk + q) - (u + 1.0)
+            for ak, bk, nk, s1k in zip(a, b, n_k, s1)
+        ]
+        return value, np.array(grad) / -n
 
     return value_and_gradient
 

@@ -115,7 +115,10 @@ class RunConfig:
 
 # --- method registry ---------------------------------------------------------
 
-MethodRunner = Callable[[np.ndarray, RunConfig, RngState], tuple[dict, FitDiagnostics, Callable[[float], float]]]
+MethodRunner = Callable[
+    [np.ndarray, RunConfig, RngState],
+    tuple[dict, FitDiagnostics, Callable[[np.ndarray], np.ndarray]],
+]
 
 _REGISTRY: dict[str, MethodRunner] = {}
 
@@ -124,7 +127,8 @@ def register_method(name: str, runner: MethodRunner) -> None:
     """Add a fitting method under a new name.
 
     The runner gets (values, config, rng) and returns (params dict,
-    FitDiagnostics, quantile function).  Registration order fixes the
+    FitDiagnostics, quantile function); the quantile function maps an array
+    of levels to the array of fitted quantiles.  Registration order fixes the
     method's RNG stream index, so register custom methods in a stable
     order before running.
     """
@@ -140,7 +144,7 @@ def known_methods() -> tuple[str, ...]:
 def _egpd_runner(fit):
     def run(values, config, rng):
         params, diag = fit(values, config, rng)
-        return params.to_dict(), diag, lambda p: float(egpd_quantile(p, params))
+        return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
 
     return run
 
@@ -204,7 +208,7 @@ def run_single_fit(
     t0 = time.perf_counter()
     try:
         params, diag, quantile_fn = runner(series.values, config, rng)
-        estimated = {p: float(quantile_fn(p)) for p in qs}
+        estimated = dict(zip(qs, map(float, quantile_fn(np.array(qs)))))
         elapsed = time.perf_counter() - t0
         converged = diag.converged
         diagnostics = diag.to_dict()

@@ -4,6 +4,7 @@ import builtins
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -16,6 +17,7 @@ from rainfit.gamma_mixture import (
     _map_bounds,
     _map_value_and_gradient,
     _params_from_z,
+    _quantile_bracket,
     _sliced_init,
     fit_map,
     log_posterior,
@@ -147,6 +149,57 @@ def test_quantile_cdf_roundtrips():
         assert mixture_cdf(q, K3_PARAMS) == pytest.approx(p, abs=1e-10)
 
 
+# One mixture per K = 1..4, none with a shape below 0.5 (see the next test).
+MIXTURES_BY_K = (
+    GammaMixtureParams((1.0,), (2.0,), (3.0,)),
+    GammaMixtureParams((0.6, 0.4), (0.7, 4.0), (0.5, 3.0)),
+    K3_PARAMS,
+    GammaMixtureParams((0.1, 0.2, 0.3, 0.4), (0.5, 1.5, 4.0, 12.0), (0.2, 1.0, 3.0, 2.5)),
+)
+TAIL_P = (1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("params", MIXTURES_BY_K, ids=["k1", "k2", "k3", "k4"])
+def test_quantile_array_matches_scalar_calls_and_inverts_the_cdf(params):
+    ps = np.array(TAIL_P)
+    q = mixture_quantile(ps, params)
+    assert q.shape == ps.shape
+    # A scalar call sizes the bracket for its own level, so the two agree to
+    # the bisection's resolution, hi / 2^64 with hi the widest bracket.
+    scalar = np.array([mixture_quantile(float(p), params) for p in ps])
+    resolution = _quantile_bracket(params, ps.max()) * 2.0**-64
+    assert np.all(np.abs(q - scalar) <= 2.0 * resolution + 4e-16 * q)
+    assert np.max(np.abs(mixture_cdf(q, params) - ps)) <= 1e-12
+    assert np.max(np.abs(mixture_cdf(scalar, params) - ps)) <= 1e-12
+
+
+def test_quantile_resolution_near_zero_is_the_bracket_over_2_to_the_64():
+    # 64 halvings of [0, hi] resolve q to hi / 2^64 in absolute terms.  Below
+    # a shape-0.3 component the 1e-6 quantile is about 3e-18, so the CDF
+    # there is only good to about 1.5e-8; the bound is the bisection's.
+    params = GammaMixtureParams(
+        (0.1, 0.2, 0.3, 0.4), (0.3, 1.5, 4.0, 12.0), (0.2, 1.0, 3.0, 2.5)
+    )
+    p = 1e-6
+    q = mixture_quantile(p, params)
+    step = _quantile_bracket(params, p) * 2.0**-64
+    assert mixture_cdf(max(q - step, 0.0), params) <= p <= mixture_cdf(q + step, params)
+
+
+@pytest.mark.parametrize(
+    "bad", [0.0, 1.0, -0.1, 1.5, math.nan, [0.5, 1.0], [0.0, 0.5], np.array([0.2, math.nan])]
+)
+def test_quantile_rejects_levels_outside_the_open_unit_interval(bad):
+    with pytest.raises(ValueError):
+        mixture_quantile(bad, K3_PARAMS)
+
+
+def test_single_gamma_cdf_and_quantile_match_oracles():
+    gamma3 = GammaMixtureParams((1.0,), (3.0,), (1.0,))
+    assert mixture_cdf(3.0, gamma3) == pytest.approx(oracles.REG_GAMMA_3_3, abs=1e-12)
+    assert mixture_quantile(0.5, gamma3) == pytest.approx(oracles.GAMMA3_MEDIAN, abs=1e-12)
+
+
 def test_cdf_monotone():
     hi = mixture_quantile(0.9995, K3_PARAMS)
     ys = np.linspace(0.0, hi, 400)
@@ -267,6 +320,99 @@ def test_map_objective_equals_public_log_posterior(k):
             central[i] = (
                 value_and_gradient(z + step)[0] - value_and_gradient(z - step)[0]
             ) / (2.0 * h)
+        assert np.max(np.abs(grad - central)) <= 1e-7 * (1.0 + np.max(np.abs(grad)))
+
+
+@pytest.fixture(scope="module")
+def c6_sample():
+    """The n = 20,000 sample of acceptance criterion C6."""
+    return mixture_simulate(20_000, C6_PARAMS, RngState(seed=7))
+
+
+# K = 4 with every shape and scale at e^-12 or e^+12, in four sign patterns.
+BOX_CORNERS_K4 = [
+    GammaMixtureParams(
+        (0.1, 0.2, 0.3, 0.4),
+        tuple(E12 ** s for s in shape_signs),
+        tuple(E12 ** s for s in scale_signs),
+    )
+    for shape_signs, scale_signs in (
+        ((1, 1, 1, 1), (1, 1, 1, 1)),
+        ((-1, -1, -1, -1), (-1, -1, -1, -1)),
+        ((1, -1, 1, -1), (-1, 1, 1, -1)),
+        ((-1, 1, -1, 1), (1, -1, -1, 1)),
+    )
+]
+
+
+@pytest.mark.parametrize("params", [C6_PARAMS, *BOX_CORNERS_K4],
+                         ids=["c6", "corner-0", "corner-1", "corner-2", "corner-3"])
+def test_log_density_kernel_matches_scipy_logsumexp_on_the_c6_sample(c6_sample, params):
+    test_log_density_kernel_matches_scipy_logsumexp(c6_sample, params)
+
+
+def mp_map_gradient(x, z, k, hyper=DEFAULT_HYPER):
+    """The gradient formula of `_map_value_and_gradient`, in 40-digit arithmetic."""
+    with mp.workdps(40):
+        logits = [mp.mpf(t) for t in z[: k - 1]] + [mp.mpf(0)]
+        total = mp.fsum(mp.exp(t) for t in logits)
+        w = [mp.exp(t) / total for t in logits]
+        a = [mp.exp(mp.mpf(t)) for t in z[k - 1 : 2 * k - 1]]
+        log_b = [mp.mpf(t) for t in z[2 * k - 1 :]]
+        b = [mp.exp(t) for t in log_b]
+        n_k, s1, sl = [mp.mpf(0)] * k, [mp.mpf(0)] * k, [mp.mpf(0)] * k
+        for y in x:
+            y = mp.mpf(float(y))
+            log_y = mp.log(y)
+            t = [mp.log(w[j]) - mp.loggamma(a[j]) - a[j] * log_b[j]
+                 + (a[j] - 1) * log_y - y / b[j] for j in range(k)]
+            top = max(t)
+            e = [mp.exp(tj - top) for tj in t]
+            s = mp.fsum(e)
+            for j in range(k):
+                n_k[j] += e[j] / s
+                s1[j] += e[j] * y / s
+                sl[j] += e[j] * log_y / s
+        u, v, q, r = (mp.mpf(h) for h in (hyper.u, hyper.v, hyper.q, hyper.r))
+        log_rho = mp.log(hyper.rho)
+        grad = [n_k[j] - len(x) * w[j] for j in range(k - 1)]
+        grad += [a[j] * (sl[j] - n_k[j] * (mp.digamma(a[j]) + log_b[j]) + log_rho
+                         - q * log_b[j] - r * mp.digamma(a[j])) for j in range(k)]
+        grad += [(s1[j] + v) / b[j] - a[j] * (n_k[j] + q) - (u + 1) for j in range(k)]
+        return np.array([float(g / -len(x)) for g in grad])
+
+
+def test_map_objective_matches_at_the_k4_box_corners():
+    # Central differences cannot check the gradient here: at e^+-12 the
+    # log-sum-exp bends on scales far below any usable step.  The value is
+    # checked against the public log posterior, and the gradient against
+    # its own formula evaluated in 40-digit arithmetic.
+    x = mixture_simulate(1000, C6_PARAMS, RngState(seed=7))
+    value_and_gradient = _map_value_and_gradient(x, 4, DEFAULT_HYPER)
+    logits = jittered_starts(np.zeros(3), 8, RngState(seed=7).derive(4))
+    signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(8, 8))
+    for z_logits, corner in zip(logits, signs):
+        z = np.concatenate([z_logits, 12.0 * corner])
+        value, grad = value_and_gradient(z)
+        want = -log_posterior(x, _params_from_z(z, 4), DEFAULT_HYPER) / x.size
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+        oracle = mp_map_gradient(x, z, 4)
+        assert np.max(np.abs(grad - oracle)) <= 1e-10 * (1.0 + np.max(np.abs(oracle)))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_map_objective_matches_on_the_c6_sample(c6_sample, k):
+    # As test_map_objective_equals_public_log_posterior, at n = 20,000.
+    value_and_gradient = _map_value_and_gradient(c6_sample, k, DEFAULT_HYPER)
+    h = 1e-5
+    for z in jittered_starts(_sliced_init(c6_sample, k), 3, RngState(seed=7).derive(k)):
+        want = -log_posterior(c6_sample, _params_from_z(z, k), DEFAULT_HYPER) / c6_sample.size
+        value, grad = value_and_gradient(z)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+        central = np.array([
+            (value_and_gradient(z + h * e)[0] - value_and_gradient(z - h * e)[0]) / (2.0 * h)
+            for e in np.eye(z.size)
+        ])
         assert np.max(np.abs(grad - central)) <= 1e-7 * (1.0 + np.max(np.abs(grad)))
 
 

@@ -1,9 +1,11 @@
-"""Import contract: scipy loads only where a fit runs.
+"""Import contract: scipy loads only where a fit runs, on one BLAS thread.
 
 Importing the CLI, rebuilding tables with `report` and loading site CSVs
 need numpy alone; `run_fits` loads scipy.optimize once, before it forks a
-pool or starts the first fit.  Each check runs in a fresh interpreter and
-reads `sys.modules`; none measures time.
+pool or starts the first fit.  Importing the CLI sets one BLAS/OpenMP
+thread unless the environment already chose a count.  Each check runs in a
+fresh interpreter and reads `sys.modules` or `os.environ`; none measures
+time.
 """
 
 import json
@@ -136,3 +138,34 @@ def test_run_fits_loads_scipy_before_the_first_serial_fit(tmp_path):
         "rainfit.pipeline.run_single_fit = run_single_fit\n"
     )
     assert run_python(benchmark_code(manifest, tmp_path / "run", 1, hook)) == [0, False, [True]]
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+READ_BLAS_VARS = (
+    "import json, os\n"
+    "import rainfit.cli\n"
+    f"print(json.dumps([os.environ.get(v) for v in {BLAS_VARS!r}]))\n"
+)
+
+
+def run_with_blas_env(value: str | None) -> object:
+    """READ_BLAS_VARS in a fresh interpreter with each variable unset or set to value."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for var in BLAS_VARS:
+        env.pop(var, None)
+        if value is not None:
+            env[var] = value
+    out = subprocess.run(
+        [sys.executable, "-c", READ_BLAS_VARS], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_pins_one_blas_thread_when_unset():
+    assert run_with_blas_env(None) == ["1", "1", "1"]
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set():
+    assert run_with_blas_env("3") == ["3", "3", "3"]

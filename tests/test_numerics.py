@@ -1,4 +1,4 @@
-"""Special functions, solvers, and the deterministic RNG."""
+"""Solvers, the multistart driver, diagnostics, and the deterministic RNG."""
 
 import json
 import math
@@ -12,76 +12,16 @@ from rainfit.numerics import (
     EULER_GAMMA,
     FitDiagnostics,
     RngState,
-    brent_root,
     LocalResult,
     jittered_starts,
     lbfgsb,
     multistart,
     nelder_mead,
-    reg_lower_incomplete_gamma,
     solve_least_squares,
     splitmix64,
 )
 
 import oracles
-
-
-# --- regularized incomplete gamma ----------------------------------------
-
-
-def test_reg_gamma_known_points():
-    assert reg_lower_incomplete_gamma(1.0, 0.0) == 0.0
-    assert reg_lower_incomplete_gamma(1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-13)
-    assert reg_lower_incomplete_gamma(3.0, 3.0) == pytest.approx(
-        oracles.REG_GAMMA_3_3, abs=1e-12
-    )
-
-
-def test_reg_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        reg_lower_incomplete_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        reg_lower_incomplete_gamma(1.0, -0.1)
-
-
-def test_reg_gamma_monotone_and_saturates():
-    for a in (0.3, 1.0, 3.0, 17.0, 250.0):
-        xs = np.linspace(0.0, a + 40.0 * math.sqrt(a) + 40.0, 400)
-        vals = reg_lower_incomplete_gamma(a, xs)
-        assert np.all(np.diff(vals) >= -1e-15)
-        assert np.all((vals >= 0.0) & (vals <= 1.0))
-        assert vals[-1] >= 1.0 - 1e-10
-
-
-# --- brent_root -----------------------------------------------------------
-
-
-def test_brent_linear_and_sqrt2():
-    assert brent_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
-    assert brent_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
-        math.sqrt(2.0), abs=1e-12
-    )
-
-
-def test_brent_gamma3_median():
-    root = brent_root(
-        lambda x: reg_lower_incomplete_gamma(3.0, x) - 0.5, 0.0, 20.0
-    )
-    assert root == pytest.approx(oracles.GAMMA3_MEDIAN, abs=1e-8)
-
-
-def test_brent_requires_bracket():
-    with pytest.raises(ValueError):
-        brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_brent_inverts_a_monotone_cdf():
-    # brent on CDF(y) - p recovers the quantile for a gamma(2) CDF.
-    for p in (0.05, 0.3, 0.5, 0.9, 0.99):
-        y = brent_root(
-            lambda x: reg_lower_incomplete_gamma(2.0, x) - p, 0.0, 50.0
-        )
-        assert reg_lower_incomplete_gamma(2.0, y) == pytest.approx(p, abs=1e-10)
 
 
 # --- nelder_mead ------------------------------------------------------------
@@ -163,6 +103,23 @@ def test_lbfgsb_stops_at_the_box_and_reads_the_projected_gradient():
     assert res.n_eval >= res.n_iter >= 1
     stopped = lbfgsb(value_and_gradient, np.array([-1.0, -1.0]), lower, upper, max_iter=0)
     assert not stopped.converged
+
+
+def test_lbfgsb_memory_exceeds_the_largest_mixture_dimension(monkeypatch):
+    # K = 4 mixtures are 11-dimensional; scipy's default memory of 10
+    # correction pairs made those fits take about 40% more evaluations.
+    import scipy.optimize
+
+    options = []
+    minimize = scipy.optimize.minimize
+
+    def spy(*args, **kwargs):
+        options.append(kwargs["options"])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    lbfgsb(lambda x: (float(x @ x), 2.0 * x), np.ones(11), -np.ones(11), np.ones(11), max_iter=50)
+    assert options[0]["maxcor"] >= 3 * 4 - 1
 
 
 def test_solve_least_squares_counts_every_residual_call():
