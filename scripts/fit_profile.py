@@ -14,7 +14,9 @@ is used unless the environment already sets the thread count.
 
 The JSON has one record per fit (evaluations, seconds, objective, residual,
 converged, restarts at the best objective) and, per method, the totals and
-medians of evaluations and seconds.  Evaluation counts repeat exactly for a
+medians of evaluations and seconds, and the microseconds per evaluation
+(total seconds over total evaluations: the objective plus the optimizer's
+own work around it).  Evaluation counts repeat exactly for a
 given corpus and code; seconds do not.  Run it with PYTHONPATH pointing at
 the `src/` of the checkout to measure.
 """
@@ -116,6 +118,7 @@ def main(argv=None) -> int:
             "n_eval_median": statistics.median(evals),
             "seconds_total": sum(secs),
             "seconds_median": statistics.median(secs),
+            "us_per_eval": 1e6 * sum(secs) / sum(evals) if sum(evals) else None,
         }
     json.dump({"methods": per_method, "fits": fits}, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -9,21 +9,27 @@ counts.
 `multistart` runs one local solve from each start and keeps the best; both
 model families call it.  The local solves are `lbfgsb` (L-BFGS-B on an
 analytic gradient: the gamma-mixture MAP and the two EGPD likelihood fits)
-and `solve_least_squares` (the two EGPD moment systems).  Every L-BFGS-B
-solve keeps `_LBFGSB_MEMORY` = 20 correction pairs, more than the 3K - 1
+and `solve_least_squares` (Levenberg-Marquardt: the two EGPD moment
+systems).  Both drive scipy's compiled kernels, `setulb` and MINPACK's
+`lmder`, directly, without the public `minimize` and `least_squares`
+wrappers that copy and check x and re-evaluate around every call; they
+take the steps those wrappers take, to the bit.  Every L-BFGS-B solve
+keeps `_LBFGSB_MEMORY` = 20 correction pairs, more than the 3K - 1
 dimensions of the largest mixture.  `nelder_mead` is kept for tests and
 tracing and no fit calls it.
 
 Importing any rainfit module loads numpy alone.  scipy is imported inside
 the functions that call it: `lbfgsb` and `solve_least_squares` here, and
 the special functions the EGPD and mixture code bind where they run.
-`pipeline.run_fits` imports scipy.optimize once, before it times a fit or
-forks a worker pool, so no fit's time and no worker pays for the import.
+`pipeline.run_fits` imports scipy.optimize, the package both kernels live
+in, once, before it times a fit or forks a worker pool, so no fit's time
+and no worker pays for the import.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,6 +65,21 @@ _CONVERGED_GTOL = 1e-6
 # dimensions of the K = 4 mixture MAP; 20 pairs cut the mixture fits'
 # evaluations by about 40% on the paper-like-50 and mixture-50 presets.
 _LBFGSB_MEMORY = 20
+# The rest of the L-BFGS-B settings are scipy's defaults: 20 line-search
+# steps per iteration and a cap of 15,000 evaluations.
+_LBFGSB_MAX_LINE_SEARCH = 20
+_LBFGSB_MAX_EVAL = 15000
+# setulb's task codes, and the stop reasons scipy's minimize gives it.
+_TASK_NEW_X = 1
+_TASK_FG = 3
+_TASK_STOP = 5
+_STOP_EVALUATIONS = 502
+_STOP_ITERATIONS = 504
+# Levenberg-Marquardt: ftol, xtol and gtol, MINPACK's initial step bound
+# factor, and the forward-difference step, sqrt(eps) as approx_fprime's.
+_LM_TOL = 1e-15
+_LM_STEP_FACTOR = 100.0
+_FD_STEP = math.sqrt(sys.float_info.epsilon)
 # A start "reached the best mode" when its final objective is within this
 # relative distance of the best start's; the absolute floor covers moment
 # fits whose best residual is zero.
@@ -184,28 +205,69 @@ def lbfgsb(
 
     value_and_gradient(x) returns the objective and its gradient; max_iter
     caps the iterations, and the solver keeps _LBFGSB_MEMORY correction
-    pairs.  `converged` is whether the projected gradient max |P(x - g) - x|
-    at the returned point, P the projection onto the box, is at most 1e-6.
-    That test, not scipy's status, decides, since a line search can stop
-    short at a stationary point.
-    """
-    from scipy.optimize import Bounds, minimize
+    pairs.  A bound may be infinite (the mixture logits are unbounded).
+    `converged` is whether the projected gradient max |P(x - g) - x| at
+    the returned point, P the projection onto the box, is at most 1e-6.
+    That test, not the solver's stop reason, decides, since a line search
+    can stop short at a stationary point.
 
-    result = minimize(
-        value_and_gradient,
-        np.clip(x0, lower, upper),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=Bounds(lower, upper),
-        options={"maxiter": max_iter, "maxcor": _LBFGSB_MEMORY, "ftol": _FTOL, "gtol": _GTOL},
-    )
-    step = np.clip(result.x - result.jac, lower, upper) - result.x
+    This is the reverse-communication loop of scipy's
+    `minimize(method="L-BFGS-B", jac=True)` over the same compiled
+    `setulb`, with the same options and the same stops (max_iter, and
+    15,000 evaluations), so it takes the same iterates to the bit.  A
+    request at the x just evaluated is served from a one-entry cache, as
+    scipy serves it; `n_eval` counts the calls of value_and_gradient,
+    which is scipy's `nfev`, and `n_iter` its `nit`.
+    """
+    from scipy.optimize._lbfgsb import setulb
+
+    x = np.array(np.clip(x0, lower, upper), dtype=np.float64)
+    n = x.size
+    m = _LBFGSB_MEMORY
+    has_lower = ~np.isinf(lower)
+    has_upper = ~np.isinf(upper)
+    # setulb's bound codes: 0 none, 1 lower only, 2 both, 3 upper only.
+    nbd = np.where(has_lower, np.where(has_upper, 2, 1), np.where(has_upper, 3, 0)).astype(np.int32)
+    low = np.where(has_lower, lower, 0.0)
+    high = np.where(has_upper, upper, 0.0)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    factr = _FTOL / sys.float_info.epsilon
+    n_iter = n_eval = 0
+    x_seen = None
+    while True:
+        setulb(m, x, low, high, nbd, f, g, factr, _GTOL, wa, iwa, task, lsave, isave, dsave,
+               _LBFGSB_MAX_LINE_SEARCH, ln_task)
+        if task[0] == _TASK_FG:
+            if x_seen is None or not (x == x_seen).all():
+                x_seen = x.copy()
+                f_seen, g_seen = value_and_gradient(x_seen)
+                n_eval += 1
+            # setulb writes into g (it restores it after a failed line
+            # search), so it gets a copy and the cached gradient stays.
+            f, g = f_seen, np.array(g_seen, dtype=np.float64)
+        elif task[0] == _TASK_NEW_X:
+            n_iter += 1
+            if n_iter >= max_iter:
+                task[:] = _TASK_STOP, _STOP_ITERATIONS
+            elif n_eval > _LBFGSB_MAX_EVAL:
+                task[:] = _TASK_STOP, _STOP_EVALUATIONS
+        else:
+            break
+    step = np.clip(x - g, lower, upper) - x
     return LocalResult(
-        x=result.x,
-        value=float(result.fun),
+        x=x,
+        value=float(f),
         converged=float(np.max(np.abs(step))) <= _CONVERGED_GTOL,
-        n_iter=int(result.nit),
-        n_eval=int(result.nfev),
+        n_iter=n_iter,
+        n_eval=n_eval,
     )
 
 
@@ -218,39 +280,75 @@ def solve_least_squares(
 ) -> LocalResult:
     """Minimize |residuals(x)|^2 from x0 by Levenberg-Marquardt (MINPACK).
 
-    `jacobian` defaults to forward differences with steps of 1.5e-8.
-    max_eval caps the Levenberg-Marquardt calls of `residuals`; `n_eval`
-    counts every call, difference steps included, and `n_iter` the
-    Jacobians, one per iteration.  The `value` is the squared residual
-    norm and `converged` says the solver met a tolerance before the budget
-    ran out; whether the residual is small enough is the caller's test.
-    The solve is unconstrained: a caller with parameter limits clamps
-    inside `residuals` (and zeroes the matching Jacobian columns).
+    Calls MINPACK's `lmder`, the kernel of scipy's
+    `least_squares(method="lm")`, with the same arguments (internal
+    scaling, step bound factor 100, tolerances 1e-15), so it takes the
+    same steps to the bit.  It skips the evaluations `least_squares`
+    makes around the kernel: the residuals and Jacobian at x0 before it
+    and the Jacobian at the solution after it.
+
+    `jacobian` defaults to forward differences with absolute steps of
+    sqrt(eps) = 1.5e-8, as scipy's `approx_fprime` takes them; their base
+    point is the residual just computed there, served from a one-entry
+    cache.  max_eval caps MINPACK's calls of `residuals`; `n_eval` counts
+    every call, difference steps included, and `n_iter` the Jacobians, one
+    per iteration.  The `value` is the squared residual norm and
+    `converged` says the solver met a tolerance (MINPACK info 1-4) before
+    the budget ran out; whether the residual is small enough is the
+    caller's test.  The solve is unconstrained: a caller with parameter
+    limits clamps inside `residuals` (and zeroes the matching Jacobian
+    columns).
     """
-    from scipy.optimize import approx_fprime, least_squares
+    from scipy.optimize._minpack import _lmder
 
     n_eval = 0
+    x_seen = None
+    r_seen = None
 
-    def counted(x: np.ndarray) -> np.ndarray:
+    def cached(x: np.ndarray) -> np.ndarray:
+        nonlocal n_eval, x_seen, r_seen
+        if x_seen is None or not (x == x_seen).all():
+            x_seen = x.copy()
+            r_seen = residuals(x_seen)
+            n_eval += 1
+        return r_seen
+
+    def forward_differences(x: np.ndarray) -> np.ndarray:
         nonlocal n_eval
-        n_eval += 1
-        return residuals(x)
+        r0 = cached(x)
+        rows = np.empty((x.size, r0.size))
+        for i, xi in enumerate(x.tolist()):
+            h = _FD_STEP
+            if xi + h == xi:  # a step lost to rounding: scale it with |x|
+                h = _FD_STEP * (1.0 if xi >= 0.0 else -1.0) * max(1.0, abs(xi))
+            stepped = x.copy()
+            stepped[i] = xi + h
+            n_eval += 1
+            rows[i] = (residuals(stepped) - r0) / ((xi + h) - xi)
+        return rows.T
 
-    result = least_squares(
-        counted,
-        x0,
-        jac=jacobian if jacobian is not None else (lambda x: approx_fprime(x, counted)),
-        method="lm",
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-        max_nfev=max_eval,
+    # _lmder(fun, Dfun, x0, args, full_output, col_deriv, ftol, xtol, gtol,
+    # maxfev, factor, diag); diag=None is MINPACK's internal scaling.
+    x, info, status = _lmder(
+        cached,
+        jacobian if jacobian is not None else forward_differences,
+        np.array(x0, dtype=float),
+        (),
+        True,
+        False,
+        _LM_TOL,
+        _LM_TOL,
+        _LM_TOL,
+        max_eval,
+        _LM_STEP_FACTOR,
+        None,
     )
+    fvec = info["fvec"]
     return LocalResult(
-        x=result.x,
-        value=float(np.dot(result.fun, result.fun)),
-        converged=result.status > 0,
-        n_iter=int(result.njev),
+        x=x,
+        value=float(np.dot(fvec, fvec)),
+        converged=1 <= status <= 4,
+        n_iter=int(info["njev"]),
         n_eval=n_eval,
     )
 

@@ -319,14 +319,21 @@ def summarize_results(
     """Summarize records from the empirical quantiles they carry.
 
     `run_benchmark` and `report` both come here, so `report` rebuilds the
-    benchmark's tables by construction.
+    benchmark's tables by construction.  `qset` defaults to every recorded
+    level; a level no record carries is a ConfigError that names it.
     """
     results = list(results)
+    recorded = sorted({p for r in results for p in (r.empirical_quantiles or {})})
     if qset is None:
-        ps = sorted({p for r in results for p in (r.empirical_quantiles or {})})
-        if not ps:
+        if not recorded:
             raise ValueError("records carry no quantile levels")
-        qset = QuantileSet(tuple(ps))
+        qset = QuantileSet(tuple(recorded))
+    missing = sorted(set(qset.probabilities).difference(recorded))
+    if missing:
+        raise ConfigError(
+            f"quantile levels {', '.join(map(repr, missing))} are not recorded"
+            f" (recorded: {', '.join(map(repr, recorded)) or 'none'})"
+        )
     return summarize(results, empirical_quantile_map(results), qset)
 
 

@@ -329,7 +329,9 @@ def test_report_single_quantile_column(bench_run, tmp_path, capsys):
     assert svg.startswith("<svg")
 
 
-def test_report_unrecorded_quantile_warns_and_leaves_cells_empty(bench_run, tmp_path, capsys):
+def test_report_unrecorded_quantile_exits_2_naming_the_missing_levels(bench_run, tmp_path, capsys):
+    # --quantiles takes a subset of the recorded levels: a level no record
+    # carries would leave every cell of its column empty.
     out = tmp_path / "x"
     rc = main(
         [
@@ -339,15 +341,13 @@ def test_report_unrecorded_quantile_warns_and_leaves_cells_empty(bench_run, tmp_
             "--out",
             str(out),
             "--quantiles",
-            "0.33",
+            "0.5,0.33,0.999",
         ]
     )
-    assert rc == 0
-    assert "excluded" in capsys.readouterr().err
-    lines = (out / "medians.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "method,0.33,failed_fits"
-    for row in lines[1:]:
-        assert row.split(",")[1] == ""
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "0.33, 0.999 are not recorded" in err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -105,21 +105,27 @@ def test_lbfgsb_stops_at_the_box_and_reads_the_projected_gradient():
     assert not stopped.converged
 
 
-def test_lbfgsb_memory_exceeds_the_largest_mixture_dimension(monkeypatch):
+@pytest.fixture()
+def setulb_calls(monkeypatch):
+    """(m, g, task) of every L-BFGS-B kernel call, g and task as it left them."""
+    from scipy.optimize import _lbfgsb
+
+    calls = []
+    setulb = _lbfgsb.setulb
+
+    def spy(m, x, low, high, nbd, f, g, factr, pgtol, wa, iwa, task, *rest):
+        setulb(m, x, low, high, nbd, f, g, factr, pgtol, wa, iwa, task, *rest)
+        calls.append((m, g, int(task[0])))
+
+    monkeypatch.setattr(_lbfgsb, "setulb", spy)
+    return calls
+
+
+def test_lbfgsb_memory_exceeds_the_largest_mixture_dimension(setulb_calls):
     # K = 4 mixtures are 11-dimensional; scipy's default memory of 10
     # correction pairs made those fits take about 40% more evaluations.
-    import scipy.optimize
-
-    options = []
-    minimize = scipy.optimize.minimize
-
-    def spy(*args, **kwargs):
-        options.append(kwargs["options"])
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
     lbfgsb(lambda x: (float(x @ x), 2.0 * x), np.ones(11), -np.ones(11), np.ones(11), max_iter=50)
-    assert options[0]["maxcor"] >= 3 * 4 - 1
+    assert setulb_calls and all(m >= 3 * 4 - 1 for m, _, _ in setulb_calls)
 
 
 def test_solve_least_squares_counts_every_residual_call():
@@ -135,6 +141,9 @@ def test_solve_least_squares_counts_every_residual_call():
     assert res.value <= 1e-28
     # Forward differences are counted too.
     assert res.n_eval == len(calls) > res.n_iter
+    # A difference quotient's base point is the residual just computed
+    # there, not a second call at the same x.
+    assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
 
 def test_solve_least_squares_uses_the_given_jacobian():
@@ -262,3 +271,188 @@ def test_diagnostics_serialize_to_plain_json():
 
 def test_euler_gamma_constant():
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
+
+
+# --- the solvers against public scipy ----------------------------------------
+# lbfgsb and solve_least_squares drive scipy's kernels without its public
+# wrappers; they must take the wrappers' steps, to the bit.
+
+
+def assert_lbfgsb_matches_scipy(value_and_gradient, x0, lower, upper, max_iter, setulb_calls):
+    from scipy.optimize import Bounds, minimize
+
+    setulb_calls.clear()
+    res = lbfgsb(value_and_gradient, x0, lower, upper, max_iter=max_iter)
+    gradient = setulb_calls[-1][1]
+    requests = sum(task == 3 for _, _, task in setulb_calls)  # 3: "evaluate f and g at x"
+    ref = minimize(
+        value_and_gradient,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=Bounds(lower, upper),
+        options={"maxiter": max_iter, "maxcor": 20, "ftol": 1e-15, "gtol": 1e-10},
+    )
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.value.hex() == float(ref.fun).hex()
+    assert gradient.tobytes() == ref.jac.tobytes()
+    assert (res.n_iter, res.n_eval) == (ref.nit, ref.nfev)
+    return res, requests
+
+
+def map_problem(k, seed=7):
+    """The K-component MAP objective on 600 mixture draws, its box and starts."""
+    from rainfit.gamma_mixture import (
+        DEFAULT_HYPER,
+        GammaMixtureParams,
+        _map_bounds,
+        _map_value_and_gradient,
+        _sliced_init,
+        mixture_simulate,
+    )
+
+    truth = GammaMixtureParams(weights=(0.3, 0.5, 0.2), shapes=(0.5, 2.0, 8.0), scales=(0.5, 2.0, 5.0))
+    x = mixture_simulate(600, truth, RngState(seed=seed))
+    starts = jittered_starts(_sliced_init(x, k), 3, RngState(seed=3).derive(k))
+    return _map_value_and_gradient(x, k, DEFAULT_HYPER), *_map_bounds(k), starts
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lbfgsb_matches_scipy_on_the_map_objective(k, setulb_calls):
+    value_and_gradient, lower, upper, starts = map_problem(k)
+    for z0 in starts:
+        res, _ = assert_lbfgsb_matches_scipy(value_and_gradient, z0, lower, upper, 5000, setulb_calls)
+        assert res.converged
+
+
+def test_lbfgsb_serves_a_repeated_point_from_its_cache(setulb_calls):
+    # Near the mode a line-search step can round away and setulb asks again
+    # for the x it just had; scipy serves that from its cache and does not
+    # count it, so the solve must too.
+    value_and_gradient, lower, upper, starts = map_problem(2, seed=4)
+    res, requests = assert_lbfgsb_matches_scipy(
+        value_and_gradient, starts[0], lower, upper, 5000, setulb_calls
+    )
+    assert requests > res.n_eval
+
+
+@pytest.mark.parametrize("threshold", [None, 1.0])
+def test_lbfgsb_matches_scipy_on_the_egpd_profile_likelihood(threshold, setulb_calls):
+    from rainfit.egpd import EgpdParams, _profile_loglik, egpd_simulate
+
+    y = egpd_simulate(400, EgpdParams(0.8, 5.0, 0.15), RngState(seed=11))
+    exceed = y if threshold is None else y[y >= threshold]
+    evaluate = _profile_loglik(exceed, y.size - exceed.size, threshold)
+    lower, upper = np.array([-12.0, 0.0]), np.array([12.0, 1.0])
+    for x0 in ([1.0, 0.4], [3.0, 0.05], [-1.0, 0.9]):
+        assert_lbfgsb_matches_scipy(
+            lambda x: evaluate(x)[:2], np.array(x0), lower, upper, 5000, setulb_calls
+        )
+
+
+def test_lbfgsb_matches_scipy_from_a_start_outside_the_box(setulb_calls):
+    def value_and_gradient(x):
+        return float(np.sum((x - 2.0) ** 2) + x[0] * x[1]), 2.0 * (x - 2.0) + x[::-1]
+
+    lower, upper = np.array([-1.0, -1.0]), np.array([1.0, 3.0])
+    assert_lbfgsb_matches_scipy(value_and_gradient, np.array([5.0, -4.0]), lower, upper, 100, setulb_calls)
+
+
+@pytest.mark.parametrize("max_iter", [0, 3])
+def test_lbfgsb_matches_scipy_when_the_iteration_budget_stops_it(max_iter, setulb_calls):
+    value_and_gradient, lower, upper, starts = map_problem(3)
+    res, _ = assert_lbfgsb_matches_scipy(value_and_gradient, starts[1], lower, upper, max_iter, setulb_calls)
+    assert not res.converged
+
+
+def record_calls(monkeypatch, module, name):
+    """Replace module.name by a spy that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def assert_lm_matches_scipy(residuals, x0, *, jacobian=None, max_eval):
+    from scipy.optimize import approx_fprime, least_squares
+
+    res = solve_least_squares(residuals, x0, jacobian=jacobian, max_eval=max_eval)
+    ref = least_squares(
+        residuals,
+        x0,
+        jac=jacobian if jacobian is not None else (lambda x: approx_fprime(x, residuals)),
+        method="lm",
+        x_scale="jac",
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+        max_nfev=max_eval,
+    )
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.value.hex() == float(np.dot(ref.fun, ref.fun)).hex()
+    assert res.n_iter == ref.njev
+    assert res.converged == (ref.status > 0)
+
+
+def test_solve_least_squares_matches_scipy_with_a_jacobian(monkeypatch):
+    from rainfit import egpd
+
+    def residuals(x):
+        return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
+
+    def jacobian(x):
+        return np.array([[1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+    assert_lm_matches_scipy(residuals, np.array([-1.2, 1.0]), jacobian=jacobian, max_eval=200)
+
+    def far_residuals(x):
+        return np.array([x[0] - 10.0, x[1] - 10.0, x[0] * x[1] - 100.0, math.exp(0.1 * x[0]) - math.e])
+
+    def far_jacobian(x):
+        return np.array([[1.0, 0.0], [0.0, 1.0], [x[1], x[0]], [0.1 * math.exp(0.1 * x[0]), 0.0]])
+
+    # From near 0 the first steps are held to 100 times the scaled |x0|.
+    assert_lm_matches_scipy(far_residuals, np.array([1e-3, 2e-3]), jacobian=far_jacobian, max_eval=200)
+    # The two-ratio PWM system, from every start of a fit.
+    calls = record_calls(monkeypatch, egpd, "solve_least_squares")
+    y = egpd.egpd_simulate(300, egpd.EgpdParams(1.3, 4.0, 0.1), RngState(seed=5))
+    egpd.fit_pwm(y, restarts=3)
+    monkeypatch.undo()
+    assert len(calls) == 4
+    for args, kwargs in calls:
+        assert kwargs["jacobian"] is not None
+        assert_lm_matches_scipy(*args, **kwargs)
+
+
+def test_solve_least_squares_matches_scipy_without_a_jacobian(monkeypatch):
+    from rainfit import egpd
+
+    def residuals(x):
+        return np.array([x[0] ** 2 - 2.0, x[0] * x[1] - 3.0, x[1] - x[0]])
+
+    assert_lm_matches_scipy(residuals, np.array([1.0, 1.0]), max_eval=200)
+    # Just below 1, x + 1.5e-8 rounds, so the difference quotient divides by
+    # (x + h) - x, not by h.
+    # A budget of 3 calls stops the solve mid-path, where x still shows it.
+    for max_eval in (3, 200):
+        assert_lm_matches_scipy(residuals, np.nextafter(np.array([1.0, 3.0]), 0.0), max_eval=max_eval)
+
+    def large_residuals(x):
+        return np.array([1e-8 * x[0] - 2.0, x[1] - 1.0, 1e-8 * x[0] * x[1] - 1.0])
+
+    # From |x| = 2^28 on, x + 1.5e-8 rounds back to x: the step grows with |x|.
+    assert_lm_matches_scipy(large_residuals, np.array([3e8, 2.0]), max_eval=200)
+    # The censored PWM system, from every start of a fit.
+    calls = record_calls(monkeypatch, egpd, "solve_least_squares")
+    y = egpd.egpd_simulate(300, egpd.EgpdParams(1.3, 4.0, 0.1), RngState(seed=5))
+    egpd.fit_pwm_censored(y, restarts=3)
+    monkeypatch.undo()
+    assert len(calls) == 4
+    for args, kwargs in calls:
+        assert kwargs.get("jacobian") is None
+        assert_lm_matches_scipy(*args, **kwargs)
