@@ -8,28 +8,33 @@ The corpus is a preset draw (optionally a subset of its site indices) or a
 manifest.  Sites below --min-wet are dropped and the rest are sorted by id;
 each (site, method) fit then draws from the RNG stream `rainfit benchmark`
 gives it, so a fit here repeats the benchmark's fit of the same corpus and
-flags.  Fits run serially in this process, after scipy.optimize is
-imported (as `run_fits` does) and one untimed warm-up fit.  One BLAS thread
-is used unless the environment already sets the thread count.
+flags.  Fits run serially in this process, after the scipy the fits use
+is loaded by `preload_scipy`, as `run_fits` loads it, and one untimed
+warm-up fit.  One BLAS thread is used unless the environment already sets
+the thread count.
 
 The JSON has one record per fit (evaluations, seconds, objective, residual,
 converged, restarts at the best objective) and, per method, the totals and
 medians of evaluations and seconds, and the microseconds per evaluation
 (total seconds over total evaluations: the objective plus the optimizer's
-own work around it).  Evaluation counts repeat exactly for a
-given corpus and code; seconds do not.  Run it with PYTHONPATH pointing at
-the `src/` of the checkout to measure.
+own work around it).  An `environment` block records the Python, numpy
+and scipy versions, the CPU count, the three BLAS thread variables and the
+scipy modules in `sys.modules` when the fits were done.  Evaluation counts repeat
+exactly for a given corpus and code; seconds do not.  Run it with
+PYTHONPATH pointing at the `src/` of the checkout to measure.
 """
 
 from __future__ import annotations
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
 import json
+import platform
 import statistics
 import sys
 import time
@@ -50,6 +55,20 @@ def _sites(args):
     return sorted(kept, key=lambda s: s.site_id)
 
 
+def _environment() -> dict:
+    import numpy
+    import scipy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
+        "scipy_modules": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     source = parser.add_mutually_exclusive_group(required=True)
@@ -65,11 +84,11 @@ def main(argv=None) -> int:
     parser.add_argument("--min-wet", type=int, default=100)
     args = parser.parse_args(argv)
 
-    import scipy.optimize  # noqa: F401 - loaded before any fit is timed, as run_fits does
-
     from rainfit.evaluation import PAPER_METHOD_ORDER
-    from rainfit.numerics import RngState
+    from rainfit.numerics import RngState, preload_scipy
     from rainfit.pipeline import RunConfig, known_methods, run_single_fit
+
+    preload_scipy()  # before any fit is timed, as run_fits does
 
     methods = tuple(args.methods.split(",")) if args.methods else PAPER_METHOD_ORDER
     config = RunConfig(
@@ -120,7 +139,7 @@ def main(argv=None) -> int:
             "seconds_median": statistics.median(secs),
             "us_per_eval": 1e6 * sum(secs) / sum(evals) if sum(evals) else None,
         }
-    json.dump({"methods": per_method, "fits": fits}, sys.stdout, indent=1)
+    json.dump({"environment": _environment(), "methods": per_method, "fits": fits}, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
 

@@ -577,7 +577,16 @@ def fit_pwm_from_moments(
         raise ValueError("probability weighted moments must be finite and > 0")
     rng = rng if rng is not None else _DEFAULT_RNG
     targets = np.array([nu1 / nu0, nu2 / nu0])
-    shapes = _pwm_shapes()
+    compute_shapes = _pwm_shapes()
+    last_point, last_shapes = None, None
+
+    def shapes(kappa: float, xi: float):
+        # MINPACK asks for the Jacobian at the point whose residuals it has
+        # just computed: one cached entry serves both.
+        nonlocal last_point, last_shapes
+        if (kappa, xi) != last_point:
+            last_point, last_shapes = (kappa, xi), compute_shapes(kappa, xi)
+        return last_shapes
 
     def residuals(z: np.ndarray) -> np.ndarray:
         out, _, _ = shapes(*_clamped(z[0], z[1]))

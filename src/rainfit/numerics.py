@@ -18,12 +18,18 @@ keeps `_LBFGSB_MEMORY` = 20 correction pairs, more than the 3K - 1
 dimensions of the largest mixture.  `nelder_mead` is kept for tests and
 tracing and no fit calls it.
 
-Importing any rainfit module loads numpy alone.  scipy is imported inside
-the functions that call it: `lbfgsb` and `solve_least_squares` here, and
-the special functions the EGPD and mixture code bind where they run.
-`pipeline.run_fits` imports scipy.optimize, the package both kernels live
-in, once, before it times a fit or forks a worker pool, so no fit's time
-and no worker pays for the import.
+Importing any rainfit module loads numpy alone.  scipy is loaded inside
+the functions that call it: the special functions the EGPD and mixture
+code bind where they run, and the two compiled kernels, which
+`_scipy_kernel` loads from scipy's optimize directory as two extension
+files, without the `scipy.optimize` package.  That package's `__init__`
+also loads scipy.linalg, sparse, fft and spatial, which no fit calls; a
+benchmark run that skips it takes about a third less CPU and 23 MB less
+peak resident memory (the `mixture-large-n` workload on a 2-core host:
+1.13 -> 0.74 s CPU, 80.7 -> 57.6 MB).  `preload_scipy` loads
+scipy.special and both kernels; `pipeline.run_fits` calls it once, before
+it times a fit or forks a worker pool, so no fit's time and no worker
+pays for the loading.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +52,7 @@ __all__ = [
     "lbfgsb",
     "multistart",
     "nelder_mead",
+    "preload_scipy",
     "solve_least_squares",
     "splitmix64",
 ]
@@ -85,6 +93,62 @@ _FD_STEP = math.sqrt(sys.float_info.epsilon)
 # fits whose best residual is zero.
 _BEST_RTOL = 1e-6
 _BEST_ATOL = 1e-12
+
+
+# scipy's compiled solver kernels, loaded without the scipy.optimize package
+# (see `_scipy_kernel`): L-BFGS-B's `setulb`, in C with this signature since
+# scipy 1.15, and MINPACK's `_lmder`.
+_KERNELS = ("_lbfgsb", "_minpack")
+_loaded_kernels: dict[str, ModuleType] = {}
+
+
+def _scipy_kernel(name: str) -> ModuleType:
+    """scipy.optimize.<name>, a compiled kernel, without its package.
+
+    The module `import scipy.optimize` loaded, if it has, so a spy on it
+    sees every call; otherwise the extension file alone, loaded once from
+    scipy's optimize directory without running the package `__init__`.
+    """
+    full_name = "scipy.optimize." + name
+    module = sys.modules.get(full_name) or _loaded_kernels.get(name)
+    if module is None:
+        import importlib.util
+
+        package = importlib.util.find_spec("scipy.optimize")
+        module = _load_extension(full_name, list(package.submodule_search_locations))
+        _loaded_kernels[name] = module
+    return module
+
+
+def _load_extension(full_name: str, directories: list[str]) -> ModuleType:
+    """Load the module full_name from its file in directories, outside sys.modules."""
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+
+    spec = PathFinder.find_spec(full_name, directories)
+    if spec is None:
+        raise ImportError(
+            f"scipy's compiled kernel {full_name} is not in {', '.join(directories)};"
+            " rainfit requires scipy>=1.15",
+            name=full_name,
+        )
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # A single-phase extension module enters itself in sys.modules as it
+    # initializes.  Left there, a later `import scipy.optimize` would take it
+    # from there and never bind it as the package's attribute; removed, that
+    # import makes its own module over the same compiled functions.
+    if sys.modules.get(full_name) is module:
+        del sys.modules[full_name]
+    return module
+
+
+def preload_scipy() -> None:
+    """Load everything of scipy a fit calls: scipy.special and both kernels."""
+    import scipy.special  # noqa: F401
+
+    for name in _KERNELS:
+        _scipy_kernel(name)
 
 
 @dataclass
@@ -219,8 +283,7 @@ def lbfgsb(
     scipy serves it; `n_eval` counts the calls of value_and_gradient,
     which is scipy's `nfev`, and `n_iter` its `nit`.
     """
-    from scipy.optimize._lbfgsb import setulb
-
+    setulb = _scipy_kernel("_lbfgsb").setulb
     x = np.array(np.clip(x0, lower, upper), dtype=np.float64)
     n = x.size
     m = _LBFGSB_MEMORY
@@ -299,8 +362,7 @@ def solve_least_squares(
     limits clamps inside `residuals` (and zeroes the matching Jacobian
     columns).
     """
-    from scipy.optimize._minpack import _lmder
-
+    _lmder = _scipy_kernel("_minpack")._lmder
     n_eval = 0
     x_seen = None
     r_seen = None

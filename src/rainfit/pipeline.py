@@ -36,7 +36,7 @@ from .evaluation import (
     summarize,
 )
 from .gamma_mixture import fit_map, mixture_quantile
-from .numerics import FitDiagnostics, RngState
+from .numerics import FitDiagnostics, RngState, preload_scipy
 from .report import (
     render_boxplot_svg,
     render_class_text,
@@ -254,9 +254,11 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     Sites are ordered by id and methods by registry index; task i gets the
     RNG stream derived from (seed, site index, method index).  With
     jobs > 1 the tasks run in a fork-start process pool, mapped in order,
-    so results are identical to the serial path.  scipy.optimize is
-    imported here, before any fit is timed and before the pool forks, so
-    neither the first fit's seconds nor each worker pay for the import.
+    so results are identical to the serial path.  The fits' share of scipy
+    (scipy.special and two compiled solver kernels, never the
+    scipy.optimize package) is loaded here, before any fit is timed and
+    before the pool forks, so neither the first fit's seconds nor each
+    worker pay for the loading.
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -265,7 +267,7 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     for m in config.methods:
         if m not in _REGISTRY:
             raise ConfigError(f"unknown method {m!r}; known: {sorted(_REGISTRY)}")
-    import scipy.optimize  # noqa: F401 - loaded once, ahead of the fits
+    preload_scipy()
 
     base = RngState(config.seed)
     tasks = []

@@ -522,6 +522,28 @@ def test_pwm_exponential_data():
     assert abs(fitted.xi) <= 0.05
 
 
+def test_pwm_fit_computes_the_shapes_once_per_point(monkeypatch):
+    # MINPACK asks for the Jacobian at the point whose residuals it has just
+    # computed; the shapes computed for those residuals serve it.
+    points = []
+    original = rainfit.egpd._pwm_shapes
+
+    def spying_pwm_shapes():
+        shapes = original()
+
+        def spy(kappa, xi):
+            points.append((kappa, xi))
+            return shapes(kappa, xi)
+
+        return spy
+
+    monkeypatch.setattr(rainfit.egpd, "_pwm_shapes", spying_pwm_shapes)
+    data = egpd_simulate(400, EgpdParams(0.8, 4.0, 0.15), RngState(seed=21))
+    _, diag = fit_pwm(data, restarts=2)
+    assert diag.n_iter >= 2 and len(points) > diag.n_eval / 2
+    assert all(a != b for a, b in zip(points, points[1:]))
+
+
 # --- censored PWM ---------------------------------------------------------------------
 
 

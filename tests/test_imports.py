@@ -1,11 +1,16 @@
 """Import contract: scipy loads only where a fit runs, on one BLAS thread.
 
 Importing the CLI, rebuilding tables with `report` and loading site CSVs
-need numpy alone; `run_fits` loads scipy.optimize once, before it forks a
-pool or starts the first fit.  Importing the CLI sets one BLAS/OpenMP
+need numpy alone.  `run_fits` loads scipy.special and scipy's two compiled
+solver kernels, `scipy.optimize._lbfgsb` and `scipy.optimize._minpack`,
+once, before it forks a pool or starts the first fit; a run of all seven
+methods never imports the scipy.optimize package (nor scipy.linalg or
+scipy.sparse, which that package would pull in).  A solver that ran before
+`import scipy.optimize` keeps taking public scipy's steps after it, through
+the module that import made.  Importing the CLI sets one BLAS/OpenMP
 thread unless the environment already chose a count.  Each check runs in a
-fresh interpreter and reads `sys.modules` or `os.environ`; none measures
-time.
+fresh interpreter and reads `sys.modules`, the loaded kernels or
+`os.environ`; none measures time.
 """
 
 import json
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import rainfit
 from rainfit.corpus import GeneratorSpec, save_site, simulate_site, write_manifest
-from rainfit.evaluation import FitResult
+from rainfit.evaluation import PAPER_METHOD_ORDER, FitResult
 from rainfit.pipeline import write_records
 
 SRC = Path(rainfit.__file__).resolve().parents[1]
@@ -96,21 +101,42 @@ def test_materializing_site_files_loads_no_scipy(tmp_path):
     assert run_python(code) == []
 
 
-def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str) -> str:
-    """A naveau-mle benchmark run that records, through hook, whether
-    scipy.optimize was loaded at the hooked call; the EGPD fits never load
-    scipy themselves."""
+def mixture_spec(site_id: str, seed: int) -> GeneratorSpec:
+    return GeneratorSpec(
+        site_id=site_id,
+        family="gamma-mixture",
+        params={"weights": [0.4, 0.6], "shapes": [0.8, 3.0], "scales": [2.0, 6.0]},
+        n=300,
+        seed=seed,
+    )
+
+
+# Appended to a hook: records which of the fits' scipy modules are loaded.
+RECORD_FIT_MODULES = (
+    "    from rainfit import numerics\n"
+    "    seen.append(['scipy.special' in sys.modules,"
+    " sorted('scipy.optimize.' + n for n in numerics._loaded_kernels)])\n"
+)
+FIT_MODULES_LOADED = [True, ["scipy.optimize._lbfgsb", "scipy.optimize._minpack"]]
+
+
+def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str = "naveau-mle") -> str:
+    """A benchmark run of methods that records, through hook, which of the
+    fits' scipy modules were loaded at the hooked call, and prints
+    [exit code, any scipy loaded before the run, the hook's records,
+    scipy modules loaded after the run]."""
     argv = ["benchmark", "--manifest", str(manifest), "--out", str(out), "--jobs", str(jobs),
-            "--methods", "naveau-mle", "--egpd-restarts", "0"]
+            "--methods", methods, "--egpd-restarts", "0", "--mixture-restarts", "0"]
     return (
         "import json, multiprocessing, sys\n"
         "import rainfit.pipeline\n"
         "from rainfit.cli import main\n"
-        "before = 'scipy.optimize' in sys.modules\n"
+        "before = any(m.startswith('scipy') for m in sys.modules)\n"
         "seen = []\n"
         + hook
         + f"rc = main({argv!r})\n"
-        "print(json.dumps([rc, before, seen[:1]]))\n"
+        "after = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "print(json.dumps([rc, before, seen, after]))\n"
     )
 
 
@@ -120,11 +146,12 @@ def test_run_fits_loads_scipy_before_forking_the_pool(tmp_path):
     hook = (
         "_get_context = multiprocessing.get_context\n"
         "def get_context(*args, **kwargs):\n"
-        "    seen.append('scipy.optimize' in sys.modules)\n"
-        "    return _get_context(*args, **kwargs)\n"
+        + RECORD_FIT_MODULES
+        + "    return _get_context(*args, **kwargs)\n"
         "multiprocessing.get_context = get_context\n"
     )
-    assert run_python(benchmark_code(manifest, tmp_path / "run", 2, hook)) == [0, False, [True]]
+    rc, before, seen, _ = run_python(benchmark_code(manifest, tmp_path / "run", 2, hook))
+    assert [rc, before, seen[:1]] == [0, False, [FIT_MODULES_LOADED]]
 
 
 def test_run_fits_loads_scipy_before_the_first_serial_fit(tmp_path):
@@ -133,11 +160,102 @@ def test_run_fits_loads_scipy_before_the_first_serial_fit(tmp_path):
     hook = (
         "_run_single_fit = rainfit.pipeline.run_single_fit\n"
         "def run_single_fit(*args):\n"
-        "    seen.append('scipy.optimize' in sys.modules)\n"
-        "    return _run_single_fit(*args)\n"
+        + RECORD_FIT_MODULES
+        + "    return _run_single_fit(*args)\n"
         "rainfit.pipeline.run_single_fit = run_single_fit\n"
     )
-    assert run_python(benchmark_code(manifest, tmp_path / "run", 1, hook)) == [0, False, [True]]
+    rc, before, seen, _ = run_python(benchmark_code(manifest, tmp_path / "run", 1, hook))
+    assert [rc, before, seen[:1]] == [0, False, [FIT_MODULES_LOADED]]
+
+
+def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, seed=1, generators=[egpd_spec("s0", 50), mixture_spec("s1", 51)])
+    hook = (
+        "_run_fits = rainfit.pipeline.run_fits\n"
+        "def run_fits(*args):\n"
+        "    results = _run_fits(*args)\n"
+        + RECORD_FIT_MODULES
+        + "    seen.append(sorted({r.method for r in results if r.converged}))\n"
+        "    return results\n"
+        "rainfit.pipeline.run_fits = run_fits\n"
+    )
+    code = benchmark_code(manifest, tmp_path / "run", 1, hook, methods=",".join(PAPER_METHOD_ORDER))
+    rc, before, (loaded, converged), after = run_python(code)
+    assert [rc, before, loaded] == [0, False, FIT_MODULES_LOADED]
+    assert converged == sorted(PAPER_METHOD_ORDER)
+    assert "scipy.special" in after
+    for package in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
+        assert not [m for m in after if m == package or m.startswith(package + ".")]
+
+
+def test_solvers_keep_scipy_steps_after_scipy_optimize_is_imported():
+    # The kernels load without the package first; a later `import
+    # scipy.optimize` makes its own modules over the same compiled
+    # functions, and from then on the solvers call through those modules,
+    # so a spy on scipy.optimize._lbfgsb sees every call.
+    code = """
+import json, sys
+import numpy as np
+from rainfit import numerics
+
+def value_and_gradient(x):
+    return float(np.sum((x - 2.0) ** 2) + x[0] * x[1]), 2.0 * (x - 2.0) + x[::-1]
+
+def residuals(x):
+    return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
+
+def jacobian(x):
+    return np.array([[1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+x0, lower, upper = np.array([5.0, -4.0]), np.array([-1.0, -1.0]), np.array([1.0, 3.0])
+z0 = np.array([-1.2, 1.0])
+
+def solve():
+    res = numerics.lbfgsb(value_and_gradient, x0, lower, upper, max_iter=100)
+    lm = numerics.solve_least_squares(residuals, z0, jacobian=jacobian, max_eval=200)
+    return [res.x.tobytes().hex(), res.value.hex(), res.n_iter, res.n_eval,
+            lm.x.tobytes().hex(), lm.value.hex(), lm.n_iter]
+
+first = solve()
+used = {name: numerics._scipy_kernel(name) for name in ("_lbfgsb", "_minpack")}
+package_before = "scipy.optimize" in sys.modules
+import scipy.optimize
+from scipy.optimize import Bounds, least_squares, minimize
+
+ref = minimize(value_and_gradient, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lower, upper),
+               options={"maxiter": 100, "maxcor": 20, "ftol": 1e-15, "gtol": 1e-10})
+lm_ref = least_squares(residuals, z0, jac=jacobian, method="lm", x_scale="jac",
+                       xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=200)
+public = [ref.x.tobytes().hex(), float(ref.fun).hex(), ref.nit, ref.nfev,
+          lm_ref.x.tobytes().hex(), float(np.dot(lm_ref.fun, lm_ref.fun)).hex(), lm_ref.njev]
+
+spied = []
+setulb = scipy.optimize._lbfgsb.setulb
+def spy(*args):
+    spied.append(1)
+    return setulb(*args)
+scipy.optimize._lbfgsb.setulb = spy
+again = solve()
+print(json.dumps({
+    "package_before": package_before,
+    "same_functions": [used["_lbfgsb"].setulb is setulb,
+                       used["_minpack"]._lmder is scipy.optimize._minpack._lmder],
+    "now_public": [numerics._scipy_kernel("_lbfgsb") is scipy.optimize._lbfgsb,
+                   numerics._scipy_kernel("_minpack") is scipy.optimize._minpack],
+    "spied": len(spied) > 0,
+    "first_matches_public": first == public,
+    "again_matches_public": again == public,
+}))
+"""
+    assert run_python(code) == {
+        "package_before": False,
+        "same_functions": [True, True],
+        "now_public": [True, True],
+        "spied": True,
+        "first_matches_public": True,
+        "again_matches_public": True,
+    }
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
