@@ -17,9 +17,10 @@ The JSON has one record per fit (evaluations, seconds, objective, residual,
 converged, restarts at the best objective) and, per method, the totals and
 medians of evaluations and seconds, and the microseconds per evaluation
 (total seconds over total evaluations: the objective plus the optimizer's
-own work around it).  An `environment` block records the Python, numpy
-and scipy versions, the CPU count, the three BLAS thread variables and the
-scipy modules in `sys.modules` when the fits were done.  Evaluation counts repeat
+own work around it).  An `environment` block records the CPU seconds
+`preload_scipy` took (`preload_s`), the Python, numpy and scipy versions,
+the CPU count, the three BLAS thread variables and the scipy modules in
+`sys.modules` when the fits were done.  Evaluation counts repeat
 exactly for a given corpus and code; seconds do not.  Run it with
 PYTHONPATH pointing at the `src/` of the checkout to measure.
 """
@@ -55,11 +56,12 @@ def _sites(args):
     return sorted(kept, key=lambda s: s.site_id)
 
 
-def _environment() -> dict:
+def _environment(preload_s: float) -> dict:
     import numpy
     import scipy
 
     return {
+        "preload_s": preload_s,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
@@ -88,7 +90,9 @@ def main(argv=None) -> int:
     from rainfit.numerics import RngState, preload_scipy
     from rainfit.pipeline import RunConfig, known_methods, run_single_fit
 
+    t0 = time.process_time()
     preload_scipy()  # before any fit is timed, as run_fits does
+    preload_s = time.process_time() - t0
 
     methods = tuple(args.methods.split(",")) if args.methods else PAPER_METHOD_ORDER
     config = RunConfig(
@@ -139,7 +143,7 @@ def main(argv=None) -> int:
             "seconds_median": statistics.median(secs),
             "us_per_eval": 1e6 * sum(secs) / sum(evals) if sum(evals) else None,
         }
-    json.dump({"environment": _environment(), "methods": per_method, "fits": fits}, sys.stdout, indent=1)
+    json.dump({"environment": _environment(preload_s), "methods": per_method, "fits": fits}, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
 

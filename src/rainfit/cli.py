@@ -5,9 +5,10 @@ Subcommands: `fit` (one site, one method, JSON record on stdout),
 (manifest in, records + report tables out), `report` (rebuild tables from
 an existing records file).
 
-Exit codes: 0 success, 2 configuration or data problems, 3 filesystem
-problems, 4 "ran but failed" (a non-converged single fit, or a benchmark
-where every fit failed).
+Exit codes: 0 success, 2 configuration or data problems (or a scipy
+without a compiled function the fits call), 3 filesystem problems, 4 "ran
+but failed" (a non-converged single fit, or a benchmark where every fit
+failed).
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
     except AllFitsFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, CorpusError, ValueError) as exc:
+    except (ConfigError, CorpusError, ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

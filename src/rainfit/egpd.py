@@ -31,12 +31,14 @@ import numpy as np
 from .empirical import SortedSample, empirical_pwm
 from .numerics import (
     EULER_GAMMA,
+    SPECIAL_UFUNCS,
     FitDiagnostics,
     RngState,
     jittered_starts,
     lbfgsb,
     multistart,
     nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
+    scipy_functions,
     solve_least_squares,
 )
 
@@ -264,6 +266,9 @@ _SERIES_K = np.arange(2.0, 13.0)
 def _pwm_shapes():
     """Bind scipy's special functions once; return the PWM shape function.
 
+    They are scipy.special's own ufuncs, bound without that package by
+    `numerics.scipy_functions`.
+
     shapes(kappa, xi) returns three 3-vectors over j = 0, 1, 2: s_j, with
     nu_j = sigma s_j, and the derivatives d ln s_j / d ln kappa and
     d ln s_j / d xi.  s_j = D_j E(xi D_j) / m with D = delta / xi, smooth
@@ -273,9 +278,11 @@ def _pwm_shapes():
         dD/dxi = (psi(a - xi) - psi(1 - xi) - D) / xi,
         dD/da  = (psi(a) - psi(a - xi)) / xi = sum_{k>=1} zeta(k + 1, a) xi^(k-1).
     """
-    from scipy.special import digamma, gammaln, zeta
+    digamma, gammaln, riemann_zeta, zeta = scipy_functions(
+        SPECIAL_UFUNCS, "psi", "gammaln", "_riemann_zeta", "_zeta"
+    )
 
-    zeta_k = zeta(_SERIES_K)[:, None]
+    zeta_k = riemann_zeta(_SERIES_K)[:, None]
     orders = np.arange(_SERIES_K.size + 1.0)
     zeta_rows = np.arange(2.0, _SERIES_K.size + 3.0)[:, None]
 

@@ -19,12 +19,14 @@ import numpy as np
 
 from .empirical import empirical_quantile
 from .numerics import (
+    SPECIAL_UFUNCS,
     FitDiagnostics,
     RngState,
     jittered_starts,
     lbfgsb,
     multistart,
     nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
+    scipy_functions,
 )
 
 __all__ = [
@@ -200,7 +202,7 @@ def _cdf_of(params: GammaMixtureParams):
     The parameter arrays are bound once, for callers that evaluate it in a
     loop.
     """
-    from scipy.special import gammainc
+    (gammainc,) = scipy_functions(SPECIAL_UFUNCS, "gammainc")
 
     w, a, b = (np.array(t)[:, None] for t in (params.weights, params.shapes, params.scales))
     return lambda y: np.clip(np.add.reduce(w * gammainc(a, y / b), axis=0), 0.0, 1.0)
@@ -371,7 +373,7 @@ def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
     digamma is bound here, once per fit, so an evaluation runs no import
     statement.
     """
-    from scipy.special import digamma
+    (digamma,) = scipy_functions(SPECIAL_UFUNCS, "psi")
 
     density = _LogDensity(x, k)
     n = x.size

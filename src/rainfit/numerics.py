@@ -19,17 +19,17 @@ dimensions of the largest mixture.  `nelder_mead` is kept for tests and
 tracing and no fit calls it.
 
 Importing any rainfit module loads numpy alone.  scipy is loaded inside
-the functions that call it: the special functions the EGPD and mixture
-code bind where they run, and the two compiled kernels, which
-`_scipy_kernel` loads from scipy's optimize directory as two extension
-files, without the `scipy.optimize` package.  That package's `__init__`
-also loads scipy.linalg, sparse, fft and spatial, which no fit calls; a
-benchmark run that skips it takes about a third less CPU and 23 MB less
-peak resident memory (the `mixture-large-n` workload on a 2-core host:
-1.13 -> 0.74 s CPU, 80.7 -> 57.6 MB).  `preload_scipy` loads
-scipy.special and both kernels; `pipeline.run_fits` calls it once, before
-it times a fit or forks a worker pool, so no fit's time and no worker
-pays for the loading.
+the functions that call it, as three compiled extension files that
+`_scipy_kernel` loads without their packages: the two solver kernels and
+`_special_ufuncs`, whose ufuncs scipy.special's `digamma`, `gammaln`,
+`gammainc` and `zeta` are or call.  No fit calls what the packages'
+`__init__`s load besides (scipy.linalg, sparse, fft, spatial, scipy's
+array-API layer).  Without them `preload_scipy` takes 0.03 s CPU where
+importing scipy.special took 0.43 s (the `mixture-large-n` workload on a
+2-core host: 0.81 -> 0.46 s CPU, 57.6 -> 37.7 MB peak).  `pipeline.run_fits`
+calls it once, before it times a fit or forks a worker pool, so no fit
+pays for the loading and a scipy without a function the fits call stops
+the run before the first fit.
 """
 
 from __future__ import annotations
@@ -48,11 +48,13 @@ __all__ = [
     "LocalResult",
     "Multistart",
     "RngState",
+    "SPECIAL_UFUNCS",
     "jittered_starts",
     "lbfgsb",
     "multistart",
     "nelder_mead",
     "preload_scipy",
+    "scipy_functions",
     "solve_least_squares",
     "splitmix64",
 ]
@@ -95,28 +97,34 @@ _BEST_RTOL = 1e-6
 _BEST_ATOL = 1e-12
 
 
-# scipy's compiled solver kernels, loaded without the scipy.optimize package
-# (see `_scipy_kernel`): L-BFGS-B's `setulb`, in C with this signature since
-# scipy 1.15, and MINPACK's `_lmder`.
-_KERNELS = ("_lbfgsb", "_minpack")
+# What the fits call of scipy, by compiled module (see `_scipy_kernel`):
+# L-BFGS-B's `setulb`, in C with this signature since scipy 1.15; MINPACK's
+# `_lmder`; and the ufuncs behind scipy.special's digamma (`psi`), gammaln,
+# gammainc and zeta (`_riemann_zeta` for zeta(x), `_zeta` for zeta(x, q)).
+SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
+_SCIPY_FUNCTIONS = {
+    "scipy.optimize._lbfgsb": ("setulb",),
+    "scipy.optimize._minpack": ("_lmder",),
+    SPECIAL_UFUNCS: ("psi", "gammaln", "gammainc", "_riemann_zeta", "_zeta"),
+}
 _loaded_kernels: dict[str, ModuleType] = {}
 
 
-def _scipy_kernel(name: str) -> ModuleType:
-    """scipy.optimize.<name>, a compiled kernel, without its package.
+def _scipy_kernel(package: str, name: str) -> ModuleType:
+    """<package>.<name>, a compiled scipy module, without its package.
 
-    The module `import scipy.optimize` loaded, if it has, so a spy on it
-    sees every call; otherwise the extension file alone, loaded once from
-    scipy's optimize directory without running the package `__init__`.
+    The module `import <package>` loaded, if it has, so a spy on it sees
+    every call; otherwise the extension file alone, loaded once from the
+    package's directory without running the package `__init__`.
     """
-    full_name = "scipy.optimize." + name
-    module = sys.modules.get(full_name) or _loaded_kernels.get(name)
+    full_name = f"{package}.{name}"
+    module = sys.modules.get(full_name) or _loaded_kernels.get(full_name)
     if module is None:
         import importlib.util
 
-        package = importlib.util.find_spec("scipy.optimize")
-        module = _load_extension(full_name, list(package.submodule_search_locations))
-        _loaded_kernels[name] = module
+        spec = importlib.util.find_spec(package)
+        module = _load_extension(full_name, list(spec.submodule_search_locations))
+        _loaded_kernels[full_name] = module
     return module
 
 
@@ -128,7 +136,7 @@ def _load_extension(full_name: str, directories: list[str]) -> ModuleType:
     spec = PathFinder.find_spec(full_name, directories)
     if spec is None:
         raise ImportError(
-            f"scipy's compiled kernel {full_name} is not in {', '.join(directories)};"
+            f"scipy's compiled module {full_name} is not in {', '.join(directories)};"
             " rainfit requires scipy>=1.15",
             name=full_name,
         )
@@ -143,12 +151,27 @@ def _load_extension(full_name: str, directories: list[str]) -> ModuleType:
     return module
 
 
-def preload_scipy() -> None:
-    """Load everything of scipy a fit calls: scipy.special and both kernels."""
-    import scipy.special  # noqa: F401
+def scipy_functions(module: str, *names: str) -> tuple:
+    """The functions `names` of scipy's compiled `module`, by `_scipy_kernel`.
 
-    for name in _KERNELS:
-        _scipy_kernel(name)
+    A name the module lacks is an ImportError that names it.
+    """
+    package, _, base = module.rpartition(".")
+    loaded = _scipy_kernel(package, base)
+    for name in names:
+        if not hasattr(loaded, name):
+            raise ImportError(
+                f"scipy's compiled module {module} has no {name};"
+                " rainfit's fits were run on scipy 1.17.1",
+                name=module,
+            )
+    return tuple(getattr(loaded, name) for name in names)
+
+
+def preload_scipy() -> None:
+    """Load and check every function of scipy a fit calls."""
+    for module, names in _SCIPY_FUNCTIONS.items():
+        scipy_functions(module, *names)
 
 
 @dataclass
@@ -283,7 +306,7 @@ def lbfgsb(
     scipy serves it; `n_eval` counts the calls of value_and_gradient,
     which is scipy's `nfev`, and `n_iter` its `nit`.
     """
-    setulb = _scipy_kernel("_lbfgsb").setulb
+    (setulb,) = scipy_functions("scipy.optimize._lbfgsb", "setulb")
     x = np.array(np.clip(x0, lower, upper), dtype=np.float64)
     n = x.size
     m = _LBFGSB_MEMORY
@@ -362,7 +385,7 @@ def solve_least_squares(
     limits clamps inside `residuals` (and zeroes the matching Jacobian
     columns).
     """
-    _lmder = _scipy_kernel("_minpack")._lmder
+    (_lmder,) = scipy_functions("scipy.optimize._minpack", "_lmder")
     n_eval = 0
     x_seen = None
     r_seen = None

@@ -204,9 +204,11 @@ def run_single_fit(
         raise ConfigError(f"unknown method {method!r}; known: {sorted(_REGISTRY)}")
     runner = _REGISTRY[method]
     qs = config.quantiles.probabilities
-    emp = {p: empirical_quantile(series.values, p) for p in qs}
+    emp = None
     t0 = time.perf_counter()
     try:
+        emp = {p: empirical_quantile(series.values, p) for p in qs}
+        t0 = time.perf_counter()
         params, diag, quantile_fn = runner(series.values, config, rng)
         estimated = dict(zip(qs, map(float, quantile_fn(np.array(qs)))))
         elapsed = time.perf_counter() - t0
@@ -255,10 +257,11 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     RNG stream derived from (seed, site index, method index).  With
     jobs > 1 the tasks run in a fork-start process pool, mapped in order,
     so results are identical to the serial path.  The fits' share of scipy
-    (scipy.special and two compiled solver kernels, never the
-    scipy.optimize package) is loaded here, before any fit is timed and
-    before the pool forks, so neither the first fit's seconds nor each
-    worker pay for the loading.
+    (three compiled modules, two solver kernels and scipy.special's ufuncs,
+    never the scipy.optimize or scipy.special packages) is loaded here,
+    before any fit is timed and before the pool forks, so neither the first
+    fit's seconds nor each worker pay for the loading; a scipy without one
+    of the functions the fits call is an ImportError here, before any fit.
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:

@@ -234,6 +234,50 @@ def test_benchmark_all_fits_failed(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_benchmark_one_value_site_is_error_records_and_the_other_site_fits(tmp_path, capsys):
+    # With --min-wet 1 a site of one wet day reaches the fits; it has no
+    # empirical quantiles, so each of its fits is an error record.
+    (tmp_path / "one.csv").write_text(f"{CSV_HEADER}\n2000-01-01,3.5\n2000-01-02,0\n", encoding="utf-8")
+    write_site(tmp_path, "two")
+    write_manifest(tmp_path / "m.json", seed=1, sites=["one.csv", "two.csv"])
+    out = tmp_path / "run"
+    methods = ("naveau-pwm", "gamma-mixture-2")
+    rc = main(["benchmark", "--manifest", str(tmp_path / "m.json"), "--out", str(out),
+               "--methods", ",".join(methods), "--min-wet", "1",
+               "--egpd-restarts", "0", "--mixture-restarts", "0"])
+    assert rc == 0
+    records = [json.loads(line) for line in (out / "fits.jsonl").read_text(encoding="utf-8").splitlines()]
+    by_site = {(r["site_id"], r["method"]): r for r in records}
+    assert sorted(by_site) == sorted((s, m) for s in ("one", "two") for m in methods)
+    for m in methods:
+        assert "need at least two observations" in by_site["one", m]["error"]
+        assert by_site["one", m]["converged"] is False
+        assert by_site["two", m]["error"] is None and by_site["two", m]["converged"] is True
+    assert all((out / name).is_file() for name in TABLE_FILES)
+    capsys.readouterr()
+    assert main(["fit", str(tmp_path / "one.csv"), "--method", "naveau-mle"]) == 4
+    assert "fit failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module, names, named",
+    [("scipy.special._special_ufuncs", ("psi", "no_such_ufunc"), "_special_ufuncs has no no_such_ufunc"),
+     ("scipy.special._no_such_ufuncs", ("psi",), "_no_such_ufuncs is not in")],
+)
+def test_benchmark_with_a_scipy_missing_a_fit_function_exits_2(
+    tmp_path, capsys, monkeypatch, module, names, named
+):
+    from rainfit import numerics
+
+    monkeypatch.setitem(numerics._SCIPY_FUNCTIONS, module, names)
+    rc = main(["benchmark", "--manifest", str(small_manifest(tmp_path, n_sites=1)),
+               "--out", str(tmp_path / "run"), "--methods", "naveau-pwm"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scipy's compiled module scipy.special.") and named in err
+    assert not (tmp_path / "run" / "fits.jsonl").exists()
+
+
 def test_benchmark_missing_manifest_is_io_error(tmp_path, capsys):
     rc = main(
         [

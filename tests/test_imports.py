@@ -1,16 +1,19 @@
 """Import contract: scipy loads only where a fit runs, on one BLAS thread.
 
 Importing the CLI, rebuilding tables with `report` and loading site CSVs
-need numpy alone.  `run_fits` loads scipy.special and scipy's two compiled
-solver kernels, `scipy.optimize._lbfgsb` and `scipy.optimize._minpack`,
-once, before it forks a pool or starts the first fit; a run of all seven
-methods never imports the scipy.optimize package (nor scipy.linalg or
-scipy.sparse, which that package would pull in).  A solver that ran before
-`import scipy.optimize` keeps taking public scipy's steps after it, through
-the module that import made.  Importing the CLI sets one BLAS/OpenMP
-thread unless the environment already chose a count.  Each check runs in a
-fresh interpreter and reads `sys.modules`, the loaded kernels or
-`os.environ`; none measures time.
+need numpy alone.  `run_fits` loads the three compiled scipy modules the
+fits call, `scipy.optimize._lbfgsb`, `scipy.optimize._minpack` and
+`scipy.special._special_ufuncs`, once, before it forks a pool or starts
+the first fit.  A run of all seven methods, a `fit` or a `simulate` of a
+mixture preset never imports the scipy.optimize or scipy.special packages
+(nor scipy.linalg, scipy.sparse or scipy's array-API layer, which those
+packages would pull in).  A solver that ran before `import scipy.optimize`
+keeps taking public scipy's steps after it, through the module that import
+made, and the special functions the fits bind are scipy.special's own
+objects, to the bit.  Importing the CLI sets one BLAS/OpenMP thread unless
+the environment already chose a count.  Each check runs in a fresh
+interpreter and reads `sys.modules`, the loaded modules or `os.environ`;
+none measures time.
 """
 
 import json
@@ -114,10 +117,22 @@ def mixture_spec(site_id: str, seed: int) -> GeneratorSpec:
 # Appended to a hook: records which of the fits' scipy modules are loaded.
 RECORD_FIT_MODULES = (
     "    from rainfit import numerics\n"
-    "    seen.append(['scipy.special' in sys.modules,"
-    " sorted('scipy.optimize.' + n for n in numerics._loaded_kernels)])\n"
+    "    seen.append(['scipy.special' in sys.modules, sorted(numerics._loaded_kernels)])\n"
 )
-FIT_MODULES_LOADED = [True, ["scipy.optimize._lbfgsb", "scipy.optimize._minpack"]]
+FIT_MODULES_LOADED = [
+    False,
+    ["scipy.optimize._lbfgsb", "scipy.optimize._minpack", "scipy.special._special_ufuncs"],
+]
+# Packages no fit, and no simulation, loads: the two whose compiled modules
+# the fits call, what the scipy.optimize package would pull in, and scipy's
+# array-API layer, which the scipy.special package would.
+NEVER_LOADED = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
+                "scipy._lib._array_api")
+
+
+def loaded_packages(modules: list[str]) -> list[str]:
+    """The NEVER_LOADED packages that modules lists, itself or by a submodule."""
+    return [p for p in NEVER_LOADED if any(m == p or m.startswith(p + ".") for m in modules)]
 
 
 def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str = "naveau-mle") -> str:
@@ -184,9 +199,32 @@ def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_pat
     rc, before, (loaded, converged), after = run_python(code)
     assert [rc, before, loaded] == [0, False, FIT_MODULES_LOADED]
     assert converged == sorted(PAPER_METHOD_ORDER)
-    assert "scipy.special" in after
-    for package in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
-        assert not [m for m in after if m == package or m.startswith(package + ".")]
+    assert loaded_packages(after) == []
+
+
+def test_fit_and_simulate_of_mixtures_never_import_scipy_special(tmp_path):
+    # `fit` of a mixture and of a PWM method binds all five special
+    # functions; `simulate` of mixture sites inverts the mixture CDF.
+    fits = []
+    for spec, method in ((mixture_spec("m0", 52), "gamma-mixture-2"), (egpd_spec("e0", 53), "naveau-pwm")):
+        site = tmp_path / f"{spec.site_id}.csv"
+        save_site(site, simulate_site(spec))
+        fits.append(["fit", str(site), "--method", method,
+                     "--egpd-restarts", "0", "--mixture-restarts", "0"])
+    simulate = ["simulate", "--preset", "mixture-50", "--seed", "3", "--out", str(tmp_path / "sim")]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from rainfit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {fits + [simulate]!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "from rainfit import numerics\n"
+        "print(json.dumps([codes, loaded, sorted(numerics._loaded_kernels)]))\n"
+    )
+    codes, loaded, kernels = run_python(code)
+    assert codes == [0, 0, 0]
+    assert loaded_packages(loaded) == []
+    assert "scipy.special._special_ufuncs" in kernels
 
 
 def test_solvers_keep_scipy_steps_after_scipy_optimize_is_imported():
@@ -218,7 +256,7 @@ def solve():
             lm.x.tobytes().hex(), lm.value.hex(), lm.n_iter]
 
 first = solve()
-used = {name: numerics._scipy_kernel(name) for name in ("_lbfgsb", "_minpack")}
+used = {name: numerics._scipy_kernel("scipy.optimize", name) for name in ("_lbfgsb", "_minpack")}
 package_before = "scipy.optimize" in sys.modules
 import scipy.optimize
 from scipy.optimize import Bounds, least_squares, minimize
@@ -241,8 +279,8 @@ print(json.dumps({
     "package_before": package_before,
     "same_functions": [used["_lbfgsb"].setulb is setulb,
                        used["_minpack"]._lmder is scipy.optimize._minpack._lmder],
-    "now_public": [numerics._scipy_kernel("_lbfgsb") is scipy.optimize._lbfgsb,
-                   numerics._scipy_kernel("_minpack") is scipy.optimize._minpack],
+    "now_public": [numerics._scipy_kernel("scipy.optimize", "_lbfgsb") is scipy.optimize._lbfgsb,
+                   numerics._scipy_kernel("scipy.optimize", "_minpack") is scipy.optimize._minpack],
     "spied": len(spied) > 0,
     "first_matches_public": first == public,
     "again_matches_public": again == public,
@@ -255,6 +293,54 @@ print(json.dumps({
         "spied": True,
         "first_matches_public": True,
         "again_matches_public": True,
+    }
+
+
+def test_bound_special_functions_are_scipy_special_to_the_bit():
+    # The fits bind psi, gammaln, gammainc, _riemann_zeta and _zeta from
+    # scipy's compiled module without the scipy.special package.  On the
+    # grids the fits reach they give scipy.special's values bit for bit,
+    # and after a later `import scipy.special` they are its very objects.
+    code = """
+import hashlib, json, sys
+import numpy as np
+from rainfit import numerics
+from rainfit.egpd import _PWM_M, _SERIES_K
+
+NAMES = ("psi", "gammaln", "gammainc", "_riemann_zeta", "_zeta")
+bound = numerics.scipy_functions(numerics.SPECIAL_UFUNCS, *NAMES)
+shapes = np.exp(np.linspace(-12.0, 12.0, 241))  # e^-12 .. e^12
+xi = np.linspace(-0.5, 0.95, 30)
+a = (shapes[:, None] * _PWM_M + 1.0).ravel()  # the PWM series' a = kappa m + 1
+args = np.concatenate([shapes, (a[:, None] - xi).ravel(), 1.0 - xi])
+rows = np.arange(2.0, _SERIES_K.size + 3.0)[:, None]  # zeta(k, a) for k = 2..13
+ratios = np.array([1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e5, 1e8])
+
+def digests(psi, gammaln, gammainc, riemann_zeta, zeta):
+    values = [psi(args), gammaln(args), gammainc(shapes[:, None], ratios),
+              riemann_zeta(np.concatenate([_SERIES_K, [1.5, 30.0, 60.0]])), zeta(rows, a)]
+    return [hashlib.sha256(v.tobytes()).hexdigest() for v in values]
+
+first = digests(*bound)
+package_before = "scipy.special" in sys.modules
+import scipy.special as sp
+
+public = digests(sp.digamma, sp.gammaln, sp.gammainc, sp.zeta, sp.zeta)
+print(json.dumps({
+    "package_before": package_before,
+    "bits": first == public,
+    "public_objects": [bound[0] is sp.digamma, bound[1] is sp.gammaln, bound[2] is sp.gammainc,
+                       bound[3] is sp._ufuncs._riemann_zeta, bound[4] is sp._ufuncs._zeta],
+    "now_public": [f is getattr(sp._special_ufuncs, name) for f, name in zip(bound, NAMES)],
+    "rebound": list(numerics.scipy_functions(numerics.SPECIAL_UFUNCS, *NAMES)) == list(bound),
+}))
+"""
+    assert run_python(code) == {
+        "package_before": False,
+        "bits": True,
+        "public_objects": [True] * 5,
+        "now_public": [True] * 5,
+        "rebound": True,
     }
 
 
