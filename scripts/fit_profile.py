@@ -5,24 +5,25 @@
     python3 scripts/fit_profile.py --manifest corpus/manifest.json --methods naveau-pwm-c
 
 The corpus is a preset draw (optionally a subset of its site indices) or a
-manifest.  Sites below --min-wet are dropped and the rest are sorted by id;
-each (site, method) fit then draws from the RNG stream `rainfit benchmark`
-gives it, so a fit here repeats the benchmark's fit of the same corpus and
-flags.  Fits run serially in this process, after the scipy the fits use
-is loaded by `preload_scipy`, as `run_fits` loads it, and one untimed
-warm-up fit.  One BLAS thread is used unless the environment already sets
-the thread count.
+manifest.  Sites below --min-wet are dropped, and the rest go to
+`run_fits` with one job, as `rainfit benchmark` sends them, so a fit here
+is the benchmark's fit of the same corpus and flags.  The fits run in this
+process, after the scipy the fits use is loaded by `preload_scipy` and
+one untimed warm-up fit.  One BLAS thread is used unless the environment
+already sets the thread count.
 
 The JSON has one record per fit (evaluations, seconds, objective, residual,
 converged, restarts at the best objective) and, per method, the totals and
 medians of evaluations and seconds, and the microseconds per evaluation
 (total seconds over total evaluations: the objective plus the optimizer's
-own work around it).  An `environment` block records the CPU seconds
-`preload_scipy` took (`preload_s`), the Python, numpy and scipy versions,
-the CPU count, the three BLAS thread variables and the scipy modules in
-`sys.modules` when the fits were done.  Evaluation counts repeat
-exactly for a given corpus and code; seconds do not.  Run it with
-PYTHONPATH pointing at the `src/` of the checkout to measure.
+own work around it).  A fit's seconds are its record's `fit_seconds`: the
+fit and its fitted quantiles, not the site's empirical quantiles.  An
+`environment` block records the CPU seconds `preload_scipy` took
+(`preload_s`), the Python, numpy and scipy versions, the CPU count, the
+three BLAS thread variables and the scipy modules in `sys.modules` when
+the fits were done.  Evaluation counts repeat exactly for a given corpus
+and code; seconds do not.  Run it with PYTHONPATH pointing at the `src/`
+of the checkout to measure.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _sites(args):
             specs = [specs[int(i)] for i in args.sites.split(",")]
         sites = simulate_corpus(specs)
     kept, _ = filter_corpus(sites, args.min_wet)
-    return sorted(kept, key=lambda s: s.site_id)
+    return kept
 
 
 def _environment(preload_s: float) -> dict:
@@ -86,48 +87,40 @@ def main(argv=None) -> int:
     parser.add_argument("--min-wet", type=int, default=100)
     args = parser.parse_args(argv)
 
-    from rainfit.evaluation import PAPER_METHOD_ORDER
     from rainfit.numerics import RngState, preload_scipy
-    from rainfit.pipeline import RunConfig, known_methods, run_single_fit
+    from rainfit.pipeline import METHODS, RunConfig, run_fits, run_single_fit
 
     t0 = time.process_time()
     preload_scipy()  # before any fit is timed, as run_fits does
     preload_s = time.process_time() - t0
 
-    methods = tuple(args.methods.split(",")) if args.methods else PAPER_METHOD_ORDER
     config = RunConfig(
-        methods=methods,
+        methods=tuple(args.methods.split(",")) if args.methods else tuple(METHODS),
         seed=args.seed,
         threshold_mm=args.threshold_mm,
         egpd_restarts=args.egpd_restarts,
         mixture_restarts=args.mixture_restarts,
         min_wet=args.min_wet,
+        jobs=1,
     )
     sites = _sites(args)
-    registry = list(known_methods())
-    base = RngState(config.seed)
-    run_single_fit(sites[0], methods[0], config, base)  # warm-up
+    run_single_fit(sites[0], config.methods[0], config, RngState(config.seed))  # warm-up
 
     fits = []
-    for si, series in enumerate(sites):
-        for method in config.methods:
-            rng = base.derive(si, registry.index(method))
-            t0 = time.perf_counter()
-            result = run_single_fit(series, method, config, rng)
-            seconds = time.perf_counter() - t0
-            diag = result.diagnostics or {}
-            fits.append({
-                "site": series.site_id,
-                "method": method,
-                "n": series.n_wet,
-                "n_eval": diag.get("n_eval"),
-                "seconds": seconds,
-                "objective": diag.get("objective"),
-                "residual": diag.get("residual"),
-                "converged": result.converged,
-                "restarts_at_best": diag.get("restarts_at_best"),
-                "error": result.error,
-            })
+    for result in run_fits(sites, config):
+        diag = result.diagnostics or {}
+        fits.append({
+            "site": result.site_id,
+            "method": result.method,
+            "n": result.n_wet,
+            "n_eval": diag.get("n_eval"),
+            "seconds": result.fit_seconds,
+            "objective": diag.get("objective"),
+            "residual": diag.get("residual"),
+            "converged": result.converged,
+            "restarts_at_best": diag.get("restarts_at_best"),
+            "error": result.error,
+        })
 
     per_method = {}
     for method in config.methods:

@@ -3,7 +3,9 @@
 Subcommands: `fit` (one site, one method, JSON record on stdout),
 `simulate` (materialize a synthetic corpus to CSV files), `benchmark`
 (manifest in, records + report tables out), `report` (rebuild tables from
-an existing records file).
+an existing records file).  Method names and their order come from
+`pipeline.METHODS`.  No flag bounds a fit by wall time: its solvers'
+iteration and evaluation caps bound its work.
 
 Exit codes: 0 success, 2 configuration or data problems (or a scipy
 without a compiled function the fits call), 3 filesystem problems, 4 "ran
@@ -38,12 +40,12 @@ from .corpus import (
     simulate_corpus,
     write_manifest,
 )
-from .evaluation import PAPER_METHOD_ORDER, QuantileSet
+from .evaluation import QuantileSet
 from .pipeline import (
+    METHODS,
     AllFitsFailedError,
     ConfigError,
     RunConfig,
-    known_methods,
     load_records,
     run_benchmark,
     run_fits,
@@ -54,7 +56,7 @@ from .pipeline import (
 
 def _parse_methods(text: str | None) -> tuple[str, ...]:
     if text is None or text.strip().lower() == "all":
-        return PAPER_METHOD_ORDER
+        return tuple(METHODS)
     methods = tuple(part.strip() for part in text.split(",") if part.strip())
     if not methods:
         raise ConfigError("--methods lists no method names")
@@ -79,7 +81,6 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=1, help="base seed for all fit-stage randomness (default 1)")
     sub.add_argument("--egpd-restarts", type=int, default=4, help="jittered extra starts for the EGPD fits (default 4)")
     sub.add_argument("--mixture-restarts", type=int, default=7, help="jittered extra starts for the mixture fits (default 7)")
-    sub.add_argument("--timeout-s", type=float, default=60.0, help="per-fit wall-clock budget; slower fits are flagged (default 60)")
 
 
 def _config_from_args(args, methods: tuple[str, ...]) -> RunConfig:
@@ -91,7 +92,6 @@ def _config_from_args(args, methods: tuple[str, ...]) -> RunConfig:
         jobs=getattr(args, "jobs", 1),
         egpd_restarts=args.egpd_restarts,
         mixture_restarts=args.mixture_restarts,
-        timeout_s=args.timeout_s,
         min_wet=getattr(args, "min_wet", 100),
         svg=getattr(args, "svg", False),
     )
@@ -158,7 +158,7 @@ def cmd_report(args) -> int:
     qset = _parse_quantiles(args.quantiles) if args.quantiles else None
     summary = summarize_results(results, qset)
     present = {r.method for r in results}
-    for m in PAPER_METHOD_ORDER:
+    for m in METHODS:
         if m not in present:
             print(f"warning: no records for method {m}", file=sys.stderr)
     for line in summary.warnings:
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit one method to one site CSV and print the record")
     p_fit.add_argument("site", help="site CSV (header 'date,rainfall_mm')")
-    p_fit.add_argument("--method", required=True, help=f"one of {', '.join(known_methods())}")
+    p_fit.add_argument("--method", required=True, help=f"one of {', '.join(METHODS)}")
     _add_run_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 

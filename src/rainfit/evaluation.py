@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .empirical import empirical_quantile
 __all__ = [
     "EvaluationSummary",
     "FitResult",
-    "MethodId",
     "PAPER_QUANTILES",
     "QuantileSet",
     "SummaryCell",
@@ -33,24 +31,6 @@ __all__ = [
     "summarize",
 ]
 
-
-class MethodId(str, Enum):
-    """The seven benchmark methods; the registry in `pipeline` is extensible."""
-
-    # str() must yield the wire value on every supported Python, not the
-    # qualified member name that plain (str, Enum) produces from 3.11 on.
-    __str__ = str.__str__
-
-    NAVEAU_MLE = "naveau-mle"
-    NAVEAU_PWM = "naveau-pwm"
-    NAVEAU_MLE_C = "naveau-mle-c"
-    NAVEAU_PWM_C = "naveau-pwm-c"
-    GAMMA_MIXTURE_2 = "gamma-mixture-2"
-    GAMMA_MIXTURE_3 = "gamma-mixture-3"
-    GAMMA_MIXTURE_4 = "gamma-mixture-4"
-
-
-PAPER_METHOD_ORDER: tuple[str, ...] = tuple(m.value for m in MethodId)
 
 PAPER_QUANTILES: tuple[float, ...] = (0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
 
@@ -104,7 +84,7 @@ class FitResult:
         # json.dumps-ready: keys become repr(p) strings, scalars plain Python.
         return {
             "site_id": self.site_id,
-            "method": str(self.method),
+            "method": self.method,
             "estimated_quantiles": {repr(float(p)): float(v) for p, v in self.estimated_quantiles.items()},
             "converged": bool(self.converged),
             "fit_seconds": float(self.fit_seconds),
@@ -237,6 +217,7 @@ def summarize(
     results: Iterable[FitResult],
     empirical: Mapping[str, Mapping[float, float]],
     qset: QuantileSet = QuantileSet(),
+    order: Sequence[str] = (),
 ) -> EvaluationSummary:
     """Aggregate fit results into per-(method, p) distribution statistics.
 
@@ -245,17 +226,14 @@ def summarize(
     (and counted in `excluded`, with a warning) when the empirical or
     estimated quantile there is missing or non-positive.  Output is
     independent of input ordering: sites are processed in sorted id order
-    and methods in the canonical benchmark order, extras alphabetically.
+    and methods in `order`, then any others alphabetically.
     """
     results = list(results)
     if not results:
         raise ValueError("no fit results to summarize")
 
     present = {r.method for r in results}
-    methods = tuple(
-        [m for m in PAPER_METHOD_ORDER if m in present]
-        + sorted(present - set(PAPER_METHOD_ORDER))
-    )
+    methods = tuple([m for m in order if m in present] + sorted(present.difference(order)))
     by_method: dict[str, dict[str, FitResult]] = {m: {} for m in methods}
     for r in results:
         by_method[r.method][r.site_id] = r

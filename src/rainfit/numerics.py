@@ -101,6 +101,8 @@ _BEST_ATOL = 1e-12
 # L-BFGS-B's `setulb`, in C with this signature since scipy 1.15; MINPACK's
 # `_lmder`; and the ufuncs behind scipy.special's digamma (`psi`), gammaln,
 # gammainc and zeta (`_riemann_zeta` for zeta(x), `_zeta` for zeta(x, q)).
+# pyproject.toml states the same requirement.
+_SCIPY_REQUIREMENT = "rainfit requires scipy>=1.15 and has been run on scipy 1.17.1 only"
 SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
 _SCIPY_FUNCTIONS = {
     "scipy.optimize._lbfgsb": ("setulb",),
@@ -137,7 +139,7 @@ def _load_extension(full_name: str, directories: list[str]) -> ModuleType:
     if spec is None:
         raise ImportError(
             f"scipy's compiled module {full_name} is not in {', '.join(directories)};"
-            " rainfit requires scipy>=1.15",
+            f" {_SCIPY_REQUIREMENT}",
             name=full_name,
         )
     module = module_from_spec(spec)
@@ -161,8 +163,7 @@ def scipy_functions(module: str, *names: str) -> tuple:
     for name in names:
         if not hasattr(loaded, name):
             raise ImportError(
-                f"scipy's compiled module {module} has no {name};"
-                " rainfit's fits were run on scipy 1.17.1",
+                f"scipy's compiled module {module} has no {name}; {_SCIPY_REQUIREMENT}",
                 name=module,
             )
     return tuple(getattr(loaded, name) for name in names)
@@ -568,7 +569,6 @@ class FitDiagnostics:
     boundary_hit: bool = False
     small_sample: bool = False
     residual: float | None = None
-    message: str = ""
 
     def to_dict(self) -> dict:
         # Plain Python types only: these dicts go straight to json.dumps.
@@ -584,6 +584,4 @@ class FitDiagnostics:
         }
         if self.residual is not None:
             out["residual"] = float(self.residual)
-        if self.message:
-            out["message"] = self.message
         return out

@@ -8,9 +8,10 @@ and emitting the records file plus the derived tables.
 Determinism contract: with a fixed manifest, config and seed, every output
 except the per-fit wall-clock times is byte-identical, regardless of the
 number of worker processes.  Each task draws from its own RNG stream,
-derived from (config seed, site index, method index), so no task's
-randomness depends on execution order.  Timings land only in the records
-file (`fits.jsonl`); the CSV and text tables never contain them.
+derived from (config seed, site index, the method's position in the
+`METHODS` table), so no task's randomness depends on execution order.
+Timings land only in the records file (`fits.jsonl`); the CSV and text
+tables never contain them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -31,12 +32,11 @@ from .empirical import empirical_quantile
 from .evaluation import (
     EvaluationSummary,
     FitResult,
-    MethodId,
     QuantileSet,
     summarize,
 )
 from .gamma_mixture import fit_map, mixture_quantile
-from .numerics import FitDiagnostics, RngState, preload_scipy
+from .numerics import RngState, preload_scipy
 from .report import (
     render_boxplot_svg,
     render_class_text,
@@ -50,12 +50,10 @@ from .report import (
 __all__ = [
     "AllFitsFailedError",
     "ConfigError",
+    "METHODS",
     "RunConfig",
-    "empirical_quantile_map",
-    "known_methods",
     "load_records",
     "materialize_corpus",
-    "register_method",
     "run_benchmark",
     "run_fits",
     "run_single_fit",
@@ -73,77 +71,13 @@ class AllFitsFailedError(RuntimeError):
     """Every fit in the run errored or failed to converge."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs for one benchmark run.
-
-    `methods` are registry names; `threshold_mm` feeds the censored
-    estimators only.  `timeout_s` is enforced after the fact: a fit that
-    exceeds it keeps its numbers but is marked non-converged, since a
-    cooperative in-process interrupt of an optimizer is not worth the
-    complexity.  `min_wet` drops sites with too few wet days before any
-    fitting.
-    """
-
-    methods: tuple[str, ...] = tuple(m.value for m in MethodId)
-    quantiles: QuantileSet = QuantileSet()
-    threshold_mm: float = 1.0
-    seed: int = 1
-    jobs: int = 1
-    egpd_restarts: int = 4
-    mixture_restarts: int = 7
-    timeout_s: float = 60.0
-    min_wet: int = 100
-    svg: bool = False
-
-    def __post_init__(self) -> None:
-        methods = tuple(dict.fromkeys(str(m) for m in self.methods))
-        if not methods:
-            raise ConfigError("at least one method is required")
-        object.__setattr__(self, "methods", methods)
-        if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0.0):
-            raise ConfigError("threshold_mm must be finite and > 0")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.egpd_restarts < 0 or self.mixture_restarts < 0:
-            raise ConfigError("restart counts must be >= 0")
-        if not self.timeout_s > 0.0:
-            raise ConfigError("timeout_s must be > 0")
-        if self.min_wet < 1:
-            raise ConfigError("min_wet must be >= 1")
+# --- the method table --------------------------------------------------------
 
 
-# --- method registry ---------------------------------------------------------
-
-MethodRunner = Callable[
-    [np.ndarray, RunConfig, RngState],
-    tuple[dict, FitDiagnostics, Callable[[np.ndarray], np.ndarray]],
-]
-
-_REGISTRY: dict[str, MethodRunner] = {}
-
-
-def register_method(name: str, runner: MethodRunner) -> None:
-    """Add a fitting method under a new name.
-
-    The runner gets (values, config, rng) and returns (params dict,
-    FitDiagnostics, quantile function); the quantile function maps an array
-    of levels to the array of fitted quantiles.  Registration order fixes the
-    method's RNG stream index, so register custom methods in a stable
-    order before running.
-    """
-    if name in _REGISTRY:
-        raise ConfigError(f"method {name!r} already registered")
-    _REGISTRY[name] = runner
-
-
-def known_methods() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
-def _egpd_runner(fit):
+def _egpd_runner(fit, censored: bool = False):
     def run(values, config, rng):
-        params, diag = fit(values, config, rng)
+        spec = (CensoringSpec(config.threshold_mm),) if censored else ()
+        params, diag = fit(values, *spec, restarts=config.egpd_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
 
     return run
@@ -157,32 +91,57 @@ def _mixture_runner(k: int):
     return run
 
 
-register_method(
-    MethodId.NAVEAU_MLE.value,
-    _egpd_runner(lambda x, c, r: fit_mle(x, restarts=c.egpd_restarts, rng=r)),
-)
-register_method(
-    MethodId.NAVEAU_PWM.value,
-    _egpd_runner(lambda x, c, r: fit_pwm(x, restarts=c.egpd_restarts, rng=r)),
-)
-register_method(
-    MethodId.NAVEAU_MLE_C.value,
-    _egpd_runner(
-        lambda x, c, r: fit_mle_censored(
-            x, CensoringSpec(c.threshold_mm), restarts=c.egpd_restarts, rng=r
-        )
-    ),
-)
-register_method(
-    MethodId.NAVEAU_PWM_C.value,
-    _egpd_runner(
-        lambda x, c, r: fit_pwm_censored(
-            x, CensoringSpec(c.threshold_mm), restarts=c.egpd_restarts, rng=r
-        )
-    ),
-)
-for _k in (2, 3, 4):
-    register_method(f"gamma-mixture-{_k}", _mixture_runner(_k))
+# The paper's seven methods, in its order, which is the row order of the
+# tables.  A runner gets (values, config, rng) and returns (params dict,
+# FitDiagnostics, quantile function of an array of levels).  A method's
+# position here is its RNG stream index: reordering the table changes fits.
+METHODS = {
+    "naveau-mle": _egpd_runner(fit_mle),
+    "naveau-pwm": _egpd_runner(fit_pwm),
+    "naveau-mle-c": _egpd_runner(fit_mle_censored, censored=True),
+    "naveau-pwm-c": _egpd_runner(fit_pwm_censored, censored=True),
+    "gamma-mixture-2": _mixture_runner(2),
+    "gamma-mixture-3": _mixture_runner(3),
+    "gamma-mixture-4": _mixture_runner(4),
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Knobs for one benchmark run.
+
+    `methods` are `METHODS` names; `threshold_mm` feeds the censored
+    estimators only.  `min_wet` drops sites with too few wet days before
+    any fitting.  A fit's work is bounded by its solvers' iteration and
+    evaluation caps, never by wall time.
+    """
+
+    methods: tuple[str, ...] = tuple(METHODS)
+    quantiles: QuantileSet = QuantileSet()
+    threshold_mm: float = 1.0
+    seed: int = 1
+    jobs: int = 1
+    egpd_restarts: int = 4
+    mixture_restarts: int = 7
+    min_wet: int = 100
+    svg: bool = False
+
+    def __post_init__(self) -> None:
+        methods = tuple(dict.fromkeys(self.methods))
+        if not methods:
+            raise ConfigError("at least one method is required")
+        unknown = [m for m in methods if m not in METHODS]
+        if unknown:
+            raise ConfigError(f"unknown method {unknown[0]!r}; known: {', '.join(METHODS)}")
+        object.__setattr__(self, "methods", methods)
+        if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0.0):
+            raise ConfigError("threshold_mm must be finite and > 0")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+        if self.egpd_restarts < 0 or self.mixture_restarts < 0:
+            raise ConfigError("restart counts must be >= 0")
+        if self.min_wet < 1:
+            raise ConfigError("min_wet must be >= 1")
 
 
 # --- task execution ----------------------------------------------------------
@@ -194,15 +153,12 @@ def run_single_fit(
     config: RunConfig,
     rng: RngState,
 ) -> FitResult:
-    """Fit one method to one site.
+    """Fit one method, a `METHODS` name, to one site.
 
     Fit failures of any kind come back as an error record rather than an
-    exception; only an unknown method name raises (that is a configuration
-    problem, not a data one).
+    exception.
     """
-    if method not in _REGISTRY:
-        raise ConfigError(f"unknown method {method!r}; known: {sorted(_REGISTRY)}")
-    runner = _REGISTRY[method]
+    runner = METHODS[method]
     qs = config.quantiles.probabilities
     emp = None
     t0 = time.perf_counter()
@@ -211,22 +167,14 @@ def run_single_fit(
         t0 = time.perf_counter()
         params, diag, quantile_fn = runner(series.values, config, rng)
         estimated = dict(zip(qs, map(float, quantile_fn(np.array(qs)))))
-        elapsed = time.perf_counter() - t0
-        converged = diag.converged
-        diagnostics = diag.to_dict()
-        if elapsed > config.timeout_s:
-            converged = False
-            diagnostics["message"] = (
-                f"timeout: {elapsed:.1f}s exceeded the {config.timeout_s:.1f}s budget"
-            )
         return FitResult(
             site_id=series.site_id,
             method=method,
             estimated_quantiles=estimated,
-            converged=converged,
-            fit_seconds=elapsed,
+            converged=diag.converged,
+            fit_seconds=time.perf_counter() - t0,
             params=params,
-            diagnostics=diagnostics,
+            diagnostics=diag.to_dict(),
             n_wet=series.n_wet,
             empirical_quantiles=emp,
         )
@@ -253,8 +201,8 @@ def _execute_task(task) -> dict:
 def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     """Run every (site, method) pair from config over the given sites.
 
-    Sites are ordered by id and methods by registry index; task i gets the
-    RNG stream derived from (seed, site index, method index).  With
+    Sites are ordered by id; task i gets the RNG stream derived from
+    (seed, site index, the method's position in `METHODS`).  With
     jobs > 1 the tasks run in a fork-start process pool, mapped in order,
     so results are identical to the serial path.  The fits' share of scipy
     (three compiled modules, two solver kernels and scipy.special's ufuncs,
@@ -266,18 +214,15 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
         raise ConfigError("no sites to fit")
-    registry_order = list(_REGISTRY)
-    for m in config.methods:
-        if m not in _REGISTRY:
-            raise ConfigError(f"unknown method {m!r}; known: {sorted(_REGISTRY)}")
     preload_scipy()
 
     base = RngState(config.seed)
-    tasks = []
-    for si, series in enumerate(sites):
-        for method in config.methods:
-            rng = base.derive(si, registry_order.index(method))
-            tasks.append((series, method, config, rng))
+    stream = {m: i for i, m in enumerate(METHODS)}
+    tasks = [
+        (series, method, config, base.derive(si, stream[method]))
+        for si, series in enumerate(sites)
+        for method in config.methods
+    ]
     if config.jobs == 1 or len(tasks) == 1:
         records = [_execute_task(t) for t in tasks]
     else:
@@ -309,15 +254,6 @@ def load_records(path) -> list[FitResult]:
     return results
 
 
-def empirical_quantile_map(results: Iterable[FitResult]) -> dict[str, dict[float, float]]:
-    """Site -> {p: empirical quantile}, as carried in the records themselves."""
-    out: dict[str, dict[float, float]] = {}
-    for r in results:
-        if r.empirical_quantiles:
-            out.setdefault(r.site_id, {}).update(r.empirical_quantiles)
-    return out
-
-
 def summarize_results(
     results: Iterable[FitResult], qset: QuantileSet | None = None
 ) -> EvaluationSummary:
@@ -339,7 +275,11 @@ def summarize_results(
             f"quantile levels {', '.join(map(repr, missing))} are not recorded"
             f" (recorded: {', '.join(map(repr, recorded)) or 'none'})"
         )
-    return summarize(results, empirical_quantile_map(results), qset)
+    empirical: dict[str, dict[float, float]] = {}
+    for r in results:
+        if r.empirical_quantiles:
+            empirical.setdefault(r.site_id, {}).update(r.empirical_quantiles)
+    return summarize(results, empirical, qset, order=tuple(METHODS))
 
 
 def write_report_files(

@@ -16,6 +16,7 @@ from rainfit.corpus import (
     write_manifest,
 )
 from rainfit.numerics import RngState
+from rainfit.pipeline import METHODS
 
 TABLE_FILES = ("medians.csv", "classes.csv", "boxplots.csv")
 
@@ -91,6 +92,19 @@ def test_fit_unknown_method_is_config_error(tmp_path, capsys):
 def test_fit_missing_file_is_io_error(tmp_path, capsys):
     rc = main(["fit", str(tmp_path / "nope.csv"), "--method", "naveau-mle"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+def test_timeout_flag_is_gone(tmp_path, capsys, command):
+    # A fit is bounded by its solvers' iteration and evaluation caps, never
+    # by wall time, so no flag sets a time budget.
+    if command == "fit":
+        args = ["fit", str(write_site(tmp_path)), "--method", "naveau-mle"]
+    else:
+        args = ["benchmark", "--manifest", str(small_manifest(tmp_path)), "--out", str(tmp_path / "o")]
+    assert main(args + ["--timeout-s", "5"]) == 2
+    assert "--timeout-s" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_quantiles_is_config_error(tmp_path, capsys):
@@ -202,6 +216,8 @@ def test_benchmark_records_evaluation_counts(tmp_path):
             text = (out / name).read_text(encoding="utf-8")
             assert "n_eval" not in text
             assert "restarts_at_best" not in text
+        rows = (out / "medians.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == list(METHODS)
     # Two starts per fit (one restart): at least the best one is at the best.
     assert all(n > 0 and 1 <= at_best <= 2 for n, at_best in counts[0].values())
     assert counts[1] == counts[0]

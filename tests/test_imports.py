@@ -24,8 +24,8 @@ from pathlib import Path
 
 import rainfit
 from rainfit.corpus import GeneratorSpec, save_site, simulate_site, write_manifest
-from rainfit.evaluation import PAPER_METHOD_ORDER, FitResult
-from rainfit.pipeline import write_records
+from rainfit.evaluation import FitResult
+from rainfit.pipeline import METHODS, write_records
 
 SRC = Path(rainfit.__file__).resolve().parents[1]
 
@@ -195,10 +195,10 @@ def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_pat
         "    return results\n"
         "rainfit.pipeline.run_fits = run_fits\n"
     )
-    code = benchmark_code(manifest, tmp_path / "run", 1, hook, methods=",".join(PAPER_METHOD_ORDER))
+    code = benchmark_code(manifest, tmp_path / "run", 1, hook, methods=",".join(METHODS))
     rc, before, (loaded, converged), after = run_python(code)
     assert [rc, before, loaded] == [0, False, FIT_MODULES_LOADED]
-    assert converged == sorted(PAPER_METHOD_ORDER)
+    assert converged == sorted(METHODS)
     assert loaded_packages(after) == []
 
 
