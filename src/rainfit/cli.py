@@ -7,6 +7,11 @@ an existing records file).  Method names and their order come from
 `pipeline.METHODS`.  No flag bounds a fit by wall time: its solvers'
 iteration and evaluation caps bound its work.
 
+Import rule: building the parser, `report`, `--help` and `--version`
+need the standard library alone.  Loading site CSVs needs numpy, and
+`run_fits` loads the fit modules and scipy's kernels; each subcommand
+imports what it uses when it runs.
+
 Exit codes: 0 success, 2 configuration or data problems (or a scipy
 without a compiled function the fits call), 3 filesystem problems, 4 "ran
 but failed" (a non-converged single fit, or a benchmark where every fit
@@ -30,16 +35,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import (
-    CorpusError,
-    PRESETS,
-    build_preset,
-    load_manifest,
-    load_site,
-    save_site,
-    simulate_corpus,
-    write_manifest,
-)
 from .evaluation import QuantileSet
 from .pipeline import (
     METHODS,
@@ -98,6 +93,8 @@ def _config_from_args(args, methods: tuple[str, ...]) -> RunConfig:
 
 
 def cmd_fit(args) -> int:
+    from .corpus import load_site
+
     series = load_site(args.site)
     config = _config_from_args(args, (args.method,))
     result = run_fits([series], config)[0]
@@ -111,6 +108,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .corpus import build_preset, load_manifest, save_site, simulate_corpus, write_manifest
+
     if (args.preset is None) == (args.manifest is None):
         raise ConfigError("exactly one of --preset and --manifest is required")
     if args.preset is not None:
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="write a synthetic corpus (CSVs, manifest, truth)")
     group = p_sim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=PRESETS, help="named corpus recipe")
+    group.add_argument("--preset", help="named corpus recipe; an unknown name lists the known ones")
     group.add_argument("--manifest", help="manifest JSON with generator entries")
     p_sim.add_argument("--seed", type=int, default=1, help="corpus seed for --preset (default 1)")
     p_sim.add_argument("--out", required=True, help="output directory")
@@ -221,7 +220,7 @@ def main(argv=None) -> int:
     except AllFitsFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, CorpusError, ValueError, ImportError) as exc:
+    except (ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

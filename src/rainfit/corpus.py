@@ -11,6 +11,9 @@ instrument-style increment (half-to-even, zeros dropped).
 A manifest is a JSON file with a top-level `seed` and either `sites` (CSV
 paths relative to the manifest) or `generators` (specs as produced by the
 presets here), or both.
+
+Loading sites needs numpy alone: the model and RNG modules are imported
+only where sites are drawn or seeds derived.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-
-from .egpd import EgpdParams, egpd_simulate
-from .gamma_mixture import GammaMixtureParams, mixture_simulate
-from .numerics import RngState
 
 __all__ = [
     "CorpusError",
@@ -184,6 +183,10 @@ class GeneratorSpec:
 
 def simulate_site(spec: GeneratorSpec) -> SiteSeries:
     """Draw one synthetic site; bit-reproducible for a given spec."""
+    from .egpd import EgpdParams, egpd_simulate
+    from .gamma_mixture import GammaMixtureParams, mixture_simulate
+    from .numerics import RngState
+
     rng = RngState(seed=spec.seed)
     if spec.family == "egpd":
         values = egpd_simulate(spec.n, EgpdParams(**spec.params), rng)
@@ -248,6 +251,8 @@ def build_preset(name: str, seed: int) -> list[GeneratorSpec]:
     rounded to 0.2 mm.  mixture-50: gamma-mixture-only sites.  All
     parameter draws and per-site seeds derive from (preset, seed, index).
     """
+    from .numerics import RngState
+
     if name not in _PRESET_SALT:
         raise CorpusError(f"unknown preset {name!r}; known: {sorted(_PRESET_SALT)}")
     salt = _PRESET_SALT[name]
@@ -311,6 +316,8 @@ def load_manifest(path) -> Manifest:
     site_paths = tuple(path.parent / p for p in raw.get("sites", []))
     generators = []
     for i, entry in enumerate(raw.get("generators", [])):
+        from .numerics import RngState  # an entry without a seed derives one
+
         try:
             generators.append(
                 GeneratorSpec(

@@ -4,6 +4,8 @@ All quantiles in this package use the linear-interpolation convention with
 plotting position h = (n - 1) p + 1 on the sorted sample (the default of R's
 `quantile`, type 7).  Benchmark metrics divide by these values, so the
 convention is part of the package contract and is documented in the README.
+The rule itself is `evaluation.sorted_quantile`, on the standard library
+alone, which the D statistics also use.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .evaluation import sorted_quantile
 
 __all__ = ["SortedSample", "empirical_pwm", "empirical_quantile"]
 
@@ -56,12 +60,7 @@ def empirical_quantile(sample: "SortedSample | np.ndarray", p: float) -> float:
         raise ValueError("need at least two observations for a quantile")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample values must be finite")
-    h = (n - 1) * p + 1.0
-    i = int(np.floor(h))
-    frac = h - i
-    if i >= n:
-        return float(x[-1])
-    return float(x[i - 1] + frac * (x[i] - x[i - 1]))
+    return sorted_quantile(x, p)
 
 
 def empirical_pwm(sample: SortedSample, j: int) -> float:

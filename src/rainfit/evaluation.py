@@ -7,17 +7,17 @@ underestimates.  Per (method, p) the distribution of D across sites is
 summarized by its median and quartiles, and classified as underestimating
 (U, Q3 < 0), overestimating (O, Q1 > 0), or nominal (N, the IQR contains 0,
 endpoints inclusive).
+
+This module and `report` use the standard library alone, so `rainfit
+report` rebuilds the tables without importing numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
-
-from .empirical import empirical_quantile
 
 __all__ = [
     "EvaluationSummary",
@@ -28,6 +28,7 @@ __all__ = [
     "asinh_axis_transform",
     "classify",
     "log_ratio_metric",
+    "sorted_quantile",
     "summarize",
 ]
 
@@ -123,6 +124,21 @@ def log_ratio_metric(q_model: float, q_empirical: float) -> float:
     return math.log(q_model / q_empirical)
 
 
+def sorted_quantile(x: Sequence[float], p: float) -> float:
+    """Type-7 quantile of an ascending sequence: rank h = (n - 1) p + 1.
+
+    Linear interpolation between the order statistics around h, the
+    default of R's `quantile`.  This is the package's one quantile rule:
+    `empirical.empirical_quantile` validates and sorts, then calls it.
+    The caller guarantees len(x) >= 1 and 0 <= p <= 1.
+    """
+    h = (len(x) - 1) * p + 1.0
+    i = int(h)
+    if i >= len(x):
+        return float(x[-1])
+    return float(x[i - 1] + (h - i) * (x[i] - x[i - 1]))
+
+
 def classify(d_values) -> str:
     """U/O/N rule on the quartiles of the D distribution across sites.
 
@@ -130,10 +146,12 @@ def classify(d_values) -> str:
     an endpoint exactly at zero counts as containing zero.  Quartiles use
     the same type-7 convention as everything else in the package.
     """
-    arr = np.asarray(d_values, dtype=float)
-    if arr.size < 4:
+    d = sorted(map(float, d_values))
+    if len(d) < 4:
         raise ValueError("need at least 4 values to classify an IQR")
-    return _iqr_class(empirical_quantile(arr, 0.25), empirical_quantile(arr, 0.75))
+    if not all(map(math.isfinite, d)):
+        raise ValueError("sample values must be finite")
+    return _iqr_class(sorted_quantile(d, 0.25), sorted_quantile(d, 0.75))
 
 
 def _iqr_class(q1: float, q3: float) -> str:
@@ -145,11 +163,9 @@ def _iqr_class(q1: float, q3: float) -> str:
     return "N"
 
 
-def asinh_axis_transform(x, scale: float = 8.0):
+def asinh_axis_transform(x: float, scale: float = 8.0) -> float:
     """Axis transform asinh(scale * x): odd, monotone, linear near zero."""
-    arr = np.asarray(x, dtype=float)
-    out = np.arcsinh(scale * arr)
-    return float(out) if arr.ndim == 0 else out
+    return math.asinh(scale * x)
 
 
 @dataclass(frozen=True)
@@ -185,27 +201,29 @@ class EvaluationSummary:
     warnings: list[str] = field(default_factory=list)
 
 
-def _cell_from_d(d: np.ndarray) -> SummaryCell:
-    d = np.sort(d)
-    n = d.size
-    if n == 1:
-        med = q1 = q3 = float(d[0])
-    else:
-        med = empirical_quantile(d, 0.5)
-        q1 = empirical_quantile(d, 0.25)
-        q3 = empirical_quantile(d, 0.75)
+def _cell_from_d(d_values: Iterable[float]) -> SummaryCell:
+    d = sorted(map(float, d_values))
+    n = len(d)
+    # Quartiles of non-finite values are undefined, as in empirical_quantile;
+    # a single value is its own median and quartiles.
+    if n > 1 and not all(map(math.isfinite, d)):
+        raise ValueError("sample values must be finite")
+    med = sorted_quantile(d, 0.5)
+    q1 = sorted_quantile(d, 0.25)
+    q3 = sorted_quantile(d, 0.75)
     iqr = q3 - q1
-    in_lo = d[d >= q1 - 1.5 * iqr]
-    in_hi = d[d <= q3 + 1.5 * iqr]
+    # Whiskers end at the most extreme values within 1.5 IQR of the box.
+    lo_at = bisect_left(d, q1 - 1.5 * iqr)
+    hi_at = bisect_right(d, q3 + 1.5 * iqr)
     return SummaryCell(
         n_sites=n,
         median=med,
         q1=q1,
         q3=q3,
-        lo=float(d[0]),
-        hi=float(d[-1]),
-        whisker_lo=float(in_lo[0]) if in_lo.size else q1,
-        whisker_hi=float(in_hi[-1]) if in_hi.size else q3,
+        lo=d[0],
+        hi=d[-1],
+        whisker_lo=d[lo_at] if lo_at < n else q1,
+        whisker_hi=d[hi_at - 1] if hi_at else q3,
         # The U/O/N rule is well defined for any n >= 1 (q1 = q3 = d[0] when
         # degenerate), so summary cells are always classified even though
         # the standalone classify() keeps its >= 4 precondition.
@@ -247,26 +265,29 @@ def summarize(
     for method in methods:
         rows = by_method[method]
         site_ids.update(rows)
-        ok = {s: r for s, r in sorted(rows.items()) if r.converged and r.error is None}
+        ok = [(s, r) for s, r in sorted(rows.items()) if r.converged and r.error is None]
         failures[method] = len(rows) - len(ok)
-        for p in qset.probabilities:
-            d_list = []
-            dropped = 0
-            for site, r in ok.items():
+        # One pass over the sites fills every level's D list.
+        d_lists: dict[float, list[float]] = {p: [] for p in qset.probabilities}
+        dropped = dict.fromkeys(qset.probabilities, 0)
+        for site, r in ok:
+            site_empirical = empirical.get(site, {})
+            for p, d_list in d_lists.items():
                 q_m = r.estimated_quantiles.get(p)
-                q_e = empirical.get(site, {}).get(p)
+                q_e = site_empirical.get(p)
                 if q_m is None or q_e is None or q_m <= 0.0 or q_e <= 0.0:
-                    dropped += 1
-                    continue
-                d_list.append(log_ratio_metric(q_m, q_e))
-            if dropped:
-                excluded[(method, p)] = dropped
+                    dropped[p] += 1
+                else:
+                    d_list.append(log_ratio_metric(q_m, q_e))
+        for p, d_list in d_lists.items():
+            if dropped[p]:
+                excluded[(method, p)] = dropped[p]
                 warnings.append(
-                    f"{method} at p={p:g}: {dropped} site(s) excluded "
+                    f"{method} at p={p:g}: {dropped[p]} site(s) excluded "
                     "(missing or non-positive quantile)"
                 )
             if d_list:
-                cells[(method, p)] = _cell_from_d(np.array(d_list))
+                cells[(method, p)] = _cell_from_d(d_list)
 
     return EvaluationSummary(
         methods=methods,

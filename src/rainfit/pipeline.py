@@ -12,31 +12,29 @@ derived from (config seed, site index, the method's position in the
 `METHODS` table), so no task's randomness depends on execution order.
 Timings land only in the records file (`fits.jsonl`); the CSV and text
 tables never contain them.
+
+Import rule: this module imports the standard library and `evaluation`
+and `report` alone, so `rainfit report`, `--help` and `--version` load no
+numpy.  Loading site CSVs imports `corpus` and numpy where it loads them;
+`run_fits` imports the fit modules and loads scipy's kernels, once, before
+it forks a pool or times a fit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from .corpus import CorpusError, Manifest, SiteSeries, filter_corpus, load_manifest, load_site, simulate_corpus
-from .egpd import CensoringSpec, fit_mle, fit_mle_censored, fit_pwm, fit_pwm_censored, egpd_quantile
-from .empirical import empirical_quantile
 from .evaluation import (
     EvaluationSummary,
     FitResult,
     QuantileSet,
     summarize,
 )
-from .gamma_mixture import fit_map, mixture_quantile
-from .numerics import RngState, preload_scipy
 from .report import (
     render_boxplot_svg,
     render_class_text,
@@ -46,6 +44,10 @@ from .report import (
     write_median_csv,
     write_text,
 )
+
+if TYPE_CHECKING:
+    from .corpus import Manifest, SiteSeries
+    from .numerics import RngState
 
 __all__ = [
     "AllFitsFailedError",
@@ -74,9 +76,12 @@ class AllFitsFailedError(RuntimeError):
 # --- the method table --------------------------------------------------------
 
 
-def _egpd_runner(fit, censored: bool = False):
+def _egpd_runner(fit_name: str, censored: bool = False):
     def run(values, config, rng):
-        spec = (CensoringSpec(config.threshold_mm),) if censored else ()
+        from . import egpd
+
+        spec = (egpd.CensoringSpec(config.threshold_mm),) if censored else ()
+        fit = getattr(egpd, fit_name)
         params, diag = fit(values, *spec, restarts=config.egpd_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
 
@@ -85,6 +90,8 @@ def _egpd_runner(fit, censored: bool = False):
 
 def _mixture_runner(k: int):
     def run(values, config, rng):
+        from .gamma_mixture import fit_map
+
         params, diag = fit_map(values, k, restarts=config.mixture_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: mixture_quantile(p, params)
 
@@ -93,17 +100,47 @@ def _mixture_runner(k: int):
 
 # The paper's seven methods, in its order, which is the row order of the
 # tables.  A runner gets (values, config, rng) and returns (params dict,
-# FitDiagnostics, quantile function of an array of levels).  A method's
-# position here is its RNG stream index: reordering the table changes fits.
+# FitDiagnostics, quantile function of a sequence of levels); it imports
+# its fit function when called.  A method's position here is its RNG
+# stream index: reordering the table changes fits.
 METHODS = {
-    "naveau-mle": _egpd_runner(fit_mle),
-    "naveau-pwm": _egpd_runner(fit_pwm),
-    "naveau-mle-c": _egpd_runner(fit_mle_censored, censored=True),
-    "naveau-pwm-c": _egpd_runner(fit_pwm_censored, censored=True),
+    "naveau-mle": _egpd_runner("fit_mle"),
+    "naveau-pwm": _egpd_runner("fit_pwm"),
+    "naveau-mle-c": _egpd_runner("fit_mle_censored", censored=True),
+    "naveau-pwm-c": _egpd_runner("fit_pwm_censored", censored=True),
     "gamma-mixture-2": _mixture_runner(2),
     "gamma-mixture-3": _mixture_runner(3),
     "gamma-mixture-4": _mixture_runner(4),
 }
+
+
+# The numeric calls the pipeline makes through module globals, so that a
+# caller can time them by replacing `pipeline.<name>` (rainbench's tracer
+# does).  Each imports its module when called, not when this one loads.
+
+
+def load_site(path) -> SiteSeries:
+    from .corpus import load_site
+
+    return load_site(path)
+
+
+def empirical_quantile(sample, p: float) -> float:
+    from .empirical import empirical_quantile
+
+    return empirical_quantile(sample, p)
+
+
+def egpd_quantile(p, params):
+    from .egpd import egpd_quantile
+
+    return egpd_quantile(p, params)
+
+
+def mixture_quantile(p, params):
+    from .gamma_mixture import mixture_quantile
+
+    return mixture_quantile(p, params)
 
 
 @dataclass(frozen=True)
@@ -166,7 +203,7 @@ def run_single_fit(
         emp = {p: empirical_quantile(series.values, p) for p in qs}
         t0 = time.perf_counter()
         params, diag, quantile_fn = runner(series.values, config, rng)
-        estimated = dict(zip(qs, map(float, quantile_fn(np.array(qs)))))
+        estimated = dict(zip(qs, map(float, quantile_fn(qs))))
         return FitResult(
             site_id=series.site_id,
             method=method,
@@ -214,6 +251,11 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
         raise ConfigError("no sites to fit")
+    # Every fit module and scipy kernel loads here, in this process: a pool
+    # worker forked after this compiles and loads none of them itself.
+    from . import egpd, gamma_mixture  # noqa: F401
+    from .numerics import RngState, preload_scipy
+
     preload_scipy()
 
     base = RngState(config.seed)
@@ -226,6 +268,8 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     if config.jobs == 1 or len(tasks) == 1:
         records = [_execute_task(t) for t in tasks]
     else:
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=min(config.jobs, len(tasks))) as pool:
             records = pool.map(_execute_task, tasks, chunksize=1)
@@ -241,15 +285,50 @@ def write_records(path, results: Iterable[FitResult]) -> None:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
+_NUMBER_TYPES = {int, float}  # what JSON numbers decode to; bool is not one
+
+
+def _check_record(record) -> None:
+    """Raise ValueError unless record has the shape `FitResult.to_record` writes.
+
+    Checks what the tables read and `FitResult.from_record` does not: string
+    ids, a boolean `converged`, an `error` that is null or a string, and
+    level maps whose values are numbers (`empirical_quantiles` may be null).
+    `from_record` then raises KeyError on a missing key and ValueError on a
+    level that is not a number.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    for key in ("site_id", "method"):
+        if not isinstance(record[key], str):
+            raise ValueError(f"{key} must be a string")
+    if not isinstance(record["converged"], bool):
+        raise ValueError("converged must be true or false")
+    if not isinstance(record.get("error"), (str, type(None))):
+        raise ValueError("error must be null or a string")
+    maps = {"estimated_quantiles": record["estimated_quantiles"]}
+    if record.get("empirical_quantiles") is not None:
+        maps["empirical_quantiles"] = record["empirical_quantiles"]
+    for key, levels in maps.items():
+        if not isinstance(levels, dict):
+            raise ValueError(f"{key} must be an object")
+        if not set(map(type, levels.values())) <= _NUMBER_TYPES:
+            value = next(v for v in levels.values() if type(v) not in _NUMBER_TYPES)
+            raise ValueError(f"{key} has a value that is not a number: {value!r}")
+
+
 def load_records(path) -> list[FitResult]:
+    """Read a records file; a record of the wrong shape is a ValueError naming path:line."""
     results = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                results.append(FitResult.from_record(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
+                record = json.loads(line)
+                _check_record(record)
+                results.append(FitResult.from_record(record))
+            except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
     return results
 
@@ -311,6 +390,8 @@ def write_report_files(
 
 def materialize_corpus(manifest: Manifest) -> list[SiteSeries]:
     """Load listed site files and draw generator sites; ids must not collide."""
+    from .corpus import CorpusError, simulate_corpus
+
     sites = [load_site(p) for p in manifest.site_paths]
     sites.extend(simulate_corpus(manifest.generators))
     seen: set[str] = set()
@@ -329,6 +410,8 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     converged, so callers can distinguish "ran but useless" from config
     and I/O problems.
     """
+    from .corpus import CorpusError, filter_corpus, load_manifest
+
     manifest = load_manifest(manifest_path)
     sites = materialize_corpus(manifest)
     kept, dropped = filter_corpus(sites, config.min_wet)

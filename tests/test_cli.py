@@ -15,6 +15,7 @@ from rainfit.corpus import (
     simulate_site,
     write_manifest,
 )
+from rainfit.evaluation import FitResult
 from rainfit.numerics import RngState
 from rainfit.pipeline import METHODS
 
@@ -128,6 +129,17 @@ def test_simulate_preset_writes_sites_manifest_truth(tmp_path, capsys):
     truth = json.loads((out / "truth.json").read_text(encoding="utf-8"))
     assert set(truth) == {p.stem for p in csvs}
     assert all(t["family"] == "gamma-mixture" for t in truth.values())
+
+
+def test_simulate_unknown_preset_exits_2_naming_the_presets(tmp_path, capsys):
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--preset", "bogus", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown preset 'bogus'" in err
+    for name in ("paper-like-50", "egpd-50", "egpd-50-discretized", "mixture-50"):
+        assert repr(name) in err
+    assert not out.exists()
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
@@ -407,6 +419,37 @@ def test_report_unrecorded_quantile_exits_2_naming_the_missing_levels(bench_run,
     assert rc == 2
     err = capsys.readouterr().err
     assert "0.33, 0.999 are not recorded" in err
+    assert not out.exists()
+
+
+GOOD_RECORD = FitResult(
+    site_id="s0",
+    method="naveau-mle",
+    estimated_quantiles={0.25: 1.0, 0.5: 2.0, 0.75: 3.0},
+    converged=True,
+    fit_seconds=0.0,
+    params={},
+    empirical_quantiles={0.25: 1.1, 0.5: 2.1, 0.75: 3.1},
+).to_record()
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [
+        [1, 2],
+        {**GOOD_RECORD, "estimated_quantiles": {"0.25": 1.0, "0.5": "abc", "0.75": 3.0}},
+        {**GOOD_RECORD, "estimated_quantiles": {"0.25": 1.0, "x": 2.0, "0.75": 3.0}},
+    ],
+    ids=["not-an-object", "quantile-not-a-number", "level-not-a-number"],
+)
+def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile):
+    records = tmp_path / "fits.jsonl"
+    records.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(hostile) + "\n", encoding="utf-8")
+    out = tmp_path / "tables"
+    rc = main(["report", "--records", str(records), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {records}:2: bad record (")
     assert not out.exists()
 
 

@@ -304,6 +304,29 @@ def test_pwm_shapes_against_50_digit_mpmath_near_xi_zero():
     assert worst <= 1e-13
 
 
+XI_GRID = [round(-0.5 + 0.01 * i, 2) for i in range(146)]  # -0.5 .. 0.95
+
+
+def _worst_relative_error(pwms, kappa: float, scale: float = 1.0) -> float:
+    """Worst relative error of pwms(xi) against scale * s_j(kappa, xi) over XI_GRID."""
+    worst = 0.0
+    for xi in XI_GRID:
+        got = pwms(xi)
+        for j in (0, 1, 2):
+            ref = scale * _mp_pwm_shape(kappa, xi, j)
+            worst = max(worst, float(abs((got[j] - ref) / ref)))
+    return worst
+
+
+@pytest.mark.parametrize("kappa, bound", [(30.0, 1e-12), (1000.0, 5e-11)])
+def test_pwm_shapes_at_large_kappa_stay_within_their_known_error(kappa, bound):
+    # lgamma(a) - lgamma(a - xi) cancels for large a = kappa m + 1: the
+    # worst errors over the grid were 2.4e-13 (kappa 30) and 1.5e-11
+    # (kappa 1000).  The bounds hold them there until a better formula.
+    shapes = rainfit.egpd._pwm_shapes()
+    assert _worst_relative_error(lambda xi: shapes(kappa, xi)[0], kappa) <= bound
+
+
 def test_pwm_shapes_continuous_across_series_switch():
     shapes = rainfit.egpd._pwm_shapes()
     switch = rainfit.egpd._XI_SERIES
@@ -610,6 +633,22 @@ def test_conditional_pwms_against_60_digit_quadrature():
                 err = max(abs(g - r) / abs(r) for g, r in zip(got, ref))
                 worst = max(worst, err)
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("kappa, bound", [(math.exp(-12.0), 2e-3), (1e-3, 1.5e-6)])
+def test_conditional_pwms_at_zero_threshold_and_tiny_kappa_stay_within_their_known_error(
+    kappa, bound
+):
+    # With p_L = 0 and tiny kappa the mass sits within about kappa of u = 1,
+    # which the tanh-sinh rule resolves coarsely: the worst errors over the
+    # grid were 6.1e-4 at the fit clamp kappa = e^-12 and 3.7e-7 at 1e-3.
+    # Censored fits never get there; the bounds keep direct callers'
+    # error where it is.
+    sigma = 3.0
+    worst = _worst_relative_error(
+        lambda xi: conditional_pwms(EgpdParams(kappa, sigma, xi), 0.0), kappa, scale=sigma
+    )
+    assert worst <= bound
 
 
 def test_conditional_pwms_continuous_across_xi_zero():

@@ -1,17 +1,21 @@
-"""Import contract: scipy loads only where a fit runs, on one BLAS thread.
+"""Import contract: each command loads only the modules its work needs.
 
-Importing the CLI, rebuilding tables with `report` and loading site CSVs
-need numpy alone.  `run_fits` loads the three compiled scipy modules the
-fits call, `scipy.optimize._lbfgsb`, `scipy.optimize._minpack` and
-`scipy.special._special_ufuncs`, once, before it forks a pool or starts
-the first fit.  A run of all seven methods, a `fit` or a `simulate` of a
-mixture preset never imports the scipy.optimize or scipy.special packages
-(nor scipy.linalg, scipy.sparse or scipy's array-API layer, which those
-packages would pull in).  A solver that ran before `import scipy.optimize`
-keeps taking public scipy's steps after it, through the module that import
-made, and the special functions the fits bind are scipy.special's own
-objects, to the bit.  Importing the CLI sets one BLAS/OpenMP thread unless
-the environment already chose a count.  Each check runs in a fresh
+`report`, `--help` and `--version` need the standard library alone:
+importing the CLI and rebuilding tables load neither numpy nor rainfit's
+fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`, `empirical`).
+Loading site CSVs needs numpy and `corpus`, but no fit module and no
+scipy.  `run_fits` imports the fit modules and loads the three compiled
+scipy modules the fits call, `scipy.optimize._lbfgsb`,
+`scipy.optimize._minpack` and `scipy.special._special_ufuncs`, once,
+before it forks a pool or starts the first fit.  A run of all seven
+methods, a `fit` or a `simulate` of a mixture preset never imports the
+scipy.optimize or scipy.special packages (nor scipy.linalg, scipy.sparse
+or scipy's array-API layer, which those packages would pull in).  A
+solver that ran before `import scipy.optimize` keeps taking public
+scipy's steps after it, through the module that import made, and the
+special functions the fits bind are scipy.special's own objects, to the
+bit.  Importing the CLI sets one BLAS/OpenMP thread unless the
+environment already chose a count.  Each check runs in a fresh
 interpreter and reads `sys.modules`, the loaded modules or `os.environ`;
 none measures time.
 """
@@ -61,13 +65,13 @@ def test_cli_import_loads_no_scipy():
     assert run_python("import json, sys\nimport rainfit.cli\n" + LOADED_SCIPY) == []
 
 
-def test_report_loads_no_scipy(tmp_path):
-    records = tmp_path / "fits.jsonl"
+def write_small_records(path: Path, methods=("naveau-mle",)) -> None:
+    """Four converged sites per method at three levels."""
     levels = (0.25, 0.5, 0.75)
-    write_records(records, [
+    write_records(path, [
         FitResult(
             site_id=f"s{i}",
-            method="naveau-mle",
+            method=method,
             estimated_quantiles={p: (1.0 + 0.1 * i) * (1.0 + p) for p in levels},
             converged=True,
             fit_seconds=0.0,
@@ -75,7 +79,24 @@ def test_report_loads_no_scipy(tmp_path):
             empirical_quantiles={p: 1.0 + p for p in levels},
         )
         for i in range(4)
+        for method in methods
     ])
+
+
+def site_file_manifest(tmp_path: Path, first_seed: int) -> Path:
+    """A manifest of two EGPD site CSVs, without generators."""
+    names = []
+    for i in range(2):
+        save_site(tmp_path / f"s{i}.csv", simulate_site(egpd_spec(f"s{i}", first_seed + i)))
+        names.append(f"s{i}.csv")
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, seed=1, sites=names)
+    return manifest
+
+
+def test_report_loads_no_scipy(tmp_path):
+    records = tmp_path / "fits.jsonl"
+    write_small_records(records)
     code = (
         "import json, sys\n"
         "from rainfit.cli import main\n"
@@ -86,20 +107,39 @@ def test_report_loads_no_scipy(tmp_path):
     assert (tmp_path / "tables" / "medians.csv").is_file()
 
 
+# Modules that `report`, `--help` and `--version` never load.
+NUMERIC_STACK = ("numpy", "rainfit.numerics", "rainfit.egpd", "rainfit.gamma_mixture",
+                 "rainfit.corpus", "rainfit.empirical")
+
+
+def test_cli_import_help_version_and_report_load_no_numpy(tmp_path):
+    records = tmp_path / "fits.jsonl"
+    write_small_records(records, methods=("naveau-mle", "gamma-mixture-2"))
+    report = ["report", "--records", str(records), "--out", str(tmp_path / "tables"), "--svg"]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import rainfit.cli\n"
+        f"stack = {NUMERIC_STACK!r}\n"
+        "loaded = [[m for m in stack if m in sys.modules]]\n"
+        f"for argv in (['--help'], ['--version'], {report!r}):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert rainfit.cli.main(argv) == 0\n"
+        "    loaded.append([m for m in stack if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert run_python(code) == [[], [], [], []]
+    assert (tmp_path / "tables" / "boxplot-0.5.svg").is_file()
+
+
 def test_materializing_site_files_loads_no_scipy(tmp_path):
-    names = []
-    for i in range(2):
-        name = f"s{i}.csv"
-        save_site(tmp_path / name, simulate_site(egpd_spec(f"s{i}", 40 + i)))
-        names.append(name)
-    manifest = tmp_path / "manifest.json"
-    write_manifest(manifest, seed=1, sites=names)
+    manifest = site_file_manifest(tmp_path, 40)
     code = (
         "import json, sys\n"
         "from rainfit.corpus import load_manifest\n"
         "from rainfit.pipeline import materialize_corpus\n"
         f"assert len(materialize_corpus(load_manifest({str(manifest)!r}))) == 2\n"
-        + LOADED_SCIPY
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy')\n"
+        "                        or m in ('rainfit.egpd', 'rainfit.gamma_mixture', 'rainfit.numerics'))))\n"
     )
     assert run_python(code) == []
 
@@ -156,17 +196,21 @@ def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str
 
 
 def test_run_fits_loads_scipy_before_forking_the_pool(tmp_path):
-    manifest = tmp_path / "manifest.json"
-    write_manifest(manifest, seed=1, generators=[egpd_spec("s0", 50), egpd_spec("s1", 51)])
+    # Site files, not generators: drawing sites would load the fit modules
+    # before run_fits.  run_fits loads them before the fork, though this run
+    # of naveau-mle alone calls nothing in gamma_mixture, so that no worker
+    # compiles them itself.
+    manifest = site_file_manifest(tmp_path, 50)
     hook = (
         "_get_context = multiprocessing.get_context\n"
         "def get_context(*args, **kwargs):\n"
         + RECORD_FIT_MODULES
-        + "    return _get_context(*args, **kwargs)\n"
+        + "    seen.append(['rainfit.egpd' in sys.modules, 'rainfit.gamma_mixture' in sys.modules])\n"
+        "    return _get_context(*args, **kwargs)\n"
         "multiprocessing.get_context = get_context\n"
     )
     rc, before, seen, _ = run_python(benchmark_code(manifest, tmp_path / "run", 2, hook))
-    assert [rc, before, seen[:1]] == [0, False, [FIT_MODULES_LOADED]]
+    assert [rc, before, seen[:2]] == [0, False, [FIT_MODULES_LOADED, [True, True]]]
 
 
 def test_run_fits_loads_scipy_before_the_first_serial_fit(tmp_path):
