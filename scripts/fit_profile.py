@@ -8,9 +8,9 @@ The corpus is a preset draw (optionally a subset of its site indices) or a
 manifest.  Sites below --min-wet are dropped, and the rest go to
 `run_fits` with one job, as `rainfit benchmark` sends them, so a fit here
 is the benchmark's fit of the same corpus and flags.  The fits run in this
-process, after the scipy the fits use is loaded by `preload_scipy` and
-one untimed warm-up fit.  One BLAS thread is used unless the environment
-already sets the thread count.
+process, after `pipeline.preload_fits` (which `run_fits` itself calls)
+has loaded what they call, and after one untimed warm-up fit.  One BLAS
+thread is used unless the environment already sets the thread count.
 
 The JSON has one record per fit (evaluations, seconds, objective, residual,
 converged, restarts at the best objective) and, per method, the totals and
@@ -18,10 +18,10 @@ medians of evaluations and seconds, and the microseconds per evaluation
 (total seconds over total evaluations: the objective plus the optimizer's
 own work around it).  A fit's seconds are its record's `fit_seconds`: the
 fit and its fitted quantiles, not the site's empirical quantiles.  An
-`environment` block records the CPU seconds `preload_scipy` took
-(`preload_s`), the Python, numpy and scipy versions, the CPU count, the
-three BLAS thread variables and the scipy modules in `sys.modules` when
-the fits were done.  Evaluation counts repeat exactly for a given corpus
+`environment` block records the CPU seconds `preload_fits` took
+(`preload_s`, before any site is drawn), the Python, numpy and scipy
+versions, the CPU count, the three BLAS thread variables and the scipy
+modules in `sys.modules` when the fits were done.  Evaluation counts repeat exactly for a given corpus
 and code; seconds do not.  Run it with PYTHONPATH pointing at the `src/`
 of the checkout to measure.
 """
@@ -58,14 +58,13 @@ def _sites(args):
 
 
 def _environment(preload_s: float) -> dict:
-    import numpy
-    import scipy
+    from importlib.metadata import version
 
     return {
         "preload_s": preload_s,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "numpy": version("numpy"),
+        "scipy": version("scipy"),  # from its metadata: importing the package would load it
         "cpu_count": os.cpu_count(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
         "scipy_modules": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
@@ -87,12 +86,8 @@ def main(argv=None) -> int:
     parser.add_argument("--min-wet", type=int, default=100)
     args = parser.parse_args(argv)
 
-    from rainfit.numerics import RngState, preload_scipy
-    from rainfit.pipeline import METHODS, RunConfig, run_fits, run_single_fit
-
-    t0 = time.process_time()
-    preload_scipy()  # before any fit is timed, as run_fits does
-    preload_s = time.process_time() - t0
+    from rainfit.numerics import RngState
+    from rainfit.pipeline import METHODS, RunConfig, preload_fits, run_fits, run_single_fit
 
     config = RunConfig(
         methods=tuple(args.methods.split(",")) if args.methods else tuple(METHODS),
@@ -103,6 +98,9 @@ def main(argv=None) -> int:
         min_wet=args.min_wet,
         jobs=1,
     )
+    t0 = time.process_time()
+    preload_fits(config)  # before any fit is timed, as run_fits does
+    preload_s = time.process_time() - t0
     sites = _sites(args)
     run_single_fit(sites[0], config.methods[0], config, RngState(config.seed))  # warm-up
 

@@ -188,8 +188,8 @@ class EvaluationSummary:
     """Per-(method, p) statistics plus bookkeeping of failures/exclusions.
 
     `failures` counts fits per method that errored or did not converge;
-    `excluded` counts converged fits dropped at one p for a non-positive
-    quantile on either side of the ratio.
+    `excluded` counts converged fits dropped at one p for a missing,
+    non-positive or non-finite quantile on either side of the ratio.
     """
 
     methods: tuple[str, ...]
@@ -231,6 +231,12 @@ def _cell_from_d(d_values: Iterable[float]) -> SummaryCell:
     )
 
 
+def _site_list(sites: Sequence[str], shown: int = 5) -> str:
+    """The first `shown` site ids, and how many more there are."""
+    more = f" and {len(sites) - shown} more" if len(sites) > shown else ""
+    return ", ".join(sites[:shown]) + more
+
+
 def summarize(
     results: Iterable[FitResult],
     empirical: Mapping[str, Mapping[float, float]],
@@ -241,10 +247,11 @@ def summarize(
 
     Only converged, error-free fits contribute to D distributions; the rest
     are counted per method in `failures`.  A site is dropped at a single p
-    (and counted in `excluded`, with a warning) when the empirical or
-    estimated quantile there is missing or non-positive.  Output is
-    independent of input ordering: sites are processed in sorted id order
-    and methods in `order`, then any others alphabetically.
+    (and counted in `excluded`, with a warning that names it) when the
+    empirical or estimated quantile there is missing, non-positive, NaN or
+    infinite.  Output is independent of input ordering: sites are
+    processed in sorted id order and methods in `order`, then any others
+    alphabetically.
     """
     results = list(results)
     if not results:
@@ -269,22 +276,23 @@ def summarize(
         failures[method] = len(rows) - len(ok)
         # One pass over the sites fills every level's D list.
         d_lists: dict[float, list[float]] = {p: [] for p in qset.probabilities}
-        dropped = dict.fromkeys(qset.probabilities, 0)
+        dropped: dict[float, list[str]] = {p: [] for p in qset.probabilities}
         for site, r in ok:
             site_empirical = empirical.get(site, {})
             for p, d_list in d_lists.items():
-                q_m = r.estimated_quantiles.get(p)
-                q_e = site_empirical.get(p)
-                if q_m is None or q_e is None or q_m <= 0.0 or q_e <= 0.0:
-                    dropped[p] += 1
-                else:
+                q_m = r.estimated_quantiles.get(p, math.nan)
+                q_e = site_empirical.get(p, math.nan)
+                # False for a missing (NaN), non-positive or infinite quantile.
+                if 0.0 < q_m < math.inf and 0.0 < q_e < math.inf:
                     d_list.append(log_ratio_metric(q_m, q_e))
+                else:
+                    dropped[p].append(site)
         for p, d_list in d_lists.items():
             if dropped[p]:
-                excluded[(method, p)] = dropped[p]
+                excluded[(method, p)] = len(dropped[p])
                 warnings.append(
-                    f"{method} at p={p:g}: {dropped[p]} site(s) excluded "
-                    "(missing or non-positive quantile)"
+                    f"{method} at p={p:g}: {len(dropped[p])} site(s) excluded"
+                    f" (missing, non-positive or non-finite quantile): {_site_list(dropped[p])}"
                 )
             if d_list:
                 cells[(method, p)] = _cell_from_d(d_list)

@@ -20,16 +20,21 @@ tracing and no fit calls it.
 
 Importing any rainfit module loads numpy alone.  scipy is loaded inside
 the functions that call it, as three compiled extension files that
-`_scipy_kernel` loads without their packages: the two solver kernels and
-`_special_ufuncs`, whose ufuncs scipy.special's `digamma`, `gammaln`,
-`gammainc` and `zeta` are or call.  No fit calls what the packages'
-`__init__`s load besides (scipy.linalg, sparse, fft, spatial, scipy's
-array-API layer).  Without them `preload_scipy` takes 0.03 s CPU where
-importing scipy.special took 0.43 s (the `mixture-large-n` workload on a
-2-core host: 0.81 -> 0.46 s CPU, 57.6 -> 37.7 MB peak).  `pipeline.run_fits`
-calls it once, before it times a fit or forks a worker pool, so no fit
-pays for the loading and a scipy without a function the fits call stops
-the run before the first fit.
+`_scipy_kernel` loads without running any package `__init__`: the two
+solver kernels and `_special_ufuncs`, whose ufuncs scipy.special's
+`digamma`, `gammaln`, `gammainc` and `zeta` are or call.  No fit calls
+what the packages' `__init__`s load besides (scipy.linalg, sparse, fft,
+spatial, scipy's array-API layer).  The one exception is MINPACK's
+`_lmder`: on its first call it imports `scipy._lib._ccallback`, and with
+it the `scipy` package, so `preload_scipy(lmder=True)` imports that up
+front.  `pipeline.preload_fits` calls `preload_scipy` once, before a fit
+is timed or a worker pool forks, with `lmder` only when a PWM method is
+requested, so no fit pays for the loading and a scipy without a function
+the fits call stops the run before the first fit.  Without a PWM method
+the loading runs no scipy `__init__`: on a 2-core host, `preload_fits`
+of two mixtures at restarts 0 takes 0.029 s CPU, against 0.054 s for
+loading `egpd` and the `scipy` package as well (and 0.43 s for importing
+scipy.special).
 """
 
 from __future__ import annotations
@@ -117,15 +122,22 @@ def _scipy_kernel(package: str, name: str) -> ModuleType:
 
     The module `import <package>` loaded, if it has, so a spy on it sees
     every call; otherwise the extension file alone, loaded once from the
-    package's directory without running the package `__init__`.
+    package's directory without running any package `__init__`.  The
+    directory is found from the top-level package's spec plus the
+    subpackage's path: `find_spec("scipy.optimize")` would import `scipy`.
     """
     full_name = f"{package}.{name}"
     module = sys.modules.get(full_name) or _loaded_kernels.get(full_name)
     if module is None:
         import importlib.util
+        import os.path
 
-        spec = importlib.util.find_spec(package)
-        module = _load_extension(full_name, list(spec.submodule_search_locations))
+        top, _, sub = package.partition(".")
+        spec = importlib.util.find_spec(top)
+        if spec is None:
+            raise ImportError(f"{top} is not installed; {_SCIPY_REQUIREMENT}", name=top)
+        directories = [os.path.join(d, *sub.split(".")) for d in spec.submodule_search_locations]
+        module = _load_extension(full_name, directories)
         _loaded_kernels[full_name] = module
     return module
 
@@ -169,10 +181,17 @@ def scipy_functions(module: str, *names: str) -> tuple:
     return tuple(getattr(loaded, name) for name in names)
 
 
-def preload_scipy() -> None:
-    """Load and check every function of scipy a fit calls."""
+def preload_scipy(*, lmder: bool) -> None:
+    """Load and check every function of scipy a fit calls.
+
+    With `lmder` (a fit that solves by `solve_least_squares` will run),
+    also import `scipy._lib._ccallback`: MINPACK's `_lmder` imports it, and
+    with it the `scipy` package, on its first call.
+    """
     for module, names in _SCIPY_FUNCTIONS.items():
         scipy_functions(module, *names)
+    if lmder:
+        import scipy._lib._ccallback  # noqa: F401
 
 
 @dataclass

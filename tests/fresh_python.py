@@ -1,0 +1,137 @@
+"""Helpers for tests that run rainfit in a fresh interpreter and read its `sys.modules`.
+
+Each check starts a new Python process, so what it reads was loaded by the
+code under test alone, not by an earlier test of this session.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rainfit
+from rainfit.corpus import GeneratorSpec, save_site, simulate_site, write_manifest
+
+SRC = Path(rainfit.__file__).resolve().parents[1]
+
+# Prints, as the last stdout line, the scipy modules the script loaded.
+LOADED_SCIPY = (
+    "print(json.dumps(sorted(m for m in sys.modules"
+    " if m == 'scipy' or m.startswith('scipy.'))))\n"
+)
+
+# Packages no mixture fit, EGPD fit or simulation loads: the two whose
+# compiled modules the fits call, what the scipy.optimize package would pull
+# in, and scipy's array-API layer, which the scipy.special package would.
+NEVER_LOADED = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
+                "scipy._lib._array_api")
+
+
+def run_python(code: str) -> object:
+    """Run code in a fresh interpreter; the JSON value on its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def loaded_packages(modules: list[str]) -> list[str]:
+    """The NEVER_LOADED packages that modules lists, itself or by a submodule."""
+    return [p for p in NEVER_LOADED if any(m == p or m.startswith(p + ".") for m in modules)]
+
+
+def egpd_spec(site_id: str, seed: int) -> GeneratorSpec:
+    return GeneratorSpec(
+        site_id=site_id,
+        family="egpd",
+        params={"kappa": 1.2, "sigma": 5.0, "xi": 0.1},
+        n=300,
+        seed=seed,
+    )
+
+
+def mixture_spec(site_id: str, seed: int) -> GeneratorSpec:
+    return GeneratorSpec(
+        site_id=site_id,
+        family="gamma-mixture",
+        params={"weights": [0.4, 0.6], "shapes": [0.8, 3.0], "scales": [2.0, 6.0]},
+        n=300,
+        seed=seed,
+    )
+
+
+def site_file_manifest(tmp_path: Path, first_seed: int) -> Path:
+    """A manifest of two EGPD site CSVs, without generators.
+
+    Drawing generator sites would load the fit modules and numpy.random
+    before `run_fits` does.
+    """
+    names = []
+    for i in range(2):
+        save_site(tmp_path / f"s{i}.csv", simulate_site(egpd_spec(f"s{i}", first_seed + i)))
+        names.append(f"s{i}.csv")
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, seed=1, sites=names)
+    return manifest
+
+
+def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str = "naveau-mle",
+                   restarts: int = 0) -> str:
+    """A benchmark run of methods, with `restarts` jittered starts per fit,
+    that records through hook what was loaded at the hooked call, and
+    prints [exit code, any scipy loaded before the run, the hook's records
+    (the list `seen`), scipy modules loaded after the run]."""
+    argv = ["benchmark", "--manifest", str(manifest), "--out", str(out), "--jobs", str(jobs),
+            "--methods", methods, "--egpd-restarts", str(restarts),
+            "--mixture-restarts", str(restarts)]
+    return (
+        "import json, multiprocessing, os, sys\n"
+        "import rainfit.pipeline\n"
+        "from rainfit.cli import main\n"
+        "before = any(m.startswith('scipy') for m in sys.modules)\n"
+        "seen = []\n"
+        + hook
+        + f"rc = main({argv!r})\n"
+        "after = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "print(json.dumps([rc, before, seen, after]))\n"
+    )
+
+
+# A benchmark_code hook: the first fit in each process writes to
+# FIRST_FITS_DIR/<pid>.json whether it ran in a pool worker, the modules it
+# added to sys.modules, and which of WATCHED were loaded after it.
+WATCHED = ("scipy", "rainfit.egpd", "rainfit.gamma_mixture", "numpy.random")
+FIRST_FIT_HOOK = (
+    "main_pid = os.getpid()\n"
+    "_run_single_fit = rainfit.pipeline.run_single_fit\n"
+    "fitted = []\n"
+    "def run_single_fit(*args):\n"
+    "    if os.getpid() in fitted:\n"
+    "        return _run_single_fit(*args)\n"
+    "    fitted.append(os.getpid())\n"
+    "    before = set(sys.modules)\n"
+    "    result = _run_single_fit(*args)\n"
+    "    first = {'worker': os.getpid() != main_pid,\n"
+    "             'added': sorted(set(sys.modules) - before),\n"
+    f"             'loaded': [m for m in {WATCHED!r} if m in sys.modules]}}\n"
+    "    with open(os.path.join(FIRST_FITS_DIR, f'{os.getpid()}.json'), 'w') as fh:\n"
+    "        json.dump(first, fh)\n"
+    "    return result\n"
+    "rainfit.pipeline.run_single_fit = run_single_fit\n"
+)
+
+
+def first_fits(tmp_path: Path, methods: str, jobs: int, restarts: int) -> list[dict]:
+    """Run a benchmark of methods on two EGPD site files in a fresh interpreter;
+    what FIRST_FIT_HOOK wrote for each process that fitted."""
+    manifest = site_file_manifest(tmp_path, 60)
+    out = tmp_path / "first-fits"
+    out.mkdir()
+    hook = f"FIRST_FITS_DIR = {str(out)!r}\n" + FIRST_FIT_HOOK
+    rc, before, _, _ = run_python(benchmark_code(manifest, tmp_path / "run", jobs, hook, methods, restarts))
+    assert [rc, before] == [0, False]
+    return [json.loads(p.read_text(encoding="utf-8")) for p in sorted(out.glob("*.json"))]

@@ -453,6 +453,22 @@ def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_report_drops_a_non_finite_quantile_naming_its_site(tmp_path, capsys, value):
+    # json writes and reads NaN and Infinity; a converged record with one
+    # is dropped at that level like a non-positive quantile, not an exit 2.
+    other = {**GOOD_RECORD, "site_id": "s1"}
+    hostile = json.dumps(GOOD_RECORD).replace('"0.75": 3.0', f'"0.75": {value}', 1)
+    records = tmp_path / "fits.jsonl"
+    records.write_text(json.dumps(other) + "\n" + hostile + "\n", encoding="utf-8")
+    rc = main(["report", "--records", str(records), "--out", str(tmp_path / "tables")])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "naveau-mle at p=0.75: 1 site(s) excluded (missing, non-positive or non-finite quantile): s0" in err
+    medians = (tmp_path / "tables" / "medians.csv").read_text(encoding="utf-8")
+    assert "inf" not in medians and "nan" not in medians
+
+
 def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0

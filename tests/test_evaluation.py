@@ -265,6 +265,46 @@ def test_summarize_counts_failures_and_exclusions():
     assert any("excluded" in w for w in summary.warnings)
 
 
+# A non-finite fitted quantile sits where the fitted quantiles can still
+# increase: +inf at the top level, -inf at the bottom one.
+NON_FINITE_AT = [(math.nan, 0.5), (math.inf, 0.99), (-math.inf, 0.01)]
+
+
+@pytest.mark.parametrize("n_sites", [1, 3])
+@pytest.mark.parametrize("side", ["model", "empirical"])
+@pytest.mark.parametrize("value, p", NON_FINITE_AT)
+def test_summarize_excludes_a_non_finite_quantile_and_names_its_site(n_sites, side, value, p):
+    results, emp = grid_results(n_sites, ["naveau-mle"])
+    if side == "model":
+        quantiles = dict(results[0].estimated_quantiles)
+        quantiles[p] = value
+        results[0] = make_result("site-000", "naveau-mle", quantiles)
+    else:
+        emp["site-000"] = dict(emp["site-000"])
+        emp["site-000"][p] = value
+    summary = summarize(results, emp)
+    assert summary.excluded == {("naveau-mle", p): 1}
+    assert [w for w in summary.warnings if "site-000" in w] == [
+        f"naveau-mle at p={p:g}: 1 site(s) excluded"
+        " (missing, non-positive or non-finite quantile): site-000"
+    ]
+    if n_sites == 1:
+        assert ("naveau-mle", p) not in summary.cells
+    else:
+        cell = summary.cells[("naveau-mle", p)]
+        assert cell.n_sites == n_sites - 1 and math.isfinite(cell.median)
+    assert all(c.n_sites == n_sites for (_, q), c in summary.cells.items() if q != p)
+
+
+def test_summarize_names_at_most_five_excluded_sites():
+    results, emp = grid_results(7, ["naveau-mle"])
+    for site in emp:
+        emp[site] = dict(emp[site])
+        emp[site][0.5] = 0.0
+    (warning,) = summarize(results, emp).warnings
+    assert warning.endswith(": site-000, site-001, site-002, site-003, site-004 and 2 more")
+
+
 def test_summarize_empty_is_an_error():
     with pytest.raises(ValueError):
         summarize([], {})

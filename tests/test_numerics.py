@@ -273,20 +273,6 @@ def test_euler_gamma_constant():
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
 
 
-def test_a_missing_kernel_is_an_import_error_naming_it(tmp_path):
-    from rainfit import numerics
-
-    with pytest.raises(ImportError, match=r"scipy\.optimize\._lbfgsb .*scipy>=1\.15"):
-        numerics._load_extension("scipy.optimize._lbfgsb", [str(tmp_path)])
-    with pytest.raises(ImportError, match=r"scipy\.optimize\._no_such_kernel .*scipy>=1\.15"):
-        numerics._scipy_kernel("scipy.optimize", "_no_such_kernel")
-    assert "scipy.optimize._no_such_kernel" not in numerics._loaded_kernels
-    with pytest.raises(ImportError, match=r"scipy\.special\._special_ufuncs has no no_such_ufunc"):
-        numerics.scipy_functions(numerics.SPECIAL_UFUNCS, "psi", "no_such_ufunc")
-    with pytest.raises(ImportError, match=r"scipy\.special\._no_such_ufuncs "):
-        numerics.scipy_functions("scipy.special._no_such_ufuncs", "psi")
-
-
 # --- the solvers against public scipy ----------------------------------------
 # lbfgsb and solve_least_squares drive scipy's kernels without its public
 # wrappers; they must take the wrappers' steps, to the bit.
