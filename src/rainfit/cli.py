@@ -70,26 +70,26 @@ def _parse_quantiles(text: str | None) -> QuantileSet:
     return QuantileSet(tuple(sorted(dict.fromkeys(levels))))
 
 
+# Each flag's default is RunConfig's.
+_DEFAULTS = RunConfig()
+
+
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    d = _DEFAULTS
     sub.add_argument("--quantiles", metavar="P1,P2,...", help="quantile levels in (0,1); default the seven benchmark levels")
-    sub.add_argument("--threshold-mm", type=float, default=1.0, help="left-censoring threshold for the -c methods (default 1.0)")
-    sub.add_argument("--seed", type=int, default=1, help="base seed for all fit-stage randomness (default 1)")
-    sub.add_argument("--egpd-restarts", type=int, default=4, help="jittered extra starts for the EGPD fits (default 4)")
-    sub.add_argument("--mixture-restarts", type=int, default=7, help="jittered extra starts for the mixture fits (default 7)")
+    sub.add_argument("--threshold-mm", type=float, default=d.threshold_mm, help=f"left-censoring threshold for the -c methods (default {d.threshold_mm})")
+    sub.add_argument("--seed", type=int, default=d.seed, help=f"base seed for all fit-stage randomness (default {d.seed})")
+    sub.add_argument("--egpd-restarts", type=int, default=d.egpd_restarts, help=f"jittered extra starts for the EGPD fits (default {d.egpd_restarts})")
+    sub.add_argument("--mixture-restarts", type=int, default=d.mixture_restarts, help=f"jittered extra starts for the mixture fits (default {d.mixture_restarts})")
+
+
+# The RunConfig fields that are flags; `fit` has neither --jobs nor --min-wet.
+_CONFIG_FLAGS = ("threshold_mm", "seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet", "svg")
 
 
 def _config_from_args(args, methods: tuple[str, ...]) -> RunConfig:
-    return RunConfig(
-        methods=methods,
-        quantiles=_parse_quantiles(args.quantiles),
-        threshold_mm=args.threshold_mm,
-        seed=args.seed,
-        jobs=getattr(args, "jobs", 1),
-        egpd_restarts=args.egpd_restarts,
-        mixture_restarts=args.mixture_restarts,
-        min_wet=getattr(args, "min_wet", 100),
-        svg=getattr(args, "svg", False),
-    )
+    flags = {name: getattr(args, name) for name in _CONFIG_FLAGS if hasattr(args, name)}
+    return RunConfig(methods=methods, quantiles=_parse_quantiles(args.quantiles), **flags)
 
 
 def cmd_fit(args) -> int:
@@ -193,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--manifest", required=True, help="corpus manifest JSON")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--methods", metavar="M1,M2,...", help="methods to run (default: all seven)")
-    p_bench.add_argument("--jobs", type=int, default=1, help="worker processes (default 1); outputs do not depend on it")
-    p_bench.add_argument("--min-wet", type=int, default=100, help="drop sites with fewer wet days (default 100)")
+    p_bench.add_argument("--jobs", type=int, default=_DEFAULTS.jobs, help=f"worker processes (default {_DEFAULTS.jobs}); outputs do not depend on it")
+    p_bench.add_argument("--min-wet", type=int, default=_DEFAULTS.min_wet, help=f"drop sites with fewer wet days (default {_DEFAULTS.min_wet})")
     p_bench.add_argument("--svg", action="store_true", help="also write one boxplot SVG per quantile level")
     _add_run_flags(p_bench)
     p_bench.set_defaults(func=cmd_benchmark)

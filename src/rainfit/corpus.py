@@ -13,7 +13,7 @@ paths relative to the manifest) or `generators` (specs as produced by the
 presets here), or both.
 
 Loading sites needs numpy alone: the model and RNG modules are imported
-only where sites are drawn or seeds derived.
+only where generator specs are checked, sites drawn or seeds derived.
 """
 
 from __future__ import annotations
@@ -149,7 +149,8 @@ class GeneratorSpec:
     """Recipe for one synthetic site.
 
     family is 'egpd' or 'gamma-mixture'; params are the family's parameter
-    record as a plain dict; discretize_mm, when set, rounds draws
+    record as a plain dict, checked by building it (`model_params`);
+    discretize_mm, when set, rounds draws
     half-to-even to that increment and drops resulting zeros.
     """
 
@@ -167,6 +168,18 @@ class GeneratorSpec:
             raise CorpusError("generator n must be >= 100")
         if self.discretize_mm is not None and not self.discretize_mm > 0.0:
             raise CorpusError("discretize_mm must be > 0")
+        try:
+            self.model_params()
+        except (TypeError, ValueError) as exc:
+            raise CorpusError(f"bad {self.family} params ({exc})") from None
+
+    def model_params(self):
+        """The family's parameter object (`EgpdParams` or `GammaMixtureParams`)."""
+        from .egpd import EgpdParams
+        from .gamma_mixture import GammaMixtureParams
+
+        model = EgpdParams if self.family == "egpd" else GammaMixtureParams
+        return model(**self.params)
 
     def to_dict(self) -> dict:
         out = {
@@ -183,15 +196,12 @@ class GeneratorSpec:
 
 def simulate_site(spec: GeneratorSpec) -> SiteSeries:
     """Draw one synthetic site; bit-reproducible for a given spec."""
-    from .egpd import EgpdParams, egpd_simulate
-    from .gamma_mixture import GammaMixtureParams, mixture_simulate
+    from .egpd import egpd_simulate
+    from .gamma_mixture import mixture_simulate
     from .numerics import RngState
 
-    rng = RngState(seed=spec.seed)
-    if spec.family == "egpd":
-        values = egpd_simulate(spec.n, EgpdParams(**spec.params), rng)
-    else:
-        values = mixture_simulate(spec.n, GammaMixtureParams(**spec.params), rng)
+    simulate = egpd_simulate if spec.family == "egpd" else mixture_simulate
+    values = simulate(spec.n, spec.model_params(), RngState(seed=spec.seed))
     if spec.discretize_mm is not None:
         inc = spec.discretize_mm
         values = np.round(values / inc) * inc
@@ -303,33 +313,52 @@ class Manifest:
     generators: tuple[GeneratorSpec, ...]
 
 
+def _integer(entry: dict, key: str) -> int:
+    """entry[key], which must be a JSON integer: 1.5 or "1" is not truncated or parsed."""
+    value = entry[key]
+    if type(value) is not int:
+        raise CorpusError(f"'{key}' must be an integer, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> Manifest:
-    """Parse a corpus manifest; site paths resolve relative to the manifest."""
+    """Parse a corpus manifest; site paths resolve relative to the manifest.
+
+    A manifest of the wrong shape is a CorpusError that names the file and,
+    for a generator, the entry's index.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict) or "seed" not in raw:
-        raise CorpusError(f"{path}: manifest must be an object with a 'seed'")
-    seed = int(raw["seed"])
-    site_paths = tuple(path.parent / p for p in raw.get("sites", []))
+    if not isinstance(raw, dict) or type(raw.get("seed")) is not int:
+        raise CorpusError(f"{path}: manifest must be an object with an integer 'seed'")
+    seed = raw["seed"]
+    sites, entries = raw.get("sites", []), raw.get("generators", [])
+    if not (isinstance(sites, list) and all(isinstance(p, str) for p in sites)):
+        raise CorpusError(f"{path}: 'sites' must be a list of CSV paths")
+    if not isinstance(entries, list):
+        raise CorpusError(f"{path}: 'generators' must be a list of objects")
+    site_paths = tuple(path.parent / p for p in sites)
     generators = []
-    for i, entry in enumerate(raw.get("generators", [])):
+    for i, entry in enumerate(entries):
         from .numerics import RngState  # an entry without a seed derives one
 
         try:
+            if not isinstance(entry, dict):
+                raise CorpusError(f"expected an object, got {entry!r}")
             generators.append(
                 GeneratorSpec(
                     site_id=entry.get("site_id", f"site-{i:03d}"),
                     family=entry["family"],
                     params=entry["params"],
-                    n=int(entry["n"]),
-                    seed=int(entry["seed"]) if "seed" in entry else RngState(seed).derive(i).stream,
+                    n=_integer(entry, "n"),
+                    seed=_integer(entry, "seed") if "seed" in entry else RngState(seed).derive(i).stream,
                     discretize_mm=entry.get("discretize_mm"),
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}: bad generator entry {i}: {exc}") from None
     if not site_paths and not generators:
         raise CorpusError(f"{path}: manifest lists no sites and no generators")

@@ -6,13 +6,13 @@ while the GP pair (sigma, xi) keeps control of the upper tail, which makes
 the family usable across the whole wet-day range rather than only above a
 high threshold.
 
-Four estimators are provided: maximum likelihood (`fit_mle`), probability
-weighted moments (`fit_pwm`), and censored variants of both that treat
-values below a threshold (default 1 mm) as interval-censored at zero cost
-to the tail fit.  The censored PWM fit matches conditional PWMs of
-Y | Y >= threshold, which `conditional_pwms` integrates with a fixed
-tanh-sinh rule that resolves the (1 - u)^(-xi) endpoint singularity of the
-quantile function to near machine precision.
+Two fits are provided, maximum likelihood (`fit_mle`) and probability
+weighted moments (`fit_pwm`).  Given a threshold, each becomes its
+censored variant, which treats values below the threshold as
+interval-censored at zero cost to the tail fit.  The censored PWM fit
+matches conditional PWMs of Y | Y >= threshold, which `conditional_pwms`
+integrates with a fixed tanh-sinh rule that resolves the (1 - u)^(-xi)
+endpoint singularity of the quantile function to near machine precision.
 
 Every fit runs `numerics.multistart` from a fixed start plus jittered
 copies.  The likelihood fits profile kappa out in closed form and run
@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import SortedSample, empirical_pwm
+from .empirical import empirical_pwms
 from .numerics import (
     EULER_GAMMA,
+    MAX_ITER,
     SPECIAL_UFUNCS,
     FitDiagnostics,
     RngState,
@@ -43,7 +44,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "CensoringSpec",
     "EgpdParams",
     "XI_EPS",
     "XI_MAX",
@@ -54,9 +54,7 @@ __all__ = [
     "egpd_quantile",
     "egpd_simulate",
     "fit_mle",
-    "fit_mle_censored",
     "fit_pwm",
-    "fit_pwm_censored",
     "fit_pwm_censored_from_moments",
     "fit_pwm_from_moments",
     "gp_cdf",
@@ -101,18 +99,6 @@ class EgpdParams:
 
     def to_dict(self) -> dict:
         return {"kappa": self.kappa, "sigma": self.sigma, "xi": self.xi}
-
-
-@dataclass(frozen=True)
-class CensoringSpec:
-    """Left-censoring threshold in mm; observations below it enter the fit
-    only through the probability mass F(threshold)."""
-
-    threshold: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
-            raise ValueError("censoring threshold must be > 0")
 
 
 def _as_float_array(y) -> tuple[np.ndarray, bool]:
@@ -350,64 +336,27 @@ def _boundary_hit(params: EgpdParams) -> bool:
     return params.xi <= XI_MIN + edge or params.xi >= XI_MAX - edge
 
 
-def _validate_data(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+def _exceedances(data, threshold: float | None) -> tuple[int, np.ndarray]:
+    """The data's size and its values at or above threshold (all of them for None).
+
+    The data must be at least 30 finite values > 0, and a threshold finite,
+    > 0 and at or below at least 30 of them.
+    """
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 1 or x.size == 0:
         raise ValueError("data must be a nonempty vector")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("data values must be finite and > 0")
-    if arr.size < 30:
+    if x.size < 30:
         raise ValueError("need at least 30 observations")
-    return arr
-
-
-def fit_mle(
-    data,
-    *,
-    restarts: int = 4,
-    rng: RngState | None = None,
-    max_iter: int = 5000,
-) -> tuple[EgpdParams, FitDiagnostics]:
-    """Maximum likelihood fit, kappa profiled out, by multistart L-BFGS-B.
-
-    kappa has a closed-form maximizer for each (sigma, xi), so L-BFGS-B
-    maximizes the profile likelihood over (ln sigma, xi) on its analytic
-    gradient (see `_profile_loglik`); `max_iter` caps its iterations per
-    start.  Starts from sigma=mean(data), xi=0.1 plus `restarts` jittered
-    copies (multiplicative jitter bounded by e^0.5, seeded by `rng`), and
-    keeps the best mode.  Converged means the projected gradient of the
-    per-observation objective is at most 1e-6 there.  Non-convergence is
-    flagged in the diagnostics, never raised; the best candidate is always
-    returned.
-    """
-    x = _validate_data(data)
-    return _fit_mle_impl(x, 0, restarts, rng, max_iter)
-
-
-def fit_mle_censored(
-    data,
-    spec: CensoringSpec = CensoringSpec(),
-    *,
-    restarts: int = 4,
-    rng: RngState | None = None,
-    max_iter: int = 5000,
-) -> tuple[EgpdParams, FitDiagnostics]:
-    """Censored maximum likelihood.
-
-    Observations below spec.threshold contribute n_below * ln F(threshold)
-    instead of their exact density, which makes the fit robust to values
-    quantized by instrument precision near the bottom of the scale.  With a
-    threshold below min(data) the objective, starts, and result coincide
-    bit-for-bit with fit_mle.
-    """
-    x = _validate_data(data)
-    exceed = x[x >= spec.threshold]
-    n_below = x.size - exceed.size
-    if exceed.size == 0:
-        raise ValueError("all data fall below the censoring threshold")
+    if threshold is None:
+        return x.size, x
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError("censoring threshold must be finite and > 0")
+    exceed = x[x >= threshold]
     if exceed.size < 30:
         raise ValueError("need at least 30 observations at or above the threshold")
-    return _fit_mle_impl(exceed, n_below, restarts, rng, max_iter, threshold=spec.threshold)
+    return x.size, exceed
 
 
 # 1 + xi max(y) / sigma stays at or above this on every trial point of the
@@ -510,18 +459,34 @@ def _profile_loglik(exceed: np.ndarray, n_below: int, threshold: float | None):
     return evaluate
 
 
-def _fit_mle_impl(
-    exceed: np.ndarray,
-    n_below: int,
-    restarts: int,
-    rng: RngState | None,
-    max_iter: int,
-    *,
+def fit_mle(
+    data,
     threshold: float | None = None,
+    *,
+    restarts: int = 4,
+    rng: RngState = _DEFAULT_RNG,
 ) -> tuple[EgpdParams, FitDiagnostics]:
-    rng = rng if rng is not None else _DEFAULT_RNG
-    n_total = exceed.size + n_below
-    evaluate = _profile_loglik(exceed, n_below, threshold)
+    """Maximum likelihood fit, kappa profiled out, by multistart L-BFGS-B.
+
+    kappa has a closed-form maximizer for each (sigma, xi), so L-BFGS-B
+    maximizes the profile likelihood over (ln sigma, xi) on its analytic
+    gradient (see `_profile_loglik`), for at most `MAX_ITER` iterations
+    per start.  Starts from sigma = mean(data), xi = 0.1 plus `restarts`
+    jittered copies (multiplicative jitter bounded by e^0.5, seeded by
+    `rng`), and keeps the best mode.  Converged means the projected
+    gradient of the per-observation objective is at most 1e-6 there.
+    Non-convergence is flagged in the diagnostics, never raised; the best
+    candidate is always returned.
+
+    With a left-censoring threshold, the observations below it contribute
+    n_below * ln F(threshold) instead of their exact density, and the
+    start uses the mean of the rest.  That makes the fit robust to values
+    quantized by instrument precision near the bottom of the scale.  With
+    a threshold below min(data) the objective, starts and result coincide
+    bit for bit with the uncensored fit.
+    """
+    n_total, exceed = _exceedances(data, threshold)
+    evaluate = _profile_loglik(exceed, n_total - exceed.size, threshold)
     y_max = float(np.max(exceed))
 
     def value_and_gradient(x: np.ndarray):
@@ -546,7 +511,7 @@ def _fit_mle_impl(
     upper = np.array([_LOG_CLAMP, 1.0])
     init = np.array([0.0, math.log(float(np.mean(exceed))), _xi_to_s(0.1)])
     run = multistart(
-        lambda x0: lbfgsb(value_and_gradient, x0, lower, upper, max_iter=max_iter),
+        lambda x0: lbfgsb(value_and_gradient, x0, lower, upper, max_iter=MAX_ITER),
         [start(t) for t in jittered_starts(init, restarts + 1, rng)],
     )
     _, _, kappa, xi = evaluate(run.best.x)
@@ -566,15 +531,14 @@ def fit_pwm_from_moments(
     nu2: float,
     *,
     restarts: int = 4,
-    rng: RngState | None = None,
-    max_iter: int = 5000,
+    rng: RngState = _DEFAULT_RNG,
 ) -> tuple[EgpdParams, FitDiagnostics]:
     """Solve the two-ratio PWM system for (kappa, xi), then back out sigma.
 
     Solves s_1/s_0 = nu1/nu0 and s_2/s_0 = nu2/nu0 (see `_pwm_shapes`) by
     Levenberg-Marquardt over (ln kappa, xi), on the analytic Jacobian, from
-    (0, 0.1) plus `restarts` jittered copies; `max_iter` caps the residual
-    evaluations per start.  ln kappa is clamped to [-12, 12] and xi to
+    (0, 0.1) plus `restarts` jittered copies, with at most `MAX_ITER`
+    residual evaluations per start.  ln kappa is clamped to [-12, 12] and xi to
     [-0.5, 0.95] inside the residuals, and s_j is smooth through xi = 0,
     so no value of xi needs special handling.  sigma = nu0 / s_0.
     Converged means the solver stopped on a tolerance and the residual
@@ -582,7 +546,6 @@ def fit_pwm_from_moments(
     """
     if not all(math.isfinite(v) and v > 0.0 for v in (nu0, nu1, nu2)):
         raise ValueError("probability weighted moments must be finite and > 0")
-    rng = rng if rng is not None else _DEFAULT_RNG
     targets = np.array([nu1 / nu0, nu2 / nu0])
     compute_shapes = _pwm_shapes()
     last_point, last_shapes = None, None
@@ -609,7 +572,7 @@ def fit_pwm_from_moments(
         return jac
 
     run = multistart(
-        lambda z0: solve_least_squares(residuals, z0, jacobian=jacobian, max_eval=max_iter),
+        lambda z0: solve_least_squares(residuals, z0, jacobian=jacobian, max_eval=MAX_ITER),
         jittered_starts(np.array([0.0, 0.1]), restarts + 1, rng),
     )
     kappa, xi = _clamped(*run.best.x)
@@ -621,24 +584,6 @@ def fit_pwm_from_moments(
         boundary_hit=_boundary_hit(params),
         residual=residual,
     )
-    return params, diag
-
-
-def fit_pwm(
-    data,
-    *,
-    restarts: int = 4,
-    rng: RngState | None = None,
-    max_iter: int = 5000,
-) -> tuple[EgpdParams, FitDiagnostics]:
-    """PWM fit: empirical nu_0, nu_1, nu_2 matched to their closed forms."""
-    x = _validate_data(data)
-    sample = SortedSample(x)
-    nu = [empirical_pwm(sample, j) for j in (0, 1, 2)]
-    params, diag = fit_pwm_from_moments(
-        nu[0], nu[1], nu[2], restarts=restarts, rng=rng, max_iter=max_iter
-    )
-    diag.small_sample = x.size < _SMALL_SAMPLE_N
     return params, diag
 
 
@@ -692,29 +637,27 @@ def fit_pwm_censored_from_moments(
     nu2: float,
     threshold: float,
     *,
-    mean_start: float | None = None,
+    mean_start: float,
     restarts: int = 4,
-    rng: RngState | None = None,
-    max_iter: int = 5000,
+    rng: RngState = _DEFAULT_RNG,
 ) -> tuple[EgpdParams, FitDiagnostics]:
     """Solve conditional_pwms(params, threshold) = (nu0, nu1, nu2).
 
     Levenberg-Marquardt on the three relative residuals over
     (ln kappa, ln sigma, xi), with a forward-difference Jacobian, from
-    kappa = 1, sigma = mean_start (nu0 if None), xi = 0.1 plus `restarts`
-    jittered copies; `max_iter` caps the residual evaluations per start.
+    kappa = 1, sigma = mean_start, xi = 0.1 plus `restarts`
+    jittered copies, with at most `MAX_ITER` residual evaluations per start.
     ln kappa and ln sigma are clamped to [-12, 12] and xi to [-0.5, 0.95]
     inside the residuals.  Where the threshold is at or beyond the
     support's upper end, the model's PWMs are taken as those of a point
     mass at the threshold, (c, c/2, c/3): their limit as that end falls to
     the threshold.  So the residuals are finite at every trial point.
     Converged means the solver stopped on a tolerance and the residual
-    norm is at most 1e-6.  fit_pwm_censored calls this with the exceedance
-    sample's empirical PWMs.
+    norm is at most 1e-6.  fit_pwm with a threshold calls this with the
+    exceedance sample's empirical PWMs.
     """
     if not (nu0 > 0.0 and nu1 > 0.0 and nu2 > 0.0):
         raise ValueError("conditional PWMs must be > 0")
-    rng = rng if rng is not None else _DEFAULT_RNG
     nu_hat = np.array([nu0, nu1, nu2])
     # Conditional PWMs of a point mass at the threshold: the limit as the
     # support's upper end falls to the threshold.
@@ -731,12 +674,10 @@ def fit_pwm_censored_from_moments(
             nu_model = nu_edge
         return (nu_model - nu_hat) / nu_hat
 
-    init = np.array(
-        [0.0, math.log(mean_start if mean_start is not None else nu0), _xi_to_s(0.1)]
-    )
+    init = np.array([0.0, math.log(mean_start), _xi_to_s(0.1)])
     starts = jittered_starts(init, restarts + 1, rng)
     run = multistart(
-        lambda t0: solve_least_squares(residuals, t0, max_eval=max_iter),
+        lambda t0: solve_least_squares(residuals, t0, max_eval=MAX_ITER),
         [np.array([t[0], t[1], _s_to_xi(float(t[2]))]) for t in starts],
     )
     params = unpack(run.best.x)
@@ -750,38 +691,27 @@ def fit_pwm_censored_from_moments(
     return params, diag
 
 
-def fit_pwm_censored(
+def fit_pwm(
     data,
-    spec: CensoringSpec = CensoringSpec(),
+    threshold: float | None = None,
     *,
     restarts: int = 4,
-    rng: RngState | None = None,
-    max_iter: int = 5000,
+    rng: RngState = _DEFAULT_RNG,
 ) -> tuple[EgpdParams, FitDiagnostics]:
-    """Censored PWM: exceedance PWMs matched to conditional theoretical PWMs.
+    """PWM fit: empirical nu_0, nu_1, nu_2 matched to their closed forms.
 
-    The empirical PWMs of {y : y >= threshold} are matched against the
-    conditional moments of Y | Y >= threshold by solving the three
-    equations in (kappa, sigma, xi); see fit_pwm_censored_from_moments.
+    With a left-censoring threshold, the empirical PWMs of {y : y >=
+    threshold} are matched to the conditional moments of Y | Y >= threshold
+    instead, by solving three equations in (kappa, sigma, xi); see
+    fit_pwm_censored_from_moments.
     """
-    x = _validate_data(data)
-    threshold = spec.threshold
-    exceed = x[x >= threshold]
-    if exceed.size == 0:
-        raise ValueError("all data fall below the censoring threshold")
-    if exceed.size < 30:
-        raise ValueError("need at least 30 observations at or above the threshold")
-    sample = SortedSample(exceed)
-    nu = [empirical_pwm(sample, j) for j in (0, 1, 2)]
-    params, diag = fit_pwm_censored_from_moments(
-        nu[0],
-        nu[1],
-        nu[2],
-        threshold,
-        mean_start=float(np.mean(exceed)),
-        restarts=restarts,
-        rng=rng,
-        max_iter=max_iter,
-    )
-    diag.small_sample = x.size < _SMALL_SAMPLE_N
+    n_total, exceed = _exceedances(data, threshold)
+    nu = empirical_pwms(exceed)
+    if threshold is None:
+        params, diag = fit_pwm_from_moments(*nu, restarts=restarts, rng=rng)
+    else:
+        params, diag = fit_pwm_censored_from_moments(
+            *nu, threshold, mean_start=float(np.mean(exceed)), restarts=restarts, rng=rng
+        )
+    diag.small_sample = n_total < _SMALL_SAMPLE_N
     return params, diag

@@ -2,9 +2,10 @@
 
 The density is f(y) = sum_k pi_k y^(a_k - 1) e^(-y/b_k) / (Gamma(a_k) b_k^a_k)
 with b_k a scale (not a rate).  The prior is the conjugate family of
-Damsleth: b_k ~ InverseGamma(u, v) and p(a_k | b_k) proportional to
-rho^(a_k - 1) / (b_k^(a_k q) Gamma(a_k)^r), with defaults u = 1.1, v = 2,
-rho = q = r = 1, and a flat prior over the weight simplex.  The posterior
+Damsleth, b_k ~ InverseGamma(u, v) and p(a_k | b_k) proportional to
+rho^(a_k - 1) / (b_k^(a_k q) Gamma(a_k)^r), fixed at u = 1.1, v = 2 and
+rho = q = r = 1, so p(a_k | b_k) is proportional to 1 / (b_k^a_k Gamma(a_k));
+the weights have a flat prior over the simplex.  The posterior
 mode is found by L-BFGS-B on the analytic gradient in the transformed
 space (softmax logits, ln a_k, ln b_k), dimension 3K - 1, with ln a_k and
 ln b_k boxed to [-12, 12].
@@ -22,6 +23,7 @@ from .numerics import (
     SPECIAL_UFUNCS,
     FitDiagnostics,
     RngState,
+    MAX_ITER,
     jittered_starts,
     lbfgsb,
     multistart,
@@ -30,7 +32,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "DamslethHyper",
     "GammaMixtureParams",
     "fit_map",
     "log_posterior",
@@ -43,6 +44,9 @@ __all__ = [
 _LOG_CLAMP = 12.0
 _FLOAT_MIN = np.finfo(float).min
 _DEFAULT_RNG = RngState(seed=0x6A77A)
+# The prior's u and v; rho = q = r = 1.
+_PRIOR_U = 1.1
+_PRIOR_V = 2.0
 
 
 @dataclass(frozen=True)
@@ -84,26 +88,6 @@ class GammaMixtureParams:
             "shapes": list(self.shapes),
             "scales": list(self.scales),
         }
-
-
-@dataclass(frozen=True)
-class DamslethHyper:
-    """Hyperparameters (u, v, rho, q, r) of the conjugate gamma prior."""
-
-    u: float = 1.1
-    v: float = 2.0
-    rho: float = 1.0
-    q: float = 1.0
-    r: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("u", "v", "rho", "q", "r"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"hyperparameter {name} must be finite and > 0")
-
-
-DEFAULT_HYPER = DamslethHyper()
 
 
 class _LogDensity:
@@ -265,32 +249,26 @@ def mixture_simulate(n: int, params: GammaMixtureParams, rng: RngState) -> np.nd
     return mixture_quantile(rng.uniforms(n), params)
 
 
-def _log_prior(a, b, hyper: DamslethHyper) -> float:
+def _log_prior(a, b) -> float:
     """Damsleth log prior summed over the K shapes a and scales b (scalars)."""
-    u, v, q, r = hyper.u, hyper.v, hyper.q, hyper.r
-    log_rho = math.log(hyper.rho)
-    constant = u * math.log(v) - math.lgamma(u) - log_rho
+    constant = _PRIOR_U * math.log(_PRIOR_V) - math.lgamma(_PRIOR_U)
     total = 0.0
     for ak, bk in zip(a, b):
         log_bk = math.log(bk)
         total += (
-            constant + ak * (log_rho - q * log_bk) - (u + 1.0) * log_bk - v / bk
-            - r * math.lgamma(ak)
+            constant - ak * log_bk - (_PRIOR_U + 1.0) * log_bk - _PRIOR_V / bk
+            - math.lgamma(ak)
         )
     return total
 
 
-def log_posterior(
-    data,
-    params: GammaMixtureParams,
-    hyper: DamslethHyper = DEFAULT_HYPER,
-) -> float:
+def log_posterior(data, params: GammaMixtureParams) -> float:
     """Log posterior density (up to the constant flat weight prior).
 
     Likelihood plus, per component,
         log IG(b; u, v) = u ln v - lgamma(u) - (u + 1) ln b - v/b
     and the conditional shape prior
-        (a - 1) ln rho - a q ln b - r lgamma(a).
+        (a - 1) ln rho - a q ln b - r lgamma(a) = -a ln b - lgamma(a).
     The flat simplex prior on weights contributes zero.
     """
     arr = np.asarray(data, dtype=float)
@@ -298,7 +276,7 @@ def log_posterior(
         loglik = float(np.sum(mixture_log_pdf(arr, params)))
     else:
         loglik = 0.0
-    return loglik + _log_prior(params.shapes, params.scales, hyper)
+    return loglik + _log_prior(params.shapes, params.scales)
 
 
 # --- MAP fitting -----------------------------------------------------------
@@ -357,15 +335,14 @@ def _canonical_order(params: GammaMixtureParams) -> GammaMixtureParams:
     )
 
 
-def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
-    """z -> (f, grad f), f = -log_posterior(x, _params_from_z(z, k), hyper) / n.
+def _map_value_and_gradient(x: np.ndarray, k: int):
+    """z -> (f, grad f), f = -log_posterior(x, _params_from_z(z, k)) / n.
 
     x must already be validated.  One (K, n) pass gives both: with
     responsibilities r, N_k = sum r, S1_k = sum r y and Sl_k = sum r ln y,
     the log posterior's partial derivatives are
-        d/d ln a_k = a_k (Sl_k - N_k psi(a_k) - N_k ln b_k)
-                     + a_k (ln rho - q ln b_k - r psi(a_k)),
-        d/d ln b_k = S1_k / b_k - a_k N_k - (u + 1) + v / b_k - a_k q,
+        d/d ln a_k = a_k (Sl_k - N_k psi(a_k) - N_k ln b_k - ln b_k - psi(a_k)),
+        d/d ln b_k = S1_k / b_k - a_k N_k - (u + 1) + v / b_k - a_k,
         d/d logit_j = N_j - n w_j,
     the logit of component K being fixed at 0.  Everything of size K is
     scalar `math`, as in the density's coefficients and the prior.  A
@@ -377,25 +354,23 @@ def _map_value_and_gradient(x: np.ndarray, k: int, hyper: DamslethHyper):
 
     density = _LogDensity(x, k)
     n = x.size
-    u, v, q, r = hyper.u, hyper.v, hyper.q, hyper.r
-    log_rho = math.log(hyper.rho)
 
     def value_and_gradient(z: np.ndarray) -> tuple[float, np.ndarray]:
         zl = z.tolist()
         w, a, b = _components_from_z(zl, k)
         loglik, stats = density.log_lik_and_stats(w, a, b)
-        value = -(loglik + _log_prior(a, b, hyper)) / n
+        value = -(loglik + _log_prior(a, b)) / n
         if not math.isfinite(value):
             return math.inf, np.zeros(z.size)
         n_k, s1, sl = stats.tolist()
         psi = digamma(a).tolist()
         grad = [nj - n * wj for nj, wj in zip(n_k[: k - 1], w)]
         grad += [
-            ak * (slk - nk * (pk + lbk) + log_rho - q * lbk - r * pk)
+            ak * (slk - nk * (pk + lbk) - lbk - pk)
             for ak, nk, slk, pk, lbk in zip(a, n_k, sl, psi, zl[2 * k - 1 :])
         ]
         grad += [
-            (s1k + v) / bk - ak * (nk + q) - (u + 1.0)
+            (s1k + _PRIOR_V) / bk - ak * (nk + 1.0) - (_PRIOR_U + 1.0)
             for ak, bk, nk, s1k in zip(a, b, n_k, s1)
         ]
         return value, np.array(grad) / -n
@@ -412,18 +387,16 @@ def _map_bounds(k: int) -> tuple[np.ndarray, np.ndarray]:
 def fit_map(
     data,
     k: int,
-    hyper: DamslethHyper = DEFAULT_HYPER,
     *,
     restarts: int = 7,
-    rng: RngState | None = None,
-    max_iter: int = 5000,
+    rng: RngState = _DEFAULT_RNG,
 ) -> tuple[GammaMixtureParams, FitDiagnostics]:
     """MAP fit of a K-component gamma mixture by multistart L-BFGS-B.
 
     Starts from a quantile-sliced moment-matched point plus `restarts`
     jittered copies, each clipped into the box |ln a_k|, |ln b_k| <= 12,
     and maximizes log_posterior in the transformed space using its analytic
-    gradient; `max_iter` caps the L-BFGS-B iterations per start.  The fit
+    gradient, for at most `MAX_ITER` L-BFGS-B iterations per start.  The fit
     is converged when the best start ends where the projected gradient of
     the per-observation objective is at most 1e-6.  Components of the
     returned mode are sorted by mean a_k b_k ascending; label order carries
@@ -439,14 +412,13 @@ def fit_map(
         raise ValueError("k must be >= 1")
     if k > x.size / 10:
         raise ValueError("k too large for the sample size (k > n/10)")
-    rng = rng if rng is not None else _DEFAULT_RNG
     n = x.size
     dim = 3 * k - 1
 
-    value_and_gradient = _map_value_and_gradient(x, k, hyper)
+    value_and_gradient = _map_value_and_gradient(x, k)
     lower, upper = _map_bounds(k)
     run = multistart(
-        lambda z0: lbfgsb(value_and_gradient, z0, lower, upper, max_iter=max_iter),
+        lambda z0: lbfgsb(value_and_gradient, z0, lower, upper, max_iter=MAX_ITER),
         jittered_starts(_sliced_init(x, k), restarts + 1, rng),
     )
     best = run.best

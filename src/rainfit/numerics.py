@@ -51,6 +51,7 @@ __all__ = [
     "EULER_GAMMA",
     "FitDiagnostics",
     "LocalResult",
+    "MAX_ITER",
     "Multistart",
     "RngState",
     "SPECIAL_UFUNCS",
@@ -76,6 +77,9 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _FTOL = 1e-15
 _GTOL = 1e-10
 _CONVERGED_GTOL = 1e-6
+# Every fit's budget per start: L-BFGS-B iterations for the likelihood and
+# MAP fits, Levenberg-Marquardt residual evaluations for the moment fits.
+MAX_ITER = 5000
 # Correction pairs L-BFGS-B keeps.  scipy's default of 10 is below the 11
 # dimensions of the K = 4 mixture MAP; 20 pairs cut the mixture fits'
 # evaluations by about 40% on the paper-like-50 and mixture-50 presets.
@@ -548,12 +552,10 @@ def jittered_starts(
     init: np.ndarray,
     n_restarts: int,
     rng: RngState,
-    *,
-    scale: float = 0.5,
 ) -> list[np.ndarray]:
     """Deterministic multistart points: init itself, then jittered copies.
 
-    Restart r > 0 adds independent uniform(-scale, scale) offsets per
+    Restart r > 0 adds independent uniform(-0.5, 0.5) offsets per
     coordinate, drawn from the stream `rng.derive(r)`, so the list does not
     depend on evaluation order.
     """
@@ -561,7 +563,7 @@ def jittered_starts(
     starts = [init.copy()]
     for r in range(1, n_restarts):
         g = rng.derive(r).generator()
-        starts.append(init + g.uniform(-scale, scale, size=init.size))
+        starts.append(init + g.uniform(-0.5, 0.5, size=init.size))
     return starts
 
 

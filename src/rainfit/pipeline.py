@@ -98,9 +98,9 @@ def _egpd_method(fit_name: str, *, censored: bool = False, lmder: bool = False) 
     def run(values, config, rng):
         from . import egpd
 
-        spec = (egpd.CensoringSpec(config.threshold_mm),) if censored else ()
+        threshold = config.threshold_mm if censored else None
         fit = getattr(egpd, fit_name)
-        params, diag = fit(values, *spec, restarts=config.egpd_restarts, rng=rng)
+        params, diag = fit(values, threshold, restarts=config.egpd_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
 
     return Method("egpd", "egpd_restarts", lmder, run)
@@ -123,8 +123,8 @@ def _mixture_method(k: int) -> Method:
 METHODS = {
     "naveau-mle": _egpd_method("fit_mle"),
     "naveau-pwm": _egpd_method("fit_pwm", lmder=True),
-    "naveau-mle-c": _egpd_method("fit_mle_censored", censored=True),
-    "naveau-pwm-c": _egpd_method("fit_pwm_censored", censored=True, lmder=True),
+    "naveau-mle-c": _egpd_method("fit_mle", censored=True),
+    "naveau-pwm-c": _egpd_method("fit_pwm", censored=True, lmder=True),
     "gamma-mixture-2": _mixture_method(2),
     "gamma-mixture-3": _mixture_method(3),
     "gamma-mixture-4": _mixture_method(4),
@@ -247,9 +247,8 @@ def run_single_fit(
         )
 
 
-def _execute_task(task) -> dict:
-    series, method, config, rng = task
-    return run_single_fit(series, method, config, rng).to_record()
+def _execute_task(task) -> FitResult:
+    return run_single_fit(*task)
 
 
 def preload_fits(config: RunConfig, *, numpy_random: bool = True) -> None:
@@ -321,15 +320,13 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     serial = config.jobs == 1 or len(tasks) == 1
     preload_fits(config, numpy_random=serial)
     if serial:
-        records = [_execute_task(t) for t in tasks]
-    else:
-        import multiprocessing
+        return [_execute_task(t) for t in tasks]
+    import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        initializer = _import_numpy_random if _draws_starts(config) else None
-        with ctx.Pool(processes=min(config.jobs, len(tasks)), initializer=initializer) as pool:
-            records = pool.map(_execute_task, tasks, chunksize=1)
-    return [FitResult.from_record(r) for r in records]
+    ctx = multiprocessing.get_context("fork")
+    initializer = _import_numpy_random if _draws_starts(config) else None
+    with ctx.Pool(processes=min(config.jobs, len(tasks)), initializer=initializer) as pool:
+        return pool.map(_execute_task, tasks, chunksize=1)
 
 
 # --- records and summaries ----------------------------------------------------

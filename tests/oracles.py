@@ -75,7 +75,7 @@ P_L_K2_S5_XI02_YL1 = 0.0317099553070953
 
 # --- gamma mixture prior ----------------------------------------------
 
-# Per-component prior log-density at a=1, b=1 with hyper (u=1.1, v=2,
+# Per-component prior log-density at a=1, b=1 with the prior (u=1.1, v=2,
 # rho=q=r=1): 1.1 ln 2 - lgamma(1.1) - 2 by hand, digits from mpmath dps=40.
 PRIOR_TERM_A1_B1 = -1.1876656601242204
 

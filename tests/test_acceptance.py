@@ -23,15 +23,12 @@ import oracles
 from rainfit.cli import main as cli_main
 from rainfit.corpus import build_preset, simulate_corpus
 from rainfit.egpd import (
-    CensoringSpec,
     EgpdParams,
     egpd_cdf,
     egpd_quantile,
     egpd_simulate,
     fit_mle,
-    fit_mle_censored,
     fit_pwm,
-    fit_pwm_censored,
     theoretical_pwm,
 )
 from rainfit.evaluation import classify, log_ratio_metric
@@ -156,8 +153,7 @@ def test_c04_pwm_recovery(capsys):
 def test_c05_censoring_correctness(capsys):
     x = egpd_simulate(2000, EGPD_TRUTH, RngState(seed=20))
     plain, _ = fit_mle(x, rng=RngState(seed=20).derive(1))
-    inactive = CensoringSpec(0.5 * float(np.min(x)))
-    cens, _ = fit_mle_censored(x, inactive, rng=RngState(seed=20).derive(1))
+    cens, _ = fit_mle(x, 0.5 * float(np.min(x)), rng=RngState(seed=20).derive(1))
     bitwise = (
         plain.kappa == cens.kappa
         and plain.sigma == cens.sigma
@@ -168,10 +164,9 @@ def test_c05_censoring_correctness(capsys):
     y = np.round(y / 0.2) * 0.2
     y = y[y > 0.0]
     q99_true = float(egpd_quantile(0.99, EGPD_TRUTH))
-    spec = CensoringSpec(1.0)
     results = {}
-    for name, fit in (("mle-c", fit_mle_censored), ("pwm-c", fit_pwm_censored)):
-        fitted, diag = fit(y, spec, rng=RngState(seed=13).derive(1))
+    for name, fit in (("mle-c", fit_mle), ("pwm-c", fit_pwm)):
+        fitted, diag = fit(y, 1.0, rng=RngState(seed=13).derive(1))
         d99 = abs(math.log(float(egpd_quantile(0.99, fitted)) / q99_true))
         results[name] = (diag.converged, d99)
 

@@ -335,6 +335,33 @@ def test_benchmark_unknown_method_is_config_error(tmp_path, capsys):
     assert rc == 2
 
 
+EGPD_ENTRY = {"family": "egpd", "n": 300, "params": {"kappa": 1.2, "sigma": 5.0, "xi": 0.1}}
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ({"seed": 1, "generators": [1]}, "bad generator entry 0"),
+        (
+            {"seed": 1, "generators": [EGPD_ENTRY, {**EGPD_ENTRY, "params": {"kappa": 1.2, "sigma": 5.0, "xi": 0.1, "mu": 0.0}}]},
+            "bad generator entry 1",
+        ),
+        ({"seed": 1, "generators": [{**EGPD_ENTRY, "params": [1.2, 5.0, 0.1]}]}, "bad generator entry 0"),
+        ({"seed": 1, "sites": "a.csv"}, "'sites'"),
+        ({"seed": "x", "generators": [EGPD_ENTRY]}, "'seed'"),
+        ({"seed": 1, "generators": [{**EGPD_ENTRY, "n": 150.7}]}, "bad generator entry 0: 'n'"),
+    ],
+    ids=["entry-not-object", "unknown-param", "params-list", "sites-string", "seed-string", "n-float"],
+)
+def test_benchmark_hostile_manifest_exits_2_naming_file_and_entry(tmp_path, capsys, manifest, named):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    rc = main(["benchmark", "--manifest", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
 # --- report -----------------------------------------------------------------------
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainfit.egpd import (
-    CensoringSpec,
     EgpdParams,
     XI_EPS,
     conditional_pwms,
@@ -19,9 +18,7 @@ from rainfit.egpd import (
     egpd_quantile,
     egpd_simulate,
     fit_mle,
-    fit_mle_censored,
     fit_pwm,
-    fit_pwm_censored,
     fit_pwm_censored_from_moments,
     fit_pwm_from_moments,
     gp_cdf,
@@ -59,12 +56,12 @@ def test_params_validation():
             EgpdParams(**bad)
 
 
-def test_censoring_spec_validation():
-    assert CensoringSpec().threshold == 1.0
-    with pytest.raises(ValueError):
-        CensoringSpec(threshold=0.0)
-    with pytest.raises(ValueError):
-        CensoringSpec(threshold=-1.0)
+@pytest.mark.parametrize("fit", [fit_mle, fit_pwm])
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+def test_fits_reject_a_threshold_that_is_not_positive(fit, threshold):
+    data = egpd_simulate(200, EgpdParams(2.0, 5.0, 0.2), RngState(seed=20))
+    with pytest.raises(ValueError, match="censoring threshold"):
+        fit(data, threshold)
 
 
 # --- distribution functions -------------------------------------------------
@@ -452,9 +449,8 @@ def test_mle_rejects_bad_data():
 
 def test_censored_mle_inactive_threshold_is_bitwise_plain_mle():
     data = egpd_simulate(2_000, EgpdParams(2.0, 5.0, 0.2), RngState(seed=20))
-    spec = CensoringSpec(threshold=0.5 * float(np.min(data)))
     plain, plain_diag = fit_mle(data)
-    cens, cens_diag = fit_mle_censored(data, spec)
+    cens, cens_diag = fit_mle(data, 0.5 * float(np.min(data)))
     assert (cens.kappa, cens.sigma, cens.xi) == (
         plain.kappa,
         plain.sigma,
@@ -469,7 +465,7 @@ def test_censored_mle_handles_discretized_data():
     raw = egpd_simulate(20_000, truth, RngState(seed=13))
     data = np.round(raw / 0.2) * 0.2
     data = data[data > 0.0]
-    fitted, diag = fit_mle_censored(data, CensoringSpec(threshold=1.0))
+    fitted, diag = fit_mle(data, 1.0)
     assert diag.converged
     d99 = abs(
         math.log(egpd_quantile(0.99, fitted) / egpd_quantile(0.99, truth))
@@ -486,20 +482,18 @@ def _c5_discretized_sample() -> np.ndarray:
 def test_censored_mle_never_worse_than_simplex_on_c5():
     # -64422.60706338743 is what the simplex search reached on acceptance
     # criterion C5's discretized fixture.
-    _, diag = fit_mle_censored(
-        _c5_discretized_sample(), CensoringSpec(1.0), rng=RngState(seed=13).derive(1)
-    )
+    _, diag = fit_mle(_c5_discretized_sample(), 1.0, rng=RngState(seed=13).derive(1))
     assert diag.converged
     assert diag.objective >= -64422.60706338743
 
 
 def test_censored_mle_error_paths():
     with pytest.raises(ValueError):
-        fit_mle_censored(np.full(200, 0.5), CensoringSpec(threshold=1.0))
+        fit_mle(np.full(200, 0.5), 1.0)
     # Fewer than 30 exceedances is not enough signal above the threshold.
     data = np.concatenate([np.full(200, 0.5), np.full(20, 2.0)])
     with pytest.raises(ValueError):
-        fit_mle_censored(data, CensoringSpec(threshold=1.0))
+        fit_mle(data, 1.0)
 
 
 # --- PWM ---------------------------------------------------------------------------
@@ -533,12 +527,12 @@ def test_pwm_residual_never_above_simplex_on_c4():
 
 
 def test_pwm_exponential_data():
-    from rainfit.empirical import SortedSample, empirical_pwm
+    from rainfit.empirical import empirical_pwms
 
     truth = EgpdParams(1.0, 2.0, 0.0)
     data = egpd_simulate(20_000, truth, RngState(seed=5))
-    sample = SortedSample(data)
-    ratio = empirical_pwm(sample, 1) / empirical_pwm(sample, 0)
+    nu0, nu1, _ = empirical_pwms(data)
+    ratio = nu1 / nu0
     assert ratio == pytest.approx(0.75, abs=0.01)
     fitted, diag = fit_pwm(data)
     assert diag.converged
@@ -702,7 +696,7 @@ def test_censored_pwm_fit_calls_conditional_pwms_through_module_global(monkeypat
 
     monkeypatch.setattr(rainfit.egpd, "conditional_pwms", counting)
     data = egpd_simulate(400, EgpdParams(0.8, 4.0, 0.15), RngState(seed=21))
-    fit_pwm_censored(data, CensoringSpec(threshold=1.0), restarts=0)
+    fit_pwm(data, 1.0, restarts=0)
     assert len(calls) > 0
     assert set(calls) == {1.0}
 
@@ -710,7 +704,7 @@ def test_censored_pwm_fit_calls_conditional_pwms_through_module_global(monkeypat
 def test_censored_pwm_fixed_point_from_own_moments():
     truth = EgpdParams(2.0, 5.0, 0.2)
     nu = conditional_pwms(truth, 1.0)
-    fitted, diag = fit_pwm_censored_from_moments(nu[0], nu[1], nu[2], 1.0)
+    fitted, diag = fit_pwm_censored_from_moments(*nu, 1.0, mean_start=nu[0])
     assert diag.converged
     assert fitted.kappa == pytest.approx(truth.kappa, rel=1e-3)
     assert fitted.sigma == pytest.approx(truth.sigma, rel=1e-3)
@@ -719,9 +713,8 @@ def test_censored_pwm_fixed_point_from_own_moments():
 
 def test_censored_pwm_inactive_threshold_matches_plain_pwm():
     data = egpd_simulate(5_000, EgpdParams(2.0, 1.0, 0.1), RngState(seed=18))
-    spec = CensoringSpec(threshold=0.5 * float(np.min(data)))
     plain, _ = fit_pwm(data)
-    cens, diag = fit_pwm_censored(data, spec)
+    cens, diag = fit_pwm(data, 0.5 * float(np.min(data)))
     assert diag.converged
     for p in (0.25, 0.5, 0.75, 0.9, 0.99):
         d = math.log(egpd_quantile(p, cens) / egpd_quantile(p, plain))
@@ -730,9 +723,7 @@ def test_censored_pwm_inactive_threshold_matches_plain_pwm():
 
 def test_censored_pwm_residual_never_above_simplex_on_c5():
     # 4.230785770474421e-09 is the simplex search's residual on C5's fixture.
-    _, diag = fit_pwm_censored(
-        _c5_discretized_sample(), CensoringSpec(1.0), rng=RngState(seed=13).derive(1)
-    )
+    _, diag = fit_pwm(_c5_discretized_sample(), 1.0, rng=RngState(seed=13).derive(1))
     assert diag.converged
     assert diag.residual <= 4.230785770474421e-09
 
@@ -745,8 +736,8 @@ def test_fits_are_equivariant_under_a_change_of_units(scale):
     fits = (
         lambda y, c: fit_mle(y, restarts=1),
         lambda y, c: fit_pwm(y, restarts=1),
-        lambda y, c: fit_mle_censored(y, CensoringSpec(c), restarts=1),
-        lambda y, c: fit_pwm_censored(y, CensoringSpec(c), restarts=1),
+        lambda y, c: fit_mle(y, c, restarts=1),
+        lambda y, c: fit_pwm(y, c, restarts=1),
     )
     for fit in fits:
         base, base_diag = fit(data, 1.0)
@@ -762,7 +753,7 @@ def test_fits_are_equivariant_under_a_change_of_units(scale):
 
 def test_censored_pwm_error_paths():
     with pytest.raises(ValueError):
-        fit_pwm_censored(np.full(200, 0.5), CensoringSpec(threshold=1.0))
+        fit_pwm(np.full(200, 0.5), 1.0)
     data = np.concatenate([np.full(200, 0.5), np.full(20, 2.0)])
     with pytest.raises(ValueError):
-        fit_pwm_censored(data, CensoringSpec(threshold=1.0))
+        fit_pwm(data, 1.0)

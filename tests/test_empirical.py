@@ -7,42 +7,36 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rainfit.egpd import EgpdParams, egpd_simulate, theoretical_pwm
-from rainfit.empirical import SortedSample, empirical_pwm, empirical_quantile
+from rainfit.empirical import empirical_pwms, empirical_quantile
 from rainfit.numerics import RngState
 
 
-def test_sorted_sample_sorts_and_validates():
-    s = SortedSample(np.array([3.0, 1.0, 2.0]))
-    assert s.values.tolist() == [1.0, 2.0, 3.0]
-    assert s.n == 3
-    with pytest.raises(ValueError):
-        SortedSample(np.array([]))
-    with pytest.raises(ValueError):
-        SortedSample(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        SortedSample(np.array([1.0, -2.0]))
+def test_estimators_sort_their_input():
+    x = np.array([3.0, 1.0, 2.0, 5.0])
+    assert empirical_pwms(x) == empirical_pwms(np.sort(x))
+    assert empirical_quantile(x, 0.3) == empirical_quantile(np.sort(x), 0.3)
 
 
 def test_quantile_rank_formula_1_to_100():
-    s = SortedSample(np.arange(1.0, 101.0))
+    s = np.arange(1.0, 101.0)
     assert empirical_quantile(s, 0.5) == pytest.approx(50.5, abs=1e-12)
     # rank h = 99 * 0.99 + 1 = 99.01, interpolated between 99 and 100.
     assert empirical_quantile(s, 0.99) == pytest.approx(99.01, abs=1e-12)
 
 
 def test_quantile_constant_sample():
-    s = SortedSample(np.full(17, 3.0))
+    s = np.full(17, 3.0)
     for p in (0.01, 0.25, 0.5, 0.75, 0.99):
         assert empirical_quantile(s, p) == 3.0
 
 
 def test_quantile_domain_errors():
-    s = SortedSample(np.array([1.0, 2.0]))
+    s = np.array([1.0, 2.0])
     for p in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             empirical_quantile(s, p)
     with pytest.raises(ValueError):
-        empirical_quantile(SortedSample(np.array([2.0])), 0.5)
+        empirical_quantile(np.array([2.0]), 0.5)
 
 
 def test_quantile_accepts_raw_vectors_with_signs():
@@ -53,25 +47,19 @@ def test_quantile_accepts_raw_vectors_with_signs():
 
 
 def test_pwm_hand_values():
-    s = SortedSample(np.array([1.0, 2.0, 3.0]))
-    assert empirical_pwm(s, 0) == pytest.approx(2.0, abs=1e-14)
-    assert empirical_pwm(s, 1) == pytest.approx(4.0 / 3.0, abs=1e-14)
-    assert empirical_pwm(s, 2) == pytest.approx(1.0, abs=1e-14)
+    nu = empirical_pwms(np.array([1.0, 2.0, 3.0]))
+    assert nu == pytest.approx((2.0, 4.0 / 3.0, 1.0), abs=1e-14)
 
 
 def test_pwm_zero_order_is_mean():
     g = RngState(seed=21).generator()
     x = g.uniform(0.1, 40.0, size=257)
-    s = SortedSample(x)
-    assert empirical_pwm(s, 0) == pytest.approx(float(np.mean(x)), rel=1e-14)
+    assert empirical_pwms(x)[0] == pytest.approx(float(np.mean(x)), rel=1e-14)
 
 
 def test_pwm_needs_enough_points():
-    s = SortedSample(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        empirical_pwm(s, 2)
-    with pytest.raises(ValueError):
-        empirical_pwm(SortedSample(np.array([1.0])), 1)
+        empirical_pwms(np.array([1.0, 2.0]))
 
 
 positive_samples = hnp.arrays(
@@ -84,9 +72,8 @@ positive_samples = hnp.arrays(
 @given(positive_samples, st.floats(min_value=0.01, max_value=0.99))
 @settings(max_examples=120, deadline=None)
 def test_quantile_within_range(xs, p):
-    s = SortedSample(xs)
-    q = empirical_quantile(s, p)
-    assert s.values[0] <= q <= s.values[-1]
+    q = empirical_quantile(xs, p)
+    assert np.min(xs) <= q <= np.max(xs)
 
 
 @given(
@@ -96,30 +83,26 @@ def test_quantile_within_range(xs, p):
 )
 @settings(max_examples=120, deadline=None)
 def test_quantile_monotone_in_p(xs, p1, p2):
-    s = SortedSample(xs)
-    assert empirical_quantile(s, p1) <= empirical_quantile(s, p2)
+    assert empirical_quantile(xs, p1) <= empirical_quantile(xs, p2)
 
 
 @given(positive_samples, st.sampled_from([0.25, 0.5, 4.0, 2.0**-8]))
 @settings(max_examples=120, deadline=None)
 def test_scale_equivariance_exact_for_binary_scales(xs, c):
     # Powers of two scale float64 exactly, so equivariance is exact.
-    s = SortedSample(xs)
-    sc = SortedSample(c * xs)
-    assert empirical_quantile(sc, 0.7) == c * empirical_quantile(s, 0.7)
-    for j in (0, 1, 2) if s.n > 2 else (0, 1):
-        assert empirical_pwm(sc, j) == pytest.approx(
-            c * empirical_pwm(s, j), rel=1e-13
+    assert empirical_quantile(c * xs, 0.7) == c * empirical_quantile(xs, 0.7)
+    if xs.size > 2:
+        assert empirical_pwms(c * xs) == pytest.approx(
+            tuple(c * nu for nu in empirical_pwms(xs)), rel=1e-13
         )
 
 
 def test_scale_equivariance_general_scale():
     g = RngState(seed=8).generator()
     x = g.uniform(0.5, 30.0, size=101)
-    s, sc = SortedSample(x), SortedSample(3.0 * x)
     for p in (0.1, 0.5, 0.9):
-        assert empirical_quantile(sc, p) == pytest.approx(
-            3.0 * empirical_quantile(s, p), rel=1e-13
+        assert empirical_quantile(3.0 * x, p) == pytest.approx(
+            3.0 * empirical_quantile(x, p), rel=1e-13
         )
 
 
@@ -129,10 +112,8 @@ def test_pwm_consistency_against_closed_form():
     params = EgpdParams(kappa=1.5, sigma=2.0, xi=0.2)
     x = egpd_simulate(100_000, params, RngState(seed=6))
     folds = x.reshape(20, 5000)
+    full = empirical_pwms(x)
+    per_fold = np.array([empirical_pwms(f) for f in folds])
     for j in (0, 1, 2):
-        full = empirical_pwm(SortedSample(x), j)
-        per_fold = np.array(
-            [empirical_pwm(SortedSample(f), j) for f in folds]
-        )
-        se = float(np.std(per_fold, ddof=1)) / np.sqrt(20.0)
-        assert abs(full - theoretical_pwm(j, params)) <= 4.0 * se
+        se = float(np.std(per_fold[:, j], ddof=1)) / np.sqrt(20.0)
+        assert abs(full[j] - theoretical_pwm(j, params)) <= 4.0 * se

@@ -10,8 +10,6 @@ import pytest
 from scipy import integrate, special
 
 from rainfit.gamma_mixture import (
-    DEFAULT_HYPER,
-    DamslethHyper,
     GammaMixtureParams,
     _LogDensity,
     _map_bounds,
@@ -26,6 +24,7 @@ from rainfit.gamma_mixture import (
     mixture_quantile,
     mixture_simulate,
 )
+import rainfit.gamma_mixture
 from rainfit.numerics import RngState, jittered_starts, lbfgsb, nelder_mead
 
 import oracles
@@ -69,8 +68,6 @@ def test_params_validation():
         GammaMixtureParams((0.5, 0.5), (1.0, -1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         GammaMixtureParams((1.2, -0.2), (1.0, 1.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        DamslethHyper(u=0.0)
 
 
 # --- density ----------------------------------------------------------------
@@ -241,15 +238,6 @@ def test_log_posterior_permutation_invariant():
     )
 
 
-def test_log_posterior_rho_irrelevant_at_unit_shape():
-    # (a - 1) ln rho vanishes at a = 1.
-    gm = GammaMixtureParams((0.5, 0.5), (1.0, 1.0), (2.0, 0.5))
-    data = np.array([1.0, 3.0])
-    a = log_posterior(data, gm, DamslethHyper(rho=1.0))
-    b = log_posterior(data, gm, DamslethHyper(rho=7.0))
-    assert a == pytest.approx(b, abs=1e-12)
-
-
 # --- density kernel and fit objective ---------------------------------------------
 
 E12 = math.exp(12.0)
@@ -300,7 +288,7 @@ def test_log_pdf_underflows_to_minus_infinity():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_map_objective_equals_public_log_posterior(k):
     x = mixture_simulate(1000, C6_PARAMS, RngState(seed=7))
-    value_and_gradient = _map_value_and_gradient(x, k, DEFAULT_HYPER)
+    value_and_gradient = _map_value_and_gradient(x, k)
     starts = jittered_starts(_sliced_init(x, k), 5, RngState(seed=7).derive(k))
     # Starts with a shape and with a scale on the +-12 box bound.
     for index, bound in ((k - 1, 12.0), (3 * k - 2, -12.0)):
@@ -309,7 +297,7 @@ def test_map_objective_equals_public_log_posterior(k):
         starts.append(on_bound)
     h = 1e-5
     for z in starts:
-        want = -log_posterior(x, _params_from_z(z, k), DEFAULT_HYPER) / x.size
+        want = -log_posterior(x, _params_from_z(z, k)) / x.size
         value, grad = value_and_gradient(z)
         assert value == pytest.approx(want, rel=1e-12, abs=0.0)
         # Central differences; the largest error seen is 1.6e-10 of the scale.
@@ -351,7 +339,7 @@ def test_log_density_kernel_matches_scipy_logsumexp_on_the_c6_sample(c6_sample, 
     test_log_density_kernel_matches_scipy_logsumexp(c6_sample, params)
 
 
-def mp_map_gradient(x, z, k, hyper=DEFAULT_HYPER):
+def mp_map_gradient(x, z, k):
     """The gradient formula of `_map_value_and_gradient`, in 40-digit arithmetic."""
     with mp.workdps(40):
         logits = [mp.mpf(t) for t in z[: k - 1]] + [mp.mpf(0)]
@@ -373,12 +361,12 @@ def mp_map_gradient(x, z, k, hyper=DEFAULT_HYPER):
                 n_k[j] += e[j] / s
                 s1[j] += e[j] * y / s
                 sl[j] += e[j] * log_y / s
-        u, v, q, r = (mp.mpf(h) for h in (hyper.u, hyper.v, hyper.q, hyper.r))
-        log_rho = mp.log(hyper.rho)
+        # The prior's u = 1.1 and v = 2; rho = q = r = 1.
+        u, v = mp.mpf("1.1"), mp.mpf(2)
         grad = [n_k[j] - len(x) * w[j] for j in range(k - 1)]
-        grad += [a[j] * (sl[j] - n_k[j] * (mp.digamma(a[j]) + log_b[j]) + log_rho
-                         - q * log_b[j] - r * mp.digamma(a[j])) for j in range(k)]
-        grad += [(s1[j] + v) / b[j] - a[j] * (n_k[j] + q) - (u + 1) for j in range(k)]
+        grad += [a[j] * (sl[j] - n_k[j] * (mp.digamma(a[j]) + log_b[j])
+                         - log_b[j] - mp.digamma(a[j])) for j in range(k)]
+        grad += [(s1[j] + v) / b[j] - a[j] * (n_k[j] + 1) - (u + 1) for j in range(k)]
         return np.array([float(g / -len(x)) for g in grad])
 
 
@@ -388,13 +376,13 @@ def test_map_objective_matches_at_the_k4_box_corners():
     # checked against the public log posterior, and the gradient against
     # its own formula evaluated in 40-digit arithmetic.
     x = mixture_simulate(1000, C6_PARAMS, RngState(seed=7))
-    value_and_gradient = _map_value_and_gradient(x, 4, DEFAULT_HYPER)
+    value_and_gradient = _map_value_and_gradient(x, 4)
     logits = jittered_starts(np.zeros(3), 8, RngState(seed=7).derive(4))
     signs = np.random.default_rng(4).choice([-1.0, 1.0], size=(8, 8))
     for z_logits, corner in zip(logits, signs):
         z = np.concatenate([z_logits, 12.0 * corner])
         value, grad = value_and_gradient(z)
-        want = -log_posterior(x, _params_from_z(z, 4), DEFAULT_HYPER) / x.size
+        want = -log_posterior(x, _params_from_z(z, 4)) / x.size
         assert value == pytest.approx(want, rel=1e-12, abs=0.0)
         oracle = mp_map_gradient(x, z, 4)
         assert np.max(np.abs(grad - oracle)) <= 1e-10 * (1.0 + np.max(np.abs(oracle)))
@@ -403,10 +391,10 @@ def test_map_objective_matches_at_the_k4_box_corners():
 @pytest.mark.parametrize("k", [3, 4])
 def test_map_objective_matches_on_the_c6_sample(c6_sample, k):
     # As test_map_objective_equals_public_log_posterior, at n = 20,000.
-    value_and_gradient = _map_value_and_gradient(c6_sample, k, DEFAULT_HYPER)
+    value_and_gradient = _map_value_and_gradient(c6_sample, k)
     h = 1e-5
     for z in jittered_starts(_sliced_init(c6_sample, k), 3, RngState(seed=7).derive(k)):
-        want = -log_posterior(c6_sample, _params_from_z(z, k), DEFAULT_HYPER) / c6_sample.size
+        want = -log_posterior(c6_sample, _params_from_z(z, k)) / c6_sample.size
         value, grad = value_and_gradient(z)
         assert value == pytest.approx(want, rel=1e-12, abs=0.0)
         central = np.array([
@@ -420,7 +408,7 @@ def test_map_objective_runs_no_import_per_evaluation(monkeypatch):
     # scipy is imported where it is called; the objective binds its special
     # functions once per fit, so evaluations after the first import nothing.
     x = mixture_simulate(1000, C6_PARAMS, RngState(seed=7))
-    value_and_gradient = _map_value_and_gradient(x, 3, DEFAULT_HYPER)
+    value_and_gradient = _map_value_and_gradient(x, 3)
     z = _sliced_init(x, 3)
     value_and_gradient(z)
     imports = []
@@ -455,9 +443,11 @@ def test_map_recovers_single_gamma_quantiles():
     assert means == sorted(means)
 
 
-def test_map_converged_reads_the_projected_gradient():
+def test_map_converged_reads_the_projected_gradient(monkeypatch):
     x = mixture_simulate(1000, C6_PARAMS, RngState(seed=7))
-    _, diag = fit_map(x, 3, restarts=0, max_iter=1)
+    monkeypatch.setattr(rainfit.gamma_mixture, "MAX_ITER", 1)
+    _, diag = fit_map(x, 3, restarts=0)
+    monkeypatch.undo()
     assert not diag.converged
     assert diag.n_iter == 1
     fitted, diag = fit_map(x, 3, restarts=1)
@@ -466,7 +456,7 @@ def test_map_converged_reads_the_projected_gradient():
     # status scipy reports, the projected gradient there decides.
     w, a, b = (np.array(t) for t in (fitted.weights, fitted.shapes, fitted.scales))
     mode = np.concatenate([np.log(w[:-1] / w[-1]), np.log(a), np.log(b)])
-    value_and_gradient = _map_value_and_gradient(x, 3, DEFAULT_HYPER)
+    value_and_gradient = _map_value_and_gradient(x, 3)
     result = lbfgsb(value_and_gradient, mode, *_map_bounds(3), max_iter=5000)
     assert result.converged
     assert -result.value * x.size >= diag.objective - 1e-9 * abs(diag.objective)

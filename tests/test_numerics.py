@@ -303,7 +303,6 @@ def assert_lbfgsb_matches_scipy(value_and_gradient, x0, lower, upper, max_iter, 
 def map_problem(k, seed=7):
     """The K-component MAP objective on 600 mixture draws, its box and starts."""
     from rainfit.gamma_mixture import (
-        DEFAULT_HYPER,
         GammaMixtureParams,
         _map_bounds,
         _map_value_and_gradient,
@@ -314,7 +313,7 @@ def map_problem(k, seed=7):
     truth = GammaMixtureParams(weights=(0.3, 0.5, 0.2), shapes=(0.5, 2.0, 8.0), scales=(0.5, 2.0, 5.0))
     x = mixture_simulate(600, truth, RngState(seed=seed))
     starts = jittered_starts(_sliced_init(x, k), 3, RngState(seed=3).derive(k))
-    return _map_value_and_gradient(x, k, DEFAULT_HYPER), *_map_bounds(k), starts
+    return _map_value_and_gradient(x, k), *_map_bounds(k), starts
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -450,7 +449,7 @@ def test_solve_least_squares_matches_scipy_without_a_jacobian(monkeypatch):
     # The censored PWM system, from every start of a fit.
     calls = record_calls(monkeypatch, egpd, "solve_least_squares")
     y = egpd.egpd_simulate(300, egpd.EgpdParams(1.3, 4.0, 0.1), RngState(seed=5))
-    egpd.fit_pwm_censored(y, restarts=3)
+    egpd.fit_pwm(y, 1.0, restarts=3)
     monkeypatch.undo()
     assert len(calls) == 4
     for args, kwargs in calls:
