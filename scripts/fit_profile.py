@@ -20,10 +20,14 @@ own work around it).  A fit's seconds are its record's `fit_seconds`: the
 fit and its fitted quantiles, not the site's empirical quantiles.  An
 `environment` block records the CPU seconds `preload_fits` took
 (`preload_s`, before any site is drawn), the Python, numpy and scipy
-versions, the CPU count, the three BLAS thread variables and the scipy
-modules in `sys.modules` when the fits were done.  Evaluation counts repeat exactly for a given corpus
-and code; seconds do not.  Run it with PYTHONPATH pointing at the `src/`
-of the checkout to measure.
+versions, the CPU count, the three BLAS thread variables, and the scipy
+modules in `sys.modules` and whether numpy.random is among them
+(`numpy_random_loaded`) when the fits were done.  No fit loads
+numpy.random, but drawing a preset or a manifest's generator sites in this
+process does, so it reads false only for a corpus of site files.
+Evaluation counts repeat exactly for a given corpus and code; seconds do
+not.  Run it with PYTHONPATH pointing at the `src/` of the checkout to
+measure.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ def _environment(preload_s: float) -> dict:
         "cpu_count": os.cpu_count(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
         "scipy_modules": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+        "numpy_random_loaded": "numpy.random" in sys.modules,
     }
 
 

@@ -1,9 +1,9 @@
 """Site ingestion and synthetic corpus generation.
 
 A corpus is a set of per-site wet-day samples.  Ingestion reads one CSV per
-site (schema: header `date,rainfall_mm`, ISO dates, empty value = missing),
-drops missing and zero rows, and keeps only the positive amounts; nothing
-downstream looks at dates.  The synthetic generator stands in for
+site (schema: header `date,rainfall_mm`, YYYY-MM-DD dates, empty value =
+missing), drops missing and zero rows, and keeps only the positive amounts;
+nothing downstream looks at dates.  The synthetic generator stands in for
 non-redistributable observational archives: each site draws from a named
 family with recorded truth parameters, optionally quantized to an
 instrument-style increment (half-to-even, zeros dropped).
@@ -95,6 +95,8 @@ def load_site(path) -> SiteSeries:
     """
     path = Path(path)
     values: list[float] = []
+    # Bound once, outside the per-row loop: this pays for the date-form check.
+    append, isfinite, fromisoformat = values.append, math.isfinite, date.fromisoformat
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
@@ -108,8 +110,12 @@ def load_site(path) -> SiteSeries:
             if len(parts) != 2:
                 raise MalformedRowError(path, line_no, "expected 2 fields")
             day_text, value_text = parts
+            # YYYY-MM-DD only: from Python 3.11 on, fromisoformat also reads
+            # 20000101 and ISO week dates (2000-W01-1), which 3.10 rejects.
             try:
-                date.fromisoformat(day_text)
+                if len(day_text) != 10 or day_text[4] != "-" or day_text[7] != "-":
+                    raise ValueError(day_text)
+                fromisoformat(day_text)
             except ValueError:
                 raise MalformedRowError(path, line_no, f"bad date {day_text!r}") from None
             if value_text == "":
@@ -118,10 +124,10 @@ def load_site(path) -> SiteSeries:
                 value = float(value_text)
             except ValueError:
                 raise MalformedRowError(path, line_no, f"bad value {value_text!r}") from None
-            if not math.isfinite(value) or value < 0.0:
+            if not isfinite(value) or value < 0.0:
                 raise MalformedRowError(path, line_no, f"rainfall must be finite and >= 0, got {value!r}")
             if value > 0.0:
-                values.append(value)
+                append(value)
     if not values:
         raise EmptySeriesError(f"{path}: no wet days")
     return SiteSeries(site_id=path.stem, values=np.array(values))

@@ -35,6 +35,12 @@ the loading runs no scipy `__init__`: on a 2-core host, `preload_fits`
 of two mixtures at restarts 0 takes 0.029 s CPU, against 0.054 s for
 loading `egpd` and the `scipy` package as well (and 0.43 s for importing
 scipy.special).
+
+No fit imports numpy.random either: a fit's only random draws, its
+jittered starts, come from `RngState.doubles`, which computes the Philox
+stream numpy's generator reads in Python, to the bit.  `RngState.generator`
+and `uniforms` keep numpy's generator for the bulk draws of `simulate` and
+the presets.
 """
 
 from __future__ import annotations
@@ -69,6 +75,13 @@ EULER_GAMMA = float(np.euler_gamma)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+# Philox4x64-10 (Salmon et al. 2011, Random123): the round multipliers, the
+# Weyl constants added to the key between rounds, and the round count.
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
 
 # L-BFGS-B stops on a relative objective change below _FTOL or a projected
 # gradient below _GTOL (both on a per-observation objective); a solve counts
@@ -547,6 +560,33 @@ class RngState:
         u = self.generator().random(n)
         return np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
 
+    def doubles(self, n: int) -> list[float]:
+        """First n doubles in [0, 1) of the stream, computed without numpy.random.
+
+        The same values, to the bit, as `self.generator().random(n)`: numpy's
+        Philox4x64-10 encrypts the counters 1, 2, ... under the key
+        (seed, stream), each block gives four 64-bit outputs, and an output
+        x becomes (x >> 11) * 2**-53.  For the few draws of a jittered
+        start this costs less than importing numpy.random.
+        """
+        key = (self.seed & _MASK64, self.stream & _MASK64)
+        out: list[float] = []
+        for counter in range(1, (n + 3) // 4 + 1):
+            out.extend((x >> 11) * 2.0**-53 for x in _philox4x64(counter, *key))
+        return out[:n]
+
+
+def _philox4x64(counter: int, k0: int, k1: int) -> tuple[int, int, int, int]:
+    """Philox4x64-10 of the counter (counter, 0, 0, 0) under the key (k0, k1)."""
+    c0, c1, c2, c3 = counter, 0, 0, 0
+    for _ in range(_PHILOX_ROUNDS):
+        p0 = _PHILOX_M0 * c0
+        p1 = _PHILOX_M1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        k0 = (k0 + _PHILOX_W0) & _MASK64
+        k1 = (k1 + _PHILOX_W1) & _MASK64
+    return c0, c1, c2, c3
+
 
 def jittered_starts(
     init: np.ndarray,
@@ -556,14 +596,16 @@ def jittered_starts(
     """Deterministic multistart points: init itself, then jittered copies.
 
     Restart r > 0 adds independent uniform(-0.5, 0.5) offsets per
-    coordinate, drawn from the stream `rng.derive(r)`, so the list does not
-    depend on evaluation order.
+    coordinate, u - 0.5 for the first doubles u of the stream
+    `rng.derive(r)` (`RngState.doubles`), so the list does not depend on
+    evaluation order.  These are the offsets numpy's
+    `Generator.uniform(-0.5, 0.5)` draws from that stream, to the bit.
     """
     init = np.asarray(init, dtype=float)
     starts = [init.copy()]
     for r in range(1, n_restarts):
-        g = rng.derive(r).generator()
-        starts.append(init + g.uniform(-0.5, 0.5, size=init.size))
+        offsets = [u - 0.5 for u in rng.derive(r).doubles(init.size)]
+        starts.append(init + np.array(offsets))
     return starts
 
 

@@ -81,15 +81,13 @@ class AllFitsFailedError(RuntimeError):
 class Method(NamedTuple):
     """One `METHODS` entry: what its fits load, and how to run one.
 
-    `family` is the fit module (`egpd` or `gamma_mixture`) and `restarts`
-    the `RunConfig` field that counts its jittered starts; `lmder` says
+    `family` is the fit module (`egpd` or `gamma_mixture`); `lmder` says
     whether it solves by MINPACK's `lmder`.  `run` gets (values, config,
     rng) and returns (params dict, FitDiagnostics, quantile function of a
     sequence of levels); it imports its fit function when called.
     """
 
     family: str
-    restarts: str
     lmder: bool
     run: Callable
 
@@ -103,7 +101,7 @@ def _egpd_method(fit_name: str, *, censored: bool = False, lmder: bool = False) 
         params, diag = fit(values, threshold, restarts=config.egpd_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
 
-    return Method("egpd", "egpd_restarts", lmder, run)
+    return Method("egpd", lmder, run)
 
 
 def _mixture_method(k: int) -> Method:
@@ -113,7 +111,7 @@ def _mixture_method(k: int) -> Method:
         params, diag = fit_map(values, k, restarts=config.mixture_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: mixture_quantile(p, params)
 
-    return Method("gamma_mixture", "mixture_restarts", False, run)
+    return Method("gamma_mixture", False, run)
 
 
 # The paper's seven methods, in its order, which is the row order of the
@@ -251,15 +249,15 @@ def _execute_task(task) -> FitResult:
     return run_single_fit(*task)
 
 
-def preload_fits(config: RunConfig, *, numpy_random: bool = True) -> None:
+def preload_fits(config: RunConfig) -> None:
     """Load, once, everything the fits of `config.methods` call.
 
     The fit module of each requested family, and scipy's three compiled
     modules (`numerics.preload_scipy`), with the `scipy` package as well
-    when a PWM method is requested.  With `numpy_random`, also numpy.random
-    if a requested family draws jittered starts (restarts > 0).  After it,
-    those fits import nothing.  `run_fits` calls it; a caller that times
-    fits itself calls it first.
+    when a PWM method is requested.  After it, those fits import nothing:
+    their jittered starts come from `RngState.doubles`, which needs no
+    numpy.random.  `run_fits` calls it; a caller that times fits itself
+    calls it first.
     """
     from importlib import import_module
 
@@ -269,16 +267,6 @@ def preload_fits(config: RunConfig, *, numpy_random: bool = True) -> None:
     for family in dict.fromkeys(m.family for m in methods):
         import_module(f"{__package__}.{family}")
     preload_scipy(lmder=any(m.lmder for m in methods))
-    if numpy_random and _draws_starts(config):
-        _import_numpy_random()
-
-
-def _draws_starts(config: RunConfig) -> bool:
-    return any(getattr(config, METHODS[m].restarts) > 0 for m in config.methods)
-
-
-def _import_numpy_random() -> None:
-    import numpy.random  # noqa: F401
 
 
 def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
@@ -296,14 +284,9 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
     `__init__` MINPACK's `_lmder` would otherwise run on its first call.
     So no fit's seconds include an import, no worker loads fit code
     itself, and a scipy without one of the functions the fits call is an
-    ImportError here, before any fit.  numpy.random, which only jittered
-    starts (restarts > 0) draw from, loads here in a serial run, and in a
-    pool in each worker, through the pool's initializer: this process fits
-    nothing then, and loading it here raised paper-mixed peak memory from
-    35.9 to 40.9 MB.  On a 2-core host the first naveau-mle fit of
-    paper-mixed site-000, which imported numpy.random before, read 22.5 ms
-    serial and 31.4 ms in a worker against 5.1-5.6 ms warm; it now reads
-    5.9 and 6.6 ms.
+    ImportError here, before any fit.  No fit loads numpy.random, in this
+    process or a worker: jittered starts are computed from the task's
+    Philox stream in Python (`RngState.doubles`).
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -317,15 +300,13 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
         for si, series in enumerate(sites)
         for method in config.methods
     ]
-    serial = config.jobs == 1 or len(tasks) == 1
-    preload_fits(config, numpy_random=serial)
-    if serial:
+    preload_fits(config)
+    if config.jobs == 1 or len(tasks) == 1:
         return [_execute_task(t) for t in tasks]
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    initializer = _import_numpy_random if _draws_starts(config) else None
-    with ctx.Pool(processes=min(config.jobs, len(tasks)), initializer=initializer) as pool:
+    with ctx.Pool(processes=min(config.jobs, len(tasks))) as pool:
         return pool.map(_execute_task, tasks, chunksize=1)
 
 
@@ -345,16 +326,18 @@ def _check_record(record) -> None:
     """Raise ValueError unless record has the shape `FitResult.to_record` writes.
 
     Checks what the tables read and `FitResult.from_record` does not: string
-    ids, a boolean `converged`, an `error` that is null or a string, and
-    level maps whose values are numbers (`empirical_quantiles` may be null).
-    `from_record` then raises KeyError on a missing key and ValueError on a
-    level that is not a number.
+    ids, a `METHODS` name, a boolean `converged`, an `error` that is null or
+    a string, and level maps whose keys are levels strictly inside (0, 1)
+    and whose values are numbers (`empirical_quantiles` may be null).
+    `from_record` then raises KeyError on a missing key.
     """
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
     for key in ("site_id", "method"):
         if not isinstance(record[key], str):
             raise ValueError(f"{key} must be a string")
+    if record["method"] not in METHODS:
+        raise ValueError(f"unknown method {record['method']!r}")
     if not isinstance(record["converged"], bool):
         raise ValueError("converged must be true or false")
     if not isinstance(record.get("error"), (str, type(None))):
@@ -365,6 +348,9 @@ def _check_record(record) -> None:
     for key, levels in maps.items():
         if not isinstance(levels, dict):
             raise ValueError(f"{key} must be an object")
+        outside = [p for p in levels if not 0.0 < float(p) < 1.0]
+        if outside:
+            raise ValueError(f"{key} has a level outside (0, 1): {outside[0]!r}")
         if not set(map(type, levels.values())) <= _NUMBER_TYPES:
             value = next(v for v in levels.values() if type(v) not in _NUMBER_TYPES)
             raise ValueError(f"{key} has a value that is not a number: {value!r}")

@@ -67,8 +67,8 @@ def mixture_spec(site_id: str, seed: int) -> GeneratorSpec:
 def site_file_manifest(tmp_path: Path, first_seed: int) -> Path:
     """A manifest of two EGPD site CSVs, without generators.
 
-    Drawing generator sites would load the fit modules and numpy.random
-    before `run_fits` does.
+    Drawing generator sites would load the fit modules before `run_fits`
+    does, and numpy.random, which no fit loads.
     """
     names = []
     for i in range(2):
@@ -101,25 +101,23 @@ def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str
     )
 
 
-# A benchmark_code hook: the first fit in each process writes to
-# FIRST_FITS_DIR/<pid>.json whether it ran in a pool worker, the modules it
-# added to sys.modules, and which of WATCHED were loaded after it.
+# A benchmark_code hook: each process that fits writes to
+# FIRST_FITS_DIR/<pid>.json whether it is a pool worker, the modules its
+# first fit added to sys.modules, which of WATCHED were loaded after that
+# fit, and whether numpy.random was loaded after its last fit.
 WATCHED = ("scipy", "rainfit.egpd", "rainfit.gamma_mixture", "numpy.random")
 FIRST_FIT_HOOK = (
     "main_pid = os.getpid()\n"
     "_run_single_fit = rainfit.pipeline.run_single_fit\n"
-    "fitted = []\n"
+    "first = {}\n"
     "def run_single_fit(*args):\n"
-    "    if os.getpid() in fitted:\n"
-    "        return _run_single_fit(*args)\n"
-    "    fitted.append(os.getpid())\n"
     "    before = set(sys.modules)\n"
     "    result = _run_single_fit(*args)\n"
-    "    first = {'worker': os.getpid() != main_pid,\n"
-    "             'added': sorted(set(sys.modules) - before),\n"
-    f"             'loaded': [m for m in {WATCHED!r} if m in sys.modules]}}\n"
+    "    if not first:\n"
+    "        first.update(worker=os.getpid() != main_pid, added=sorted(set(sys.modules) - before),\n"
+    f"                     loaded=[m for m in {WATCHED!r} if m in sys.modules])\n"
     "    with open(os.path.join(FIRST_FITS_DIR, f'{os.getpid()}.json'), 'w') as fh:\n"
-    "        json.dump(first, fh)\n"
+    "        json.dump(dict(first, numpy_random_at_end='numpy.random' in sys.modules), fh)\n"
     "    return result\n"
     "rainfit.pipeline.run_single_fit = run_single_fit\n"
 )

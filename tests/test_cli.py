@@ -466,8 +466,12 @@ GOOD_RECORD = FitResult(
         [1, 2],
         {**GOOD_RECORD, "estimated_quantiles": {"0.25": 1.0, "0.5": "abc", "0.75": 3.0}},
         {**GOOD_RECORD, "estimated_quantiles": {"0.25": 1.0, "x": 2.0, "0.75": 3.0}},
+        {**GOOD_RECORD, "method": "bogus"},
+        {**GOOD_RECORD, "empirical_quantiles": {"0.25": 1.1, "nan": 2.1, "0.75": 3.1}},
+        {**GOOD_RECORD, "estimated_quantiles": {"0.25": 1.0, "0.5": 2.0, "1.5": 3.0}},
     ],
-    ids=["not-an-object", "quantile-not-a-number", "level-not-a-number"],
+    ids=["not-an-object", "quantile-not-a-number", "level-not-a-number", "unknown-method",
+         "level-nan", "level-above-1"],
 )
 def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile):
     records = tmp_path / "fits.jsonl"

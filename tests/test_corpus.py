@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,12 +81,15 @@ def test_load_rejects_malformed_rows(tmp_path):
         (["2000-01-01"], "missing field"),
         (["2000-01-01,1.0,extra"], "extra field"),
         (["not-a-date,1.0"], "bad date"),
+        (["20000101,1.0"], "basic-format date"),
+        (["2000-W01-1,1.0"], "week date"),
+        (["2000-1-1,1.0"], "unpadded date"),
         (["2000-01-01,abc"], "bad number"),
         (["2000-01-01,inf"], "non-finite"),
     ]
     for rows, label in cases:
         path = write_csv(tmp_path / "m.csv", rows)
-        with pytest.raises(MalformedRowError):
+        with pytest.raises(MalformedRowError, match=f"^{re.escape(str(path))}:2: "):
             load_site(path)
 
 

@@ -9,7 +9,8 @@ forks a pool or starts the first fit: the fit module of each requested
 family and the three compiled scipy modules the fits call,
 `scipy.optimize._lbfgsb`, `scipy.optimize._minpack` and
 `scipy.special._special_ufuncs`.  The first fit in each process, serial
-or in a pool worker, then adds no module to `sys.modules`.  A run of all
+or in a pool worker, then adds no module to `sys.modules`, and no process
+that fits loads numpy.random, with or without jittered starts.  A run of all
 seven methods, a `fit` or a `simulate` of a mixture preset never imports
 the scipy.optimize or scipy.special packages (nor scipy.linalg,
 scipy.sparse or scipy's array-API layer, which those packages would pull
@@ -30,6 +31,7 @@ import pytest
 from fresh_python import (
     LOADED_SCIPY,
     SRC,
+    WATCHED,
     benchmark_code,
     egpd_spec,
     first_fits,
@@ -175,15 +177,27 @@ def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_pat
     assert loaded_packages(after) == []
 
 
+def loaded_by(methods: str) -> list[str]:
+    """The WATCHED modules a run of methods loads: the fit module of each
+    family, and the `scipy` package for a PWM method; never numpy.random."""
+    wanted = {f"rainfit.{METHODS[m].family}" for m in methods.split(",")}
+    if any(METHODS[m].lmder for m in methods.split(",")):
+        wanted.add("scipy")
+    return [m for m in WATCHED if m in wanted]
+
+
+@pytest.mark.parametrize("restarts", [0, 1])
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("methods", [*METHODS, ",".join(METHODS)])
-def test_the_first_fit_in_each_process_imports_nothing(tmp_path, methods, jobs):
-    # One jittered start per fit, so that every family draws from
-    # numpy.random: serially it loads before the first fit, in a pool
-    # through the initializer of each worker.
-    fits = first_fits(tmp_path, methods, jobs, restarts=1)
+def test_the_first_fit_in_each_process_imports_nothing(tmp_path, methods, jobs, restarts):
+    # At restarts 1 every fit draws a jittered start.  Its offsets come
+    # from RngState.doubles, so no process that fits, serial or a pool
+    # worker, ever loads numpy.random.
+    fits = first_fits(tmp_path, methods, jobs, restarts)
     assert fits and all(f["worker"] == (jobs > 1) for f in fits)
     assert [f["added"] for f in fits] == [[]] * len(fits)
+    assert [f["loaded"] for f in fits] == [loaded_by(methods)] * len(fits)
+    assert [f["numpy_random_at_end"] for f in fits] == [False] * len(fits)
 
 
 def test_fit_and_simulate_of_mixtures_never_import_scipy_special(tmp_path):

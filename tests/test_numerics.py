@@ -202,6 +202,30 @@ def test_splitmix64_reference_vector():
 def test_rng_frozen_uniforms():
     got = RngState(seed=1, stream=0).uniforms(4)
     assert got.tolist() == list(oracles.RNG_1_0_FIRST_UNIFORMS)
+    assert RngState(seed=1, stream=0).doubles(4) == list(oracles.RNG_1_0_FIRST_UNIFORMS)
+
+
+def numpy_philox(seed: int, stream: int) -> np.random.Generator:
+    """numpy's generator keyed by (seed, stream) as 64-bit words."""
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+EDGE_WORDS = (0, 1, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "seed, stream",
+    [(seed, stream) for seed in EDGE_WORDS for stream in EDGE_WORDS]
+    + [(-1, 0), (-987654321, 2**63 + 5)]
+    + [(1, RngState(seed=1).derive(3, 4).stream),
+       (9, RngState(seed=9, stream=77).derive(0, 6, 2).stream)],
+)
+def test_rng_doubles_are_numpys_philox_stream_to_the_bit(seed, stream):
+    # n = 1..13 crosses the edges of the four-output Philox blocks.
+    state = RngState(seed=seed, stream=stream)
+    for n in range(1, 14):
+        assert state.doubles(n) == numpy_philox(seed, stream).random(n).tolist()
 
 
 def test_rng_derive_frozen_stream():
@@ -246,6 +270,22 @@ def test_jittered_starts_keeps_init_first():
         assert np.array_equal(a, b)
     # Restart points differ from the init and from one another.
     assert not np.array_equal(starts[1], starts[2])
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 8, 11])
+def test_jittered_starts_are_numpys_uniform_offsets_to_the_bit(size):
+    # The offsets numpy's Generator.uniform(-0.5, 0.5) draws from restart
+    # r's stream, for the parameter counts of every fit (2 and 3 for the
+    # EGPD fits, 5, 8 and 11 for the K = 2, 3, 4 mixtures).
+    rng = RngState(seed=4, stream=21).derive(7, 2)
+    init = np.linspace(-3.0, 4.0, size)
+    expected = [init] + [
+        init + numpy_philox(rng.seed, rng.derive(r).stream).uniform(-0.5, 0.5, size)
+        for r in range(1, 8)
+    ]
+    for n_restarts in range(1, 9):
+        starts = jittered_starts(init, n_restarts, rng)
+        assert [x.tobytes() for x in starts] == [x.tobytes() for x in expected[:n_restarts]]
 
 
 # --- diagnostics -------------------------------------------------------------

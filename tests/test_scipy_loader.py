@@ -13,14 +13,14 @@ module checks that contract:
   and its very objects once the package is imported;
 - the solvers take public scipy's steps before and after a later
   `import scipy.optimize`;
-- without a PWM method, nothing runs a package `__init__`: a mixture-only
-  run at restarts 0 loads neither the `scipy` package, `rainfit.egpd` nor
-  numpy.random, in this process or a pool worker.
+- without a PWM method, `preload_scipy` runs no package `__init__`
+  (`test_imports` checks that a run of each method loads the `scipy`
+  package only with a PWM method, in this process or a pool worker).
 """
 
 import pytest
 
-from fresh_python import first_fits, loaded_packages, run_python
+from fresh_python import loaded_packages, run_python
 from rainfit import numerics
 
 
@@ -174,11 +174,3 @@ print(json.dumps([without, scipy_modules()]))
                        "scipy.special._special_ufuncs"]
     assert {"scipy", "scipy._lib._ccallback"} <= set(with_lmder)
     assert loaded_packages(with_lmder) == []
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_a_mixture_only_run_loads_no_scipy_package_egpd_or_numpy_random(tmp_path, jobs):
-    fits = first_fits(tmp_path, "gamma-mixture-2,gamma-mixture-3", jobs, restarts=0)
-    assert fits and all(f["worker"] == (jobs > 1) for f in fits)
-    assert [f["loaded"] for f in fits] == [["rainfit.gamma_mixture"]] * len(fits)
-    assert [f["added"] for f in fits] == [[]] * len(fits)
