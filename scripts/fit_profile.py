@@ -110,19 +110,19 @@ def main(argv=None) -> int:
     run_single_fit(sites[0], config.methods[0], config, RngState(config.seed))  # warm-up
 
     fits = []
-    for result in run_fits(sites, config):
-        diag = result.diagnostics or {}
+    for record in run_fits(sites, config):
+        diag = record["diagnostics"]
         fits.append({
-            "site": result.site_id,
-            "method": result.method,
-            "n": result.n_wet,
+            "site": record["site_id"],
+            "method": record["method"],
+            "n": record["n_wet"],
             "n_eval": diag.get("n_eval"),
-            "seconds": result.fit_seconds,
+            "seconds": record["fit_seconds"],
             "objective": diag.get("objective"),
             "residual": diag.get("residual"),
-            "converged": result.converged,
+            "converged": record["converged"],
             "restarts_at_best": diag.get("restarts_at_best"),
-            "error": result.error,
+            "error": record["error"],
         })
 
     per_method = {}

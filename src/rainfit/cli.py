@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .evaluation import QuantileSet
+from .evaluation import QuantileSet, summarize
 from .pipeline import (
     METHODS,
     AllFitsFailedError,
@@ -44,7 +44,6 @@ from .pipeline import (
     load_records,
     run_benchmark,
     run_fits,
-    summarize_results,
     write_report_files,
 )
 
@@ -97,11 +96,11 @@ def cmd_fit(args) -> int:
 
     series = load_site(args.site)
     config = _config_from_args(args, (args.method,))
-    result = run_fits([series], config)[0]
-    json.dump(result.to_record(), sys.stdout, indent=2, sort_keys=True)
+    record = run_fits([series], config)[0]
+    json.dump(record, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    if result.error is not None or not result.converged:
-        label = result.error if result.error is not None else "did not converge"
+    if record["error"] is not None or not record["converged"]:
+        label = record["error"] or "did not converge"
         print(f"fit failed: {label}", file=sys.stderr)
         return 4
     return 0
@@ -151,14 +150,13 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_report(args) -> int:
-    results = load_records(args.records)
-    if not results:
+    records = load_records(args.records)
+    if not records:
         raise ConfigError(f"{args.records}: no records")
     qset = _parse_quantiles(args.quantiles) if args.quantiles else None
-    summary = summarize_results(results, qset)
-    present = {r.method for r in results}
+    summary = summarize(records, qset, order=tuple(METHODS))
     for m in METHODS:
-        if m not in present:
+        if m not in summary.methods:
             print(f"warning: no records for method {m}", file=sys.stderr)
     for line in summary.warnings:
         print(f"warning: {line}", file=sys.stderr)

@@ -17,20 +17,25 @@ from .evaluation import sorted_quantile
 __all__ = ["empirical_pwms", "empirical_quantile"]
 
 
-def empirical_quantile(sample, p: float) -> float:
+def empirical_quantile(sample, p):
     """Type-7 sample quantile: rank h = (n - 1) p + 1, linear interpolation.
 
     Accepts any vector of at least two finite reals (sign unrestricted; the
-    formula itself does not care).  p must lie in (0, 1).
+    formula itself does not care).  p is a level in (0, 1), giving a float,
+    or a sequence of them, giving a list; the sample is sorted once either
+    way.
     """
-    if not 0.0 < p < 1.0:
+    scalar = np.ndim(p) == 0
+    levels = [p] if scalar else list(p)
+    if not all(0.0 < q < 1.0 for q in levels):
         raise ValueError("p must lie strictly between 0 and 1")
     x = np.sort(np.asarray(sample, dtype=float))
     if x.size < 2:
         raise ValueError("need at least two observations for a quantile")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample values must be finite")
-    return sorted_quantile(x, p)
+    quantiles = [sorted_quantile(x, q) for q in levels]
+    return quantiles[0] if scalar else quantiles
 
 
 def empirical_pwms(values) -> tuple[float, float, float]:

@@ -8,6 +8,12 @@ summarized by its median and quartiles, and classified as underestimating
 (U, Q3 < 0), overestimating (O, Q1 > 0), or nominal (N, the IQR contains 0,
 endpoints inclusive).
 
+A fit is its record: the dict `pipeline.run_single_fit` returns and
+`fits.jsonl` stores, one per line.  `summarize` reads those records as
+they are, and scores each fit against the empirical quantiles its own
+record carries, so `benchmark` and `report` build the tables from the
+same objects.
+
 This module and `report` use the standard library alone, so `rainfit
 report` rebuilds the tables without importing numpy.
 """
@@ -21,7 +27,6 @@ from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "EvaluationSummary",
-    "FitResult",
     "PAPER_QUANTILES",
     "QuantileSet",
     "SummaryCell",
@@ -51,70 +56,6 @@ class QuantileSet:
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise ValueError("quantile levels must be strictly ascending")
         object.__setattr__(self, "probabilities", ps)
-
-
-@dataclass
-class FitResult:
-    """One (site, method) fit: parameters, quantiles, and diagnostics.
-
-    `estimated_quantiles` maps p to the fitted model's quantile in mm and
-    must be strictly increasing in p for converged fits.  `error` is set
-    (and `converged` is False) when the fit raised instead of returning.
-    `empirical_quantiles` carries the site's own sample quantiles so that
-    reports can be rebuilt from the records file alone.
-    """
-
-    site_id: str
-    method: str
-    estimated_quantiles: dict[float, float]
-    converged: bool
-    fit_seconds: float
-    params: dict
-    diagnostics: dict = field(default_factory=dict)
-    n_wet: int | None = None
-    empirical_quantiles: dict[float, float] | None = None
-    error: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.converged and self.error is None and len(self.estimated_quantiles) > 1:
-            qs = [self.estimated_quantiles[p] for p in sorted(self.estimated_quantiles)]
-            if any(b <= a for a, b in zip(qs, qs[1:])):
-                raise ValueError("converged fit has non-increasing quantiles")
-
-    def to_record(self) -> dict:
-        # json.dumps-ready: keys become repr(p) strings, scalars plain Python.
-        return {
-            "site_id": self.site_id,
-            "method": self.method,
-            "estimated_quantiles": {repr(float(p)): float(v) for p, v in self.estimated_quantiles.items()},
-            "converged": bool(self.converged),
-            "fit_seconds": float(self.fit_seconds),
-            "params": self.params,
-            "diagnostics": self.diagnostics,
-            "n_wet": self.n_wet,
-            "empirical_quantiles": (
-                None
-                if self.empirical_quantiles is None
-                else {repr(float(p)): float(v) for p, v in self.empirical_quantiles.items()}
-            ),
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "FitResult":
-        emp = record.get("empirical_quantiles")
-        return cls(
-            site_id=record["site_id"],
-            method=record["method"],
-            estimated_quantiles={float(k): v for k, v in record["estimated_quantiles"].items()},
-            converged=record["converged"],
-            fit_seconds=record["fit_seconds"],
-            params=record["params"],
-            diagnostics=record.get("diagnostics", {}),
-            n_wet=record.get("n_wet"),
-            empirical_quantiles=None if emp is None else {float(k): v for k, v in emp.items()},
-            error=record.get("error"),
-        )
 
 
 def log_ratio_metric(q_model: float, q_empirical: float) -> float:
@@ -237,62 +178,81 @@ def _site_list(sites: Sequence[str], shown: int = 5) -> str:
     return ", ".join(sites[:shown]) + more
 
 
+def _levels(levels: Mapping[str, float] | None) -> dict[float, float]:
+    """A record's level map, its `repr(p)` keys read back as floats."""
+    return {float(p): q for p, q in (levels or {}).items()}
+
+
 def summarize(
-    results: Iterable[FitResult],
-    empirical: Mapping[str, Mapping[float, float]],
-    qset: QuantileSet = QuantileSet(),
+    records: Iterable[Mapping],
+    qset: QuantileSet | None = None,
     order: Sequence[str] = (),
 ) -> EvaluationSummary:
-    """Aggregate fit results into per-(method, p) distribution statistics.
+    """Aggregate fit records into per-(method, p) distribution statistics.
+
+    Records have the shape `fits.jsonl` stores, level maps keyed by
+    `repr(p)`, and each fit is scored against the empirical quantiles its
+    own record carries.  `qset` defaults to every level those carry; a
+    requested level that no record carries is a ValueError naming it.
 
     Only converged, error-free fits contribute to D distributions; the rest
     are counted per method in `failures`.  A site is dropped at a single p
     (and counted in `excluded`, with a warning that names it) when the
     empirical or estimated quantile there is missing, non-positive, NaN or
-    infinite.  Output is independent of input ordering: sites are
-    processed in sorted id order and methods in `order`, then any others
-    alphabetically.
+    infinite.  There is one record per (site, method), as `run_fits` and
+    `load_records` give them, and their order does not matter: D values
+    are sorted, dropped sites are named in id order, and methods come in
+    `order`, then any others alphabetically.
     """
-    results = list(results)
-    if not results:
+    records = list(records)
+    if not records:
         raise ValueError("no fit results to summarize")
+    keys = {p for r in records for p in r.get("empirical_quantiles") or ()}
+    recorded = sorted(set(map(float, keys)))
+    if qset is None:
+        if not recorded:
+            raise ValueError("records carry no quantile levels")
+        qset = QuantileSet(tuple(recorded))
+    missing = sorted(set(qset.probabilities).difference(recorded))
+    if missing:
+        raise ValueError(
+            f"quantile levels {', '.join(map(repr, missing))} are not recorded"
+            f" (recorded: {', '.join(map(repr, recorded)) or 'none'})"
+        )
 
-    present = {r.method for r in results}
+    present = {r["method"] for r in records}
     methods = tuple([m for m in order if m in present] + sorted(present.difference(order)))
-    by_method: dict[str, dict[str, FitResult]] = {m: {} for m in methods}
-    for r in results:
-        by_method[r.method][r.site_id] = r
+    failures = dict.fromkeys(methods, 0)
+    # One pass over the records fills every (method, level) D list.
+    d_lists = {m: {p: [] for p in qset.probabilities} for m in methods}
+    dropped = {m: {p: [] for p in qset.probabilities} for m in methods}
+    for r in records:
+        method = r["method"]
+        if not r["converged"] or r.get("error") is not None:
+            failures[method] += 1
+            continue
+        estimated = _levels(r["estimated_quantiles"])
+        empirical = _levels(r.get("empirical_quantiles"))
+        for p, d_list in d_lists[method].items():
+            q_m = estimated.get(p, math.nan)
+            q_e = empirical.get(p, math.nan)
+            # False for a missing (NaN), non-positive or infinite quantile.
+            if 0.0 < q_m < math.inf and 0.0 < q_e < math.inf:
+                d_list.append(log_ratio_metric(q_m, q_e))
+            else:
+                dropped[method][p].append(r["site_id"])
 
     cells: dict[tuple[str, float], SummaryCell] = {}
-    failures: dict[str, int] = {}
     excluded: dict[tuple[str, float], int] = {}
     warnings: list[str] = []
-    site_ids: set[str] = set()
-
     for method in methods:
-        rows = by_method[method]
-        site_ids.update(rows)
-        ok = [(s, r) for s, r in sorted(rows.items()) if r.converged and r.error is None]
-        failures[method] = len(rows) - len(ok)
-        # One pass over the sites fills every level's D list.
-        d_lists: dict[float, list[float]] = {p: [] for p in qset.probabilities}
-        dropped: dict[float, list[str]] = {p: [] for p in qset.probabilities}
-        for site, r in ok:
-            site_empirical = empirical.get(site, {})
-            for p, d_list in d_lists.items():
-                q_m = r.estimated_quantiles.get(p, math.nan)
-                q_e = site_empirical.get(p, math.nan)
-                # False for a missing (NaN), non-positive or infinite quantile.
-                if 0.0 < q_m < math.inf and 0.0 < q_e < math.inf:
-                    d_list.append(log_ratio_metric(q_m, q_e))
-                else:
-                    dropped[p].append(site)
-        for p, d_list in d_lists.items():
-            if dropped[p]:
-                excluded[(method, p)] = len(dropped[p])
+        for p, d_list in d_lists[method].items():
+            sites = sorted(dropped[method][p])
+            if sites:
+                excluded[(method, p)] = len(sites)
                 warnings.append(
-                    f"{method} at p={p:g}: {len(dropped[p])} site(s) excluded"
-                    f" (missing, non-positive or non-finite quantile): {_site_list(dropped[p])}"
+                    f"{method} at p={p:g}: {len(sites)} site(s) excluded"
+                    f" (missing, non-positive or non-finite quantile): {_site_list(sites)}"
                 )
             if d_list:
                 cells[(method, p)] = _cell_from_d(d_list)
@@ -303,6 +263,6 @@ def summarize(
         cells=cells,
         failures=failures,
         excluded=excluded,
-        n_sites=len(site_ids),
+        n_sites=len({r["site_id"] for r in records}),
         warnings=warnings,
     )

@@ -304,7 +304,7 @@ def _params_from_z(z: np.ndarray, k: int) -> GammaMixtureParams:
 
 def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
     """Quantile-sliced moment-matched start in the transformed space."""
-    edges = [empirical_quantile(x, j / k) for j in range(1, k)]
+    edges = empirical_quantile(x, [j / k for j in range(1, k)])
     bounds = [-math.inf] + edges + [math.inf]
     weights = np.empty(k)
     log_a = np.empty(k)

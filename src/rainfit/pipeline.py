@@ -5,6 +5,12 @@ disk: building the deterministic task list, running fits (serially or in a
 process pool), collecting one record per task no matter what the fit did,
 and emitting the records file plus the derived tables.
 
+A fit is its record: `run_single_fit` returns the dict that `fits.jsonl`
+stores on one line, and that same dict goes to `write_records` and
+`evaluation.summarize`.  `load_records` reads it back, and `_check_record`
+is the one shape check wherever a record enters: a line read by
+`load_records`, or a fit just made by `run_single_fit`.
+
 Determinism contract: with a fixed manifest, config and seed, every output
 except the per-fit wall-clock times is byte-identical, regardless of the
 number of worker processes.  Each task draws from its own RNG stream,
@@ -29,12 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
-from .evaluation import (
-    EvaluationSummary,
-    FitResult,
-    QuantileSet,
-    summarize,
-)
+from .evaluation import EvaluationSummary, QuantileSet, summarize
 from .report import (
     render_boxplot_svg,
     render_class_text,
@@ -61,7 +62,6 @@ __all__ = [
     "run_benchmark",
     "run_fits",
     "run_single_fit",
-    "summarize_results",
     "write_records",
     "write_report_files",
 ]
@@ -140,7 +140,7 @@ def load_site(path) -> SiteSeries:
     return load_site(path)
 
 
-def empirical_quantile(sample, p: float) -> float:
+def empirical_quantile(sample, p):
     from .empirical import empirical_quantile
 
     return empirical_quantile(sample, p)
@@ -204,48 +204,46 @@ def run_single_fit(
     method: str,
     config: RunConfig,
     rng: RngState,
-) -> FitResult:
-    """Fit one method, a `METHODS` name, to one site.
+) -> dict:
+    """Fit one method, a `METHODS` name, to one site; return its record.
 
-    Fit failures of any kind come back as an error record rather than an
-    exception.
+    The record is the JSON object `fits.jsonl` stores, level maps keyed by
+    `repr(p)`.  Fit failures of any kind, a converged fit whose quantiles
+    do not increase among them, come back as an error record rather than
+    an exception.
     """
     runner = METHODS[method].run
     qs = config.quantiles.probabilities
-    emp = None
+    levels = [repr(p) for p in qs]
+    record = {"site_id": series.site_id, "method": method, "n_wet": series.n_wet,
+              "empirical_quantiles": None}
     t0 = time.perf_counter()
     try:
-        emp = {p: empirical_quantile(series.values, p) for p in qs}
+        record["empirical_quantiles"] = dict(zip(levels, empirical_quantile(series.values, qs)))
         t0 = time.perf_counter()
         params, diag, quantile_fn = runner(series.values, config, rng)
-        estimated = dict(zip(qs, map(float, quantile_fn(qs))))
-        return FitResult(
-            site_id=series.site_id,
-            method=method,
-            estimated_quantiles=estimated,
-            converged=diag.converged,
+        record.update(
+            estimated_quantiles=dict(zip(levels, map(float, quantile_fn(qs)))),
+            converged=bool(diag.converged),
             fit_seconds=time.perf_counter() - t0,
             params=params,
             diagnostics=diag.to_dict(),
-            n_wet=series.n_wet,
-            empirical_quantiles=emp,
+            error=None,
         )
+        _check_record(record)
     except Exception as exc:  # noqa: BLE001 - a failed fit is a record, not a crash
-        return FitResult(
-            site_id=series.site_id,
-            method=method,
+        record.update(
             estimated_quantiles={},
             converged=False,
             fit_seconds=time.perf_counter() - t0,
             params={},
             diagnostics={},
-            n_wet=series.n_wet,
-            empirical_quantiles=emp,
             error=f"{type(exc).__name__}: {exc}",
         )
+    return record
 
 
-def _execute_task(task) -> FitResult:
+def _execute_task(task) -> dict:
     return run_single_fit(*task)
 
 
@@ -269,8 +267,11 @@ def preload_fits(config: RunConfig) -> None:
     preload_scipy(lmder=any(m.lmder for m in methods))
 
 
-def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
+def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
     """Run every (site, method) pair from config over the given sites.
+
+    Returns one record per task, in task order: site by id, then method
+    in `config.methods` order.
 
     Sites are ordered by id; task i gets the RNG stream derived from
     (seed, site index, the method's position in `METHODS`).  With
@@ -310,11 +311,11 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[FitResult]:
         return pool.map(_execute_task, tasks, chunksize=1)
 
 
-# --- records and summaries ----------------------------------------------------
+# --- records -------------------------------------------------------------------
 
 
-def write_records(path, results: Iterable[FitResult]) -> None:
-    lines = [json.dumps(r.to_record(), sort_keys=True) for r in results]
+def write_records(path, records: Iterable[dict]) -> None:
+    lines = [json.dumps(r, sort_keys=True) for r in records]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
@@ -323,13 +324,14 @@ _NUMBER_TYPES = {int, float}  # what JSON numbers decode to; bool is not one
 
 
 def _check_record(record) -> None:
-    """Raise ValueError unless record has the shape `FitResult.to_record` writes.
+    """Raise ValueError unless record has the shape `run_single_fit` writes.
 
-    Checks what the tables read and `FitResult.from_record` does not: string
-    ids, a `METHODS` name, a boolean `converged`, an `error` that is null or
-    a string, and level maps whose keys are levels strictly inside (0, 1)
-    and whose values are numbers (`empirical_quantiles` may be null).
-    `from_record` then raises KeyError on a missing key.
+    String ids, a `METHODS` name, a boolean `converged`, an `error` that is
+    null or a string, `fit_seconds` and `params` present, and level maps
+    whose keys are levels strictly inside (0, 1) and whose values are
+    numbers (`empirical_quantiles` may be null or absent, as may `error`,
+    `diagnostics` and `n_wet`).  A converged, error-free record's
+    estimated quantiles must increase with the level.
     """
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
@@ -342,6 +344,9 @@ def _check_record(record) -> None:
         raise ValueError("converged must be true or false")
     if not isinstance(record.get("error"), (str, type(None))):
         raise ValueError("error must be null or a string")
+    for key in ("fit_seconds", "params"):
+        if key not in record:
+            raise ValueError(f"missing {key!r}")
     maps = {"estimated_quantiles": record["estimated_quantiles"]}
     if record.get("empirical_quantiles") is not None:
         maps["empirical_quantiles"] = record["empirical_quantiles"]
@@ -354,11 +359,21 @@ def _check_record(record) -> None:
         if not set(map(type, levels.values())) <= _NUMBER_TYPES:
             value = next(v for v in levels.values() if type(v) not in _NUMBER_TYPES)
             raise ValueError(f"{key} has a value that is not a number: {value!r}")
+    if record["converged"] and record.get("error") is None:
+        estimated = maps["estimated_quantiles"]
+        qs = [estimated[p] for p in sorted(estimated, key=float)]
+        if any(b <= a for a, b in zip(qs, qs[1:])):
+            raise ValueError("converged fit has non-increasing quantiles")
 
 
-def load_records(path) -> list[FitResult]:
-    """Read a records file; a record of the wrong shape is a ValueError naming path:line."""
-    results = []
+def load_records(path) -> list[dict]:
+    """Read a records file, each line checked by `_check_record`.
+
+    A record of the wrong shape, or a second record of one (site, method),
+    is a ValueError naming path:line.
+    """
+    records = []
+    seen: set[tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -366,38 +381,14 @@ def load_records(path) -> list[FitResult]:
             try:
                 record = json.loads(line)
                 _check_record(record)
-                results.append(FitResult.from_record(record))
+                key = (record["site_id"], record["method"])
+                if key in seen:
+                    raise ValueError(f"a second record of site {key[0]!r}, method {key[1]!r}")
+                seen.add(key)
+                records.append(record)
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
-    return results
-
-
-def summarize_results(
-    results: Iterable[FitResult], qset: QuantileSet | None = None
-) -> EvaluationSummary:
-    """Summarize records from the empirical quantiles they carry.
-
-    `run_benchmark` and `report` both come here, so `report` rebuilds the
-    benchmark's tables by construction.  `qset` defaults to every recorded
-    level; a level no record carries is a ConfigError that names it.
-    """
-    results = list(results)
-    recorded = sorted({p for r in results for p in (r.empirical_quantiles or {})})
-    if qset is None:
-        if not recorded:
-            raise ValueError("records carry no quantile levels")
-        qset = QuantileSet(tuple(recorded))
-    missing = sorted(set(qset.probabilities).difference(recorded))
-    if missing:
-        raise ConfigError(
-            f"quantile levels {', '.join(map(repr, missing))} are not recorded"
-            f" (recorded: {', '.join(map(repr, recorded)) or 'none'})"
-        )
-    empirical: dict[str, dict[float, float]] = {}
-    for r in results:
-        if r.empirical_quantiles:
-            empirical.setdefault(r.site_id, {}).update(r.empirical_quantiles)
-    return summarize(results, empirical, qset, order=tuple(METHODS))
+    return records
 
 
 def write_report_files(
@@ -458,13 +449,13 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
         raise CorpusError(
             f"no sites left after the min_wet={config.min_wet} filter ({dropped} dropped)"
         )
-    results = run_fits(kept, config)
+    records = run_fits(kept, config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(out_dir / "fits.jsonl", results)
-    if all(r.error is not None or not r.converged for r in results):
-        raise AllFitsFailedError(f"all {len(results)} fits failed; see fits.jsonl")
-    summary = summarize_results(results, config.quantiles)
+    write_records(out_dir / "fits.jsonl", records)
+    if all(r["error"] is not None or not r["converged"] for r in records):
+        raise AllFitsFailedError(f"all {len(records)} fits failed; see fits.jsonl")
+    summary = summarize(records, config.quantiles, order=tuple(METHODS))
     if dropped:
         summary.warnings.insert(0, f"{dropped} site(s) dropped below min_wet={config.min_wet}")
     write_report_files(out_dir, summary, svg=config.svg)

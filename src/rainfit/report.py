@@ -24,10 +24,6 @@ __all__ = [
 ]
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(x)
-
-
 def _p_label(p: float) -> str:
     return repr(p)
 
@@ -37,28 +33,27 @@ def write_text(path: Path | str, text: str) -> None:
         fh.write(text)
 
 
-def write_median_csv(summary: EvaluationSummary, path: Path | str) -> None:
-    """Method-by-quantile medians of D, natural units, plus a failure column."""
+def _write_grid_csv(summary: EvaluationSummary, path: Path | str, cell_text) -> None:
+    """Method-by-quantile grid plus a failure column.
+
+    A (method, p) cell holds cell_text(cell) when it has D values, else "".
+    """
     lines = ["method," + ",".join(_p_label(p) for p in summary.probabilities) + ",failed_fits"]
     for method in summary.methods:
-        cells = [
-            _fmt(summary.cells[(method, p)].median if (method, p) in summary.cells else None)
-            for p in summary.probabilities
-        ]
-        lines.append(",".join([method] + cells + [str(summary.failures.get(method, 0))]))
+        cells = [summary.cells.get((method, p)) for p in summary.probabilities]
+        texts = ["" if cell is None else cell_text(cell) for cell in cells]
+        lines.append(",".join([method] + texts + [str(summary.failures.get(method, 0))]))
     write_text(path, "\n".join(lines) + "\n")
+
+
+def write_median_csv(summary: EvaluationSummary, path: Path | str) -> None:
+    """Method-by-quantile medians of D, natural units, plus a failure column."""
+    _write_grid_csv(summary, path, lambda cell: repr(cell.median))
 
 
 def write_class_csv(summary: EvaluationSummary, path: Path | str) -> None:
     """Method-by-quantile U/O/N classes, plus a failure column."""
-    lines = ["method," + ",".join(_p_label(p) for p in summary.probabilities) + ",failed_fits"]
-    for method in summary.methods:
-        cells = []
-        for p in summary.probabilities:
-            cell = summary.cells.get((method, p))
-            cells.append(cell.klass or "" if cell is not None else "")
-        lines.append(",".join([method] + cells + [str(summary.failures.get(method, 0))]))
-    write_text(path, "\n".join(lines) + "\n")
+    _write_grid_csv(summary, path, lambda cell: cell.klass or "")
 
 
 def write_boxplot_csv(summary: EvaluationSummary, path: Path | str) -> None:

@@ -31,7 +31,7 @@ from rainfit.egpd import (
     fit_pwm,
     theoretical_pwm,
 )
-from rainfit.evaluation import classify, log_ratio_metric
+from rainfit.evaluation import classify, log_ratio_metric, summarize
 from rainfit.gamma_mixture import (
     GammaMixtureParams,
     fit_map,
@@ -41,7 +41,7 @@ from rainfit.gamma_mixture import (
     mixture_simulate,
 )
 from rainfit.numerics import RngState
-from rainfit.pipeline import RunConfig, run_fits, summarize_results
+from rainfit.pipeline import RunConfig, run_fits
 
 SEVEN_P = (0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
 EGPD_TRUTH = EgpdParams(kappa=2.0, sigma=5.0, xi=0.2)
@@ -314,11 +314,11 @@ def test_c10_corpus_self_consistency(capsys):
     mix_config = RunConfig(
         methods=("gamma-mixture-3", "gamma-mixture-4"), mixture_restarts=2
     )
-    mix_summary = summarize_results(run_fits(mix_sites, mix_config))
+    mix_summary = summarize(run_fits(mix_sites, mix_config))
 
     egpd_sites = simulate_corpus(build_preset("egpd-50", 11))
     egpd_config = RunConfig(methods=("naveau-mle",), egpd_restarts=2)
-    egpd_summary = summarize_results(run_fits(egpd_sites, egpd_config))
+    egpd_summary = summarize(run_fits(egpd_sites, egpd_config))
 
     gm3 = mix_summary.cells[("gamma-mixture-3", 0.5)]
     gm4 = mix_summary.cells[("gamma-mixture-4", 0.5)]
@@ -340,7 +340,7 @@ def test_c10_corpus_self_consistency(capsys):
 def test_c11_discretization_bias(capsys):
     sites = simulate_corpus(build_preset("egpd-50-discretized", 11))
     config = RunConfig(egpd_restarts=2, mixture_restarts=2)
-    summary = summarize_results(run_fits(sites, config))
+    summary = summarize(run_fits(sites, config))
     medians = {m: summary.cells[(m, 0.01)].median for m in summary.methods}
     ok = len(medians) == 7 and all(v < 0.0 for v in medians.values())
     announce(capsys, "C11", "discretization-bias", ok)

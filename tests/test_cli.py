@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainfit.cli import main
 from rainfit.corpus import (
@@ -15,7 +17,6 @@ from rainfit.corpus import (
     simulate_site,
     write_manifest,
 )
-from rainfit.evaluation import FitResult
 from rainfit.numerics import RngState
 from rainfit.pipeline import METHODS
 
@@ -449,31 +450,45 @@ def test_report_unrecorded_quantile_exits_2_naming_the_missing_levels(bench_run,
     assert not out.exists()
 
 
-GOOD_RECORD = FitResult(
-    site_id="s0",
-    method="naveau-mle",
-    estimated_quantiles={0.25: 1.0, 0.5: 2.0, 0.75: 3.0},
-    converged=True,
-    fit_seconds=0.0,
-    params={},
-    empirical_quantiles={0.25: 1.1, 0.5: 2.1, 0.75: 3.1},
-).to_record()
+GOOD_RECORD = {
+    "site_id": "s0",
+    "method": "naveau-mle",
+    "estimated_quantiles": {"0.25": 1.0, "0.5": 2.0, "0.75": 3.0},
+    "converged": True,
+    "fit_seconds": 0.0,
+    "params": {},
+    "diagnostics": {},
+    "n_wet": None,
+    "empirical_quantiles": {"0.25": 1.1, "0.5": 2.1, "0.75": 3.1},
+    "error": None,
+}
+# Another site, so that only what a case changes can make it hostile.
+OTHER_SITE = {**GOOD_RECORD, "site_id": "s1"}
+NON_INCREASING = {**OTHER_SITE, "estimated_quantiles": {"0.25": 1.0, "0.5": 3.0, "0.75": 2.0}}
+
+
+def without(record, key):
+    return {k: v for k, v in record.items() if k != key}
 
 
 @pytest.mark.parametrize(
-    "hostile",
+    "hostile, reason",
     [
-        [1, 2],
-        {**GOOD_RECORD, "estimated_quantiles": {"0.25": 1.0, "0.5": "abc", "0.75": 3.0}},
-        {**GOOD_RECORD, "estimated_quantiles": {"0.25": 1.0, "x": 2.0, "0.75": 3.0}},
-        {**GOOD_RECORD, "method": "bogus"},
-        {**GOOD_RECORD, "empirical_quantiles": {"0.25": 1.1, "nan": 2.1, "0.75": 3.1}},
-        {**GOOD_RECORD, "estimated_quantiles": {"0.25": 1.0, "0.5": 2.0, "1.5": 3.0}},
+        ([1, 2], "expected a JSON object"),
+        ({**OTHER_SITE, "estimated_quantiles": {"0.25": 1.0, "0.5": "abc", "0.75": 3.0}}, "not a number"),
+        ({**OTHER_SITE, "estimated_quantiles": {"0.25": 1.0, "x": 2.0, "0.75": 3.0}}, "could not convert"),
+        ({**OTHER_SITE, "method": "bogus"}, "unknown method"),
+        ({**OTHER_SITE, "empirical_quantiles": {"0.25": 1.1, "nan": 2.1, "0.75": 3.1}}, "outside (0, 1)"),
+        ({**OTHER_SITE, "estimated_quantiles": {"0.25": 1.0, "0.5": 2.0, "1.5": 3.0}}, "outside (0, 1)"),
+        (GOOD_RECORD, "a second record of site 's0', method 'naveau-mle'"),
+        (NON_INCREASING, "converged fit has non-increasing quantiles"),
+        (without(OTHER_SITE, "fit_seconds"), "fit_seconds"),
+        (without(OTHER_SITE, "params"), "params"),
     ],
     ids=["not-an-object", "quantile-not-a-number", "level-not-a-number", "unknown-method",
-         "level-nan", "level-above-1"],
+         "level-nan", "level-above-1", "duplicate", "non-increasing", "no-fit-seconds", "no-params"],
 )
-def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile):
+def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile, reason):
     records = tmp_path / "fits.jsonl"
     records.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(hostile) + "\n", encoding="utf-8")
     out = tmp_path / "tables"
@@ -481,7 +496,60 @@ def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {records}:2: bad record (")
+    assert reason in err
     assert not out.exists()
+
+
+def test_report_counts_a_non_converged_non_increasing_record_as_failed(tmp_path, capsys):
+    # Only a converged fit must have increasing quantiles.
+    records = tmp_path / "fits.jsonl"
+    lines = [GOOD_RECORD, {**NON_INCREASING, "converged": False}]
+    records.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    rc = main(["report", "--records", str(records), "--out", str(tmp_path / "tables")])
+    assert rc == 0
+    medians = (tmp_path / "tables" / "medians.csv").read_text(encoding="utf-8").splitlines()
+    assert medians[1].startswith("naveau-mle,") and medians[1].endswith(",1")
+
+
+@pytest.mark.parametrize("key", ["error", "diagnostics", "n_wet", "empirical_quantiles"])
+def test_report_loads_a_record_without_an_optional_key(tmp_path, capsys, key):
+    records = tmp_path / "fits.jsonl"
+    lines = [GOOD_RECORD, without(OTHER_SITE, key)]
+    records.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    assert main(["report", "--records", str(records), "--out", str(tmp_path / "tables")]) == 0
+
+
+def record_lines() -> list[str]:
+    """Four sites by three methods, one failed fit, and a site (s2) whose
+    three records carry different empirical quantiles."""
+    lines = []
+    for i in range(4):
+        for j, method in enumerate(("naveau-mle", "naveau-pwm", "gamma-mixture-2")):
+            emp = {"0.25": 1.0 + i, "0.5": 2.0 + i, "0.75": 4.0 + i}
+            if i == 2:
+                emp = {p: q * (1.0 + 0.1 * j) for p, q in emp.items()}
+            est = {p: q * (1.0 + 0.05 * (i - j)) for p, q in emp.items()}
+            lines.append(json.dumps({
+                **GOOD_RECORD, "site_id": f"s{i}", "method": method, "estimated_quantiles": est,
+                "empirical_quantiles": emp, "converged": (i, j) != (3, 1),
+            }))
+    return lines
+
+
+def report_tables(out_dir: Path, lines: list[str]) -> dict[str, bytes]:
+    out_dir.mkdir()
+    records = out_dir / "fits.jsonl"
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["report", "--records", str(records), "--out", str(out_dir / "tables")]) == 0
+    return {name: (out_dir / "tables" / name).read_bytes() for name in TABLE_FILES}
+
+
+@settings(max_examples=20, deadline=None)
+@given(lines=st.permutations(record_lines()))
+def test_report_tables_do_not_depend_on_record_order(tmp_path_factory, lines):
+    # ROADMAP item 6: any order of a records file's lines gives the same tables.
+    tmp = tmp_path_factory.mktemp("order")
+    assert report_tables(tmp / "permuted", lines) == report_tables(tmp / "given", record_lines())
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])

@@ -39,6 +39,21 @@ def test_quantile_domain_errors():
         empirical_quantile(np.array([2.0]), 0.5)
 
 
+def test_quantile_of_a_sequence_of_levels_is_each_level_to_the_bit(monkeypatch):
+    x = egpd_simulate(501, EgpdParams(1.2, 4.0, 0.2), RngState(3))
+    levels = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+    sorts = []
+    real_sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda a: sorts.append(1) or real_sort(a))
+    together = empirical_quantile(x, levels)
+    assert len(sorts) == 1
+    assert together == [empirical_quantile(x, p) for p in levels]
+    assert all(type(q) is float for q in together)
+    assert empirical_quantile(x, []) == []
+    with pytest.raises(ValueError):
+        empirical_quantile(x, [0.5, 1.0])
+
+
 def test_quantile_accepts_raw_vectors_with_signs():
     # Quartiles of signed metric values reuse the same rank formula.
     d = np.array([-1.0, -0.5, 0.5, 1.0])

@@ -1,6 +1,5 @@
 """Quantile log-ratio metric, U/O/N classification, and summaries."""
 
-import json
 import math
 import random
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainfit.evaluation import (
-    FitResult,
     PAPER_QUANTILES,
     QuantileSet,
     _cell_from_d,
@@ -128,47 +126,6 @@ def test_summary_cells_equal_the_numpy_reference_to_the_bit(values):
     ]
 
 
-# --- FitResult -------------------------------------------------------------------
-
-
-def make_result(site, method, quantiles, **kw):
-    defaults = dict(
-        converged=True,
-        fit_seconds=0.01,
-        params={"kappa": 1.0},
-        n_wet=500,
-    )
-    defaults.update(kw)
-    return FitResult(
-        site_id=site, method=method, estimated_quantiles=quantiles, **defaults
-    )
-
-
-def test_fit_result_requires_increasing_quantiles():
-    with pytest.raises(ValueError):
-        make_result("s1", "naveau-mle", {0.25: 2.0, 0.5: 1.5})
-    # Non-converged results may carry junk quantiles.
-    make_result("s1", "naveau-mle", {0.25: 2.0, 0.5: 1.5}, converged=False)
-
-
-def test_fit_result_record_roundtrip():
-    r = make_result(
-        "site-001",
-        "naveau-pwm",
-        {0.01: 0.5, 0.5: 4.0, 0.99: 40.0},
-        empirical_quantiles={0.01: 0.4, 0.5: 4.2, 0.99: 39.0},
-        diagnostics={"converged": True, "n_iter": 100},
-    )
-    record = r.to_record()
-    encoded = json.dumps(record)
-    back = FitResult.from_record(json.loads(encoded))
-    assert back.site_id == r.site_id
-    assert back.method == "naveau-pwm"
-    assert back.estimated_quantiles == r.estimated_quantiles
-    assert back.empirical_quantiles == r.empirical_quantiles
-    assert back.converged is True
-
-
 # --- QuantileSet ------------------------------------------------------------------
 
 
@@ -189,31 +146,35 @@ def test_quantile_set_default_and_validation():
 # --- summarize --------------------------------------------------------------------
 
 
-def grid_results(n_sites, methods, model_factor=1.0):
-    """One converged result per (site, method); model = factor * empirical."""
-    qset = QuantileSet()
-    emp = {}
-    results = []
+def make_record(site, method, quantiles, empirical, **kw):
+    """A record as `fits.jsonl` stores it: level maps keyed by repr(p)."""
+    return {
+        "site_id": site,
+        "method": method,
+        "estimated_quantiles": {repr(p): q for p, q in quantiles.items()},
+        "empirical_quantiles": {repr(p): q for p, q in empirical.items()},
+        "converged": True,
+        "error": None,
+        "fit_seconds": 0.01,
+        "params": {"kappa": 1.0},
+        "n_wet": 500,
+        **kw,
+    }
+
+
+def grid_records(n_sites, methods, model_factor=1.0):
+    """One converged record per (site, method); model = factor * empirical."""
+    records = []
     for i in range(n_sites):
         site = f"site-{i:03d}"
-        emp[site] = {p: 1.0 + 10.0 * p + i for p in qset.probabilities}
+        emp = {p: 1.0 + 10.0 * p + i for p in PAPER_QUANTILES}
         for m in methods:
-            results.append(
-                make_result(
-                    site,
-                    m,
-                    {
-                        p: model_factor * emp[site][p]
-                        for p in qset.probabilities
-                    },
-                )
-            )
-    return results, emp
+            records.append(make_record(site, m, {p: model_factor * q for p, q in emp.items()}, emp))
+    return records
 
 
 def test_summarize_identity_is_zero_and_nominal():
-    results, emp = grid_results(1, ["naveau-mle"])
-    summary = summarize(results, emp)
+    summary = summarize(grid_records(1, ["naveau-mle"]))
     for p in PAPER_QUANTILES:
         cell = summary.cells[("naveau-mle", p)]
         assert cell.median == 0.0
@@ -224,9 +185,8 @@ def test_summarize_identity_is_zero_and_nominal():
 
 def test_summarize_shifted_method_is_overestimating():
     factor = math.exp(0.1)
-    results_a, emp = grid_results(6, ["naveau-mle"])
-    results_b, _ = grid_results(6, ["naveau-pwm"], model_factor=factor)
-    summary = summarize(results_a + results_b, emp)
+    records = grid_records(6, ["naveau-mle"]) + grid_records(6, ["naveau-pwm"], model_factor=factor)
+    summary = summarize(records)
     for p in PAPER_QUANTILES:
         cell = summary.cells[("naveau-pwm", p)]
         assert cell.median == pytest.approx(0.1, abs=1e-12)
@@ -235,29 +195,56 @@ def test_summarize_shifted_method_is_overestimating():
 
 
 def test_summarize_order_independent():
-    results, emp = grid_results(8, ["naveau-mle", "gamma-mixture-2"], 1.1)
-    shuffled = results[:]
+    records = grid_records(8, ["naveau-mle", "gamma-mixture-2"], 1.1)
+    shuffled = records[:]
     random.Random(3).shuffle(shuffled)
-    a = summarize(results, emp)
-    b = summarize(shuffled, emp)
+    a = summarize(records)
+    b = summarize(shuffled)
     assert a.methods == b.methods
     assert a.cells == b.cells
     assert a.failures == b.failures
 
 
+def test_summarize_scores_each_fit_against_its_own_empirical_quantiles():
+    # Two methods at one site disagree on the empirical quantiles: each is
+    # scored against its own record's, whatever the order of the records.
+    a = make_record("s0", "naveau-mle", {0.5: 2.0}, {0.5: 2.0})
+    b = make_record("s0", "naveau-pwm", {0.5: 2.0}, {0.5: 4.0})
+    for records in ([a, b], [b, a]):
+        summary = summarize(records)
+        assert summary.cells[("naveau-mle", 0.5)].median == 0.0
+        assert summary.cells[("naveau-pwm", 0.5)].median == math.log(0.5)
+
+
+def test_summarize_excludes_a_converged_fit_without_empirical_quantiles():
+    # It is dropped at every level, not scored against another method's.
+    records = [
+        make_record("s0", "naveau-mle", {0.5: 2.0}, {0.5: 2.0}),
+        make_record("s0", "naveau-pwm", {0.5: 2.0}, {}, empirical_quantiles=None),
+    ]
+    summary = summarize(records)
+    assert ("naveau-pwm", 0.5) not in summary.cells
+    assert summary.excluded == {("naveau-pwm", 0.5): 1}
+    assert summary.failures == {"naveau-mle": 0, "naveau-pwm": 0}
+
+
+def test_summarize_defaults_to_the_recorded_levels_and_names_a_missing_one():
+    records = grid_records(2, ["naveau-mle"])
+    assert summarize(records).probabilities == PAPER_QUANTILES
+    assert summarize(records, QuantileSet((0.5,))).probabilities == (0.5,)
+    with pytest.raises(ValueError, match=r"quantile levels 0\.33 are not recorded \(recorded: 0\.01, "):
+        summarize(records, QuantileSet((0.33, 0.5)))
+    with pytest.raises(ValueError, match="records carry no quantile levels"):
+        summarize([{**records[0], "empirical_quantiles": None}])
+
+
 def test_summarize_counts_failures_and_exclusions():
-    results, emp = grid_results(5, ["naveau-mle"])
+    records = grid_records(5, ["naveau-mle"])
     # One non-converged fit is excluded from the distribution.
-    results[0] = make_result(
-        "site-000",
-        "naveau-mle",
-        {p: 1.0 for p in PAPER_QUANTILES},
-        converged=False,
-    )
+    records[0]["converged"] = False
     # One site's empirical 0.01-quantile is non-positive: dropped at that p.
-    emp["site-001"] = dict(emp["site-001"])
-    emp["site-001"][0.01] = 0.0
-    summary = summarize(results, emp)
+    records[1]["empirical_quantiles"]["0.01"] = 0.0
+    summary = summarize(records)
     assert summary.failures["naveau-mle"] == 1
     assert summary.excluded[("naveau-mle", 0.01)] == 1
     assert summary.cells[("naveau-mle", 0.01)].n_sites == 3
@@ -274,15 +261,10 @@ NON_FINITE_AT = [(math.nan, 0.5), (math.inf, 0.99), (-math.inf, 0.01)]
 @pytest.mark.parametrize("side", ["model", "empirical"])
 @pytest.mark.parametrize("value, p", NON_FINITE_AT)
 def test_summarize_excludes_a_non_finite_quantile_and_names_its_site(n_sites, side, value, p):
-    results, emp = grid_results(n_sites, ["naveau-mle"])
-    if side == "model":
-        quantiles = dict(results[0].estimated_quantiles)
-        quantiles[p] = value
-        results[0] = make_result("site-000", "naveau-mle", quantiles)
-    else:
-        emp["site-000"] = dict(emp["site-000"])
-        emp["site-000"][p] = value
-    summary = summarize(results, emp)
+    records = grid_records(n_sites, ["naveau-mle"])
+    key = "estimated_quantiles" if side == "model" else "empirical_quantiles"
+    records[0][key][repr(p)] = value
+    summary = summarize(records)
     assert summary.excluded == {("naveau-mle", p): 1}
     assert [w for w in summary.warnings if "site-000" in w] == [
         f"naveau-mle at p={p:g}: 1 site(s) excluded"
@@ -297,28 +279,26 @@ def test_summarize_excludes_a_non_finite_quantile_and_names_its_site(n_sites, si
 
 
 def test_summarize_names_at_most_five_excluded_sites():
-    results, emp = grid_results(7, ["naveau-mle"])
-    for site in emp:
-        emp[site] = dict(emp[site])
-        emp[site][0.5] = 0.0
-    (warning,) = summarize(results, emp).warnings
+    records = grid_records(7, ["naveau-mle"])
+    for record in records:
+        record["empirical_quantiles"]["0.5"] = 0.0
+    (warning,) = summarize(records).warnings
     assert warning.endswith(": site-000, site-001, site-002, site-003, site-004 and 2 more")
 
 
 def test_summarize_empty_is_an_error():
     with pytest.raises(ValueError):
-        summarize([], {})
+        summarize([])
 
 
 def test_summarize_canonical_method_order():
-    results, emp = grid_results(4, ["gamma-mixture-4", "naveau-mle", "zzz-custom"])
-    summary = summarize(results, emp, order=tuple(METHODS))
+    records = grid_records(4, ["gamma-mixture-4", "naveau-mle", "zzz-custom"])
+    summary = summarize(records, order=tuple(METHODS))
     assert summary.methods == ("naveau-mle", "gamma-mixture-4", "zzz-custom")
 
 
 def test_summary_cell_quartiles_are_ordered():
-    results, emp = grid_results(9, ["naveau-mle"], model_factor=1.05)
-    cell = summarize(results, emp).cells[("naveau-mle", 0.5)]
+    cell = summarize(grid_records(9, ["naveau-mle"], model_factor=1.05)).cells[("naveau-mle", 0.5)]
     assert cell.lo <= cell.whisker_lo <= cell.q1 <= cell.median
     assert cell.median <= cell.q3 <= cell.whisker_hi <= cell.hi
 

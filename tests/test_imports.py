@@ -41,7 +41,6 @@ from fresh_python import (
     site_file_manifest,
 )
 from rainfit.corpus import save_site, simulate_site, write_manifest
-from rainfit.evaluation import FitResult
 from rainfit.pipeline import METHODS, write_records
 
 
@@ -53,15 +52,15 @@ def write_small_records(path: Path, methods=("naveau-mle",)) -> None:
     """Four converged sites per method at three levels."""
     levels = (0.25, 0.5, 0.75)
     write_records(path, [
-        FitResult(
-            site_id=f"s{i}",
-            method=method,
-            estimated_quantiles={p: (1.0 + 0.1 * i) * (1.0 + p) for p in levels},
-            converged=True,
-            fit_seconds=0.0,
-            params={},
-            empirical_quantiles={p: 1.0 + p for p in levels},
-        )
+        {
+            "site_id": f"s{i}",
+            "method": method,
+            "estimated_quantiles": {repr(p): (1.0 + 0.1 * i) * (1.0 + p) for p in levels},
+            "converged": True,
+            "fit_seconds": 0.0,
+            "params": {},
+            "empirical_quantiles": {repr(p): 1.0 + p for p in levels},
+        }
         for i in range(4)
         for method in methods
     ])
@@ -166,7 +165,7 @@ def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_pat
         "def run_fits(*args):\n"
         "    results = _run_fits(*args)\n"
         + RECORD_FIT_MODULES
-        + "    seen.append(sorted({r.method for r in results if r.converged}))\n"
+        + "    seen.append(sorted({r['method'] for r in results if r['converged']}))\n"
         "    return results\n"
         "rainfit.pipeline.run_fits = run_fits\n"
     )

@@ -1,13 +1,24 @@
 """The method table: RNG streams follow it, the profiling script repeats the
-benchmark, and the benchmark's tracer finds every name it patches."""
+benchmark, and the benchmark's tracer finds every name it patches.  A fit
+is its record: what `run_single_fit` returns is what `fits.jsonl` holds."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
+import numpy as np
+
+from rainfit import pipeline
 from rainfit.cli import main
 from rainfit.corpus import GeneratorSpec, build_preset, simulate_site, write_manifest
-from rainfit.pipeline import METHODS, RunConfig, run_fits
+from rainfit.numerics import RngState
+from rainfit.pipeline import METHODS, RunConfig, load_records, run_fits, run_single_fit, write_records
+
+EGPD_SITE = GeneratorSpec(
+    site_id="s0", family="egpd", n=400, seed=7,
+    params={"kappa": 1.3, "sigma": 4.0, "xi": 0.15},
+)
 
 REPO = Path(__file__).resolve().parents[1]
 FIT_PROFILE = REPO / "scripts" / "fit_profile.py"
@@ -24,10 +35,9 @@ def load_script(name: str, path: Path):
 def fit_records(sites, methods) -> dict:
     config = RunConfig(methods=methods, egpd_restarts=1, mixture_restarts=1)
     records = {}
-    for result in run_fits(sites, config):
-        record = result.to_record()
+    for record in run_fits(sites, config):
         del record["fit_seconds"]
-        records[result.method] = record
+        records[record["method"]] = record
     return records
 
 
@@ -71,13 +81,10 @@ def test_fit_profile_repeats_the_benchmark_fits(tmp_path, capsys):
 def test_censored_mle_below_every_value_is_the_uncensored_record():
     # With no jittered starts the two methods' RNG streams go unused, and a
     # threshold below min(data) censors nothing.
-    site = simulate_site(GeneratorSpec(
-        site_id="s0", family="egpd", n=400, seed=7,
-        params={"kappa": 1.3, "sigma": 4.0, "xi": 0.15},
-    ))
+    site = simulate_site(EGPD_SITE)
     config = RunConfig(methods=("naveau-mle", "naveau-mle-c"), egpd_restarts=0,
                        threshold_mm=0.5 * float(site.values.min()))
-    plain, censored = (r.to_record() for r in run_fits([site], config))
+    plain, censored = run_fits([site], config)
     for record in (plain, censored):
         del record["method"], record["fit_seconds"]
     assert plain["error"] is None and censored == plain
@@ -97,3 +104,29 @@ def test_benchmark_tracer_patches_names_that_exist():
         patched = sum(vars(m)[k] is not v for m, old in zip(modules, before) for k, v in old.items())
         assert patched > 0
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_records_come_back_from_the_records_file_as_written(tmp_path):
+    # NaN and Infinity quantiles included, as a non-converged fit may carry.
+    config = RunConfig(methods=("naveau-mle", "gamma-mixture-2"), egpd_restarts=0, mixture_restarts=0)
+    records = run_fits([simulate_site(EGPD_SITE)], config)
+    records.append({**records[0], "site_id": "s1", "converged": False,
+                    "estimated_quantiles": {"0.25": math.nan, "0.5": math.inf, "0.75": -math.inf}})
+    write_records(tmp_path / "fits.jsonl", records)
+    back = load_records(tmp_path / "fits.jsonl")
+    # json writes NaN and reads it back as another NaN, so compare texts.
+    assert [json.dumps(r, sort_keys=True) for r in back] == [json.dumps(r, sort_keys=True) for r in records]
+    assert math.isnan(back[-1]["estimated_quantiles"]["0.25"])
+    assert back[-1]["estimated_quantiles"]["0.5"] == math.inf
+
+
+def test_a_converged_fit_with_non_increasing_quantiles_is_an_error_record(monkeypatch):
+    def reversed_quantiles(p, params):
+        return np.asarray(p, dtype=float)[::-1]
+
+    monkeypatch.setattr(pipeline, "egpd_quantile", reversed_quantiles)
+    config = RunConfig(methods=("naveau-mle",), egpd_restarts=0)
+    record = run_single_fit(simulate_site(EGPD_SITE), "naveau-mle", config, RngState(1))
+    assert record["error"] == "ValueError: converged fit has non-increasing quantiles"
+    assert (record["converged"], record["estimated_quantiles"], record["params"]) == (False, {}, {})
+    assert list(record["empirical_quantiles"]) == [repr(p) for p in config.quantiles.probabilities]
