@@ -68,8 +68,6 @@ class SiteSeries:
 
     site_id: str
     values: np.ndarray
-    source: str = "ingested"
-    truth: dict | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -79,55 +77,72 @@ class SiteSeries:
             raise CorpusError(f"site {self.site_id}: values must be finite and > 0")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        if self.source not in ("ingested", "synthetic"):
-            raise CorpusError("source must be 'ingested' or 'synthetic'")
 
     @property
     def n_wet(self) -> int:
         return int(self.values.size)
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedRowError:
+    """The error for exc, met reading path, at the line of path's first bad byte.
+
+    A text file's decoder reads ahead of its lines, so the line is found
+    by decoding the whole file again.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        exc = first
+    line_no = data.count(b"\n", 0, exc.start) + 1
+    return MalformedRowError(path, line_no, f"not UTF-8 text ({exc.reason})")
+
+
 def load_site(path) -> SiteSeries:
     """Read one site CSV; drop missing and zero rows; error on malformed rows.
 
-    Raises MalformedRowError with the offending line number, or
-    EmptySeriesError when no positive values remain.
+    Raises MalformedRowError with the offending line number (a byte that
+    is not UTF-8 included), or EmptySeriesError when no positive values
+    remain.
     """
     path = Path(path)
     values: list[float] = []
     # Bound once, outside the per-row loop: this pays for the date-form check.
     append, isfinite, fromisoformat = values.append, math.isfinite, date.fromisoformat
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if line_no == 1:
-                if line != CSV_HEADER:
-                    raise MalformedRowError(path, 1, f"header must be '{CSV_HEADER}'")
-                continue
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise MalformedRowError(path, line_no, "expected 2 fields")
-            day_text, value_text = parts
-            # YYYY-MM-DD only: from Python 3.11 on, fromisoformat also reads
-            # 20000101 and ISO week dates (2000-W01-1), which 3.10 rejects.
-            try:
-                if len(day_text) != 10 or day_text[4] != "-" or day_text[7] != "-":
-                    raise ValueError(day_text)
-                fromisoformat(day_text)
-            except ValueError:
-                raise MalformedRowError(path, line_no, f"bad date {day_text!r}") from None
-            if value_text == "":
-                continue
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise MalformedRowError(path, line_no, f"bad value {value_text!r}") from None
-            if not isfinite(value) or value < 0.0:
-                raise MalformedRowError(path, line_no, f"rainfall must be finite and >= 0, got {value!r}")
-            if value > 0.0:
-                append(value)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if line_no == 1:
+                    if line != CSV_HEADER:
+                        raise MalformedRowError(path, 1, f"header must be '{CSV_HEADER}'")
+                    continue
+                if not line.strip():
+                    continue
+                parts = line.split(",")
+                if len(parts) != 2:
+                    raise MalformedRowError(path, line_no, "expected 2 fields")
+                day_text, value_text = parts
+                # YYYY-MM-DD only: from Python 3.11 on, fromisoformat also reads
+                # 20000101 and ISO week dates (2000-W01-1), which 3.10 rejects.
+                try:
+                    if len(day_text) != 10 or day_text[4] != "-" or day_text[7] != "-":
+                        raise ValueError(day_text)
+                    fromisoformat(day_text)
+                except ValueError:
+                    raise MalformedRowError(path, line_no, f"bad date {day_text!r}") from None
+                if value_text == "":
+                    continue
+                try:
+                    value = float(value_text)
+                except ValueError:
+                    raise MalformedRowError(path, line_no, f"bad value {value_text!r}") from None
+                if not isfinite(value) or value < 0.0:
+                    raise MalformedRowError(path, line_no, f"rainfall must be finite and >= 0, got {value!r}")
+                if value > 0.0:
+                    append(value)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if not values:
         raise EmptySeriesError(f"{path}: no wet days")
     return SiteSeries(site_id=path.stem, values=np.array(values))
@@ -212,12 +227,7 @@ def simulate_site(spec: GeneratorSpec) -> SiteSeries:
         inc = spec.discretize_mm
         values = np.round(values / inc) * inc
         values = values[values > 0.0]
-    return SiteSeries(
-        site_id=spec.site_id,
-        values=values,
-        source="synthetic",
-        truth=spec.to_dict(),
-    )
+    return SiteSeries(site_id=spec.site_id, values=values)
 
 
 def simulate_corpus(specs) -> list[SiteSeries]:
@@ -331,11 +341,14 @@ def load_manifest(path) -> Manifest:
     """Parse a corpus manifest; site paths resolve relative to the manifest.
 
     A manifest of the wrong shape is a CorpusError that names the file and,
-    for a generator, the entry's index.
+    for a generator, the entry's index; a byte that is not UTF-8, the file
+    and its line.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict) or type(raw.get("seed")) is not int:

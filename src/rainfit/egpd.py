@@ -33,12 +33,13 @@ from .numerics import (
     EULER_GAMMA,
     MAX_ITER,
     SPECIAL_UFUNCS,
-    FitDiagnostics,
+    LocalResult,
     RngState,
     jittered_starts,
     lbfgsb,
     multistart,
     nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
+    positive_sample,
     scipy_functions,
     solve_least_squares,
 )
@@ -336,17 +337,25 @@ def _boundary_hit(params: EgpdParams) -> bool:
     return params.xi <= XI_MIN + edge or params.xi >= XI_MAX - edge
 
 
+def _moment_fit_diagnostics(best: LocalResult, diag: dict, params: EgpdParams) -> dict:
+    """`multistart`'s diagnostics of a PWM fit, completed; `fit_pwm` adds `small_sample`."""
+    residual = math.sqrt(best.value)
+    diag.update(
+        converged=best.converged and residual <= 1e-6,
+        objective=best.value,
+        boundary_hit=_boundary_hit(params),
+        residual=residual,
+    )
+    return diag
+
+
 def _exceedances(data, threshold: float | None) -> tuple[int, np.ndarray]:
     """The data's size and its values at or above threshold (all of them for None).
 
     The data must be at least 30 finite values > 0, and a threshold finite,
     > 0 and at or below at least 30 of them.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("data must be a nonempty vector")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("data values must be finite and > 0")
+    x = positive_sample(data)
     if x.size < 30:
         raise ValueError("need at least 30 observations")
     if threshold is None:
@@ -465,7 +474,7 @@ def fit_mle(
     *,
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
-) -> tuple[EgpdParams, FitDiagnostics]:
+) -> tuple[EgpdParams, dict]:
     """Maximum likelihood fit, kappa profiled out, by multistart L-BFGS-B.
 
     kappa has a closed-form maximizer for each (sigma, xi), so L-BFGS-B
@@ -510,15 +519,15 @@ def fit_mle(
     lower = np.array([-_LOG_CLAMP, 0.0])
     upper = np.array([_LOG_CLAMP, 1.0])
     init = np.array([0.0, math.log(float(np.mean(exceed))), _xi_to_s(0.1)])
-    run = multistart(
+    best, diag = multistart(
         lambda x0: lbfgsb(value_and_gradient, x0, lower, upper, max_iter=MAX_ITER),
         [start(t) for t in jittered_starts(init, restarts + 1, rng)],
     )
-    _, _, kappa, xi = evaluate(run.best.x)
-    params = EgpdParams(kappa, math.exp(float(run.best.x[0])), xi)
-    diag = run.diagnostics(
-        converged=run.best.converged,
-        objective=-run.best.value * n_total,
+    _, _, kappa, xi = evaluate(best.x)
+    params = EgpdParams(kappa, math.exp(float(best.x[0])), xi)
+    diag.update(
+        converged=best.converged,
+        objective=-best.value * n_total,
         boundary_hit=_boundary_hit(params),
         small_sample=n_total < _SMALL_SAMPLE_N,
     )
@@ -532,7 +541,7 @@ def fit_pwm_from_moments(
     *,
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
-) -> tuple[EgpdParams, FitDiagnostics]:
+) -> tuple[EgpdParams, dict]:
     """Solve the two-ratio PWM system for (kappa, xi), then back out sigma.
 
     Solves s_1/s_0 = nu1/nu0 and s_2/s_0 = nu2/nu0 (see `_pwm_shapes`) by
@@ -571,20 +580,13 @@ def fit_pwm_from_moments(
         jac[:, [abs(z[0]) > _LOG_CLAMP, not XI_MIN <= z[1] <= XI_MAX]] = 0.0
         return jac
 
-    run = multistart(
+    best, diag = multistart(
         lambda z0: solve_least_squares(residuals, z0, jacobian=jacobian, max_eval=MAX_ITER),
         jittered_starts(np.array([0.0, 0.1]), restarts + 1, rng),
     )
-    kappa, xi = _clamped(*run.best.x)
+    kappa, xi = _clamped(*best.x)
     params = EgpdParams(kappa, nu0 / float(shapes(kappa, xi)[0][0]), xi)
-    residual = math.sqrt(run.best.value)
-    diag = run.diagnostics(
-        converged=run.best.converged and residual <= 1e-6,
-        objective=run.best.value,
-        boundary_hit=_boundary_hit(params),
-        residual=residual,
-    )
-    return params, diag
+    return params, _moment_fit_diagnostics(best, diag, params)
 
 
 # Tanh-sinh rule on (0, 1): t = (1 + tanh z)/2 with z = (pi/2) sinh s, at
@@ -640,7 +642,7 @@ def fit_pwm_censored_from_moments(
     mean_start: float,
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
-) -> tuple[EgpdParams, FitDiagnostics]:
+) -> tuple[EgpdParams, dict]:
     """Solve conditional_pwms(params, threshold) = (nu0, nu1, nu2).
 
     Levenberg-Marquardt on the three relative residuals over
@@ -676,19 +678,12 @@ def fit_pwm_censored_from_moments(
 
     init = np.array([0.0, math.log(mean_start), _xi_to_s(0.1)])
     starts = jittered_starts(init, restarts + 1, rng)
-    run = multistart(
+    best, diag = multistart(
         lambda t0: solve_least_squares(residuals, t0, max_eval=MAX_ITER),
         [np.array([t[0], t[1], _s_to_xi(float(t[2]))]) for t in starts],
     )
-    params = unpack(run.best.x)
-    residual = math.sqrt(run.best.value)
-    diag = run.diagnostics(
-        converged=run.best.converged and residual <= 1e-6,
-        objective=run.best.value,
-        boundary_hit=_boundary_hit(params),
-        residual=residual,
-    )
-    return params, diag
+    params = unpack(best.x)
+    return params, _moment_fit_diagnostics(best, diag, params)
 
 
 def fit_pwm(
@@ -697,7 +692,7 @@ def fit_pwm(
     *,
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
-) -> tuple[EgpdParams, FitDiagnostics]:
+) -> tuple[EgpdParams, dict]:
     """PWM fit: empirical nu_0, nu_1, nu_2 matched to their closed forms.
 
     With a left-censoring threshold, the empirical PWMs of {y : y >=
@@ -713,5 +708,5 @@ def fit_pwm(
         params, diag = fit_pwm_censored_from_moments(
             *nu, threshold, mean_start=float(np.mean(exceed)), restarts=restarts, rng=rng
         )
-    diag.small_sample = n_total < _SMALL_SAMPLE_N
+    diag["small_sample"] = n_total < _SMALL_SAMPLE_N
     return params, diag

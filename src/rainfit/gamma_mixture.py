@@ -21,13 +21,13 @@ import numpy as np
 from .empirical import empirical_quantile
 from .numerics import (
     SPECIAL_UFUNCS,
-    FitDiagnostics,
     RngState,
     MAX_ITER,
     jittered_starts,
     lbfgsb,
     multistart,
     nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
+    positive_sample,
     scipy_functions,
 )
 
@@ -203,17 +203,6 @@ def mixture_cdf(y, params: GammaMixtureParams):
     return float(out[0]) if scalar else out
 
 
-def _quantile_bracket(params: GammaMixtureParams, p_max: float) -> float:
-    a = np.array(params.shapes)
-    b = np.array(params.scales)
-    hi = float(np.max(a * b) + 10.0 * np.max(b * np.sqrt(a)))
-    for _ in range(200):
-        if mixture_cdf(hi, params) > p_max:
-            return hi
-        hi *= 2.0
-    raise RuntimeError("failed to bracket the mixture quantile")
-
-
 def mixture_quantile(p, params: GammaMixtureParams):
     """Inverse mixture CDF at a scalar or an array of levels inside (0, 1).
 
@@ -227,8 +216,19 @@ def mixture_quantile(p, params: GammaMixtureParams):
     u = np.atleast_1d(arr)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
-    hi_edge = _quantile_bracket(params, float(np.max(u)))
     cdf = _cdf_of(params)
+    a = np.array(params.shapes)
+    b = np.array(params.scales)
+    hi_edge = float(np.max(a * b) + 10.0 * np.max(b * np.sqrt(a)))
+    p_max = float(np.max(u))
+    for _ in range(200):
+        if not math.isfinite(hi_edge):
+            raise ValueError("the mixture's quantiles overflow a float")
+        if cdf(np.array([hi_edge]))[0] > p_max:
+            break
+        hi_edge *= 2.0
+    else:
+        raise RuntimeError("failed to bracket the mixture quantile")
     lo = np.zeros_like(u)
     hi = np.full_like(u, hi_edge)
     for _ in range(64):
@@ -390,7 +390,7 @@ def fit_map(
     *,
     restarts: int = 7,
     rng: RngState = _DEFAULT_RNG,
-) -> tuple[GammaMixtureParams, FitDiagnostics]:
+) -> tuple[GammaMixtureParams, dict]:
     """MAP fit of a K-component gamma mixture by multistart L-BFGS-B.
 
     Starts from a quantile-sliced moment-matched point plus `restarts`
@@ -403,11 +403,7 @@ def fit_map(
     no meaning during optimization.  K larger than n/10 is rejected as
     unidentifiable at that sample size.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("data must be a nonempty vector")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("data values must be finite and > 0")
+    x = positive_sample(data)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > x.size / 10:
@@ -417,17 +413,16 @@ def fit_map(
 
     value_and_gradient = _map_value_and_gradient(x, k)
     lower, upper = _map_bounds(k)
-    run = multistart(
+    best, diag = multistart(
         lambda z0: lbfgsb(value_and_gradient, z0, lower, upper, max_iter=MAX_ITER),
         jittered_starts(_sliced_init(x, k), restarts + 1, rng),
     )
-    best = run.best
     if not math.isfinite(best.value):
         raise ValueError("the log posterior is not finite at any start")
 
     params = _canonical_order(_params_from_z(best.x, k))
     log_ab = np.log(np.array(params.shapes + params.scales))
-    diag = run.diagnostics(
+    diag.update(
         converged=best.converged,
         objective=-best.value * n,
         boundary_hit=bool(np.any(np.abs(log_ab) >= _LOG_CLAMP - 1e-9)),

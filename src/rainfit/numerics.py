@@ -7,7 +7,10 @@ on top stay reproducible to the bit across runs, platforms, and worker
 counts.
 
 `multistart` runs one local solve from each start and keeps the best; both
-model families call it.  The local solves are `lbfgsb` (L-BFGS-B on an
+model families call it.  Beside the best solve it returns the start of the
+fit's diagnostics, a dict of plain Python numbers that each fit completes
+and `fits.jsonl` stores as the record's `diagnostics` (the README's
+`fits.jsonl` paragraph lists its keys).  The local solves are `lbfgsb` (L-BFGS-B on an
 analytic gradient: the gamma-mixture MAP and the two EGPD likelihood fits)
 and `solve_least_squares` (Levenberg-Marquardt: the two EGPD moment
 systems).  Both drive scipy's compiled kernels, `setulb` and MINPACK's
@@ -55,16 +58,15 @@ import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
-    "FitDiagnostics",
     "LocalResult",
     "MAX_ITER",
-    "Multistart",
     "RngState",
     "SPECIAL_UFUNCS",
     "jittered_starts",
     "lbfgsb",
     "multistart",
     "nelder_mead",
+    "positive_sample",
     "preload_scipy",
     "scipy_functions",
     "solve_least_squares",
@@ -209,6 +211,16 @@ def preload_scipy(*, lmder: bool) -> None:
         scipy_functions(module, *names)
     if lmder:
         import scipy._lib._ccallback  # noqa: F401
+
+
+def positive_sample(data) -> np.ndarray:
+    """data as a 1-D float array; a ValueError unless it is nonempty, finite and > 0."""
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("data must be a nonempty vector")
+    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+        raise ValueError("data values must be finite and > 0")
+    return x
 
 
 @dataclass
@@ -475,36 +487,17 @@ def solve_least_squares(
     )
 
 
-@dataclass
-class Multistart:
-    """Best of several local solves.
-
-    `index` is the start that reached `best` (the first, on ties), `n_eval`
-    the evaluations summed over all starts, and `at_best` the number of
-    starts whose final value is within 1e-6 relative (1e-12 absolute) of
-    the best.
-    """
-
-    best: LocalResult
-    index: int
-    n_eval: int
-    at_best: int
-
-    def diagnostics(self, **fields) -> FitDiagnostics:
-        """FitDiagnostics of the best start; `fields` gives the rest."""
-        return FitDiagnostics(
-            restart_index=self.index,
-            n_iter=self.best.n_iter,
-            n_eval=self.n_eval,
-            restarts_at_best=self.at_best,
-            **fields,
-        )
-
-
 def multistart(
     solve: Callable[[np.ndarray], LocalResult], starts: Sequence[np.ndarray]
-) -> Multistart:
-    """Run `solve` from every start and keep the lowest final value."""
+) -> tuple[LocalResult, dict]:
+    """Run `solve` from every start and keep the lowest final value.
+
+    Returns the best start's result (the first, on ties) and the start of
+    its fit's diagnostics: that start's `restart_index` and `n_iter`,
+    `n_eval` summed over all starts, and `restarts_at_best`, the number of
+    starts whose final value is within 1e-6 relative (1e-12 absolute) of
+    the best.  Each fit adds its own keys to that dict.
+    """
     results = [solve(x0) for x0 in starts]
     index = 0
     for i, result in enumerate(results):
@@ -512,12 +505,12 @@ def multistart(
             index = i
     best = results[index]
     tol = _BEST_RTOL * abs(best.value) + _BEST_ATOL
-    return Multistart(
-        best=best,
-        index=index,
-        n_eval=sum(r.n_eval for r in results),
-        at_best=sum(abs(r.value - best.value) <= tol for r in results),
-    )
+    return best, {
+        "restart_index": index,
+        "n_iter": best.n_iter,
+        "n_eval": sum(r.n_eval for r in results),
+        "restarts_at_best": sum(abs(r.value - best.value) <= tol for r in results),
+    }
 
 
 def splitmix64(x: int) -> int:
@@ -608,43 +601,3 @@ def jittered_starts(
         starts.append(init + np.array(offsets))
     return starts
 
-
-@dataclass
-class FitDiagnostics:
-    """Convergence report attached to every fitted distribution.
-
-    `objective` is the criterion value at the optimum (log-likelihood or
-    log-posterior for likelihood fits, squared moment residual for moment
-    fits).  `n_iter` counts the best start's iterations, `n_eval` the
-    objective evaluations summed over all starts, and `restarts_at_best`
-    the starts that ended within 1e-6 relative of the best objective.
-    `boundary_hit` marks solutions pinned to a parameter clamp and
-    `small_sample` marks fits run on fewer observations than the rule of
-    thumb for the parameter count.
-    """
-
-    converged: bool
-    objective: float
-    restart_index: int
-    n_iter: int
-    n_eval: int = 0
-    restarts_at_best: int = 0
-    boundary_hit: bool = False
-    small_sample: bool = False
-    residual: float | None = None
-
-    def to_dict(self) -> dict:
-        # Plain Python types only: these dicts go straight to json.dumps.
-        out = {
-            "converged": bool(self.converged),
-            "objective": float(self.objective),
-            "restart_index": int(self.restart_index),
-            "n_iter": int(self.n_iter),
-            "n_eval": int(self.n_eval),
-            "restarts_at_best": int(self.restarts_at_best),
-            "boundary_hit": bool(self.boundary_hit),
-            "small_sample": bool(self.small_sample),
-        }
-        if self.residual is not None:
-            out["residual"] = float(self.residual)
-        return out

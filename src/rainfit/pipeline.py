@@ -83,7 +83,7 @@ class Method(NamedTuple):
 
     `family` is the fit module (`egpd` or `gamma_mixture`); `lmder` says
     whether it solves by MINPACK's `lmder`.  `run` gets (values, config,
-    rng) and returns (params dict, FitDiagnostics, quantile function of a
+    rng) and returns (params dict, diagnostics dict, quantile function of a
     sequence of levels); it imports its fit function when called.
     """
 
@@ -224,10 +224,10 @@ def run_single_fit(
         params, diag, quantile_fn = runner(series.values, config, rng)
         record.update(
             estimated_quantiles=dict(zip(levels, map(float, quantile_fn(qs)))),
-            converged=bool(diag.converged),
+            converged=diag["converged"],
             fit_seconds=time.perf_counter() - t0,
             params=params,
-            diagnostics=diag.to_dict(),
+            diagnostics=diag,
             error=None,
         )
         _check_record(record)
@@ -369,25 +369,30 @@ def _check_record(record) -> None:
 def load_records(path) -> list[dict]:
     """Read a records file, each line checked by `_check_record`.
 
-    A record of the wrong shape, or a second record of one (site, method),
-    is a ValueError naming path:line.
+    A record of the wrong shape, a second record of one (site, method),
+    or a byte that is not UTF-8 is a ValueError naming path:line.
     """
     records = []
     seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                _check_record(record)
-                key = (record["site_id"], record["method"])
-                if key in seen:
-                    raise ValueError(f"a second record of site {key[0]!r}, method {key[1]!r}")
-                seen.add(key)
-                records.append(record)
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    _check_record(record)
+                    key = (record["site_id"], record["method"])
+                    if key in seen:
+                        raise ValueError(f"a second record of site {key[0]!r}, method {key[1]!r}")
+                    seen.add(key)
+                    records.append(record)
+                except (KeyError, ValueError) as exc:
+                    raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
+    except UnicodeDecodeError as exc:
+        from .corpus import _not_utf8  # numpy loads, but only on the way to this error
+
+        raise _not_utf8(Path(path), exc) from None
     return records
 
 

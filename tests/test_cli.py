@@ -236,15 +236,33 @@ def test_benchmark_records_evaluation_counts(tmp_path):
     assert counts[1] == counts[0]
 
 
+def test_benchmark_of_permuted_site_files_writes_the_same_outputs(tmp_path, capsys):
+    names = [write_site(tmp_path, name, n=300, seed=seed).name for name, seed in (("a", 21), ("b", 22))]
+    mixture = GeneratorSpec(site_id="c", family="gamma-mixture", n=300, seed=23,
+                            params={"weights": [0.6, 0.4], "shapes": [0.8, 3.0], "scales": [2.0, 6.0]})
+    save_site(tmp_path / "c.csv", simulate_site(mixture))
+    names.append("c.csv")
+    outputs = []
+    for run, order in (("first", names), ("permuted", [names[2], names[0], names[1]])):
+        write_manifest(tmp_path / f"{run}.json", seed=1, sites=order)
+        out = tmp_path / run
+        assert main(["benchmark", "--manifest", str(tmp_path / f"{run}.json"), "--out", str(out),
+                     "--methods", "naveau-mle,gamma-mixture-2",
+                     "--egpd-restarts", "0", "--mixture-restarts", "0"]) == 0
+        tables = {name: (out / name).read_bytes() for name in TABLE_FILES + ("medians.txt", "classes.txt")}
+        records = [json.loads(line) for line in (out / "fits.jsonl").read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            del record["fit_seconds"]
+        outputs.append((tables, records))
+    assert len(outputs[0][1]) == 6
+    assert outputs[1] == outputs[0]
+
+
 def test_benchmark_all_fits_failed(tmp_path, capsys):
     # Every value sits below the censoring threshold, so the censored
     # methods cannot fit anything.
     g = RngState(seed=30).generator()
-    series = SiteSeries(
-        site_id="low",
-        values=g.uniform(0.05, 0.5, size=150),
-        source="synthetic",
-    )
+    series = SiteSeries(site_id="low", values=g.uniform(0.05, 0.5, size=150))
     save_site(tmp_path / "low.csv", series)
     write_manifest(tmp_path / "m.json", seed=1, sites=["low.csv"])
     out = tmp_path / "run"
@@ -517,6 +535,33 @@ def test_report_loads_a_record_without_an_optional_key(tmp_path, capsys, key):
     lines = [GOOD_RECORD, without(OTHER_SITE, key)]
     records.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
     assert main(["report", "--records", str(records), "--out", str(tmp_path / "tables")]) == 0
+
+
+def put_a_non_utf8_byte(path: Path, line_no: int) -> None:
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("kind", ["site", "manifest", "records"])
+def test_a_byte_that_is_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys, kind):
+    # The site and records files are longer than the text decoder's 8 KB
+    # chunk, and their bad byte lies past it.
+    site = write_site(tmp_path, n=400)
+    manifest = tmp_path / "m.json"
+    write_manifest(manifest, seed=1, sites=[site.name])
+    records = tmp_path / "fits.jsonl"
+    records.write_text("".join(json.dumps({**GOOD_RECORD, "site_id": f"s{i}"}) + "\n" for i in range(100)),
+                       encoding="utf-8")
+    path, line_no, argv = {
+        "site": (site, 300, ["fit", str(site), "--method", "naveau-mle"]),
+        "manifest": (manifest, 3, ["benchmark", "--manifest", str(manifest), "--out", str(tmp_path / "o")]),
+        "records": (records, 80, ["report", "--records", str(records), "--out", str(tmp_path / "o")]),
+    }[kind]
+    put_a_non_utf8_byte(path, line_no)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line_no}: not UTF-8 text (")
+    assert not (tmp_path / "o").exists()
 
 
 def record_lines() -> list[str]:

@@ -55,8 +55,6 @@ def test_load_drops_zero_and_missing(tmp_path):
     assert site.values.tolist() == [1.2, 3.4]
     assert site.n_wet == 2
     assert site.site_id == "stn"
-    assert site.source == "ingested"
-    assert site.truth is None
 
 
 def test_load_all_zero_is_empty_series(tmp_path):
@@ -110,7 +108,7 @@ def test_load_accepts_crlf_and_bom(tmp_path):
 
 def test_save_load_roundtrip_is_identity(tmp_path):
     values = np.array([0.30000000000000004, 1.2, 250.75, 2.0**-20 + 1.0])
-    series = SiteSeries(site_id="rt", values=values, source="synthetic")
+    series = SiteSeries(site_id="rt", values=values)
     path = tmp_path / "rt.csv"
     save_site(path, series)
     back = load_site(path)
@@ -121,20 +119,16 @@ def test_save_load_roundtrip_is_identity(tmp_path):
 
 def test_site_series_validation():
     with pytest.raises(ValueError):
-        SiteSeries(site_id="x", values=np.array([1.0, 0.0]), source="ingested")
+        SiteSeries(site_id="x", values=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        SiteSeries(site_id="x", values=np.array([np.inf]), source="ingested")
-    with pytest.raises(ValueError):
-        SiteSeries(site_id="x", values=np.array([1.0]), source="elsewhere")
+        SiteSeries(site_id="x", values=np.array([np.inf]))
 
 
 # --- filter_corpus -----------------------------------------------------------------
 
 
 def site_with_n(n, site_id="s"):
-    return SiteSeries(
-        site_id=site_id, values=np.linspace(0.5, 5.0, n), source="ingested"
-    )
+    return SiteSeries(site_id=site_id, values=np.linspace(0.5, 5.0, n))
 
 
 def test_filter_keeps_boundary_site():
@@ -164,8 +158,6 @@ EGPD_SPEC = GeneratorSpec(
 def test_simulate_egpd_ks():
     site = simulate_site(EGPD_SPEC)
     assert site.n_wet == 5000
-    assert site.source == "synthetic"
-    assert site.truth == EGPD_SPEC.to_dict()
     params = EgpdParams(**EGPD_SPEC.params)
     assert oracles.ks_ok(site.values, lambda v: egpd_cdf(v, params))
 
@@ -256,11 +248,11 @@ def test_preset_discretized_twin_shares_draws():
 
 
 def test_paper_like_preset_has_enough_wet_days():
-    sites = simulate_corpus(build_preset("paper-like-50", seed=11))
+    specs = build_preset("paper-like-50", seed=11)
+    sites = simulate_corpus(specs)
     assert len(sites) == 50
     assert all(s.n_wet >= 100 for s in sites)
-    families = {s.truth["family"] for s in sites}
-    assert families == {"egpd", "gamma-mixture"}
+    assert {spec.family for spec in specs} == {"egpd", "gamma-mixture"}
 
 
 # --- manifests -------------------------------------------------------------------------

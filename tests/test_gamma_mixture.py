@@ -15,7 +15,6 @@ from rainfit.gamma_mixture import (
     _map_bounds,
     _map_value_and_gradient,
     _params_from_z,
-    _quantile_bracket,
     _sliced_init,
     fit_map,
     log_posterior,
@@ -156,6 +155,15 @@ MIXTURES_BY_K = (
 TAIL_P = (1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-9)
 
 
+def bracket_top(params, p_max):
+    """The top of `mixture_quantile`'s bracket for levels up to p_max, by its docstring."""
+    a, b = np.array(params.shapes), np.array(params.scales)
+    hi = float(np.max(a * b) + 10.0 * np.max(b * np.sqrt(a)))
+    while mixture_cdf(hi, params) <= p_max:
+        hi *= 2.0
+    return hi
+
+
 @pytest.mark.parametrize("params", MIXTURES_BY_K, ids=["k1", "k2", "k3", "k4"])
 def test_quantile_array_matches_scalar_calls_and_inverts_the_cdf(params):
     ps = np.array(TAIL_P)
@@ -164,10 +172,24 @@ def test_quantile_array_matches_scalar_calls_and_inverts_the_cdf(params):
     # A scalar call sizes the bracket for its own level, so the two agree to
     # the bisection's resolution, hi / 2^64 with hi the widest bracket.
     scalar = np.array([mixture_quantile(float(p), params) for p in ps])
-    resolution = _quantile_bracket(params, ps.max()) * 2.0**-64
+    resolution = bracket_top(params, ps.max()) * 2.0**-64
     assert np.all(np.abs(q - scalar) <= 2.0 * resolution + 4e-16 * q)
     assert np.max(np.abs(mixture_cdf(q, params) - ps)) <= 1e-12
     assert np.max(np.abs(mixture_cdf(scalar, params) - ps)) <= 1e-12
+
+
+@pytest.mark.parametrize("params", MIXTURES_BY_K, ids=["k1", "k2", "k3", "k4"])
+def test_quantile_is_its_docstring_bisection_to_the_bit(params):
+    # mixture_simulate draws through mixture_quantile, so a changed bit here
+    # moves every simulated corpus.
+    ps = np.array(TAIL_P)
+    lo = np.zeros_like(ps)
+    hi = np.full_like(ps, bracket_top(params, ps.max()))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = mixture_cdf(mid, params) < ps
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    assert mixture_quantile(ps, params).tobytes() == (0.5 * (lo + hi)).tobytes()
 
 
 def test_quantile_resolution_near_zero_is_the_bracket_over_2_to_the_64():
@@ -179,7 +201,7 @@ def test_quantile_resolution_near_zero_is_the_bracket_over_2_to_the_64():
     )
     p = 1e-6
     q = mixture_quantile(p, params)
-    step = _quantile_bracket(params, p) * 2.0**-64
+    step = bracket_top(params, p) * 2.0**-64
     assert mixture_cdf(max(q - step, 0.0), params) <= p <= mixture_cdf(q + step, params)
 
 
@@ -432,7 +454,7 @@ def test_map_recovers_single_gamma_quantiles():
     truth = GammaMixtureParams((1.0,), (2.0,), (3.0,))
     data = mixture_simulate(20_000, truth, RngState(seed=10))
     fitted, diag = fit_map(data, 2)
-    assert diag.converged
+    assert diag["converged"]
     for p in SEVEN_P:
         d = math.log(mixture_quantile(p, fitted) / mixture_quantile(p, truth))
         assert abs(d) <= 0.03
@@ -448,10 +470,10 @@ def test_map_converged_reads_the_projected_gradient(monkeypatch):
     monkeypatch.setattr(rainfit.gamma_mixture, "MAX_ITER", 1)
     _, diag = fit_map(x, 3, restarts=0)
     monkeypatch.undo()
-    assert not diag.converged
-    assert diag.n_iter == 1
+    assert not diag["converged"]
+    assert diag["n_iter"] == 1
     fitted, diag = fit_map(x, 3, restarts=1)
-    assert diag.converged
+    assert diag["converged"]
     # Restarted at the fitted mode, L-BFGS-B stops almost at once; whatever
     # status scipy reports, the projected gradient there decides.
     w, a, b = (np.array(t) for t in (fitted.weights, fitted.shapes, fitted.scales))
@@ -459,7 +481,7 @@ def test_map_converged_reads_the_projected_gradient(monkeypatch):
     value_and_gradient = _map_value_and_gradient(x, 3)
     result = lbfgsb(value_and_gradient, mode, *_map_bounds(3), max_iter=5000)
     assert result.converged
-    assert -result.value * x.size >= diag.objective - 1e-9 * abs(diag.objective)
+    assert -result.value * x.size >= diag["objective"] - 1e-9 * abs(diag["objective"])
 
 
 def test_map_never_worse_than_simplex_on_c6():
@@ -467,8 +489,8 @@ def test_map_never_worse_than_simplex_on_c6():
     # reached on this fixture (acceptance criterion C6's K=3 fit).
     x = mixture_simulate(20_000, C6_PARAMS, RngState(seed=7))
     _, diag = fit_map(x, 3, rng=RngState(seed=7).derive(1))
-    assert diag.converged
-    assert diag.objective >= -52587.69289267023
+    assert diag["converged"]
+    assert diag["objective"] >= -52587.69289267023
 
 
 def test_map_rejects_k_too_large_for_sample():
@@ -481,7 +503,7 @@ def test_map_k1_matches_direct_two_parameter_fit():
     truth = GammaMixtureParams((1.0,), (2.0,), (3.0,))
     data = mixture_simulate(5_000, truth, RngState(seed=10))
     fitted, diag = fit_map(data, 1)
-    assert diag.converged
+    assert diag["converged"]
 
     def neg(z):
         try:
@@ -511,7 +533,7 @@ def test_map_k1_matches_direct_two_parameter_fit():
 def test_map_diagnostics_serialize():
     data = mixture_simulate(600, K3_PARAMS, RngState(seed=3))
     fitted, diag = fit_map(data, 2, restarts=2)
-    payload = json.dumps(diag.to_dict())
+    payload = json.dumps(diag)
     assert "converged" in json.loads(payload)
     assert density_integral(fitted) == pytest.approx(1.0, abs=1e-6)
 

@@ -20,8 +20,10 @@ already chose a count.  Each check runs in a fresh interpreter and reads
 `sys.modules`, the loaded modules or `os.environ`; none measures time.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -253,3 +255,10 @@ def test_cli_pins_one_blas_thread_when_unset():
 
 def test_cli_keeps_a_blas_thread_count_the_user_set():
     assert run_with_blas_env("3") == ["3", "3", "3"]
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules([str(SRC / "rainfit")])))
+def test_every_name_in_a_modules_all_resolves(name):
+    # A stale entry would otherwise fail only at `from rainfit.<name> import *`.
+    module = importlib.import_module(f"rainfit.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

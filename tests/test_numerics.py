@@ -1,6 +1,5 @@
 """Solvers, the multistart driver, diagnostics, and the deterministic RNG."""
 
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from rainfit.numerics import (
     EULER_GAMMA,
-    FitDiagnostics,
     RngState,
     LocalResult,
     jittered_starts,
@@ -164,13 +162,9 @@ def test_multistart_keeps_the_first_best_and_counts_starts_at_it():
     def solve(x0):
         return LocalResult(x=x0, value=next(values), converged=True, n_iter=2, n_eval=5)
 
-    run = multistart(solve, [np.array([float(i)]) for i in range(5)])
-    assert run.index == 1
-    assert run.best.x[0] == 1.0
-    assert run.n_eval == 25
-    assert run.at_best == 3
-    diag = run.diagnostics(converged=True, objective=-1.0)
-    assert (diag.restart_index, diag.n_iter, diag.n_eval, diag.restarts_at_best) == (1, 2, 25, 3)
+    best, diag = multistart(solve, [np.array([float(i)]) for i in range(5)])
+    assert best.x[0] == 1.0
+    assert diag == {"restart_index": 1, "n_iter": 2, "n_eval": 25, "restarts_at_best": 3}
 
 
 # --- the Gauss-Legendre panel rule that test_egpd.py uses as an oracle ------
@@ -286,27 +280,6 @@ def test_jittered_starts_are_numpys_uniform_offsets_to_the_bit(size):
     for n_restarts in range(1, 9):
         starts = jittered_starts(init, n_restarts, rng)
         assert [x.tobytes() for x in starts] == [x.tobytes() for x in expected[:n_restarts]]
-
-
-# --- diagnostics -------------------------------------------------------------
-
-
-def test_diagnostics_serialize_to_plain_json():
-    diag = FitDiagnostics(
-        converged=np.bool_(True),
-        objective=np.float64(-12.5),
-        restart_index=np.int64(1),
-        n_iter=200,
-        restarts_at_best=np.int64(2),
-        residual=np.float64(1e-9),
-    )
-    encoded = json.dumps(diag.to_dict())
-    back = json.loads(encoded)
-    assert back["converged"] is True
-    assert back["restarts_at_best"] == 2
-    assert back["objective"] == -12.5
-    assert back["restart_index"] == 1
-    assert back["residual"] == 1e-9
 
 
 def test_euler_gamma_constant():

@@ -8,6 +8,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rainfit import pipeline
 from rainfit.cli import main
@@ -76,6 +77,27 @@ def test_fit_profile_repeats_the_benchmark_fits(tmp_path, capsys):
     profile = json.loads(capsys.readouterr().out)
     assert {f["method"]: (f["n_eval"], f["objective"]) for f in profile["fits"]} == bench
     assert all(f["site"] == spec.site_id and f["seconds"] > 0 for f in profile["fits"])
+
+
+DIAGNOSTICS_KEYS = {"converged", "objective", "restart_index", "n_iter", "n_eval",
+                    "restarts_at_best", "boundary_hit", "small_sample"}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_records_diagnostics_are_plain_json_values(method):
+    # They go to json.dumps as the fits made them, so no numpy scalar may
+    # reach them; the README's `fits.jsonl` paragraph lists these keys.
+    config = RunConfig(methods=(method,), egpd_restarts=1, mixture_restarts=1)
+    (record,) = run_fits([simulate_site(EGPD_SITE)], config)
+    assert record["error"] is None
+    diag = record["diagnostics"]
+    assert set(diag) == DIAGNOSTICS_KEYS | ({"residual"} if "pwm" in method else set())
+    assert {key: type(value) for key, value in diag.items()} == {
+        key: bool if key in ("converged", "boundary_hit", "small_sample")
+        else float if key in ("objective", "residual") else int
+        for key in diag
+    }
+    assert record["converged"] is diag["converged"]
 
 
 def test_censored_mle_below_every_value_is_the_uncensored_record():
