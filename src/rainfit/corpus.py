@@ -183,6 +183,13 @@ class GeneratorSpec:
     discretize_mm: float | None = None
 
     def __post_init__(self) -> None:
+        # `simulate` writes the site to <site_id>.csv inside its output directory.
+        site_id = self.site_id
+        if not isinstance(site_id, str) or site_id in ("", ".", "..") or {"/", "\\"} & set(site_id):
+            raise CorpusError(
+                f"site_id must be a nonempty string with no path separator, not '.' or '..';"
+                f" got {site_id!r}"
+            )
         if self.family not in ("egpd", "gamma-mixture"):
             raise CorpusError(f"unknown family {self.family!r}")
         if self.n < 100:
@@ -342,7 +349,8 @@ def load_manifest(path) -> Manifest:
 
     A manifest of the wrong shape is a CorpusError that names the file and,
     for a generator, the entry's index; a byte that is not UTF-8, the file
-    and its line.
+    and its line.  So is a site id, a CSV's stem or a generator's
+    `site_id`, that two sites share.
     """
     path = Path(path)
     try:
@@ -381,6 +389,11 @@ def load_manifest(path) -> Manifest:
             raise CorpusError(f"{path}: bad generator entry {i}: {exc}") from None
     if not site_paths and not generators:
         raise CorpusError(f"{path}: manifest lists no sites and no generators")
+    seen: set[str] = set()
+    for site_id in [p.stem for p in site_paths] + [g.site_id for g in generators]:
+        if site_id in seen:
+            raise CorpusError(f"{path}: duplicate site id {site_id!r}")
+        seen.add(site_id)
     return Manifest(seed=seed, site_paths=site_paths, generators=tuple(generators))
 
 

@@ -9,16 +9,18 @@ high threshold.
 Two fits are provided, maximum likelihood (`fit_mle`) and probability
 weighted moments (`fit_pwm`).  Given a threshold, each becomes its
 censored variant, which treats values below the threshold as
-interval-censored at zero cost to the tail fit.  The censored PWM fit
-matches conditional PWMs of Y | Y >= threshold, which `conditional_pwms`
-integrates with a fixed tanh-sinh rule that resolves the (1 - u)^(-xi)
-endpoint singularity of the quantile function to near machine precision.
+interval-censored at zero cost to the tail fit.  Both PWM fits match the
+PWMs of Y | Y >= threshold, the plain fit at threshold 0, where they are
+the PWMs of Y.  `conditional_pwms` integrates them with a fixed tanh-sinh
+rule that resolves the (1 - u)^(-xi) endpoint singularity of the quantile
+function to near machine precision.
 
 Every fit runs `numerics.multistart` from a fixed start plus jittered
 copies.  The likelihood fits profile kappa out in closed form and run
 L-BFGS-B over (ln sigma, xi) on the analytic gradient, with xi mapped so
 that no trial point puts an observation outside the support.  The PWM
-fits solve their moment equations by Levenberg-Marquardt.
+fits solve their three moment equations by Levenberg-Marquardt on a
+forward-difference Jacobian.  The module binds no special function.
 """
 
 from __future__ import annotations
@@ -30,17 +32,13 @@ import numpy as np
 
 from .empirical import empirical_pwms
 from .numerics import (
-    EULER_GAMMA,
     MAX_ITER,
-    SPECIAL_UFUNCS,
-    LocalResult,
     RngState,
     jittered_starts,
     lbfgsb,
     multistart,
     nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
     positive_sample,
-    scipy_functions,
     solve_least_squares,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "egpd_simulate",
     "fit_mle",
     "fit_pwm",
-    "fit_pwm_censored_from_moments",
     "fit_pwm_from_moments",
     "gp_cdf",
     "theoretical_pwm",
@@ -219,91 +216,16 @@ def egpd_simulate(n: int, params: EgpdParams, rng: RngState) -> np.ndarray:
 
 
 def theoretical_pwm(j: int, params: EgpdParams) -> float:
-    """Probability weighted moment nu_j = E[Y F(Y)^j] in closed form.
+    """Probability weighted moment nu_j = E[Y F(Y)^j] for j = 0, 1, 2.
 
-    With m = j + 1, nu_j = (sigma/xi) [kappa B(kappa m, 1 - xi) - 1/m]
-    = sigma s_j(kappa, xi), where s_j = expm1(delta)/(m xi) with
-    delta = lgamma(kappa m + 1) + lgamma(1 - xi) - lgamma(kappa m + 1 - xi)
-    (see `_pwm_shapes`).  s_j has no 0/0 at xi = 0, where it takes its limit
-    (psi(kappa m + 1) + euler_gamma)/m.  Requires xi < 1 - 1e-6 for the
-    moment to exist.
+    In closed form nu_j = (sigma/xi) [kappa B(kappa m, 1 - xi) - 1/m] with
+    m = j + 1, and (sigma/m)(psi(kappa m + 1) + euler_gamma) at xi = 0.
+    Y | Y >= 0 is Y itself, so this is `conditional_pwms` at threshold 0,
+    the integral the PWM fits match.
     """
     if j not in (0, 1, 2):
         raise ValueError("moment order j must be 0, 1 or 2")
-    if params.xi >= 1.0 - 1e-6:
-        raise ValueError("PWMs require xi < 1")
-    shapes, _, _ = _pwm_shapes()(params.kappa, params.xi)
-    return params.sigma * float(shapes[j])
-
-
-# --- PWM shapes --------------------------------------------------------------
-
-_PWM_M = np.array([1.0, 2.0, 3.0])  # m = j + 1
-# Below |xi| = 0.05, delta_j is summed as its series in xi,
-#   delta = (psi(a) + euler_gamma) xi + sum_{k>=2} (zeta(k) - zeta(k, a)) xi^k / k,
-# a = kappa m + 1, through k = 12: the first omitted term is below 3e-17 of
-# the sum.  Above it the three lgamma terms cancel to delta with a relative
-# error of about eps lgamma(a) / delta; against 50-digit mpmath the worst
-# error of s_j over xi in [-0.5, 0.95] is 4e-14 at kappa = 6 and 4e-13 at
-# kappa = 30.
-_XI_SERIES = 0.05
-_SERIES_K = np.arange(2.0, 13.0)
-
-
-def _pwm_shapes():
-    """Bind scipy's special functions once; return the PWM shape function.
-
-    They are scipy.special's own ufuncs, bound without that package by
-    `numerics.scipy_functions`.
-
-    shapes(kappa, xi) returns three 3-vectors over j = 0, 1, 2: s_j, with
-    nu_j = sigma s_j, and the derivatives d ln s_j / d ln kappa and
-    d ln s_j / d xi.  s_j = D_j E(xi D_j) / m with D = delta / xi, smooth
-    through xi = 0, and E(x) = expm1(x) / x.  D and its derivatives come
-    from the series above for |xi| < 0.05, from digamma differences
-    otherwise:
-        dD/dxi = (psi(a - xi) - psi(1 - xi) - D) / xi,
-        dD/da  = (psi(a) - psi(a - xi)) / xi = sum_{k>=1} zeta(k + 1, a) xi^(k-1).
-    """
-    digamma, gammaln, riemann_zeta, zeta = scipy_functions(
-        SPECIAL_UFUNCS, "psi", "gammaln", "_riemann_zeta", "_zeta"
-    )
-
-    zeta_k = riemann_zeta(_SERIES_K)[:, None]
-    orders = np.arange(_SERIES_K.size + 1.0)
-    zeta_rows = np.arange(2.0, _SERIES_K.size + 3.0)[:, None]
-
-    def shapes(kappa: float, xi: float):
-        a = kappa * _PWM_M + 1.0
-        if abs(xi) < _XI_SERIES:
-            hurwitz = zeta(zeta_rows, a)  # zeta(k, a) for k = 2..13
-            powers = xi**orders  # xi^0 .. xi^11
-            diff = (zeta_k - hurwitz[:-1]) / _SERIES_K[:, None]
-            d = digamma(a) + EULER_GAMMA + powers[1:] @ diff
-            d_xi = ((_SERIES_K - 1.0) * powers[:-1]) @ diff
-            d_a = powers @ hurwitz
-        else:
-            d = (gammaln(a) + gammaln(1.0 - xi) - gammaln(a - xi)) / xi
-            psi_shift = digamma(a - xi)
-            d_xi = (psi_shift - digamma(1.0 - xi) - d) / xi
-            d_a = (digamma(a) - psi_shift) / xi
-        delta = xi * d
-        if xi == 0.0:
-            rel, lam = np.ones(3), np.full(3, 0.5)
-        else:
-            rel = np.expm1(delta) / delta
-            # lam = d ln E / d delta = e^delta / expm1(delta) - 1 / delta,
-            # by its series where the closed form would lose eps / delta^2.
-            if abs(delta).max() < 0.05:
-                lam = 0.5 + delta / 12.0 - delta**3 / 720.0 + delta**5 / 30240.0
-            else:
-                lam = 1.0 / -np.expm1(-delta) - 1.0 / delta
-        out = d * rel / _PWM_M
-        dln_xi = d_xi / d + lam * (d + xi * d_xi)
-        dln_kappa = kappa * _PWM_M * d_a * (1.0 / d + lam * xi)
-        return out, dln_kappa, dln_xi
-
-    return shapes
+    return conditional_pwms(params, 0.0)[j]
 
 
 # --- fitting machinery -----------------------------------------------------
@@ -335,18 +257,6 @@ def _boundary_hit(params: EgpdParams) -> bool:
     if abs(math.log(params.sigma)) >= _LOG_CLAMP - 1e-9:
         return True
     return params.xi <= XI_MIN + edge or params.xi >= XI_MAX - edge
-
-
-def _moment_fit_diagnostics(best: LocalResult, diag: dict, params: EgpdParams) -> dict:
-    """`multistart`'s diagnostics of a PWM fit, completed; `fit_pwm` adds `small_sample`."""
-    residual = math.sqrt(best.value)
-    diag.update(
-        converged=best.converged and residual <= 1e-6,
-        objective=best.value,
-        boundary_hit=_boundary_hit(params),
-        residual=residual,
-    )
-    return diag
 
 
 def _exceedances(data, threshold: float | None) -> tuple[int, np.ndarray]:
@@ -534,61 +444,6 @@ def fit_mle(
     return params, diag
 
 
-def fit_pwm_from_moments(
-    nu0: float,
-    nu1: float,
-    nu2: float,
-    *,
-    restarts: int = 4,
-    rng: RngState = _DEFAULT_RNG,
-) -> tuple[EgpdParams, dict]:
-    """Solve the two-ratio PWM system for (kappa, xi), then back out sigma.
-
-    Solves s_1/s_0 = nu1/nu0 and s_2/s_0 = nu2/nu0 (see `_pwm_shapes`) by
-    Levenberg-Marquardt over (ln kappa, xi), on the analytic Jacobian, from
-    (0, 0.1) plus `restarts` jittered copies, with at most `MAX_ITER`
-    residual evaluations per start.  ln kappa is clamped to [-12, 12] and xi to
-    [-0.5, 0.95] inside the residuals, and s_j is smooth through xi = 0,
-    so no value of xi needs special handling.  sigma = nu0 / s_0.
-    Converged means the solver stopped on a tolerance and the residual
-    norm is at most 1e-6.
-    """
-    if not all(math.isfinite(v) and v > 0.0 for v in (nu0, nu1, nu2)):
-        raise ValueError("probability weighted moments must be finite and > 0")
-    targets = np.array([nu1 / nu0, nu2 / nu0])
-    compute_shapes = _pwm_shapes()
-    last_point, last_shapes = None, None
-
-    def shapes(kappa: float, xi: float):
-        # MINPACK asks for the Jacobian at the point whose residuals it has
-        # just computed: one cached entry serves both.
-        nonlocal last_point, last_shapes
-        if (kappa, xi) != last_point:
-            last_point, last_shapes = (kappa, xi), compute_shapes(kappa, xi)
-        return last_shapes
-
-    def residuals(z: np.ndarray) -> np.ndarray:
-        out, _, _ = shapes(*_clamped(z[0], z[1]))
-        return out[1:] / out[0] - targets
-
-    def jacobian(z: np.ndarray) -> np.ndarray:
-        out, dln_kappa, dln_xi = shapes(*_clamped(z[0], z[1]))
-        jac = (out[1:] / out[0])[:, None] * np.column_stack(
-            [dln_kappa[1:] - dln_kappa[0], dln_xi[1:] - dln_xi[0]]
-        )
-        # Past a clamp the residuals do not move with that coordinate.
-        jac[:, [abs(z[0]) > _LOG_CLAMP, not XI_MIN <= z[1] <= XI_MAX]] = 0.0
-        return jac
-
-    best, diag = multistart(
-        lambda z0: solve_least_squares(residuals, z0, jacobian=jacobian, max_eval=MAX_ITER),
-        jittered_starts(np.array([0.0, 0.1]), restarts + 1, rng),
-    )
-    kappa, xi = _clamped(*best.x)
-    params = EgpdParams(kappa, nu0 / float(shapes(kappa, xi)[0][0]), xi)
-    return params, _moment_fit_diagnostics(best, diag, params)
-
-
 # Tanh-sinh rule on (0, 1): t = (1 + tanh z)/2 with z = (pi/2) sinh s, at
 # s = -3.0, -2.9, ..., 6.0.  1 - t is kept as its own array, as 1/(1 + e^2z),
 # down to 1e-275, so the u -> 1 end of the quantile integrand is sampled
@@ -618,7 +473,8 @@ def conditional_pwms(params: EgpdParams, threshold: float) -> tuple[float, float
     clusters nodes double-exponentially at both ends and agrees with
     60-digit quadrature to about 1e-14 relative for xi in [-0.5, 0.95],
     kappa >= 0.05 and p_L up to 0.9999.  It loses accuracy only when kappa
-    is tiny and p_L is near 0 (about 4e-7 at kappa = 1e-3, threshold 0).
+    is tiny and p_L is near 0: about 4e-7 at kappa = 1e-3 and 6e-4 at the
+    fits' clamp kappa = e^-12, threshold 0, where the plain PWM fit solves.
     """
     p_l, one_minus_p = _censored_mass(threshold, params)
     if p_l >= 1.0 - 1e-12:
@@ -633,21 +489,21 @@ def conditional_pwms(params: EgpdParams, threshold: float) -> tuple[float, float
     return nu0, nu1, nu2
 
 
-def fit_pwm_censored_from_moments(
+def fit_pwm_from_moments(
     nu0: float,
     nu1: float,
     nu2: float,
-    threshold: float,
+    threshold: float | None = None,
     *,
-    mean_start: float,
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
 ) -> tuple[EgpdParams, dict]:
     """Solve conditional_pwms(params, threshold) = (nu0, nu1, nu2).
 
-    Levenberg-Marquardt on the three relative residuals over
-    (ln kappa, ln sigma, xi), with a forward-difference Jacobian, from
-    kappa = 1, sigma = mean_start, xi = 0.1 plus `restarts`
+    Without a threshold it is 0, where the conditional PWMs are the plain
+    ones, E[Y F(Y)^j].  Levenberg-Marquardt on the three relative
+    residuals over (ln kappa, ln sigma, xi), with a forward-difference
+    Jacobian, from kappa = 1, sigma = nu0, xi = 0.1 plus `restarts`
     jittered copies, with at most `MAX_ITER` residual evaluations per start.
     ln kappa and ln sigma are clamped to [-12, 12] and xi to [-0.5, 0.95]
     inside the residuals.  Where the threshold is at or beyond the
@@ -655,14 +511,15 @@ def fit_pwm_censored_from_moments(
     mass at the threshold, (c, c/2, c/3): their limit as that end falls to
     the threshold.  So the residuals are finite at every trial point.
     Converged means the solver stopped on a tolerance and the residual
-    norm is at most 1e-6.  fit_pwm with a threshold calls this with the
-    exceedance sample's empirical PWMs.
+    norm is at most 1e-6.  fit_pwm calls this with the empirical PWMs of
+    the values at or above the threshold.
     """
-    if not (nu0 > 0.0 and nu1 > 0.0 and nu2 > 0.0):
-        raise ValueError("conditional PWMs must be > 0")
+    if not all(math.isfinite(v) and v > 0.0 for v in (nu0, nu1, nu2)):
+        raise ValueError("probability weighted moments must be finite and > 0")
+    threshold = 0.0 if threshold is None else threshold
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError("censoring threshold must be finite and >= 0")
     nu_hat = np.array([nu0, nu1, nu2])
-    # Conditional PWMs of a point mass at the threshold: the limit as the
-    # support's upper end falls to the threshold.
     nu_edge = threshold / np.array([1.0, 2.0, 3.0])
 
     def unpack(t: np.ndarray) -> EgpdParams:
@@ -676,14 +533,21 @@ def fit_pwm_censored_from_moments(
             nu_model = nu_edge
         return (nu_model - nu_hat) / nu_hat
 
-    init = np.array([0.0, math.log(mean_start), _xi_to_s(0.1)])
+    init = np.array([0.0, math.log(nu0), _xi_to_s(0.1)])
     starts = jittered_starts(init, restarts + 1, rng)
     best, diag = multistart(
         lambda t0: solve_least_squares(residuals, t0, max_eval=MAX_ITER),
         [np.array([t[0], t[1], _s_to_xi(float(t[2]))]) for t in starts],
     )
     params = unpack(best.x)
-    return params, _moment_fit_diagnostics(best, diag, params)
+    residual = math.sqrt(best.value)
+    diag.update(
+        converged=best.converged and residual <= 1e-6,
+        objective=best.value,
+        boundary_hit=_boundary_hit(params),
+        residual=residual,
+    )
+    return params, diag
 
 
 def fit_pwm(
@@ -693,20 +557,16 @@ def fit_pwm(
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
 ) -> tuple[EgpdParams, dict]:
-    """PWM fit: empirical nu_0, nu_1, nu_2 matched to their closed forms.
+    """PWM fit: the empirical nu_0, nu_1, nu_2 matched to the model's.
 
-    With a left-censoring threshold, the empirical PWMs of {y : y >=
-    threshold} are matched to the conditional moments of Y | Y >= threshold
-    instead, by solving three equations in (kappa, sigma, xi); see
-    fit_pwm_censored_from_moments.
+    Without a threshold these are the PWMs of the whole sample and of Y;
+    with a left-censoring threshold, those of {y : y >= threshold} and of
+    Y | Y >= threshold.  Either way one system is solved; see
+    fit_pwm_from_moments.
     """
     n_total, exceed = _exceedances(data, threshold)
-    nu = empirical_pwms(exceed)
-    if threshold is None:
-        params, diag = fit_pwm_from_moments(*nu, restarts=restarts, rng=rng)
-    else:
-        params, diag = fit_pwm_censored_from_moments(
-            *nu, threshold, mean_start=float(np.mean(exceed)), restarts=restarts, rng=rng
-        )
+    params, diag = fit_pwm_from_moments(
+        *empirical_pwms(exceed), threshold, restarts=restarts, rng=rng
+    )
     diag["small_sample"] = n_total < _SMALL_SAMPLE_N
     return params, diag

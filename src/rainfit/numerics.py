@@ -10,10 +10,11 @@ counts.
 model families call it.  Beside the best solve it returns the start of the
 fit's diagnostics, a dict of plain Python numbers that each fit completes
 and `fits.jsonl` stores as the record's `diagnostics` (the README's
-`fits.jsonl` paragraph lists its keys).  The local solves are `lbfgsb` (L-BFGS-B on an
-analytic gradient: the gamma-mixture MAP and the two EGPD likelihood fits)
-and `solve_least_squares` (Levenberg-Marquardt: the two EGPD moment
-systems).  Both drive scipy's compiled kernels, `setulb` and MINPACK's
+`fits.jsonl` paragraph lists its keys).  The local solves are `lbfgsb`
+(L-BFGS-B on an analytic gradient: the gamma-mixture MAP and the two EGPD
+likelihood fits) and `solve_least_squares` (Levenberg-Marquardt on a
+forward-difference Jacobian: the one moment system of the two EGPD PWM
+fits).  Both drive scipy's compiled kernels, `setulb` and MINPACK's
 `lmder`, directly, without the public `minimize` and `least_squares`
 wrappers that copy and check x and re-evaluate around every call; they
 take the steps those wrappers take, to the bit.  Every L-BFGS-B solve
@@ -24,10 +25,10 @@ tracing and no fit calls it.
 Importing any rainfit module loads numpy alone.  scipy is loaded inside
 the functions that call it, as three compiled extension files that
 `_scipy_kernel` loads without running any package `__init__`: the two
-solver kernels and `_special_ufuncs`, whose ufuncs scipy.special's
-`digamma`, `gammaln`, `gammainc` and `zeta` are or call.  No fit calls
-what the packages' `__init__`s load besides (scipy.linalg, sparse, fft,
-spatial, scipy's array-API layer).  The one exception is MINPACK's
+solver kernels and `_special_ufuncs`, whose `psi` and `gammainc` are
+scipy.special's `digamma` and `gammainc` (the gamma mixtures call them).
+No fit calls what the packages' `__init__`s load besides (scipy.linalg,
+sparse, fft, spatial, scipy's array-API layer).  The one exception is MINPACK's
 `_lmder`: on its first call it imports `scipy._lib._ccallback`, and with
 it the `scipy` package, so `preload_scipy(lmder=True)` imports that up
 front.  `pipeline.preload_fits` calls `preload_scipy` once, before a fit
@@ -57,7 +58,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "EULER_GAMMA",
     "LocalResult",
     "MAX_ITER",
     "RngState",
@@ -72,8 +72,6 @@ __all__ = [
     "solve_least_squares",
     "splitmix64",
 ]
-
-EULER_GAMMA = float(np.euler_gamma)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -123,15 +121,15 @@ _BEST_ATOL = 1e-12
 
 # What the fits call of scipy, by compiled module (see `_scipy_kernel`):
 # L-BFGS-B's `setulb`, in C with this signature since scipy 1.15; MINPACK's
-# `_lmder`; and the ufuncs behind scipy.special's digamma (`psi`), gammaln,
-# gammainc and zeta (`_riemann_zeta` for zeta(x), `_zeta` for zeta(x, q)).
+# `_lmder`; and the ufuncs behind scipy.special's digamma (`psi`) and
+# gammainc.
 # pyproject.toml states the same requirement.
 _SCIPY_REQUIREMENT = "rainfit requires scipy>=1.15 and has been run on scipy 1.17.1 only"
 SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
 _SCIPY_FUNCTIONS = {
     "scipy.optimize._lbfgsb": ("setulb",),
     "scipy.optimize._minpack": ("_lmder",),
-    SPECIAL_UFUNCS: ("psi", "gammaln", "gammainc", "_riemann_zeta", "_zeta"),
+    SPECIAL_UFUNCS: ("psi", "gammainc"),
 }
 _loaded_kernels: dict[str, ModuleType] = {}
 
@@ -410,7 +408,6 @@ def solve_least_squares(
     residuals: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     max_eval: int,
 ) -> LocalResult:
     """Minimize |residuals(x)|^2 from x0 by Levenberg-Marquardt (MINPACK).
@@ -422,7 +419,7 @@ def solve_least_squares(
     makes around the kernel: the residuals and Jacobian at x0 before it
     and the Jacobian at the solution after it.
 
-    `jacobian` defaults to forward differences with absolute steps of
+    The Jacobian is forward differences with absolute steps of
     sqrt(eps) = 1.5e-8, as scipy's `approx_fprime` takes them; their base
     point is the residual just computed there, served from a one-entry
     cache.  max_eval caps MINPACK's calls of `residuals`; `n_eval` counts
@@ -431,8 +428,7 @@ def solve_least_squares(
     `converged` says the solver met a tolerance (MINPACK info 1-4) before
     the budget ran out; whether the residual is small enough is the
     caller's test.  The solve is unconstrained: a caller with parameter
-    limits clamps inside `residuals` (and zeroes the matching Jacobian
-    columns).
+    limits clamps inside `residuals`.
     """
     (_lmder,) = scipy_functions("scipy.optimize._minpack", "_lmder")
     n_eval = 0
@@ -465,7 +461,7 @@ def solve_least_squares(
     # maxfev, factor, diag); diag=None is MINPACK's internal scaling.
     x, info, status = _lmder(
         cached,
-        jacobian if jacobian is not None else forward_differences,
+        forward_differences,
         np.array(x0, dtype=float),
         (),
         True,

@@ -424,17 +424,10 @@ def write_report_files(
 
 
 def materialize_corpus(manifest: Manifest) -> list[SiteSeries]:
-    """Load listed site files and draw generator sites; ids must not collide."""
-    from .corpus import CorpusError, simulate_corpus
+    """Load listed site files and draw generator sites (`load_manifest` checked their ids)."""
+    from .corpus import simulate_corpus
 
-    sites = [load_site(p) for p in manifest.site_paths]
-    sites.extend(simulate_corpus(manifest.generators))
-    seen: set[str] = set()
-    for s in sites:
-        if s.site_id in seen:
-            raise CorpusError(f"duplicate site id {s.site_id!r} in manifest")
-        seen.add(s.site_id)
-    return sites
+    return [load_site(p) for p in manifest.site_paths] + simulate_corpus(manifest.generators)
 
 
 def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummary:

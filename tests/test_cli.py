@@ -77,6 +77,25 @@ def test_fit_small_sample_flag(tmp_path, capsys):
     assert record["diagnostics"]["small_sample"] is True
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[0.2] * 150, [0.1 * (i + 1) for i in range(30)], [0.1 * (i + 1) for i in range(29)]],
+    ids=["150-tied", "30-values", "29-values"],
+)
+def test_fit_of_every_method_on_hostile_sizes_gives_a_record(tmp_path, capsys, values):
+    # All-tied data, and n at and just below the EGPD fits' limit of 30:
+    # every method writes its record and exits 0 or 4, never with a traceback.
+    site = tmp_path / "hostile.csv"
+    save_site(site, SiteSeries("hostile", np.array(values)))
+    for method in METHODS:
+        rc = main(["fit", str(site), "--method", method])
+        captured = capsys.readouterr()
+        assert rc in (0, 4), (method, captured.err)
+        record = json.loads(captured.out)
+        assert (record["site_id"], record["method"]) == ("hostile", method)
+        assert (rc == 0) == (record["error"] is None and record["converged"])
+
+
 def test_fit_empty_file_is_data_error(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
@@ -369,8 +388,23 @@ EGPD_ENTRY = {"family": "egpd", "n": 300, "params": {"kappa": 1.2, "sigma": 5.0,
         ({"seed": 1, "sites": "a.csv"}, "'sites'"),
         ({"seed": "x", "generators": [EGPD_ENTRY]}, "'seed'"),
         ({"seed": 1, "generators": [{**EGPD_ENTRY, "n": 150.7}]}, "bad generator entry 0: 'n'"),
+        (
+            {"seed": 1, "generators": [{**EGPD_ENTRY, "site_id": 7}, {**EGPD_ENTRY, "site_id": "b"}]},
+            "bad generator entry 0: site_id",
+        ),
+        ({"seed": 1, "generators": [{**EGPD_ENTRY, "site_id": 7}]}, "bad generator entry 0: site_id"),
+        (
+            {"seed": 1, "generators": [EGPD_ENTRY, {**EGPD_ENTRY, "site_id": "../escaped"}]},
+            "bad generator entry 1: site_id",
+        ),
+        (
+            {"seed": 1, "generators": [{**EGPD_ENTRY, "site_id": "a"}, {**EGPD_ENTRY, "site_id": "a"}]},
+            "duplicate site id 'a'",
+        ),
+        ({"seed": 1, "sites": ["a.csv", "sub/a.csv"]}, "duplicate site id 'a'"),
     ],
-    ids=["entry-not-object", "unknown-param", "params-list", "sites-string", "seed-string", "n-float"],
+    ids=["entry-not-object", "unknown-param", "params-list", "sites-string", "seed-string", "n-float",
+         "site-id-int-beside-string", "site-id-int", "site-id-path", "site-id-twice", "csv-stem-twice"],
 )
 def test_benchmark_hostile_manifest_exits_2_naming_file_and_entry(tmp_path, capsys, manifest, named):
     path = tmp_path / "manifest.json"
@@ -379,6 +413,33 @@ def test_benchmark_hostile_manifest_exits_2_naming_file_and_entry(tmp_path, caps
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {path}: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "site_ids, named",
+    [
+        (["../escaped"], "bad generator entry 0: site_id"),
+        (["a", ".."], "bad generator entry 1: site_id"),
+        (["."], "bad generator entry 0: site_id"),
+        ([""], "bad generator entry 0: site_id"),
+        (["sub/a"], "bad generator entry 0: site_id"),
+        (["sub\\a"], "bad generator entry 0: site_id"),
+        ([7], "bad generator entry 0: site_id"),
+        (["a", "b", "a"], "duplicate site id 'a'"),
+    ],
+    ids=["parent-path", "dot-dot", "dot", "empty", "slash", "backslash", "int", "twice"],
+)
+def test_simulate_bad_site_ids_exit_2_before_writing(tmp_path, capsys, site_ids, named):
+    # A generator's site_id names the CSV `simulate` writes: it must stay a
+    # file name inside --out, and name one site only.
+    path = tmp_path / "manifest.json"
+    generators = [{**EGPD_ENTRY, "site_id": site_id} for site_id in site_ids]
+    path.write_text(json.dumps({"seed": 1, "generators": generators}), encoding="utf-8")
+    rc = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "sim" / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: ") and named in err
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 # --- report -----------------------------------------------------------------------

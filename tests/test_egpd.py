@@ -19,7 +19,6 @@ from rainfit.egpd import (
     egpd_simulate,
     fit_mle,
     fit_pwm,
-    fit_pwm_censored_from_moments,
     fit_pwm_from_moments,
     gp_cdf,
     theoretical_pwm,
@@ -288,19 +287,6 @@ def _mp_pwm_shape(kappa: float, xi: float, j: int):
         return mp.expm1(delta) / (m * x)
 
 
-def test_pwm_shapes_against_50_digit_mpmath_near_xi_zero():
-    shapes = rainfit.egpd._pwm_shapes()
-    worst = 0.0
-    for kappa in (0.09, 1.0, 6.0):
-        for xi in (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3):
-            for sign in (1.0, -1.0):
-                got = shapes(kappa, sign * xi)[0]
-                for j in (0, 1, 2):
-                    ref = _mp_pwm_shape(kappa, sign * xi, j)
-                    worst = max(worst, float(abs((got[j] - ref) / ref)))
-    assert worst <= 1e-13
-
-
 XI_GRID = [round(-0.5 + 0.01 * i, 2) for i in range(146)]  # -0.5 .. 0.95
 
 
@@ -313,46 +299,6 @@ def _worst_relative_error(pwms, kappa: float, scale: float = 1.0) -> float:
             ref = scale * _mp_pwm_shape(kappa, xi, j)
             worst = max(worst, float(abs((got[j] - ref) / ref)))
     return worst
-
-
-@pytest.mark.parametrize("kappa, bound", [(30.0, 1e-12), (1000.0, 5e-11)])
-def test_pwm_shapes_at_large_kappa_stay_within_their_known_error(kappa, bound):
-    # lgamma(a) - lgamma(a - xi) cancels for large a = kappa m + 1: the
-    # worst errors over the grid were 2.4e-13 (kappa 30) and 1.5e-11
-    # (kappa 1000).  The bounds hold them there until a better formula.
-    shapes = rainfit.egpd._pwm_shapes()
-    assert _worst_relative_error(lambda xi: shapes(kappa, xi)[0], kappa) <= bound
-
-
-def test_pwm_shapes_continuous_across_series_switch():
-    shapes = rainfit.egpd._pwm_shapes()
-    switch = rainfit.egpd._XI_SERIES
-    for kappa in (0.09, 1.0, 6.0):
-        for sign in (1.0, -1.0):
-            below = shapes(kappa, sign * switch * (1.0 - 1e-15))
-            above = shapes(kappa, sign * switch)
-            for j in (0, 1, 2):
-                assert below[0][j] == pytest.approx(above[0][j], rel=1e-12)
-                assert below[1][j] == pytest.approx(above[1][j], rel=1e-9)
-                assert below[2][j] == pytest.approx(above[2][j], rel=1e-9)
-
-
-def test_pwm_shape_derivatives_match_central_differences():
-    shapes = rainfit.egpd._pwm_shapes()
-    h = 1e-6
-    for kappa in (0.09, 1.0, 6.0):
-        for xi in (-0.45, -0.02, 0.0, 1e-9, 0.049, 0.3, 0.9):
-            _, dln_kappa, dln_xi = shapes(kappa, xi)
-            log_k = math.log(kappa)
-            fd_kappa = (
-                np.log(shapes(math.exp(log_k + h), xi)[0])
-                - np.log(shapes(math.exp(log_k - h), xi)[0])
-            ) / (2.0 * h)
-            fd_xi = (
-                np.log(shapes(kappa, xi + h)[0]) - np.log(shapes(kappa, xi - h)[0])
-            ) / (2.0 * h)
-            assert np.allclose(dln_kappa, fd_kappa, rtol=1e-7, atol=1e-9)
-            assert np.allclose(dln_xi, fd_xi, rtol=1e-7, atol=1e-9)
 
 
 # --- MLE ------------------------------------------------------------------------
@@ -539,28 +485,6 @@ def test_pwm_exponential_data():
     assert abs(fitted.xi) <= 0.05
 
 
-def test_pwm_fit_computes_the_shapes_once_per_point(monkeypatch):
-    # MINPACK asks for the Jacobian at the point whose residuals it has just
-    # computed; the shapes computed for those residuals serve it.
-    points = []
-    original = rainfit.egpd._pwm_shapes
-
-    def spying_pwm_shapes():
-        shapes = original()
-
-        def spy(kappa, xi):
-            points.append((kappa, xi))
-            return shapes(kappa, xi)
-
-        return spy
-
-    monkeypatch.setattr(rainfit.egpd, "_pwm_shapes", spying_pwm_shapes)
-    data = egpd_simulate(400, EgpdParams(0.8, 4.0, 0.15), RngState(seed=21))
-    _, diag = fit_pwm(data, restarts=2)
-    assert diag["n_iter"] >= 2 and len(points) > diag["n_eval"] / 2
-    assert all(a != b for a, b in zip(points, points[1:]))
-
-
 # --- censored PWM ---------------------------------------------------------------------
 
 
@@ -577,11 +501,13 @@ def test_conditional_pwms_at_zero_threshold_are_the_plain_pwms():
     # p_L = 0 makes Y | Y >= 0 the whole distribution; xi up to 0.95 puts
     # the strongest (1 - u)^(-xi) singularity the fitting box allows at u = 1.
     for kappa in (0.3, 1.0, 2.0, 8.0):
-        for xi in (-0.45, -0.2, 0.1, 0.3, 0.6, 0.8, 0.95):
+        for xi in (-0.45, -0.2, 0.0, 0.1, 0.3, 0.6, 0.8, 0.95):
             params = EgpdParams(kappa, 3.0, xi)
             got = conditional_pwms(params, 0.0)
             for j in (0, 1, 2):
-                assert got[j] == pytest.approx(theoretical_pwm(j, params), rel=1e-12)
+                ref = 3.0 * float(_mp_pwm_shape(kappa, xi, j))
+                assert got[j] == pytest.approx(ref, rel=1e-12)
+                assert theoretical_pwm(j, params) == got[j]
 
 
 def _mp_conditional_pwms(kappa: float, sigma: float, xi: float, threshold: float):
@@ -636,8 +562,8 @@ def test_conditional_pwms_at_zero_threshold_and_tiny_kappa_stay_within_their_kno
     # With p_L = 0 and tiny kappa the mass sits within about kappa of u = 1,
     # which the tanh-sinh rule resolves coarsely: the worst errors over the
     # grid were 6.1e-4 at the fit clamp kappa = e^-12 and 3.7e-7 at 1e-3.
-    # Censored fits never get there; the bounds keep direct callers'
-    # error where it is.
+    # The plain PWM fit solves at threshold 0, so a fit driven to the
+    # clamp meets this error; the bounds keep it where it is.
     sigma = 3.0
     worst = _worst_relative_error(
         lambda xi: conditional_pwms(EgpdParams(kappa, sigma, xi), 0.0), kappa, scale=sigma
@@ -699,12 +625,17 @@ def test_censored_pwm_fit_calls_conditional_pwms_through_module_global(monkeypat
     fit_pwm(data, 1.0, restarts=0)
     assert len(calls) > 0
     assert set(calls) == {1.0}
+    # The plain fit solves the same system at threshold 0.
+    calls.clear()
+    fit_pwm(data, restarts=0)
+    assert len(calls) > 0
+    assert set(calls) == {0.0}
 
 
 def test_censored_pwm_fixed_point_from_own_moments():
     truth = EgpdParams(2.0, 5.0, 0.2)
     nu = conditional_pwms(truth, 1.0)
-    fitted, diag = fit_pwm_censored_from_moments(*nu, 1.0, mean_start=nu[0])
+    fitted, diag = fit_pwm_from_moments(*nu, 1.0)
     assert diag["converged"]
     assert fitted.kappa == pytest.approx(truth.kappa, rel=1e-3)
     assert fitted.sigma == pytest.approx(truth.sigma, rel=1e-3)
@@ -757,3 +688,9 @@ def test_censored_pwm_error_paths():
     data = np.concatenate([np.full(200, 0.5), np.full(20, 2.0)])
     with pytest.raises(ValueError):
         fit_pwm(data, 1.0)
+    nu = conditional_pwms(EgpdParams(2.0, 5.0, 0.2), 1.0)
+    for threshold in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold"):
+            fit_pwm_from_moments(*nu, threshold)
+    with pytest.raises(ValueError, match="moments"):
+        fit_pwm_from_moments(nu[0], math.inf, nu[2])

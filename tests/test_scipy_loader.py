@@ -54,15 +54,12 @@ def value_and_gradient(x):
 def residuals(x):
     return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
 
-def jacobian(x):
-    return np.array([[1.0, 0.0], [-20.0 * x[0], 10.0]])
-
 x0, lower, upper = np.array([5.0, -4.0]), np.array([-1.0, -1.0]), np.array([1.0, 3.0])
 z0 = np.array([-1.2, 1.0])
 
 def solve():
     res = numerics.lbfgsb(value_and_gradient, x0, lower, upper, max_iter=100)
-    lm = numerics.solve_least_squares(residuals, z0, jacobian=jacobian, max_eval=200)
+    lm = numerics.solve_least_squares(residuals, z0, max_eval=200)
     return [res.x.tobytes().hex(), res.value.hex(), res.n_iter, res.n_eval,
             lm.x.tobytes().hex(), lm.value.hex(), lm.n_iter]
 
@@ -70,11 +67,11 @@ first = solve()
 used = {name: numerics._scipy_kernel("scipy.optimize", name) for name in ("_lbfgsb", "_minpack")}
 package_before = "scipy.optimize" in sys.modules
 import scipy.optimize
-from scipy.optimize import Bounds, least_squares, minimize
+from scipy.optimize import Bounds, approx_fprime, least_squares, minimize
 
 ref = minimize(value_and_gradient, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lower, upper),
                options={"maxiter": 100, "maxcor": 20, "ftol": 1e-15, "gtol": 1e-10})
-lm_ref = least_squares(residuals, z0, jac=jacobian, method="lm", x_scale="jac",
+lm_ref = least_squares(residuals, z0, jac=lambda x: approx_fprime(x, residuals), method="lm", x_scale="jac",
                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=200)
 public = [ref.x.tobytes().hex(), float(ref.fun).hex(), ref.nit, ref.nfev,
           lm_ref.x.tobytes().hex(), float(np.dot(lm_ref.fun, lm_ref.fun)).hex(), lm_ref.njev]
@@ -108,40 +105,33 @@ print(json.dumps({
 
 
 def test_bound_special_functions_are_scipy_special_to_the_bit():
-    # The fits bind psi, gammaln, gammainc, _riemann_zeta and _zeta from
-    # scipy's compiled module without the scipy.special package.  On the
-    # grids the fits reach they give scipy.special's values bit for bit,
-    # and after a later `import scipy.special` they are its very objects.
+    # The fits bind psi and gammainc from scipy's compiled module without
+    # the scipy.special package.  On the grids the fits reach they give
+    # scipy.special's values bit for bit, and after a later
+    # `import scipy.special` they are its very objects.
     code = """
 import hashlib, json, sys
 import numpy as np
 from rainfit import numerics
-from rainfit.egpd import _PWM_M, _SERIES_K
 
-NAMES = ("psi", "gammaln", "gammainc", "_riemann_zeta", "_zeta")
+NAMES = ("psi", "gammainc")
 bound = numerics.scipy_functions(numerics.SPECIAL_UFUNCS, *NAMES)
 shapes = np.exp(np.linspace(-12.0, 12.0, 241))  # e^-12 .. e^12
-xi = np.linspace(-0.5, 0.95, 30)
-a = (shapes[:, None] * _PWM_M + 1.0).ravel()  # the PWM series' a = kappa m + 1
-args = np.concatenate([shapes, (a[:, None] - xi).ravel(), 1.0 - xi])
-rows = np.arange(2.0, _SERIES_K.size + 3.0)[:, None]  # zeta(k, a) for k = 2..13
 ratios = np.array([1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e5, 1e8])
 
-def digests(psi, gammaln, gammainc, riemann_zeta, zeta):
-    values = [psi(args), gammaln(args), gammainc(shapes[:, None], ratios),
-              riemann_zeta(np.concatenate([_SERIES_K, [1.5, 30.0, 60.0]])), zeta(rows, a)]
+def digests(psi, gammainc):
+    values = [psi(shapes), gammainc(shapes[:, None], ratios)]
     return [hashlib.sha256(v.tobytes()).hexdigest() for v in values]
 
 first = digests(*bound)
 package_before = "scipy.special" in sys.modules
 import scipy.special as sp
 
-public = digests(sp.digamma, sp.gammaln, sp.gammainc, sp.zeta, sp.zeta)
+public = digests(sp.digamma, sp.gammainc)
 print(json.dumps({
     "package_before": package_before,
     "bits": first == public,
-    "public_objects": [bound[0] is sp.digamma, bound[1] is sp.gammaln, bound[2] is sp.gammainc,
-                       bound[3] is sp._ufuncs._riemann_zeta, bound[4] is sp._ufuncs._zeta],
+    "public_objects": [bound[0] is sp.digamma, bound[1] is sp.gammainc],
     "now_public": [f is getattr(sp._special_ufuncs, name) for f, name in zip(bound, NAMES)],
     "rebound": list(numerics.scipy_functions(numerics.SPECIAL_UFUNCS, *NAMES)) == list(bound),
 }))
@@ -149,8 +139,8 @@ print(json.dumps({
     assert run_python(code) == {
         "package_before": False,
         "bits": True,
-        "public_objects": [True] * 5,
-        "now_public": [True] * 5,
+        "public_objects": [True] * 2,
+        "now_public": [True] * 2,
         "rebound": True,
     }
 
@@ -174,3 +164,36 @@ print(json.dumps([without, scipy_modules()]))
                        "scipy.special._special_ufuncs"]
     assert {"scipy", "scipy._lib._ccallback"} <= set(with_lmder)
     assert loaded_packages(with_lmder) == []
+
+
+def test_preload_checks_exactly_the_functions_the_fits_bind(monkeypatch):
+    # `preload_scipy` loads and checks `_SCIPY_FUNCTIONS`; a run of all seven
+    # methods must ask `scipy_functions` for those and no other, so a stale
+    # entry fails here as surely as a missing one.
+    import sys
+
+    import numpy as np
+
+    import rainfit.gamma_mixture  # noqa: F401 - loaded before its name is spied on
+    from rainfit.corpus import SiteSeries
+    from rainfit.egpd import EgpdParams, egpd_simulate
+    from rainfit.pipeline import METHODS, RunConfig, run_fits
+
+    requested = set()
+    real = numerics.scipy_functions
+
+    def spy(module, *names):
+        requested.update((module, name) for name in names)
+        return real(module, *names)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rainfit") and getattr(module, "scipy_functions", None) is real:
+            monkeypatch.setattr(module, "scipy_functions", spy)
+    # Only the fits' own requests count, not the preload's.
+    monkeypatch.setattr(numerics, "preload_scipy", lambda *, lmder: None)
+    values = egpd_simulate(300, EgpdParams(1.2, 5.0, 0.1), numerics.RngState(seed=8))
+    config = RunConfig(methods=tuple(METHODS), egpd_restarts=1, mixture_restarts=1, jobs=1)
+    records = run_fits([SiteSeries("s", np.asarray(values))], config)
+    assert all(r["error"] is None for r in records)
+    expected = {(module, name) for module, names in numerics._SCIPY_FUNCTIONS.items() for name in names}
+    assert requested == expected
