@@ -99,7 +99,7 @@ def cmd_fit(args) -> int:
     record = run_fits([series], config)[0]
     json.dump(record, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    if record["error"] is not None or not record["converged"]:
+    if not record["converged"]:
         label = record["error"] or "did not converge"
         print(f"fit failed: {label}", file=sys.stderr)
         return 4

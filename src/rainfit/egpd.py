@@ -393,7 +393,9 @@ def fit_mle(
     per start.  Starts from sigma = mean(data), xi = 0.1 plus `restarts`
     jittered copies (multiplicative jitter bounded by e^0.5, seeded by
     `rng`), and keeps the best mode.  Converged means the projected
-    gradient of the per-observation objective is at most 1e-6 there.
+    gradient of the per-observation objective is at most 1e-6 there and
+    kappa-hat is not held at a clamp e^+-12, where it is not stationary
+    (on tied data the likelihood grows without bound towards that corner).
     Non-convergence is flagged in the diagnostics, never raised; the best
     candidate is always returned.
 
@@ -436,7 +438,7 @@ def fit_mle(
     _, _, kappa, xi = evaluate(best.x)
     params = EgpdParams(kappa, math.exp(float(best.x[0])), xi)
     diag.update(
-        converged=best.converged,
+        converged=best.converged and _KAPPA_MIN < kappa < _KAPPA_MAX,
         objective=-best.value * n_total,
         boundary_hit=_boundary_hit(params),
         small_sample=n_total < _SMALL_SAMPLE_N,

@@ -121,7 +121,7 @@ class SummaryCell:
     hi: float
     whisker_lo: float
     whisker_hi: float
-    klass: str | None
+    klass: str
 
 
 @dataclass
@@ -195,8 +195,9 @@ def summarize(
     own record carries.  `qset` defaults to every level those carry; a
     requested level that no record carries is a ValueError naming it.
 
-    Only converged, error-free fits contribute to D distributions; the rest
-    are counted per method in `failures`.  A site is dropped at a single p
+    Only converged fits contribute to D distributions (a converged record
+    has no error: `pipeline._check_record`); the rest are counted per
+    method in `failures`.  A site is dropped at a single p
     (and counted in `excluded`, with a warning that names it) when the
     empirical or estimated quantile there is missing, non-positive, NaN or
     infinite.  There is one record per (site, method), as `run_fits` and
@@ -228,7 +229,7 @@ def summarize(
     dropped = {m: {p: [] for p in qset.probabilities} for m in methods}
     for r in records:
         method = r["method"]
-        if not r["converged"] or r.get("error") is not None:
+        if not r["converged"]:
             failures[method] += 1
             continue
         estimated = _levels(r["estimated_quantiles"])

@@ -3,7 +3,8 @@
 The pipeline owns everything between a corpus manifest and the files on
 disk: building the deterministic task list, running fits (serially or in a
 process pool), collecting one record per task no matter what the fit did,
-and emitting the records file plus the derived tables.
+and writing the records file.  `report.write_report_files`, imported here,
+writes the tables derived from them.
 
 A fit is its record: `run_single_fit` returns the dict that `fits.jsonl`
 stores on one line, and that same dict goes to `write_records` and
@@ -36,15 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .evaluation import EvaluationSummary, QuantileSet, summarize
-from .report import (
-    render_boxplot_svg,
-    render_class_text,
-    render_median_text,
-    write_boxplot_csv,
-    write_class_csv,
-    write_median_csv,
-    write_text,
-)
+from .report import write_report_files
 
 if TYPE_CHECKING:
     from .corpus import Manifest, SiteSeries
@@ -315,9 +308,10 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
 
 
 def write_records(path, records: Iterable[dict]) -> None:
-    lines = [json.dumps(r, sort_keys=True) for r in records]
+    """Write one JSON line per record, keys sorted, each as it comes."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 _NUMBER_TYPES = {int, float}  # what JSON numbers decode to; bool is not one
@@ -327,11 +321,12 @@ def _check_record(record) -> None:
     """Raise ValueError unless record has the shape `run_single_fit` writes.
 
     String ids, a `METHODS` name, a boolean `converged`, an `error` that is
-    null or a string, `fit_seconds` and `params` present, and level maps
-    whose keys are levels strictly inside (0, 1) and whose values are
-    numbers (`empirical_quantiles` may be null or absent, as may `error`,
-    `diagnostics` and `n_wet`).  A converged, error-free record's
-    estimated quantiles must increase with the level.
+    null or a string, and null if converged, `fit_seconds` and `params`
+    present, and level maps whose keys are levels strictly inside (0, 1)
+    and whose values are numbers (`empirical_quantiles` may be null or
+    absent, as may `error`, `diagnostics` and `n_wet`).  A converged
+    record's estimated quantiles must increase with the level.  So a
+    record is a failed fit if and only if it is not `converged`.
     """
     if not isinstance(record, dict):
         raise ValueError(f"expected a JSON object, got {type(record).__name__}")
@@ -344,6 +339,8 @@ def _check_record(record) -> None:
         raise ValueError("converged must be true or false")
     if not isinstance(record.get("error"), (str, type(None))):
         raise ValueError("error must be null or a string")
+    if record["converged"] and record.get("error") is not None:
+        raise ValueError("a converged fit has an error")
     for key in ("fit_seconds", "params"):
         if key not in record:
             raise ValueError(f"missing {key!r}")
@@ -359,7 +356,7 @@ def _check_record(record) -> None:
         if not set(map(type, levels.values())) <= _NUMBER_TYPES:
             value = next(v for v in levels.values() if type(v) not in _NUMBER_TYPES)
             raise ValueError(f"{key} has a value that is not a number: {value!r}")
-    if record["converged"] and record.get("error") is None:
+    if record["converged"]:
         estimated = maps["estimated_quantiles"]
         qs = [estimated[p] for p in sorted(estimated, key=float)]
         if any(b <= a for a, b in zip(qs, qs[1:])):
@@ -396,33 +393,6 @@ def load_records(path) -> list[dict]:
     return records
 
 
-def write_report_files(
-    out_dir, summary: EvaluationSummary, *, svg: bool = False
-) -> list[Path]:
-    """Write the CSV and text tables (and optionally per-level SVGs)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def emit(name: str, writer) -> None:
-        path = out_dir / name
-        writer(path)
-        written.append(path)
-
-    emit("medians.csv", lambda p: write_median_csv(summary, p))
-    emit("classes.csv", lambda p: write_class_csv(summary, p))
-    emit("boxplots.csv", lambda p: write_boxplot_csv(summary, p))
-    emit("medians.txt", lambda p: write_text(p, render_median_text(summary)))
-    emit("classes.txt", lambda p: write_text(p, render_class_text(summary)))
-    if svg:
-        for prob in summary.probabilities:
-            emit(
-                f"boxplot-{prob!r}.svg",
-                lambda p, prob=prob: write_text(p, render_boxplot_svg(summary, prob)),
-            )
-    return written
-
-
 def materialize_corpus(manifest: Manifest) -> list[SiteSeries]:
     """Load listed site files and draw generator sites (`load_manifest` checked their ids)."""
     from .corpus import simulate_corpus
@@ -451,7 +421,7 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "fits.jsonl", records)
-    if all(r["error"] is not None or not r["converged"] for r in records):
+    if not any(r["converged"] for r in records):
         raise AllFitsFailedError(f"all {len(records)} fits failed; see fits.jsonl")
     summary = summarize(records, config.quantiles, order=tuple(METHODS))
     if dropped:

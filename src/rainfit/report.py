@@ -1,4 +1,10 @@
-"""Table and figure emitters for evaluation summaries.
+"""The report files: every table and SVG that `benchmark` and `report`
+write besides `fits.jsonl`.
+
+`write_report_files` is the one writer.  It decides the file names, the
+level label, which is `repr(p)` everywhere, and the formats.  The four
+method-by-level tables (medians and classes, as CSV and as text) are four
+renderings of one grid of rows (`_grid`).
 
 CSV files keep natural log-ratio units; the rendered text table applies the
 conventional x 10^-3 display scaling.  Boxplot SVGs are static, dependency
@@ -13,129 +19,97 @@ from pathlib import Path
 
 from .evaluation import EvaluationSummary, asinh_axis_transform
 
-__all__ = [
-    "render_boxplot_svg",
-    "render_class_text",
-    "render_median_text",
-    "write_boxplot_csv",
-    "write_class_csv",
-    "write_median_csv",
-    "write_text",
-]
+__all__ = ["render_boxplot_svg", "write_report_files"]
 
 
-def _p_label(p: float) -> str:
-    return repr(p)
+def write_report_files(out_dir, summary: EvaluationSummary, *, svg: bool = False) -> list[Path]:
+    """Write the five tables, and with `svg` one boxplot SVG per level.
 
-
-def write_text(path: Path | str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _write_grid_csv(summary: EvaluationSummary, path: Path | str, cell_text) -> None:
-    """Method-by-quantile grid plus a failure column.
-
-    A (method, p) cell holds cell_text(cell) when it has D values, else "".
+    Returns the paths written, in the order written.  Every level label,
+    in a table header, a row or an SVG file name, is `repr(p)`.
     """
-    lines = ["method," + ",".join(_p_label(p) for p in summary.probabilities) + ",failed_fits"]
-    for method in summary.methods:
-        cells = [summary.cells.get((method, p)) for p in summary.probabilities]
-        texts = ["" if cell is None else cell_text(cell) for cell in cells]
-        lines.append(",".join([method] + texts + [str(summary.failures.get(method, 0))]))
-    write_text(path, "\n".join(lines) + "\n")
-
-
-def write_median_csv(summary: EvaluationSummary, path: Path | str) -> None:
-    """Method-by-quantile medians of D, natural units, plus a failure column."""
-    _write_grid_csv(summary, path, lambda cell: repr(cell.median))
-
-
-def write_class_csv(summary: EvaluationSummary, path: Path | str) -> None:
-    """Method-by-quantile U/O/N classes, plus a failure column."""
-    _write_grid_csv(summary, path, lambda cell: cell.klass or "")
-
-
-def write_boxplot_csv(summary: EvaluationSummary, path: Path | str) -> None:
-    """Long-format five-number summaries plus 1.5 IQR whisker endpoints."""
-    lines = ["method,p,n_sites,min,q1,median,q3,max,whisker_lo,whisker_hi"]
-    for method in summary.methods:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    best = _smallest_median_methods(summary)
+    levels = len(summary.probabilities)
+    files = {
+        "medians.csv": _csv(_grid(summary, "failed_fits", lambda m, p, cell: repr(cell.median), "")),
+        "classes.csv": _csv(_grid(summary, "failed_fits", lambda m, p, cell: cell.klass, "")),
+        "boxplots.csv": _boxplot_csv(summary),
+        "medians.txt": _text(
+            "median D by quantile level (values x 10^-3; * = smallest magnitude)",
+            _grid(summary, "failed", lambda m, p, cell: f"{cell.median * 1e3:.1f}"
+                  + ("*" if best.get(p) == m else ""), "-"),
+            [9] * levels + [8],
+        ),
+        "classes.txt": _text(
+            "class by quantile level (U under / O over / N nominal)",
+            [row[:-1] for row in _grid(summary, "", lambda m, p, cell: cell.klass, "-")],
+            [7] * levels,
+        ),
+    }
+    if svg:
         for p in summary.probabilities:
-            cell = summary.cells.get((method, p))
-            if cell is None:
-                continue
-            lines.append(
-                ",".join(
-                    [method, _p_label(p), str(cell.n_sites)]
-                    + [
-                        repr(v)
-                        for v in (
-                            cell.lo,
-                            cell.q1,
-                            cell.median,
-                            cell.q3,
-                            cell.hi,
-                            cell.whisker_lo,
-                            cell.whisker_hi,
-                        )
-                    ]
-                )
-            )
-    write_text(path, "\n".join(lines) + "\n")
+            files[f"boxplot-{p!r}.svg"] = render_boxplot_svg(summary, p)
+    written = []
+    for name, text in files.items():
+        path = out_dir / name
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        written.append(path)
+    return written
 
 
-def render_median_text(summary: EvaluationSummary) -> str:
-    """Aligned text table of medians, x 10^-3 display units.
+def _grid(summary: EvaluationSummary, failed_label: str, cell_text, blank: str) -> list[list[str]]:
+    """The method-by-level grid as rows of strings, a header row first.
 
-    The smallest |median| in each column is marked with '*'.
+    A method's row holds its name, per level cell_text(method, p, cell)
+    where the (method, p) cell has D values and `blank` where it has none,
+    and its count of failed fits.
     """
-    name_w = max([len(m) for m in summary.methods] + [len("method")])
-    col_w = 9
-    header = "median D by quantile level (values x 10^-3; * = smallest magnitude)\n"
-    lines = [
-        "method".ljust(name_w)
-        + "".join(_p_label(p).rjust(col_w) for p in summary.probabilities)
-        + "  failed"
-    ]
-    best: dict[float, str] = {}
+    rows = [["method", *map(repr, summary.probabilities), failed_label]]
+    for method in summary.methods:
+        cells = [(p, summary.cells.get((method, p))) for p in summary.probabilities]
+        texts = [blank if cell is None else cell_text(method, p, cell) for p, cell in cells]
+        rows.append([method, *texts, str(summary.failures.get(method, 0))])
+    return rows
+
+
+def _smallest_median_methods(summary: EvaluationSummary) -> dict[float, str]:
+    """Per level, the method whose median has the smallest magnitude (ties: first by name)."""
+    best = {}
     for p in summary.probabilities:
-        ranked = [
-            (abs(summary.cells[(m, p)].median), m)
-            for m in summary.methods
-            if (m, p) in summary.cells
-        ]
+        ranked = [(abs(summary.cells[(m, p)].median), m) for m in summary.methods
+                  if (m, p) in summary.cells]
         if ranked:
             best[p] = min(ranked)[1]
-    for method in summary.methods:
-        row = method.ljust(name_w)
-        for p in summary.probabilities:
-            cell = summary.cells.get((method, p))
-            if cell is None:
-                row += "-".rjust(col_w)
-                continue
-            mark = "*" if best.get(p) == method else ""
-            row += (f"{cell.median * 1e3:.1f}" + mark).rjust(col_w)
-        row += str(summary.failures.get(method, 0)).rjust(8)
-        lines.append(row)
-    return header + "\n".join(lines) + "\n"
+    return best
 
 
-def render_class_text(summary: EvaluationSummary) -> str:
-    """Aligned text table of U/O/N classes per method and quantile level."""
-    name_w = max([len(m) for m in summary.methods] + [len("method")])
-    col_w = 7
-    header = "class by quantile level (U under / O over / N nominal)\n"
-    lines = [
-        "method".ljust(name_w)
-        + "".join(_p_label(p).rjust(col_w) for p in summary.probabilities)
+def _csv(rows: list[list[str]]) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def _text(title: str, rows: list[list[str]], widths: list[int]) -> str:
+    """Aligned text: names left-justified, then each column right-justified to its width."""
+    name_w = max(len(row[0]) for row in rows)
+    lines = [title] + [
+        row[0].ljust(name_w) + "".join(t.rjust(w) for t, w in zip(row[1:], widths, strict=True))
+        for row in rows
     ]
+    return "\n".join(lines) + "\n"
+
+
+def _boxplot_csv(summary: EvaluationSummary) -> str:
+    """Long-format five-number summaries plus 1.5 IQR whisker endpoints."""
+    rows = [["method", "p", "n_sites", "min", "q1", "median", "q3", "max", "whisker_lo", "whisker_hi"]]
     for method in summary.methods:
-        row = method.ljust(name_w)
         for p in summary.probabilities:
             cell = summary.cells.get((method, p))
-            row += (cell.klass or "-" if cell is not None else "-").rjust(col_w)
-        lines.append(row)
-    return header + "\n".join(lines) + "\n"
+            if cell is not None:
+                stats = (cell.lo, cell.q1, cell.median, cell.q3, cell.hi, cell.whisker_lo, cell.whisker_hi)
+                rows.append([method, repr(p), str(cell.n_sites), *map(repr, stats)])
+    return _csv(rows)
 
 
 def render_boxplot_svg(summary: EvaluationSummary, p: float) -> str:

@@ -85,6 +85,8 @@ def test_fit_small_sample_flag(tmp_path, capsys):
 def test_fit_of_every_method_on_hostile_sizes_gives_a_record(tmp_path, capsys, values):
     # All-tied data, and n at and just below the EGPD fits' limit of 30:
     # every method writes its record and exits 0 or 4, never with a traceback.
+    # On tied data the likelihood grows without bound as kappa-hat runs to
+    # its clamp, so the plain likelihood fit does not converge.
     site = tmp_path / "hostile.csv"
     save_site(site, SiteSeries("hostile", np.array(values)))
     for method in METHODS:
@@ -94,6 +96,8 @@ def test_fit_of_every_method_on_hostile_sizes_gives_a_record(tmp_path, capsys, v
         record = json.loads(captured.out)
         assert (record["site_id"], record["method"]) == ("hostile", method)
         assert (rc == 0) == (record["error"] is None and record["converged"])
+        if method == "naveau-mle" and len(set(values)) == 1:
+            assert (rc, record["converged"]) == (4, False), record["params"]
 
 
 def test_fit_empty_file_is_data_error(tmp_path, capsys):
@@ -563,9 +567,11 @@ def without(record, key):
         (NON_INCREASING, "converged fit has non-increasing quantiles"),
         (without(OTHER_SITE, "fit_seconds"), "fit_seconds"),
         (without(OTHER_SITE, "params"), "params"),
+        ({**OTHER_SITE, "error": "RuntimeError: no mode"}, "a converged fit has an error"),
     ],
     ids=["not-an-object", "quantile-not-a-number", "level-not-a-number", "unknown-method",
-         "level-nan", "level-above-1", "duplicate", "non-increasing", "no-fit-seconds", "no-params"],
+         "level-nan", "level-above-1", "duplicate", "non-increasing", "no-fit-seconds", "no-params",
+         "converged-with-error"],
 )
 def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile, reason):
     records = tmp_path / "fits.jsonl"
@@ -656,6 +662,121 @@ def test_report_tables_do_not_depend_on_record_order(tmp_path_factory, lines):
     # ROADMAP item 6: any order of a records file's lines gives the same tables.
     tmp = tmp_path_factory.mktemp("order")
     assert report_tables(tmp / "permuted", lines) == report_tables(tmp / "given", record_lines())
+
+
+# --- report: exact bytes ----------------------------------------------------
+
+# Three methods by four sites, levels 0.1, 0.5, 0.9.  gamma-mixture-2 fails
+# at s3, and naveau-pwm's estimated quantile at p = 0.1 is 0 at s2, so that
+# site is excluded there.
+GOLDEN_EMPIRICAL = {"s0": (1.0, 4.0, 10.0), "s1": (2.0, 5.0, 12.0), "s2": (0.5, 3.0, 8.0), "s3": (1.5, 6.0, 15.0)}
+GOLDEN_ESTIMATED = {
+    "naveau-mle": {"s0": (1.1, 4.2, 9.0), "s1": (1.8, 5.5, 13.0), "s2": (0.6, 2.9, 8.4), "s3": (1.2, 6.3, 16.5)},
+    "naveau-pwm": {"s0": (0.9, 3.6, 11.0), "s1": (2.4, 4.5, 12.5), "s2": (0.0, 3.3, 7.2), "s3": (1.4, 5.4, 14.0)},
+    "gamma-mixture-2": {"s0": (1.3, 4.4, 10.5), "s1": (2.2, 5.6, 12.9), "s2": (0.55, 3.4, 8.8), "s3": None},
+}
+
+GOLDEN_TABLES = {
+    "medians.csv": """\
+method,0.1,0.5,0.9,failed_fits
+naveau-mle,-0.005025167926750673,0.04879016416943205,0.0644164359214842,0
+naveau-pwm,-0.06899287148695156,-0.10536051565782628,-0.014085438483348117,0
+gamma-mixture-2,0.09531017980432493,0.11332868530700307,0.07232066157962608,1
+""",
+    "classes.csv": """\
+method,0.1,0.5,0.9,failed_fits
+naveau-mle,N,O,O,0
+naveau-pwm,N,U,N,0
+gamma-mixture-2,O,O,O,1
+""",
+    "boxplots.csv": """\
+method,p,n_sites,min,q1,median,q3,max,whisker_lo,whisker_hi
+naveau-mle,0.1,4,-0.22314355131420985,-0.13480627457192218,-0.005025167926750673,0.11706302405173236,0.1823215567939546,-0.22314355131420985,0.1823215567939546
+naveau-mle,0.5,4,-0.03390155167568134,0.028117235208153707,0.04879016416943205,0.06042016807815527,0.09531017980432493,0.04879016416943205,0.09531017980432493
+naveau-mle,0.9,4,-0.10536051565782628,0.010252494212617466,0.0644164359214842,0.08385957570623351,0.09531017980432493,0.04879016416943205,0.09531017980432493
+naveau-pwm,0.1,3,-0.10536051565782628,-0.08717669357238891,-0.06899287148695156,0.05666434265350152,0.1823215567939546,-0.10536051565782628,0.1823215567939546
+naveau-pwm,0.5,4,-0.10536051565782628,-0.10536051565782628,-0.10536051565782628,-0.055192841792288526,0.09531017980432474,-0.10536051565782628,-0.10536051565782628
+naveau-pwm,0.9,4,-0.10536051565782628,-0.07808478252967015,-0.014085438483348117,0.054444040841272634,0.09531017980432493,-0.10536051565782628,0.09531017980432493
+gamma-mixture-2,0.1,3,0.09531017980432493,0.09531017980432493,0.09531017980432493,0.178837222135908,0.26236426446749106,0.09531017980432493,0.26236426446749106
+gamma-mixture-2,0.5,3,0.09531017980432493,0.104319432555664,0.11332868530700307,0.11924591413050453,0.125163142954006,0.09531017980432493,0.125163142954006
+gamma-mixture-2,0.9,3,0.04879016416943205,0.06055541287452906,0.07232066157962608,0.0838154206919755,0.09531017980432493,0.04879016416943205,0.09531017980432493
+""",
+    "medians.txt": """\
+median D by quantile level (values x 10^-3; * = smallest magnitude)
+method               0.1      0.5      0.9  failed
+naveau-mle         -5.0*    48.8*     64.4       0
+naveau-pwm         -69.0   -105.4   -14.1*       0
+gamma-mixture-2     95.3    113.3     72.3       1
+""",
+    "classes.txt": """\
+class by quantile level (U under / O over / N nominal)
+method             0.1    0.5    0.9
+naveau-mle           N      O      O
+naveau-pwm           N      U      N
+gamma-mixture-2      O      O      O
+""",
+    "boxplot-0.5.svg": """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="166" viewBox="0 0 640 166" font-family="sans-serif" font-size="11">
+<text x="150" y="16" font-size="13">distribution of D at p = 0.5 (axis: asinh(8x))</text>
+<line x1="197.29" y1="40" x2="197.29" y2="136" stroke="#dddddd" stroke-width="1"/>
+<text x="197.29" y="148" text-anchor="middle">-0.1</text>
+<line x1="385.00" y1="40" x2="385.00" y2="136" stroke="#dddddd" stroke-width="1"/>
+<text x="385.00" y="148" text-anchor="middle">0</text>
+<line x1="572.71" y1="40" x2="572.71" y2="136" stroke="#dddddd" stroke-width="1"/>
+<text x="572.71" y="148" text-anchor="middle">0.1</text>
+<line x1="385.00" y1="40" x2="385.00" y2="136" stroke="#888888" stroke-width="1" stroke-dasharray="4,3"/>
+<text x="142" y="65.00" text-anchor="end">naveau-mle</text>
+<line x1="482.62" y1="61.00" x2="565.14" y2="61.00" stroke="#333333"/>
+<line x1="482.62" y1="56.00" x2="482.62" y2="66.00" stroke="#333333"/>
+<line x1="565.14" y1="56.00" x2="565.14" y2="66.00" stroke="#333333"/>
+<rect x="442.15" y="53.00" width="62.31" height="16" fill="#9ecae1" stroke="#333333"/>
+<line x1="482.62" y1="53.00" x2="482.62" y2="69.00" stroke="#08519c" stroke-width="2"/>
+<circle cx="316.34" cy="61.00" r="2.5" fill="none" stroke="#333333"/>
+<text x="142" y="95.00" text-anchor="end">naveau-pwm</text>
+<line x1="188.80" y1="91.00" x2="188.80" y2="91.00" stroke="#333333"/>
+<line x1="188.80" y1="86.00" x2="188.80" y2="96.00" stroke="#333333"/>
+<line x1="188.80" y1="86.00" x2="188.80" y2="96.00" stroke="#333333"/>
+<rect x="188.80" y="83.00" width="86.46" height="16" fill="#9ecae1" stroke="#333333"/>
+<line x1="188.80" y1="83.00" x2="188.80" y2="99.00" stroke="#08519c" stroke-width="2"/>
+<circle cx="565.14" cy="91.00" r="2.5" fill="none" stroke="#333333"/>
+<text x="142" y="125.00" text-anchor="end">gamma-mixture-2</text>
+<line x1="565.14" y1="121.00" x2="611.05" y2="121.00" stroke="#333333"/>
+<line x1="565.14" y1="116.00" x2="565.14" y2="126.00" stroke="#333333"/>
+<line x1="611.05" y1="116.00" x2="611.05" y2="126.00" stroke="#333333"/>
+<rect x="579.57" y="113.00" width="22.81" height="16" fill="#9ecae1" stroke="#333333"/>
+<line x1="593.50" y1="113.00" x2="593.50" y2="129.00" stroke="#08519c" stroke-width="2"/>
+</svg>
+""",
+}
+
+
+def golden_records() -> list[dict]:
+    levels = ("0.1", "0.5", "0.9")
+    records = []
+    for site, emp in GOLDEN_EMPIRICAL.items():
+        for method, by_site in GOLDEN_ESTIMATED.items():
+            est = by_site[site]
+            records.append({
+                **GOOD_RECORD, "site_id": site, "method": method, "n_wet": 200,
+                "empirical_quantiles": dict(zip(levels, emp)),
+                "estimated_quantiles": dict(zip(levels, est or ())),
+                "converged": est is not None, "error": None if est else "RuntimeError: no mode",
+            })
+    return records
+
+
+def test_report_writes_the_exact_bytes_of_every_table(tmp_path, capsys):
+    records = tmp_path / "fits.jsonl"
+    records.write_text("".join(json.dumps(r) + "\n" for r in golden_records()), encoding="utf-8")
+    out = tmp_path / "tables"
+    assert main(["report", "--records", str(records), "--out", str(out), "--svg"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        list(GOLDEN_TABLES) + ["boxplot-0.1.svg", "boxplot-0.9.svg"])
+    for name, text in GOLDEN_TABLES.items():
+        assert (out / name).read_bytes() == text.encode("utf-8"), name
+    assert capsys.readouterr().err.endswith(
+        "warning: naveau-pwm at p=0.1: 1 site(s) excluded"
+        " (missing, non-positive or non-finite quantile): s2\n")
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
