@@ -109,8 +109,6 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     from .corpus import build_preset, load_manifest, save_site, simulate_corpus, write_manifest
 
-    if (args.preset is None) == (args.manifest is None):
-        raise ConfigError("exactly one of --preset and --manifest is required")
     if args.preset is not None:
         specs = build_preset(args.preset, args.seed)
         seed = args.seed

@@ -19,8 +19,11 @@ fits).  Both drive scipy's compiled kernels, `setulb` and MINPACK's
 wrappers that copy and check x and re-evaluate around every call; they
 take the steps those wrappers take, to the bit.  Every L-BFGS-B solve
 keeps `_LBFGSB_MEMORY` = 20 correction pairs, more than the 3K - 1
-dimensions of the largest mixture.  `nelder_mead` is kept for tests and
-tracing and no fit calls it.
+dimensions of the largest mixture.  No fit calls `nelder_mead`, which is
+scipy's Nelder-Mead simplex (`scipy.optimize.minimize`, imported when it
+is called) returning a `LocalResult`: it is kept as the name
+`rainbench/tracer.py` patches in `egpd` and `gamma_mixture`, and as an
+oracle for tests that is independent of the fits' own solvers.
 
 Importing any rainfit module loads numpy alone.  scipy is loaded inside
 the functions that call it, as three compiled extension files that
@@ -240,91 +243,21 @@ def nelder_mead(
     fatol: float = 1e-10,
     max_iter: int = 5000,
 ) -> LocalResult:
-    """Minimize f by the Nelder-Mead simplex method.
+    """Minimize f from x0 by scipy's Nelder-Mead simplex.
 
-    Stops as soon as the simplex diameter (max-norm spread of the vertices)
-    drops to xatol, or the spread of vertex values drops to fatol, or
-    max_iter iterations have run; `converged` reports whether a tolerance
-    was met and `n_eval` counts the calls of f.  The objective must be
-    finite at x0; non-finite values at later proposals are treated as +inf
-    (rejected), which makes hard parameter clamps safe.
-
-    Deterministic: the initial simplex is built from x0 by perturbing one
-    coordinate at a time (5% relative, or 2.5e-4 for zero coordinates) and
-    all ties are broken by stable ordering.
+    `scipy.optimize.minimize(method="Nelder-Mead")` with these tolerances
+    and `maxiter` = max_iter: it stops when both the simplex's max-norm
+    spread and the spread of its values are within xatol and fatol, or
+    after max_iter iterations.  `converged` is scipy's `success`, `n_iter`
+    its `nit` and `n_eval` its `nfev`, the calls of f.  An infinite value
+    rejects a proposal, so an objective may wall off its domain with +inf.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
-        raise ValueError("x0 must be one-dimensional")
-    n = x0.size
-    n_eval = 0
+    from scipy.optimize import minimize
 
-    def safe_f(x: np.ndarray) -> float:
-        nonlocal n_eval
-        n_eval += 1
-        v = f(x)
-        return float(v) if np.isfinite(v) else math.inf
-
-    f0 = safe_f(x0)
-    if not np.isfinite(f0):
-        raise ValueError("objective is not finite at the initial point")
-
-    verts = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        if verts[i + 1, i] != 0.0:
-            verts[i + 1, i] *= 1.05
-        else:
-            verts[i + 1, i] = 2.5e-4
-    vals = np.array([float(f0)] + [safe_f(verts[i + 1]) for i in range(n)])
-
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    converged = False
-    n_iter = 0
-    while n_iter < max_iter:
-        order = np.argsort(vals, kind="stable")
-        verts = verts[order]
-        vals = vals[order]
-
-        diam = float(np.max(np.abs(verts[1:] - verts[0])))
-        spread = vals[-1] - vals[0]
-        if diam <= xatol or (np.isfinite(spread) and spread <= fatol):
-            converged = True
-            break
-
-        n_iter += 1
-        centroid = verts[:-1].mean(axis=0)
-        xr = centroid + alpha * (centroid - verts[-1])
-        fr = safe_f(xr)
-        if fr < vals[0]:
-            xe = centroid + gamma * (centroid - verts[-1])
-            fe = safe_f(xe)
-            if fe < fr:
-                verts[-1], vals[-1] = xe, fe
-            else:
-                verts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            verts[-1], vals[-1] = xr, fr
-        else:
-            if fr < vals[-1]:
-                xc = centroid + rho * (xr - centroid)
-            else:
-                xc = centroid + rho * (verts[-1] - centroid)
-            fc = safe_f(xc)
-            if fc < min(fr, vals[-1]):
-                verts[-1], vals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    verts[i] = verts[0] + sigma * (verts[i] - verts[0])
-                    vals[i] = safe_f(verts[i])
-
-    order = np.argsort(vals, kind="stable")
-    return LocalResult(
-        x=verts[order[0]].copy(),
-        value=float(vals[order[0]]),
-        converged=converged,
-        n_iter=n_iter,
-        n_eval=n_eval,
-    )
+    res = minimize(f, x0, method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": fatol, "maxiter": max_iter})
+    return LocalResult(x=res.x, value=float(res.fun), converged=bool(res.success),
+                       n_iter=int(res.nit), n_eval=int(res.nfev))
 
 
 def lbfgsb(

@@ -26,7 +26,9 @@ def write_report_files(out_dir, summary: EvaluationSummary, *, svg: bool = False
     """Write the five tables, and with `svg` one boxplot SVG per level.
 
     Returns the paths written, in the order written.  Every level label,
-    in a table header, a row or an SVG file name, is `repr(p)`.
+    in a table header, a row or an SVG file name, is `repr(p)`.  Every
+    other `boxplot-*.svg` in out_dir is removed, so no SVG of an earlier
+    run stands beside tables it does not match.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -57,6 +59,9 @@ def write_report_files(out_dir, summary: EvaluationSummary, *, svg: bool = False
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         written.append(path)
+    for path in out_dir.glob("boxplot-*.svg"):
+        if path.name not in files:
+            path.unlink()
     return written
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: fit, simulate, benchmark, report."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,17 @@ def test_simulate_unknown_preset_exits_2_naming_the_presets(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([], "one of the arguments --preset --manifest is required"),
+    (["--preset", "egpd-50", "--manifest", "manifest.json"], "not allowed with argument"),
+])
+def test_simulate_needs_exactly_one_source(tmp_path, capsys, flags, message):
+    out = tmp_path / "sim"
+    assert main(["simulate", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
     out1, out2 = tmp_path / "c1", tmp_path / "c2"
     for out in (out1, out2):
@@ -279,6 +291,34 @@ def test_benchmark_of_permuted_site_files_writes_the_same_outputs(tmp_path, caps
         outputs.append((tables, records))
     assert len(outputs[0][1]) == 6
     assert outputs[1] == outputs[0]
+
+
+def test_benchmark_of_hostile_sites_gives_a_record_per_fit(tmp_path, capsys):
+    # All-tied values, n at and below the EGPD limit of 30, n at 100, and
+    # two tied values: every method on every site leaves one record, and a
+    # failed fit names why.
+    sites = {
+        "tied": [0.2] * 150,
+        "n30": [0.1 * (i + 1) for i in range(30)],
+        "n29": [0.1 * (i + 1) for i in range(29)],
+        "n100": [0.1 * (i + 1) for i in range(100)],
+        "two-ties": [0.2] * 75 + [0.4] * 75,
+    }
+    for site_id, values in sites.items():
+        save_site(tmp_path / f"{site_id}.csv", SiteSeries(site_id, np.array(values)))
+    write_manifest(tmp_path / "m.json", seed=1, sites=[f"{s}.csv" for s in sites])
+    out = tmp_path / "run"
+    rc = main(["benchmark", "--manifest", str(tmp_path / "m.json"), "--out", str(out),
+               "--min-wet", "1", "--jobs", "2"])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    records = [json.loads(line) for line in (out / "fits.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert sorted((r["site_id"], r["method"]) for r in records) == sorted(
+        (site_id, method) for site_id in sites for method in METHODS)
+    errors = [r["error"] for r in records if r["error"] is not None]
+    assert errors and all(re.fullmatch(r"\w+: \S.*", e) for e in errors), errors
+    for name in TABLE_FILES + ("medians.txt", "classes.txt"):
+        assert (out / name).stat().st_size > 0
 
 
 def test_benchmark_all_fits_failed(tmp_path, capsys):
@@ -777,6 +817,23 @@ def test_report_writes_the_exact_bytes_of_every_table(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(
         "warning: naveau-pwm at p=0.1: 1 site(s) excluded"
         " (missing, non-positive or non-finite quantile): s2\n")
+
+
+@pytest.mark.parametrize("second, svgs", [
+    ([], []),
+    (["--svg"], ["boxplot-0.5.svg"]),
+])
+def test_report_leaves_no_svg_of_an_earlier_run(tmp_path, second, svgs):
+    records = tmp_path / "fits.jsonl"
+    records.write_text("".join(json.dumps(r) + "\n" for r in golden_records()), encoding="utf-8")
+    out = tmp_path / "tables"
+    assert main(["report", "--records", str(records), "--out", str(out), "--svg"]) == 0
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    assert main(["report", "--records", str(records), "--out", str(out),
+                 "--quantiles", "0.5", *second]) == 0
+    assert sorted(p.name for p in out.glob("*.svg")) == svgs
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+    assert (out / "medians.csv").read_text(encoding="utf-8").startswith("method,0.5,failed_fits\n")
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])

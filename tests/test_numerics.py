@@ -66,11 +66,6 @@ def test_nelder_mead_counts_its_evaluations():
     assert res.n_eval == len(calls) > res.n_iter
 
 
-def test_nelder_mead_rejects_nonfinite_start():
-    with pytest.raises(ValueError):
-        nelder_mead(lambda v: float("nan"), [0.0])
-
-
 def test_nelder_mead_treats_nonfinite_proposals_as_walls():
     # Minimum of (x - 1)^2 with the objective undefined left of 0.2: the
     # simplex must walk around the wall rather than crash.

@@ -112,6 +112,29 @@ def test_censored_mle_below_every_value_is_the_uncensored_record():
     assert plain["error"] is None and censored == plain
 
 
+def test_censoring_below_every_value_keeps_the_mle_fit_and_moves_the_pwm_fit():
+    # Below min(data) naveau-mle-c censors no value, so it is naveau-mle to
+    # the bit.  naveau-pwm-c matches the PWMs of Y | Y >= c, which differ
+    # from those of Y for every c > 0, so it nears naveau-pwm only as c
+    # shrinks.
+    spec = next(s for s in build_preset("paper-like-50", 1) if s.site_id == "site-001")
+    site = simulate_site(spec)
+    gaps = []
+    for fraction in (0.5, 0.01):
+        config = RunConfig(methods=("naveau-mle", "naveau-pwm", "naveau-mle-c", "naveau-pwm-c"),
+                           egpd_restarts=0, threshold_mm=fraction * float(site.values.min()))
+        records = {}
+        for record in run_fits([site], config):
+            del record["fit_seconds"]
+            assert record.pop("error") is None
+            records[record.pop("method")] = record
+        assert records["naveau-mle-c"] == records["naveau-mle"]
+        plain = records["naveau-pwm"]["estimated_quantiles"]
+        censored = records["naveau-pwm-c"]["estimated_quantiles"]
+        gaps.append(max(abs(math.log(censored[p] / plain[p])) for p in plain))
+    assert gaps[0] > gaps[1] > 0.0
+
+
 def test_benchmark_tracer_patches_names_that_exist():
     # rainbench/tracer.py replaces module globals by name; one that no longer
     # exists fails here, not only in a traced benchmark run.
