@@ -16,6 +16,18 @@ Exit codes: 0 success, 2 configuration or data problems (or a scipy
 without a compiled function the fits call), 3 filesystem problems, 4 "ran
 but failed" (a non-converged single fit, or a benchmark where every fit
 failed).
+
+Process exit: `run`, the entry of `python -m rainfit.cli` and of the
+`rainfit` console script, calls `main`, flushes stdout and stderr and ends
+the process with `os._exit`, skipping interpreter teardown (module
+clearing and collector passes over numpy and scipy, 40-60 ms of a
+benchmark run).  Nothing is lost by that: every file a command writes is
+closed by a `with` block or `write_text` before `main` returns, the pool in
+`run_fits` is terminated and joined when its `with` block ends, and rainfit
+registers no `atexit` handler.  If a flush fails with an OSError (a closed
+pipe, a full disk) the status is 120, as CPython's own exit gives when it
+cannot flush, and no traceback is printed.  `main` returns its code to
+in-process callers and never exits.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .evaluation import QuantileSet, summarize
@@ -224,5 +237,17 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """The process entry: `main`, then flush and exit without teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the process started with the fd closed
+                stream.flush()
+        except OSError:
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -404,9 +404,9 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     """Manifest to report files, end to end.
 
     Writes fits.jsonl plus the report tables into out_dir.  Raises
-    AllFitsFailedError (after writing the records) when not a single fit
-    converged, so callers can distinguish "ran but useless" from config
-    and I/O problems.
+    AllFitsFailedError (after writing the records and the tables, which
+    then count every fit as failed) when not a single fit converged, so
+    callers can distinguish "ran but useless" from config and I/O problems.
     """
     from .corpus import CorpusError, filter_corpus, load_manifest
 
@@ -421,10 +421,17 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "fits.jsonl", records)
-    if not any(r["converged"] for r in records):
-        raise AllFitsFailedError(f"all {len(records)} fits failed; see fits.jsonl")
+    all_failed = f"all {len(records)} fits failed; see fits.jsonl"
+    # Records of sites too small for empirical quantiles have no level to
+    # table, and none of them converged.
+    if not any(r["empirical_quantiles"] for r in records):
+        raise AllFitsFailedError(all_failed)
     summary = summarize(records, config.quantiles, order=tuple(METHODS))
     if dropped:
         summary.warnings.insert(0, f"{dropped} site(s) dropped below min_wet={config.min_wet}")
+    # Written even when every fit failed, so that no table of an earlier run
+    # stands beside these records.
     write_report_files(out_dir, summary, svg=config.svg)
+    if not any(r["converged"] for r in records):
+        raise AllFitsFailedError(all_failed)
     return summary

@@ -1,14 +1,23 @@
 """Command-line surface: fit, simulate, benchmark, report."""
 
+import errno
+import gc
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from fresh_python import SRC
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainfit import cli
 from rainfit.cli import main
 from rainfit.corpus import (
     CSV_HEADER,
@@ -342,6 +351,29 @@ def test_benchmark_all_fits_failed(tmp_path, capsys):
     )
     assert rc == 4
     assert "error" in capsys.readouterr().err
+
+
+def thirty_value_manifest(tmp_path) -> Path:
+    """A manifest of one site of 30 wet days: naveau-mle fits it, and
+    gamma-mixture-4 errors on it (K > n/10)."""
+    g = RngState(seed=5).generator()
+    save_site(tmp_path / "s30.csv", SiteSeries("s30", g.gamma(0.8, 6.0, size=30) + 0.1))
+    write_manifest(tmp_path / "m30.json", seed=1, sites=["s30.csv"])
+    return tmp_path / "m30.json"
+
+
+def test_benchmark_all_fits_failed_replaces_the_tables_of_an_earlier_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["benchmark", "--manifest", str(thirty_value_manifest(tmp_path)), "--out", str(out),
+            "--min-wet", "1"]
+    assert main(args + ["--methods", "naveau-mle"]) == 0
+    assert main(args + ["--methods", "gamma-mixture-4"]) == 4
+    # out/ holds what `report` rebuilds from the failed run's records.
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", "--records", str(out / "fits.jsonl"), "--out", str(rebuilt)]) == 0
+    for name in TABLE_FILES + ("medians.txt", "classes.txt"):
+        assert (out / name).read_bytes() == (rebuilt / name).read_bytes(), name
+    assert (out / "medians.csv").read_text(encoding="utf-8").splitlines()[1:] == ["gamma-mixture-4,,,,,,,,1"]
 
 
 def test_benchmark_one_value_site_is_error_records_and_the_other_site_fits(tmp_path, capsys):
@@ -856,3 +888,107 @@ def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
     assert "rainfit" in capsys.readouterr().out
+
+
+# --- the process entry: python -m rainfit.cli ------------------------------------
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """`python -m rainfit.cli args` in a child process.  Its stdout and
+    stderr are pipes, and the child buffers them by blocks, not lines."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rainfit.cli", *map(str, args)], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_process_benchmark_with_two_jobs_writes_what_main_writes(tmp_path, capsys):
+    flags = ["--manifest", str(small_manifest(tmp_path)), "--methods", "naveau-mle,gamma-mixture-2",
+             "--egpd-restarts", "0", "--mixture-restarts", "0", "--jobs", "2"]
+    proc = run_cli("benchmark", "--out", tmp_path / "process", *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith((tmp_path / "process" / "medians.txt").read_bytes())
+    assert main(["benchmark", "--out", str(tmp_path / "in-process"), *flags]) == 0
+    outputs = []
+    for run in ("process", "in-process"):
+        out = tmp_path / run
+        tables = {name: (out / name).read_bytes() for name in TABLE_FILES + ("medians.txt", "classes.txt")}
+        records = [json.loads(line) for line in (out / "fits.jsonl").read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            del record["fit_seconds"]
+        outputs.append((tables, records))
+    assert len(outputs[0][1]) == 4
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("unknown-method", 2), ("missing-records", 3), ("all-failed", 4), ("all-too-small", 4),
+])
+def test_process_exit_code(tmp_path, case, code):
+    manifest = thirty_value_manifest(tmp_path)
+    # A site of one wet day has no empirical quantiles: its records carry no level to table.
+    (tmp_path / "one.csv").write_text(f"{CSV_HEADER}\n2000-01-01,3.5\n", encoding="utf-8")
+    write_manifest(tmp_path / "m1.json", seed=1, sites=["one.csv"])
+    argv = {
+        "unknown-method": ["benchmark", "--manifest", manifest, "--out", tmp_path / "o",
+                           "--methods", "naveau-mle,bogus"],
+        "missing-records": ["report", "--records", tmp_path / "none.jsonl", "--out", tmp_path / "o"],
+        "all-failed": ["benchmark", "--manifest", manifest, "--out", tmp_path / "o",
+                       "--methods", "gamma-mixture-4", "--min-wet", "1"],
+        "all-too-small": ["benchmark", "--manifest", tmp_path / "m1.json", "--out", tmp_path / "o",
+                          "--methods", "naveau-pwm", "--min-wet", "1"],
+    }[case]
+    proc = run_cli(*argv)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"rainfit": "rainfit.cli:run"}
+
+
+@pytest.mark.parametrize("argv, broken_pipe, code", [
+    (["--version"], False, 0),
+    (["--no-such-flag"], False, 2),
+    (["--version"], True, 120),
+])
+def test_run_flushes_then_exits_with_the_code_of_main(monkeypatch, argv, broken_pipe, code):
+    class Stdout(io.StringIO):
+        def flush(self):
+            if broken_pipe:
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    stderr = io.StringIO()
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["rainfit", *argv])
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(os, "_exit", exits.append)
+    cli.run()
+    assert exits == [code]
+    assert "Traceback" not in stderr.getvalue()
+
+
+def test_every_command_closes_the_files_it_opens(tmp_path, capsys):
+    # `run` skips the teardown that would flush and close a file object
+    # left open, so each command must close what it writes before `main`
+    # returns.  A file object found open warns when it is freed.
+    manifest = small_manifest(tmp_path)
+    bench = tmp_path / "bench"
+    commands = [
+        ["fit", str(write_site(tmp_path)), "--method", "naveau-pwm"],
+        ["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "sim")],
+        ["benchmark", "--manifest", str(manifest), "--out", str(bench), "--jobs", "2",
+         "--methods", "naveau-mle,naveau-pwm"],
+        ["report", "--records", str(bench / "fits.jsonl"), "--out", str(tmp_path / "rep"), "--svg"],
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for argv in commands:
+            assert main(argv) == 0, argv
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
