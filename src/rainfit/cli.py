@@ -2,8 +2,8 @@
 
 Subcommands: `fit` (one site, one method, JSON record on stdout),
 `simulate` (materialize a synthetic corpus to CSV files), `benchmark`
-(manifest in, records + report tables out), `report` (rebuild tables from
-an existing records file).  Method names and their order come from
+(manifest in, records, report tables and `run.json` out), `report`
+(rebuild tables from an existing records file).  Method names and their order come from
 `pipeline.METHODS`.  No flag bounds a fit by wall time: its solvers'
 iteration and evaluation caps bound its work.
 
@@ -32,17 +32,9 @@ in-process callers and never exits.
 
 from __future__ import annotations
 
-import os
-
-# One BLAS/OpenMP thread unless the user chose otherwise.  The fits are
-# small-matrix work that extra threads only slow down: a 3-site benchmark
-# with two worker processes took about twice the wall time on 2 cores.
-# This runs before any module here imports numpy.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -50,6 +42,7 @@ from typing import NoReturn
 from . import __version__
 from .evaluation import QuantileSet, summarize
 from .pipeline import (
+    BLAS_THREAD_VARS,
     METHODS,
     AllFitsFailedError,
     ConfigError,
@@ -59,6 +52,13 @@ from .pipeline import (
     run_fits,
     write_report_files,
 )
+
+# One BLAS/OpenMP thread unless the user chose otherwise.  The fits are
+# small-matrix work that extra threads only slow down: a 3-site benchmark
+# with two worker processes took about twice the wall time on 2 cores.
+# This runs before any module imports numpy: none of the above does.
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 
 def _parse_methods(text: str | None) -> tuple[str, ...]:

@@ -165,14 +165,19 @@ def filter_corpus(sites, min_wet: int = 100) -> tuple[list[SiteSeries], int]:
     return kept, len(sites) - len(kept)
 
 
+def _has_bool(value) -> bool:
+    """Whether value, a number or a list of numbers, holds a boolean."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for one synthetic site.
 
     family is 'egpd' or 'gamma-mixture'; params are the family's parameter
-    record as a plain dict, checked by building it (`model_params`);
-    discretize_mm, when set, rounds draws
-    half-to-even to that increment and drops resulting zeros.
+    record as a plain dict, checked by building it (`model_params`), with
+    no boolean among its values; discretize_mm, a number when set, rounds
+    draws half-to-even to that increment and drops resulting zeros.
     """
 
     site_id: str
@@ -194,6 +199,12 @@ class GeneratorSpec:
             raise CorpusError(f"unknown family {self.family!r}")
         if self.n < 100:
             raise CorpusError("generator n must be >= 100")
+        # A JSON `true` would otherwise pass for the number 1.
+        numbers = {**(self.params if isinstance(self.params, dict) else {}),
+                   "discretize_mm": self.discretize_mm}
+        for key, value in numbers.items():
+            if _has_bool(value):
+                raise CorpusError(f"{key!r} holds a boolean, not a number: {value!r}")
         if self.discretize_mm is not None and not self.discretize_mm > 0.0:
             raise CorpusError("discretize_mm must be > 0")
         try:

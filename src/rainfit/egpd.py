@@ -7,13 +7,13 @@ the family usable across the whole wet-day range rather than only above a
 high threshold.
 
 Two fits are provided, maximum likelihood (`fit_mle`) and probability
-weighted moments (`fit_pwm`).  Given a threshold, each becomes its
-censored variant, which treats values below the threshold as
-interval-censored at zero cost to the tail fit.  Both PWM fits match the
-PWMs of Y | Y >= threshold, the plain fit at threshold 0, where they are
-the PWMs of Y.  `conditional_pwms` integrates them with a fixed tanh-sinh
-rule that resolves the (1 - u)^(-xi) endpoint singularity of the quantile
-function to near machine precision.
+weighted moments (`fit_pwm`).  Each takes a threshold, 0 by default,
+where it is the plain fit; above 0 it is the censored variant, which
+treats values below the threshold as interval-censored at zero cost to
+the tail fit.  Both PWM fits match the PWMs of Y | Y >= threshold, at
+threshold 0 the PWMs of Y.  `conditional_pwms` integrates them with a
+fixed tanh-sinh rule that resolves the (1 - u)^(-xi) endpoint singularity
+of the quantile function to near machine precision.
 
 Every fit runs `numerics.multistart` from a fixed start plus jittered
 copies.  The likelihood fits profile kappa out in closed form and run
@@ -259,19 +259,18 @@ def _boundary_hit(params: EgpdParams) -> bool:
     return params.xi <= XI_MIN + edge or params.xi >= XI_MAX - edge
 
 
-def _exceedances(data, threshold: float | None) -> tuple[int, np.ndarray]:
-    """The data's size and its values at or above threshold (all of them for None).
+def _exceedances(data, threshold: float) -> tuple[int, np.ndarray]:
+    """The data's size and its values at or above threshold, in order.
 
-    The data must be at least 30 finite values > 0, and a threshold finite,
-    > 0 and at or below at least 30 of them.
+    The data must be at least 30 finite values > 0, and the threshold
+    finite, >= 0 and at or below at least 30 of them.  At threshold 0 every
+    value is kept, so the fit is the uncensored one.
     """
     x = positive_sample(data)
     if x.size < 30:
         raise ValueError("need at least 30 observations")
-    if threshold is None:
-        return x.size, x
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValueError("censoring threshold must be finite and > 0")
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError("censoring threshold must be finite and >= 0")
     exceed = x[x >= threshold]
     if exceed.size < 30:
         raise ValueError("need at least 30 observations at or above the threshold")
@@ -325,7 +324,7 @@ def _gp_terms(u: np.ndarray, xi: float):
     return log1p_z, big_l, np.log(big_h), q, p, r
 
 
-def _profile_loglik(exceed: np.ndarray, n_below: int, threshold: float | None):
+def _profile_loglik(exceed: np.ndarray, n_below: int, threshold: float):
     """x = (ln sigma, v) -> (-profile log-likelihood / n, gradient, kappa-hat, xi).
 
     kappa is profiled out: dl/dkappa = 0 gives
@@ -380,7 +379,7 @@ def _profile_loglik(exceed: np.ndarray, n_below: int, threshold: float | None):
 
 def fit_mle(
     data,
-    threshold: float | None = None,
+    threshold: float = 0.0,
     *,
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
@@ -399,12 +398,13 @@ def fit_mle(
     Non-convergence is flagged in the diagnostics, never raised; the best
     candidate is always returned.
 
-    With a left-censoring threshold, the observations below it contribute
-    n_below * ln F(threshold) instead of their exact density, and the
-    start uses the mean of the rest.  That makes the fit robust to values
-    quantized by instrument precision near the bottom of the scale.  With
-    a threshold below min(data) the objective, starts and result coincide
-    bit for bit with the uncensored fit.
+    With a left-censoring threshold above 0, the observations below it
+    contribute n_below * ln F(threshold) instead of their exact density,
+    and the start uses the mean of the rest.  That makes the fit robust to
+    values quantized by instrument precision near the bottom of the scale.
+    At threshold 0, or any threshold below min(data), no value is censored
+    and the objective, starts and result are the uncensored fit's, bit for
+    bit.
     """
     n_total, exceed = _exceedances(data, threshold)
     evaluate = _profile_loglik(exceed, n_total - exceed.size, threshold)
@@ -495,18 +495,18 @@ def fit_pwm_from_moments(
     nu0: float,
     nu1: float,
     nu2: float,
-    threshold: float | None = None,
+    threshold: float = 0.0,
     *,
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
 ) -> tuple[EgpdParams, dict]:
     """Solve conditional_pwms(params, threshold) = (nu0, nu1, nu2).
 
-    Without a threshold it is 0, where the conditional PWMs are the plain
-    ones, E[Y F(Y)^j].  Levenberg-Marquardt on the three relative
-    residuals over (ln kappa, ln sigma, xi), with a forward-difference
-    Jacobian, from kappa = 1, sigma = nu0, xi = 0.1 plus `restarts`
-    jittered copies, with at most `MAX_ITER` residual evaluations per start.
+    At threshold 0 the conditional PWMs are the plain ones, E[Y F(Y)^j].
+    Levenberg-Marquardt on the three relative residuals over
+    (ln kappa, ln sigma, xi), with a forward-difference Jacobian, from
+    kappa = 1, sigma = nu0, xi = 0.1 plus `restarts` jittered copies, with
+    at most `MAX_ITER` residual evaluations per start.
     ln kappa and ln sigma are clamped to [-12, 12] and xi to [-0.5, 0.95]
     inside the residuals.  Where the threshold is at or beyond the
     support's upper end, the model's PWMs are taken as those of a point
@@ -518,7 +518,6 @@ def fit_pwm_from_moments(
     """
     if not all(math.isfinite(v) and v > 0.0 for v in (nu0, nu1, nu2)):
         raise ValueError("probability weighted moments must be finite and > 0")
-    threshold = 0.0 if threshold is None else threshold
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError("censoring threshold must be finite and >= 0")
     nu_hat = np.array([nu0, nu1, nu2])
@@ -554,17 +553,16 @@ def fit_pwm_from_moments(
 
 def fit_pwm(
     data,
-    threshold: float | None = None,
+    threshold: float = 0.0,
     *,
     restarts: int = 4,
     rng: RngState = _DEFAULT_RNG,
 ) -> tuple[EgpdParams, dict]:
     """PWM fit: the empirical nu_0, nu_1, nu_2 matched to the model's.
 
-    Without a threshold these are the PWMs of the whole sample and of Y;
-    with a left-censoring threshold, those of {y : y >= threshold} and of
-    Y | Y >= threshold.  Either way one system is solved; see
-    fit_pwm_from_moments.
+    They are the PWMs of {y : y >= threshold} and of Y | Y >= threshold,
+    at threshold 0 those of the whole sample and of Y.  Either way one
+    system is solved; see fit_pwm_from_moments.
     """
     n_total, exceed = _exceedances(data, threshold)
     params, diag = fit_pwm_from_moments(

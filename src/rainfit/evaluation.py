@@ -193,7 +193,9 @@ def summarize(
     Records have the shape `fits.jsonl` stores, level maps keyed by
     `repr(p)`, and each fit is scored against the empirical quantiles its
     own record carries.  `qset` defaults to every level those carry; a
-    requested level that no record carries is a ValueError naming it.
+    requested level that no record carries is a ValueError naming it,
+    unless no record carries any level (every site too small for
+    empirical quantiles), when every cell is blank.
 
     Only converged fits contribute to D distributions (a converged record
     has no error: `pipeline._check_record`); the rest are counted per
@@ -215,10 +217,10 @@ def summarize(
             raise ValueError("records carry no quantile levels")
         qset = QuantileSet(tuple(recorded))
     missing = sorted(set(qset.probabilities).difference(recorded))
-    if missing:
+    if missing and recorded:
         raise ValueError(
             f"quantile levels {', '.join(map(repr, missing))} are not recorded"
-            f" (recorded: {', '.join(map(repr, recorded)) or 'none'})"
+            f" (recorded: {', '.join(map(repr, recorded))})"
         )
 
     present = {r["method"] for r in records}

@@ -3,8 +3,9 @@
 The pipeline owns everything between a corpus manifest and the files on
 disk: building the deterministic task list, running fits (serially or in a
 process pool), collecting one record per task no matter what the fit did,
-and writing the records file.  `report.write_report_files`, imported here,
-writes the tables derived from them.
+and writing the records file and `run.json`, what the run cost.
+`report.write_report_files`, imported here, writes the tables derived from
+the records.
 
 A fit is its record: `run_single_fit` returns the dict that `fits.jsonl`
 stores on one line, and that same dict goes to `write_records` and
@@ -12,25 +13,28 @@ stores on one line, and that same dict goes to `write_records` and
 is the one shape check wherever a record enters: a line read by
 `load_records`, or a fit just made by `run_single_fit`.
 
-Determinism contract: with a fixed manifest, config and seed, every output
-except the per-fit wall-clock times is byte-identical, regardless of the
-number of worker processes.  Each task draws from its own RNG stream,
-derived from (config seed, site index, the method's position in the
-`METHODS` table), so no task's randomness depends on execution order.
-Timings land only in the records file (`fits.jsonl`); the CSV and text
-tables never contain them.
+Determinism contract: with a fixed manifest, config and seed, the tables
+are byte-identical, regardless of the number of worker processes;
+`fits.jsonl` is identical apart from each record's `fit_seconds`, and
+`run.json` apart from its seconds, its environment and `jobs`.  Each task
+draws from its own RNG stream, derived from (config seed, site index, the
+method's position in the `METHODS` table), so no task's randomness
+depends on execution order.  Timings land only in `fits.jsonl` and
+`run.json`; the CSV and text tables never contain them.
 
 Import rule: this module imports the standard library and `evaluation`
 and `report` alone, so `rainfit report`, `--help` and `--version` load no
 numpy.  Loading site CSVs imports `corpus` and numpy where it loads them;
 `run_fits` loads what the requested methods call, and only that, once,
-before it forks a pool or times a fit (`preload_fits`).
+before it forks a pool or times a fit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,19 +49,24 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AllFitsFailedError",
+    "BLAS_THREAD_VARS",
     "ConfigError",
     "METHODS",
     "Method",
     "RunConfig",
     "load_records",
     "materialize_corpus",
-    "preload_fits",
     "run_benchmark",
     "run_fits",
     "run_single_fit",
     "write_records",
     "write_report_files",
 ]
+
+
+# The thread counts of the BLAS and OpenMP libraries numpy may use: `cli`
+# sets each to 1 unless the user chose, and `run.json` records them.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -89,7 +98,7 @@ def _egpd_method(fit_name: str, *, censored: bool = False, lmder: bool = False) 
     def run(values, config, rng):
         from . import egpd
 
-        threshold = config.threshold_mm if censored else None
+        threshold = config.threshold_mm if censored else 0.0
         fit = getattr(egpd, fit_name)
         params, diag = fit(values, threshold, restarts=config.egpd_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
@@ -240,26 +249,6 @@ def _execute_task(task) -> dict:
     return run_single_fit(*task)
 
 
-def preload_fits(config: RunConfig) -> None:
-    """Load, once, everything the fits of `config.methods` call.
-
-    The fit module of each requested family, and scipy's three compiled
-    modules (`numerics.preload_scipy`), with the `scipy` package as well
-    when a PWM method is requested.  After it, those fits import nothing:
-    their jittered starts come from `RngState.doubles`, which needs no
-    numpy.random.  `run_fits` calls it; a caller that times fits itself
-    calls it first.
-    """
-    from importlib import import_module
-
-    from .numerics import preload_scipy
-
-    methods = [METHODS[m] for m in config.methods]
-    for family in dict.fromkeys(m.family for m in methods):
-        import_module(f"{__package__}.{family}")
-    preload_scipy(lmder=any(m.lmder for m in methods))
-
-
 def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
     """Run every (site, method) pair from config over the given sites.
 
@@ -271,21 +260,23 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
     jobs > 1 the tasks run in a fork-start process pool, mapped in order,
     so results are identical to the serial path.
 
-    What the requested methods call is loaded by `preload_fits`, here,
-    before any fit is timed and before the pool forks: `egpd` for the
-    `naveau-*` methods, `gamma_mixture` for the mixtures, scipy's three
-    compiled modules, and for the PWM methods the `scipy` package, whose
-    `__init__` MINPACK's `_lmder` would otherwise run on its first call.
-    So no fit's seconds include an import, no worker loads fit code
-    itself, and a scipy without one of the functions the fits call is an
-    ImportError here, before any fit.  No fit loads numpy.random, in this
+    What the requested methods call is loaded here, once, before any fit
+    is timed and before the pool forks: `egpd` for the `naveau-*` methods,
+    `gamma_mixture` for the mixtures, scipy's three compiled modules
+    (`numerics.preload_scipy`), and for the PWM methods the `scipy`
+    package, whose `__init__` MINPACK's `_lmder` would otherwise run on its
+    first call.  So no fit's seconds include an import, no worker loads
+    fit code itself, and a scipy without one of the functions the fits
+    call is an ImportError here, before any fit.  No fit loads numpy.random, in this
     process or a worker: jittered starts are computed from the task's
     Philox stream in Python (`RngState.doubles`).
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
         raise ConfigError("no sites to fit")
-    from .numerics import RngState
+    from importlib import import_module
+
+    from .numerics import RngState, preload_scipy
 
     base = RngState(config.seed)
     stream = {m: i for i, m in enumerate(METHODS)}
@@ -294,7 +285,10 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
         for si, series in enumerate(sites)
         for method in config.methods
     ]
-    preload_fits(config)
+    methods = [METHODS[m] for m in config.methods]
+    for family in dict.fromkeys(m.family for m in methods):
+        import_module(f"{__package__}.{family}")
+    preload_scipy(lmder=any(m.lmder for m in methods))
     if config.jobs == 1 or len(tasks) == 1:
         return [_execute_task(t) for t in tasks]
     import multiprocessing
@@ -322,9 +316,9 @@ def _check_record(record) -> None:
 
     String ids, a `METHODS` name, a boolean `converged`, an `error` that is
     null or a string, and null if converged, `fit_seconds` and `params`
-    present, and level maps whose keys are levels strictly inside (0, 1)
-    and whose values are numbers (`empirical_quantiles` may be null or
-    absent, as may `error`, `diagnostics` and `n_wet`).  A converged
+    present, and level maps whose keys are distinct levels strictly inside
+    (0, 1) and whose values are numbers (`empirical_quantiles` may be null
+    or absent, as may `error`, `diagnostics` and `n_wet`).  A converged
     record's estimated quantiles must increase with the level.  So a
     record is a failed fit if and only if it is not `converged`.
     """
@@ -350,9 +344,13 @@ def _check_record(record) -> None:
     for key, levels in maps.items():
         if not isinstance(levels, dict):
             raise ValueError(f"{key} must be an object")
-        outside = [p for p in levels if not 0.0 < float(p) < 1.0]
+        by_level = {float(p): p for p in levels}
+        outside = [p for level, p in by_level.items() if not 0.0 < level < 1.0]
         if outside:
             raise ValueError(f"{key} has a level outside (0, 1): {outside[0]!r}")
+        if len(by_level) < len(levels):
+            p = next(p for p in levels if by_level[float(p)] != p)
+            raise ValueError(f"{key} names one level twice: {p!r} and {by_level[float(p)]!r}")
         if not set(map(type, levels.values())) <= _NUMBER_TYPES:
             value = next(v for v in levels.values() if type(v) not in _NUMBER_TYPES)
             raise ValueError(f"{key} has a value that is not a number: {value!r}")
@@ -400,16 +398,59 @@ def materialize_corpus(manifest: Manifest) -> list[SiteSeries]:
     return [load_site(p) for p in manifest.site_paths] + simulate_corpus(manifest.generators)
 
 
+def _environment() -> dict:
+    """The Python, numpy and scipy versions, CPU count and BLAS thread variables.
+
+    Read from what the run has loaded, scipy's version by
+    `numerics.scipy_version`, so recording them imports no module.
+    """
+    import numpy
+
+    from .numerics import scipy_version
+
+    return {
+        "python": sys.version.split()[0],
+        "numpy": numpy.__version__,
+        "scipy": scipy_version(),
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
+def _write_run_file(path, config: RunConfig, records: list[dict], seconds: dict) -> None:
+    """Write `run.json`: the config, the environment, phase seconds and
+    per-method totals of fits, failed fits, `n_eval`, `restarts_at_best`
+    and `fit_seconds` over records."""
+    methods = {m: dict(fits=0, failed_fits=0, n_eval=0, restarts_at_best=0, fit_seconds=0.0)
+               for m in config.methods}
+    for r in records:
+        totals = methods[r["method"]]
+        totals["fits"] += 1
+        totals["failed_fits"] += not r["converged"]
+        totals["fit_seconds"] += r["fit_seconds"]
+        for key in ("n_eval", "restarts_at_best"):
+            totals[key] += r["diagnostics"].get(key, 0)
+    run = {
+        "config": {**vars(config), "quantiles": config.quantiles.probabilities},
+        "environment": _environment(),
+        "seconds": seconds,
+        "methods": methods,
+    }
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(run, indent=2) + "\n")
+
+
 def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummary:
     """Manifest to report files, end to end.
 
-    Writes fits.jsonl plus the report tables into out_dir.  Raises
-    AllFitsFailedError (after writing the records and the tables, which
-    then count every fit as failed) when not a single fit converged, so
-    callers can distinguish "ran but useless" from config and I/O problems.
+    Writes fits.jsonl, the report tables and run.json into out_dir.  Raises
+    AllFitsFailedError (after writing all three, the tables then counting
+    every fit as failed) when not a single fit converged, so callers can
+    distinguish "ran but useless" from config and I/O problems.
     """
     from .corpus import CorpusError, filter_corpus, load_manifest
 
+    t0 = time.perf_counter()
     manifest = load_manifest(manifest_path)
     sites = materialize_corpus(manifest)
     kept, dropped = filter_corpus(sites, config.min_wet)
@@ -417,21 +458,20 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
         raise CorpusError(
             f"no sites left after the min_wet={config.min_wet} filter ({dropped} dropped)"
         )
+    t1 = time.perf_counter()
     records = run_fits(kept, config)
+    t2 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "fits.jsonl", records)
-    all_failed = f"all {len(records)} fits failed; see fits.jsonl"
-    # Records of sites too small for empirical quantiles have no level to
-    # table, and none of them converged.
-    if not any(r["empirical_quantiles"] for r in records):
-        raise AllFitsFailedError(all_failed)
     summary = summarize(records, config.quantiles, order=tuple(METHODS))
     if dropped:
         summary.warnings.insert(0, f"{dropped} site(s) dropped below min_wet={config.min_wet}")
     # Written even when every fit failed, so that no table of an earlier run
     # stands beside these records.
     write_report_files(out_dir, summary, svg=config.svg)
+    seconds = {"load": t1 - t0, "fit": t2 - t1, "write": time.perf_counter() - t2}
+    _write_run_file(out_dir / "run.json", config, records, seconds)
     if not any(r["converged"] for r in records):
-        raise AllFitsFailedError(all_failed)
+        raise AllFitsFailedError(f"all {len(records)} fits failed; see fits.jsonl")
     return summary

@@ -362,18 +362,33 @@ def thirty_value_manifest(tmp_path) -> Path:
     return tmp_path / "m30.json"
 
 
-def test_benchmark_all_fits_failed_replaces_the_tables_of_an_earlier_run(tmp_path, capsys):
+@pytest.mark.parametrize("case", ["every-fit-errs", "every-site-too-small"])
+def test_benchmark_all_fits_failed_replaces_the_tables_of_an_earlier_run(tmp_path, capsys, case):
+    # gamma-mixture-4 errs on 30 values (K > n/10).  A site of one wet day
+    # has no empirical quantiles, so its records carry no level, and
+    # `report` of them needs the levels given.
     out = tmp_path / "run"
-    args = ["benchmark", "--manifest", str(thirty_value_manifest(tmp_path)), "--out", str(out),
-            "--min-wet", "1"]
-    assert main(args + ["--methods", "naveau-mle"]) == 0
-    assert main(args + ["--methods", "gamma-mixture-4"]) == 4
+    first = ["benchmark", "--manifest", str(thirty_value_manifest(tmp_path)), "--out", str(out),
+             "--min-wet", "1"]
+    assert main(first + ["--methods", "naveau-mle"]) == 0
+    if case == "every-fit-errs":
+        second, method, levels = first, "gamma-mixture-4", []
+    else:
+        (tmp_path / "one.csv").write_text(f"{CSV_HEADER}\n2000-01-01,3.5\n", encoding="utf-8")
+        write_manifest(tmp_path / "m1.json", seed=1, sites=["one.csv"])
+        second = ["benchmark", "--manifest", str(tmp_path / "m1.json"), "--out", str(out), "--min-wet", "1"]
+        method, levels = "naveau-pwm", ["--quantiles", "0.25,0.5"]
+    assert main(second + ["--methods", method] + levels) == 4
     # out/ holds what `report` rebuilds from the failed run's records.
     rebuilt = tmp_path / "rebuilt"
-    assert main(["report", "--records", str(out / "fits.jsonl"), "--out", str(rebuilt)]) == 0
+    assert main(["report", "--records", str(out / "fits.jsonl"), "--out", str(rebuilt)] + levels) == 0
     for name in TABLE_FILES + ("medians.txt", "classes.txt"):
         assert (out / name).read_bytes() == (rebuilt / name).read_bytes(), name
-    assert (out / "medians.csv").read_text(encoding="utf-8").splitlines()[1:] == ["gamma-mixture-4,,,,,,,,1"]
+    n_levels = len(levels[1].split(",")) if levels else 7
+    assert (out / "medians.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        method + "," * (n_levels + 1) + "1"]
+    run = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert [(m, t["fits"], t["failed_fits"]) for m, t in run["methods"].items()] == [(method, 1, 1)]
 
 
 def test_benchmark_one_value_site_is_error_records_and_the_other_site_fits(tmp_path, capsys):
@@ -489,6 +504,28 @@ def test_benchmark_hostile_manifest_exits_2_naming_file_and_entry(tmp_path, caps
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {path}: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {**EGPD_ENTRY, "discretize_mm": True},
+        {**EGPD_ENTRY, "params": {"kappa": 1.2, "sigma": True, "xi": 0.1}},
+        {"family": "gamma-mixture", "n": 300,
+         "params": {"weights": [True, False], "shapes": [0.8, 3.0], "scales": [2.0, 6.0]}},
+    ],
+    ids=["discretize-true", "param-true", "weights-true-false"],
+)
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_a_boolean_for_a_generator_number_exits_2_before_writing(tmp_path, capsys, command, entry):
+    # JSON `true` would otherwise pass for 1: a 1 mm gauge, a parameter of
+    # 1.0, weights (1, 0).
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seed": 1, "generators": [EGPD_ENTRY, entry]}), encoding="utf-8")
+    assert main([command, "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad generator entry 1: ") and "a boolean, not a number" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 @pytest.mark.parametrize(
@@ -635,6 +672,8 @@ def without(record, key):
         ({**OTHER_SITE, "method": "bogus"}, "unknown method"),
         ({**OTHER_SITE, "empirical_quantiles": {"0.25": 1.1, "nan": 2.1, "0.75": 3.1}}, "outside (0, 1)"),
         ({**OTHER_SITE, "estimated_quantiles": {"0.25": 1.0, "0.5": 2.0, "1.5": 3.0}}, "outside (0, 1)"),
+        ({**OTHER_SITE, "empirical_quantiles": {"0.25": 1.1, "0.5": 2.1, "0.50": 1.6, "0.75": 3.1}},
+         "empirical_quantiles names one level twice: '0.5' and '0.50'"),
         (GOOD_RECORD, "a second record of site 's0', method 'naveau-mle'"),
         (NON_INCREASING, "converged fit has non-increasing quantiles"),
         (without(OTHER_SITE, "fit_seconds"), "fit_seconds"),
@@ -642,7 +681,7 @@ def without(record, key):
         ({**OTHER_SITE, "error": "RuntimeError: no mode"}, "a converged fit has an error"),
     ],
     ids=["not-an-object", "quantile-not-a-number", "level-not-a-number", "unknown-method",
-         "level-nan", "level-above-1", "duplicate", "non-increasing", "no-fit-seconds", "no-params",
+         "level-nan", "level-above-1", "level-twice", "duplicate", "non-increasing", "no-fit-seconds", "no-params",
          "converged-with-error"],
 )
 def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile, reason):
@@ -927,7 +966,7 @@ def test_process_benchmark_with_two_jobs_writes_what_main_writes(tmp_path, capsy
 ])
 def test_process_exit_code(tmp_path, case, code):
     manifest = thirty_value_manifest(tmp_path)
-    # A site of one wet day has no empirical quantiles: its records carry no level to table.
+    # A site of one wet day has no empirical quantiles, so its records carry no level.
     (tmp_path / "one.csv").write_text(f"{CSV_HEADER}\n2000-01-01,3.5\n", encoding="utf-8")
     write_manifest(tmp_path / "m1.json", seed=1, sites=["one.csv"])
     argv = {

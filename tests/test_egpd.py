@@ -56,8 +56,8 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("fit", [fit_mle, fit_pwm])
-@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
-def test_fits_reject_a_threshold_that_is_not_positive(fit, threshold):
+@pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+def test_fits_reject_a_negative_or_non_finite_threshold(fit, threshold):
     data = egpd_simulate(200, EgpdParams(2.0, 5.0, 0.2), RngState(seed=20))
     with pytest.raises(ValueError, match="censoring threshold"):
         fit(data, threshold)
@@ -314,7 +314,7 @@ def test_profile_loglik_gradient_matches_central_differences():
     y_max = float(np.max(data))
     exceed = data[data >= 1.0]
     cases = (
-        (data, 0, None),
+        (data, 0, 0.0),
         (exceed, data.size - exceed.size, 1.0),
     )
     points = [
@@ -341,7 +341,7 @@ def test_profile_loglik_gradient_matches_central_differences():
 def test_profile_loglik_is_finite_on_the_whole_box():
     # Every (ln sigma, v) L-BFGS-B may try keeps max(y) inside the support.
     data = egpd_simulate(500, EgpdParams(0.7, 2.0, -0.2), RngState(seed=32))
-    evaluate = rainfit.egpd._profile_loglik(data, 0, None)
+    evaluate = rainfit.egpd._profile_loglik(data, 0, 0.0)
     for log_sigma in (-12.0, -3.0, 0.0, math.log(float(np.max(data)) / 2.0), 5.0, 12.0):
         for v in (0.0, 1e-12, 0.3, 1.0):
             value, grad, kappa, xi = evaluate(np.array([log_sigma, v]))

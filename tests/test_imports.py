@@ -18,6 +18,8 @@ in); `test_scipy_loader` holds the rest of the scipy loader's contract.
 Importing the CLI sets one BLAS/OpenMP thread unless the environment
 already chose a count.  Each check runs in a fresh interpreter and reads
 `sys.modules`, the loaded modules or `os.environ`; none measures time.
+Writing `run.json` loads no module: scipy's version is read from its
+`version.py`, outside `sys.modules`.
 """
 
 import importlib
@@ -176,6 +178,27 @@ def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_pat
     assert [rc, before, loaded] == [0, False, FIT_MODULES_LOADED]
     assert converged == sorted(METHODS)
     assert loaded_packages(after) == []
+
+
+@pytest.mark.parametrize("methods", ["gamma-mixture-2,gamma-mixture-3", ",".join(METHODS)])
+def test_writing_run_json_loads_no_module(tmp_path, methods):
+    # scipy's version comes from its version.py, read outside sys.modules:
+    # not from importlib.metadata, platform or `import scipy`.  A run of a
+    # PWM method has loaded the scipy package, scipy.version with it.
+    hook = (
+        "_write_run_file = rainfit.pipeline._write_run_file\n"
+        "def write_run_file(*args):\n"
+        "    before = set(sys.modules)\n"
+        "    _write_run_file(*args)\n"
+        "    seen.append(sorted(set(sys.modules) - before))\n"
+        "    seen.append([m for m in ('importlib.metadata', 'scipy', 'scipy.version') if m in sys.modules])\n"
+        "rainfit.pipeline._write_run_file = write_run_file\n"
+    )
+    code = benchmark_code(site_file_manifest(tmp_path, 70), tmp_path / "run", 1, hook, methods)
+    rc, before, seen, _ = run_python(code)
+    scipy_package = ["scipy", "scipy.version"] if "naveau-pwm" in methods else []
+    assert [rc, before, seen] == [0, False, [[], scipy_package]]
+    assert json.loads((tmp_path / "run" / "run.json").read_text(encoding="utf-8"))["environment"]["scipy"]
 
 
 def loaded_by(methods: str) -> list[str]:

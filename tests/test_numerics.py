@@ -326,12 +326,12 @@ def test_lbfgsb_serves_a_repeated_point_from_its_cache(setulb_calls):
     assert requests > res.n_eval
 
 
-@pytest.mark.parametrize("threshold", [None, 1.0])
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
 def test_lbfgsb_matches_scipy_on_the_egpd_profile_likelihood(threshold, setulb_calls):
     from rainfit.egpd import EgpdParams, _profile_loglik, egpd_simulate
 
     y = egpd_simulate(400, EgpdParams(0.8, 5.0, 0.15), RngState(seed=11))
-    exceed = y if threshold is None else y[y >= threshold]
+    exceed = y[y >= threshold]
     evaluate = _profile_loglik(exceed, y.size - exceed.size, threshold)
     lower, upper = np.array([-12.0, 0.0]), np.array([12.0, 1.0])
     for x0 in ([1.0, 0.4], [3.0, 0.05], [-1.0, 0.9]):

@@ -1,10 +1,13 @@
-"""The method table: RNG streams follow it, the profiling script repeats the
-benchmark, and the benchmark's tracer finds every name it patches.  A fit
-is its record: what `run_single_fit` returns is what `fits.jsonl` holds."""
+"""The method table: RNG streams follow it, and the benchmark's tracer finds
+every name it patches.  A fit is its record: what `run_single_fit` returns
+is what `fits.jsonl` holds, and `run.json` totals those records."""
 
 import importlib.util
 import json
 import math
+import os
+import sys
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,6 @@ EGPD_SITE = GeneratorSpec(
 )
 
 REPO = Path(__file__).resolve().parents[1]
-FIT_PROFILE = REPO / "scripts" / "fit_profile.py"
 TRACER = REPO / "rainbench" / "tracer.py"
 
 
@@ -57,26 +59,47 @@ def test_each_method_draws_the_stream_of_its_table_position():
     assert all(r["error"] is None for r in seven.values())
 
 
-def test_fit_profile_repeats_the_benchmark_fits(tmp_path, capsys):
-    spec = build_preset("paper-like-50", 1)[0]
-    write_manifest(tmp_path / "manifest.json", seed=1, generators=[spec])
-    methods = "naveau-pwm,gamma-mixture-2"
-    # The script's restart defaults.
-    restarts = ["--egpd-restarts", "2", "--mixture-restarts", "1"]
-    assert main(["benchmark", "--manifest", str(tmp_path / "manifest.json"),
-                 "--out", str(tmp_path / "run"), "--methods", methods, "--seed", "1", *restarts]) == 0
-    bench = {}
-    for line in (tmp_path / "run" / "fits.jsonl").read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        bench[record["method"]] = (record["diagnostics"]["n_eval"], record["diagnostics"]["objective"])
-    capsys.readouterr()
+MIXTURE_SITE = GeneratorSpec(
+    site_id="s1", family="gamma-mixture", n=400, seed=8,
+    params={"weights": [0.6, 0.4], "shapes": [0.8, 3.0], "scales": [2.0, 6.0]},
+)
 
-    fit_profile = load_script("fit_profile", FIT_PROFILE)
-    assert fit_profile.main(["--preset", "paper-like-50", "--seed", "1", "--sites", "0",
-                             "--methods", methods, *restarts]) == 0
-    profile = json.loads(capsys.readouterr().out)
-    assert {f["method"]: (f["n_eval"], f["objective"]) for f in profile["fits"]} == bench
-    assert all(f["site"] == spec.site_id and f["seconds"] > 0 for f in profile["fits"])
+
+def test_run_json_totals_the_records_and_does_not_depend_on_jobs(tmp_path):
+    write_manifest(tmp_path / "manifest.json", seed=1, generators=[EGPD_SITE, MIXTURE_SITE])
+    repeated = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs-{jobs}"
+        assert main(["benchmark", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out),
+                     "--jobs", str(jobs), "--egpd-restarts", "1", "--mixture-restarts", "1"]) == 0
+        run = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        records = [json.loads(line) for line in (out / "fits.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert run["config"] == {
+            "methods": list(METHODS), "quantiles": [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99],
+            "threshold_mm": 1.0, "seed": 1, "jobs": jobs, "egpd_restarts": 1,
+            "mixture_restarts": 1, "min_wet": 100, "svg": False,
+        }
+        assert run["environment"] == {
+            "python": sys.version.split()[0], "numpy": np.__version__, "scipy": version("scipy"),
+            "cpu_count": os.cpu_count(),
+            "blas_threads": {var: os.environ.get(var) for var in pipeline.BLAS_THREAD_VARS},
+        }
+        assert list(run["seconds"]) == ["load", "fit", "write"]
+        assert all(s > 0.0 for s in run["seconds"].values())
+        assert list(run["methods"]) == list(METHODS)
+        for method, totals in run["methods"].items():
+            mine = [r for r in records if r["method"] == method]
+            assert totals == {
+                "fits": len(mine),
+                "failed_fits": sum(not r["converged"] for r in mine),
+                "n_eval": sum(r["diagnostics"]["n_eval"] for r in mine),
+                "restarts_at_best": sum(r["diagnostics"]["restarts_at_best"] for r in mine),
+                "fit_seconds": sum(r["fit_seconds"] for r in mine),
+            }
+            del totals["fit_seconds"]
+        del run["config"]["jobs"]
+        repeated.append((run["config"], run["methods"]))
+    assert repeated[1] == repeated[0]
 
 
 DIAGNOSTICS_KEYS = {"converged", "objective", "restart_index", "n_iter", "n_eval",
