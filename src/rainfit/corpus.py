@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -165,19 +166,15 @@ def filter_corpus(sites, min_wet: int = 100) -> tuple[list[SiteSeries], int]:
     return kept, len(sites) - len(kept)
 
 
-def _has_bool(value) -> bool:
-    """Whether value, a number or a list of numbers, holds a boolean."""
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for one synthetic site.
 
     family is 'egpd' or 'gamma-mixture'; params are the family's parameter
-    record as a plain dict, checked by building it (`model_params`), with
-    no boolean among its values; discretize_mm, a number when set, rounds
-    draws half-to-even to that increment and drops resulting zeros.
+    record as a plain dict, checked by building it (`model_params`), whose
+    values are real numbers or lists of them, never a boolean or a string;
+    discretize_mm, a number when set, rounds draws half-to-even to that
+    increment and drops resulting zeros.
     """
 
     site_id: str
@@ -199,12 +196,19 @@ class GeneratorSpec:
             raise CorpusError(f"unknown family {self.family!r}")
         if self.n < 100:
             raise CorpusError("generator n must be >= 100")
-        # A JSON `true` would otherwise pass for the number 1.
-        numbers = {**(self.params if isinstance(self.params, dict) else {}),
-                   "discretize_mm": self.discretize_mm}
-        for key, value in numbers.items():
-            if _has_bool(value):
-                raise CorpusError(f"{key!r} holds a boolean, not a number: {value!r}")
+        # Each value, or each element of a list, must be a real number, as a
+        # numpy scalar is.  A JSON `true` would otherwise pass for the number
+        # 1, and "1.2" for 1.2: the parameter records call float().  None is
+        # an unset discretize_mm (as a parameter, model_params rejects it).
+        values = {**(self.params if isinstance(self.params, dict) else {}),
+                  "discretize_mm": self.discretize_mm}
+        for key, value in values.items():
+            items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+            bad = [v for v in items
+                   if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real))]
+            if bad:
+                kind = "a boolean" if isinstance(bad[0], (bool, np.bool_)) else f"a {type(bad[0]).__name__}"
+                raise CorpusError(f"{key!r} holds {kind}, not a number: {value!r}")
         if self.discretize_mm is not None and not self.discretize_mm > 0.0:
             raise CorpusError("discretize_mm must be > 0")
         try:

@@ -44,6 +44,8 @@ __all__ = [
 _LOG_CLAMP = 12.0
 _FLOAT_MIN = np.finfo(float).min
 _DEFAULT_RNG = RngState(seed=0x6A77A)
+# A component of a fitted mode counts towards `effective_k` from this weight.
+_EFFECTIVE_WEIGHT = 1e-6
 # The prior's u and v; rho = q = r = 1.
 _PRIOR_U = 1.1
 _PRIOR_V = 2.0
@@ -401,7 +403,9 @@ def fit_map(
     the per-observation objective is at most 1e-6.  Components of the
     returned mode are sorted by mean a_k b_k ascending; label order carries
     no meaning during optimization.  K larger than n/10 is rejected as
-    unidentifiable at that sample size.
+    unidentifiable at that sample size.  The diagnostics add the mode's
+    `min_weight` and `effective_k`, its number of weights >= 1e-6: a mode
+    with fewer has collapsed onto fewer components.
     """
     x = positive_sample(data)
     if k < 1:
@@ -427,5 +431,7 @@ def fit_map(
         objective=-best.value * n,
         boundary_hit=bool(np.any(np.abs(log_ab) >= _LOG_CLAMP - 1e-9)),
         small_sample=n < 50 * dim,
+        min_weight=min(params.weights),
+        effective_k=sum(w >= _EFFECTIVE_WEIGHT for w in params.weights),
     )
     return params, diag

@@ -14,34 +14,31 @@ and `fits.jsonl` stores as the record's `diagnostics` (the README's
 (L-BFGS-B on an analytic gradient: the gamma-mixture MAP and the two EGPD
 likelihood fits) and `solve_least_squares` (Levenberg-Marquardt on a
 forward-difference Jacobian: the one moment system of the two EGPD PWM
-fits).  Both drive scipy's compiled kernels, `setulb` and MINPACK's
-`lmder`, directly, without the public `minimize` and `least_squares`
-wrappers that copy and check x and re-evaluate around every call; they
-take the steps those wrappers take, to the bit.  Every L-BFGS-B solve
-keeps `_LBFGSB_MEMORY` = 20 correction pairs, more than the 3K - 1
-dimensions of the largest mixture.  No fit calls `nelder_mead`, which is
-scipy's Nelder-Mead simplex (`scipy.optimize.minimize`, imported when it
-is called) returning a `LocalResult`: it is kept as the name
-`rainbench/tracer.py` patches in `egpd` and `gamma_mixture`, and as an
-oracle for tests that is independent of the fits' own solvers.
+fits).  `lbfgsb` drives scipy's compiled kernel `setulb` directly,
+without the public `minimize` wrapper that copies and checks x and
+re-evaluates around every call; it takes the steps that wrapper takes, to
+the bit.  Every L-BFGS-B solve keeps `_LBFGSB_MEMORY` = 20 correction
+pairs, more than the 3K - 1 dimensions of the largest mixture.
+`solve_least_squares` is a short loop in Python floats, with no scipy: its
+systems have three unknowns and a root of zero residual.  No fit calls
+`nelder_mead`, which is scipy's Nelder-Mead simplex
+(`scipy.optimize.minimize`, imported when it is called) returning a
+`LocalResult`: it is kept as the name `rainbench/tracer.py` patches in
+`egpd` and `gamma_mixture`, and as an oracle for tests that is independent
+of the fits' own solvers.
 
 Importing any rainfit module loads numpy alone.  scipy is loaded inside
-the functions that call it, as three compiled extension files that
-`_scipy_kernel` loads without running any package `__init__`: the two
-solver kernels and `_special_ufuncs`, whose `psi` and `gammainc` are
+the functions that call it, as two compiled extension files that
+`_scipy_kernel` loads without running any package `__init__`: L-BFGS-B's
+kernel and `_special_ufuncs`, whose `psi` and `gammainc` are
 scipy.special's `digamma` and `gammainc` (the gamma mixtures call them).
 No fit calls what the packages' `__init__`s load besides (scipy.linalg,
-sparse, fft, spatial, scipy's array-API layer).  The one exception is MINPACK's
-`_lmder`: on its first call it imports `scipy._lib._ccallback`, and with
-it the `scipy` package, so `preload_scipy(lmder=True)` imports that up
-front.  `pipeline.run_fits` calls `preload_scipy` once, before a fit
-is timed or a worker pool forks, with `lmder` only when a PWM method is
-requested, so no fit pays for the loading and a scipy without a function
-the fits call stops the run before the first fit.  Without a PWM method
-the loading runs no scipy `__init__`: on a 2-core host, loading what
-two mixtures at restarts 0 call takes 0.029 s CPU, against 0.054 s for
-loading `egpd` and the `scipy` package as well (and 0.43 s for importing
-scipy.special).
+sparse, fft, spatial, scipy's array-API layer), and no fit imports the
+`scipy` package itself.  `pipeline.run_fits` calls `preload_scipy` once,
+before a fit is timed or a worker pool forks, so no fit pays for the
+loading and a scipy without a function the fits call stops the run
+before the first fit.  On a 2-core host, loading what two mixtures at
+restarts 0 call takes 0.029 s CPU (and importing scipy.special 0.43 s).
 
 No fit imports numpy.random either: a fit's only random draws, its
 jittered starts, come from `RngState.doubles`, which computes the Philox
@@ -53,6 +50,7 @@ the presets.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from types import ModuleType
@@ -95,7 +93,8 @@ _FTOL = 1e-15
 _GTOL = 1e-10
 _CONVERGED_GTOL = 1e-6
 # Every fit's budget per start: L-BFGS-B iterations for the likelihood and
-# MAP fits, Levenberg-Marquardt residual evaluations for the moment fits.
+# MAP fits, Levenberg-Marquardt residual evaluations (difference steps
+# included) for the moment fits.
 MAX_ITER = 5000
 # Correction pairs L-BFGS-B keeps.  scipy's default of 10 is below the 11
 # dimensions of the K = 4 mixture MAP; 20 pairs cut the mixture fits'
@@ -111,10 +110,13 @@ _TASK_FG = 3
 _TASK_STOP = 5
 _STOP_EVALUATIONS = 502
 _STOP_ITERATIONS = 504
-# Levenberg-Marquardt: ftol, xtol and gtol, MINPACK's initial step bound
-# factor, and the forward-difference step, sqrt(eps) as approx_fprime's.
+# Levenberg-Marquardt: the step and relative-decrease tolerance, the
+# damping after the first failed Gauss-Newton step (Nielsen's tau for a
+# good start; from 1e-4 to 1e-8 the PWM fits of four presets took 0.88-1.08
+# times the evaluations of the MINPACK solver this loop replaced), and the
+# forward-difference step, sqrt(eps) as approx_fprime's.
 _LM_TOL = 1e-15
-_LM_STEP_FACTOR = 100.0
+_LM_DAMPING_START = 1e-6
 _FD_STEP = math.sqrt(sys.float_info.epsilon)
 # A start "reached the best mode" when its final objective is within this
 # relative distance of the best start's; the absolute floor covers moment
@@ -124,15 +126,13 @@ _BEST_ATOL = 1e-12
 
 
 # What the fits call of scipy, by compiled module (see `_scipy_kernel`):
-# L-BFGS-B's `setulb`, in C with this signature since scipy 1.15; MINPACK's
-# `_lmder`; and the ufuncs behind scipy.special's digamma (`psi`) and
-# gammainc.
+# L-BFGS-B's `setulb`, in C with this signature since scipy 1.15, and the
+# ufuncs behind scipy.special's digamma (`psi`) and gammainc.
 # pyproject.toml states the same requirement.
 _SCIPY_REQUIREMENT = "rainfit requires scipy>=1.15 and has been run on scipy 1.17.1 only"
 SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
 _SCIPY_FUNCTIONS = {
     "scipy.optimize._lbfgsb": ("setulb",),
-    "scipy.optimize._minpack": ("_lmder",),
     SPECIAL_UFUNCS: ("psi", "gammainc"),
 }
 _loaded_kernels: dict[str, ModuleType] = {}
@@ -212,17 +212,10 @@ def scipy_version() -> str:
     return _scipy_kernel("scipy", "version").version
 
 
-def preload_scipy(*, lmder: bool) -> None:
-    """Load and check every function of scipy a fit calls.
-
-    With `lmder` (a fit that solves by `solve_least_squares` will run),
-    also import `scipy._lib._ccallback`: MINPACK's `_lmder` imports it, and
-    with it the `scipy` package, on its first call.
-    """
+def preload_scipy() -> None:
+    """Load and check every function of scipy a fit calls."""
     for module, names in _SCIPY_FUNCTIONS.items():
         scipy_functions(module, *names)
-    if lmder:
-        import scipy._lib._ccallback  # noqa: F401
 
 
 def positive_sample(data) -> np.ndarray:
@@ -354,77 +347,93 @@ def solve_least_squares(
     *,
     max_eval: int,
 ) -> LocalResult:
-    """Minimize |residuals(x)|^2 from x0 by Levenberg-Marquardt (MINPACK).
+    """Minimize |residuals(x)|^2 from x0 by Levenberg-Marquardt.
 
-    Calls MINPACK's `lmder`, the kernel of scipy's
-    `least_squares(method="lm")`, with the same arguments (internal
-    scaling, step bound factor 100, tolerances 1e-15), so it takes the
-    same steps to the bit.  It skips the evaluations `least_squares`
-    makes around the kernel: the residuals and Jacobian at x0 before it
-    and the Jacobian at the solution after it.
+    Each iteration takes the Jacobian J by forward differences with
+    absolute steps of sqrt(eps) = 1.5e-8, as scipy's `approx_fprime` takes
+    them, around the residual r already computed at x.  It then tries
+    steps s solving (J'J + damping diag(J'J)) s = -J'r until one lowers
+    |r|^2 (Marquardt 1963; a zero diagonal entry counts as 1).  The
+    damping starts at 0, so the first steps are Gauss-Newton's, and moves
+    by Nielsen's rule (Madsen, Nielsen & Tingleff 2004): after a failed
+    step it is multiplied by 2, 4, 8, ... (from 1e-6 if it was 0), and
+    after a success by max(1/3, 1 - (2 rho - 1)^3), rho the decrease over
+    the one the linear model predicted.  J'J, J'r and the Cholesky solve
+    run in Python floats: for three unknowns numpy's per-call overhead
+    costs more than the arithmetic.
 
-    The Jacobian is forward differences with absolute steps of
-    sqrt(eps) = 1.5e-8, as scipy's `approx_fprime` takes them; their base
-    point is the residual just computed there, served from a one-entry
-    cache.  max_eval caps MINPACK's calls of `residuals`; `n_eval` counts
-    every call, difference steps included, and `n_iter` the Jacobians, one
-    per iteration.  The `value` is the squared residual norm and
-    `converged` says the solver met a tolerance (MINPACK info 1-4) before
-    the budget ran out; whether the residual is small enough is the
-    caller's test.  The solve is unconstrained: a caller with parameter
-    limits clamps inside `residuals`.
+    The solve stops, converged, when |r|^2 is 0, when a step is at most
+    1e-15 (1 + max |x|) in every coordinate, or when an accepted step
+    lowers |r|^2 by at most 1e-15 of itself.  It stops unconverged when
+    max_eval calls of `residuals` leave no room for a Jacobian and a
+    trial, or for another trial, and at a non-finite |r|^2, J'J or J'r.
+    `n_eval` counts every call, difference steps included, and `n_iter`
+    the Jacobians.  The `value` is the squared residual norm; whether it
+    is small enough is the caller's test.  The solve is unconstrained: a
+    caller with parameter limits clamps inside `residuals`.
     """
-    (_lmder,) = scipy_functions("scipy.optimize._minpack", "_lmder")
-    n_eval = 0
-    x_seen = None
-    r_seen = None
+    x = np.array(x0, dtype=float).tolist()
+    r = residuals(np.array(x)).tolist()
+    f = _dot(r, r)
+    n, n_eval, n_iter = len(x), 1, 0
+    damping, growth = 0.0, 2.0
+    converged = f == 0.0
+    while not converged and 0.0 < f < math.inf and n_eval + n < max_eval:
+        columns = []
+        for i, xi in enumerate(x):
+            # From |x| = 2^28 on, x + sqrt(eps) rounds to x: the step scales with x.
+            h = _FD_STEP if xi + _FD_STEP != xi else _FD_STEP * xi
+            r_step = residuals(np.array(x[:i] + [xi + h] + x[i + 1 :])).tolist()
+            columns.append([(a - b) / ((xi + h) - xi) for a, b in zip(r_step, r)])
+        n_eval, n_iter = n_eval + n, n_iter + 1
+        jtj = [[_dot(ci, cj) for cj in columns] for ci in columns]
+        jtr = [_dot(ci, r) for ci in columns]
+        if not math.isfinite(sum(jtr) + sum(map(sum, jtj))):
+            break
+        while n_eval < max_eval:
+            scaled = [damping * (jtj[i][i] or 1.0) for i in range(n)]
+            step = _damped_step(jtj, jtr, scaled)
+            if step is not None:  # else J'J + damping D is not positive definite
+                if max(map(abs, step)) <= _LM_TOL * (1.0 + max(map(abs, x))):
+                    converged = True
+                    break
+                trial = [a + b for a, b in zip(x, step)]
+                r_trial = residuals(np.array(trial)).tolist()
+                n_eval += 1
+                f_trial = _dot(r_trial, r_trial)
+                if f_trial < f:
+                    predicted = _dot(step, [c * s - g for s, c, g in zip(step, scaled, jtr)])
+                    rho = (f - f_trial) / predicted if predicted > 0.0 else 0.0
+                    converged = f_trial == 0.0 or f - f_trial <= _LM_TOL * f
+                    x, r, f = trial, r_trial, f_trial
+                    damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                    growth = 2.0
+                    break
+            damping, growth = max(damping * growth, _LM_DAMPING_START), 2.0 * growth
+    return LocalResult(x=np.array(x), value=f, converged=converged, n_iter=n_iter, n_eval=n_eval)
 
-    def cached(x: np.ndarray) -> np.ndarray:
-        nonlocal n_eval, x_seen, r_seen
-        if x_seen is None or not (x == x_seen).all():
-            x_seen = x.copy()
-            r_seen = residuals(x_seen)
-            n_eval += 1
-        return r_seen
 
-    def forward_differences(x: np.ndarray) -> np.ndarray:
-        nonlocal n_eval
-        r0 = cached(x)
-        rows = np.empty((x.size, r0.size))
-        for i, xi in enumerate(x.tolist()):
-            h = _FD_STEP
-            if xi + h == xi:  # a step lost to rounding: scale it with |x|
-                h = _FD_STEP * (1.0 if xi >= 0.0 else -1.0) * max(1.0, abs(xi))
-            stepped = x.copy()
-            stepped[i] = xi + h
-            n_eval += 1
-            rows[i] = (residuals(stepped) - r0) / ((xi + h) - xi)
-        return rows.T
+def _dot(a: list[float], b: list[float]) -> float:
+    return sum(map(operator.mul, a, b))
 
-    # _lmder(fun, Dfun, x0, args, full_output, col_deriv, ftol, xtol, gtol,
-    # maxfev, factor, diag); diag=None is MINPACK's internal scaling.
-    x, info, status = _lmder(
-        cached,
-        forward_differences,
-        np.array(x0, dtype=float),
-        (),
-        True,
-        False,
-        _LM_TOL,
-        _LM_TOL,
-        _LM_TOL,
-        max_eval,
-        _LM_STEP_FACTOR,
-        None,
-    )
-    fvec = info["fvec"]
-    return LocalResult(
-        x=x,
-        value=float(np.dot(fvec, fvec)),
-        converged=1 <= status <= 4,
-        n_iter=int(info["njev"]),
-        n_eval=n_eval,
-    )
+
+def _damped_step(a: list[list[float]], g: list[float], damping: list[float]) -> list[float] | None:
+    """The s with (a + diag(damping)) s = -g, by Cholesky; None unless positive definite."""
+    low: list[list[float]] = []  # row i holds its i + 1 entries up to the diagonal
+    for i, a_row in enumerate(a):
+        row: list[float] = []
+        for j in range(i):
+            row.append((a_row[j] - _dot(row, low[j])) / low[j][j])
+        pivot = a_row[i] - _dot(row, row) + damping[i]
+        if not pivot > 0.0:
+            return None
+        low.append(row + [math.sqrt(pivot)])
+    y: list[float] = []
+    for g_i, row in zip(g, low):
+        y.append((-g_i - _dot(row, y)) / row[-1])
+    for i in reversed(range(len(y))):
+        y[i] = (y[i] - _dot([row[i] for row in low[i + 1 :]], y[i + 1 :])) / low[i][i]
+    return y
 
 
 def multistart(

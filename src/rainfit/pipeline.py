@@ -83,18 +83,17 @@ class AllFitsFailedError(RuntimeError):
 class Method(NamedTuple):
     """One `METHODS` entry: what its fits load, and how to run one.
 
-    `family` is the fit module (`egpd` or `gamma_mixture`); `lmder` says
-    whether it solves by MINPACK's `lmder`.  `run` gets (values, config,
-    rng) and returns (params dict, diagnostics dict, quantile function of a
-    sequence of levels); it imports its fit function when called.
+    `family` is the fit module (`egpd` or `gamma_mixture`).  `run` gets
+    (values, config, rng) and returns (params dict, diagnostics dict,
+    quantile function of a sequence of levels); it imports its fit
+    function when called.
     """
 
     family: str
-    lmder: bool
     run: Callable
 
 
-def _egpd_method(fit_name: str, *, censored: bool = False, lmder: bool = False) -> Method:
+def _egpd_method(fit_name: str, *, censored: bool = False) -> Method:
     def run(values, config, rng):
         from . import egpd
 
@@ -103,7 +102,7 @@ def _egpd_method(fit_name: str, *, censored: bool = False, lmder: bool = False) 
         params, diag = fit(values, threshold, restarts=config.egpd_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
 
-    return Method("egpd", lmder, run)
+    return Method("egpd", run)
 
 
 def _mixture_method(k: int) -> Method:
@@ -113,7 +112,7 @@ def _mixture_method(k: int) -> Method:
         params, diag = fit_map(values, k, restarts=config.mixture_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: mixture_quantile(p, params)
 
-    return Method("gamma_mixture", False, run)
+    return Method("gamma_mixture", run)
 
 
 # The paper's seven methods, in its order, which is the row order of the
@@ -122,9 +121,9 @@ def _mixture_method(k: int) -> Method:
 # Levenberg-Marquardt; every other fit runs L-BFGS-B.
 METHODS = {
     "naveau-mle": _egpd_method("fit_mle"),
-    "naveau-pwm": _egpd_method("fit_pwm", lmder=True),
+    "naveau-pwm": _egpd_method("fit_pwm"),
     "naveau-mle-c": _egpd_method("fit_mle", censored=True),
-    "naveau-pwm-c": _egpd_method("fit_pwm", censored=True, lmder=True),
+    "naveau-pwm-c": _egpd_method("fit_pwm", censored=True),
     "gamma-mixture-2": _mixture_method(2),
     "gamma-mixture-3": _mixture_method(3),
     "gamma-mixture-4": _mixture_method(4),
@@ -262,14 +261,13 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
 
     What the requested methods call is loaded here, once, before any fit
     is timed and before the pool forks: `egpd` for the `naveau-*` methods,
-    `gamma_mixture` for the mixtures, scipy's three compiled modules
-    (`numerics.preload_scipy`), and for the PWM methods the `scipy`
-    package, whose `__init__` MINPACK's `_lmder` would otherwise run on its
-    first call.  So no fit's seconds include an import, no worker loads
-    fit code itself, and a scipy without one of the functions the fits
-    call is an ImportError here, before any fit.  No fit loads numpy.random, in this
-    process or a worker: jittered starts are computed from the task's
-    Philox stream in Python (`RngState.doubles`).
+    `gamma_mixture` for the mixtures, and scipy's two compiled modules
+    (`numerics.preload_scipy`); never the `scipy` package.  So no fit's
+    seconds include an import, no worker loads fit code itself, and a scipy
+    without one of the functions the fits call is an ImportError here,
+    before any fit.  No fit loads numpy.random, in this process or a
+    worker: jittered starts are computed from the task's Philox stream in
+    Python (`RngState.doubles`).
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -285,10 +283,9 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
         for si, series in enumerate(sites)
         for method in config.methods
     ]
-    methods = [METHODS[m] for m in config.methods]
-    for family in dict.fromkeys(m.family for m in methods):
+    for family in dict.fromkeys(METHODS[m].family for m in config.methods):
         import_module(f"{__package__}.{family}")
-    preload_scipy(lmder=any(m.lmder for m in methods))
+    preload_scipy()
     if config.jobs == 1 or len(tasks) == 1:
         return [_execute_task(t) for t in tasks]
     import multiprocessing
@@ -361,11 +358,25 @@ def _check_record(record) -> None:
             raise ValueError("converged fit has non-increasing quantiles")
 
 
+def _object_without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a ValueError if it names one key twice, which
+    `json.loads` would otherwise settle by keeping the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"key {key!r} appears twice in one object")
+    return obj
+
+
+_RECORD_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeated_keys)
+
+
 def load_records(path) -> list[dict]:
     """Read a records file, each line checked by `_check_record`.
 
-    A record of the wrong shape, a second record of one (site, method),
-    or a byte that is not UTF-8 is a ValueError naming path:line.
+    A record of the wrong shape, an object that repeats a key, a second
+    record of one (site, method), or a byte that is not UTF-8 is a
+    ValueError naming path:line.
     """
     records = []
     seen: set[tuple[str, str]] = set()
@@ -375,7 +386,7 @@ def load_records(path) -> list[dict]:
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = _RECORD_DECODER.decode(line)
                     _check_record(record)
                     key = (record["site_id"], record["method"])
                     if key in seen:
@@ -420,9 +431,13 @@ def _environment() -> dict:
 def _write_run_file(path, config: RunConfig, records: list[dict], seconds: dict) -> None:
     """Write `run.json`: the config, the environment, phase seconds and
     per-method totals of fits, failed fits, `n_eval`, `restarts_at_best`
-    and `fit_seconds` over records."""
+    and `fit_seconds` over records, and for a mixture method the number
+    of `collapsed_fits`, whose mode has fewer than K effective components."""
     methods = {m: dict(fits=0, failed_fits=0, n_eval=0, restarts_at_best=0, fit_seconds=0.0)
                for m in config.methods}
+    for m, totals in methods.items():
+        if METHODS[m].family == "gamma_mixture":
+            totals["collapsed_fits"] = 0
     for r in records:
         totals = methods[r["method"]]
         totals["fits"] += 1
@@ -430,6 +445,8 @@ def _write_run_file(path, config: RunConfig, records: list[dict], seconds: dict)
         totals["fit_seconds"] += r["fit_seconds"]
         for key in ("n_eval", "restarts_at_best"):
             totals[key] += r["diagnostics"].get(key, 0)
+        if "effective_k" in r["diagnostics"]:
+            totals["collapsed_fits"] += r["diagnostics"]["effective_k"] < len(r["params"]["weights"])
     run = {
         "config": {**vars(config), "quantiles": config.quantiles.probabilities},
         "environment": _environment(),

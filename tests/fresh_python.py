@@ -21,12 +21,6 @@ LOADED_SCIPY = (
     " if m == 'scipy' or m.startswith('scipy.'))))\n"
 )
 
-# Packages no mixture fit, EGPD fit or simulation loads: the two whose
-# compiled modules the fits call, what the scipy.optimize package would pull
-# in, and scipy's array-API layer, which the scipy.special package would.
-NEVER_LOADED = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse",
-                "scipy._lib._array_api")
-
 
 def run_python(code: str) -> object:
     """Run code in a fresh interpreter; the JSON value on its last stdout line."""
@@ -37,11 +31,6 @@ def run_python(code: str) -> object:
         timeout=120, check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def loaded_packages(modules: list[str]) -> list[str]:
-    """The NEVER_LOADED packages that modules lists, itself or by a submodule."""
-    return [p for p in NEVER_LOADED if any(m == p or m.startswith(p + ".") for m in modules)]
 
 
 def egpd_spec(site_id: str, seed: int) -> GeneratorSpec:
@@ -84,7 +73,7 @@ def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str
     """A benchmark run of methods, with `restarts` jittered starts per fit,
     that records through hook what was loaded at the hooked call, and
     prints [exit code, any scipy loaded before the run, the hook's records
-    (the list `seen`), scipy modules loaded after the run]."""
+    (the list `seen`), scipy and its modules loaded after the run]."""
     argv = ["benchmark", "--manifest", str(manifest), "--out", str(out), "--jobs", str(jobs),
             "--methods", methods, "--egpd-restarts", str(restarts),
             "--mixture-restarts", str(restarts)]
@@ -96,7 +85,7 @@ def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str
         "seen = []\n"
         + hook
         + f"rc = main({argv!r})\n"
-        "after = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "after = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(json.dumps([rc, before, seen, after]))\n"
     )
 
@@ -104,8 +93,11 @@ def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str
 # A benchmark_code hook: each process that fits writes to
 # FIRST_FITS_DIR/<pid>.json whether it is a pool worker, the modules its
 # first fit added to sys.modules, which of WATCHED were loaded after that
-# fit, and whether numpy.random was loaded after its last fit.
+# fit, and which of NEVER_LOADED_BY_FITS were loaded after its last fit.
 WATCHED = ("scipy", "rainfit.egpd", "rainfit.gamma_mixture", "numpy.random")
+# No process that fits loads numpy.random or the `scipy` package, which the
+# PWM fits' MINPACK binding once imported through `scipy._lib._ccallback`.
+NEVER_LOADED_BY_FITS = ("numpy.random", "scipy", "scipy._lib._ccallback", "scipy.optimize._minpack")
 FIRST_FIT_HOOK = (
     "main_pid = os.getpid()\n"
     "_run_single_fit = rainfit.pipeline.run_single_fit\n"
@@ -117,7 +109,7 @@ FIRST_FIT_HOOK = (
     "        first.update(worker=os.getpid() != main_pid, added=sorted(set(sys.modules) - before),\n"
     f"                     loaded=[m for m in {WATCHED!r} if m in sys.modules])\n"
     "    with open(os.path.join(FIRST_FITS_DIR, f'{os.getpid()}.json'), 'w') as fh:\n"
-    "        json.dump(dict(first, numpy_random_at_end='numpy.random' in sys.modules), fh)\n"
+    f"        json.dump(dict(first, at_end=[m for m in {NEVER_LOADED_BY_FITS!r} if m in sys.modules]), fh)\n"
     "    return result\n"
     "rainfit.pipeline.run_single_fit = run_single_fit\n"
 )
@@ -125,11 +117,12 @@ FIRST_FIT_HOOK = (
 
 def first_fits(tmp_path: Path, methods: str, jobs: int, restarts: int) -> list[dict]:
     """Run a benchmark of methods on two EGPD site files in a fresh interpreter;
-    what FIRST_FIT_HOOK wrote for each process that fitted."""
+    what FIRST_FIT_HOOK wrote for each process that fitted.  The main
+    process must end the run without the scipy package."""
     manifest = site_file_manifest(tmp_path, 60)
     out = tmp_path / "first-fits"
     out.mkdir()
     hook = f"FIRST_FITS_DIR = {str(out)!r}\n" + FIRST_FIT_HOOK
-    rc, before, _, _ = run_python(benchmark_code(manifest, tmp_path / "run", jobs, hook, methods, restarts))
-    assert [rc, before] == [0, False]
+    rc, before, _, after = run_python(benchmark_code(manifest, tmp_path / "run", jobs, hook, methods, restarts))
+    assert [rc, before, [m for m in NEVER_LOADED_BY_FITS if m in after]] == [0, False, []]
     return [json.loads(p.read_text(encoding="utf-8")) for p in sorted(out.glob("*.json"))]

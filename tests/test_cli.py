@@ -529,6 +529,28 @@ def test_a_boolean_for_a_generator_number_exits_2_before_writing(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        {**EGPD_ENTRY, "params": {"kappa": "1.2", "sigma": 5.0, "xi": 0.1}},
+        {**EGPD_ENTRY, "discretize_mm": "0.2"},
+        {"family": "gamma-mixture", "n": 300,
+         "params": {"weights": [0.4, 0.6], "shapes": [0.8, "3.0"], "scales": [2.0, 6.0]}},
+    ],
+    ids=["param-string", "discretize-string", "shape-string"],
+)
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_a_string_for_a_generator_number_exits_2_before_writing(tmp_path, capsys, command, entry):
+    # The parameter records call float(), which would read "1.2" as 1.2 and
+    # leave the string in truth.json.
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seed": 1, "generators": [EGPD_ENTRY, entry]}), encoding="utf-8")
+    assert main([command, "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad generator entry 1: ") and "a str, not a number" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize(
     "site_ids, named",
     [
         (["../escaped"], "bad generator entry 0: site_id"),
@@ -693,6 +715,29 @@ def test_report_hostile_record_exits_2_naming_its_line(tmp_path, capsys, hostile
     err = capsys.readouterr().err
     assert err.startswith(f"error: {records}:2: bad record (")
     assert reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"0.5": 2.1', '"0.5": 1.6, "0.5": 2.1', "0.5"),
+        ('"converged": true', '"converged": false, "converged": true', "converged"),
+        ('"diagnostics": {}', '"diagnostics": {"n_eval": 1, "n_eval": 2}', "n_eval"),
+    ],
+    ids=["level", "top-level", "diagnostics"],
+)
+def test_report_record_that_repeats_a_key_exits_2_naming_its_line(tmp_path, capsys, old, new, key):
+    # json.loads alone keeps the last value of a repeated key: the report
+    # would go on from a record the file does not state once.
+    line = json.dumps(OTHER_SITE)
+    assert line.count(old) == 1
+    records = tmp_path / "fits.jsonl"
+    records.write_text(json.dumps(GOOD_RECORD) + "\n" + line.replace(old, new) + "\n", encoding="utf-8")
+    out = tmp_path / "tables"
+    assert main(["report", "--records", str(records), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {records}:2: bad record (key {key!r} appears twice in one object)")
     assert not out.exists()
 
 

@@ -208,6 +208,19 @@ def test_generator_spec_validation():
         )
 
 
+
+def test_generator_spec_takes_numpy_numbers_from_code_callers():
+    # The number check a manifest's strings and booleans fail lets numpy
+    # scalars and arrays through, as code callers pass them.
+    GeneratorSpec(site_id="x", family="egpd", n=500, seed=1, discretize_mm=np.float64(0.2),
+                  params={"kappa": np.float64(1.2), "sigma": np.int64(5), "xi": np.float32(0.1)})
+    GeneratorSpec(site_id="x", family="gamma-mixture", n=500, seed=1,
+                  params={"weights": np.array([0.4, 0.6]), "shapes": (0.8, 3.0), "scales": [2.0, 6.0]})
+    with pytest.raises(CorpusError, match="'weights' holds a boolean, not a number"):
+        GeneratorSpec(site_id="x", family="gamma-mixture", n=500, seed=1,
+                      params={"weights": np.array([True, False]), "shapes": [0.8, 3.0], "scales": [2.0, 6.0]})
+
+
 # --- presets --------------------------------------------------------------------------
 
 

@@ -338,6 +338,35 @@ def test_profile_loglik_gradient_matches_central_differences():
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_profile_loglik_is_the_public_log_likelihood_at_kappa_hat(threshold):
+    # The MLE objective, times -n, is the log-likelihood that egpd_log_pdf
+    # and egpd_cdf give: the exceedances' log densities plus n_below times
+    # ln F(threshold), at the profiled kappa-hat, which maximizes it.
+    data = egpd_simulate(600, EgpdParams(0.8, 5.0, 0.15), RngState(seed=33))
+    exceed = data[data >= threshold]
+    n_below = data.size - exceed.size
+    assert (n_below > 0) == (threshold > 0.0)
+    evaluate = rainfit.egpd._profile_loglik(exceed, n_below, threshold)
+
+    def public(kappa, sigma, xi):
+        params = EgpdParams(kappa, sigma, xi)
+        censored = n_below * math.log(egpd_cdf(threshold, params)) if n_below else 0.0
+        return math.fsum(egpd_log_pdf(exceed, params).tolist()) + censored
+
+    y_max = float(np.max(exceed))
+    points = [(2.0, 0.0), (2.0, 0.4), (5.0, 1e-12), (5.0, 0.15), (12.0, 0.8),
+              # xi < 0 keeps max(y) inside the support only at a large sigma.
+              (0.5 * y_max, -0.3), (0.6 * y_max, -0.5)]
+    for sigma, xi in points:
+        value, _, kappa, xi_used = evaluate(_profile_point(sigma, xi, y_max))
+        assert xi_used == pytest.approx(xi, abs=1e-12)
+        loglik = public(kappa, sigma, xi_used)
+        assert -value * data.size == pytest.approx(loglik, rel=1e-12, abs=0.0)
+        for factor in (0.999, 1.001):
+            assert public(kappa * factor, sigma, xi_used) < loglik
+
+
 def test_profile_loglik_is_finite_on_the_whole_box():
     # Every (ln sigma, v) L-BFGS-B may try keeps max(y) inside the support.
     data = egpd_simulate(500, EgpdParams(0.7, 2.0, -0.2), RngState(seed=32))

@@ -6,13 +6,13 @@ fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`, `empirical`).
 Loading site CSVs needs numpy and `corpus`, but no fit module and no
 scipy.  `run_fits` loads what the requested methods call, once, before it
 forks a pool or starts the first fit: the fit module of each requested
-family and the three compiled scipy modules the fits call,
-`scipy.optimize._lbfgsb`, `scipy.optimize._minpack` and
-`scipy.special._special_ufuncs`.  The first fit in each process, serial
-or in a pool worker, then adds no module to `sys.modules`, and no process
-that fits loads numpy.random, with or without jittered starts.  A run of all
-seven methods, a `fit` or a `simulate` of a mixture preset never imports
-the scipy.optimize or scipy.special packages (nor scipy.linalg,
+family and the two compiled scipy modules the fits call,
+`scipy.optimize._lbfgsb` and `scipy.special._special_ufuncs`.  The first
+fit in each process, serial or in a pool worker, then adds no module to
+`sys.modules`, and no process that fits loads numpy.random or the `scipy`
+package, with or without jittered starts.  A run of all seven methods, a
+`fit` or a `simulate` of a mixture preset never imports the `scipy`,
+scipy.optimize or scipy.special packages (nor scipy.linalg,
 scipy.sparse or scipy's array-API layer, which those packages would pull
 in); `test_scipy_loader` holds the rest of the scipy loader's contract.
 Importing the CLI sets one BLAS/OpenMP thread unless the environment
@@ -39,7 +39,6 @@ from fresh_python import (
     benchmark_code,
     egpd_spec,
     first_fits,
-    loaded_packages,
     mixture_spec,
     run_python,
     site_file_manifest,
@@ -125,10 +124,7 @@ RECORD_FIT_MODULES = (
     "    from rainfit import numerics\n"
     "    seen.append(['scipy.special' in sys.modules, sorted(numerics._loaded_kernels)])\n"
 )
-FIT_MODULES_LOADED = [
-    False,
-    ["scipy.optimize._lbfgsb", "scipy.optimize._minpack", "scipy.special._special_ufuncs"],
-]
+FIT_MODULES_LOADED = [False, ["scipy.optimize._lbfgsb", "scipy.special._special_ufuncs"]]
 def test_run_fits_loads_scipy_before_forking_the_pool(tmp_path):
     # Site files, not generators: drawing sites would load the fit modules
     # before run_fits.  run_fits loads egpd before the fork, so that no
@@ -177,14 +173,13 @@ def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_pat
     rc, before, (loaded, converged), after = run_python(code)
     assert [rc, before, loaded] == [0, False, FIT_MODULES_LOADED]
     assert converged == sorted(METHODS)
-    assert loaded_packages(after) == []
+    assert after == []
 
 
 @pytest.mark.parametrize("methods", ["gamma-mixture-2,gamma-mixture-3", ",".join(METHODS)])
 def test_writing_run_json_loads_no_module(tmp_path, methods):
     # scipy's version comes from its version.py, read outside sys.modules:
-    # not from importlib.metadata, platform or `import scipy`.  A run of a
-    # PWM method has loaded the scipy package, scipy.version with it.
+    # not from importlib.metadata, platform or `import scipy`.
     hook = (
         "_write_run_file = rainfit.pipeline._write_run_file\n"
         "def write_run_file(*args):\n"
@@ -196,17 +191,14 @@ def test_writing_run_json_loads_no_module(tmp_path, methods):
     )
     code = benchmark_code(site_file_manifest(tmp_path, 70), tmp_path / "run", 1, hook, methods)
     rc, before, seen, _ = run_python(code)
-    scipy_package = ["scipy", "scipy.version"] if "naveau-pwm" in methods else []
-    assert [rc, before, seen] == [0, False, [[], scipy_package]]
+    assert [rc, before, seen] == [0, False, [[], []]]
     assert json.loads((tmp_path / "run" / "run.json").read_text(encoding="utf-8"))["environment"]["scipy"]
 
 
 def loaded_by(methods: str) -> list[str]:
     """The WATCHED modules a run of methods loads: the fit module of each
-    family, and the `scipy` package for a PWM method; never numpy.random."""
+    family; never the `scipy` package or numpy.random."""
     wanted = {f"rainfit.{METHODS[m].family}" for m in methods.split(",")}
-    if any(METHODS[m].lmder for m in methods.split(",")):
-        wanted.add("scipy")
     return [m for m in WATCHED if m in wanted]
 
 
@@ -216,17 +208,20 @@ def loaded_by(methods: str) -> list[str]:
 def test_the_first_fit_in_each_process_imports_nothing(tmp_path, methods, jobs, restarts):
     # At restarts 1 every fit draws a jittered start.  Its offsets come
     # from RngState.doubles, so no process that fits, serial or a pool
-    # worker, ever loads numpy.random.
+    # worker, ever loads numpy.random.  Nor does any process of any run,
+    # the seven methods at --jobs 1 and 2 included, load the `scipy`
+    # package (`first_fits` checks the main process).
     fits = first_fits(tmp_path, methods, jobs, restarts)
     assert fits and all(f["worker"] == (jobs > 1) for f in fits)
     assert [f["added"] for f in fits] == [[]] * len(fits)
     assert [f["loaded"] for f in fits] == [loaded_by(methods)] * len(fits)
-    assert [f["numpy_random_at_end"] for f in fits] == [False] * len(fits)
+    assert [f["at_end"] for f in fits] == [[]] * len(fits)
 
 
 def test_fit_and_simulate_of_mixtures_never_import_scipy_special(tmp_path):
     # `fit` of a mixture and of a PWM method binds all five special
-    # functions; `simulate` of mixture sites inverts the mixture CDF.
+    # functions; `simulate` of mixture sites inverts the mixture CDF.  The
+    # PWM fit loads no part of scipy at all.
     fits = []
     for spec, method in ((mixture_spec("m0", 52), "gamma-mixture-2"), (egpd_spec("e0", 53), "naveau-pwm")):
         site = tmp_path / f"{spec.site_id}.csv"
@@ -239,13 +234,13 @@ def test_fit_and_simulate_of_mixtures_never_import_scipy_special(tmp_path):
         "from rainfit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {fits + [simulate]!r}]\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "from rainfit import numerics\n"
         "print(json.dumps([codes, loaded, sorted(numerics._loaded_kernels)]))\n"
     )
     codes, loaded, kernels = run_python(code)
     assert codes == [0, 0, 0]
-    assert loaded_packages(loaded) == []
+    assert loaded == []
     assert "scipy.special._special_ufuncs" in kernels
 
 

@@ -265,8 +265,8 @@ def test_jittered_starts_are_numpys_uniform_offsets_to_the_bit(size):
 
 
 # --- the solvers against public scipy ----------------------------------------
-# lbfgsb and solve_least_squares drive scipy's kernels without its public
-# wrappers; they must take the wrappers' steps, to the bit.
+# lbfgsb drives scipy's kernel without its public wrapper; it must take the
+# wrapper's steps, to the bit.
 
 
 def assert_lbfgsb_matches_scipy(value_and_gradient, x0, lower, upper, max_iter, setulb_calls):
@@ -368,73 +368,105 @@ def record_calls(monkeypatch, module, name):
     return calls
 
 
-def assert_lm_matches_scipy(residuals, x0, *, max_eval):
-    from scipy.optimize import approx_fprime, least_squares
-
-    res = solve_least_squares(residuals, x0, max_eval=max_eval)
-    ref = least_squares(
-        residuals,
-        x0,
-        jac=lambda x: approx_fprime(x, residuals),
-        method="lm",
-        x_scale="jac",
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-        max_nfev=max_eval,
-    )
-    assert res.x.tobytes() == ref.x.tobytes()
-    assert res.value.hex() == float(np.dot(ref.fun, ref.fun)).hex()
-    assert res.n_iter == ref.njev
-    assert res.converged == (ref.status > 0)
+# --- solve_least_squares: Levenberg-Marquardt in Python floats ----------------
 
 
-def test_solve_least_squares_matches_scipy_on_the_plain_pwm_system(monkeypatch):
-    from rainfit import egpd
+def spied(residuals):
+    """residuals, and the list of the points it is called at."""
+    calls = []
 
-    def residuals(x):
-        return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
+    def spy(x):
+        calls.append(x.copy())
+        return residuals(x)
 
-    assert_lm_matches_scipy(residuals, np.array([-1.2, 1.0]), max_eval=200)
-
-    def far_residuals(x):
-        return np.array([x[0] - 10.0, x[1] - 10.0, x[0] * x[1] - 100.0, math.exp(0.1 * x[0]) - math.e])
-
-    # From near 0 the first steps are held to 100 times the scaled |x0|.
-    assert_lm_matches_scipy(far_residuals, np.array([1e-3, 2e-3]), max_eval=200)
-    # The plain PWM system (threshold 0), from every start of a fit.
-    calls = record_calls(monkeypatch, egpd, "solve_least_squares")
-    y = egpd.egpd_simulate(300, egpd.EgpdParams(1.3, 4.0, 0.1), RngState(seed=5))
-    egpd.fit_pwm(y, restarts=3)
-    monkeypatch.undo()
-    assert len(calls) == 4
-    for args, kwargs in calls:
-        assert_lm_matches_scipy(*args, **kwargs)
+    return spy, calls
 
 
-def test_solve_least_squares_matches_scipy_on_the_censored_pwm_system(monkeypatch):
-    from rainfit import egpd
+def rosenbrock(x):
+    return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
 
-    def residuals(x):
-        return np.array([x[0] ** 2 - 2.0, x[0] * x[1] - 3.0, x[1] - x[0]])
 
-    assert_lm_matches_scipy(residuals, np.array([1.0, 1.0]), max_eval=200)
-    # Just below 1, x + 1.5e-8 rounds, so the difference quotient divides by
-    # (x + h) - x, not by h.
-    # A budget of 3 calls stops the solve mid-path, where x still shows it.
-    for max_eval in (3, 200):
-        assert_lm_matches_scipy(residuals, np.nextafter(np.array([1.0, 3.0]), 0.0), max_eval=max_eval)
+def test_solve_least_squares_takes_one_jacobian_of_forward_differences_per_iteration():
+    spy, calls = spied(rosenbrock)
+    res = solve_least_squares(spy, np.array([-1.2, 1.0]), max_eval=500)
+    assert res.converged
+    assert res.x.tolist() == [1.0, 1.0] and res.value == 0.0
+    # Each Jacobian is two calls, each one coordinate sqrt(eps) from a
+    # point already evaluated; every other call is a trial step.
+    h = math.sqrt(np.finfo(float).eps)
+    differences = [
+        x for i, x in enumerate(calls)
+        if any(np.count_nonzero(x != base) == 1 and np.max(x - base) == pytest.approx(h, rel=1e-6)
+               for base in calls[:i])
+    ]
+    assert len(differences) == 2 * res.n_iter
+    # A trial follows every Jacobian but the last, which may stop on a
+    # step below the tolerance without one.
+    assert res.n_iter - 1 <= res.n_eval - 1 - 2 * res.n_iter
 
-    def large_residuals(x):
-        return np.array([1e-8 * x[0] - 2.0, x[1] - 1.0, 1e-8 * x[0] * x[1] - 1.0])
 
+def test_solve_least_squares_stops_unconverged_within_its_budget():
+    full = solve_least_squares(rosenbrock, np.array([-1.2, 1.0]), max_eval=500)
+    for max_eval in range(1, full.n_eval):
+        res = solve_least_squares(rosenbrock, np.array([-1.2, 1.0]), max_eval=max_eval)
+        assert res.n_eval <= max_eval and not res.converged
+        # Too few calls for one Jacobian and one trial: only x0 is evaluated.
+        assert (res.n_eval == 1) == (max_eval <= 3)
+    # One more call than the solve needs leaves it unchanged.
+    res = solve_least_squares(rosenbrock, np.array([-1.2, 1.0]), max_eval=full.n_eval + 1)
+    assert (res.x.tobytes(), res.value, res.converged, res.n_iter, res.n_eval) == (
+        full.x.tobytes(), full.value, full.converged, full.n_iter, full.n_eval)
+
+
+def test_solve_least_squares_converges_where_the_residual_has_no_zero():
+    # The least-squares point of an inconsistent linear system, and a
+    # coordinate the residuals stop depending on (a caller's clamp): that
+    # Jacobian column is zero, so J'J is singular, and the coordinate
+    # stays where it started while the other is solved.
+    res = solve_least_squares(lambda x: np.array([x[0] - 1.0, x[0] - 2.0]), np.array([10.0]), max_eval=100)
+    assert res.converged and res.x[0] == pytest.approx(1.5, rel=1e-14) and res.value == pytest.approx(0.5)
+
+    def clamped(x):
+        return np.array([x[1] - 3.0, min(max(x[0], -1.0), 1.0) - 5.0])
+
+    res = solve_least_squares(clamped, np.array([4.0, 0.0]), max_eval=100)
+    assert res.converged and res.x.tolist() == [4.0, pytest.approx(3.0, rel=1e-9)]
+    assert res.value == pytest.approx(16.0)
+
+
+def test_solve_least_squares_scales_a_difference_step_lost_to_rounding():
     # From |x| = 2^28 on, x + 1.5e-8 rounds back to x: the step grows with |x|.
-    assert_lm_matches_scipy(large_residuals, np.array([3e8, 2.0]), max_eval=200)
-    # The censored PWM system, from every start of a fit.
+    def large(x):
+        return np.array([1e-8 * x[0] - 2.0, x[1] - 1.0, 1e-8 * x[0] * x[1] - 2.0])
+
+    res = solve_least_squares(large, np.array([3e8, 2.0]), max_eval=200)
+    assert res.converged
+    assert res.x == pytest.approx([2e8, 1.0], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_least_squares_stops_at_a_non_finite_start(bad):
+    res = solve_least_squares(lambda x: np.array([x[0] - 1.0, bad]), np.array([0.0]), max_eval=200)
+    assert not res.converged and (res.n_eval, res.n_iter) == (1, 0)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_solve_least_squares_finds_minpacks_roots_of_the_pwm_system(threshold, monkeypatch):
+    # From every start of a plain and a censored PWM fit, scipy's MINPACK
+    # Levenberg-Marquardt (`least_squares(method="lm")`) is the oracle: the
+    # loop reaches the same root.
+    from scipy.optimize import least_squares
+
+    from rainfit import egpd
+
     calls = record_calls(monkeypatch, egpd, "solve_least_squares")
     y = egpd.egpd_simulate(300, egpd.EgpdParams(1.3, 4.0, 0.1), RngState(seed=5))
-    egpd.fit_pwm(y, 1.0, restarts=3)
+    egpd.fit_pwm(y, threshold, restarts=3)
     monkeypatch.undo()
     assert len(calls) == 4
-    for args, kwargs in calls:
-        assert_lm_matches_scipy(*args, **kwargs)
+    for (residuals, x0), kwargs in calls:
+        res = solve_least_squares(residuals, x0, **kwargs)
+        ref = least_squares(residuals, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert res.converged and res.value <= 1e-28
+        assert res.n_eval <= kwargs["max_eval"]
+        assert res.x == pytest.approx(ref.x, rel=1e-9, abs=1e-9)

@@ -89,17 +89,38 @@ def test_run_json_totals_the_records_and_does_not_depend_on_jobs(tmp_path):
         assert list(run["methods"]) == list(METHODS)
         for method, totals in run["methods"].items():
             mine = [r for r in records if r["method"] == method]
+            collapsed = {"collapsed_fits": sum(r["diagnostics"]["effective_k"] < len(r["params"]["weights"])
+                                               for r in mine)} if "mixture" in method else {}
             assert totals == {
                 "fits": len(mine),
                 "failed_fits": sum(not r["converged"] for r in mine),
                 "n_eval": sum(r["diagnostics"]["n_eval"] for r in mine),
                 "restarts_at_best": sum(r["diagnostics"]["restarts_at_best"] for r in mine),
                 "fit_seconds": sum(r["fit_seconds"] for r in mine),
+                **collapsed,
             }
             del totals["fit_seconds"]
         del run["config"]["jobs"]
         repeated.append((run["config"], run["methods"]))
     assert repeated[1] == repeated[0]
+
+
+def test_run_json_counts_mixture_fits_that_collapsed(tmp_path):
+    # One gamma component fitted with K = 4: the mode keeps one weight
+    # above 1e-6 and three far below it.  No table reads the new keys.
+    single = GeneratorSpec(site_id="g", family="gamma-mixture", n=300, seed=1,
+                           params={"weights": [1.0], "shapes": [2.0], "scales": [3.0]})
+    write_manifest(tmp_path / "manifest.json", seed=1, generators=[single])
+    out = tmp_path / "run"
+    assert main(["benchmark", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out),
+                 "--methods", "gamma-mixture-4", "--mixture-restarts", "2"]) == 0
+    (record,) = load_records(out / "fits.jsonl")
+    diag, weights = record["diagnostics"], record["params"]["weights"]
+    assert record["converged"]
+    assert diag["min_weight"] == min(weights) < 1e-6
+    assert diag["effective_k"] == sum(w >= 1e-6 for w in weights) == 1
+    assert json.loads((out / "run.json").read_text(encoding="utf-8"))["methods"]["gamma-mixture-4"][
+        "collapsed_fits"] == 1
 
 
 DIAGNOSTICS_KEYS = {"converged", "objective", "restart_index", "n_iter", "n_eval",
@@ -114,10 +135,11 @@ def test_a_records_diagnostics_are_plain_json_values(method):
     (record,) = run_fits([simulate_site(EGPD_SITE)], config)
     assert record["error"] is None
     diag = record["diagnostics"]
-    assert set(diag) == DIAGNOSTICS_KEYS | ({"residual"} if "pwm" in method else set())
+    own = {"residual"} if "pwm" in method else {"min_weight", "effective_k"} if "mixture" in method else set()
+    assert set(diag) == DIAGNOSTICS_KEYS | own
     assert {key: type(value) for key, value in diag.items()} == {
         key: bool if key in ("converged", "boundary_hit", "small_sample")
-        else float if key in ("objective", "residual") else int
+        else float if key in ("objective", "residual", "min_weight") else int
         for key in diag
     }
     assert record["converged"] is diag["converged"]

@@ -1,26 +1,24 @@
 """The scipy loader: the fits' share of scipy, loaded without its packages.
 
-The fits call three compiled scipy modules, `scipy.optimize._lbfgsb`,
-`scipy.optimize._minpack` and `scipy.special._special_ufuncs`, which
-`numerics._scipy_kernel` loads from their extension files, found from the
-top-level `scipy` spec, without running any package `__init__`.
-`preload_scipy` loads and checks all three, and with `lmder` also the
-`scipy` package that MINPACK's `_lmder` imports on its first call.  This
-module checks that contract:
+The fits call two compiled scipy modules, `scipy.optimize._lbfgsb` and
+`scipy.special._special_ufuncs`, which `numerics._scipy_kernel` loads from
+their extension files, found from the top-level `scipy` spec, without
+running any package `__init__`.  `preload_scipy` loads and checks both.
+This module checks that contract:
 
 - a missing kernel, function or scipy is an ImportError that names it;
 - the special functions the fits bind are scipy.special's, to the bit,
   and its very objects once the package is imported;
-- the solvers take public scipy's steps before and after a later
+- L-BFGS-B takes public scipy's steps before and after a later
   `import scipy.optimize`;
-- without a PWM method, `preload_scipy` runs no package `__init__`
-  (`test_imports` checks that a run of each method loads the `scipy`
-  package only with a PWM method, in this process or a pool worker).
+- `preload_scipy` runs no package `__init__` and imports no scipy module
+  (`test_imports` checks that no run of any method loads the `scipy`
+  package, in this process or a pool worker).
 """
 
 import pytest
 
-from fresh_python import loaded_packages, run_python
+from fresh_python import run_python
 from rainfit import numerics
 
 
@@ -38,10 +36,10 @@ def test_a_missing_kernel_is_an_import_error_naming_it(tmp_path):
         numerics._scipy_kernel("no_such_scipy.optimize", "_lbfgsb")
 
 
-def test_solvers_keep_scipy_steps_after_scipy_optimize_is_imported():
-    # The kernels load without the package first; a later `import
-    # scipy.optimize` makes its own modules over the same compiled
-    # functions, and from then on the solvers call through those modules,
+def test_lbfgsb_keeps_scipy_steps_after_scipy_optimize_is_imported():
+    # The kernel loads without the package first; a later `import
+    # scipy.optimize` makes its own module over the same compiled
+    # function, and from then on the solver calls through that module,
     # so a spy on scipy.optimize._lbfgsb sees every call.
     code = """
 import json, sys
@@ -51,30 +49,21 @@ from rainfit import numerics
 def value_and_gradient(x):
     return float(np.sum((x - 2.0) ** 2) + x[0] * x[1]), 2.0 * (x - 2.0) + x[::-1]
 
-def residuals(x):
-    return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
-
 x0, lower, upper = np.array([5.0, -4.0]), np.array([-1.0, -1.0]), np.array([1.0, 3.0])
-z0 = np.array([-1.2, 1.0])
 
 def solve():
     res = numerics.lbfgsb(value_and_gradient, x0, lower, upper, max_iter=100)
-    lm = numerics.solve_least_squares(residuals, z0, max_eval=200)
-    return [res.x.tobytes().hex(), res.value.hex(), res.n_iter, res.n_eval,
-            lm.x.tobytes().hex(), lm.value.hex(), lm.n_iter]
+    return [res.x.tobytes().hex(), res.value.hex(), res.n_iter, res.n_eval]
 
 first = solve()
-used = {name: numerics._scipy_kernel("scipy.optimize", name) for name in ("_lbfgsb", "_minpack")}
+used = numerics._scipy_kernel("scipy.optimize", "_lbfgsb")
 package_before = "scipy.optimize" in sys.modules
 import scipy.optimize
-from scipy.optimize import Bounds, approx_fprime, least_squares, minimize
+from scipy.optimize import Bounds, minimize
 
 ref = minimize(value_and_gradient, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lower, upper),
                options={"maxiter": 100, "maxcor": 20, "ftol": 1e-15, "gtol": 1e-10})
-lm_ref = least_squares(residuals, z0, jac=lambda x: approx_fprime(x, residuals), method="lm", x_scale="jac",
-                       xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=200)
-public = [ref.x.tobytes().hex(), float(ref.fun).hex(), ref.nit, ref.nfev,
-          lm_ref.x.tobytes().hex(), float(np.dot(lm_ref.fun, lm_ref.fun)).hex(), lm_ref.njev]
+public = [ref.x.tobytes().hex(), float(ref.fun).hex(), ref.nit, ref.nfev]
 
 spied = []
 setulb = scipy.optimize._lbfgsb.setulb
@@ -85,10 +74,8 @@ scipy.optimize._lbfgsb.setulb = spy
 again = solve()
 print(json.dumps({
     "package_before": package_before,
-    "same_functions": [used["_lbfgsb"].setulb is setulb,
-                       used["_minpack"]._lmder is scipy.optimize._minpack._lmder],
-    "now_public": [numerics._scipy_kernel("scipy.optimize", "_lbfgsb") is scipy.optimize._lbfgsb,
-                   numerics._scipy_kernel("scipy.optimize", "_minpack") is scipy.optimize._minpack],
+    "same_function": used.setulb is setulb,
+    "now_public": numerics._scipy_kernel("scipy.optimize", "_lbfgsb") is scipy.optimize._lbfgsb,
     "spied": len(spied) > 0,
     "first_matches_public": first == public,
     "again_matches_public": again == public,
@@ -96,8 +83,8 @@ print(json.dumps({
 """
     assert run_python(code) == {
         "package_before": False,
-        "same_functions": [True, True],
-        "now_public": [True, True],
+        "same_function": True,
+        "now_public": True,
         "spied": True,
         "first_matches_public": True,
         "again_matches_public": True,
@@ -145,25 +132,18 @@ print(json.dumps({
     }
 
 
-def test_preload_runs_the_scipy_package_init_only_for_minpack():
+def test_preload_imports_no_scipy_module():
     code = """
 import json, sys
 from rainfit import numerics
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-numerics.preload_scipy(lmder=False)
-without = [scipy_modules(), sorted(numerics._loaded_kernels)]
-numerics.preload_scipy(lmder=True)
-print(json.dumps([without, scipy_modules()]))
+numerics.preload_scipy()
+print(json.dumps([sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+                  sorted(numerics._loaded_kernels)]))
 """
-    (modules, kernels), with_lmder = run_python(code)
+    modules, kernels = run_python(code)
     assert modules == []
-    assert kernels == ["scipy.optimize._lbfgsb", "scipy.optimize._minpack",
-                       "scipy.special._special_ufuncs"]
-    assert {"scipy", "scipy._lib._ccallback"} <= set(with_lmder)
-    assert loaded_packages(with_lmder) == []
+    assert kernels == ["scipy.optimize._lbfgsb", "scipy.special._special_ufuncs"]
 
 
 def test_preload_checks_exactly_the_functions_the_fits_bind(monkeypatch):
@@ -190,7 +170,7 @@ def test_preload_checks_exactly_the_functions_the_fits_bind(monkeypatch):
         if name.startswith("rainfit") and getattr(module, "scipy_functions", None) is real:
             monkeypatch.setattr(module, "scipy_functions", spy)
     # Only the fits' own requests count, not the preload's.
-    monkeypatch.setattr(numerics, "preload_scipy", lambda *, lmder: None)
+    monkeypatch.setattr(numerics, "preload_scipy", lambda: None)
     values = egpd_simulate(300, EgpdParams(1.2, 5.0, 0.1), numerics.RngState(seed=8))
     config = RunConfig(methods=tuple(METHODS), egpd_restarts=1, mixture_restarts=1, jobs=1)
     records = run_fits([SiteSeries("s", np.asarray(values))], config)
