@@ -9,11 +9,13 @@ iteration and evaluation caps bound its work.
 
 Import rule: building the parser, `report`, `--help` and `--version`
 need the standard library alone.  Loading site CSVs needs numpy, and
-`run_fits` loads the fit modules and scipy's kernels; each subcommand
-imports what it uses when it runs.
+`run_fits` loads the fit modules and the scipy functions the fits get
+from `numerics.scipy_function`; each subcommand imports what it uses when
+it runs.
 
-Exit codes: 0 success, 2 configuration or data problems (or a scipy
-without a compiled function the fits call), 3 filesystem problems, 4 "ran
+Exit codes: 0 success, 2 configuration or data problems (a `simulate`
+whose output would overwrite its input manifest, or a scipy without a
+compiled function the fits call, among them), 3 filesystem problems, 4 "ran
 but failed" (a non-converged single fit, or a benchmark where every fit
 failed).
 
@@ -129,6 +131,8 @@ def cmd_simulate(args) -> int:
         manifest = load_manifest(args.manifest)
         if not manifest.generators:
             raise ConfigError(f"{args.manifest}: manifest has no generators to simulate")
+        if Path(args.out, "manifest.json").resolve() == Path(args.manifest).resolve():
+            raise ConfigError(f"{args.manifest}: --out would overwrite this input manifest")
         specs = list(manifest.generators)
         seed = manifest.seed
     out_dir = Path(args.out)

@@ -47,6 +47,9 @@ __all__ = [
 
 CSV_HEADER = "date,rainfall_mm"
 _START_DATE = date(2000, 1, 1)
+# `save_site` dates row i _START_DATE + i days, so a site holds at most
+# this many rows before the dates pass 9999-12-31.
+_MAX_ROWS = (date.max - _START_DATE).days + 1
 
 
 class CorpusError(ValueError):
@@ -173,8 +176,9 @@ class GeneratorSpec:
     family is 'egpd' or 'gamma-mixture'; params are the family's parameter
     record as a plain dict, checked by building it (`model_params`), whose
     values are real numbers or lists of them, never a boolean or a string;
-    discretize_mm, a number when set, rounds draws half-to-even to that
-    increment and drops resulting zeros.
+    n, the number of draws, is from 100 to the 2,921,940 rows `save_site`
+    can date; discretize_mm, a finite number > 0 when set, rounds draws
+    half-to-even to that increment and drops resulting zeros.
     """
 
     site_id: str
@@ -194,8 +198,8 @@ class GeneratorSpec:
             )
         if self.family not in ("egpd", "gamma-mixture"):
             raise CorpusError(f"unknown family {self.family!r}")
-        if self.n < 100:
-            raise CorpusError("generator n must be >= 100")
+        if not 100 <= self.n <= _MAX_ROWS:
+            raise CorpusError(f"generator n must be from 100 to {_MAX_ROWS}, got {self.n!r}")
         # Each value, or each element of a list, must be a real number, as a
         # numpy scalar is.  A JSON `true` would otherwise pass for the number
         # 1, and "1.2" for 1.2: the parameter records call float().  None is
@@ -209,8 +213,8 @@ class GeneratorSpec:
             if bad:
                 kind = "a boolean" if isinstance(bad[0], (bool, np.bool_)) else f"a {type(bad[0]).__name__}"
                 raise CorpusError(f"{key!r} holds {kind}, not a number: {value!r}")
-        if self.discretize_mm is not None and not self.discretize_mm > 0.0:
-            raise CorpusError("discretize_mm must be > 0")
+        if self.discretize_mm is not None and not 0.0 < self.discretize_mm < math.inf:
+            raise CorpusError(f"discretize_mm must be finite and > 0, got {self.discretize_mm!r}")
         try:
             self.model_params()
         except (TypeError, ValueError) as exc:

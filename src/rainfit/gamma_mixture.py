@@ -20,7 +20,6 @@ import numpy as np
 
 from .empirical import empirical_quantile
 from .numerics import (
-    SPECIAL_UFUNCS,
     RngState,
     MAX_ITER,
     jittered_starts,
@@ -28,7 +27,7 @@ from .numerics import (
     multistart,
     nelder_mead,  # noqa: F401 - unused; rainbench/tracer.py patches this name
     positive_sample,
-    scipy_functions,
+    scipy_function,
 )
 
 __all__ = [
@@ -188,7 +187,7 @@ def _cdf_of(params: GammaMixtureParams):
     The parameter arrays are bound once, for callers that evaluate it in a
     loop.
     """
-    (gammainc,) = scipy_functions(SPECIAL_UFUNCS, "gammainc")
+    gammainc = scipy_function("gammainc")
 
     w, a, b = (np.array(t)[:, None] for t in (params.weights, params.shapes, params.scales))
     return lambda y: np.clip(np.add.reduce(w * gammainc(a, y / b), axis=0), 0.0, 1.0)
@@ -352,7 +351,7 @@ def _map_value_and_gradient(x: np.ndarray, k: int):
     digamma is bound here, once per fit, so an evaluation runs no import
     statement.
     """
-    (digamma,) = scipy_functions(SPECIAL_UFUNCS, "psi")
+    digamma = scipy_function("psi")
 
     density = _LogDensity(x, k)
     n = x.size

@@ -27,18 +27,20 @@ systems have three unknowns and a root of zero residual.  No fit calls
 `egpd` and `gamma_mixture`, and as an oracle for tests that is independent
 of the fits' own solvers.
 
-Importing any rainfit module loads numpy alone.  scipy is loaded inside
-the functions that call it, as two compiled extension files that
-`_scipy_kernel` loads without running any package `__init__`: L-BFGS-B's
-kernel and `_special_ufuncs`, whose `psi` and `gammainc` are
-scipy.special's `digamma` and `gammainc` (the gamma mixtures call them).
-No fit calls what the packages' `__init__`s load besides (scipy.linalg,
-sparse, fft, spatial, scipy's array-API layer), and no fit imports the
-`scipy` package itself.  `pipeline.run_fits` calls `preload_scipy` once,
-before a fit is timed or a worker pool forks, so no fit pays for the
-loading and a scipy without a function the fits call stops the run
-before the first fit.  On a 2-core host, loading what two mixtures at
-restarts 0 call takes 0.029 s CPU (and importing scipy.special 0.43 s).
+Importing any rainfit module loads numpy alone.  The functions that call
+scipy get each function by name from `scipy_function`: `setulb`, and
+`psi` and `gammainc`, scipy.special's `digamma` and `gammainc` (the gamma
+mixtures call them).  `_SCIPY_FUNCTIONS`, the one place that knows where
+scipy keeps them, names their two compiled extension files, L-BFGS-B's
+kernel and `_special_ufuncs`, which `_scipy_kernel` loads without running
+any package `__init__`.  No fit calls what the packages' `__init__`s load
+besides (scipy.linalg, sparse, fft, spatial, scipy's array-API layer),
+and no fit imports the `scipy` package itself.  `pipeline.run_fits` calls
+`preload_scipy` once, before a fit is timed or a worker pool forks, so no
+fit pays for the loading and a scipy without a function the fits call
+stops the run before the first fit.  On a 2-core host, loading what two
+mixtures at restarts 0 call takes 0.029 s CPU (and importing
+scipy.special 0.43 s).
 
 No fit imports numpy.random either: a fit's only random draws, its
 jittered starts, come from `RngState.doubles`, which computes the Philox
@@ -62,14 +64,13 @@ __all__ = [
     "LocalResult",
     "MAX_ITER",
     "RngState",
-    "SPECIAL_UFUNCS",
     "jittered_starts",
     "lbfgsb",
     "multistart",
     "nelder_mead",
     "positive_sample",
     "preload_scipy",
-    "scipy_functions",
+    "scipy_function",
     "scipy_version",
     "solve_least_squares",
     "splitmix64",
@@ -125,81 +126,71 @@ _BEST_RTOL = 1e-6
 _BEST_ATOL = 1e-12
 
 
-# What the fits call of scipy, by compiled module (see `_scipy_kernel`):
-# L-BFGS-B's `setulb`, in C with this signature since scipy 1.15, and the
-# ufuncs behind scipy.special's digamma (`psi`) and gammainc.
-# pyproject.toml states the same requirement.
+# What the fits call of scipy, by function name, and the compiled module
+# that holds each (see `_scipy_kernel`): L-BFGS-B's `setulb`, in C with
+# this signature since scipy 1.15, and the ufuncs behind scipy.special's
+# digamma (`psi`) and gammainc.  pyproject.toml states the same requirement.
 _SCIPY_REQUIREMENT = "rainfit requires scipy>=1.15 and has been run on scipy 1.17.1 only"
-SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
 _SCIPY_FUNCTIONS = {
-    "scipy.optimize._lbfgsb": ("setulb",),
-    SPECIAL_UFUNCS: ("psi", "gammainc"),
+    "setulb": "scipy.optimize._lbfgsb",
+    "psi": "scipy.special._special_ufuncs",
+    "gammainc": "scipy.special._special_ufuncs",
 }
 _loaded_kernels: dict[str, ModuleType] = {}
 
 
-def _scipy_kernel(package: str, name: str) -> ModuleType:
-    """<package>.<name>, a compiled scipy module, without its package.
+def _scipy_kernel(full_name: str) -> ModuleType:
+    """The compiled scipy module full_name, without its package.
 
-    The module `import <package>` loaded, if it has, so a spy on it sees
-    every call; otherwise the extension file alone, loaded once from the
-    package's directory without running any package `__init__`.  The
+    The module an `import` statement loaded, if one has, so a spy on it
+    sees every call; otherwise the extension file alone, loaded once from
+    the package's directory without running any package `__init__`.  The
     directory is found from the top-level package's spec plus the
     subpackage's path: `find_spec("scipy.optimize")` would import `scipy`.
     """
-    full_name = f"{package}.{name}"
     module = sys.modules.get(full_name) or _loaded_kernels.get(full_name)
     if module is None:
         import importlib.util
         import os.path
+        from importlib.machinery import PathFinder
 
-        top, _, sub = package.partition(".")
+        top, *sub = full_name.split(".")[:-1]
         spec = importlib.util.find_spec(top)
         if spec is None:
             raise ImportError(f"{top} is not installed; {_SCIPY_REQUIREMENT}", name=top)
-        directories = [os.path.join(d, *sub.split(".")) for d in spec.submodule_search_locations]
-        module = _load_extension(full_name, directories)
+        directories = [os.path.join(d, *sub) for d in spec.submodule_search_locations]
+        spec = PathFinder.find_spec(full_name, directories)
+        if spec is None:
+            raise ImportError(
+                f"scipy's compiled module {full_name} is not in {', '.join(directories)};"
+                f" {_SCIPY_REQUIREMENT}",
+                name=full_name,
+            )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # A single-phase extension module enters itself in sys.modules as it
+        # initializes.  Left there, a later `import scipy.optimize` would take
+        # it from there and never bind it as the package's attribute; removed,
+        # that import makes its own module over the same compiled functions.
+        if sys.modules.get(full_name) is module:
+            del sys.modules[full_name]
         _loaded_kernels[full_name] = module
     return module
 
 
-def _load_extension(full_name: str, directories: list[str]) -> ModuleType:
-    """Load the module full_name from its file in directories, outside sys.modules."""
-    from importlib.machinery import PathFinder
-    from importlib.util import module_from_spec
+def scipy_function(name: str):
+    """scipy's compiled function `name`, from its module in `_SCIPY_FUNCTIONS`.
 
-    spec = PathFinder.find_spec(full_name, directories)
-    if spec is None:
+    A module without it is an ImportError that names both.
+    """
+    full_name = _SCIPY_FUNCTIONS[name]
+    module = _scipy_kernel(full_name)
+    if not hasattr(module, name):
         raise ImportError(
-            f"scipy's compiled module {full_name} is not in {', '.join(directories)};"
-            f" {_SCIPY_REQUIREMENT}",
+            f"scipy's compiled module {full_name} has no {name}; {_SCIPY_REQUIREMENT}",
             name=full_name,
         )
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # A single-phase extension module enters itself in sys.modules as it
-    # initializes.  Left there, a later `import scipy.optimize` would take it
-    # from there and never bind it as the package's attribute; removed, that
-    # import makes its own module over the same compiled functions.
-    if sys.modules.get(full_name) is module:
-        del sys.modules[full_name]
-    return module
-
-
-def scipy_functions(module: str, *names: str) -> tuple:
-    """The functions `names` of scipy's compiled `module`, by `_scipy_kernel`.
-
-    A name the module lacks is an ImportError that names it.
-    """
-    package, _, base = module.rpartition(".")
-    loaded = _scipy_kernel(package, base)
-    for name in names:
-        if not hasattr(loaded, name):
-            raise ImportError(
-                f"scipy's compiled module {module} has no {name}; {_SCIPY_REQUIREMENT}",
-                name=module,
-            )
-    return tuple(getattr(loaded, name) for name in names)
+    return getattr(module, name)
 
 
 def scipy_version() -> str:
@@ -209,13 +200,13 @@ def scipy_version() -> str:
     adds nothing to sys.modules (0.3 ms, against about 30 ms of imports
     for `importlib.metadata`).
     """
-    return _scipy_kernel("scipy", "version").version
+    return _scipy_kernel("scipy.version").version
 
 
 def preload_scipy() -> None:
     """Load and check every function of scipy a fit calls."""
-    for module, names in _SCIPY_FUNCTIONS.items():
-        scipy_functions(module, *names)
+    for name in _SCIPY_FUNCTIONS:
+        scipy_function(name)
 
 
 def positive_sample(data) -> np.ndarray:
@@ -290,7 +281,7 @@ def lbfgsb(
     scipy serves it; `n_eval` counts the calls of value_and_gradient,
     which is scipy's `nfev`, and `n_iter` its `nit`.
     """
-    (setulb,) = scipy_functions("scipy.optimize._lbfgsb", "setulb")
+    setulb = scipy_function("setulb")
     x = np.array(np.clip(x0, lower, upper), dtype=np.float64)
     n = x.size
     m = _LBFGSB_MEMORY

@@ -261,8 +261,9 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
 
     What the requested methods call is loaded here, once, before any fit
     is timed and before the pool forks: `egpd` for the `naveau-*` methods,
-    `gamma_mixture` for the mixtures, and scipy's two compiled modules
-    (`numerics.preload_scipy`); never the `scipy` package.  So no fit's
+    `gamma_mixture` for the mixtures, and every scipy function a fit gets
+    from `numerics.scipy_function` (`numerics.preload_scipy`); never the
+    `scipy` package.  So no fit's
     seconds include an import, no worker loads fit code itself, and a scipy
     without one of the functions the fits call is an ImportError here,
     before any fit.  No fit loads numpy.random, in this process or a

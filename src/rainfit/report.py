@@ -22,13 +22,12 @@ from .evaluation import EvaluationSummary, asinh_axis_transform
 __all__ = ["render_boxplot_svg", "write_report_files"]
 
 
-def write_report_files(out_dir, summary: EvaluationSummary, *, svg: bool = False) -> list[Path]:
+def write_report_files(out_dir, summary: EvaluationSummary, *, svg: bool = False) -> None:
     """Write the five tables, and with `svg` one boxplot SVG per level.
 
-    Returns the paths written, in the order written.  Every level label,
-    in a table header, a row or an SVG file name, is `repr(p)`.  Every
-    other `boxplot-*.svg` in out_dir is removed, so no SVG of an earlier
-    run stands beside tables it does not match.
+    Every level label, in a table header, a row or an SVG file name, is
+    `repr(p)`.  Every other `boxplot-*.svg` in out_dir is removed, so no
+    SVG of an earlier run stands beside tables it does not match.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -53,16 +52,12 @@ def write_report_files(out_dir, summary: EvaluationSummary, *, svg: bool = False
     if svg:
         for p in summary.probabilities:
             files[f"boxplot-{p!r}.svg"] = render_boxplot_svg(summary, p)
-    written = []
     for name, text in files.items():
-        path = out_dir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        written.append(path)
     for path in out_dir.glob("boxplot-*.svg"):
         if path.name not in files:
             path.unlink()
-    return written
 
 
 def _grid(summary: EvaluationSummary, failed_label: str, cell_text, blank: str) -> list[list[str]]:

@@ -2,10 +2,12 @@
 
 One BLAS/OpenMP thread, as the `rainfit` command line uses, unless the
 environment already sets the count: pytest imports this file before any
-test module imports numpy.
+test module imports numpy, and `rainfit.pipeline` loads no numpy.
 """
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+from rainfit.pipeline import BLAS_THREAD_VARS
+
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")

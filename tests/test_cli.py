@@ -4,6 +4,7 @@ import errno
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -417,16 +418,16 @@ def test_benchmark_one_value_site_is_error_records_and_the_other_site_fits(tmp_p
 
 
 @pytest.mark.parametrize(
-    "module, names, named",
-    [("scipy.special._special_ufuncs", ("psi", "no_such_ufunc"), "_special_ufuncs has no no_such_ufunc"),
-     ("scipy.special._no_such_ufuncs", ("psi",), "_no_such_ufuncs is not in")],
+    "name, module, named",
+    [("no_such_ufunc", "scipy.special._special_ufuncs", "_special_ufuncs has no no_such_ufunc"),
+     ("psi", "scipy.special._no_such_ufuncs", "_no_such_ufuncs is not in")],
 )
 def test_benchmark_with_a_scipy_missing_a_fit_function_exits_2(
-    tmp_path, capsys, monkeypatch, module, names, named
+    tmp_path, capsys, monkeypatch, name, module, named
 ):
     from rainfit import numerics
 
-    monkeypatch.setitem(numerics._SCIPY_FUNCTIONS, module, names)
+    monkeypatch.setitem(numerics._SCIPY_FUNCTIONS, name, module)
     rc = main(["benchmark", "--manifest", str(small_manifest(tmp_path, n_sites=1)),
                "--out", str(tmp_path / "run"), "--methods", "naveau-pwm"])
     assert rc == 2
@@ -575,6 +576,45 @@ def test_simulate_bad_site_ids_exit_2_before_writing(tmp_path, capsys, site_ids,
     assert rc == 2
     assert err.startswith(f"error: {path}: ") and named in err
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ({**EGPD_ENTRY, "n": 3_000_000}, "generator n must be from 100 to 2921940"),
+        ({**EGPD_ENTRY, "n": 10**12}, "generator n must be from 100 to 2921940"),
+        ({**EGPD_ENTRY, "discretize_mm": math.inf}, "discretize_mm must be finite and > 0"),
+    ],
+    ids=["n-past-the-last-date", "n-past-memory", "discretize-infinite"],
+)
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_a_generator_simulate_cannot_write_exits_2_before_writing(tmp_path, capsys, command, entry, named):
+    # save_site dates rows from 2000-01-01, so no site holds more rows than
+    # there are days to 9999-12-31; an infinite increment rounds every draw
+    # to nothing.
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"seed": 1, "generators": [EGPD_ENTRY, entry]}), encoding="utf-8")
+    assert main([command, "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad generator entry 1: ") and named in err
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("out", [".", "new/..", "link"])
+def test_simulate_refuses_to_overwrite_its_input_manifest(tmp_path, capsys, out):
+    # --out's manifest.json would replace the generator recipe with a
+    # sites-only manifest, however --out spells the manifest's directory.
+    path = tmp_path / "corpus" / "manifest.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"seed": 1, "generators": [EGPD_ENTRY]}), encoding="utf-8")
+    (tmp_path / "link").symlink_to(path.parent)
+    before = path.read_bytes()
+    out_dir = tmp_path / "link" if out == "link" else path.parent / out
+    assert main(["simulate", "--manifest", str(path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "overwrite" in err
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == ["manifest.json"]
 
 
 # --- report -----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -206,7 +207,18 @@ def test_generator_spec_validation():
         GeneratorSpec(
             site_id="x", family="egpd", params={}, n=500, seed=1, discretize_mm=0.0
         )
-
+    # Nothing is drawn to find these: save_site dates rows from 2000-01-01,
+    # and an infinite increment would round every draw to nothing.
+    params = EGPD_SPEC.params
+    assert date(2000, 1, 1) + timedelta(days=2_921_940 - 1) == date.max
+    GeneratorSpec(site_id="x", family="egpd", params=params, n=2_921_940, seed=1)
+    for n in (2_921_941, 10**12):
+        with pytest.raises(CorpusError, match="generator n must be from 100 to 2921940"):
+            GeneratorSpec(site_id="x", family="egpd", params=params, n=n, seed=1)
+    for increment in (math.inf, math.nan):
+        with pytest.raises(CorpusError, match="discretize_mm must be finite and > 0"):
+            GeneratorSpec(site_id="x", family="egpd", params=params, n=500, seed=1,
+                          discretize_mm=increment)
 
 
 def test_generator_spec_takes_numpy_numbers_from_code_callers():

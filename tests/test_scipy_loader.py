@@ -1,9 +1,11 @@
 """The scipy loader: the fits' share of scipy, loaded without its packages.
 
-The fits call two compiled scipy modules, `scipy.optimize._lbfgsb` and
-`scipy.special._special_ufuncs`, which `numerics._scipy_kernel` loads from
-their extension files, found from the top-level `scipy` spec, without
-running any package `__init__`.  `preload_scipy` loads and checks both.
+The fits get three compiled scipy functions by name from
+`numerics.scipy_function`: `setulb` from `scipy.optimize._lbfgsb`, and
+`psi` and `gammainc` from `scipy.special._special_ufuncs`.
+`numerics._scipy_kernel` loads those two modules from their extension
+files, found from the top-level `scipy` spec, without running any package
+`__init__`.  `preload_scipy` loads and checks all three functions.
 This module checks that contract:
 
 - a missing kernel, function or scipy is an ImportError that names it;
@@ -22,18 +24,18 @@ from fresh_python import run_python
 from rainfit import numerics
 
 
-def test_a_missing_kernel_is_an_import_error_naming_it(tmp_path):
-    with pytest.raises(ImportError, match=r"scipy\.optimize\._lbfgsb .*scipy>=1\.15"):
-        numerics._load_extension("scipy.optimize._lbfgsb", [str(tmp_path)])
-    with pytest.raises(ImportError, match=r"scipy\.optimize\._no_such_kernel .*scipy>=1\.15"):
-        numerics._scipy_kernel("scipy.optimize", "_no_such_kernel")
+def test_a_missing_kernel_is_an_import_error_naming_it(monkeypatch):
+    with pytest.raises(ImportError, match=r"scipy\.optimize\._no_such_kernel is not in .*scipy>=1\.15"):
+        numerics._scipy_kernel("scipy.optimize._no_such_kernel")
     assert "scipy.optimize._no_such_kernel" not in numerics._loaded_kernels
+    monkeypatch.setitem(numerics._SCIPY_FUNCTIONS, "no_such_ufunc", "scipy.special._special_ufuncs")
     with pytest.raises(ImportError, match=r"scipy\.special\._special_ufuncs has no no_such_ufunc"):
-        numerics.scipy_functions(numerics.SPECIAL_UFUNCS, "psi", "no_such_ufunc")
-    with pytest.raises(ImportError, match=r"scipy\.special\._no_such_ufuncs "):
-        numerics.scipy_functions("scipy.special._no_such_ufuncs", "psi")
+        numerics.scipy_function("no_such_ufunc")
+    monkeypatch.setitem(numerics._SCIPY_FUNCTIONS, "psi", "scipy.special._no_such_ufuncs")
+    with pytest.raises(ImportError, match=r"scipy\.special\._no_such_ufuncs is not in "):
+        numerics.scipy_function("psi")
     with pytest.raises(ImportError, match=r"no_such_scipy is not installed; .*scipy>=1\.15"):
-        numerics._scipy_kernel("no_such_scipy.optimize", "_lbfgsb")
+        numerics._scipy_kernel("no_such_scipy.optimize._lbfgsb")
 
 
 def test_lbfgsb_keeps_scipy_steps_after_scipy_optimize_is_imported():
@@ -56,7 +58,7 @@ def solve():
     return [res.x.tobytes().hex(), res.value.hex(), res.n_iter, res.n_eval]
 
 first = solve()
-used = numerics._scipy_kernel("scipy.optimize", "_lbfgsb")
+used = numerics._scipy_kernel("scipy.optimize._lbfgsb")
 package_before = "scipy.optimize" in sys.modules
 import scipy.optimize
 from scipy.optimize import Bounds, minimize
@@ -75,7 +77,7 @@ again = solve()
 print(json.dumps({
     "package_before": package_before,
     "same_function": used.setulb is setulb,
-    "now_public": numerics._scipy_kernel("scipy.optimize", "_lbfgsb") is scipy.optimize._lbfgsb,
+    "now_public": numerics._scipy_kernel("scipy.optimize._lbfgsb") is scipy.optimize._lbfgsb,
     "spied": len(spied) > 0,
     "first_matches_public": first == public,
     "again_matches_public": again == public,
@@ -102,7 +104,7 @@ import numpy as np
 from rainfit import numerics
 
 NAMES = ("psi", "gammainc")
-bound = numerics.scipy_functions(numerics.SPECIAL_UFUNCS, *NAMES)
+bound = [numerics.scipy_function(name) for name in NAMES]
 shapes = np.exp(np.linspace(-12.0, 12.0, 241))  # e^-12 .. e^12
 ratios = np.array([1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e5, 1e8])
 
@@ -120,7 +122,7 @@ print(json.dumps({
     "bits": first == public,
     "public_objects": [bound[0] is sp.digamma, bound[1] is sp.gammainc],
     "now_public": [f is getattr(sp._special_ufuncs, name) for f, name in zip(bound, NAMES)],
-    "rebound": list(numerics.scipy_functions(numerics.SPECIAL_UFUNCS, *NAMES)) == list(bound),
+    "rebound": [numerics.scipy_function(name) for name in NAMES] == bound,
 }))
 """
     assert run_python(code) == {
@@ -148,8 +150,8 @@ print(json.dumps([sorted(m for m in sys.modules if m == "scipy" or m.startswith(
 
 def test_preload_checks_exactly_the_functions_the_fits_bind(monkeypatch):
     # `preload_scipy` loads and checks `_SCIPY_FUNCTIONS`; a run of all seven
-    # methods must ask `scipy_functions` for those and no other, so a stale
-    # entry fails here as surely as a missing one.
+    # methods must ask `scipy_function` for those names and no other, so a
+    # stale entry fails here as surely as a missing one.
     import sys
 
     import numpy as np
@@ -160,20 +162,19 @@ def test_preload_checks_exactly_the_functions_the_fits_bind(monkeypatch):
     from rainfit.pipeline import METHODS, RunConfig, run_fits
 
     requested = set()
-    real = numerics.scipy_functions
+    real = numerics.scipy_function
 
-    def spy(module, *names):
-        requested.update((module, name) for name in names)
-        return real(module, *names)
+    def spy(name):
+        requested.add(name)
+        return real(name)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("rainfit") and getattr(module, "scipy_functions", None) is real:
-            monkeypatch.setattr(module, "scipy_functions", spy)
+        if name.startswith("rainfit") and getattr(module, "scipy_function", None) is real:
+            monkeypatch.setattr(module, "scipy_function", spy)
     # Only the fits' own requests count, not the preload's.
     monkeypatch.setattr(numerics, "preload_scipy", lambda: None)
     values = egpd_simulate(300, EgpdParams(1.2, 5.0, 0.1), numerics.RngState(seed=8))
     config = RunConfig(methods=tuple(METHODS), egpd_restarts=1, mixture_restarts=1, jobs=1)
     records = run_fits([SiteSeries("s", np.asarray(values))], config)
     assert all(r["error"] is None for r in records)
-    expected = {(module, name) for module, names in numerics._SCIPY_FUNCTIONS.items() for name in names}
-    assert requested == expected
+    assert requested == set(numerics._SCIPY_FUNCTIONS)
