@@ -15,18 +15,18 @@ it runs.
 
 Exit codes: 0 success, 2 configuration or data problems (a `simulate`
 whose output would overwrite its input manifest, or a scipy without a
-compiled function the fits call, among them), 3 filesystem problems, 4 "ran
-but failed" (a non-converged single fit, or a benchmark where every fit
-failed).
+compiled function the fits call, among them), 3 filesystem problems or a
+worker process of `benchmark --jobs N` that died, 4 "ran but failed" (a
+non-converged single fit, or a benchmark where every fit failed).
 
 Process exit: `run`, the entry of `python -m rainfit.cli` and of the
 `rainfit` console script, calls `main`, flushes stdout and stderr and ends
 the process with `os._exit`, skipping interpreter teardown (module
 clearing and collector passes over numpy and scipy, 40-60 ms of a
 benchmark run).  Nothing is lost by that: every file a command writes is
-closed by a `with` block or `write_text` before `main` returns, the pool in
-`run_fits` is terminated and joined when its `with` block ends, and rainfit
-registers no `atexit` handler.  If a flush fails with an OSError (a closed
+closed by a `with` block or `write_text` before `main` returns, `run_fits`
+reaps every worker process it forked before it returns or raises, and
+rainfit registers no `atexit` handler.  If a flush fails with an OSError (a closed
 pipe, a full disk) the status is 120, as CPython's own exit gives when it
 cannot flush, and no traceback is printed.  `main` returns its code to
 in-process callers and never exits.

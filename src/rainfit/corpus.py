@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -110,7 +111,8 @@ def load_site(path) -> SiteSeries:
     remain.
     """
     path = Path(path)
-    values: list[float] = []
+    # Unboxed doubles, 8 bytes a value, not a list of float objects.
+    values = array("d")
     # Bound once, outside the per-row loop: this pays for the date-form check.
     append, isfinite, fromisoformat = values.append, math.isfinite, date.fromisoformat
     try:
@@ -149,7 +151,7 @@ def load_site(path) -> SiteSeries:
         raise _not_utf8(path, exc) from None
     if not values:
         raise EmptySeriesError(f"{path}: no wet days")
-    return SiteSeries(site_id=path.stem, values=np.array(values))
+    return SiteSeries(site_id=path.stem, values=np.frombuffer(values))
 
 
 def save_site(path, series: SiteSeries) -> None:

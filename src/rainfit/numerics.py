@@ -36,7 +36,7 @@ kernel and `_special_ufuncs`, which `_scipy_kernel` loads without running
 any package `__init__`.  No fit calls what the packages' `__init__`s load
 besides (scipy.linalg, sparse, fft, spatial, scipy's array-API layer),
 and no fit imports the `scipy` package itself.  `pipeline.run_fits` calls
-`preload_scipy` once, before a fit is timed or a worker pool forks, so no
+`preload_scipy` once, before a fit is timed or a worker forks, so no
 fit pays for the loading and a scipy without a function the fits call
 stops the run before the first fit.  On a 2-core host, loading what two
 mixtures at restarts 0 call takes 0.029 s CPU (and importing

@@ -1,9 +1,10 @@
 """Benchmark pipeline: fit each (site, method) pair and write report files.
 
 The pipeline owns everything between a corpus manifest and the files on
-disk: building the deterministic task list, running fits (serially or in a
-process pool), collecting one record per task no matter what the fit did,
-and writing the records file and `run.json`, what the run cost.
+disk: building the deterministic task list, running fits (serially or in
+forked worker processes), collecting one record per task no matter what
+the fit did, and writing the records file and `run.json`, what the run
+cost.
 `report.write_report_files`, imported here, writes the tables derived from
 the records.
 
@@ -26,7 +27,7 @@ Import rule: this module imports the standard library and `evaluation`
 and `report` alone, so `rainfit report`, `--help` and `--version` load no
 numpy.  Loading site CSVs imports `corpus` and numpy where it loads them;
 `run_fits` loads what the requested methods call, and only that, once,
-before it forks a pool or times a fit.
+before it forks a worker or times a fit.
 """
 
 from __future__ import annotations
@@ -256,11 +257,13 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
 
     Sites are ordered by id; task i gets the RNG stream derived from
     (seed, site index, the method's position in `METHODS`).  With
-    jobs > 1 the tasks run in a fork-start process pool, mapped in order,
-    so results are identical to the serial path.
+    jobs > 1 the tasks run in min(jobs, tasks) forked worker processes
+    (`_run_workers`), handed out in task order and stored by index, so
+    results are identical to the serial path.  A worker that dies ends
+    the run with a ChildProcessError, after every worker is reaped.
 
     What the requested methods call is loaded here, once, before any fit
-    is timed and before the pool forks: `egpd` for the `naveau-*` methods,
+    is timed and before a worker forks: `egpd` for the `naveau-*` methods,
     `gamma_mixture` for the mixtures, and every scipy function a fit gets
     from `numerics.scipy_function` (`numerics.preload_scipy`); never the
     `scipy` package.  So no fit's
@@ -289,11 +292,94 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
     preload_scipy()
     if config.jobs == 1 or len(tasks) == 1:
         return [_execute_task(t) for t in tasks]
-    import multiprocessing
+    return _run_workers(tasks, min(config.jobs, len(tasks)))
 
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(config.jobs, len(tasks))) as pool:
-        return pool.map(_execute_task, tasks, chunksize=1)
+
+def _serve(tasks: list, task_fd: int, result_fd: int) -> None:
+    """A worker's loop: fit each task whose index arrives on task_fd and
+    write its record to result_fd, a pickle behind its 8-byte length,
+    until task_fd ends."""
+    import pickle
+
+    with open(result_fd, "wb") as out:
+        while index := os.read(task_fd, 4):
+            data = pickle.dumps(_execute_task(tasks[int.from_bytes(index, "little")]))
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
+
+
+def _run_workers(tasks: list, jobs: int) -> list[dict]:
+    """Fit tasks in jobs forked worker processes; their records in task order.
+
+    The workers inherit the tasks through the fork.  Each has a task pipe
+    and a result pipe: it gets the next task index as it returns a record,
+    so tasks start in order, one at a time, and the end of its task pipe
+    stops it.  A result pipe that ends before its record does stops the
+    run: every worker is killed and reaped, and ChildProcessError names
+    the dead worker's exit status and the site and method it was fitting.
+    """
+    import pickle
+    import select
+    import signal
+    from contextlib import suppress
+
+    records: list = [None] * len(tasks)
+    todo = iter(range(len(tasks)))
+    workers: dict = {}  # result pipe -> [pid, task pipe fd, index of its task]
+
+    def stop(result) -> int:
+        """Close a worker's pipes and reap it; its exit code."""
+        pid, task_fd, _ = workers.pop(result)
+        os.close(task_fd)
+        result.close()
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def hand_next(result) -> None:
+        workers[result][2] = i = next(todo, None)
+        if i is None:
+            stop(result)
+        else:
+            with suppress(BrokenPipeError):  # a dead worker's result pipe ends too
+                os.write(workers[result][1], i.to_bytes(4, "little"))
+
+    try:
+        for _ in range(jobs):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker
+                try:
+                    # Keep only its own ends of its own pipes, so that a task
+                    # pipe ends when the parent closes it.
+                    others = [fd for r, w in workers.items() for fd in (r.fileno(), w[1])]
+                    for fd in [task_w, result_r, *others]:
+                        os.close(fd)
+                    _serve(tasks, task_r, result_w)
+                except BaseException:  # a forked worker never returns into its caller
+                    os._exit(1)
+                os._exit(0)
+            os.close(task_r)
+            os.close(result_w)
+            result = open(result_r, "rb")
+            workers[result] = [pid, task_w, None]
+            hand_next(result)
+        while workers:
+            for result in select.select(list(workers), [], [])[0]:
+                size = int.from_bytes(head := result.read(8), "little")
+                data = result.read(size)
+                if len(head) < 8 or len(data) < size:
+                    pid, _, i = workers[result]
+                    code = stop(result)
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                    raise ChildProcessError(f"worker process {pid} {how} while fitting site "
+                                            f"{tasks[i][0].site_id!r}, method {tasks[i][1]!r}")
+                records[workers[result][2]] = pickle.loads(data)
+                hand_next(result)
+    finally:
+        for result in list(workers):
+            os.kill(workers[result][0], signal.SIGKILL)
+            stop(result)
+    return records
 
 
 # --- records -------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Each check starts a new Python process, so what it reads was loaded by the
 code under test alone, not by an earlier test of this session.
+`run_in_session` runs a command in a session of its own, under a timeout,
+and checks that no process of that session outlives it.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -22,15 +25,44 @@ LOADED_SCIPY = (
 )
 
 
-def run_python(code: str) -> object:
-    """Run code in a fresh interpreter; the JSON value on its last stdout line."""
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(code: str) -> object:
+    """Run code in a fresh interpreter; the JSON value on its last stdout line."""
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True,
         timeout=120, check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_in_session(code: str, timeout: float) -> tuple[int, str]:
+    """Run code in a fresh interpreter that leads a session of its own; its
+    exit code and stderr.
+
+    At the timeout the whole session is killed and TimeoutExpired raised.
+    Otherwise the command has ended and been reaped, so any process of its
+    session that is still there, running or a zombie, outlived it: it is
+    killed, and the check fails.
+    """
+    proc = subprocess.Popen([sys.executable, "-c", code], env=_env(), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=timeout)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+            left = True
+        except ProcessLookupError:
+            left = False
+        proc.kill()
+        proc.wait()
+    assert not left, f"a process of session {proc.pid} outlived the command"
+    return proc.returncode, stderr
 
 
 def egpd_spec(site_id: str, seed: int) -> GeneratorSpec:
@@ -78,7 +110,7 @@ def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str
             "--methods", methods, "--egpd-restarts", str(restarts),
             "--mixture-restarts", str(restarts)]
     return (
-        "import json, multiprocessing, os, sys\n"
+        "import json, os, sys\n"
         "import rainfit.pipeline\n"
         "from rainfit.cli import main\n"
         "before = any(m.startswith('scipy') for m in sys.modules)\n"
@@ -91,7 +123,7 @@ def benchmark_code(manifest: Path, out: Path, jobs: int, hook: str, methods: str
 
 
 # A benchmark_code hook: each process that fits writes to
-# FIRST_FITS_DIR/<pid>.json whether it is a pool worker, the modules its
+# FIRST_FITS_DIR/<pid>.json whether it is a forked worker, the modules its
 # first fit added to sys.modules, which of WATCHED were loaded after that
 # fit, and which of NEVER_LOADED_BY_FITS were loaded after its last fit.
 WATCHED = ("scipy", "rainfit.egpd", "rainfit.gamma_mixture", "numpy.random")

@@ -5,10 +5,10 @@ importing the CLI and rebuilding tables load neither numpy nor rainfit's
 fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`, `empirical`).
 Loading site CSVs needs numpy and `corpus`, but no fit module and no
 scipy.  `run_fits` loads what the requested methods call, once, before it
-forks a pool or starts the first fit: the fit module of each requested
+forks a worker or starts the first fit: the fit module of each requested
 family and the two compiled scipy modules the fits call,
 `scipy.optimize._lbfgsb` and `scipy.special._special_ufuncs`.  The first
-fit in each process, serial or in a pool worker, then adds no module to
+fit in each process, serial or in a forked worker, then adds no module to
 `sys.modules`, and no process that fits loads numpy.random or the `scipy`
 package, with or without jittered starts.  A run of all seven methods, a
 `fit` or a `simulate` of a mixture preset never imports the `scipy`,
@@ -132,15 +132,31 @@ def test_run_fits_loads_scipy_before_forking_the_pool(tmp_path):
     # naveau-mle alone never calls.
     manifest = site_file_manifest(tmp_path, 50)
     hook = (
-        "_get_context = multiprocessing.get_context\n"
-        "def get_context(*args, **kwargs):\n"
+        "_fork = os.fork\n"
+        "def fork():\n"
         + RECORD_FIT_MODULES
         + "    seen.append(['rainfit.egpd' in sys.modules, 'rainfit.gamma_mixture' in sys.modules])\n"
-        "    return _get_context(*args, **kwargs)\n"
-        "multiprocessing.get_context = get_context\n"
+        "    return _fork()\n"
+        "os.fork = fork\n"
     )
     rc, before, seen, _ = run_python(benchmark_code(manifest, tmp_path / "run", 2, hook))
     assert [rc, before, seen[:2]] == [0, False, [FIT_MODULES_LOADED, [True, False]]]
+
+
+def test_a_parallel_run_loads_no_process_pool_and_starts_no_thread(tmp_path):
+    # The workers are forked by run_fits itself and fed over pipes: no
+    # multiprocessing, whose pool loads sockets, subprocesses and queues
+    # and runs three threads in the main process.
+    argv = ["benchmark", "--manifest", str(site_file_manifest(tmp_path, 90)), "--out",
+            str(tmp_path / "run"), "--jobs", "2", "--methods", "naveau-mle", "--egpd-restarts", "0"]
+    code = (
+        "import json, sys, threading\n"
+        "from rainfit.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "loaded = [m for m in ('multiprocessing', 'socket', 'subprocess', 'queue') if m in sys.modules]\n"
+        "print(json.dumps([rc, loaded, threading.active_count()]))\n"
+    )
+    assert run_python(code) == [0, [], 1]
 
 
 def test_run_fits_loads_scipy_before_the_first_serial_fit(tmp_path):
@@ -207,7 +223,7 @@ def loaded_by(methods: str) -> list[str]:
 @pytest.mark.parametrize("methods", [*METHODS, ",".join(METHODS)])
 def test_the_first_fit_in_each_process_imports_nothing(tmp_path, methods, jobs, restarts):
     # At restarts 1 every fit draws a jittered start.  Its offsets come
-    # from RngState.doubles, so no process that fits, serial or a pool
+    # from RngState.doubles, so no process that fits, serial or a forked
     # worker, ever loads numpy.random.  Nor does any process of any run,
     # the seven methods at --jobs 1 and 2 included, load the `scipy`
     # package (`first_fits` checks the main process).

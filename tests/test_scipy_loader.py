@@ -15,7 +15,7 @@ This module checks that contract:
   `import scipy.optimize`;
 - `preload_scipy` runs no package `__init__` and imports no scipy module
   (`test_imports` checks that no run of any method loads the `scipy`
-  package, in this process or a pool worker).
+  package, in this process or a forked worker).
 """
 
 import pytest
