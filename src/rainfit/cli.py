@@ -17,7 +17,8 @@ Exit codes: 0 success, 2 configuration or data problems (a `simulate`
 whose output would overwrite its input manifest, or a scipy without a
 compiled function the fits call, among them), 3 filesystem problems or a
 worker process of `benchmark --jobs N` that died, 4 "ran but failed" (a
-non-converged single fit, or a benchmark where every fit failed).
+non-converged single fit, or a benchmark where every fit failed), 130
+Ctrl-C, which `run` reports in one `error:` line and `main` lets through.
 
 Process exit: `run`, the entry of `python -m rainfit.cli` and of the
 `rainfit` console script, calls `main`, flushes stdout and stderr and ends
@@ -98,7 +99,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 
 # The RunConfig fields that are flags; `fit` has neither --jobs nor --min-wet.
-_CONFIG_FLAGS = ("threshold_mm", "seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet", "svg")
+_CONFIG_FLAGS = ("threshold_mm", "seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet")
 
 
 def _config_from_args(args, methods: tuple[str, ...]) -> RunConfig:
@@ -208,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", metavar="M1,M2,...", help="methods to run (default: all seven)")
     p_bench.add_argument("--jobs", type=int, default=_DEFAULTS.jobs, help=f"worker processes (default {_DEFAULTS.jobs}); outputs do not depend on it")
     p_bench.add_argument("--min-wet", type=int, default=_DEFAULTS.min_wet, help=f"drop sites with fewer wet days (default {_DEFAULTS.min_wet})")
-    p_bench.add_argument("--svg", action="store_true", help="also write one boxplot SVG per quantile level")
     _add_run_flags(p_bench)
     p_bench.set_defaults(func=cmd_benchmark)
 
@@ -243,7 +243,11 @@ def main(argv=None) -> int:
 
 def run() -> NoReturn:
     """The process entry: `main`, then flush and exit without teardown."""
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130
     for stream in (sys.stdout, sys.stderr):
         try:
             if stream is not None:  # None when the process started with the fd closed

@@ -26,8 +26,8 @@ depends on execution order.  Timings land only in `fits.jsonl` and
 Import rule: this module imports the standard library and `evaluation`
 and `report` alone, so `rainfit report`, `--help` and `--version` load no
 numpy.  Loading site CSVs imports `corpus` and numpy where it loads them;
-`run_fits` loads what the requested methods call, and only that, once,
-before it forks a worker or times a fit.
+`run_fits` loads the requested methods' fit modules and every scipy
+function any fit calls, once, before it forks a worker or times a fit.
 """
 
 from __future__ import annotations
@@ -178,7 +178,6 @@ class RunConfig:
     egpd_restarts: int = 4
     mixture_restarts: int = 7
     min_wet: int = 100
-    svg: bool = False
 
     def __post_init__(self) -> None:
         methods = tuple(dict.fromkeys(self.methods))
@@ -245,10 +244,6 @@ def run_single_fit(
     return record
 
 
-def _execute_task(task) -> dict:
-    return run_single_fit(*task)
-
-
 def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
     """Run every (site, method) pair from config over the given sites.
 
@@ -262,16 +257,15 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
     results are identical to the serial path.  A worker that dies ends
     the run with a ChildProcessError, after every worker is reaped.
 
-    What the requested methods call is loaded here, once, before any fit
-    is timed and before a worker forks: `egpd` for the `naveau-*` methods,
-    `gamma_mixture` for the mixtures, and every scipy function a fit gets
-    from `numerics.scipy_function` (`numerics.preload_scipy`); never the
-    `scipy` package.  So no fit's
-    seconds include an import, no worker loads fit code itself, and a scipy
-    without one of the functions the fits call is an ImportError here,
-    before any fit.  No fit loads numpy.random, in this process or a
-    worker: jittered starts are computed from the task's Philox stream in
-    Python (`RngState.doubles`).
+    Loaded here, once, before any fit is timed and before a worker forks:
+    `egpd` for the `naveau-*` methods, `gamma_mixture` for the mixtures,
+    and every scipy function any fit gets from `numerics.scipy_function`
+    (`numerics.preload_scipy`), whichever methods run; never the `scipy`
+    package.  So no fit's seconds include an import, no worker loads fit
+    code itself, and a scipy without one of the functions the fits call is
+    an ImportError here, before any fit.  No fit loads numpy.random, in
+    this process or a worker: jittered starts are computed from the task's
+    Philox stream in Python (`RngState.doubles`).
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -291,32 +285,20 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
         import_module(f"{__package__}.{family}")
     preload_scipy()
     if config.jobs == 1 or len(tasks) == 1:
-        return [_execute_task(t) for t in tasks]
+        return [run_single_fit(*t) for t in tasks]
     return _run_workers(tasks, min(config.jobs, len(tasks)))
-
-
-def _serve(tasks: list, task_fd: int, result_fd: int) -> None:
-    """A worker's loop: fit each task whose index arrives on task_fd and
-    write its record to result_fd, a pickle behind its 8-byte length,
-    until task_fd ends."""
-    import pickle
-
-    with open(result_fd, "wb") as out:
-        while index := os.read(task_fd, 4):
-            data = pickle.dumps(_execute_task(tasks[int.from_bytes(index, "little")]))
-            out.write(len(data).to_bytes(8, "little") + data)
-            out.flush()
 
 
 def _run_workers(tasks: list, jobs: int) -> list[dict]:
     """Fit tasks in jobs forked worker processes; their records in task order.
 
-    The workers inherit the tasks through the fork.  Each has a task pipe
-    and a result pipe: it gets the next task index as it returns a record,
-    so tasks start in order, one at a time, and the end of its task pipe
-    stops it.  A result pipe that ends before its record does stops the
-    run: every worker is killed and reaped, and ChildProcessError names
-    the dead worker's exit status and the site and method it was fitting.
+    The workers inherit the tasks through the fork.  Each reads a task
+    index from its task pipe and writes the record to its result pipe as a
+    bare pickle; it gets its next index once that record is read, so tasks
+    start in order, one at a time, and the end of its task pipe stops it.
+    A result pipe that ends before its record does stops the run: every
+    worker is killed and reaped, and ChildProcessError names the dead
+    worker's exit status and the site and method it was fitting.
     """
     import pickle
     import select
@@ -334,14 +316,6 @@ def _run_workers(tasks: list, jobs: int) -> list[dict]:
         result.close()
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
-    def hand_next(result) -> None:
-        workers[result][2] = i = next(todo, None)
-        if i is None:
-            stop(result)
-        else:
-            with suppress(BrokenPipeError):  # a dead worker's result pipe ends too
-                os.write(workers[result][1], i.to_bytes(4, "little"))
-
     try:
         for _ in range(jobs):
             task_r, task_w = os.pipe()
@@ -354,27 +328,37 @@ def _run_workers(tasks: list, jobs: int) -> list[dict]:
                     others = [fd for r, w in workers.items() for fd in (r.fileno(), w[1])]
                     for fd in [task_w, result_r, *others]:
                         os.close(fd)
-                    _serve(tasks, task_r, result_w)
+                    out = open(result_w, "wb")
+                    while index := os.read(task_r, 4):
+                        pickle.dump(run_single_fit(*tasks[int.from_bytes(index, "little")]), out)
+                        out.flush()
                 except BaseException:  # a forked worker never returns into its caller
                     os._exit(1)
                 os._exit(0)
             os.close(task_r)
             os.close(result_w)
-            result = open(result_r, "rb")
-            workers[result] = [pid, task_w, None]
-            hand_next(result)
-        while workers:
-            for result in select.select(list(workers), [], [])[0]:
-                size = int.from_bytes(head := result.read(8), "little")
-                data = result.read(size)
-                if len(head) < 8 or len(data) < size:
+            workers[open(result_r, "rb")] = [pid, task_w, None]
+        ready = list(workers)
+        while ready:
+            for result in ready:
+                workers[result][2] = i = next(todo, None)
+                if i is None:
+                    stop(result)
+                else:
+                    with suppress(BrokenPipeError):  # a dead worker's result pipe ends too
+                        os.write(workers[result][1], i.to_bytes(4, "little"))
+            ready = select.select(list(workers), [], [])[0] if workers else []
+            for result in ready:
+                try:
+                    # At most one record is in flight on a pipe, so the
+                    # buffered pipe never reads past it.
+                    records[workers[result][2]] = pickle.load(result)
+                except (EOFError, pickle.UnpicklingError):
                     pid, _, i = workers[result]
                     code = stop(result)
                     how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                     raise ChildProcessError(f"worker process {pid} {how} while fitting site "
                                             f"{tasks[i][0].site_id!r}, method {tasks[i][1]!r}")
-                records[workers[result][2]] = pickle.loads(data)
-                hand_next(result)
     finally:
         for result in list(workers):
             os.kill(workers[result][0], signal.SIGKILL)
@@ -573,7 +557,7 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
         summary.warnings.insert(0, f"{dropped} site(s) dropped below min_wet={config.min_wet}")
     # Written even when every fit failed, so that no table of an earlier run
     # stands beside these records.
-    write_report_files(out_dir, summary, svg=config.svg)
+    write_report_files(out_dir, summary)
     seconds = {"load": t1 - t0, "fit": t2 - t1, "write": time.perf_counter() - t2}
     _write_run_file(out_dir / "run.json", config, records, seconds)
     if not any(r["converged"] for r in records):

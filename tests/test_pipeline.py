@@ -77,7 +77,7 @@ def test_run_json_totals_the_records_and_does_not_depend_on_jobs(tmp_path):
         assert run["config"] == {
             "methods": list(METHODS), "quantiles": [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99],
             "threshold_mm": 1.0, "seed": 1, "jobs": jobs, "egpd_restarts": 1,
-            "mixture_restarts": 1, "min_wet": 100, "svg": False,
+            "mixture_restarts": 1, "min_wet": 100,
         }
         assert run["environment"] == {
             "python": sys.version.split()[0], "numpy": np.__version__, "scipy": version("scipy"),

@@ -1,12 +1,14 @@
 """`benchmark --jobs N` forks its workers and feeds them task indices over pipes.
 
 The records come back whole and in task order, whatever the number of
-workers, and a worker that dies ends the run with exit 3 instead of
-leaving it waiting.  No test runs more than 8 workers.
+workers, a worker that dies or cuts its record short ends the run with
+exit 3 instead of leaving it waiting, and Ctrl-C ends it with exit 130.
+No test runs more than 8 workers.
 """
 
 import json
 
+import pytest
 from fresh_python import run_in_session, site_file_manifest
 from rainfit import pipeline
 from rainfit.cli import main
@@ -66,30 +68,108 @@ def test_a_record_larger_than_a_pipe_buffer_comes_back_whole(tmp_path, monkeypat
         assert r["diagnostics"]["blob"] == f"{r['site_id']}/{r['method']};" * (2**20 // 10)
 
 
+def run_patched_benchmark(tmp_path, jobs, patch):
+    """`cli.run` of `benchmark --methods naveau-mle` on site files s0 and s1
+    in a session of its own; its exit code and stderr.  patch defines
+    `run_single_fit(series, *args)`, which replaces the pipeline's and may
+    call `fit`, the original, and `in_worker()`."""
+    manifest = site_file_manifest(tmp_path, 40)
+    argv = ["rainfit", "benchmark", "--manifest", str(manifest), "--out", str(tmp_path / "run"),
+            "--jobs", str(jobs), "--methods", "naveau-mle", "--egpd-restarts", "0"]
+    code = (
+        "import os, pickle, signal, sys, time\n"
+        "import rainfit.pipeline\n"
+        "from rainfit.cli import run\n"
+        "main_pid = os.getpid()\n"
+        "def in_worker():\n"
+        "    return os.getpid() != main_pid\n"
+        "fit = rainfit.pipeline.run_single_fit\n"
+        + patch
+        + "rainfit.pipeline.run_single_fit = run_single_fit\n"
+        f"sys.argv = {argv!r}\n"
+        "run()\n"
+    )
+    return run_in_session(code, timeout=60)
+
+
 def test_a_worker_that_dies_ends_the_run_with_exit_3(tmp_path):
     # The worker fitting s1 kills itself; the one fitting s0 would sleep
     # for ten minutes, so the run ends within the timeout only if the main
     # process kills it, and leaves no process behind only if it reaps both.
-    manifest = site_file_manifest(tmp_path, 40)
-    argv = ["rainfit", "benchmark", "--manifest", str(manifest), "--out", str(tmp_path / "run"),
-            "--jobs", "2", "--methods", "naveau-mle", "--egpd-restarts", "0"]
-    code = (
-        "import os, signal, sys, time\n"
-        "import rainfit.pipeline\n"
-        "from rainfit.cli import run\n"
-        "main_pid = os.getpid()\n"
-        "_run_single_fit = rainfit.pipeline.run_single_fit\n"
+    rc, stderr = run_patched_benchmark(tmp_path, 2, (
         "def run_single_fit(series, *args):\n"
-        "    if os.getpid() != main_pid and series.site_id == 's1':\n"
+        "    if in_worker() and series.site_id == 's1':\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    if os.getpid() != main_pid and series.site_id == 's0':\n"
+        "    if in_worker() and series.site_id == 's0':\n"
         "        time.sleep(600)\n"
-        "    return _run_single_fit(series, *args)\n"
-        "rainfit.pipeline.run_single_fit = run_single_fit\n"
-        f"sys.argv = {argv!r}\n"
-        "run()\n"
-    )
-    rc, stderr = run_in_session(code, timeout=60)
+        "    return fit(series, *args)\n"
+    ))
     assert rc == 3, stderr
     assert stderr.startswith("error: worker process ") and "Traceback" not in stderr
     assert "killed by signal 9 while fitting site 's1', method 'naveau-mle'" in stderr
+
+
+# Two ways the worker fitting s1 writes part of its record, 1 MiB of
+# diagnostics, and exits 1: its pickling fails after the string has gone
+# out, which cuts the pickle between two opcodes; or it writes the first
+# half of the pickle, which cuts the string itself.
+CUT_RECORD = {
+    "unpicklable": (
+        "class Unpicklable:\n"
+        "    def __reduce__(self):\n"
+        "        raise TypeError('cannot pickle this')\n"
+        "def cut(record):\n"
+        "    record['diagnostics']['after'] = Unpicklable()\n"
+    ),
+    "half-written": (
+        "dump = pickle.dump\n"
+        "def half_dump(record, out):\n"
+        "    if record['site_id'] != 's1':\n"
+        "        return dump(record, out)\n"
+        "    out.write(pickle.dumps(record)[:2**19])\n"
+        "    out.flush()\n"
+        "    os._exit(1)\n"
+        "pickle.dump = half_dump\n"
+        "def cut(record):\n"
+        "    pass\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("how", list(CUT_RECORD))
+def test_a_record_cut_off_mid_write_ends_the_run_with_exit_3(tmp_path, how):
+    rc, stderr = run_patched_benchmark(tmp_path, 2, CUT_RECORD[how] + (
+        "def run_single_fit(series, *args):\n"
+        "    record = fit(series, *args)\n"
+        "    if in_worker() and series.site_id == 's1':\n"
+        "        record['diagnostics']['blob'] = 'x' * 2**20\n"
+        "        cut(record)\n"
+        "    return record\n"
+    ))
+    assert rc == 3, stderr
+    assert stderr.startswith("error: worker process ") and "Traceback" not in stderr
+    assert "exited with status 1 while fitting site 's1', method 'naveau-mle'" in stderr
+
+
+# How Ctrl-C reaches the fit of s1.  With --jobs 2 a worker sends SIGINT to
+# the session, as a terminal does, while the worker fitting s0 sleeps and
+# the main process waits; with --jobs 1 the fit raises KeyboardInterrupt.
+INTERRUPT = {
+    2: ("os.killpg(0, signal.SIGINT)\n"
+        "    if in_worker() and series.site_id == 's0':\n"
+        "        time.sleep(600)\n"),
+    1: "raise KeyboardInterrupt\n",
+}
+
+
+@pytest.mark.parametrize("jobs", list(INTERRUPT))
+def test_ctrl_c_ends_the_run_with_exit_130_and_one_error_line(tmp_path, jobs):
+    rc, stderr = run_patched_benchmark(tmp_path, jobs, (
+        "def run_single_fit(series, *args):\n"
+        "    if series.site_id == 's1':\n"
+        "        " + INTERRUPT[jobs]
+        + "    return fit(series, *args)\n"
+    ))
+    assert rc == 130, stderr
+    assert [line for line in stderr.splitlines() if line.startswith("error:")] == ["error: interrupted"]
+    assert "Traceback" not in stderr
