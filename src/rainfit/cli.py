@@ -8,10 +8,10 @@ Subcommands: `fit` (one site, one method, JSON record on stdout),
 iteration and evaluation caps bound its work.
 
 Import rule: building the parser, `report`, `--help` and `--version`
-need the standard library alone.  Loading site CSVs needs numpy, and
-`run_fits` loads the fit modules and the scipy functions the fits get
-from `numerics.scipy_function`; each subcommand imports what it uses when
-it runs.
+need the standard library alone, and so does loading site CSVs.
+`run_fits` loads numpy with the fit modules, and the scipy functions the
+fits get from `numerics.scipy_function`; each subcommand imports what it
+uses when it runs.
 
 Exit codes: 0 success, 2 configuration or data problems (a `simulate`
 whose output would overwrite its input manifest, or a scipy without a

@@ -12,8 +12,9 @@ A manifest is a JSON file with a top-level `seed` and either `sites` (CSV
 paths relative to the manifest) or `generators` (specs as produced by the
 presets here), or both.
 
-Loading sites needs numpy alone: the model and RNG modules are imported
-only where generator specs are checked, sites drawn or seeds derived.
+Loading site CSVs needs the standard library alone: numpy, the model and
+RNG modules are imported only where generator specs are checked, sites
+drawn or seeds derived.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from array import array
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CorpusError",
@@ -67,25 +70,46 @@ class EmptySeriesError(CorpusError):
     pass
 
 
-@dataclass(frozen=True)
 class SiteSeries:
-    """One site's positive wet-day amounts (order preserved, dates dropped)."""
+    """One site's positive wet-day amounts (order preserved, dates dropped).
 
-    site_id: str
-    values: np.ndarray
+    `values` is a read-only float64 array.  A site that `load_site` read
+    keeps the doubles it checked and makes them that array on first use,
+    so reading site CSVs loads no numpy.
+    """
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+    __slots__ = ("site_id", "_values")
+
+    def __init__(self, site_id: str, values) -> None:
+        import numpy as np
+
+        arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
-            raise EmptySeriesError(f"site {self.site_id}: no wet days")
+            raise EmptySeriesError(f"site {site_id}: no wet days")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise CorpusError(f"site {self.site_id}: values must be finite and > 0")
+            raise CorpusError(f"site {site_id}: values must be finite and > 0")
         arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        self.site_id, self._values = site_id, arr
+
+    @classmethod
+    def _read(cls, site_id: str, doubles: array) -> SiteSeries:
+        """The site of doubles that `load_site` found finite and > 0."""
+        site = cls.__new__(cls)
+        site.site_id, site._values = site_id, doubles
+        return site
+
+    @property
+    def values(self) -> np.ndarray:
+        if isinstance(self._values, array):
+            import numpy as np
+
+            self._values = np.frombuffer(self._values)
+            self._values.flags.writeable = False
+        return self._values
 
     @property
     def n_wet(self) -> int:
-        return int(self.values.size)
+        return len(self._values)
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedRowError:
@@ -151,7 +175,7 @@ def load_site(path) -> SiteSeries:
         raise _not_utf8(path, exc) from None
     if not values:
         raise EmptySeriesError(f"{path}: no wet days")
-    return SiteSeries(site_id=path.stem, values=np.frombuffer(values))
+    return SiteSeries._read(path.stem, values)
 
 
 def save_site(path, series: SiteSeries) -> None:
@@ -191,6 +215,8 @@ class GeneratorSpec:
     discretize_mm: float | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         # `simulate` writes the site to <site_id>.csv inside its output directory.
         site_id = self.site_id
         if not isinstance(site_id, str) or site_id in ("", ".", "..") or {"/", "\\"} & set(site_id):
@@ -253,7 +279,7 @@ def simulate_site(spec: GeneratorSpec) -> SiteSeries:
     values = simulate(spec.n, spec.model_params(), RngState(seed=spec.seed))
     if spec.discretize_mm is not None:
         inc = spec.discretize_mm
-        values = np.round(values / inc) * inc
+        values = (values / inc).round() * inc
         values = values[values > 0.0]
     return SiteSeries(site_id=spec.site_id, values=values)
 
@@ -289,7 +315,7 @@ def _draw_mixture(g: np.random.Generator) -> dict:
     bands = [(0.4, 1.2, 0.3, 2.0), (1.0, 3.0, 2.0, 8.0), (2.0, 5.0, 6.0, 15.0)][:k]
     shapes = [float(g.uniform(a_lo, a_hi)) for a_lo, a_hi, _, _ in bands]
     scales = [float(g.uniform(b_lo, b_hi)) for _, _, b_lo, b_hi in bands]
-    w = g.dirichlet(np.ones(k))
+    w = g.dirichlet([1.0] * k)
     w = (w + 0.08) / (1.0 + 0.08 * k)
     w = w / w.sum()
     return {"weights": [float(x) for x in w], "shapes": shapes, "scales": scales}

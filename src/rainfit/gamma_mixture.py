@@ -303,6 +303,9 @@ def _params_from_z(z: np.ndarray, k: int) -> GammaMixtureParams:
     return GammaMixtureParams(tuple(w), tuple(a), tuple(b))
 
 
+_MOMENTS_OUT_OF_RANGE = "the sample's moments are out of float range"
+
+
 def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
     """Quantile-sliced moment-matched start in the transformed space."""
     edges = empirical_quantile(x, [j / k for j in range(1, k)])
@@ -314,9 +317,16 @@ def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
         piece = x[(x >= bounds[j]) & (x < bounds[j + 1])] if k > 1 else x
         if piece.size == 0:
             piece = x
-        m = float(np.mean(piece))
-        v = float(np.var(piece, ddof=1)) if piece.size > 1 else (0.5 * m) ** 2
+        # Values near the float limits over- or underflow the moments: a
+        # ValueError, not a warning and a start of zeros or infinities.
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = float(np.mean(piece))
+            if not 0.0 < m * m < math.inf:
+                raise ValueError(_MOMENTS_OUT_OF_RANGE)
+            v = float(np.var(piece, ddof=1)) if piece.size > 1 else (0.5 * m) ** 2
         v = max(v, 1e-12 * m * m)
+        if not 0.0 < v < math.inf:
+            raise ValueError(_MOMENTS_OUT_OF_RANGE)
         a = min(max(m * m / v, 1e-3), 1e3)
         weights[j] = max(piece.size / x.size, 1e-3)
         log_a[j] = math.log(a)

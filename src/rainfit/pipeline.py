@@ -25,9 +25,10 @@ depends on execution order.  Timings land only in `fits.jsonl` and
 
 Import rule: this module imports the standard library and `evaluation`
 and `report` alone, so `rainfit report`, `--help` and `--version` load no
-numpy.  Loading site CSVs imports `corpus` and numpy where it loads them;
-`run_fits` loads the requested methods' fit modules and every scipy
-function any fit calls, once, before it forks a worker or times a fit.
+numpy.  Loading site CSVs imports `corpus`, on the standard library alone;
+`run_fits` loads numpy with the requested methods' fit modules and every
+scipy function any fit calls, once, before it forks a worker or times a
+fit.
 """
 
 from __future__ import annotations
@@ -258,14 +259,15 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
     the run with a ChildProcessError, after every worker is reaped.
 
     Loaded here, once, before any fit is timed and before a worker forks:
-    `egpd` for the `naveau-*` methods, `gamma_mixture` for the mixtures,
-    and every scipy function any fit gets from `numerics.scipy_function`
-    (`numerics.preload_scipy`), whichever methods run; never the `scipy`
-    package.  So no fit's seconds include an import, no worker loads fit
-    code itself, and a scipy without one of the functions the fits call is
-    an ImportError here, before any fit.  No fit loads numpy.random, in
-    this process or a worker: jittered starts are computed from the task's
-    Philox stream in Python (`RngState.doubles`).
+    numpy with `egpd` for the `naveau-*` methods and `gamma_mixture` for
+    the mixtures, and every scipy function any fit gets from
+    `numerics.scipy_function` (`numerics.preload_scipy`), whichever methods
+    run; never the `scipy` package.  So no fit's seconds include an
+    import, no worker loads fit code itself, and a scipy without one of
+    the functions the fits call is an ImportError here, before any fit.
+    No fit loads numpy.random, in this process or a worker: jittered
+    starts are computed from the task's Philox stream in Python
+    (`RngState.doubles`).
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -467,7 +469,7 @@ def load_records(path) -> list[dict]:
                 except (KeyError, ValueError) as exc:
                     raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
     except UnicodeDecodeError as exc:
-        from .corpus import _not_utf8  # numpy loads, but only on the way to this error
+        from .corpus import _not_utf8
 
         raise _not_utf8(Path(path), exc) from None
     return records

@@ -1046,6 +1046,26 @@ def test_process_benchmark_with_two_jobs_writes_what_main_writes(tmp_path, capsy
     assert outputs[0] == outputs[1]
 
 
+def test_mixtures_at_the_float_limits_give_a_named_error_and_no_warning(tmp_path):
+    # The sliced start's moments underflow on values near 1e-300 (and the
+    # variance floor on ties at 1e-158), and overflow on values near 1e300
+    # (their square) and 1e308 (their sum): each mixture record names
+    # that, and numpy prints no RuntimeWarning.
+    sites = {"tiny": [1e-300, 2e-300], "tied": [1e-158, 1e-158], "huge": [1e300, 3e300],
+             "max": [1e308, 1.5e308]}
+    for name, pair in sites.items():
+        save_site(tmp_path / f"{name}.csv", SiteSeries(name, np.array(pair * 100)))
+    write_manifest(tmp_path / "m.json", seed=1, sites=[f"{name}.csv" for name in sites])
+    mixtures = [m for m in METHODS if METHODS[m].family == "gamma_mixture"]
+    proc = run_cli("benchmark", "--manifest", tmp_path / "m.json", "--out", tmp_path / "run",
+                   "--methods", ",".join(mixtures), "--mixture-restarts", "0")
+    assert proc.returncode == 4 and b"RuntimeWarning" not in proc.stderr, proc.stderr
+    lines = (tmp_path / "run" / "fits.jsonl").read_text(encoding="utf-8").splitlines()
+    errors = {(r["site_id"], r["method"]): r["error"] for r in map(json.loads, lines)}
+    assert errors == {(site, m): "ValueError: the sample's moments are out of float range"
+                      for site in sites for m in mixtures}
+
+
 @pytest.mark.parametrize("case, code", [
     ("unknown-method", 2), ("missing-records", 3), ("all-failed", 4), ("all-too-small", 4),
 ])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import re
 from datetime import date, timedelta
 
@@ -123,6 +124,19 @@ def test_site_series_validation():
         SiteSeries(site_id="x", values=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         SiteSeries(site_id="x", values=np.array([np.inf]))
+
+
+def test_site_values_are_a_read_only_array_that_numpy_views(tmp_path):
+    path = tmp_path / "read.csv"
+    save_site(path, SiteSeries(site_id="drawn", values=np.array([2.5, 1.0, 4.0])))
+    site = load_site(path)
+    assert site.n_wet == 3
+    for site in (site, pickle.loads(pickle.dumps(site))):
+        view = np.asarray(site.values)
+        assert site.site_id == "read" and view.dtype == np.float64 and view.tolist() == [2.5, 1.0, 4.0]
+        assert not view.flags.writeable and np.shares_memory(view, site.values)
+        with pytest.raises(ValueError):
+            site.values[0] = 1.0
 
 
 # --- filter_corpus -----------------------------------------------------------------

@@ -3,10 +3,10 @@
 `report`, `--help` and `--version` need the standard library alone:
 importing the CLI and rebuilding tables load neither numpy nor rainfit's
 fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`, `empirical`).
-Loading site CSVs needs numpy and `corpus`, but no fit module and no
+Loading site CSVs needs `corpus` alone: no numpy, no fit module and no
 scipy.  `run_fits` loads what the requested methods call, once, before it
-forks a worker or starts the first fit: the fit module of each requested
-family and the two compiled scipy modules the fits call,
+forks a worker or starts the first fit: numpy with the fit module of each
+requested family, and the two compiled scipy modules the fits call,
 `scipy.optimize._lbfgsb` and `scipy.special._special_ufuncs`.  The first
 fit in each process, serial or in a forked worker, then adds no module to
 `sys.modules`, and no process that fits loads numpy.random or the `scipy`
@@ -110,13 +110,33 @@ def test_materializing_site_files_loads_no_scipy(tmp_path):
     manifest = site_file_manifest(tmp_path, 40)
     code = (
         "import json, sys\n"
-        "from rainfit.corpus import load_manifest\n"
+        "import rainfit.cli\n"
+        "from rainfit.corpus import filter_corpus, load_manifest\n"
         "from rainfit.pipeline import materialize_corpus\n"
-        f"assert len(materialize_corpus(load_manifest({str(manifest)!r}))) == 2\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy')\n"
+        f"kept, dropped = filter_corpus(materialize_corpus(load_manifest({str(manifest)!r})))\n"
+        "assert (len(kept), dropped) == (2, 0)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'numpy'\n"
         "                        or m in ('rainfit.egpd', 'rainfit.gamma_mixture', 'rainfit.numerics'))))\n"
     )
     assert run_python(code) == []
+
+
+def test_a_benchmark_stopped_by_bad_site_data_loads_no_numpy(tmp_path):
+    # Every site under --min-wet, or a malformed row: exit 2 before run_fits.
+    manifest = site_file_manifest(tmp_path, 50)
+    (tmp_path / "bad.csv").write_text("date,rainfall_mm\n2000-01-01,x\n", encoding="utf-8")
+    write_manifest(tmp_path / "bad.json", seed=1, sites=["s0.csv", "bad.csv"])
+    runs = [[str(manifest), "--min-wet", "100000"], [str(tmp_path / "bad.json")]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from rainfit.cli import main\n"
+        "codes = []\n"
+        f"for manifest, *flags in {runs!r}:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"        codes.append(main(['benchmark', '--manifest', manifest, '--out', {str(tmp_path / 'run')!r}, *flags]))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    assert run_python(code) == [[2, 2], False]
 
 
 # Appended to a hook: records which of the fits' scipy modules are loaded.

@@ -15,7 +15,8 @@ import pytest
 
 from rainfit import pipeline
 from rainfit.cli import main
-from rainfit.corpus import GeneratorSpec, build_preset, simulate_site, write_manifest
+from rainfit.corpus import (GeneratorSpec, SiteSeries, build_preset, load_site, save_site, simulate_site,
+                            write_manifest)
 from rainfit.numerics import RngState
 from rainfit.pipeline import METHODS, RunConfig, load_records, run_fits, run_single_fit, write_records
 
@@ -143,6 +144,21 @@ def test_a_records_diagnostics_are_plain_json_values(method):
         for key in diag
     }
     assert record["converged"] is diag["converged"]
+
+
+def test_a_site_read_from_csv_fits_as_its_values_in_a_numpy_array(tmp_path):
+    # A site read from CSV makes its doubles an array on first use: the same
+    # values passed as an ndarray give the same record.
+    save_site(tmp_path / "s1.csv", simulate_site(MIXTURE_SITE))
+    site = load_site(tmp_path / "s1.csv")
+    as_array = SiteSeries(site.site_id, np.array(load_site(tmp_path / "s1.csv").values))
+    config = RunConfig(egpd_restarts=1, mixture_restarts=1)
+    for i, method in enumerate(METHODS):
+        records = [run_single_fit(series, method, config, RngState(1).derive(0, i))
+                   for series in (site, as_array)]
+        for record in records:
+            del record["fit_seconds"]
+        assert records[0] == records[1], method
 
 
 def test_censored_mle_below_every_value_is_the_uncensored_record():
