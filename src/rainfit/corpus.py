@@ -23,7 +23,7 @@ import json
 import math
 import numbers
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -257,15 +257,10 @@ class GeneratorSpec:
         return model(**self.params)
 
     def to_dict(self) -> dict:
-        out = {
-            "site_id": self.site_id,
-            "family": self.family,
-            "params": self.params,
-            "n": self.n,
-            "seed": self.seed,
-        }
-        if self.discretize_mm is not None:
-            out["discretize_mm"] = self.discretize_mm
+        """The fields as a dict, without discretize_mm when it is unset."""
+        out = asdict(self)
+        if self.discretize_mm is None:
+            del out["discretize_mm"]
         return out
 
 

@@ -11,7 +11,8 @@ weighted moments (`fit_pwm`).  Each takes a threshold, 0 by default,
 where it is the plain fit; above 0 it is the censored variant, which
 treats values below the threshold as interval-censored at zero cost to
 the tail fit.  Both PWM fits match the PWMs of Y | Y >= threshold, at
-threshold 0 the PWMs of Y.  `conditional_pwms` integrates them with a
+threshold 0 the PWMs of Y, to the sample's.  `empirical_pwms` estimates
+the sample's, and `conditional_pwms` integrates the model's with a
 fixed tanh-sinh rule that resolves the (1 - u)^(-xi) endpoint singularity
 of the quantile function to near machine precision.
 
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import empirical_pwms
 from .numerics import (
     MAX_ITER,
+    MOMENTS_OUT_OF_RANGE,
     RngState,
     jittered_starts,
     lbfgsb,
@@ -52,11 +53,11 @@ __all__ = [
     "egpd_log_pdf",
     "egpd_quantile",
     "egpd_simulate",
+    "empirical_pwms",
     "fit_mle",
     "fit_pwm",
     "fit_pwm_from_moments",
     "gp_cdf",
-    "theoretical_pwm",
 ]
 
 XI_EPS = 1e-8
@@ -215,19 +216,6 @@ def egpd_simulate(n: int, params: EgpdParams, rng: RngState) -> np.ndarray:
     return np.asarray(egpd_quantile(rng.uniforms(n), params))
 
 
-def theoretical_pwm(j: int, params: EgpdParams) -> float:
-    """Probability weighted moment nu_j = E[Y F(Y)^j] for j = 0, 1, 2.
-
-    In closed form nu_j = (sigma/xi) [kappa B(kappa m, 1 - xi) - 1/m] with
-    m = j + 1, and (sigma/m)(psi(kappa m + 1) + euler_gamma) at xi = 0.
-    Y | Y >= 0 is Y itself, so this is `conditional_pwms` at threshold 0,
-    the integral the PWM fits match.
-    """
-    if j not in (0, 1, 2):
-        raise ValueError("moment order j must be 0, 1 or 2")
-    return conditional_pwms(params, 0.0)[j]
-
-
 # --- fitting machinery -----------------------------------------------------
 
 
@@ -245,26 +233,20 @@ def _exp_clamped(log_value: float) -> float:
     return math.exp(min(max(float(log_value), -_LOG_CLAMP), _LOG_CLAMP))
 
 
-def _clamped(log_kappa: float, xi: float) -> tuple[float, float]:
-    """(kappa, xi) with ln kappa clamped to [-12, 12] and xi to [-0.5, 0.95]."""
-    return _exp_clamped(log_kappa), min(max(float(xi), XI_MIN), XI_MAX)
-
-
 def _boundary_hit(params: EgpdParams) -> bool:
-    edge = 1e-3
-    if abs(math.log(params.kappa)) >= _LOG_CLAMP - 1e-9:
-        return True
-    if abs(math.log(params.sigma)) >= _LOG_CLAMP - 1e-9:
-        return True
-    return params.xi <= XI_MIN + edge or params.xi >= XI_MAX - edge
+    """ln kappa or ln sigma at its clamp, or xi within 1e-3 of an end of its box."""
+    log_scales = (abs(math.log(params.kappa)), abs(math.log(params.sigma)))
+    return max(log_scales) >= _LOG_CLAMP - 1e-9 or not XI_MIN + 1e-3 < params.xi < XI_MAX - 1e-3
 
 
-def _exceedances(data, threshold: float) -> tuple[int, np.ndarray]:
-    """The data's size and its values at or above threshold, in order.
+def _exceedances(data, threshold: float) -> tuple[int, np.ndarray, float]:
+    """The data's size, its values at or above threshold, in order, and their mean.
 
     The data must be at least 30 finite values > 0, and the threshold
     finite, >= 0 and at or below at least 30 of them.  At threshold 0 every
-    value is kept, so the fit is the uncensored one.
+    value is kept, so the fit is the uncensored one.  A mean that overflows
+    (no mean of values > 0 underflows to 0) is a ValueError; then no PWM
+    overflows either, as each is a mean of the values times weights <= 1.
     """
     x = positive_sample(data)
     if x.size < 30:
@@ -274,7 +256,11 @@ def _exceedances(data, threshold: float) -> tuple[int, np.ndarray]:
     exceed = x[x >= threshold]
     if exceed.size < 30:
         raise ValueError("need at least 30 observations at or above the threshold")
-    return x.size, exceed
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(exceed))
+    if mean == math.inf:
+        raise ValueError(MOMENTS_OUT_OF_RANGE)
+    return x.size, exceed, mean
 
 
 # 1 + xi max(y) / sigma stays at or above this on every trial point of the
@@ -333,9 +319,13 @@ def _profile_loglik(exceed: np.ndarray, n_below: int, threshold: float):
     so (envelope theorem) the profile's gradient is the likelihood's
     gradient in (ln sigma, xi) at fixed kappa = kappa-hat.  xi = lo +
     (0.95 - lo) v with lo = `_xi_floor(sigma, max(y))`, so every v in
-    [0, 1] keeps max(y), and the threshold below it, inside the support:
-    the objective is finite on the whole box, and L-BFGS-B never meets an
-    infinite value or a penalty.
+    [0, 1] keeps max(y), and the threshold below it, inside the support.
+    So the objective is finite on the whole box, and L-BFGS-B never meets
+    an infinite value or a penalty, as long as every H(y) and H(threshold)
+    is a normal float.  Where one underflows to 0 or a subnormal (y / sigma
+    below about 1e-308), the value or gradient can be infinite or NaN: that
+    point is returned as inf with a zero gradient.  The caller sets
+    np.errstate.
     """
     n_exc = exceed.size
     n_total = n_exc + n_below
@@ -371,7 +361,10 @@ def _profile_loglik(exceed: np.ndarray, n_below: int, threshold: float):
         # Chain rule through xi(ln sigma, v): d lo / d ln sigma is lo where
         # the support edge sets lo, and 0 where -0.5 does.
         d_lo = lo if lo > XI_MIN else 0.0
-        grad = np.array([d_log_sigma + d_xi * (1.0 - v) * d_lo, d_xi * (XI_MAX - lo)])
+        d_log_sigma += d_xi * (1.0 - v) * d_lo
+        if not all(map(math.isfinite, (loglik, d_log_sigma, d_xi))):
+            return math.inf, np.zeros(2), kappa, xi
+        grad = np.array([d_log_sigma, d_xi * (XI_MAX - lo)])
         return -loglik / n_total, grad / -n_total, kappa, xi
 
     return evaluate
@@ -396,7 +389,8 @@ def fit_mle(
     kappa-hat is not held at a clamp e^+-12, where it is not stationary
     (on tied data the likelihood grows without bound towards that corner).
     Non-convergence is flagged in the diagnostics, never raised; the best
-    candidate is always returned.
+    candidate is always returned.  A sample whose mean overflows, or whose
+    likelihood is not finite at any start, is a ValueError.
 
     With a left-censoring threshold above 0, the observations below it
     contribute n_below * ln F(threshold) instead of their exact density,
@@ -406,13 +400,9 @@ def fit_mle(
     and the objective, starts and result are the uncensored fit's, bit for
     bit.
     """
-    n_total, exceed = _exceedances(data, threshold)
+    n_total, exceed, mean = _exceedances(data, threshold)
     evaluate = _profile_loglik(exceed, n_total - exceed.size, threshold)
     y_max = float(np.max(exceed))
-
-    def value_and_gradient(x: np.ndarray):
-        value, grad, _, _ = evaluate(x)
-        return value, grad
 
     def start(t: np.ndarray) -> np.ndarray:
         # (ln kappa, ln sigma, xi logit) -> (ln sigma, v); kappa is profiled.
@@ -430,12 +420,17 @@ def fit_mle(
 
     lower = np.array([-_LOG_CLAMP, 0.0])
     upper = np.array([_LOG_CLAMP, 1.0])
-    init = np.array([0.0, math.log(float(np.mean(exceed))), _xi_to_s(0.1)])
-    best, diag = multistart(
-        lambda x0: lbfgsb(value_and_gradient, x0, lower, upper, max_iter=MAX_ITER),
-        [start(t) for t in jittered_starts(init, restarts + 1, rng)],
-    )
-    _, _, kappa, xi = evaluate(best.x)
+    init = np.array([0.0, math.log(mean), _xi_to_s(0.1)])
+    # One errstate for the whole fit: the objective turns a non-finite
+    # point into inf itself.
+    with np.errstate(all="ignore"):
+        best, diag = multistart(
+            lambda x0: lbfgsb(lambda x: evaluate(x)[:2], x0, lower, upper, max_iter=MAX_ITER),
+            [start(t) for t in jittered_starts(init, restarts + 1, rng)],
+        )
+        if not math.isfinite(best.value):
+            raise ValueError("the likelihood is not finite at any start")
+        _, _, kappa, xi = evaluate(best.x)
     params = EgpdParams(kappa, math.exp(float(best.x[0])), xi)
     diag.update(
         converged=best.converged and _KAPPA_MIN < kappa < _KAPPA_MAX,
@@ -466,6 +461,9 @@ _TS_MOMENT_WEIGHTS = (
 def conditional_pwms(params: EgpdParams, threshold: float) -> tuple[float, float, float]:
     """Theoretical PWMs of Y | Y >= threshold for j = 0, 1, 2.
 
+    At threshold 0 they are the plain PWMs nu_j = E[Y F(Y)^j], in closed
+    form (sigma/xi) [kappa B(kappa m, 1 - xi) - 1/m] with m = j + 1, and
+    (sigma/m)(psi(kappa m + 1) + euler_gamma) at xi = 0.
     nu_j^c = integral over t in (0, 1) of Q(p_L + (1 - p_L) t) t^j dt, with
     p_L = F(threshold).  The quantile is written through
     v = 1 - u^(1/kappa) as Q = (sigma/xi) expm1(-xi ln v), with ln v taken
@@ -524,8 +522,8 @@ def fit_pwm_from_moments(
     nu_edge = threshold / np.array([1.0, 2.0, 3.0])
 
     def unpack(t: np.ndarray) -> EgpdParams:
-        kappa, xi = _clamped(t[0], t[2])
-        return EgpdParams(kappa, _exp_clamped(t[1]), xi)
+        xi = min(max(float(t[2]), XI_MIN), XI_MAX)
+        return EgpdParams(_exp_clamped(t[0]), _exp_clamped(t[1]), xi)
 
     def residuals(t: np.ndarray) -> np.ndarray:
         try:
@@ -551,6 +549,26 @@ def fit_pwm_from_moments(
     return params, diag
 
 
+def empirical_pwms(values) -> tuple[float, float, float]:
+    """Unbiased estimators of the probability weighted moments E[Y F(Y)^j], j = 0, 1, 2.
+
+    On the order statistics x_(1) <= ... <= x_(n) of at least three values,
+
+        nu_hat_j = (1/n) * sum_i [ C(i-1, j) / C(n-1, j) ] * x_(i),
+
+    so nu_hat_0 is the sample mean.  The weight ratio of j = 2 is that of
+    j = 1 times (i - 2) / (n - 2).
+    """
+    x = np.sort(np.asarray(values, dtype=float))
+    n = x.size
+    if x.ndim != 1 or n < 3:
+        raise ValueError("need at least three observations for the PWMs")
+    i = np.arange(1, n + 1, dtype=float)
+    w1 = (i - 1.0) / (n - 1.0)
+    w2 = w1 * ((i - 2.0) / (n - 2.0))
+    return float(np.mean(x)), float(np.mean(w1 * x)), float(np.mean(w2 * x))
+
+
 def fit_pwm(
     data,
     threshold: float = 0.0,
@@ -564,7 +582,7 @@ def fit_pwm(
     at threshold 0 those of the whole sample and of Y.  Either way one
     system is solved; see fit_pwm_from_moments.
     """
-    n_total, exceed = _exceedances(data, threshold)
+    n_total, exceed, _ = _exceedances(data, threshold)
     params, diag = fit_pwm_from_moments(
         *empirical_pwms(exceed), threshold, restarts=restarts, rng=rng
     )

@@ -70,7 +70,7 @@ def sorted_quantile(x: Sequence[float], p: float) -> float:
 
     Linear interpolation between the order statistics around h, the
     default of R's `quantile`.  This is the package's one quantile rule:
-    `empirical.empirical_quantile` validates and sorts, then calls it.
+    `numerics.empirical_quantile` validates and sorts, then calls it.
     The caller guarantees len(x) >= 1 and 0 <= p <= 1.
     """
     h = (len(x) - 1) * p + 1.0
@@ -85,23 +85,13 @@ def classify(d_values) -> str:
 
     U if Q3 < 0 (the whole IQR is below zero), O if Q1 > 0, N otherwise;
     an endpoint exactly at zero counts as containing zero.  Quartiles use
-    the same type-7 convention as everything else in the package.
+    the same type-7 convention as everything else in the package; the
+    rule is the one `summarize` applies to each cell.
     """
-    d = sorted(map(float, d_values))
+    d = list(d_values)
     if len(d) < 4:
         raise ValueError("need at least 4 values to classify an IQR")
-    if not all(map(math.isfinite, d)):
-        raise ValueError("sample values must be finite")
-    return _iqr_class(sorted_quantile(d, 0.25), sorted_quantile(d, 0.75))
-
-
-def _iqr_class(q1: float, q3: float) -> str:
-    """The U/O/N rule on a quartile pair: U if q3 < 0, O if q1 > 0, else N."""
-    if q3 < 0.0:
-        return "U"
-    if q1 > 0.0:
-        return "O"
-    return "N"
+    return _cell_from_d(d).klass
 
 
 def asinh_axis_transform(x: float, scale: float = 8.0) -> float:
@@ -145,8 +135,9 @@ class EvaluationSummary:
 def _cell_from_d(d_values: Iterable[float]) -> SummaryCell:
     d = sorted(map(float, d_values))
     n = len(d)
-    # Quartiles of non-finite values are undefined, as in empirical_quantile;
-    # a single value is its own median and quartiles.
+    # Quartiles of non-finite values are undefined, as in
+    # numerics.empirical_quantile; a single value is its own median and
+    # quartiles.
     if n > 1 and not all(map(math.isfinite, d)):
         raise ValueError("sample values must be finite")
     med = sorted_quantile(d, 0.5)
@@ -167,8 +158,8 @@ def _cell_from_d(d_values: Iterable[float]) -> SummaryCell:
         whisker_hi=d[hi_at - 1] if hi_at else q3,
         # The U/O/N rule is well defined for any n >= 1 (q1 = q3 = d[0] when
         # degenerate), so summary cells are always classified even though
-        # the standalone classify() keeps its >= 4 precondition.
-        klass=_iqr_class(q1, q3),
+        # `classify`, which returns this class, keeps its >= 4 precondition.
+        klass="U" if q3 < 0.0 else "O" if q1 > 0.0 else "N",
     )
 
 

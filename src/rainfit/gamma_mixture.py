@@ -14,14 +14,15 @@ ln b_k boxed to [-12, 12].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .empirical import empirical_quantile
 from .numerics import (
-    RngState,
     MAX_ITER,
+    MOMENTS_OUT_OF_RANGE,
+    RngState,
+    empirical_quantile,
     jittered_starts,
     lbfgsb,
     multistart,
@@ -79,16 +80,8 @@ class GammaMixtureParams:
         object.__setattr__(self, "shapes", a)
         object.__setattr__(self, "scales", b)
 
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
     def to_dict(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "shapes": list(self.shapes),
-            "scales": list(self.scales),
-        }
+        return {name: list(values) for name, values in asdict(self).items()}
 
 
 class _LogDensity:
@@ -176,7 +169,7 @@ def mixture_log_pdf(y, params: GammaMixtureParams):
     arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("y must be finite and > 0")
-    density = _LogDensity(arr, params.n_components)
+    density = _LogDensity(arr, len(params.weights))
     out = density(params.weights, params.shapes, params.scales)
     return float(out[0]) if scalar else out
 
@@ -222,14 +215,10 @@ def mixture_quantile(p, params: GammaMixtureParams):
     b = np.array(params.scales)
     hi_edge = float(np.max(a * b) + 10.0 * np.max(b * np.sqrt(a)))
     p_max = float(np.max(u))
-    for _ in range(200):
-        if not math.isfinite(hi_edge):
-            raise ValueError("the mixture's quantiles overflow a float")
-        if cdf(np.array([hi_edge]))[0] > p_max:
-            break
+    while math.isfinite(hi_edge) and cdf(np.array([hi_edge]))[0] <= p_max:
         hi_edge *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the mixture quantile")
+    if not math.isfinite(hi_edge):
+        raise ValueError("the mixture's quantiles overflow a float")
     lo = np.zeros_like(u)
     hi = np.full_like(u, hi_edge)
     for _ in range(64):
@@ -303,9 +292,6 @@ def _params_from_z(z: np.ndarray, k: int) -> GammaMixtureParams:
     return GammaMixtureParams(tuple(w), tuple(a), tuple(b))
 
 
-_MOMENTS_OUT_OF_RANGE = "the sample's moments are out of float range"
-
-
 def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
     """Quantile-sliced moment-matched start in the transformed space."""
     edges = empirical_quantile(x, [j / k for j in range(1, k)])
@@ -322,11 +308,11 @@ def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             m = float(np.mean(piece))
             if not 0.0 < m * m < math.inf:
-                raise ValueError(_MOMENTS_OUT_OF_RANGE)
+                raise ValueError(MOMENTS_OUT_OF_RANGE)
             v = float(np.var(piece, ddof=1)) if piece.size > 1 else (0.5 * m) ** 2
         v = max(v, 1e-12 * m * m)
         if not 0.0 < v < math.inf:
-            raise ValueError(_MOMENTS_OUT_OF_RANGE)
+            raise ValueError(MOMENTS_OUT_OF_RANGE)
         a = min(max(m * m / v, 1e-3), 1e3)
         weights[j] = max(piece.size / x.size, 1e-3)
         log_a[j] = math.log(a)

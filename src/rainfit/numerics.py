@@ -1,6 +1,7 @@
 """Shared numerical kernels.
 
-The local solvers and the multistart driver every fit runs, and
+The local solvers and the multistart driver every fit runs, the checks
+and statistics of a sample (`positive_sample`, `empirical_quantile`), and
 deterministic splittable random streams.  Everything in this module is a
 pure function of its explicit inputs so that the statistical modules built
 on top stay reproducible to the bit across runs, platforms, and worker
@@ -60,10 +61,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .evaluation import sorted_quantile
+
 __all__ = [
     "LocalResult",
     "MAX_ITER",
+    "MOMENTS_OUT_OF_RANGE",
     "RngState",
+    "empirical_quantile",
     "jittered_starts",
     "lbfgsb",
     "multistart",
@@ -217,6 +222,32 @@ def positive_sample(data) -> np.ndarray:
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("data values must be finite and > 0")
     return x
+
+
+# Both model families raise this when a sample's mean or variance, which
+# their starts and moment estimators need, over- or underflows a float.
+MOMENTS_OUT_OF_RANGE = "the sample's moments are out of float range"
+
+
+def empirical_quantile(sample, p):
+    """Type-7 sample quantile: rank h = (n - 1) p + 1, linear interpolation.
+
+    Accepts any vector of at least two finite reals (sign unrestricted; the
+    formula itself does not care).  p is a level in (0, 1), giving a float,
+    or a sequence of them, giving a list; the sample is sorted once either
+    way and each level goes to `evaluation.sorted_quantile`.
+    """
+    scalar = np.ndim(p) == 0
+    levels = [p] if scalar else list(p)
+    if not all(0.0 < q < 1.0 for q in levels):
+        raise ValueError("p must lie strictly between 0 and 1")
+    x = np.sort(np.asarray(sample, dtype=float))
+    if x.size < 2:
+        raise ValueError("need at least two observations for a quantile")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample values must be finite")
+    quantiles = [sorted_quantile(x, q) for q in levels]
+    return quantiles[0] if scalar else quantiles
 
 
 @dataclass

@@ -144,7 +144,7 @@ def load_site(path) -> SiteSeries:
 
 
 def empirical_quantile(sample, p):
-    from .empirical import empirical_quantile
+    from .numerics import empirical_quantile
 
     return empirical_quantile(sample, p)
 

@@ -24,12 +24,12 @@ from rainfit.cli import main as cli_main
 from rainfit.corpus import build_preset, simulate_corpus
 from rainfit.egpd import (
     EgpdParams,
+    conditional_pwms,
     egpd_cdf,
     egpd_quantile,
     egpd_simulate,
     fit_mle,
     fit_pwm,
-    theoretical_pwm,
 )
 from rainfit.evaluation import classify, log_ratio_metric, summarize
 from rainfit.gamma_mixture import (
@@ -106,13 +106,13 @@ def test_c02_pwm_closed_form(capsys):
                 params = EgpdParams(kappa=kappa, sigma=sigma, xi=xi)
                 for j in (0, 1, 2):
                     ref = quad_pwm(params, j)
-                    rel = abs(theoretical_pwm(j, params) - ref) / abs(ref)
+                    rel = abs(conditional_pwms(params, 0.0)[j] - ref) / abs(ref)
                     worst_rel = max(worst_rel, rel)
 
     worst_gp = 0.0
     for sigma in (0.5, 5.0):
         for xi in (-0.2, 0.1, 0.5):
-            val = theoretical_pwm(0, EgpdParams(kappa=1.0, sigma=sigma, xi=xi))
+            val = conditional_pwms(EgpdParams(kappa=1.0, sigma=sigma, xi=xi), 0.0)[0]
             worst_gp = max(worst_gp, abs(val - sigma / (1.0 - xi)))
 
     ok = worst_rel <= 1e-6 and worst_gp <= 1e-10

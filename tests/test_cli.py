@@ -1066,6 +1066,29 @@ def test_mixtures_at_the_float_limits_give_a_named_error_and_no_warning(tmp_path
                       for site in sites for m in mixtures}
 
 
+@pytest.mark.parametrize("values", [
+    [2.5] * 200,  # all tied
+    [0.2] * 150 + [5.0] * 50,  # two values
+    [0.5] * 80 + [2.0] * 20,  # fewer than 30 at or above the 1 mm threshold
+    [1e-300, 2e-300] * 100,  # moments underflow
+    [1e308, 1.5e308] * 100,  # the sum overflows
+    [5e-324] * 100 + [1.0] * 100,  # H(y) underflows to 0 or a subnormal
+], ids=["ties", "two-values", "few-above-threshold", "tiny", "float-max", "subnormal"])
+def test_a_hostile_site_gives_a_record_per_method_and_no_warning(tmp_path, values):
+    save_site(tmp_path / "s.csv", SiteSeries("s", np.array(values)))
+    write_manifest(tmp_path / "m.json", seed=1, sites=["s.csv"])
+    proc = run_cli("benchmark", "--manifest", tmp_path / "m.json", "--out", tmp_path / "run",
+                   "--min-wet", "1", "--egpd-restarts", "1", "--mixture-restarts", "1")
+    assert proc.returncode in (0, 4), proc.stderr
+    assert b"Traceback" not in proc.stderr and b"Warning" not in proc.stderr, proc.stderr
+    lines = (tmp_path / "run" / "fits.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert sorted(r["method"] for r in records) == sorted(METHODS)
+    for r in records:
+        if r["error"] is not None or not math.isfinite(r["diagnostics"]["objective"]):
+            assert r["converged"] is False, r
+
+
 @pytest.mark.parametrize("case, code", [
     ("unknown-method", 2), ("missing-records", 3), ("all-failed", 4), ("all-too-small", 4),
 ])

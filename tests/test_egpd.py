@@ -21,7 +21,6 @@ from rainfit.egpd import (
     fit_pwm,
     fit_pwm_from_moments,
     gp_cdf,
-    theoretical_pwm,
 )
 import rainfit.egpd
 from rainfit.numerics import RngState
@@ -228,33 +227,28 @@ def test_simulate_gp_mean():
 
 
 def test_pwm_gp_mean_exact():
-    assert theoretical_pwm(0, EgpdParams(1.0, 1.0, 0.5)) == pytest.approx(
+    assert conditional_pwms(EgpdParams(1.0, 1.0, 0.5), 0.0)[0] == pytest.approx(
         2.0, abs=1e-10
     )
     for xi in (-0.2, 0.1, 0.5):
-        assert theoretical_pwm(0, EgpdParams(1.0, 2.0, xi)) == pytest.approx(
+        assert conditional_pwms(EgpdParams(1.0, 2.0, xi), 0.0)[0] == pytest.approx(
             2.0 / (1.0 - xi), abs=1e-10
         )
 
 
 def test_pwm_closed_form_frozen_value():
-    got = theoretical_pwm(0, EgpdParams(2.0, 1.0, 0.25))
+    got = conditional_pwms(EgpdParams(2.0, 1.0, 0.25), 0.0)[0]
     assert got == pytest.approx(oracles.PWM_K2_S1_XI025_J0, rel=1e-12)
 
 
 def test_pwm_exponential_branch_harmonic_numbers():
     for j, expect in enumerate(oracles.PWM_K2_S1_XI0):
-        got = theoretical_pwm(j, EgpdParams(2.0, 1.0, 0.0))
+        got = conditional_pwms(EgpdParams(2.0, 1.0, 0.0), 0.0)[j]
         assert got == pytest.approx(expect, rel=1e-10)
     # j=1 for the plain exponential: integral of -ln(1-u) u du = 3/4.
-    assert theoretical_pwm(1, EgpdParams(1.0, 1.0, 0.0)) == pytest.approx(
+    assert conditional_pwms(EgpdParams(1.0, 1.0, 0.0), 0.0)[1] == pytest.approx(
         0.75, rel=1e-10
     )
-
-
-def test_pwm_rejects_bad_moment_order():
-    with pytest.raises(ValueError):
-        theoretical_pwm(3, EgpdParams(1.0, 1.0, 0.1))
 
 
 def test_pwm_matches_quantile_quadrature():
@@ -272,7 +266,7 @@ def test_pwm_matches_quantile_quadrature():
                     return egpd_quantile(u, params) * u**j * du
 
                 quad = oracles.gauss_legendre_integrate(integrand, 0.0, 1.0, panels=96)
-                closed = theoretical_pwm(j, params)
+                closed = conditional_pwms(params, 0.0)[j]
                 assert closed == pytest.approx(quad, rel=1e-6)
 
 
@@ -378,6 +372,25 @@ def test_profile_loglik_is_finite_on_the_whole_box():
             assert -0.5 <= xi <= 0.95 and math.exp(-12) <= kappa <= math.exp(12)
 
 
+def test_profile_loglik_is_inf_where_the_gp_cdf_underflows():
+    # At sigma = 1, H(5e-324) is subnormal and 1 / H overflows: the
+    # gradient would be infinite or NaN, so the point is walled off.  No
+    # start of the fit has a finite likelihood, and it says so.
+    data = np.array([5e-324] * 100 + [1.0] * 100)
+    evaluate = rainfit.egpd._profile_loglik(data, 0, 0.0)
+    with np.errstate(all="ignore"):
+        value, grad, _, _ = evaluate(np.array([0.0, 0.5]))
+    assert value == math.inf and grad.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="not finite at any start"):
+        fit_mle(data)
+
+
+@pytest.mark.parametrize("fit", [fit_mle, fit_pwm])
+def test_fits_refuse_a_sample_whose_mean_overflows(fit):
+    with pytest.raises(ValueError, match="moments are out of float range"):
+        fit(np.array([1e308, 1.5e308] * 100))
+
+
 def test_mle_recovers_simulated_parameters():
     truth = EgpdParams(2.0, 5.0, 0.2)
     data = egpd_simulate(20_000, truth, RngState(seed=7))
@@ -476,7 +489,7 @@ def test_censored_mle_error_paths():
 
 def test_pwm_fixed_point_from_exact_moments():
     truth = EgpdParams(2.0, 1.0, 0.25)
-    nu = [theoretical_pwm(j, truth) for j in (0, 1, 2)]
+    nu = [conditional_pwms(truth, 0.0)[j] for j in (0, 1, 2)]
     fitted, diag = fit_pwm_from_moments(nu[0], nu[1], nu[2])
     assert diag["converged"]
     assert fitted.kappa == pytest.approx(2.0, abs=1e-4)
@@ -502,7 +515,7 @@ def test_pwm_residual_never_above_simplex_on_c4():
 
 
 def test_pwm_exponential_data():
-    from rainfit.empirical import empirical_pwms
+    from rainfit.egpd import empirical_pwms
 
     truth = EgpdParams(1.0, 2.0, 0.0)
     data = egpd_simulate(20_000, truth, RngState(seed=5))
@@ -536,7 +549,6 @@ def test_conditional_pwms_at_zero_threshold_are_the_plain_pwms():
             for j in (0, 1, 2):
                 ref = 3.0 * float(_mp_pwm_shape(kappa, xi, j))
                 assert got[j] == pytest.approx(ref, rel=1e-12)
-                assert theoretical_pwm(j, params) == got[j]
 
 
 def _mp_conditional_pwms(kappa: float, sigma: float, xi: float, threshold: float):

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rainfit.egpd import EgpdParams, egpd_simulate, theoretical_pwm
-from rainfit.empirical import empirical_pwms, empirical_quantile
-from rainfit.numerics import RngState
+from rainfit.egpd import EgpdParams, conditional_pwms, egpd_simulate, empirical_pwms
+from rainfit.numerics import RngState, empirical_quantile
 
 
 def test_estimators_sort_their_input():
@@ -131,4 +130,4 @@ def test_pwm_consistency_against_closed_form():
     per_fold = np.array([empirical_pwms(f) for f in folds])
     for j in (0, 1, 2):
         se = float(np.std(per_fold[:, j], ddof=1)) / np.sqrt(20.0)
-        assert abs(full[j] - theoretical_pwm(j, params)) <= 4.0 * se
+        assert abs(full[j] - conditional_pwms(params, 0.0)[j]) <= 4.0 * se

@@ -2,7 +2,7 @@
 
 `report`, `--help` and `--version` need the standard library alone:
 importing the CLI and rebuilding tables load neither numpy nor rainfit's
-fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`, `empirical`).
+fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`).
 Loading site CSVs needs `corpus` alone: no numpy, no fit module and no
 scipy.  `run_fits` loads what the requested methods call, once, before it
 forks a worker or starts the first fit: numpy with the fit module of each
@@ -84,7 +84,7 @@ def test_report_loads_no_scipy(tmp_path):
 
 # Modules that `report`, `--help` and `--version` never load.
 NUMERIC_STACK = ("numpy", "rainfit.numerics", "rainfit.egpd", "rainfit.gamma_mixture",
-                 "rainfit.corpus", "rainfit.empirical")
+                 "rainfit.corpus")
 
 
 def test_cli_import_help_version_and_report_load_no_numpy(tmp_path):
