@@ -285,24 +285,22 @@ def simulate_corpus(specs) -> list[SiteSeries]:
 
 # --- presets ----------------------------------------------------------------
 
-_PRESET_SALT = {
-    "paper-like-50": 101,
-    "egpd-50": 102,
-    "egpd-50-discretized": 102,  # same draws as egpd-50, rounded to 0.2 mm
-    "mixture-50": 104,
+# EGPD truth from a low-rain band: plenty of probability mass near small
+# amounts, where instrument quantization bites.
+_LOW_RAIN = {"kappa": (0.5, 1.0), "sigma": (2.0, 8.0), "xi": (0.05, 0.3)}
+# Each preset's row: the salt of its draws; how many of its 50 sites, the
+# first ones, have EGPD truth (the others a gamma mixture); the uniform
+# ranges of their kappa, sigma and xi; n's range for `Generator.integers`
+# (high excluded); and discretize_mm.
+_PRESETS = {
+    "paper-like-50": (101, 25, {"kappa": (0.5, 2.0), "sigma": (2.0, 10.0), "xi": (0.0, 0.3)},
+                      (600, 1501), None),
+    "egpd-50": (102, 50, _LOW_RAIN, (1200, 2401), None),
+    # The same draws as egpd-50, rounded to 0.2 mm.
+    "egpd-50-discretized": (102, 50, _LOW_RAIN, (1200, 2401), 0.2),
+    "mixture-50": (104, 0, {}, (1200, 2401), None),
 }
-
-
-def _draw_egpd(g: np.random.Generator, low_rain: bool) -> dict:
-    if low_rain:
-        kappa = g.uniform(0.5, 1.0)
-        sigma = g.uniform(2.0, 8.0)
-        xi = g.uniform(0.05, 0.3)
-    else:
-        kappa = g.uniform(0.5, 2.0)
-        sigma = g.uniform(2.0, 10.0)
-        xi = g.uniform(0.0, 0.3)
-    return {"kappa": float(kappa), "sigma": float(sigma), "xi": float(xi)}
+PRESETS = tuple(sorted(_PRESETS))
 
 
 def _draw_mixture(g: np.random.Generator) -> dict:
@@ -317,55 +315,34 @@ def _draw_mixture(g: np.random.Generator) -> dict:
 
 
 def build_preset(name: str, seed: int) -> list[GeneratorSpec]:
-    """Deterministic 50-site generator lists.
+    """The 50 generator specs of the named `_PRESETS` row, deterministic in seed.
 
-    paper-like-50: 25 EGPD + 25 gamma-mixture sites, moderate sizes; the
-    all-purpose benchmark corpus.  egpd-50: EGPD-only sites drawn from a
-    low-rain band (plenty of probability mass near small amounts, where
-    instrument quantization bites).  egpd-50-discretized: the same sites
-    rounded to 0.2 mm.  mixture-50: gamma-mixture-only sites.  All
-    parameter draws and per-site seeds derive from (preset, seed, index).
+    paper-like-50, the all-purpose benchmark corpus, has 25 EGPD and 25
+    gamma-mixture sites of moderate size; egpd-50 has EGPD sites from the
+    low-rain band, and egpd-50-discretized the same sites rounded to
+    0.2 mm; mixture-50 has gamma-mixture sites.  Site i draws its truth
+    (kappa, sigma and xi uniformly from the row's ranges, or a mixture) and
+    then its n from the stream (seed, the row's salt, i), and its sample
+    seed derives from that stream.
     """
     from .numerics import RngState
 
-    if name not in _PRESET_SALT:
-        raise CorpusError(f"unknown preset {name!r}; known: {sorted(_PRESET_SALT)}")
-    salt = _PRESET_SALT[name]
+    if name not in _PRESETS:
+        raise CorpusError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
+    salt, n_egpd, egpd_ranges, n_range, disc = _PRESETS[name]
     specs = []
     for i in range(50):
         state = RngState(seed).derive(salt, i)
         g = state.generator()
-        site_id = f"site-{i:03d}"
-        site_seed = state.derive(1).stream
-        if name == "paper-like-50":
-            if i < 25:
-                family, params = "egpd", _draw_egpd(g, low_rain=False)
-            else:
-                family, params = "gamma-mixture", _draw_mixture(g)
-            n = int(g.integers(600, 1501))
-            disc = None
-        elif name in ("egpd-50", "egpd-50-discretized"):
-            family, params = "egpd", _draw_egpd(g, low_rain=True)
-            n = int(g.integers(1200, 2401))
-            disc = 0.2 if name == "egpd-50-discretized" else None
+        if i < n_egpd:
+            family = "egpd"
+            params = {key: float(g.uniform(lo, hi)) for key, (lo, hi) in egpd_ranges.items()}
         else:
             family, params = "gamma-mixture", _draw_mixture(g)
-            n = int(g.integers(1200, 2401))
-            disc = None
-        specs.append(
-            GeneratorSpec(
-                site_id=site_id,
-                family=family,
-                params=params,
-                n=n,
-                seed=site_seed,
-                discretize_mm=disc,
-            )
-        )
+        specs.append(GeneratorSpec(site_id=f"site-{i:03d}", family=family, params=params,
+                                   n=int(g.integers(*n_range)), seed=state.derive(1).stream,
+                                   discretize_mm=disc))
     return specs
-
-
-PRESETS = tuple(sorted(_PRESET_SALT))
 
 
 # --- manifests ---------------------------------------------------------------

@@ -65,8 +65,9 @@ XI_MIN = -0.5
 XI_MAX = 0.95
 
 _LOG_CLAMP = 12.0
-_KAPPA_MIN = math.exp(-_LOG_CLAMP)
-_KAPPA_MAX = math.exp(_LOG_CLAMP)
+# kappa's and sigma's box.
+_SCALE_MIN = math.exp(-_LOG_CLAMP)
+_SCALE_MAX = math.exp(_LOG_CLAMP)
 _LN2 = math.log(2.0)
 _DEFAULT_RNG = RngState(seed=0x5EED0F17)
 _SMALL_SAMPLE_N = 100
@@ -245,8 +246,9 @@ def _exceedances(data, threshold: float) -> tuple[int, np.ndarray, float]:
     The data must be at least 30 finite values > 0, and the threshold
     finite, >= 0 and at or below at least 30 of them.  At threshold 0 every
     value is kept, so the fit is the uncensored one.  A mean that overflows
-    (no mean of values > 0 underflows to 0) is a ValueError; then no PWM
-    overflows either, as each is a mean of the values times weights <= 1.
+    (no mean of values > 0 underflows to 0), or that lies outside sigma's
+    box [e^-12, e^12] mm, is a ValueError; then no PWM overflows either,
+    as each is a mean of the values times weights <= 1.
     """
     x = positive_sample(data)
     if x.size < 30:
@@ -260,6 +262,9 @@ def _exceedances(data, threshold: float) -> tuple[int, np.ndarray, float]:
         mean = float(np.mean(exceed))
     if mean == math.inf:
         raise ValueError(MOMENTS_OUT_OF_RANGE)
+    if not _SCALE_MIN <= mean <= _SCALE_MAX:
+        raise ValueError(f"the mean of the values at or above the threshold, {mean:.3g} mm,"
+                         f" is outside sigma's range [{_SCALE_MIN:.3g}, {_SCALE_MAX:.3g}] mm")
     return x.size, exceed, mean
 
 
@@ -343,8 +348,8 @@ def _profile_loglik(exceed: np.ndarray, n_below: int, threshold: float):
             c_terms = _gp_terms(np.array([threshold / sigma]), xi)
             log_big_h_c, q_c, p_c, r_c = (float(t[0]) for t in c_terms[2:])
             total += n_below * log_big_h_c
-        kappa = min(n_exc / -total, _KAPPA_MAX) if total < 0.0 else _KAPPA_MAX
-        kappa = max(kappa, _KAPPA_MIN)
+        kappa = min(n_exc / -total, _SCALE_MAX) if total < 0.0 else _SCALE_MAX
+        kappa = max(kappa, _SCALE_MIN)
         loglik = (
             n_exc * (math.log(kappa) - log_sigma)
             - float(np.sum(log1p_z)) - float(np.sum(big_l))
@@ -389,8 +394,9 @@ def fit_mle(
     kappa-hat is not held at a clamp e^+-12, where it is not stationary
     (on tied data the likelihood grows without bound towards that corner).
     Non-convergence is flagged in the diagnostics, never raised; the best
-    candidate is always returned.  A sample whose mean overflows, or whose
-    likelihood is not finite at any start, is a ValueError.
+    candidate is always returned.  A sample whose mean overflows or lies
+    outside sigma's box, or whose likelihood is not finite at any start, is
+    a ValueError.
 
     With a left-censoring threshold above 0, the observations below it
     contribute n_below * ln F(threshold) instead of their exact density,
@@ -433,7 +439,7 @@ def fit_mle(
         _, _, kappa, xi = evaluate(best.x)
     params = EgpdParams(kappa, math.exp(float(best.x[0])), xi)
     diag.update(
-        converged=best.converged and _KAPPA_MIN < kappa < _KAPPA_MAX,
+        converged=best.converged and _SCALE_MIN < kappa < _SCALE_MAX,
         objective=-best.value * n_total,
         boundary_hit=_boundary_hit(params),
         small_sample=n_total < _SMALL_SAMPLE_N,

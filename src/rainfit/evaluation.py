@@ -59,10 +59,17 @@ class QuantileSet:
 
 
 def log_ratio_metric(q_model: float, q_empirical: float) -> float:
-    """D = ln(q_model / q_empirical); zero iff equal, positive iff overestimate."""
+    """D = ln(q_model / q_empirical); zero iff equal, positive iff overestimate.
+
+    Where the quotient underflows to 0 or overflows, D is
+    ln q_model - ln q_empirical, which is finite for finite quantiles.
+    """
     if not (q_model > 0.0 and q_empirical > 0.0):
         raise ValueError("quantiles must be > 0 (zero empirical quantiles are flagged upstream)")
-    return math.log(q_model / q_empirical)
+    ratio = q_model / q_empirical
+    if ratio == 0.0 or ratio == math.inf:
+        return math.log(q_model) - math.log(q_empirical)
+    return math.log(ratio)
 
 
 def sorted_quantile(x: Sequence[float], p: float) -> float:

@@ -288,8 +288,12 @@ def _components_from_z(
 
 
 def _params_from_z(z: np.ndarray, k: int) -> GammaMixtureParams:
+    """The mixture at the transformed point z, its components sorted by
+    mean a_k b_k ascending (a stable sort): label order carries no meaning
+    during optimization."""
     w, a, b = _components_from_z(np.asarray(z, dtype=float).tolist(), k)
-    return GammaMixtureParams(tuple(w), tuple(a), tuple(b))
+    order = sorted(range(k), key=lambda j: a[j] * b[j])
+    return GammaMixtureParams(*(tuple(v[j] for j in order) for v in (w, a, b)))
 
 
 def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
@@ -320,16 +324,6 @@ def _sliced_init(x: np.ndarray, k: int) -> np.ndarray:
     weights = weights / weights.sum()
     logits = np.log(weights[: k - 1]) - math.log(weights[-1])
     return np.concatenate([logits, log_a, log_b])
-
-
-def _canonical_order(params: GammaMixtureParams) -> GammaMixtureParams:
-    means = np.array(params.shapes) * np.array(params.scales)
-    order = np.argsort(means, kind="stable")
-    return GammaMixtureParams(
-        tuple(params.weights[i] for i in order),
-        tuple(params.shapes[i] for i in order),
-        tuple(params.scales[i] for i in order),
-    )
 
 
 def _map_value_and_gradient(x: np.ndarray, k: int):
@@ -396,11 +390,10 @@ def fit_map(
     gradient, for at most `MAX_ITER` L-BFGS-B iterations per start.  The fit
     is converged when the best start ends where the projected gradient of
     the per-observation objective is at most 1e-6.  Components of the
-    returned mode are sorted by mean a_k b_k ascending; label order carries
-    no meaning during optimization.  K larger than n/10 is rejected as
-    unidentifiable at that sample size.  The diagnostics add the mode's
-    `min_weight` and `effective_k`, its number of weights >= 1e-6: a mode
-    with fewer has collapsed onto fewer components.
+    returned mode are sorted by mean a_k b_k ascending.  K larger than n/10
+    is rejected as unidentifiable at that sample size.  The diagnostics add
+    the mode's `min_weight` and `effective_k`, its number of weights
+    >= 1e-6: a mode with fewer has collapsed onto fewer components.
     """
     x = positive_sample(data)
     if k < 1:
@@ -419,7 +412,7 @@ def fit_map(
     if not math.isfinite(best.value):
         raise ValueError("the log posterior is not finite at any start")
 
-    params = _canonical_order(_params_from_z(best.x, k))
+    params = _params_from_z(best.x, k)
     log_ab = np.log(np.array(params.shapes + params.scales))
     diag.update(
         converged=best.converged,

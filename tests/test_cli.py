@@ -792,6 +792,27 @@ def test_report_counts_a_non_converged_non_increasing_record_as_failed(tmp_path,
     assert medians[1].startswith("naveau-mle,") and medians[1].endswith(",1")
 
 
+
+@pytest.mark.parametrize("estimated, empirical", [
+    ({"0.5": 5e-324, "0.9": 1.0}, {"0.5": 3.0, "0.9": 4.0}),
+    ({"0.5": 1e300, "0.9": 2e300}, {"0.5": 1e-10, "0.9": 2e-10}),
+], ids=["underflow", "overflow"])
+def test_report_scores_a_quotient_that_under_or_overflows(tmp_path, capsys, estimated, empirical):
+    # q_model / q_empirical is 0 or inf on one of four sites: D is still
+    # finite, and every cell is written.
+    base = {**GOOD_RECORD, "estimated_quantiles": {"0.5": 2.0, "0.9": 5.0},
+            "empirical_quantiles": {"0.5": 2.1, "0.9": 5.2}}
+    lines = [{**base, "site_id": f"s{i}"} for i in range(1, 4)]
+    lines.append({**base, "estimated_quantiles": estimated, "empirical_quantiles": empirical})
+    records = tmp_path / "fits.jsonl"
+    records.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    out = tmp_path / "tables"
+    assert main(["report", "--records", str(records), "--out", str(out)]) == 0, capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "boxplots.csv").read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert row[0] == "naveau-mle" and all(math.isfinite(float(v)) for v in row[2:])
+
 @pytest.mark.parametrize("key", ["error", "diagnostics", "n_wet", "empirical_quantiles"])
 def test_report_loads_a_record_without_an_optional_key(tmp_path, capsys, key):
     records = tmp_path / "fits.jsonl"

@@ -1,6 +1,7 @@
 """Extended-GP distribution functions and the four fitting procedures."""
 
 import math
+import re
 import time
 
 import mpmath as mp
@@ -391,6 +392,16 @@ def test_fits_refuse_a_sample_whose_mean_overflows(fit):
         fit(np.array([1e308, 1.5e308] * 100))
 
 
+
+@pytest.mark.parametrize("fit", [fit_mle, fit_pwm])
+@pytest.mark.parametrize("pair, mean", [((1e-300, 2e-300), "1.5e-300"), ((1e300, 2e300), "1.5e+300")])
+def test_fits_refuse_a_sample_whose_mean_is_outside_the_sigma_box(fit, pair, mean):
+    # sigma is boxed to [e^-12, e^12] mm: a fit of a sample whose mean lies
+    # outside would stop at the box's edge with quantiles that mean nothing.
+    with pytest.raises(ValueError, match=rf"{re.escape(mean)} mm, is outside sigma's range"
+                                         r" \[6\.14e-06, 1\.63e\+05\] mm"):
+        fit(np.array(pair * 100), restarts=1)
+
 def test_mle_recovers_simulated_parameters():
     truth = EgpdParams(2.0, 5.0, 0.2)
     data = egpd_simulate(20_000, truth, RngState(seed=7))
@@ -672,6 +683,27 @@ def test_censored_pwm_fit_calls_conditional_pwms_through_module_global(monkeypat
     assert len(calls) > 0
     assert set(calls) == {0.0}
 
+
+
+def test_pwm_residuals_beyond_the_support_use_the_point_mass_limit(monkeypatch):
+    # Moments whose mean sits near the threshold drive some trial points to
+    # a bounded tail (xi < 0) that ends at or below the threshold, where
+    # conditional_pwms raises: the residuals then use (c, c/2, c/3) and
+    # stay finite.
+    beyond = []
+    original = rainfit.egpd.conditional_pwms
+
+    def spying(params, threshold):
+        try:
+            return original(params, threshold)
+        except ValueError:
+            beyond.append(params)
+            raise
+
+    monkeypatch.setattr(rainfit.egpd, "conditional_pwms", spying)
+    _, diag = fit_pwm_from_moments(1.2, 0.6, 0.4, threshold=1.0, restarts=4)
+    assert len(beyond) > 0
+    assert math.isfinite(diag["objective"]) and math.isfinite(diag["residual"])
 
 def test_censored_pwm_fixed_point_from_own_moments():
     truth = EgpdParams(2.0, 5.0, 0.2)

@@ -51,6 +51,38 @@ def test_metric_scale_invariant(qm, qe, c):
     )
 
 
+
+def test_metric_where_the_quotient_under_or_overflows():
+    # 5e-324 / 3 underflows to 0 and 1e300 / 1e-10 overflows to inf: D is
+    # then ln q_model - ln q_empirical, finite.
+    assert log_ratio_metric(5e-324, 3.0) == pytest.approx(-745.5387, abs=1e-4)
+    assert log_ratio_metric(1e300, 1e-10) == pytest.approx(713.8014, abs=1e-4)
+
+
+# Three ordinary fits and one whose quantiles over one level (0.5 and
+# 0.9) divide to 0 or to inf.
+EXTREME_QUOTIENTS = [
+    ({0.5: 5e-324, 0.9: 1.0}, {0.5: 3.0, 0.9: 4.0}),
+    ({0.5: 1e300, 0.9: 2e300}, {0.5: 1e-10, 0.9: 2e-10}),
+]
+
+
+def extreme_quotient_records(estimated, empirical):
+    ordinary = [make_record(f"site-{i:03d}", "naveau-mle", {0.5: 2.0 + i, 0.9: 5.0 + i},
+                            {0.5: 2.1 + i, 0.9: 5.2 + i}) for i in range(1, 4)]
+    return [make_record("site-000", "naveau-mle", estimated, empirical)] + ordinary
+
+
+@pytest.mark.parametrize("estimated, empirical", EXTREME_QUOTIENTS)
+def test_summarize_scores_a_quotient_that_under_or_overflows(estimated, empirical):
+    summary = summarize(extreme_quotient_records(estimated, empirical))
+    assert summary.excluded == {} and summary.warnings == []
+    for p, q in estimated.items():
+        cell = summary.cells[("naveau-mle", p)]
+        assert cell.n_sites == 4
+        assert all(map(math.isfinite, (cell.lo, cell.q1, cell.median, cell.q3, cell.hi)))
+        assert log_ratio_metric(q, empirical[p]) in (cell.lo, cell.hi)
+
 # --- classification -------------------------------------------------------------
 
 

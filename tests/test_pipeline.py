@@ -45,6 +45,22 @@ def fit_records(sites, methods) -> dict:
     return records
 
 
+
+@pytest.mark.parametrize("fields, message", [
+    ({"methods": ()}, "at least one method is required"),
+    ({"threshold_mm": 0.0}, "threshold_mm must be finite and > 0"),
+    ({"threshold_mm": math.nan}, "threshold_mm must be finite and > 0"),
+    ({"threshold_mm": math.inf}, "threshold_mm must be finite and > 0"),
+    ({"jobs": 0}, "jobs must be >= 1"),
+    ({"egpd_restarts": -1}, "restart counts must be >= 0"),
+    ({"mixture_restarts": -1}, "restart counts must be >= 0"),
+    ({"min_wet": 0}, "min_wet must be >= 1"),
+], ids=["no-methods", "threshold-0", "threshold-nan", "threshold-inf", "jobs-0",
+        "egpd-restarts", "mixture-restarts", "min-wet-0"])
+def test_run_config_rejects_an_invalid_field(fields, message):
+    with pytest.raises(pipeline.ConfigError, match=f"^{message}$"):
+        RunConfig(**fields)
+
 def test_each_method_draws_the_stream_of_its_table_position():
     # A method's stream index is its position in METHODS, never its place
     # in the requested list, so a fit is the same whatever else runs.
