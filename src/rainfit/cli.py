@@ -8,7 +8,9 @@ Subcommands: `fit` (one site, one method, JSON record on stdout),
 iteration and evaluation caps bound its work.
 
 Import rule: building the parser, `report`, `--help` and `--version`
-need the standard library alone, and so does loading site CSVs.
+need the standard library alone, and so does loading site CSVs.  Nor do
+they load `dataclasses`, and with it `inspect`, `ast`, `dis` and
+`tokenize`: the types on their path are named tuples.
 `run_fits` loads numpy with the fit modules, and the scipy functions the
 fits get from `numerics.scipy_function`; each subcommand imports what it
 uses when it runs.
@@ -36,6 +38,7 @@ in-process callers and never exits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -166,11 +169,14 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_report(args) -> int:
+    qset = None if args.quantiles is None else _parse_quantiles(args.quantiles)
+    # One pass: the records go straight from the file into the summary,
+    # and no table is written before the last line is read.
     records = load_records(args.records)
-    if not records:
+    first = next(records, None)
+    if first is None:
         raise ConfigError(f"{args.records}: no records")
-    qset = _parse_quantiles(args.quantiles) if args.quantiles else None
-    summary = summarize(records, qset, order=tuple(METHODS))
+    summary = summarize(itertools.chain([first], records), qset, order=tuple(METHODS))
     for m in METHODS:
         if m not in summary.methods:
             print(f"warning: no records for method {m}", file=sys.stderr)

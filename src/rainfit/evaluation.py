@@ -14,16 +14,16 @@ they are, and scores each fit against the empirical quantiles its own
 record carries, so `benchmark` and `report` build the tables from the
 same objects.
 
-This module and `report` use the standard library alone, so `rainfit
-report` rebuilds the tables without importing numpy.
+This module and `report` use the standard library alone, and their types
+are named tuples, so `rainfit report` rebuilds the tables without
+importing numpy or `dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "EvaluationSummary",
@@ -41,21 +41,20 @@ __all__ = [
 PAPER_QUANTILES: tuple[float, ...] = (0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
 
 
-@dataclass(frozen=True)
-class QuantileSet:
+class QuantileSet(NamedTuple("_Levels", [("probabilities", tuple)])):
     """Strictly ascending probabilities in (0, 1) at which methods are scored."""
 
-    probabilities: tuple[float, ...] = PAPER_QUANTILES
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ps = tuple(float(p) for p in self.probabilities)
+    def __new__(cls, probabilities: Iterable[float] = PAPER_QUANTILES) -> QuantileSet:
+        ps = tuple(float(p) for p in probabilities)
         if len(ps) == 0:
             raise ValueError("quantile set must be nonempty")
         if any(not 0.0 < p < 1.0 for p in ps):
             raise ValueError("quantile levels must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise ValueError("quantile levels must be strictly ascending")
-        object.__setattr__(self, "probabilities", ps)
+        return super().__new__(cls, ps)
 
 
 def log_ratio_metric(q_model: float, q_empirical: float) -> float:
@@ -106,8 +105,7 @@ def asinh_axis_transform(x: float, scale: float = 8.0) -> float:
     return math.asinh(scale * x)
 
 
-@dataclass(frozen=True)
-class SummaryCell:
+class SummaryCell(NamedTuple):
     """Distribution of D^p over sites for one (method, p)."""
 
     n_sites: int
@@ -121,8 +119,7 @@ class SummaryCell:
     klass: str
 
 
-@dataclass
-class EvaluationSummary:
+class EvaluationSummary(NamedTuple):
     """Per-(method, p) statistics plus bookkeeping of failures/exclusions.
 
     `failures` counts fits per method that errored or did not converge;
@@ -136,7 +133,7 @@ class EvaluationSummary:
     failures: dict[str, int]
     excluded: dict[tuple[str, float], int]
     n_sites: int
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def _cell_from_d(d_values: Iterable[float]) -> SummaryCell:
@@ -204,36 +201,41 @@ def summarize(
     `load_records` give them, and their order does not matter: D values
     are sorted, dropped sites are named in id order, and methods come in
     `order`, then any others alphabetically.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no fit results to summarize")
-    keys = {p for r in records for p in r.get("empirical_quantiles") or ()}
-    recorded = sorted(set(map(float, keys)))
-    if qset is None:
-        if not recorded:
-            raise ValueError("records carry no quantile levels")
-        qset = QuantileSet(tuple(recorded))
-    missing = sorted(set(qset.probabilities).difference(recorded))
-    if missing and recorded:
-        raise ValueError(
-            f"quantile levels {', '.join(map(repr, missing))} are not recorded"
-            f" (recorded: {', '.join(map(repr, recorded))})"
-        )
 
-    present = {r["method"] for r in records}
-    methods = tuple([m for m in order if m in present] + sorted(present.difference(order)))
-    failures = dict.fromkeys(methods, 0)
-    # One pass over the records fills every (method, level) D list.
-    d_lists = {m: {p: [] for p in qset.probabilities} for m in methods}
-    dropped = {m: {p: [] for p in qset.probabilities} for m in methods}
+    The records are consumed once, in a single pass that keeps none of
+    them, so they may come from a generator such as `load_records`.  The
+    pass keeps the D lists, the failure counts, the dropped site ids and
+    the set of site ids.  Without `qset`, a level first carried by a later
+    record drops every converged fit before it at that level.
+    """
+    site_ids: set[str] = set()
+    recorded: set[float] = set()  # the levels the empirical maps carry
+    # The levels to score: qset's, or else those recorded so far, a set
+    # that grows as the pass goes.
+    levels = recorded if qset is None else qset.probabilities
+    failures: dict[str, int] = {}
+    converged: dict[str, list[str]] = {}  # per method, the sites of its converged fits
+    d_lists: dict[str, dict[float, list[float]]] = {}
+    dropped: dict[str, dict[float, list[str]]] = {}
     for r in records:
-        method = r["method"]
+        site, method = r["site_id"], r["method"]
+        site_ids.add(site)
+        if method not in failures:
+            failures[method], converged[method] = 0, []
+            d_lists[method] = {p: [] for p in levels}
+            dropped[method] = {p: [] for p in levels}
+        empirical = _levels(r.get("empirical_quantiles"))
+        if qset is None and not empirical.keys() <= recorded:
+            # A level first carried here: every converged fit before lacks it.
+            for p in empirical.keys() - recorded:
+                for m, by_level in d_lists.items():
+                    by_level[p], dropped[m][p] = [], list(converged[m])
+        recorded.update(empirical)
         if not r["converged"]:
             failures[method] += 1
             continue
+        converged[method].append(site)
         estimated = _levels(r["estimated_quantiles"])
-        empirical = _levels(r.get("empirical_quantiles"))
         for p, d_list in d_lists[method].items():
             q_m = estimated.get(p, math.nan)
             q_e = empirical.get(p, math.nan)
@@ -241,13 +243,27 @@ def summarize(
             if 0.0 < q_m < math.inf and 0.0 < q_e < math.inf:
                 d_list.append(log_ratio_metric(q_m, q_e))
             else:
-                dropped[method][p].append(r["site_id"])
+                dropped[method][p].append(site)
 
+    if not site_ids:
+        raise ValueError("no fit results to summarize")
+    if qset is None:
+        if not recorded:
+            raise ValueError("records carry no quantile levels")
+        qset = QuantileSet(sorted(recorded))
+    missing = sorted(set(qset.probabilities).difference(recorded))
+    if missing and recorded:
+        raise ValueError(
+            f"quantile levels {', '.join(map(repr, missing))} are not recorded"
+            f" (recorded: {', '.join(map(repr, sorted(recorded)))})"
+        )
+
+    methods = tuple([m for m in order if m in failures] + sorted(set(failures).difference(order)))
     cells: dict[tuple[str, float], SummaryCell] = {}
     excluded: dict[tuple[str, float], int] = {}
     warnings: list[str] = []
     for method in methods:
-        for p, d_list in d_lists[method].items():
+        for p in qset.probabilities:
             sites = sorted(dropped[method][p])
             if sites:
                 excluded[(method, p)] = len(sites)
@@ -255,15 +271,15 @@ def summarize(
                     f"{method} at p={p:g}: {len(sites)} site(s) excluded"
                     f" (missing, non-positive or non-finite quantile): {_site_list(sites)}"
                 )
-            if d_list:
-                cells[(method, p)] = _cell_from_d(d_list)
+            if d_lists[method][p]:
+                cells[(method, p)] = _cell_from_d(d_lists[method][p])
 
     return EvaluationSummary(
         methods=methods,
         probabilities=qset.probabilities,
         cells=cells,
-        failures=failures,
+        failures={m: failures[m] for m in methods},
         excluded=excluded,
-        n_sites=len({r["site_id"] for r in records}),
+        n_sites=len(site_ids),
         warnings=warnings,
     )

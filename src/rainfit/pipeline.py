@@ -25,10 +25,11 @@ depends on execution order.  Timings land only in `fits.jsonl` and
 
 Import rule: this module imports the standard library and `evaluation`
 and `report` alone, so `rainfit report`, `--help` and `--version` load no
-numpy.  Loading site CSVs imports `corpus`, on the standard library alone;
-`run_fits` loads numpy with the requested methods' fit modules and every
-scipy function any fit calls, once, before it forks a worker or times a
-fit.
+numpy; nor `dataclasses`, with the `inspect`, `ast`, `dis` and
+`tokenize` it loads, for `RunConfig` is a named tuple.  Loading site CSVs
+imports `corpus`, on the standard library alone; `run_fits` loads numpy
+with the requested methods' fit modules and every scipy function any fit
+calls, once, before it forks a worker or times a fit.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .evaluation import EvaluationSummary, QuantileSet, summarize
 from .report import write_report_files
@@ -161,15 +161,8 @@ def mixture_quantile(p, params):
     return mixture_quantile(p, params)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs for one benchmark run.
-
-    `methods` are `METHODS` names; `threshold_mm` feeds the censored
-    estimators only.  `min_wet` drops sites with too few wet days before
-    any fitting.  A fit's work is bounded by its solvers' iteration and
-    evaluation caps, never by wall time.
-    """
+class _RunFields(NamedTuple):
+    """`RunConfig`'s fields and defaults, in the order of `run.json`'s `config`."""
 
     methods: tuple[str, ...] = tuple(METHODS)
     quantiles: QuantileSet = QuantileSet()
@@ -180,14 +173,26 @@ class RunConfig:
     mixture_restarts: int = 7
     min_wet: int = 100
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunFields):
+    """Knobs for one benchmark run, checked when made.
+
+    `methods` are `METHODS` names; `threshold_mm` feeds the censored
+    estimators only.  `min_wet` drops sites with too few wet days before
+    any fitting.  A fit's work is bounded by its solvers' iteration and
+    evaluation caps, never by wall time.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         methods = tuple(dict.fromkeys(self.methods))
         if not methods:
             raise ConfigError("at least one method is required")
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown method {unknown[0]!r}; known: {', '.join(METHODS)}")
-        object.__setattr__(self, "methods", methods)
         if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0.0):
             raise ConfigError("threshold_mm must be finite and > 0")
         if self.jobs < 1:
@@ -196,6 +201,7 @@ class RunConfig:
             raise ConfigError("restart counts must be >= 0")
         if self.min_wet < 1:
             raise ConfigError("min_wet must be >= 1")
+        return self._replace(methods=methods)
 
 
 # --- task execution ----------------------------------------------------------
@@ -444,14 +450,15 @@ def _object_without_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
 _RECORD_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeated_keys)
 
 
-def load_records(path) -> list[dict]:
-    """Read a records file, each line checked by `_check_record`.
+def load_records(path) -> Iterator[dict]:
+    """Yield the records of a records file, each line checked by `_check_record`.
 
-    A record of the wrong shape, an object that repeats a key, a second
-    record of one (site, method), or a byte that is not UTF-8 is a
-    ValueError naming path:line.
+    The file is opened at the first record asked for and read once, a line
+    at a time as the records are consumed; no record is kept.  A record of
+    the wrong shape, an object that repeats a key, a second record of one
+    (site, method), or a byte that is not UTF-8 is a ValueError naming
+    path:line, raised when the pass reaches that line.
     """
-    records = []
     seen: set[tuple[str, str]] = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -465,14 +472,13 @@ def load_records(path) -> list[dict]:
                     if key in seen:
                         raise ValueError(f"a second record of site {key[0]!r}, method {key[1]!r}")
                     seen.add(key)
-                    records.append(record)
                 except (KeyError, ValueError) as exc:
                     raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
+                yield record
     except UnicodeDecodeError as exc:
         from .corpus import _not_utf8
 
         raise _not_utf8(Path(path), exc) from None
-    return records
 
 
 def materialize_corpus(manifest: Manifest) -> list[SiteSeries]:
@@ -521,7 +527,7 @@ def _write_run_file(path, config: RunConfig, records: list[dict], seconds: dict)
         if "effective_k" in r["diagnostics"]:
             totals["collapsed_fits"] += r["diagnostics"]["effective_k"] < len(r["params"]["weights"])
     run = {
-        "config": {**vars(config), "quantiles": config.quantiles.probabilities},
+        "config": {**config._asdict(), "quantiles": config.quantiles.probabilities},
         "environment": _environment(),
         "seconds": seconds,
         "methods": methods,

@@ -1013,6 +1013,39 @@ def test_report_leaves_no_svg_of_an_earlier_run(tmp_path, second, svgs):
     assert (out / "medians.csv").read_text(encoding="utf-8").startswith("method,0.5,failed_fits\n")
 
 
+@pytest.mark.parametrize("command, levels", [("report", ""), ("report", " , "), ("benchmark", "")],
+                         ids=["report-empty", "report-commas", "benchmark-empty"])
+def test_quantiles_that_list_no_level_exit_2(tmp_path, capsys, command, levels):
+    # An empty list is not the default: report would otherwise score every
+    # recorded level.
+    records = tmp_path / "fits.jsonl"
+    records.write_text("".join(json.dumps(r) + "\n" for r in golden_records()), encoding="utf-8")
+    where = ["--records", str(records)] if command == "report" else ["--manifest", str(tmp_path / "m.json")]
+    out = tmp_path / "tables"
+    assert main([command, *where, "--out", str(out), "--quantiles", levels]) == 2
+    assert capsys.readouterr().err == "error: --quantiles lists no levels\n"
+    assert not out.exists()
+
+
+def test_report_stopped_by_a_bad_line_keeps_the_tables_of_an_earlier_run(tmp_path, capsys):
+    # The records stream from the file into the summary: line 2,001 is
+    # read after 2,000 records were scored, and no table is written before
+    # the last line is read.
+    out = tmp_path / "tables"
+    golden = tmp_path / "golden.jsonl"
+    golden.write_text("".join(json.dumps(r) + "\n" for r in golden_records()), encoding="utf-8")
+    assert main(["report", "--records", str(golden), "--out", str(out), "--svg"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    lines = [json.dumps({**GOOD_RECORD, "site_id": f"s{i}"}) for i in range(2003)]
+    lines[2000] = lines[2000][:-1]
+    records = tmp_path / "fits.jsonl"
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--records", str(records), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {records}:2001: bad record (")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 def test_report_drops_a_non_finite_quantile_naming_its_site(tmp_path, capsys, value):
     # json writes and reads NaN and Infinity; a converged record with one

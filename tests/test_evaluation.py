@@ -329,6 +329,59 @@ def test_summarize_canonical_method_order():
     assert summary.methods == ("naveau-mle", "gamma-mixture-4", "zzz-custom")
 
 
+def failures_and_exclusions():
+    records = grid_records(5, ["naveau-mle"])
+    records[0]["converged"] = False
+    records[1]["empirical_quantiles"]["0.01"] = 0.0
+    return records
+
+
+def a_level_one_record_lacks():
+    records = grid_records(3, ["naveau-mle", "naveau-pwm"])
+    del records[2]["estimated_quantiles"]["0.99"]
+    del records[3]["empirical_quantiles"]["0.25"]
+    return records
+
+
+def a_level_one_record_alone_carries():
+    records = grid_records(3, ["naveau-mle", "naveau-pwm"])
+    records[4]["empirical_quantiles"]["0.33"] = 2.0
+    records[4]["estimated_quantiles"]["0.33"] = 2.2
+    return records
+
+
+def a_non_finite_quantile():
+    records = grid_records(3, ["naveau-mle"])
+    records[0]["estimated_quantiles"]["0.99"] = math.inf
+    return records
+
+
+# The edge cases of the summarize tests above.  A single pass meets a
+# level that some records lack before or after them, depending on order.
+EDGE_CASE_RECORD_SETS = {
+    "identity": lambda: grid_records(1, ["naveau-mle"]),
+    "two-methods": lambda: grid_records(6, ["naveau-mle"]) + grid_records(6, ["naveau-pwm"], 1.1),
+    "own-empirical": lambda: [make_record("s0", "naveau-mle", {0.5: 2.0}, {0.5: 2.0}),
+                              make_record("s0", "naveau-pwm", {0.5: 2.0}, {0.5: 4.0})],
+    "null-empirical": lambda: [make_record("s0", "naveau-mle", {0.5: 2.0}, {0.5: 2.0}),
+                               make_record("s0", "naveau-pwm", {0.5: 2.0}, {}, empirical_quantiles=None)],
+    "failures-and-exclusions": failures_and_exclusions,
+    "a-level-lacking": a_level_one_record_lacks,
+    "a-level-alone": a_level_one_record_alone_carries,
+    "non-finite": a_non_finite_quantile,
+    "under-or-overflow": lambda: extreme_quotient_records(*EXTREME_QUOTIENTS[0]),
+}
+
+
+@pytest.mark.parametrize("qset", [None, QuantileSet((0.5,))], ids=["recorded-levels", "p0.5"])
+@pytest.mark.parametrize("name", EDGE_CASE_RECORD_SETS)
+def test_summarize_of_an_iterator_equals_summarize_of_the_list(name, qset):
+    records = EDGE_CASE_RECORD_SETS[name]()
+    expected = summarize(records, qset)
+    assert summarize(iter(records), qset) == expected
+    assert summarize(iter(records[::-1]), qset) == expected
+
+
 def test_summary_cell_quartiles_are_ordered():
     cell = summarize(grid_records(9, ["naveau-mle"], model_factor=1.05)).cells[("naveau-mle", 0.5)]
     assert cell.lo <= cell.whisker_lo <= cell.q1 <= cell.median

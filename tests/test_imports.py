@@ -2,7 +2,8 @@
 
 `report`, `--help` and `--version` need the standard library alone:
 importing the CLI and rebuilding tables load neither numpy nor rainfit's
-fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`).
+fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`), nor
+`dataclasses` and the `inspect`, `ast`, `dis` and `tokenize` it loads.
 Loading site CSVs needs `corpus` alone: no numpy, no fit module and no
 scipy.  `run_fits` loads what the requested methods call, once, before it
 forks a worker or starts the first fit: numpy with the fit module of each
@@ -87,23 +88,38 @@ NUMERIC_STACK = ("numpy", "rainfit.numerics", "rainfit.egpd", "rainfit.gamma_mix
                  "rainfit.corpus")
 
 
-def test_cli_import_help_version_and_report_load_no_numpy(tmp_path):
+# What `dataclasses` loads, and no fit-free command needs.
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def loaded_by_fit_free_commands(tmp_path: Path, watched: tuple[str, ...]) -> list[list[str]]:
+    """In a fresh interpreter, the watched modules loaded after importing
+    the CLI and after each of `--help`, `--version` and `report --svg`."""
     records = tmp_path / "fits.jsonl"
     write_small_records(records, methods=("naveau-mle", "gamma-mixture-2"))
     report = ["report", "--records", str(records), "--out", str(tmp_path / "tables"), "--svg"]
     code = (
         "import contextlib, io, json, sys\n"
         "import rainfit.cli\n"
-        f"stack = {NUMERIC_STACK!r}\n"
-        "loaded = [[m for m in stack if m in sys.modules]]\n"
+        f"watched = {watched!r}\n"
+        "loaded = [[m for m in watched if m in sys.modules]]\n"
         f"for argv in (['--help'], ['--version'], {report!r}):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert rainfit.cli.main(argv) == 0\n"
-        "    loaded.append([m for m in stack if m in sys.modules])\n"
+        "    loaded.append([m for m in watched if m in sys.modules])\n"
         "print(json.dumps(loaded))\n"
     )
-    assert run_python(code) == [[], [], [], []]
+    loaded = run_python(code)
     assert (tmp_path / "tables" / "boxplot-0.5.svg").is_file()
+    return loaded
+
+
+def test_cli_import_help_version_and_report_load_no_numpy(tmp_path):
+    assert loaded_by_fit_free_commands(tmp_path, NUMERIC_STACK) == [[], [], [], []]
+
+
+def test_cli_import_help_version_and_report_load_no_dataclasses(tmp_path):
+    assert loaded_by_fit_free_commands(tmp_path, INTROSPECTION) == [[], [], [], []]
 
 
 def test_materializing_site_files_loads_no_scipy(tmp_path):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from importlib.metadata import version
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from rainfit import pipeline
 from rainfit.cli import main
 from rainfit.corpus import (GeneratorSpec, SiteSeries, build_preset, load_site, save_site, simulate_site,
                             write_manifest)
+from rainfit.evaluation import summarize
 from rainfit.numerics import RngState
 from rainfit.pipeline import METHODS, RunConfig, load_records, run_fits, run_single_fit, write_records
 
@@ -235,11 +237,28 @@ def test_records_come_back_from_the_records_file_as_written(tmp_path):
     records.append({**records[0], "site_id": "s1", "converged": False,
                     "estimated_quantiles": {"0.25": math.nan, "0.5": math.inf, "0.75": -math.inf}})
     write_records(tmp_path / "fits.jsonl", records)
-    back = load_records(tmp_path / "fits.jsonl")
+    back = list(load_records(tmp_path / "fits.jsonl"))
     # json writes NaN and reads it back as another NaN, so compare texts.
     assert [json.dumps(r, sort_keys=True) for r in back] == [json.dumps(r, sort_keys=True) for r in records]
     assert math.isnan(back[-1]["estimated_quantiles"]["0.25"])
     assert back[-1]["estimated_quantiles"]["0.5"] == math.inf
+
+
+def test_summarizing_a_records_file_keeps_no_record(tmp_path):
+    # load_records yields each record as it reads its line and summarize
+    # keeps only D values and site ids, so the peak stays below 1 KB per
+    # record.  Kept in a list, the decoded records take about 4 KB each.
+    config = RunConfig(methods=("naveau-mle", "gamma-mixture-2"), egpd_restarts=0, mixture_restarts=0)
+    fits = run_fits([simulate_site(EGPD_SITE)], config)
+    write_records(tmp_path / "fits.jsonl", ({**r, "site_id": f"site-{i:05d}"} for i in range(1000) for r in fits))
+    tracemalloc.start()
+    try:
+        summary = summarize(load_records(tmp_path / "fits.jsonl"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (summary.n_sites, summary.cells[("gamma-mixture-2", 0.5)].n_sites) == (1000, 1000)
+    assert peak < 2000 * 1024
 
 
 def test_a_converged_fit_with_non_increasing_quantiles_is_an_error_record(monkeypatch):
