@@ -32,9 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    LOG_CLAMP,
     MAX_ITER,
     MOMENTS_OUT_OF_RANGE,
     RngState,
+    at_log_clamp,
+    checked_array,
     jittered_starts,
     lbfgsb,
     multistart,
@@ -64,10 +67,9 @@ XI_EPS = 1e-8
 XI_MIN = -0.5
 XI_MAX = 0.95
 
-_LOG_CLAMP = 12.0
 # kappa's and sigma's box.
-_SCALE_MIN = math.exp(-_LOG_CLAMP)
-_SCALE_MAX = math.exp(_LOG_CLAMP)
+_SCALE_MIN = math.exp(-LOG_CLAMP)
+_SCALE_MAX = math.exp(LOG_CLAMP)
 _LN2 = math.log(2.0)
 _DEFAULT_RNG = RngState(seed=0x5EED0F17)
 _SMALL_SAMPLE_N = 100
@@ -101,13 +103,17 @@ class EgpdParams:
         return {"kappa": self.kappa, "sigma": self.sigma, "xi": self.xi}
 
 
-def _as_float_array(y) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(y, dtype=float)
-    return arr, arr.ndim == 0
+def _gp_tail(y: np.ndarray, sigma: float, xi: float) -> np.ndarray:
+    """L = -ln(1 - H) = ln(1 + xi y / sigma) / xi for the GP CDF H at y >= 0.
 
-
-def _maybe_scalar(arr: np.ndarray, scalar: bool) -> float | np.ndarray:
-    return float(arr) if scalar else arr
+    L is y / sigma on the exponential branch |xi| < 1e-8, and inf at and
+    beyond the end -sigma/xi of the support of an xi < 0.
+    """
+    if abs(xi) < XI_EPS:
+        return y / sigma
+    z = xi * y / sigma
+    outside = z <= -1.0
+    return np.where(outside, np.inf, np.log1p(np.where(outside, 0.0, z)) / xi)
 
 
 def gp_cdf(y, sigma: float, xi: float):
@@ -117,77 +123,54 @@ def gp_cdf(y, sigma: float, xi: float):
     1 - exp(-y/sigma) on the |xi| < 1e-8 branch.  For xi < 0 the support
     ends at -sigma/xi and H is 1 beyond it.  Accepts scalars or arrays.
     """
-    arr, scalar = _as_float_array(y)
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError("sigma must be > 0")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite and >= 0")
-    if abs(xi) < XI_EPS:
-        out = -np.expm1(-arr / sigma)
-    else:
-        z = xi * arr / sigma
-        capped = z <= -1.0
-        out = -np.expm1(-np.log1p(np.where(capped, 0.0, z)) / xi)
-        out = np.where(capped, 1.0, out)
-    out = np.clip(out, 0.0, 1.0)
-    return _maybe_scalar(out, scalar)
+    arr, scalar = checked_array(y, lambda v: v >= 0.0, "y must be finite and >= 0")
+    out = -np.expm1(-_gp_tail(arr, sigma, xi))
+    return float(out[0]) if scalar else out
 
 
 def egpd_cdf(y, params: EgpdParams):
     """F(y) = H(y; sigma, xi)^kappa.  F(0) = 0 and F is nondecreasing."""
-    h = gp_cdf(y, params.sigma, params.xi)
-    return np.power(h, params.kappa) if isinstance(h, np.ndarray) else h**params.kappa
+    out = np.power(gp_cdf(y, params.sigma, params.xi), params.kappa)
+    return out if np.ndim(y) else float(out)
 
 
 def _censored_mass(threshold: float, params: EgpdParams) -> tuple[float, float]:
     """(F(threshold), 1 - F(threshold)) for a scalar threshold >= 0.
 
-    F equals egpd_cdf(threshold, params) to the bit: the ufuncs run on a
-    Python float, which skips the array checks but not numpy's own log1p
-    and expm1.  1 - F is formed as -expm1(kappa ln H), so it keeps its
-    relative accuracy as F approaches 1.
+    F is egpd_cdf(threshold, params), by the same operations.  1 - F is
+    formed as -expm1(kappa ln H), so it keeps its relative accuracy as F
+    approaches 1.
     """
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValueError("y must be finite and >= 0")
-    kappa, sigma, xi = params.kappa, params.sigma, params.xi
-    if abs(xi) < XI_EPS:
-        log_tail = threshold / sigma
+    log_tail = _gp_tail(np.array([threshold]), params.sigma, params.xi)
+    h = -np.expm1(-log_tail)
+    # ln H = ln(1 - e^-L), from whichever side does not cancel.
+    tail, h0 = float(log_tail[0]), float(h[0])
+    if tail > _LN2:
+        log_h = math.log1p(-math.exp(-tail))
     else:
-        z = xi * threshold / sigma
-        if z <= -1.0:
-            return 1.0, 0.0
-        log_tail = float(np.log1p(z)) / xi
-    h = float(-np.expm1(-log_tail))
-    # ln H = ln(1 - e^-l), from whichever side does not cancel.
-    if log_tail > _LN2:
-        log_h = math.log1p(-math.exp(-log_tail))
-    else:
-        log_h = math.log(h) if h > 0.0 else -math.inf
-    return h**kappa, -math.expm1(kappa * log_h)
+        log_h = math.log(h0) if h0 > 0.0 else -math.inf
+    return float(np.power(h, params.kappa)[0]), -math.expm1(params.kappa * log_h)
 
 
 def egpd_log_pdf(y, params: EgpdParams):
-    """Log density log[kappa h(y) H(y)^(kappa-1)]; -inf outside the support."""
-    arr, scalar = _as_float_array(y)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite and > 0")
+    """Log density ln[kappa h(y) H(y)^(kappa-1)]; -inf outside the support.
+
+    With L = -ln(1 - H) it is ln kappa - ln sigma - (1 + xi) L
+    + (kappa - 1) ln H, the last term 0 at kappa = 1.  Where y / sigma is
+    so small that H underflows to 0, that term is +-inf for kappa != 1.
+    """
+    arr, scalar = checked_array(y, lambda v: v > 0.0, "y must be finite and > 0")
     kappa, sigma, xi = params.kappa, params.sigma, params.xi
-    if abs(xi) < XI_EPS:
-        scaled = arr / sigma
-        log_h = -math.log(sigma) - scaled
-        big_h = -np.expm1(-scaled)
-    else:
-        z = xi * arr / sigma
-        outside = z <= -1.0
-        l1p = np.log1p(np.where(outside, 0.0, z))
-        log_h = -math.log(sigma) - (1.0 + 1.0 / xi) * l1p
-        big_h = -np.expm1(-l1p / xi)
-        log_h = np.where(outside, -np.inf, log_h)
-        big_h = np.where(outside, 1.0, big_h)
-    with np.errstate(divide="ignore"):
-        log_big_h = np.log(big_h)
-    out = math.log(kappa) + log_h + (kappa - 1.0) * log_big_h
-    return _maybe_scalar(out, scalar)
+    log_tail = _gp_tail(arr, sigma, xi)
+    out = math.log(kappa) - math.log(sigma) - (1.0 + xi) * log_tail
+    if kappa != 1.0:
+        with np.errstate(divide="ignore"):
+            out += (kappa - 1.0) * np.log(-np.expm1(-log_tail))
+    return float(out[0]) if scalar else out
 
 
 def egpd_quantile(p, params: EgpdParams):
@@ -196,25 +179,22 @@ def egpd_quantile(p, params: EgpdParams):
     Uses the exponential-limit branch -sigma ln(1 - p^(1/kappa)) for
     |xi| < 1e-8.  The roundtrip |egpd_cdf(Q(p)) - p| holds to 1e-10.
     """
-    arr, scalar = _as_float_array(p)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("p must lie strictly inside (0, 1)")
+    arr, scalar = checked_array(p, lambda v: (v > 0.0) & (v < 1.0),
+                                "p must lie strictly inside (0, 1)")
     kappa, sigma, xi = params.kappa, params.sigma, params.xi
     log_one_minus_u = np.log1p(-np.power(arr, 1.0 / kappa))
     if abs(xi) < XI_EPS:
         out = -sigma * log_one_minus_u
     else:
         out = (sigma / xi) * np.expm1(-xi * log_one_minus_u)
-    return _maybe_scalar(out, scalar)
+    return float(out[0]) if scalar else out
 
 
 def egpd_simulate(n: int, params: EgpdParams, rng: RngState) -> np.ndarray:
     """n inverse-CDF draws; deterministic for a given RngState."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.empty(0)
-    return np.asarray(egpd_quantile(rng.uniforms(n), params))
+    return egpd_quantile(rng.uniforms(n), params)
 
 
 # --- fitting machinery -----------------------------------------------------
@@ -231,13 +211,12 @@ def _s_to_xi(s: float) -> float:
 
 
 def _exp_clamped(log_value: float) -> float:
-    return math.exp(min(max(float(log_value), -_LOG_CLAMP), _LOG_CLAMP))
+    return math.exp(min(max(float(log_value), -LOG_CLAMP), LOG_CLAMP))
 
 
 def _boundary_hit(params: EgpdParams) -> bool:
     """ln kappa or ln sigma at its clamp, or xi within 1e-3 of an end of its box."""
-    log_scales = (abs(math.log(params.kappa)), abs(math.log(params.sigma)))
-    return max(log_scales) >= _LOG_CLAMP - 1e-9 or not XI_MIN + 1e-3 < params.xi < XI_MAX - 1e-3
+    return at_log_clamp((params.kappa, params.sigma)) or not XI_MIN + 1e-3 < params.xi < XI_MAX - 1e-3
 
 
 def _exceedances(data, threshold: float) -> tuple[int, np.ndarray, float]:
@@ -414,7 +393,7 @@ def fit_mle(
         # (ln kappa, ln sigma, xi logit) -> (ln sigma, v); kappa is profiled.
         # A start with max(y) beyond its support edge is moved towards
         # heavier tails, a logit step at a time.
-        log_sigma = min(max(float(t[1]), -_LOG_CLAMP), _LOG_CLAMP)
+        log_sigma = min(max(float(t[1]), -LOG_CLAMP), LOG_CLAMP)
         lo = _xi_floor(math.exp(log_sigma), y_max)
         s = float(t[2])
         for _ in range(5):
@@ -424,8 +403,8 @@ def fit_mle(
         v = (_s_to_xi(s) - lo) / (XI_MAX - lo)
         return np.array([log_sigma, min(max(v, 0.0), 1.0)])
 
-    lower = np.array([-_LOG_CLAMP, 0.0])
-    upper = np.array([_LOG_CLAMP, 1.0])
+    lower = np.array([-LOG_CLAMP, 0.0])
+    upper = np.array([LOG_CLAMP, 1.0])
     init = np.array([0.0, math.log(mean), _xi_to_s(0.1)])
     # One errstate for the whole fit: the objective turns a non-finite
     # point into inf itself.

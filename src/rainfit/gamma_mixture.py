@@ -19,9 +19,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .numerics import (
+    LOG_CLAMP,
     MAX_ITER,
     MOMENTS_OUT_OF_RANGE,
     RngState,
+    at_log_clamp,
+    checked_array,
     empirical_quantile,
     jittered_starts,
     lbfgsb,
@@ -41,7 +44,6 @@ __all__ = [
     "mixture_simulate",
 ]
 
-_LOG_CLAMP = 12.0
 _FLOAT_MIN = np.finfo(float).min
 _DEFAULT_RNG = RngState(seed=0x6A77A)
 # A component of a fitted mode counts towards `effective_k` from this weight.
@@ -120,41 +122,33 @@ class _LogDensity:
         self._coef[:] = rows
         return np.einsum("kj,jn->kn", self._coef, self._basis, out=self._terms)
 
-    def _shifted_exp(self, w, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """exp(t - m) in place of the terms t, and its column sums.
+    def shifted_exp(self, w, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """exp(t - m) in place of the terms t, its column sums, and m = max_k t_k.
 
-        m = max_k t_k is left in self._max.  Shifting by the column maximum
-        keeps exp() in range; a zero-weight component's -inf row contributes
-        exp(-inf) = 0.  The floor on m turns a column that is -inf
-        throughout (y / b overflowed for every component) into -inf rather
-        than -inf - -inf = nan.
+        Shifting by the column maximum keeps exp() in range; a zero-weight
+        component's -inf row contributes exp(-inf) = 0.  The floor on m
+        turns a column that is -inf throughout (y / b overflowed for every
+        component) into -inf rather than -inf - -inf = nan.
         """
         terms = self.component_terms(w, a, b)
         m = np.maximum.reduce(terms, axis=0, out=self._max)
         np.maximum(m, _FLOAT_MIN, out=m)
         terms -= m
         np.exp(terms, out=terms)
-        return terms, np.add.reduce(terms, axis=0, out=self._sums)
-
-    def __call__(self, w, a, b) -> np.ndarray:
-        """m + ln sum_k exp(t_k - m) with t the component terms, m = max_k t_k."""
-        _, out = self._shifted_exp(w, a, b)
-        np.log(out, out=out)
-        out += self._max
-        return out
+        return terms, np.add.reduce(terms, axis=0, out=self._sums), m
 
     def log_lik_and_stats(self, w, a, b) -> tuple[float, np.ndarray]:
         """Log likelihood and the (3, K) rows N = sum r, S1 = sum r y, Sl = sum r ln y.
 
         The responsibilities are r = e / s with e = exp(t - m) and s its
         column sums, so the three rows are one einsum of e against 1/s, y/s
-        and ln y/s.  The likelihood is the sum of what __call__ returns, by
-        the same operations.
+        and ln y/s.  The likelihood is the sum of what mixture_log_pdf
+        returns, by the same operations.
         """
-        e, total = self._shifted_exp(w, a, b)
+        e, total, m = self.shifted_exp(w, a, b)
         weights = self._weights
         log_density = np.log(total, out=weights[1])
-        log_density += self._max
+        log_density += m
         loglik = float(np.add.reduce(log_density))
         np.divide(1.0, total, out=total)
         np.multiply(self._basis[1], total, out=weights[1])
@@ -163,14 +157,13 @@ class _LogDensity:
 
 
 def mixture_log_pdf(y, params: GammaMixtureParams):
-    """Log mixture density at y > 0, via log-sum-exp across components."""
-    arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite and > 0")
+    """Log mixture density at y > 0: m + ln sum_k exp(t_k - m), m = max_k t_k,
+    with t the component terms of `_LogDensity`."""
+    arr, scalar = checked_array(y, lambda v: v > 0.0, "y must be finite and > 0")
     density = _LogDensity(arr, len(params.weights))
-    out = density(params.weights, params.shapes, params.scales)
+    _, out, m = density.shifted_exp(params.weights, params.shapes, params.scales)
+    np.log(out, out=out)
+    out += m
     return float(out[0]) if scalar else out
 
 
@@ -188,11 +181,7 @@ def _cdf_of(params: GammaMixtureParams):
 
 def mixture_cdf(y, params: GammaMixtureParams):
     """Mixture CDF: sum_k pi_k P(a_k, y/b_k) with P the regularized gamma CDF."""
-    arr = np.asarray(y, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("y must be finite and >= 0")
+    arr, scalar = checked_array(y, lambda v: v >= 0.0, "y must be finite and >= 0")
     out = _cdf_of(params)(arr)
     return float(out[0]) if scalar else out
 
@@ -206,15 +195,13 @@ def mixture_quantile(p, params: GammaMixtureParams):
     quantile: below a component of shape well under 1, a level of 1e-6 or
     less has only that absolute accuracy.
     """
-    arr = np.asarray(p, dtype=float)
-    u = np.atleast_1d(arr)
-    if not np.all((u > 0.0) & (u < 1.0)):
-        raise ValueError("p must lie strictly inside (0, 1)")
+    u, scalar = checked_array(p, lambda v: (v > 0.0) & (v < 1.0),
+                              "p must lie strictly inside (0, 1)")
     cdf = _cdf_of(params)
     a = np.array(params.shapes)
     b = np.array(params.scales)
     hi_edge = float(np.max(a * b) + 10.0 * np.max(b * np.sqrt(a)))
-    p_max = float(np.max(u))
+    p_max = float(np.max(u, initial=0.0))
     while math.isfinite(hi_edge) and cdf(np.array([hi_edge]))[0] <= p_max:
         hi_edge *= 2.0
     if not math.isfinite(hi_edge):
@@ -227,15 +214,13 @@ def mixture_quantile(p, params: GammaMixtureParams):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     out = 0.5 * (lo + hi)
-    return float(out[0]) if arr.ndim == 0 else out
+    return float(out[0]) if scalar else out
 
 
 def mixture_simulate(n: int, params: GammaMixtureParams, rng: RngState) -> np.ndarray:
     """n inverse-CDF draws from the mixture; deterministic for a given rng."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.empty(0)
     return mixture_quantile(rng.uniforms(n), params)
 
 
@@ -261,11 +246,7 @@ def log_posterior(data, params: GammaMixtureParams) -> float:
         (a - 1) ln rho - a q ln b - r lgamma(a) = -a ln b - lgamma(a).
     The flat simplex prior on weights contributes zero.
     """
-    arr = np.asarray(data, dtype=float)
-    if arr.size:
-        loglik = float(np.sum(mixture_log_pdf(arr, params)))
-    else:
-        loglik = 0.0
+    loglik = float(np.sum(mixture_log_pdf(data, params)))
     return loglik + _log_prior(params.shapes, params.scales)
 
 
@@ -371,7 +352,7 @@ def _map_value_and_gradient(x: np.ndarray, k: int):
 
 def _map_bounds(k: int) -> tuple[np.ndarray, np.ndarray]:
     """L-BFGS-B box of the transformed space: free logits, |ln a|, |ln b| <= 12."""
-    lower = np.concatenate([np.full(k - 1, -np.inf), np.full(2 * k, -_LOG_CLAMP)])
+    lower = np.concatenate([np.full(k - 1, -np.inf), np.full(2 * k, -LOG_CLAMP)])
     return lower, -lower
 
 
@@ -413,11 +394,10 @@ def fit_map(
         raise ValueError("the log posterior is not finite at any start")
 
     params = _params_from_z(best.x, k)
-    log_ab = np.log(np.array(params.shapes + params.scales))
     diag.update(
         converged=best.converged,
         objective=-best.value * n,
-        boundary_hit=bool(np.any(np.abs(log_ab) >= _LOG_CLAMP - 1e-9)),
+        boundary_hit=at_log_clamp(params.shapes + params.scales),
         small_sample=n < 50 * dim,
         min_weight=min(params.weights),
         effective_k=sum(w >= _EFFECTIVE_WEIGHT for w in params.weights),

@@ -1,8 +1,10 @@
 """Shared numerical kernels.
 
 The local solvers and the multistart driver every fit runs, the checks
-and statistics of a sample (`positive_sample`, `empirical_quantile`), and
-deterministic splittable random streams.  Everything in this module is a
+of a distribution function's argument and of a sample (`checked_array`,
+`positive_sample`), a sample's quantile (`empirical_quantile`), the box
+both model families keep their log parameters in (`LOG_CLAMP`,
+`at_log_clamp`), and deterministic splittable random streams.  Everything in this module is a
 pure function of its explicit inputs so that the statistical modules built
 on top stay reproducible to the bit across runs, platforms, and worker
 counts.
@@ -64,10 +66,13 @@ import numpy as np
 from .evaluation import sorted_quantile
 
 __all__ = [
+    "LOG_CLAMP",
     "LocalResult",
     "MAX_ITER",
     "MOMENTS_OUT_OF_RANGE",
     "RngState",
+    "at_log_clamp",
+    "checked_array",
     "empirical_quantile",
     "jittered_starts",
     "lbfgsb",
@@ -214,6 +219,19 @@ def preload_scipy() -> None:
         scipy_function(name)
 
 
+def checked_array(x, in_domain: Callable[[np.ndarray], np.ndarray], message: str):
+    """(x as a float array of at least one dimension, whether x is a scalar).
+
+    The argument check of every distribution function: a ValueError with
+    `message` unless every value is finite and `in_domain` holds for it.
+    """
+    arr = np.asarray(x, dtype=float)
+    values = np.atleast_1d(arr)
+    if not (np.all(np.isfinite(values)) and np.all(in_domain(values))):
+        raise ValueError(message)
+    return values, arr.ndim == 0
+
+
 def positive_sample(data) -> np.ndarray:
     """data as a 1-D float array; a ValueError unless it is nonempty, finite and > 0."""
     x = np.asarray(data, dtype=float)
@@ -227,6 +245,15 @@ def positive_sample(data) -> np.ndarray:
 # Both model families raise this when a sample's mean or variance, which
 # their starts and moment estimators need, over- or underflows a float.
 MOMENTS_OUT_OF_RANGE = "the sample's moments are out of float range"
+
+# The fits keep the log of every scale and shape parameter (the EGPD's
+# kappa and sigma, the mixtures' a_k and b_k) in [-LOG_CLAMP, LOG_CLAMP].
+LOG_CLAMP = 12.0
+
+
+def at_log_clamp(values) -> bool:
+    """Whether any of the positive values has its log at an end of the box."""
+    return max(abs(math.log(v)) for v in values) >= LOG_CLAMP - 1e-9
 
 
 def empirical_quantile(sample, p):

@@ -124,6 +124,32 @@ def test_egpd_log_pdf_outside_support():
     assert egpd_log_pdf(3.0, EgpdParams(1.0, 1.0, -0.5)) == -math.inf
 
 
+def test_egpd_log_pdf_at_kappa_1_is_the_gp_density_where_h_underflows():
+    # H(5e-324) underflows to 0; at kappa = 1 the (kappa - 1) ln H term is
+    # absent, so the density is the GP's, -ln sigma - (1 + xi) y / sigma.
+    assert egpd_log_pdf(5e-324, EgpdParams(1.0, 10.0, 0.1)) == -math.log(10.0)
+    got = egpd_log_pdf(np.array([5e-324, 1.0]), EgpdParams(1.0, 10.0, 0.1))
+    assert got[0] == -math.log(10.0)
+    assert got[1] == pytest.approx(math.log(0.1) - 11.0 * math.log1p(0.01), rel=1e-14)
+
+
+def test_egpd_cdf_gives_a_scalar_the_bits_of_the_same_value_in_an_array():
+    # The grid covers y = 0, the |xi| < 1e-8 branch, and points at and
+    # beyond the support's end -sigma/xi = 8 of xi = -0.5.
+    ys = (0.0, 1e-300, 1e-9, 0.37, 1.0, 3.3, 8.0, 9.5, 41.0, 1e4)
+    for kappa in (0.013, 0.5, 1.0, 1.7, 6.0, 160.0):
+        for xi in (-0.5, -0.2, -5e-9, 0.0, 5e-9, 0.3, 0.95):
+            params = EgpdParams(kappa, 4.0, xi)
+            for y in ys:
+                assert egpd_cdf(y, params) == egpd_cdf(np.array([y]), params)[0]
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        kappa, sigma = np.exp(rng.uniform(-3.0, 3.0, 2))
+        params = EgpdParams(kappa, sigma, rng.uniform(-0.5, 0.95))
+        y = float(rng.exponential(3.0 * sigma))
+        assert egpd_cdf(y, params) == egpd_cdf(np.array([y]), params)[0]
+
+
 def test_egpd_quantile_known_points():
     # kappa = 1 closed form (sigma/xi)[(1-p)^{-xi} - 1] at the top of the
     # xi box.

@@ -192,6 +192,11 @@ def test_quantile_is_its_docstring_bisection_to_the_bit(params):
     assert mixture_quantile(ps, params).tobytes() == (0.5 * (lo + hi)).tobytes()
 
 
+def test_quantile_of_no_level_is_an_empty_array():
+    got = mixture_quantile(np.array([]), K3_PARAMS)
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
 def test_quantile_resolution_near_zero_is_the_bracket_over_2_to_the_64():
     # 64 halvings of [0, hi] resolve q to hi / 2^64 in absolute terms.  Below
     # a shape-0.3 component the 1e-6 quantile is about 3e-18, so the CDF
@@ -291,13 +296,11 @@ WIDE_Y = np.logspace(-3.0, 4.0, 2001)
 )
 def test_log_density_kernel_matches_scipy_logsumexp(y, params):
     w, a, b = (np.array(t) for t in (params.weights, params.shapes, params.scales))
-    density = _LogDensity(y, w.size)
-    got = density(w, a, b).copy()
-    terms = density.component_terms(w, a, b).copy()
+    got = mixture_log_pdf(y, params).copy()
+    terms = _LogDensity(y, w.size).component_terms(w, a, b)
     ref = special.logsumexp(terms, axis=0)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - ref)) <= 1e-12
-    assert np.array_equal(mixture_log_pdf(y, params), got)
 
 
 def test_log_pdf_underflows_to_minus_infinity():
