@@ -27,18 +27,18 @@ Process exit: `run`, the entry of `python -m rainfit.cli` and of the
 the process with `os._exit`, skipping interpreter teardown (module
 clearing and collector passes over numpy and scipy, 40-60 ms of a
 benchmark run).  Nothing is lost by that: every file a command writes is
-closed by a `with` block or `write_text` before `main` returns, `run_fits`
-reaps every worker process it forked before it returns or raises, and
-rainfit registers no `atexit` handler.  If a flush fails with an OSError (a closed
-pipe, a full disk) the status is 120, as CPython's own exit gives when it
-cannot flush, and no traceback is printed.  `main` returns its code to
+closed by a `with` block or `write_text` before `main` returns, the
+iterator `run_fits` returns reaps every worker process it forked by the
+time it is exhausted, raises or is closed, and rainfit registers no
+`atexit` handler.  If a flush fails with an OSError (a closed pipe, a
+full disk) the status is 120, as CPython's own exit gives when it cannot
+flush, and no traceback is printed.  `main` returns its code to
 in-process callers and never exits.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -115,7 +115,7 @@ def cmd_fit(args) -> int:
 
     series = load_site(args.site)
     config = _config_from_args(args, (args.method,))
-    record = run_fits([series], config)[0]
+    (record,) = run_fits([series], config)
     json.dump(record, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     if not record["converged"]:
@@ -172,11 +172,7 @@ def cmd_report(args) -> int:
     qset = None if args.quantiles is None else _parse_quantiles(args.quantiles)
     # One pass: the records go straight from the file into the summary,
     # and no table is written before the last line is read.
-    records = load_records(args.records)
-    first = next(records, None)
-    if first is None:
-        raise ConfigError(f"{args.records}: no records")
-    summary = summarize(itertools.chain([first], records), qset, order=tuple(METHODS))
+    summary = summarize(load_records(args.records), qset, order=tuple(METHODS))
     for m in METHODS:
         if m not in summary.methods:
             print(f"warning: no records for method {m}", file=sys.stderr)

@@ -237,9 +237,7 @@ def positive_sample(data) -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("data must be a nonempty vector")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("data values must be finite and > 0")
-    return x
+    return checked_array(x, lambda v: v > 0.0, "data values must be finite and > 0")[0]
 
 
 # Both model families raise this when a sample's mean or variance, which

@@ -2,17 +2,19 @@
 
 The pipeline owns everything between a corpus manifest and the files on
 disk: building the deterministic task list, running fits (serially or in
-forked worker processes), collecting one record per task no matter what
-the fit did, and writing the records file and `run.json`, what the run
-cost.
+forked worker processes), yielding one record per task, in task order, no
+matter what the fit did, and writing the records file and `run.json`,
+what the run cost.
 `report.write_report_files`, imported here, writes the tables derived from
 the records.
 
 A fit is its record: `run_single_fit` returns the dict that `fits.jsonl`
-stores on one line, and that same dict goes to `write_records` and
-`evaluation.summarize`.  `load_records` reads it back, and `_check_record`
-is the one shape check wherever a record enters: a line read by
-`load_records`, or a fit just made by `run_single_fit`.
+stores on one line.  `benchmark` has one path from fits to tables, the
+one `report` takes: `write_records` writes each record as it comes, and
+`load_records` reads the file back into `evaluation.summarize` and into
+`run.json`'s totals, so no process holds the run's records.
+`_check_record` is the one shape check wherever a record enters: a line
+read by `load_records`, or a fit just made by `run_single_fit`.
 
 Determinism contract: with a fixed manifest, config and seed, the tables
 are byte-identical, regardless of the number of worker processes;
@@ -130,6 +132,9 @@ METHODS = {
     "gamma-mixture-3": _mixture_method(3),
     "gamma-mixture-4": _mixture_method(4),
 }
+# A method's position in METHODS: its RNG stream index, and its bit in
+# `load_records`' check for a second record of one (site, method).
+_POSITION = {m: i for i, m in enumerate(METHODS)}
 
 
 # The numeric calls the pipeline makes through module globals, so that a
@@ -251,16 +256,17 @@ def run_single_fit(
     return record
 
 
-def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
+def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> Iterator[dict]:
     """Run every (site, method) pair from config over the given sites.
 
-    Returns one record per task, in task order: site by id, then method
-    in `config.methods` order.
+    Returns an iterator that yields one record per task, in task order
+    (site by id, then method in `config.methods` order), each as soon as
+    it and every earlier one exist; the fits run as it is consumed.
 
     Sites are ordered by id; task i gets the RNG stream derived from
     (seed, site index, the method's position in `METHODS`).  With
     jobs > 1 the tasks run in min(jobs, tasks) forked worker processes
-    (`_run_workers`), handed out in task order and stored by index, so
+    (`_run_workers`), handed out in task order and yielded by index, so
     results are identical to the serial path.  A worker that dies ends
     the run with a ChildProcessError, after every worker is reaped.
 
@@ -283,9 +289,8 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
     from .numerics import RngState, preload_scipy
 
     base = RngState(config.seed)
-    stream = {m: i for i, m in enumerate(METHODS)}
     tasks = [
-        (series, method, config, base.derive(si, stream[method]))
+        (series, method, config, base.derive(si, _POSITION[method]))
         for si, series in enumerate(sites)
         for method in config.methods
     ]
@@ -293,27 +298,30 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> list[dict]:
         import_module(f"{__package__}.{family}")
     preload_scipy()
     if config.jobs == 1 or len(tasks) == 1:
-        return [run_single_fit(*t) for t in tasks]
+        return (run_single_fit(*t) for t in tasks)
     return _run_workers(tasks, min(config.jobs, len(tasks)))
 
 
-def _run_workers(tasks: list, jobs: int) -> list[dict]:
-    """Fit tasks in jobs forked worker processes; their records in task order.
+def _run_workers(tasks: list, jobs: int) -> Iterator[dict]:
+    """Fit tasks in jobs forked worker processes; yield their records in task order.
 
     The workers inherit the tasks through the fork.  Each reads a task
     index from its task pipe and writes the record to its result pipe as a
     bare pickle; it gets its next index once that record is read, so tasks
     start in order, one at a time, and the end of its task pipe stops it.
-    A result pipe that ends before its record does stops the run: every
+    A record that comes in before an earlier task's waits for it.  A
+    result pipe that ends before its record does stops the run: every
     worker is killed and reaped, and ChildProcessError names the dead
-    worker's exit status and the site and method it was fitting.
+    worker's exit status and the site and method it was fitting.  Every
+    worker is killed and reaped too when the consumer stops early.
     """
     import pickle
     import select
     import signal
     from contextlib import suppress
 
-    records: list = [None] * len(tasks)
+    arrived: dict = {}  # records read but not yet yielded, by task index
+    done = 0  # the number of records yielded
     todo = iter(range(len(tasks)))
     workers: dict = {}  # result pipe -> [pid, task pipe fd, index of its task]
 
@@ -355,12 +363,17 @@ def _run_workers(tasks: list, jobs: int) -> list[dict]:
                 else:
                     with suppress(BrokenPipeError):  # a dead worker's result pipe ends too
                         os.write(workers[result][1], i.to_bytes(4, "little"))
+            # Yielded once the free workers have their next tasks, so they
+            # fit while the consumer writes.
+            while done in arrived:
+                yield arrived.pop(done)
+                done += 1
             ready = select.select(list(workers), [], [])[0] if workers else []
             for result in ready:
                 try:
                     # At most one record is in flight on a pipe, so the
                     # buffered pipe never reads past it.
-                    records[workers[result][2]] = pickle.load(result)
+                    arrived[workers[result][2]] = pickle.load(result)
                 except (EOFError, pickle.UnpicklingError):
                     pid, _, i = workers[result]
                     code = stop(result)
@@ -371,7 +384,6 @@ def _run_workers(tasks: list, jobs: int) -> list[dict]:
         for result in list(workers):
             os.kill(workers[result][0], signal.SIGKILL)
             stop(result)
-    return records
 
 
 # --- records -------------------------------------------------------------------
@@ -457,9 +469,11 @@ def load_records(path) -> Iterator[dict]:
     at a time as the records are consumed; no record is kept.  A record of
     the wrong shape, an object that repeats a key, a second record of one
     (site, method), or a byte that is not UTF-8 is a ValueError naming
-    path:line, raised when the pass reaches that line.
+    path:line, raised when the pass reaches that line.  A file with no
+    record, empty or blank lines alone, is a ValueError naming path, raised
+    at the end of the pass.
     """
-    seen: set[tuple[str, str]] = set()
+    seen: dict[str, int] = {}  # per site id, a bit for each METHODS position it has a record of
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -468,10 +482,10 @@ def load_records(path) -> Iterator[dict]:
                 try:
                     record = _RECORD_DECODER.decode(line)
                     _check_record(record)
-                    key = (record["site_id"], record["method"])
-                    if key in seen:
-                        raise ValueError(f"a second record of site {key[0]!r}, method {key[1]!r}")
-                    seen.add(key)
+                    site, bit = record["site_id"], 1 << _POSITION[record["method"]]
+                    if seen.get(site, 0) & bit:
+                        raise ValueError(f"a second record of site {site!r}, method {record['method']!r}")
+                    seen[site] = seen.get(site, 0) | bit
                 except (KeyError, ValueError) as exc:
                     raise ValueError(f"{path}:{line_no}: bad record ({exc})") from None
                 yield record
@@ -479,6 +493,8 @@ def load_records(path) -> Iterator[dict]:
         from .corpus import _not_utf8
 
         raise _not_utf8(Path(path), exc) from None
+    if not seen:
+        raise ValueError(f"{path}: no records")
 
 
 def materialize_corpus(manifest: Manifest) -> list[SiteSeries]:
@@ -489,25 +505,33 @@ def materialize_corpus(manifest: Manifest) -> list[SiteSeries]:
 
 
 def _environment() -> dict:
-    """The Python, numpy and scipy versions, CPU count and BLAS thread variables.
+    """The Python, numpy and scipy versions, numpy's SIMD dispatch, CPU
+    count and BLAS thread variables.
 
     Read from what the run has loaded, scipy's version by
-    `numerics.scipy_version`, so recording them imports no module.
+    `numerics.scipy_version` and the dispatch from numpy's loaded
+    `_multiarray_umath`, so recording them imports no module.
     """
     import numpy
 
     from .numerics import scipy_version
 
+    # numpy 2 moved it from `numpy.core`.
+    umath = sys.modules.get("numpy._core._multiarray_umath") or sys.modules["numpy.core._multiarray_umath"]
+
     return {
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "scipy": scipy_version(),
+        "numpy_cpu": {"baseline": umath.__cpu_baseline__, "dispatch": umath.__cpu_dispatch__,
+                      "enabled": [name for name, on in umath.__cpu_features__.items() if on],
+                      "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES")},
         "cpu_count": os.cpu_count(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
 
 
-def _write_run_file(path, config: RunConfig, records: list[dict], seconds: dict) -> None:
+def _write_run_file(path, config: RunConfig, records: Iterable[dict], seconds: dict) -> None:
     """Write `run.json`: the config, the environment, phase seconds and
     per-method totals of fits, failed fits, `n_eval`, `restarts_at_best`
     and `fit_seconds` over records, and for a mixture method the number
@@ -543,6 +567,12 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     AllFitsFailedError (after writing all three, the tables then counting
     every fit as failed) when not a single fit converged, so callers can
     distinguish "ran but useless" from config and I/O problems.
+
+    The records go to `fits.jsonl.partial` as the fits yield them, and that
+    file becomes `fits.jsonl` once the last is written, so a run stopped
+    mid-fit leaves an earlier run's files as they were.  The tables and
+    `run.json` are built from `fits.jsonl` by `load_records`, as `report`
+    builds them: no record is kept.
     """
     from .corpus import CorpusError, filter_corpus, load_manifest
 
@@ -556,18 +586,19 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
         )
     t1 = time.perf_counter()
     records = run_fits(kept, config)
-    t2 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(out_dir / "fits.jsonl", records)
-    summary = summarize(records, config.quantiles, order=tuple(METHODS))
+    write_records(out_dir / "fits.jsonl.partial", records)
+    os.replace(out_dir / "fits.jsonl.partial", out_dir / "fits.jsonl")
+    t2 = time.perf_counter()
+    summary = summarize(load_records(out_dir / "fits.jsonl"), config.quantiles, order=tuple(METHODS))
     if dropped:
         summary.warnings.insert(0, f"{dropped} site(s) dropped below min_wet={config.min_wet}")
     # Written even when every fit failed, so that no table of an earlier run
     # stands beside these records.
     write_report_files(out_dir, summary)
     seconds = {"load": t1 - t0, "fit": t2 - t1, "write": time.perf_counter() - t2}
-    _write_run_file(out_dir / "run.json", config, records, seconds)
-    if not any(r["converged"] for r in records):
-        raise AllFitsFailedError(f"all {len(records)} fits failed; see fits.jsonl")
+    _write_run_file(out_dir / "run.json", config, load_records(out_dir / "fits.jsonl"), seconds)
+    if set(summary.failures.values()) == {summary.n_sites}:  # a record per (site, method)
+        raise AllFitsFailedError(f"all {summary.n_sites * len(config.methods)} fits failed; see fits.jsonl")
     return summary

@@ -1046,6 +1046,16 @@ def test_report_stopped_by_a_bad_line_keeps_the_tables_of_an_earlier_run(tmp_pat
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+def test_report_of_a_file_with_no_record_exits_2_naming_it(tmp_path, capsys, text):
+    records = tmp_path / "fits.jsonl"
+    records.write_text(text, encoding="utf-8")
+    out = tmp_path / "tables"
+    assert main(["report", "--records", str(records), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {records}: no records\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 def test_report_drops_a_non_finite_quantile_naming_its_site(tmp_path, capsys, value):
     # json writes and reads NaN and Infinity; a converged record with one

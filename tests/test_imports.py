@@ -215,7 +215,7 @@ def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_pat
     hook = (
         "_run_fits = rainfit.pipeline.run_fits\n"
         "def run_fits(*args):\n"
-        "    results = _run_fits(*args)\n"
+        "    results = list(_run_fits(*args))\n"
         + RECORD_FIT_MODULES
         + "    seen.append(sorted({r['method'] for r in results if r['converged']}))\n"
         "    return results\n"

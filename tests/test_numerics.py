@@ -14,11 +14,35 @@ from rainfit.numerics import (
     lbfgsb,
     multistart,
     nelder_mead,
+    positive_sample,
     solve_least_squares,
     splitmix64,
 )
 
 import oracles
+
+
+# --- positive_sample --------------------------------------------------------
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "data must be a nonempty vector"),
+    ([[1.0, 2.0]], "data must be a nonempty vector"),
+    (3.0, "data must be a nonempty vector"),
+    ([1.0, 0.0], "data values must be finite and > 0"),
+    ([1.0, -2.0], "data values must be finite and > 0"),
+    ([1.0, math.nan], "data values must be finite and > 0"),
+    ([math.inf, 1.0], "data values must be finite and > 0"),
+], ids=["empty", "2-d", "scalar", "zero", "negative", "nan", "inf"])
+def test_positive_sample_rejects_what_no_fit_can_take(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        positive_sample(data)
+
+
+def test_positive_sample_is_the_data_as_a_float_vector():
+    x = np.array([0.5, 2.0, 1e300])
+    assert positive_sample(x) is x
+    assert positive_sample([1, 2]).dtype == np.float64
 
 
 # --- nelder_mead ------------------------------------------------------------

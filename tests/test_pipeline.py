@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath as umath
 
 from rainfit import pipeline
 from rainfit.cli import main
 from rainfit.corpus import (GeneratorSpec, SiteSeries, build_preset, load_site, save_site, simulate_site,
                             write_manifest)
-from rainfit.evaluation import summarize
+from rainfit.evaluation import QuantileSet, summarize
 from rainfit.numerics import RngState
 from rainfit.pipeline import METHODS, RunConfig, load_records, run_fits, run_single_fit, write_records
 
@@ -100,6 +101,9 @@ def test_run_json_totals_the_records_and_does_not_depend_on_jobs(tmp_path):
         }
         assert run["environment"] == {
             "python": sys.version.split()[0], "numpy": np.__version__, "scipy": version("scipy"),
+            "numpy_cpu": {"baseline": umath.__cpu_baseline__, "dispatch": umath.__cpu_dispatch__,
+                          "enabled": [f for f in umath.__cpu_features__ if umath.__cpu_features__[f]],
+                          "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES")},
             "cpu_count": os.cpu_count(),
             "blas_threads": {var: os.environ.get(var) for var in pipeline.BLAS_THREAD_VARS},
         }
@@ -233,7 +237,7 @@ def test_benchmark_tracer_patches_names_that_exist():
 def test_records_come_back_from_the_records_file_as_written(tmp_path):
     # NaN and Infinity quantiles included, as a non-converged fit may carry.
     config = RunConfig(methods=("naveau-mle", "gamma-mixture-2"), egpd_restarts=0, mixture_restarts=0)
-    records = run_fits([simulate_site(EGPD_SITE)], config)
+    records = list(run_fits([simulate_site(EGPD_SITE)], config))
     records.append({**records[0], "site_id": "s1", "converged": False,
                     "estimated_quantiles": {"0.25": math.nan, "0.5": math.inf, "0.75": -math.inf}})
     write_records(tmp_path / "fits.jsonl", records)
@@ -249,7 +253,7 @@ def test_summarizing_a_records_file_keeps_no_record(tmp_path):
     # keeps only D values and site ids, so the peak stays below 1 KB per
     # record.  Kept in a list, the decoded records take about 4 KB each.
     config = RunConfig(methods=("naveau-mle", "gamma-mixture-2"), egpd_restarts=0, mixture_restarts=0)
-    fits = run_fits([simulate_site(EGPD_SITE)], config)
+    fits = list(run_fits([simulate_site(EGPD_SITE)], config))
     write_records(tmp_path / "fits.jsonl", ({**r, "site_id": f"site-{i:05d}"} for i in range(1000) for r in fits))
     tracemalloc.start()
     try:
@@ -271,3 +275,38 @@ def test_a_converged_fit_with_non_increasing_quantiles_is_an_error_record(monkey
     assert record["error"] == "ValueError: converged fit has non-increasing quantiles"
     assert (record["converged"], record["estimated_quantiles"], record["params"]) == (False, {}, {})
     assert list(record["empirical_quantiles"]) == [repr(p) for p in config.quantiles.probabilities]
+
+
+def stub_fit(series, method, config, rng):
+    """A converged record of the shape `run_single_fit` returns, without a
+    fit, carrying 256 KiB of diagnostics."""
+    levels = config.quantiles.probabilities
+    return {"site_id": series.site_id, "method": method, "n_wet": series.n_wet, "converged": True,
+            "error": None, "fit_seconds": 0.0, "params": {}, "diagnostics": {"blob": "x" * 2**18},
+            "empirical_quantiles": {repr(p): 1.0 + p for p in levels},
+            "estimated_quantiles": {repr(p): 1.0 + 2.0 * p for p in levels}}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_benchmark_keeps_no_record(tmp_path, monkeypatch, jobs):
+    # Records stream from the fits to fits.jsonl and back into the tables
+    # and run.json, so 48 more records of 256 KiB each, 12 MiB if they were
+    # held, leave the peak where it was.  The first run loads what any run
+    # loads, outside the comparison.
+    monkeypatch.setattr(pipeline, "run_single_fit", stub_fit)
+    config = RunConfig(methods=tuple(METHODS)[:4], quantiles=QuantileSet((0.25, 0.5)), jobs=jobs)
+    names = []
+    for i in range(16):
+        save_site(tmp_path / f"s{i:02d}.csv", SiteSeries(f"s{i:02d}", np.linspace(0.5, 50.0, 100)))
+        names.append(f"s{i:02d}.csv")
+    peaks = []
+    for run, n_sites in enumerate([4, 4, 16]):  # 16, 16 and 64 tasks
+        write_manifest(tmp_path / f"m{run}.json", seed=1, sites=names[:n_sites])
+        tracemalloc.start()
+        try:
+            summary = pipeline.run_benchmark(tmp_path / f"m{run}.json", tmp_path / f"run{run}", config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert summary.cells[("naveau-pwm-c", 0.5)].n_sites == n_sites
+    assert peaks[2] - peaks[1] < 2**20, peaks

@@ -7,6 +7,7 @@ No test runs more than 8 workers.
 """
 
 import json
+import os
 
 import pytest
 from fresh_python import run_in_session, site_file_manifest
@@ -66,6 +67,31 @@ def test_a_record_larger_than_a_pipe_buffer_comes_back_whole(tmp_path, monkeypat
     ]
     for r in records:
         assert r["diagnostics"]["blob"] == f"{r['site_id']}/{r['method']};" * (2**20 // 10)
+
+
+def test_a_run_stopped_mid_fit_leaves_the_earlier_run_alone(tmp_path, monkeypatch, capsys):
+    # The worker given the third task dies.  The records written until then
+    # stay in fits.jsonl.partial; the earlier run's records, tables and
+    # run.json stay as they were.
+    manifest, out = two_site_manifest(tmp_path), tmp_path / "run"
+    benchmark(manifest, out, 1, "naveau-mle,naveau-pwm")
+    files = TABLES + ("fits.jsonl", "run.json")
+    before = {name: (out / name).read_bytes() for name in files}
+    fit = pipeline.run_single_fit
+
+    def run_single_fit(series, method, *args):
+        if (series.site_id, method) == ("m1", "naveau-mle"):
+            os._exit(1)
+        return fit(series, method, *args)
+
+    monkeypatch.setattr(pipeline, "run_single_fit", run_single_fit)
+    assert main(["benchmark", "--manifest", str(manifest), "--out", str(out), "--jobs", "2",
+                 "--methods", "naveau-mle,naveau-pwm", "--egpd-restarts", "1"]) == 3
+    assert "exited with status 1 while fitting site 'm1', method 'naveau-mle'" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in files} == before
+    partial = (out / "fits.jsonl.partial").read_text(encoding="utf-8").splitlines()
+    order = [("e0", "naveau-mle"), ("e0", "naveau-pwm")]
+    assert [(r["site_id"], r["method"]) for r in map(json.loads, partial)] == order[:len(partial)]
 
 
 def run_patched_benchmark(tmp_path, jobs, patch):
