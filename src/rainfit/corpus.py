@@ -202,9 +202,11 @@ class GeneratorSpec:
     family is 'egpd' or 'gamma-mixture'; params are the family's parameter
     record as a plain dict, checked by building it (`model_params`), whose
     values are real numbers or lists of them, never a boolean or a string;
-    n, the number of draws, is from 100 to the 2,921,940 rows `save_site`
-    can date; discretize_mm, a finite number > 0 when set, rounds draws
-    half-to-even to that increment and drops resulting zeros.
+    n, the number of draws, is an integer from 100 to the 2,921,940 rows
+    `save_site` can date, and seed an integer (numpy integers become
+    ints; a boolean is refused); discretize_mm, a finite number > 0 when
+    set, rounds draws half-to-even to that increment and drops resulting
+    zeros.
     """
 
     site_id: str
@@ -226,6 +228,12 @@ class GeneratorSpec:
             )
         if self.family not in ("egpd", "gamma-mixture"):
             raise CorpusError(f"unknown family {self.family!r}")
+        # 1.5 or "1" is not truncated or parsed, and a JSON `true` is not 1.
+        for key in ("n", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise CorpusError(f"{key!r} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if not 100 <= self.n <= _MAX_ROWS:
             raise CorpusError(f"generator n must be from 100 to {_MAX_ROWS}, got {self.n!r}")
         # Each value, or each element of a list, must be a real number, as a
@@ -355,14 +363,6 @@ class Manifest:
     generators: tuple[GeneratorSpec, ...]
 
 
-def _integer(entry: dict, key: str) -> int:
-    """entry[key], which must be a JSON integer: 1.5 or "1" is not truncated or parsed."""
-    value = entry[key]
-    if type(value) is not int:
-        raise CorpusError(f"'{key}' must be an integer, got {value!r}")
-    return value
-
-
 def load_manifest(path) -> Manifest:
     """Parse a corpus manifest; site paths resolve relative to the manifest.
 
@@ -399,8 +399,8 @@ def load_manifest(path) -> Manifest:
                     site_id=entry.get("site_id", f"site-{i:03d}"),
                     family=entry["family"],
                     params=entry["params"],
-                    n=_integer(entry, "n"),
-                    seed=_integer(entry, "seed") if "seed" in entry else RngState(seed).derive(i).stream,
+                    n=entry["n"],
+                    seed=entry["seed"] if "seed" in entry else RngState(seed).derive(i).stream,
                     discretize_mm=entry.get("discretize_mm"),
                 )
             )

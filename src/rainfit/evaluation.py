@@ -42,11 +42,17 @@ PAPER_QUANTILES: tuple[float, ...] = (0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
 
 
 class QuantileSet(NamedTuple("_Levels", [("probabilities", tuple)])):
-    """Strictly ascending probabilities in (0, 1) at which methods are scored."""
+    """Strictly ascending probabilities in (0, 1) at which methods are scored.
+
+    Made from a sequence of levels, which it checks, or from a `QuantileSet`,
+    which it returns as it is.
+    """
 
     __slots__ = ()
 
     def __new__(cls, probabilities: Iterable[float] = PAPER_QUANTILES) -> QuantileSet:
+        if isinstance(probabilities, QuantileSet):
+            return probabilities
         ps = tuple(float(p) for p in probabilities)
         if len(ps) == 0:
             raise ValueError("quantile set must be nonempty")

@@ -11,8 +11,9 @@ the records.
 A fit is its record: `run_single_fit` returns the dict that `fits.jsonl`
 stores on one line.  `benchmark` has one path from fits to tables, the
 one `report` takes: `write_records` writes each record as it comes, and
-`load_records` reads the file back into `evaluation.summarize` and into
-`run.json`'s totals, so no process holds the run's records.
+`load_records` reads the file back, once, into `evaluation.summarize`,
+`run.json`'s sums taken as the records pass (`_summed`), so no process
+holds the run's records.
 `_check_record` is the one shape check wherever a record enters: a line
 read by `load_records`, or a fit just made by `run_single_fit`.
 
@@ -102,8 +103,7 @@ def _egpd_method(fit_name: str, *, censored: bool = False) -> Method:
         from . import egpd
 
         threshold = config.threshold_mm if censored else 0.0
-        fit = getattr(egpd, fit_name)
-        params, diag = fit(values, threshold, restarts=config.egpd_restarts, rng=rng)
+        params, diag = getattr(egpd, fit_name)(values, threshold, restarts=config.egpd_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
 
     return Method("egpd", run)
@@ -182,10 +182,12 @@ class _RunFields(NamedTuple):
 class RunConfig(_RunFields):
     """Knobs for one benchmark run, checked when made.
 
-    `methods` are `METHODS` names; `threshold_mm` feeds the censored
-    estimators only.  `min_wet` drops sites with too few wet days before
-    any fitting.  A fit's work is bounded by its solvers' iteration and
-    evaluation caps, never by wall time.
+    `methods` are `METHODS` names; `quantiles` is a `QuantileSet` or a
+    sequence of levels that becomes one; `threshold_mm` feeds the censored
+    estimators only.  `seed`, `jobs`, the restart counts and `min_wet`
+    are ints, and a bool is not one.  `min_wet` drops sites with too few
+    wet days before any fitting.  A fit's work is bounded by its solvers'
+    iteration and evaluation caps, never by wall time.
     """
 
     __slots__ = ()
@@ -198,6 +200,9 @@ class RunConfig(_RunFields):
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown method {unknown[0]!r}; known: {', '.join(METHODS)}")
+        for name in ("seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet"):
+            if type(getattr(self, name)) is not int:  # a bool is not a count
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0.0):
             raise ConfigError("threshold_mm must be finite and > 0")
         if self.jobs < 1:
@@ -206,7 +211,7 @@ class RunConfig(_RunFields):
             raise ConfigError("restart counts must be >= 0")
         if self.min_wet < 1:
             raise ConfigError("min_wet must be >= 1")
-        return self._replace(methods=methods)
+        return self._replace(methods=methods, quantiles=QuantileSet(self.quantiles))
 
 
 # --- task execution ----------------------------------------------------------
@@ -531,30 +536,30 @@ def _environment() -> dict:
     }
 
 
-def _write_run_file(path, config: RunConfig, records: Iterable[dict], seconds: dict) -> None:
-    """Write `run.json`: the config, the environment, phase seconds and
-    per-method totals of fits, failed fits, `n_eval`, `restarts_at_best`
-    and `fit_seconds` over records, and for a mixture method the number
-    of `collapsed_fits`, whose mode has fewer than K effective components."""
-    methods = {m: dict(fits=0, failed_fits=0, n_eval=0, restarts_at_best=0, fit_seconds=0.0)
-               for m in config.methods}
-    for m, totals in methods.items():
-        if METHODS[m].family == "gamma_mixture":
-            totals["collapsed_fits"] = 0
+def _summed(records: Iterable[dict], sums: dict) -> Iterator[dict]:
+    """Yield records as they come, adding into sums[method] each one's
+    `n_eval`, `restarts_at_best` and `fit_seconds`, and for a mixture
+    method whether it is one of the `collapsed_fits`, whose mode has fewer
+    than K effective components."""
     for r in records:
-        totals = methods[r["method"]]
-        totals["fits"] += 1
-        totals["failed_fits"] += not r["converged"]
+        totals, diag = sums[r["method"]], r["diagnostics"]
         totals["fit_seconds"] += r["fit_seconds"]
         for key in ("n_eval", "restarts_at_best"):
-            totals[key] += r["diagnostics"].get(key, 0)
-        if "effective_k" in r["diagnostics"]:
-            totals["collapsed_fits"] += r["diagnostics"]["effective_k"] < len(r["params"]["weights"])
+            totals[key] += diag.get(key, 0)
+        if "effective_k" in diag:
+            totals["collapsed_fits"] += diag["effective_k"] < len(r["params"]["weights"])
+        yield r
+
+
+def _write_run_file(path, config: RunConfig, summary: EvaluationSummary, sums: dict, seconds: dict) -> None:
+    """Write `run.json`: the config, the environment, phase seconds and,
+    per method, its `fits` and `failed_fits`, the summary's counts of its
+    records and of those not converged, then its sums (`_summed`)."""
     run = {
         "config": {**config._asdict(), "quantiles": config.quantiles.probabilities},
         "environment": _environment(),
         "seconds": seconds,
-        "methods": methods,
+        "methods": {m: dict(fits=summary.n_sites, failed_fits=summary.failures[m], **sums[m]) for m in sums},
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(run, indent=2) + "\n")
@@ -570,9 +575,10 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
 
     The records go to `fits.jsonl.partial` as the fits yield them, and that
     file becomes `fits.jsonl` once the last is written, so a run stopped
-    mid-fit leaves an earlier run's files as they were.  The tables and
-    `run.json` are built from `fits.jsonl` by `load_records`, as `report`
-    builds them: no record is kept.
+    mid-fit leaves an earlier run's files as they were.  The tables are
+    built from `fits.jsonl` by `load_records`, as `report` builds them,
+    and `run.json`'s sums in the same pass: the file is read once and no
+    record is kept.
     """
     from .corpus import CorpusError, filter_corpus, load_manifest
 
@@ -581,9 +587,7 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     sites = materialize_corpus(manifest)
     kept, dropped = filter_corpus(sites, config.min_wet)
     if not kept:
-        raise CorpusError(
-            f"no sites left after the min_wet={config.min_wet} filter ({dropped} dropped)"
-        )
+        raise CorpusError(f"no sites left after the min_wet={config.min_wet} filter ({dropped} dropped)")
     t1 = time.perf_counter()
     records = run_fits(kept, config)
     out_dir = Path(out_dir)
@@ -591,14 +595,19 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     write_records(out_dir / "fits.jsonl.partial", records)
     os.replace(out_dir / "fits.jsonl.partial", out_dir / "fits.jsonl")
     t2 = time.perf_counter()
-    summary = summarize(load_records(out_dir / "fits.jsonl"), config.quantiles, order=tuple(METHODS))
+    sums = {m: dict(n_eval=0, restarts_at_best=0, fit_seconds=0.0) for m in config.methods}
+    for m in config.methods:
+        if METHODS[m].family == "gamma_mixture":
+            sums[m]["collapsed_fits"] = 0
+    summary = summarize(_summed(load_records(out_dir / "fits.jsonl"), sums), config.quantiles,
+                        order=tuple(METHODS))
     if dropped:
         summary.warnings.insert(0, f"{dropped} site(s) dropped below min_wet={config.min_wet}")
     # Written even when every fit failed, so that no table of an earlier run
     # stands beside these records.
     write_report_files(out_dir, summary)
     seconds = {"load": t1 - t0, "fit": t2 - t1, "write": time.perf_counter() - t2}
-    _write_run_file(out_dir / "run.json", config, load_records(out_dir / "fits.jsonl"), seconds)
+    _write_run_file(out_dir / "run.json", config, summary, sums, seconds)
     if set(summary.failures.values()) == {summary.n_sites}:  # a record per (site, method)
         raise AllFitsFailedError(f"all {summary.n_sites * len(config.methods)} fits failed; see fits.jsonl")
     return summary

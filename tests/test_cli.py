@@ -331,6 +331,29 @@ def test_benchmark_of_hostile_sites_gives_a_record_per_fit(tmp_path, capsys):
         assert (out / name).stat().st_size > 0
 
 
+def test_benchmark_drops_sites_below_min_wet_and_scores_the_rest(tmp_path, capsys):
+    # The tables are those of a corpus without the dropped site: the kept
+    # sites keep their indices, so their fits are the same.
+    spec = dict(family="egpd", params={"kappa": 1.2, "sigma": 5.0, "xi": 0.1})
+    sizes = {"s0": 300, "s1": 150, "s2": 300}
+    gens = [GeneratorSpec(site_id=s, n=n, seed=200 + i, **spec) for i, (s, n) in enumerate(sizes.items())]
+    write_manifest(tmp_path / "all.json", seed=1, generators=gens)
+    write_manifest(tmp_path / "kept.json", seed=1, generators=[gens[0], gens[2]])
+    flags = ["--methods", "naveau-pwm", "--egpd-restarts", "0", "--min-wet", "200"]
+    for name in ("all", "kept"):
+        assert main(["benchmark", "--manifest", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name), *flags]) == 0
+        err = capsys.readouterr().err.splitlines()
+        if name == "all":
+            assert err[0] == "warning: 1 site(s) dropped below min_wet=200"
+        else:
+            assert not any("dropped below" in line for line in err)
+    records = [json.loads(line) for line in (tmp_path / "all" / "fits.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["site_id"] for r in records] == ["s0", "s2"]
+    for name in TABLE_FILES:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()
+
+
 def test_benchmark_all_fits_failed(tmp_path, capsys):
     # Every value sits below the censoring threshold, so the censored
     # methods cannot fit anything.
@@ -494,9 +517,11 @@ EGPD_ENTRY = {"family": "egpd", "n": 300, "params": {"kappa": 1.2, "sigma": 5.0,
             "duplicate site id 'a'",
         ),
         ({"seed": 1, "sites": ["a.csv", "sub/a.csv"]}, "duplicate site id 'a'"),
+        ({"seed": 1, "generators": {"a": EGPD_ENTRY}}, "'generators' must be a list of objects"),
     ],
     ids=["entry-not-object", "unknown-param", "params-list", "sites-string", "seed-string", "n-float",
-         "site-id-int-beside-string", "site-id-int", "site-id-path", "site-id-twice", "csv-stem-twice"],
+         "site-id-int-beside-string", "site-id-int", "site-id-path", "site-id-twice", "csv-stem-twice",
+         "generators-object"],
 )
 def test_benchmark_hostile_manifest_exits_2_naming_file_and_entry(tmp_path, capsys, manifest, named):
     path = tmp_path / "manifest.json"
@@ -505,6 +530,24 @@ def test_benchmark_hostile_manifest_exits_2_naming_file_and_entry(tmp_path, caps
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {path}: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_a_manifest_that_is_not_json_exits_2_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"seed": 1, "generators": [', encoding="utf-8")
+    assert main([command, "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_simulate_of_a_manifest_without_generators_exits_2(tmp_path, capsys):
+    site = write_site(tmp_path)
+    path = tmp_path / "manifest.json"
+    write_manifest(path, seed=1, sites=[site.name])
+    assert main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: manifest has no generators to simulate\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", site.name]
 
 
 @pytest.mark.parametrize(
@@ -1024,6 +1067,21 @@ def test_quantiles_that_list_no_level_exit_2(tmp_path, capsys, command, levels):
     out = tmp_path / "tables"
     assert main([command, *where, "--out", str(out), "--quantiles", levels]) == 2
     assert capsys.readouterr().err == "error: --quantiles lists no levels\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("benchmark", "--quantiles", "0.1,abc", "--quantiles must be comma-separated numbers, got '0.1,abc'"),
+    ("report", "--quantiles", "0.1,abc", "--quantiles must be comma-separated numbers, got '0.1,abc'"),
+    ("benchmark", "--methods", ",", "--methods lists no method names"),
+], ids=["benchmark-quantiles", "report-quantiles", "benchmark-methods"])
+def test_a_flag_that_is_not_a_list_of_its_kind_exits_2(tmp_path, capsys, command, flag, value, message):
+    records = tmp_path / "fits.jsonl"
+    records.write_text("".join(json.dumps(r) + "\n" for r in golden_records()), encoding="utf-8")
+    where = ["--records", str(records)] if command == "report" else ["--manifest", str(tmp_path / "m.json")]
+    out = tmp_path / "tables"
+    assert main([command, *where, "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

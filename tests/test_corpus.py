@@ -236,6 +236,22 @@ def test_generator_spec_validation():
                           discretize_mm=increment)
 
 
+@pytest.mark.parametrize("field, value", [("n", 150.5), ("n", True), ("n", "300"), ("n", np.float64(300.0)),
+                                          ("seed", 1.5), ("seed", False)])
+def test_generator_spec_refuses_a_count_that_is_not_an_integer(field, value):
+    # simulate_site would otherwise fail in numpy or RngState, or truncate.
+    fields = {**dict(site_id="x", family="egpd", params=EGPD_SPEC.params, n=500, seed=1), field: value}
+    with pytest.raises(CorpusError, match=f"^'{field}' must be an integer, got {re.escape(repr(value))}$"):
+        GeneratorSpec(**fields)
+
+
+def test_generator_spec_stores_a_numpy_integer_as_an_int():
+    spec = GeneratorSpec(site_id="x", family="egpd", params=EGPD_SPEC.params, n=np.int64(500), seed=np.uint64(11))
+    assert (type(spec.n), type(spec.seed)) == (int, int)
+    same = GeneratorSpec(site_id="x", family="egpd", params=EGPD_SPEC.params, n=500, seed=11)
+    assert np.array_equal(simulate_site(spec).values, simulate_site(same).values)
+
+
 def test_generator_spec_takes_numpy_numbers_from_code_callers():
     # The number check a manifest's strings and booleans fail lets numpy
     # scalars and arrays through, as code callers pass them.

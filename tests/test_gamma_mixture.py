@@ -218,6 +218,14 @@ def test_quantile_rejects_levels_outside_the_open_unit_interval(bad):
         mixture_quantile(bad, K3_PARAMS)
 
 
+def test_quantile_of_a_mixture_past_the_float_range_is_a_named_error():
+    # A scale of 1e307: the bracket's first top is finite, its CDF there
+    # is below 1 - 1e-6, and doubling the top overflows.
+    params = GammaMixtureParams((1.0,), (2.0,), (1e307,))
+    with pytest.raises(ValueError, match="^the mixture's quantiles overflow a float$"):
+        mixture_quantile([0.5, 0.999999], params)
+
+
 def test_single_gamma_cdf_and_quantile_match_oracles():
     gamma3 = GammaMixtureParams((1.0,), (3.0,), (1.0,))
     assert mixture_cdf(3.0, gamma3) == pytest.approx(oracles.REG_GAMMA_3_3, abs=1e-12)

@@ -58,11 +58,27 @@ def fit_records(sites, methods) -> dict:
     ({"egpd_restarts": -1}, "restart counts must be >= 0"),
     ({"mixture_restarts": -1}, "restart counts must be >= 0"),
     ({"min_wet": 0}, "min_wet must be >= 1"),
+    ({"egpd_restarts": 1.5}, "egpd_restarts must be an integer, got 1.5"),
+    ({"mixture_restarts": 2.0}, "mixture_restarts must be an integer, got 2.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"jobs": True}, "jobs must be an integer, got True"),
 ], ids=["no-methods", "threshold-0", "threshold-nan", "threshold-inf", "jobs-0",
-        "egpd-restarts", "mixture-restarts", "min-wet-0"])
+        "egpd-restarts", "mixture-restarts", "min-wet-0", "egpd-restarts-float",
+        "mixture-restarts-float", "seed-float", "jobs-bool"])
 def test_run_config_rejects_an_invalid_field(fields, message):
     with pytest.raises(pipeline.ConfigError, match=f"^{message}$"):
         RunConfig(**fields)
+
+
+def test_run_config_makes_a_sequence_of_levels_its_quantile_set():
+    # run_single_fit reads config.quantiles.probabilities, which a tuple
+    # lacks; QuantileSet checks the levels.
+    config = RunConfig(quantiles=(0.1, 0.5))
+    assert type(config.quantiles) is QuantileSet and config.quantiles == QuantileSet((0.1, 0.5))
+    assert RunConfig(quantiles=config.quantiles).quantiles is config.quantiles
+    with pytest.raises(ValueError, match="^quantile levels must be strictly ascending$"):
+        RunConfig(quantiles=[0.5, 0.1])
+
 
 def test_each_method_draws_the_stream_of_its_table_position():
     # A method's stream index is its position in METHODS, never its place
@@ -310,3 +326,26 @@ def test_a_benchmark_keeps_no_record(tmp_path, monkeypatch, jobs):
             tracemalloc.stop()
         assert summary.cells[("naveau-pwm-c", 0.5)].n_sites == n_sites
     assert peaks[2] - peaks[1] < 2**20, peaks
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_benchmark_reads_its_records_file_once(tmp_path, monkeypatch, jobs):
+    # One pass over fits.jsonl builds the tables and run.json's sums; the
+    # counts in run.json are the summary's.
+    reads = []
+
+    def counted_load_records(path):
+        reads.append(Path(path).name)
+        return load_records(path)
+
+    monkeypatch.setattr(pipeline, "load_records", counted_load_records)
+    monkeypatch.setattr(pipeline, "run_single_fit", stub_fit)
+    for i in range(3):
+        save_site(tmp_path / f"s{i}.csv", SiteSeries(f"s{i}", np.linspace(0.5, 50.0, 100)))
+    write_manifest(tmp_path / "manifest.json", seed=1, sites=["s0.csv", "s1.csv", "s2.csv"])
+    config = RunConfig(methods=("naveau-pwm", "gamma-mixture-2"), quantiles=QuantileSet((0.5,)), jobs=jobs)
+    pipeline.run_benchmark(tmp_path / "manifest.json", tmp_path / "run", config)
+    assert reads == ["fits.jsonl"]
+    run = json.loads((tmp_path / "run" / "run.json").read_text(encoding="utf-8"))
+    totals = dict(fits=3, failed_fits=0, n_eval=0, restarts_at_best=0, fit_seconds=0.0)
+    assert run["methods"] == {"naveau-pwm": totals, "gamma-mixture-2": {**totals, "collapsed_fits": 0}}
