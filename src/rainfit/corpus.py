@@ -63,7 +63,6 @@ class CorpusError(ValueError):
 class MalformedRowError(CorpusError):
     def __init__(self, path, line_no: int, reason: str) -> None:
         super().__init__(f"{path}:{line_no}: {reason}")
-        self.line_no = line_no
 
 
 class EmptySeriesError(CorpusError):
@@ -200,13 +199,13 @@ class GeneratorSpec:
     """Recipe for one synthetic site.
 
     family is 'egpd' or 'gamma-mixture'; params are the family's parameter
-    record as a plain dict, checked by building it (`model_params`), whose
-    values are real numbers or lists of them, never a boolean or a string;
-    n, the number of draws, is an integer from 100 to the 2,921,940 rows
-    `save_site` can date, and seed an integer (numpy integers become
-    ints; a boolean is refused); discretize_mm, a finite number > 0 when
-    set, rounds draws half-to-even to that increment and drops resulting
-    zeros.
+    record as a plain dict, checked by building it (`model_params`): the
+    record refuses a boolean or a string where a number belongs
+    (`numerics._real_number`); n, the number of draws, is an integer from
+    100 to the 2,921,940 rows `save_site` can date, and seed an integer
+    (numpy integers become ints; a boolean is refused); discretize_mm, a
+    finite number > 0 when set, by the records' rule, rounds draws
+    half-to-even to that increment and drops resulting zeros.
     """
 
     site_id: str
@@ -217,7 +216,7 @@ class GeneratorSpec:
     discretize_mm: float | None = None
 
     def __post_init__(self) -> None:
-        import numpy as np
+        from .numerics import _real_number
 
         # `simulate` writes the site to <site_id>.csv inside its output directory.
         site_id = self.site_id
@@ -236,21 +235,11 @@ class GeneratorSpec:
             object.__setattr__(self, key, int(value))
         if not 100 <= self.n <= _MAX_ROWS:
             raise CorpusError(f"generator n must be from 100 to {_MAX_ROWS}, got {self.n!r}")
-        # Each value, or each element of a list, must be a real number, as a
-        # numpy scalar is.  A JSON `true` would otherwise pass for the number
-        # 1, and "1.2" for 1.2: the parameter records call float().  None is
-        # an unset discretize_mm (as a parameter, model_params rejects it).
-        values = {**(self.params if isinstance(self.params, dict) else {}),
-                  "discretize_mm": self.discretize_mm}
-        for key, value in values.items():
-            items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
-            bad = [v for v in items
-                   if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real))]
-            if bad:
-                kind = "a boolean" if isinstance(bad[0], (bool, np.bool_)) else f"a {type(bad[0]).__name__}"
-                raise CorpusError(f"{key!r} holds {kind}, not a number: {value!r}")
-        if self.discretize_mm is not None and not 0.0 < self.discretize_mm < math.inf:
-            raise CorpusError(f"discretize_mm must be finite and > 0, got {self.discretize_mm!r}")
+        # A JSON `true` is not a 1 mm gauge, nor "0.2" a 0.2 mm one; the
+        # parameter records apply the same rule to params.
+        disc = self.discretize_mm
+        if disc is not None and not 0.0 < _real_number("discretize_mm", disc) < math.inf:
+            raise CorpusError(f"discretize_mm must be finite and > 0, got {disc!r}")
         try:
             self.model_params()
         except (TypeError, ValueError) as exc:

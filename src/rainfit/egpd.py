@@ -36,6 +36,7 @@ from .numerics import (
     MAX_ITER,
     MOMENTS_OUT_OF_RANGE,
     RngState,
+    _real_number,
     at_log_clamp,
     checked_array,
     jittered_starts,
@@ -91,7 +92,7 @@ class EgpdParams:
 
     def __post_init__(self) -> None:
         for name in ("kappa", "sigma", "xi"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _real_number(name, getattr(self, name)))
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
             raise ValueError("kappa must be finite and > 0")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
@@ -136,6 +137,14 @@ def egpd_cdf(y, params: EgpdParams):
     return out if np.ndim(y) else float(out)
 
 
+def _censoring_threshold(threshold) -> float:
+    """threshold as a float; a ValueError unless it is a number, finite and >= 0."""
+    threshold = _real_number("threshold", threshold)
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError("censoring threshold must be finite and >= 0")
+    return threshold
+
+
 def _censored_mass(threshold: float, params: EgpdParams) -> tuple[float, float]:
     """(F(threshold), 1 - F(threshold)) for a scalar threshold >= 0.
 
@@ -143,8 +152,7 @@ def _censored_mass(threshold: float, params: EgpdParams) -> tuple[float, float]:
     formed as -expm1(kappa ln H), so it keeps its relative accuracy as F
     approaches 1.
     """
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError("y must be finite and >= 0")
+    threshold = _censoring_threshold(threshold)
     log_tail = _gp_tail(np.array([threshold]), params.sigma, params.xi)
     h = -np.expm1(-log_tail)
     # ln H = ln(1 - e^-L), from whichever side does not cancel.
@@ -222,18 +230,17 @@ def _boundary_hit(params: EgpdParams) -> bool:
 def _exceedances(data, threshold: float) -> tuple[int, np.ndarray, float]:
     """The data's size, its values at or above threshold, in order, and their mean.
 
-    The data must be at least 30 finite values > 0, and the threshold
-    finite, >= 0 and at or below at least 30 of them.  At threshold 0 every
-    value is kept, so the fit is the uncensored one.  A mean that overflows
-    (no mean of values > 0 underflows to 0), or that lies outside sigma's
-    box [e^-12, e^12] mm, is a ValueError; then no PWM overflows either,
-    as each is a mean of the values times weights <= 1.
+    The data must be at least 30 finite values > 0, and the threshold, one
+    that `_censoring_threshold` passed, at or below at least 30 of them.
+    At threshold 0 every value is kept, so the fit is the uncensored one.
+    A mean that overflows (no mean of values > 0 underflows to 0), or that
+    lies outside sigma's box [e^-12, e^12] mm, is a ValueError; then no
+    PWM overflows either, as each is a mean of the values times weights
+    <= 1.
     """
     x = positive_sample(data)
     if x.size < 30:
         raise ValueError("need at least 30 observations")
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError("censoring threshold must be finite and >= 0")
     exceed = x[x >= threshold]
     if exceed.size < 30:
         raise ValueError("need at least 30 observations at or above the threshold")
@@ -385,6 +392,7 @@ def fit_mle(
     and the objective, starts and result are the uncensored fit's, bit for
     bit.
     """
+    threshold = _censoring_threshold(threshold)
     n_total, exceed, mean = _exceedances(data, threshold)
     evaluate = _profile_loglik(exceed, n_total - exceed.size, threshold)
     y_max = float(np.max(exceed))
@@ -501,8 +509,7 @@ def fit_pwm_from_moments(
     """
     if not all(math.isfinite(v) and v > 0.0 for v in (nu0, nu1, nu2)):
         raise ValueError("probability weighted moments must be finite and > 0")
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValueError("censoring threshold must be finite and >= 0")
+    threshold = _censoring_threshold(threshold)
     nu_hat = np.array([nu0, nu1, nu2])
     nu_edge = threshold / np.array([1.0, 2.0, 3.0])
 
@@ -567,6 +574,7 @@ def fit_pwm(
     at threshold 0 those of the whole sample and of Y.  Either way one
     system is solved; see fit_pwm_from_moments.
     """
+    threshold = _censoring_threshold(threshold)
     n_total, exceed, _ = _exceedances(data, threshold)
     params, diag = fit_pwm_from_moments(
         *empirical_pwms(exceed), threshold, restarts=restarts, rng=rng

@@ -44,8 +44,8 @@ PAPER_QUANTILES: tuple[float, ...] = (0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
 class QuantileSet(NamedTuple("_Levels", [("probabilities", tuple)])):
     """Strictly ascending probabilities in (0, 1) at which methods are scored.
 
-    Made from a sequence of levels, which it checks, or from a `QuantileSet`,
-    which it returns as it is.
+    Made from a sequence of levels, which it checks (a boolean or a string
+    is not a level), or from a `QuantileSet`, which it returns as it is.
     """
 
     __slots__ = ()
@@ -53,7 +53,11 @@ class QuantileSet(NamedTuple("_Levels", [("probabilities", tuple)])):
     def __new__(cls, probabilities: Iterable[float] = PAPER_QUANTILES) -> QuantileSet:
         if isinstance(probabilities, QuantileSet):
             return probabilities
-        ps = tuple(float(p) for p in probabilities)
+        ps = tuple(probabilities)
+        # float() reads "0.5" as 0.5 and True as 1.0; a string's levels are its characters.
+        if any(isinstance(p, (bool, str)) for p in ps):
+            raise ValueError(f"quantile levels must be numbers, got {probabilities!r}")
+        ps = tuple(map(float, ps))
         if len(ps) == 0:
             raise ValueError("quantile set must be nonempty")
         if any(not 0.0 < p < 1.0 for p in ps):

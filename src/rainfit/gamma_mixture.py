@@ -23,6 +23,7 @@ from .numerics import (
     MAX_ITER,
     MOMENTS_OUT_OF_RANGE,
     RngState,
+    _real_number,
     at_log_clamp,
     checked_array,
     empirical_quantile,
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 _FLOAT_MIN = np.finfo(float).min
+# Above this bracket top, the bisection's lo + hi can overflow.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 _DEFAULT_RNG = RngState(seed=0x6A77A)
 # A component of a fitted mode counts towards `effective_k` from this weight.
 _EFFECTIVE_WEIGHT = 1e-6
@@ -67,9 +70,8 @@ class GammaMixtureParams:
     scales: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.weights)
-        a = tuple(float(x) for x in self.shapes)
-        b = tuple(float(x) for x in self.scales)
+        w, a, b = (tuple(_real_number(name, x) for x in getattr(self, name))
+                   for name in ("weights", "shapes", "scales"))
         if not (len(w) == len(a) == len(b)) or len(w) == 0:
             raise ValueError("weights, shapes and scales must share a positive length")
         if any(not (math.isfinite(x) and 0.0 <= x <= 1.0) for x in w):
@@ -191,9 +193,10 @@ def mixture_quantile(p, params: GammaMixtureParams):
 
     Bisection, 64 halvings of one bracket [0, hi] shared by every level;
     hi starts at max_k(a_k b_k) + 10 max_k(b_k sqrt(a_k)) and doubles until
-    it covers the largest level.  Each result is within hi / 2^64 of the
-    quantile: below a component of shape well under 1, a level of 1e-6 or
-    less has only that absolute accuracy.
+    it covers the largest level.  A hi above half the largest float, where
+    the bisection's lo + hi would overflow, is a ValueError.  Each result
+    is within hi / 2^64 of the quantile: below a component of shape well
+    under 1, a level of 1e-6 or less has only that absolute accuracy.
     """
     u, scalar = checked_array(p, lambda v: (v > 0.0) & (v < 1.0),
                               "p must lie strictly inside (0, 1)")
@@ -202,9 +205,9 @@ def mixture_quantile(p, params: GammaMixtureParams):
     b = np.array(params.scales)
     hi_edge = float(np.max(a * b) + 10.0 * np.max(b * np.sqrt(a)))
     p_max = float(np.max(u, initial=0.0))
-    while math.isfinite(hi_edge) and cdf(np.array([hi_edge]))[0] <= p_max:
+    while hi_edge <= _HALF_MAX and cdf(np.array([hi_edge]))[0] <= p_max:
         hi_edge *= 2.0
-    if not math.isfinite(hi_edge):
+    if not hi_edge <= _HALF_MAX:
         raise ValueError("the mixture's quantiles overflow a float")
     lo = np.zeros_like(u)
     hi = np.full_like(u, hi_edge)

@@ -1,13 +1,13 @@
 """Shared numerical kernels.
 
 The local solvers and the multistart driver every fit runs, the checks
-of a distribution function's argument and of a sample (`checked_array`,
-`positive_sample`), a sample's quantile (`empirical_quantile`), the box
-both model families keep their log parameters in (`LOG_CLAMP`,
-`at_log_clamp`), and deterministic splittable random streams.  Everything in this module is a
-pure function of its explicit inputs so that the statistical modules built
-on top stay reproducible to the bit across runs, platforms, and worker
-counts.
+of a distribution function's argument, of a parameter value and of a
+sample (`checked_array`, `_real_number`, `positive_sample`), a sample's
+quantile (`empirical_quantile`), the box both model families keep their
+log parameters in (`LOG_CLAMP`, `at_log_clamp`), and deterministic
+splittable random streams.  Everything in this module is a pure function
+of its explicit inputs so that the statistical modules built on top stay
+reproducible to the bit across runs, platforms, and worker counts.
 
 `multistart` runs one local solve from each start and keeps the best; both
 model families call it.  Beside the best solve it returns the start of the
@@ -230,6 +230,23 @@ def checked_array(x, in_domain: Callable[[np.ndarray], np.ndarray], message: str
     if not (np.all(np.isfinite(values)) and np.all(in_domain(values))):
         raise ValueError(message)
     return values, arr.ndim == 0
+
+
+def _real_number(name: str, value) -> float:
+    """float(value), for a parameter record's field `name`.
+
+    The one rule for a parameter value: a boolean (Python's or numpy's),
+    a string or bytes is a ValueError that names the field, since float()
+    would read True as 1.0 and "1.2" as 1.2.  Anything else float() takes
+    passes, numpy scalars included.  A float returns at once: the records
+    are built on the fits' hot paths.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        kind = "a boolean" if isinstance(value, (bool, np.bool_)) else f"a {type(value).__name__}"
+        raise ValueError(f"'{name}' holds {kind}, not a number: {value!r}")
+    return float(value)
 
 
 def positive_sample(data) -> np.ndarray:

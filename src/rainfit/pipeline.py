@@ -183,17 +183,24 @@ class RunConfig(_RunFields):
     """Knobs for one benchmark run, checked when made.
 
     `methods` are `METHODS` names; `quantiles` is a `QuantileSet` or a
-    sequence of levels that becomes one; `threshold_mm` feeds the censored
-    estimators only.  `seed`, `jobs`, the restart counts and `min_wet`
-    are ints, and a bool is not one.  `min_wet` drops sites with too few
-    wet days before any fitting.  A fit's work is bounded by its solvers'
-    iteration and evaluation caps, never by wall time.
+    sequence of levels that becomes one (whose own checks raise a
+    ValueError); neither is a string.  `threshold_mm`, a number (not a
+    boolean or a string), feeds the censored estimators only.  `seed`,
+    `jobs`, the restart counts and `min_wet` are ints, and a bool is not
+    one.  A bad field is a ConfigError.  `min_wet` drops sites with too
+    few wet days before any fitting.  A fit's work is bounded by its solvers' iteration and
+    evaluation caps, never by wall time.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> RunConfig:
         self = super().__new__(cls, *args, **kwargs)
+        # A string is a sequence of its characters: "naveau-mle" is not ten
+        # method names, nor "0.5" three levels.
+        for name in ("methods", "quantiles"):
+            if isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a sequence, not a string: {getattr(self, name)!r}")
         methods = tuple(dict.fromkeys(self.methods))
         if not methods:
             raise ConfigError("at least one method is required")
@@ -203,6 +210,8 @@ class RunConfig(_RunFields):
         for name in ("seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet"):
             if type(getattr(self, name)) is not int:  # a bool is not a count
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if isinstance(self.threshold_mm, (bool, str)):  # True is not a 1 mm threshold
+            raise ConfigError(f"threshold_mm must be a number, got {self.threshold_mm!r}")
         if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0.0):
             raise ConfigError("threshold_mm must be finite and > 0")
         if self.jobs < 1:

@@ -127,6 +127,12 @@ def test_site_series_validation():
         SiteSeries(site_id="x", values=np.array([np.inf]))
 
 
+@pytest.mark.parametrize("values", [np.array([]), []])
+def test_site_series_of_no_values_is_an_empty_series(values):
+    with pytest.raises(EmptySeriesError, match="^site x: no wet days$"):
+        SiteSeries(site_id="x", values=values)
+
+
 def test_site_values_are_a_read_only_array_that_numpy_views(tmp_path):
     path = tmp_path / "read.csv"
     save_site(path, SiteSeries(site_id="drawn", values=np.array([2.5, 1.0, 4.0])))

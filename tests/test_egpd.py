@@ -55,7 +55,44 @@ def test_params_validation():
             EgpdParams(**bad)
 
 
-@pytest.mark.parametrize("fit", [fit_mle, fit_pwm])
+@pytest.mark.parametrize("fields, message", [
+    (dict(kappa=True, sigma=5.0, xi=0.1), "'kappa' holds a boolean, not a number: True"),
+    (dict(kappa=1.2, sigma="5", xi=0.1), "'sigma' holds a str, not a number: '5'"),
+    (dict(kappa=1.2, sigma=5.0, xi=np.bool_(False)), "'xi' holds a boolean, not a number: np.False_"),
+    (dict(kappa=b"1", sigma=5.0, xi=0.1), "'kappa' holds a bytes, not a number: b'1'"),
+])
+def test_params_refuse_a_boolean_or_a_string(fields, message):
+    # float() would read True as 1.0 and "5" as 5.0.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EgpdParams(**fields)
+
+
+def test_params_take_numpy_numbers_as_floats():
+    params = EgpdParams(np.float64(1.2), np.int64(5), np.float32(0.5))
+    assert params == EgpdParams(1.2, 5.0, 0.5)
+    assert all(type(v) is float for v in params.to_dict().values())
+
+
+def moments_fit(data, threshold):
+    """fit_pwm_from_moments of fixed PWMs at threshold; data go unused."""
+    return fit_pwm_from_moments(1.2, 0.6, 0.4, threshold)
+
+
+def model_pwms(data, threshold):
+    """conditional_pwms of a fixed model at threshold; data go unused."""
+    return conditional_pwms(EgpdParams(2.0, 5.0, 0.2), threshold)
+
+
+@pytest.mark.parametrize("entry", [fit_mle, fit_pwm, moments_fit, model_pwms])
+@pytest.mark.parametrize("threshold, kind", [(True, "a boolean"), ("1", "a str")])
+def test_every_entry_point_refuses_a_boolean_or_a_string_threshold(entry, threshold, kind):
+    # True would censor at 1 mm, and "1" failed in arithmetic as a TypeError.
+    data = egpd_simulate(200, EgpdParams(2.0, 5.0, 0.2), RngState(seed=20))
+    with pytest.raises(ValueError, match=f"^'threshold' holds {kind}, not a number: {re.escape(repr(threshold))}$"):
+        entry(data, threshold)
+
+
+@pytest.mark.parametrize("fit", [fit_mle, fit_pwm, moments_fit, model_pwms])
 @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
 def test_fits_reject_a_negative_or_non_finite_threshold(fit, threshold):
     data = egpd_simulate(200, EgpdParams(2.0, 5.0, 0.2), RngState(seed=20))
@@ -225,6 +262,11 @@ def test_density_integrates_to_one():
 
 
 # --- simulation ---------------------------------------------------------------
+
+
+def test_simulate_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        egpd_simulate(-1, EgpdParams(2.0, 5.0, 0.2), RngState(seed=4))
 
 
 def test_simulate_empty_and_deterministic():

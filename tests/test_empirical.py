@@ -38,6 +38,12 @@ def test_quantile_domain_errors():
         empirical_quantile(np.array([2.0]), 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantile_refuses_a_non_finite_sample(bad):
+    with pytest.raises(ValueError, match="^sample values must be finite$"):
+        empirical_quantile(np.array([1.0, bad, 2.0]), 0.5)
+
+
 def test_quantile_of_a_sequence_of_levels_is_each_level_to_the_bit(monkeypatch):
     x = egpd_simulate(501, EgpdParams(1.2, 4.0, 0.2), RngState(3))
     levels = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)

@@ -109,6 +109,11 @@ def test_classify_order_invariant():
         assert classify(shuffled) == expected
 
 
+def test_classify_refuses_a_nan():
+    with pytest.raises(ValueError, match="^sample values must be finite$"):
+        classify([0.1, math.nan, 0.2, 0.3])
+
+
 def test_classify_needs_four_values():
     with pytest.raises(ValueError):
         classify([0.1, 0.2, 0.3])
@@ -173,6 +178,14 @@ def test_quantile_set_default_and_validation():
         QuantileSet((0.0, 0.5))
     with pytest.raises(ValueError):
         QuantileSet((0.5, 1.0))
+
+
+@pytest.mark.parametrize("levels", ["0.5", ("0.25", "0.5"), (0.5, True), [np.float64(0.1), "0.9"]])
+def test_quantile_set_refuses_a_string_or_a_boolean(levels):
+    # float() would read "0.5" as 0.5 and True as 1.0; a string's levels
+    # would be its characters.
+    with pytest.raises(ValueError, match="^quantile levels must be numbers, got "):
+        QuantileSet(levels)
 
 
 # --- summarize --------------------------------------------------------------------

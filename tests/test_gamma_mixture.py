@@ -3,6 +3,7 @@
 import builtins
 import json
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -67,6 +68,23 @@ def test_params_validation():
         GammaMixtureParams((0.5, 0.5), (1.0, -1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         GammaMixtureParams((1.2, -0.2), (1.0, 1.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (((1.0,), ("2",), (1.0,)), "'shapes' holds a str, not a number: '2'"),
+    ((np.array([True, False]), (1.0, 2.0), (1.0, 1.0)), "'weights' holds a boolean, not a number: np.True_"),
+    (((0.5, 0.5), (1.0, 2.0), [1.0, False]), "'scales' holds a boolean, not a number: False"),
+])
+def test_params_refuse_a_boolean_or_a_string(fields, message):
+    # float() would read "2" as 2.0 and the weights (True, False) as (1, 0).
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GammaMixtureParams(*fields)
+
+
+def test_params_take_numpy_numbers_as_floats():
+    params = GammaMixtureParams(np.array([0.25, 0.75]), np.array([1, 2]), [np.float32(0.5), np.int64(3)])
+    assert params == GammaMixtureParams((0.25, 0.75), (1.0, 2.0), (0.5, 3.0))
+    assert all(type(v) is float for values in params.to_dict().values() for v in values)
 
 
 # --- density ----------------------------------------------------------------
@@ -219,11 +237,14 @@ def test_quantile_rejects_levels_outside_the_open_unit_interval(bad):
 
 
 def test_quantile_of_a_mixture_past_the_float_range_is_a_named_error():
-    # A scale of 1e307: the bracket's first top is finite, its CDF there
-    # is below 1 - 1e-6, and doubling the top overflows.
+    # A scale of 1e307: the bracket's first top, about 1.6e308, is finite.
+    # At 0.999999 its CDF there is below the level, and doubling the top
+    # overflows; at 0.999 the top covers the level, but the bisection's
+    # lo + hi would overflow.
     params = GammaMixtureParams((1.0,), (2.0,), (1e307,))
-    with pytest.raises(ValueError, match="^the mixture's quantiles overflow a float$"):
-        mixture_quantile([0.5, 0.999999], params)
+    for levels in ([0.5, 0.999999], [0.5, 0.999]):
+        with pytest.raises(ValueError, match="^the mixture's quantiles overflow a float$"):
+            mixture_quantile(levels, params)
 
 
 def test_single_gamma_cdf_and_quantile_match_oracles():
@@ -435,6 +456,20 @@ def test_map_objective_matches_on_the_c6_sample(c6_sample, k):
             for e in np.eye(z.size)
         ])
         assert np.max(np.abs(grad - central)) <= 1e-7 * (1.0 + np.max(np.abs(grad)))
+
+
+def test_simulate_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        mixture_simulate(-1, C6_PARAMS, RngState(seed=7))
+
+
+@pytest.mark.parametrize("x", [
+    np.array([1e200] * 10),  # the mean's square overflows
+    np.array([1.0] * 9 + [1e155]),  # the mean's square is finite, the variance overflows
+])
+def test_start_refuses_a_sample_whose_moments_overflow(x):
+    with pytest.raises(ValueError, match="^the sample's moments are out of float range$"):
+        _sliced_init(x, 2)
 
 
 def test_map_objective_runs_no_import_per_evaluation(monkeypatch):

@@ -62,12 +62,22 @@ def fit_records(sites, methods) -> dict:
     ({"mixture_restarts": 2.0}, "mixture_restarts must be an integer, got 2.0"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"jobs": True}, "jobs must be an integer, got True"),
+    ({"methods": "naveau-mle"}, "methods must be a sequence, not a string: 'naveau-mle'"),
+    ({"threshold_mm": "1"}, "threshold_mm must be a number, got '1'"),
+    ({"threshold_mm": True}, "threshold_mm must be a number, got True"),
+    ({"quantiles": "0.5"}, "quantiles must be a sequence, not a string: '0.5'"),
 ], ids=["no-methods", "threshold-0", "threshold-nan", "threshold-inf", "jobs-0",
         "egpd-restarts", "mixture-restarts", "min-wet-0", "egpd-restarts-float",
-        "mixture-restarts-float", "seed-float", "jobs-bool"])
+        "mixture-restarts-float", "seed-float", "jobs-bool", "methods-string",
+        "threshold-string", "threshold-bool", "quantiles-string"])
 def test_run_config_rejects_an_invalid_field(fields, message):
     with pytest.raises(pipeline.ConfigError, match=f"^{message}$"):
         RunConfig(**fields)
+
+
+def test_run_fits_of_no_sites_is_a_config_error():
+    with pytest.raises(pipeline.ConfigError, match="^no sites to fit$"):
+        run_fits([], RunConfig())
 
 
 def test_run_config_makes_a_sequence_of_levels_its_quantile_set():
