@@ -12,8 +12,9 @@ need the standard library alone, and so does loading site CSVs.  Nor do
 they load `dataclasses`, and with it `inspect`, `ast`, `dis` and
 `tokenize`: the types on their path are named tuples.
 `run_fits` loads numpy with the fit modules, and the scipy functions the
-fits get from `numerics.scipy_function`; each subcommand imports what it
-uses when it runs.
+requested methods get from `numerics.scipy_function`, in each process
+that fits (a `--jobs` parent loads none); each subcommand imports what
+it uses when it runs.
 
 Exit codes: 0 success, 2 configuration or data problems (a `simulate`
 whose output would overwrite its input manifest, or a scipy without a

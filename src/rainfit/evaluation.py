@@ -22,6 +22,7 @@ importing numpy or `dataclasses`.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -44,8 +45,9 @@ PAPER_QUANTILES: tuple[float, ...] = (0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
 class QuantileSet(NamedTuple("_Levels", [("probabilities", tuple)])):
     """Strictly ascending probabilities in (0, 1) at which methods are scored.
 
-    Made from a sequence of levels, which it checks (a boolean or a string
-    is not a level), or from a `QuantileSet`, which it returns as it is.
+    Made from a sequence of levels, which it checks (a boolean, numpy's
+    too, or a string is not a level), or from a `QuantileSet`, which it
+    returns as it is.
     """
 
     __slots__ = ()
@@ -54,8 +56,9 @@ class QuantileSet(NamedTuple("_Levels", [("probabilities", tuple)])):
         if isinstance(probabilities, QuantileSet):
             return probabilities
         ps = tuple(probabilities)
-        # float() reads "0.5" as 0.5 and True as 1.0; a string's levels are its characters.
-        if any(isinstance(p, (bool, str)) for p in ps):
+        # float() reads "0.5" as 0.5 and True as 1.0; a string's levels are
+        # its characters.  np.float64 is a Real; np.True_ is not.
+        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in ps):
             raise ValueError(f"quantile levels must be numbers, got {probabilities!r}")
         ps = tuple(map(float, ps))
         if len(ps) == 0:

@@ -38,12 +38,15 @@ scipy keeps them, names their two compiled extension files, L-BFGS-B's
 kernel and `_special_ufuncs`, which `_scipy_kernel` loads without running
 any package `__init__`.  No fit calls what the packages' `__init__`s load
 besides (scipy.linalg, sparse, fft, spatial, scipy's array-API layer),
-and no fit imports the `scipy` package itself.  `pipeline.run_fits` calls
-`preload_scipy` once, before a fit is timed or a worker forks, so no
-fit pays for the loading and a scipy without a function the fits call
-stops the run before the first fit.  On a 2-core host, loading what two
-mixtures at restarts 0 call takes 0.029 s CPU (and importing
-scipy.special 0.43 s).
+and no fit imports the `scipy` package itself.  Each process that fits
+calls `preload_scipy` once, before its first fit is timed, with the
+functions the requested methods call (`pipeline.Method.kernels`): the
+serial run in `pipeline.run_fits`, and each `--jobs` worker right after
+its fork, so the parent of the workers loads no compiled scipy module.
+No fit pays for the loading, and a scipy without a function the
+methods call stops the run before the first fit.  On a 2-core host,
+loading what two mixtures at restarts 0 call takes 0.029 s CPU (and
+importing scipy.special 0.43 s).
 
 No fit imports numpy.random either: a fit's only random draws, its
 jittered starts, come from `RngState.doubles`, which computes the Philox
@@ -213,9 +216,9 @@ def scipy_version() -> str:
     return _scipy_kernel("scipy.version").version
 
 
-def preload_scipy() -> None:
-    """Load and check every function of scipy a fit calls."""
-    for name in _SCIPY_FUNCTIONS:
+def preload_scipy(names) -> None:
+    """Load and check the scipy functions names (`_SCIPY_FUNCTIONS` keys)."""
+    for name in names:
         scipy_function(name)
 
 

@@ -31,14 +31,16 @@ and `report` alone, so `rainfit report`, `--help` and `--version` load no
 numpy; nor `dataclasses`, with the `inspect`, `ast`, `dis` and
 `tokenize` it loads, for `RunConfig` is a named tuple.  Loading site CSVs
 imports `corpus`, on the standard library alone; `run_fits` loads numpy
-with the requested methods' fit modules and every scipy function any fit
-calls, once, before it forks a worker or times a fit.
+with the requested methods' fit modules before it forks a worker or
+times a fit, and the scipy functions those methods call in each process
+that fits, before its first fit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -88,13 +90,15 @@ class AllFitsFailedError(RuntimeError):
 class Method(NamedTuple):
     """One `METHODS` entry: what its fits load, and how to run one.
 
-    `family` is the fit module (`egpd` or `gamma_mixture`).  `run` gets
-    (values, config, rng) and returns (params dict, diagnostics dict,
-    quantile function of a sequence of levels); it imports its fit
-    function when called.
+    `family` is the fit module (`egpd` or `gamma_mixture`).  `kernels`
+    names the scipy functions its fits and quantiles get from
+    `numerics.scipy_function`.  `run` gets (values, config, rng) and
+    returns (params dict, diagnostics dict, quantile function of a
+    sequence of levels); it imports its fit function when called.
     """
 
     family: str
+    kernels: tuple[str, ...]
     run: Callable
 
 
@@ -106,7 +110,8 @@ def _egpd_method(fit_name: str, *, censored: bool = False) -> Method:
         params, diag = getattr(egpd, fit_name)(values, threshold, restarts=config.egpd_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: egpd_quantile(p, params)
 
-    return Method("egpd", run)
+    # The PWM fits solve their moment systems in Python floats.
+    return Method("egpd", ("setulb",) if fit_name == "fit_mle" else (), run)
 
 
 def _mixture_method(k: int) -> Method:
@@ -116,7 +121,7 @@ def _mixture_method(k: int) -> Method:
         params, diag = fit_map(values, k, restarts=config.mixture_restarts, rng=rng)
         return params.to_dict(), diag, lambda p: mixture_quantile(p, params)
 
-    return Method("gamma_mixture", run)
+    return Method("gamma_mixture", ("setulb", "psi", "gammainc"), run)
 
 
 # The paper's seven methods, in its order, which is the row order of the
@@ -185,11 +190,12 @@ class RunConfig(_RunFields):
     `methods` are `METHODS` names; `quantiles` is a `QuantileSet` or a
     sequence of levels that becomes one (whose own checks raise a
     ValueError); neither is a string.  `threshold_mm`, a number (not a
-    boolean or a string), feeds the censored estimators only.  `seed`,
-    `jobs`, the restart counts and `min_wet` are ints, and a bool is not
-    one.  A bad field is a ConfigError.  `min_wet` drops sites with too
-    few wet days before any fitting.  A fit's work is bounded by its solvers' iteration and
-    evaluation caps, never by wall time.
+    boolean, numpy's too, or a string), feeds the censored estimators
+    only.  `seed`, `jobs`, the restart counts and `min_wet` are ints, and
+    a bool is not one.  A bad field is a ConfigError.  `min_wet` drops
+    sites with too few wet days before any fitting.  A fit's work is
+    bounded by its solvers' iteration and evaluation caps, never by wall
+    time.
     """
 
     __slots__ = ()
@@ -210,7 +216,8 @@ class RunConfig(_RunFields):
         for name in ("seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet"):
             if type(getattr(self, name)) is not int:  # a bool is not a count
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if isinstance(self.threshold_mm, (bool, str)):  # True is not a 1 mm threshold
+        # True, np.True_ and "1" are not a 1 mm threshold; np.float64 is a Real.
+        if isinstance(self.threshold_mm, bool) or not isinstance(self.threshold_mm, numbers.Real):
             raise ConfigError(f"threshold_mm must be a number, got {self.threshold_mm!r}")
         if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0.0):
             raise ConfigError("threshold_mm must be finite and > 0")
@@ -280,20 +287,23 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> Iterator[dict]:
     Sites are ordered by id; task i gets the RNG stream derived from
     (seed, site index, the method's position in `METHODS`).  With
     jobs > 1 the tasks run in min(jobs, tasks) forked worker processes
-    (`_run_workers`), handed out in task order and yielded by index, so
-    results are identical to the serial path.  A worker that dies ends
-    the run with a ChildProcessError, after every worker is reaped.
+    (`_run_workers`) and are yielded by index, so results are identical
+    to the serial path.  A worker that dies ends the run with a
+    ChildProcessError, after every worker is reaped.
 
     Loaded here, once, before any fit is timed and before a worker forks:
     numpy with `egpd` for the `naveau-*` methods and `gamma_mixture` for
-    the mixtures, and every scipy function any fit gets from
-    `numerics.scipy_function` (`numerics.preload_scipy`), whichever methods
-    run; never the `scipy` package.  So no fit's seconds include an
-    import, no worker loads fit code itself, and a scipy without one of
-    the functions the fits call is an ImportError here, before any fit.
-    No fit loads numpy.random, in this process or a worker: jittered
-    starts are computed from the task's Philox stream in Python
-    (`RngState.doubles`).
+    the mixtures, so no worker loads fit code itself.  The scipy
+    functions the requested methods call (their `Method.kernels`; never
+    the `scipy` package) are loaded by `numerics.preload_scipy` before the
+    first fit of each process that fits: here on the serial path, and in
+    each worker right after its fork, so the parent of workers holds no
+    compiled scipy module.  So no fit's seconds include an import, and a
+    scipy without one of those functions is an ImportError before any
+    fit: raised here, or sent back by the worker and raised once every
+    worker is reaped.  No fit loads numpy.random, in this process or a
+    worker: jittered starts are computed from the task's Philox stream in
+    Python (`RngState.doubles`).
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -310,33 +320,43 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> Iterator[dict]:
     ]
     for family in dict.fromkeys(METHODS[m].family for m in config.methods):
         import_module(f"{__package__}.{family}")
-    preload_scipy()
+    kernels = tuple(dict.fromkeys(k for m in config.methods for k in METHODS[m].kernels))
     if config.jobs == 1 or len(tasks) == 1:
+        preload_scipy(kernels)
         return (run_single_fit(*t) for t in tasks)
-    return _run_workers(tasks, min(config.jobs, len(tasks)))
+    return _run_workers(tasks, min(config.jobs, len(tasks)), kernels)
 
 
-def _run_workers(tasks: list, jobs: int) -> Iterator[dict]:
+def _run_workers(tasks: list, jobs: int, kernels: tuple[str, ...]) -> Iterator[dict]:
     """Fit tasks in jobs forked worker processes; yield their records in task order.
 
-    The workers inherit the tasks through the fork.  Each reads a task
-    index from its task pipe and writes the record to its result pipe as a
-    bare pickle; it gets its next index once that record is read, so tasks
-    start in order, one at a time, and the end of its task pipe stops it.
-    A record that comes in before an earlier task's waits for it.  A
-    result pipe that ends before its record does stops the run: every
-    worker is killed and reaped, and ChildProcessError names the dead
-    worker's exit status and the site and method it was fitting.  Every
-    worker is killed and reaped too when the consumer stops early.
+    The workers inherit the tasks through the fork.  Each loads the scipy
+    functions `kernels` names (`numerics.preload_scipy`), then reads a
+    task index from its task pipe and writes the record to its result
+    pipe as a bare pickle; it gets its next index once that record is
+    read, and the end of its task pipe stops it.  Tasks go out one at a
+    time, a site at a time, and within a site longest first: by
+    descending `METHODS` position, `gamma-mixture-4` before `naveau-mle`
+    (Graham's longest-processing-time rule), so that no worker idles
+    while another runs a site's K=4 fit last.  A record that comes in
+    before an earlier task's waits for it.  A worker that cannot load
+    its kernels sends the ImportError instead of a record, and the run
+    raises it.  A result pipe that ends before its record does stops the
+    run: ChildProcessError names the dead worker's exit status and the
+    site and method it was fitting.  Either way, and when the consumer
+    stops early, every worker is killed and reaped first.
     """
     import pickle
     import select
     import signal
     from contextlib import suppress
 
+    from .numerics import preload_scipy
+
     arrived: dict = {}  # records read but not yet yielded, by task index
     done = 0  # the number of records yielded
-    todo = iter(range(len(tasks)))
+    per_site = len(tasks[0][2].methods)
+    todo = iter(sorted(range(len(tasks)), key=lambda i: (i // per_site, -_POSITION[tasks[i][1]])))
     workers: dict = {}  # result pipe -> [pid, task pipe fd, index of its task]
 
     def stop(result) -> int:
@@ -359,6 +379,12 @@ def _run_workers(tasks: list, jobs: int) -> Iterator[dict]:
                     for fd in [task_w, result_r, *others]:
                         os.close(fd)
                     out = open(result_w, "wb")
+                    try:
+                        preload_scipy(kernels)
+                    except ImportError as exc:  # sent in place of a record
+                        pickle.dump(exc, out)
+                        out.flush()
+                        os._exit(1)
                     while index := os.read(task_r, 4):
                         pickle.dump(run_single_fit(*tasks[int.from_bytes(index, "little")]), out)
                         out.flush()
@@ -387,13 +413,16 @@ def _run_workers(tasks: list, jobs: int) -> Iterator[dict]:
                 try:
                     # At most one record is in flight on a pipe, so the
                     # buffered pipe never reads past it.
-                    arrived[workers[result][2]] = pickle.load(result)
+                    record = pickle.load(result)
                 except (EOFError, pickle.UnpicklingError):
                     pid, _, i = workers[result]
                     code = stop(result)
                     how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                     raise ChildProcessError(f"worker process {pid} {how} while fitting site "
                                             f"{tasks[i][0].site_id!r}, method {tasks[i][1]!r}")
+                if isinstance(record, ImportError):
+                    raise record
+                arrived[workers[result][2]] = record
     finally:
         for result in list(workers):
             os.kill(workers[result][0], signal.SIGKILL)

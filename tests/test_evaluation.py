@@ -180,10 +180,11 @@ def test_quantile_set_default_and_validation():
         QuantileSet((0.5, 1.0))
 
 
-@pytest.mark.parametrize("levels", ["0.5", ("0.25", "0.5"), (0.5, True), [np.float64(0.1), "0.9"]])
+@pytest.mark.parametrize("levels", ["0.5", ("0.25", "0.5"), (0.5, True), [np.float64(0.1), "0.9"],
+                                    [np.float64(0.1), np.True_], [0.1, np.False_]])
 def test_quantile_set_refuses_a_string_or_a_boolean(levels):
     # float() would read "0.5" as 0.5 and True as 1.0; a string's levels
-    # would be its characters.
+    # would be its characters.  A numpy boolean is no level either.
     with pytest.raises(ValueError, match="^quantile levels must be numbers, got "):
         QuantileSet(levels)
 

@@ -5,11 +5,13 @@ importing the CLI and rebuilding tables load neither numpy nor rainfit's
 fit code (`numerics`, `egpd`, `gamma_mixture`, `corpus`), nor
 `dataclasses` and the `inspect`, `ast`, `dis` and `tokenize` it loads.
 Loading site CSVs needs `corpus` alone: no numpy, no fit module and no
-scipy.  `run_fits` loads what the requested methods call, once, before it
-forks a worker or starts the first fit: numpy with the fit module of each
-requested family, and the two compiled scipy modules the fits call,
-`scipy.optimize._lbfgsb` and `scipy.special._special_ufuncs`.  The first
-fit in each process, serial or in a forked worker, then adds no module to
+scipy.  `run_fits` loads numpy with the fit module of each requested
+family, once, before it forks a worker or starts the first fit.  Each
+process that fits, the serial run or each forked worker, loads the
+compiled scipy modules its methods call before its first fit:
+`scipy.optimize._lbfgsb` for L-BFGS-B, `scipy.special._special_ufuncs`
+for the mixtures, none for the PWM fits; the parent of `--jobs` workers
+loads none.  The first fit in each process then adds no module to
 `sys.modules`, and no process that fits loads numpy.random or the `scipy`
 package, with or without jittered starts.  A run of all seven methods, a
 `fit` or a `simulate` of a mixture preset never imports the `scipy`,
@@ -161,22 +163,60 @@ RECORD_FIT_MODULES = (
     "    seen.append(['scipy.special' in sys.modules, sorted(numerics._loaded_kernels)])\n"
 )
 FIT_MODULES_LOADED = [False, ["scipy.optimize._lbfgsb", "scipy.special._special_ufuncs"]]
-def test_run_fits_loads_scipy_before_forking_the_pool(tmp_path):
+LBFGSB_ALONE = ["scipy.optimize._lbfgsb"]
+
+
+# Records, in the main process, the fit modules and scipy kernels loaded
+# when a worker forks and once run.json is written; each process that fits
+# appends to KERNELS_DIR/<pid>.jsonl the kernels loaded before and after
+# each fit.
+WORKER_KERNELS_HOOK = (
+    "from rainfit import numerics\n"
+    "main_pid = os.getpid()\n"
+    "_fork = os.fork\n"
+    "def fork():\n"
+    "    seen.append(['rainfit.egpd' in sys.modules, 'rainfit.gamma_mixture' in sys.modules,\n"
+    "                 sorted(numerics._loaded_kernels)])\n"
+    "    return _fork()\n"
+    "os.fork = fork\n"
+    "_run_single_fit = rainfit.pipeline.run_single_fit\n"
+    "def run_single_fit(*args):\n"
+    "    kernels = sorted(numerics._loaded_kernels)\n"
+    "    record = _run_single_fit(*args)\n"
+    "    with open(os.path.join(KERNELS_DIR, f'{os.getpid()}.jsonl'), 'a') as fh:\n"
+    "        fh.write(json.dumps([os.getpid() != main_pid, kernels, sorted(numerics._loaded_kernels)]) + '\\n')\n"
+    "    return record\n"
+    "rainfit.pipeline.run_single_fit = run_single_fit\n"
+    "_write_run_file = rainfit.pipeline._write_run_file\n"
+    "def write_run_file(*args):\n"
+    "    _write_run_file(*args)\n"
+    "    seen.append(sorted(numerics._loaded_kernels))\n"
+    "rainfit.pipeline._write_run_file = write_run_file\n"
+)
+
+
+@pytest.mark.parametrize("methods, kernels", [("naveau-mle", LBFGSB_ALONE),
+                                              ("naveau-pwm,gamma-mixture-2", FIT_MODULES_LOADED[1])],
+                         ids=["naveau-mle", "naveau-pwm,gamma-mixture-2"])
+def test_a_parallel_run_loads_scipy_in_each_worker_before_its_first_fit(tmp_path, methods, kernels):
     # Site files, not generators: drawing sites would load the fit modules
-    # before run_fits.  run_fits loads egpd before the fork, so that no
-    # worker compiles it itself, and not gamma_mixture, which this run of
-    # naveau-mle alone never calls.
+    # before run_fits.  run_fits loads the requested families' fit modules
+    # before the fork, so that no worker compiles one itself, and no
+    # compiled scipy module, before the fork or after the run: the parent
+    # reads scipy's version alone.  Each worker holds its methods' kernels
+    # before its first fit, so no fit loads one inside its fit_seconds.
     manifest = site_file_manifest(tmp_path, 50)
-    hook = (
-        "_fork = os.fork\n"
-        "def fork():\n"
-        + RECORD_FIT_MODULES
-        + "    seen.append(['rainfit.egpd' in sys.modules, 'rainfit.gamma_mixture' in sys.modules])\n"
-        "    return _fork()\n"
-        "os.fork = fork\n"
-    )
-    rc, before, seen, _ = run_python(benchmark_code(manifest, tmp_path / "run", 2, hook))
-    assert [rc, before, seen[:2]] == [0, False, [FIT_MODULES_LOADED, [True, False]]]
+    out = tmp_path / "kernels"
+    out.mkdir()
+    hook = f"KERNELS_DIR = {str(out)!r}\n" + WORKER_KERNELS_HOOK
+    rc, before, seen, _ = run_python(benchmark_code(manifest, tmp_path / "run", 2, hook, methods))
+    families = {METHODS[m].family for m in methods.split(",")}
+    at_fork = ["egpd" in families, "gamma_mixture" in families, []]
+    assert [rc, before, seen] == [0, False, [at_fork, at_fork, ["scipy.version"]]]
+    logs = [p.read_text(encoding="utf-8").splitlines() for p in out.glob("*.jsonl")]
+    fits = [json.loads(line) for log in logs for line in log]
+    assert len(logs) == 2 and len(fits) == 2 * len(methods.split(","))
+    assert fits == [[True, kernels, kernels]] * len(fits)
 
 
 def test_a_parallel_run_loads_no_process_pool_and_starts_no_thread(tmp_path):
@@ -195,7 +235,12 @@ def test_a_parallel_run_loads_no_process_pool_and_starts_no_thread(tmp_path):
     assert run_python(code) == [0, [], 1]
 
 
-def test_run_fits_loads_scipy_before_the_first_serial_fit(tmp_path):
+@pytest.mark.parametrize("methods, kernels", [("naveau-pwm", []), ("naveau-mle", LBFGSB_ALONE),
+                                              ("gamma-mixture-2", FIT_MODULES_LOADED[1])],
+                         ids=["naveau-pwm", "naveau-mle", "gamma-mixture-2"])
+def test_run_fits_loads_scipy_before_the_first_serial_fit(tmp_path, methods, kernels):
+    # Only what the methods call: nothing for a PWM fit, L-BFGS-B alone for
+    # a likelihood fit.
     manifest = tmp_path / "manifest.json"
     write_manifest(manifest, seed=1, generators=[egpd_spec("s0", 50)])
     hook = (
@@ -205,8 +250,8 @@ def test_run_fits_loads_scipy_before_the_first_serial_fit(tmp_path):
         + "    return _run_single_fit(*args)\n"
         "rainfit.pipeline.run_single_fit = run_single_fit\n"
     )
-    rc, before, seen, _ = run_python(benchmark_code(manifest, tmp_path / "run", 1, hook))
-    assert [rc, before, seen[:1]] == [0, False, [FIT_MODULES_LOADED]]
+    rc, before, seen, _ = run_python(benchmark_code(manifest, tmp_path / "run", 1, hook, methods))
+    assert [rc, before, seen[:1]] == [0, False, [[False, kernels]]]
 
 
 def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_path):

@@ -65,14 +65,22 @@ def fit_records(sites, methods) -> dict:
     ({"methods": "naveau-mle"}, "methods must be a sequence, not a string: 'naveau-mle'"),
     ({"threshold_mm": "1"}, "threshold_mm must be a number, got '1'"),
     ({"threshold_mm": True}, "threshold_mm must be a number, got True"),
+    ({"threshold_mm": np.True_}, f"threshold_mm must be a number, got {np.True_!r}"),
+    ({"threshold_mm": None}, "threshold_mm must be a number, got None"),
     ({"quantiles": "0.5"}, "quantiles must be a sequence, not a string: '0.5'"),
 ], ids=["no-methods", "threshold-0", "threshold-nan", "threshold-inf", "jobs-0",
         "egpd-restarts", "mixture-restarts", "min-wet-0", "egpd-restarts-float",
         "mixture-restarts-float", "seed-float", "jobs-bool", "methods-string",
-        "threshold-string", "threshold-bool", "quantiles-string"])
+        "threshold-string", "threshold-bool", "threshold-numpy-bool", "threshold-none",
+        "quantiles-string"])
 def test_run_config_rejects_an_invalid_field(fields, message):
     with pytest.raises(pipeline.ConfigError, match=f"^{message}$"):
         RunConfig(**fields)
+
+
+def test_run_config_takes_numpy_numbers():
+    config = RunConfig(threshold_mm=np.float64(2.5), quantiles=[np.float64(0.1), np.float32(0.5)])
+    assert (config.threshold_mm, config.quantiles.probabilities) == (2.5, (0.1, 0.5))
 
 
 def test_run_fits_of_no_sites_is_a_config_error():

@@ -5,7 +5,8 @@ The fits get three compiled scipy functions by name from
 `psi` and `gammainc` from `scipy.special._special_ufuncs`.
 `numerics._scipy_kernel` loads those two modules from their extension
 files, found from the top-level `scipy` spec, without running any package
-`__init__`.  `preload_scipy` loads and checks all three functions.
+`__init__`.  `preload_scipy` loads and checks the functions it is given;
+each `pipeline.METHODS` entry declares the ones its fits call.
 This module checks that contract:
 
 - a missing kernel, function or scipy is an ImportError that names it;
@@ -16,12 +17,14 @@ This module checks that contract:
 - `preload_scipy` runs no package `__init__` and imports no scipy module
   (`test_imports` checks that no run of any method loads the `scipy`
   package, in this process or a forked worker).
+- each method, run alone, requests exactly the functions it declares.
 """
 
 import pytest
 
 from fresh_python import run_python
 from rainfit import numerics
+from rainfit.pipeline import METHODS
 
 
 def test_a_missing_kernel_is_an_import_error_naming_it(monkeypatch):
@@ -139,7 +142,7 @@ def test_preload_imports_no_scipy_module():
 import json, sys
 from rainfit import numerics
 
-numerics.preload_scipy()
+numerics.preload_scipy(numerics._SCIPY_FUNCTIONS)
 print(json.dumps([sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
                   sorted(numerics._loaded_kernels)]))
 """
@@ -148,10 +151,12 @@ print(json.dumps([sorted(m for m in sys.modules if m == "scipy" or m.startswith(
     assert kernels == ["scipy.optimize._lbfgsb", "scipy.special._special_ufuncs"]
 
 
-def test_preload_checks_exactly_the_functions_the_fits_bind(monkeypatch):
-    # `preload_scipy` loads and checks `_SCIPY_FUNCTIONS`; a run of all seven
-    # methods must ask `scipy_function` for those names and no other, so a
-    # stale entry fails here as surely as a missing one.
+@pytest.mark.parametrize("method", list(METHODS))
+def test_each_method_declares_exactly_the_functions_its_fits_request(monkeypatch, method):
+    # `run_fits` loads the requested methods' `Method.kernels`; a run of one
+    # method alone must ask `scipy_function` for those names and no other,
+    # so a stale entry fails here as surely as a missing one.  Together
+    # the methods declare every name `_SCIPY_FUNCTIONS` maps.
     import sys
 
     import numpy as np
@@ -159,7 +164,7 @@ def test_preload_checks_exactly_the_functions_the_fits_bind(monkeypatch):
     import rainfit.gamma_mixture  # noqa: F401 - loaded before its name is spied on
     from rainfit.corpus import SiteSeries
     from rainfit.egpd import EgpdParams, egpd_simulate
-    from rainfit.pipeline import METHODS, RunConfig, run_fits
+    from rainfit.pipeline import RunConfig, run_fits
 
     requested = set()
     real = numerics.scipy_function
@@ -172,9 +177,11 @@ def test_preload_checks_exactly_the_functions_the_fits_bind(monkeypatch):
         if name.startswith("rainfit") and getattr(module, "scipy_function", None) is real:
             monkeypatch.setattr(module, "scipy_function", spy)
     # Only the fits' own requests count, not the preload's.
-    monkeypatch.setattr(numerics, "preload_scipy", lambda: None)
+    monkeypatch.setattr(numerics, "preload_scipy", lambda names: None)
     values = egpd_simulate(300, EgpdParams(1.2, 5.0, 0.1), numerics.RngState(seed=8))
-    config = RunConfig(methods=tuple(METHODS), egpd_restarts=1, mixture_restarts=1, jobs=1)
-    records = run_fits([SiteSeries("s", np.asarray(values))], config)
-    assert all(r["error"] is None for r in records)
-    assert requested == set(numerics._SCIPY_FUNCTIONS)
+    config = RunConfig(methods=(method,), egpd_restarts=1, mixture_restarts=1, jobs=1)
+    records = list(run_fits([SiteSeries("s", np.asarray(values))], config))
+    assert [r["error"] for r in records] == [None]
+    kernels = METHODS[method].kernels
+    assert (sorted(requested), len(set(kernels))) == (sorted(kernels), len(kernels))
+    assert set().union(*(m.kernels for m in METHODS.values())) == set(numerics._SCIPY_FUNCTIONS)

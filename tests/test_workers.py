@@ -1,8 +1,10 @@
 """`benchmark --jobs N` forks its workers and feeds them task indices over pipes.
 
-The records come back whole and in task order, whatever the number of
-workers, a worker that dies or cuts its record short ends the run with
-exit 3 instead of leaving it waiting, and Ctrl-C ends it with exit 130.
+Each site's tasks go out longest first, and the records come back whole
+and in task order, whatever the number of workers.  A worker that dies
+or cuts its record short ends the run with exit 3 instead of leaving it
+waiting, a worker that cannot load its scipy kernels ends it as a serial
+run does, and Ctrl-C ends it with exit 130.
 No test runs more than 8 workers.
 """
 
@@ -48,6 +50,30 @@ def test_three_workers_and_more_workers_than_tasks_write_what_one_process_writes
     assert len(outputs[0][1]) == 6
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def test_each_site_hands_out_its_longest_fits_first(tmp_path, monkeypatch, capsys):
+    # Each worker gets its first task before any record comes back: the
+    # first site's last two methods in `METHODS` order, the mixture first.
+    # The records still come out in task order.
+    log = tmp_path / "first-tasks"
+    fit = pipeline.run_single_fit
+
+    def run_single_fit(series, method, *args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {series.site_id} {method}\n")
+        return fit(series, method, *args)
+
+    monkeypatch.setattr(pipeline, "run_single_fit", run_single_fit)
+    records = benchmark(two_site_manifest(tmp_path), tmp_path / "run", 2)
+    first = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, task = line.split(" ", 1)
+        first.setdefault(pid, task)
+    assert sorted(first.values()) == ["e0 gamma-mixture-2", "e0 naveau-pwm"]
+    assert [(r["site_id"], r["method"]) for r in records] == [
+        (site, method) for site in ("e0", "m1") for method in ("naveau-mle", "naveau-pwm", "gamma-mixture-2")
+    ]
 
 
 def test_a_record_larger_than_a_pipe_buffer_comes_back_whole(tmp_path, monkeypatch, capsys):
@@ -116,6 +142,22 @@ def run_patched_benchmark(tmp_path, jobs, patch):
         "run()\n"
     )
     return run_in_session(code, timeout=60)
+
+
+def test_a_scipy_without_a_kernel_ends_a_parallel_run_as_it_ends_a_serial_one(tmp_path):
+    # Each worker loads L-BFGS-B itself, after the fork, and finds it
+    # missing; the main process raises the ImportError it sends back.
+    # Exit 2 and the same one error line as --jobs 1, no records file, and
+    # no worker left behind.
+    runs = [run_patched_benchmark(tmp_path, jobs, (
+        "from rainfit import numerics\n"
+        "numerics._SCIPY_FUNCTIONS['setulb'] = 'scipy.optimize._no_such_kernel'\n"
+        "run_single_fit = fit\n"
+    )) for jobs in (1, 2)]
+    assert [rc for rc, _ in runs] == [2, 2]
+    assert runs[1][1] == runs[0][1] and len(runs[0][1].splitlines()) == 1
+    assert runs[0][1].startswith("error: scipy's compiled module scipy.optimize._no_such_kernel is not in ")
+    assert not (tmp_path / "run" / "fits.jsonl").exists()
 
 
 def test_a_worker_that_dies_ends_the_run_with_exit_3(tmp_path):
