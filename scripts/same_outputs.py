@@ -21,13 +21,20 @@ that `fits.jsonl` is compared without each record's `fit_seconds`, and
 `run.json` without its `seconds`, `environment`, `config.jobs` and each
 method's `fit_seconds`.  One line is printed per file that differs.  Exit
 code 0 means no file differs, 1 that one does, 2 that a command failed.
-Standard library only.
+
+`golden_files` and `numeric_differences` compare a `benchmark` run with
+a golden one (`scripts/golden.py`, `tests/test_golden.py`) where bytes
+cannot be expected to match: on another numpy, scipy or SIMD dispatch
+target.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -114,6 +121,103 @@ def differences(base: Path, change: Path) -> list[str]:
         elif comparable(a) != comparable(b):
             out.append(f"{rel} differs")
     return out
+
+
+# The tables `benchmark` writes beside `fits.jsonl` and `run.json`.
+TABLES = ("boxplots.csv", "classes.csv", "classes.txt", "medians.csv", "medians.txt")
+
+# The largest |Δ ln q| between numpy's AVX-512 (X86_V4) and AVX2 (X86_V2)
+# paths, over the 350 records of `paper-like-50` seed 1 on one host.  A
+# D, a median, a quartile or a whisker is a ln q less an empirical ln q
+# that no dispatch target moves, or a convex combination of such values,
+# so it moves by no more than the ln q it comes from.
+LN_Q_TOLERANCE = 5.4e-6
+
+
+def golden_files(bench: Path) -> dict[str, bytes]:
+    """What a golden run keeps of a `benchmark` output directory.
+
+    `fits.jsonl` without each record's `fit_seconds`, the five tables, and
+    `environment.json`: the numpy and scipy versions and the SIMD dispatch
+    (`numpy_cpu`) from `run.json`'s `environment`.
+    """
+    records = [json.loads(line) for line in (bench / "fits.jsonl").read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record.pop("fit_seconds", None)
+    files = {"fits.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()}
+    files.update((name, (bench / name).read_bytes()) for name in TABLES)
+    env = json.loads((bench / "run.json").read_text(encoding="utf-8"))["environment"]
+    kept = {key: env[key] for key in ("numpy", "scipy", "numpy_cpu")}
+    files["environment.json"] = (json.dumps(kept, indent=2, sort_keys=True) + "\n").encode()
+    return files
+
+
+def _table(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode("utf-8"))))
+
+
+def _records(data: bytes) -> dict[tuple[str, str], dict]:
+    return {(r["site_id"], r["method"]): r for r in map(json.loads, data.decode("utf-8").splitlines())}
+
+
+def numeric_differences(golden: dict[str, bytes], run: dict[str, bytes],
+                        tolerance: float = LN_Q_TOLERANCE) -> list[str]:
+    """Each way a run's `golden_files` fall outside the golden ones' tolerance.
+
+    Exact: the (site, method) records in order, which converged and
+    failed, each method's `n_eval` total, the quantile levels, and every
+    cell of `classes.csv` and `classes.txt` and every count (`n_sites`,
+    `failed_fits`).  Within `tolerance`: each record's ln q, estimated
+    and empirical, and each D cell of `medians.csv` and `boxplots.csv`.
+    `medians.txt` is `medians.csv` rounded, so it is not compared, nor is
+    `environment.json`.  One line per difference, naming the file and the
+    cell.
+    """
+    out = []
+    want, got = _records(golden["fits.jsonl"]), _records(run["fits.jsonl"])
+    if list(want) != list(got):
+        return [f"fits.jsonl: the (site, method) records differ: {list(want)} against {list(got)}"]
+    n_eval: dict[str, list[int]] = {}
+    for (site, method), a in want.items():
+        b = got[(site, method)]
+        if a["converged"] != b["converged"]:
+            out.append(f"fits.jsonl {site} {method}: converged {a['converged']} against {b['converged']}")
+        totals = n_eval.setdefault(method, [0, 0])
+        totals[0] += a["diagnostics"].get("n_eval", 0)
+        totals[1] += b["diagnostics"].get("n_eval", 0)
+        for key in ("empirical_quantiles", "estimated_quantiles"):
+            qa, qb = a.get(key) or {}, b.get(key) or {}
+            if qa.keys() != qb.keys():
+                out.append(f"fits.jsonl {site} {method} {key}: levels {sorted(qa)} against {sorted(qb)}")
+                continue
+            for p in qa:
+                if qa[p] != qb[p] and not (qa[p] > 0.0 and qb[p] > 0.0
+                                           and abs(math.log(qa[p] / qb[p])) <= tolerance):
+                    out.append(f"fits.jsonl {site} {method} {key} p={p}: {qa[p]!r} against {qb[p]!r}")
+    out += [f"fits.jsonl {method}: n_eval total {a} against {b}" for method, (a, b) in n_eval.items() if a != b]
+    if golden["classes.txt"] != run["classes.txt"]:
+        out.append("classes.txt differs")
+    for name in ("classes.csv", "medians.csv", "boxplots.csv"):
+        want_rows, got_rows = _table(golden[name]), _table(run[name])
+        if [len(row) for row in want_rows] != [len(row) for row in got_rows]:
+            out.append(f"{name}: the rows differ in shape")
+            continue
+        header = want_rows[0]
+        for row_a, row_b in zip(want_rows, got_rows):
+            row = " p=".join(row_a[:2] if name == "boxplots.csv" else row_a[:1])
+            for column, a, b in zip(header, row_a, row_b):
+                exact = name == "classes.csv" or column in ("method", "p", "n_sites", "failed_fits")
+                if a != b and (exact or not _close(a, b, tolerance)):
+                    out.append(f"{name} {row} {column}: {a} against {b}")
+    return out
+
+
+def _close(a: str, b: str, tolerance: float) -> bool:
+    """Whether two table cells are numbers within tolerance of each other."""
+    try:
+        return abs(float(a) - float(b)) <= tolerance
+    except ValueError:
+        return False
 
 
 def main(argv=None) -> int:

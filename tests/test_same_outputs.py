@@ -43,3 +43,30 @@ def test_a_tree_matches_itself_and_not_a_copy_with_another_prior(tmp_path, capsy
     assert f"manifest:{manifest}: jobs-1/bench/fits.jsonl differs" in lines
     assert f"manifest:{manifest}: jobs-1/report/medians.csv differs" in lines
     assert not any("corpus/" in line for line in lines)
+
+
+def test_numeric_differences_name_each_cell_beyond_the_tolerance():
+    script = load_script()
+    golden = {p.name: p.read_bytes() for p in (ROOT / "tests" / "golden" / "benchmark").iterdir()}
+    assert script.numeric_differences(golden, golden) == []
+
+    inside, beyond = 1.0 + 0.5 * script.LN_Q_TOLERANCE, 1.0 + 2.0 * script.LN_Q_TOLERANCE
+    records = [json.loads(line) for line in golden["fits.jsonl"].decode().splitlines()]
+    first, q = records[0], dict(records[0]["estimated_quantiles"])
+    first["estimated_quantiles"]["0.5"] *= inside
+    first["estimated_quantiles"]["0.9"] *= beyond
+    first["diagnostics"]["n_eval"] += 1
+    medians = [line.split(",") for line in golden["medians.csv"].decode().splitlines()]
+    d = medians[1][2]
+    medians[1][1] = repr(float(medians[1][1]) + 0.5 * script.LN_Q_TOLERANCE)
+    medians[1][2] = repr(float(d) + 2.0 * script.LN_Q_TOLERANCE)
+    run = {**golden, "fits.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode(),
+           "medians.csv": "".join(",".join(row) + "\n" for row in medians).encode(),
+           "classes.csv": golden["classes.csv"].replace(b"naveau-mle,N", b"naveau-mle,O", 1)}
+    assert script.numeric_differences(golden, run) == [
+        f"fits.jsonl site-000 naveau-mle estimated_quantiles p=0.9: {q['0.9']!r}"
+        f" against {first['estimated_quantiles']['0.9']!r}",
+        "fits.jsonl naveau-mle: n_eval total 484 against 485",
+        "classes.csv naveau-mle 0.01: N against O",
+        f"medians.csv naveau-mle 0.1: {d} against {medians[1][2]}",
+    ]
