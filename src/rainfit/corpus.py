@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from array import array
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from .evaluation import _integer, _real_number
 
 if TYPE_CHECKING:
     import numpy as np
@@ -199,13 +200,12 @@ class GeneratorSpec:
     """Recipe for one synthetic site.
 
     family is 'egpd' or 'gamma-mixture'; params are the family's parameter
-    record as a plain dict, checked by building it (`model_params`): the
-    record refuses a boolean or a string where a number belongs
-    (`numerics._real_number`); n, the number of draws, is an integer from
-    100 to the 2,921,940 rows `save_site` can date, and seed an integer
-    (numpy integers become ints; a boolean is refused); discretize_mm, a
-    finite number > 0 when set, by the records' rule, rounds draws
-    half-to-even to that increment and drops resulting zeros.
+    record as a plain dict, checked by building it (`model_params`); n,
+    the number of draws, is a count (`evaluation._integer`) from 100 to
+    the 2,921,940 rows `save_site` can date, and seed a count;
+    discretize_mm, when set a real number (`evaluation._real_number`),
+    finite and > 0, rounds draws half-to-even to that increment and drops
+    resulting zeros.  Counts become ints and discretize_mm a float.
     """
 
     site_id: str
@@ -216,8 +216,6 @@ class GeneratorSpec:
     discretize_mm: float | None = None
 
     def __post_init__(self) -> None:
-        from .numerics import _real_number
-
         # `simulate` writes the site to <site_id>.csv inside its output directory.
         site_id = self.site_id
         if not isinstance(site_id, str) or site_id in ("", ".", "..") or {"/", "\\"} & set(site_id):
@@ -227,19 +225,15 @@ class GeneratorSpec:
             )
         if self.family not in ("egpd", "gamma-mixture"):
             raise CorpusError(f"unknown family {self.family!r}")
-        # 1.5 or "1" is not truncated or parsed, and a JSON `true` is not 1.
-        for key in ("n", "seed"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise CorpusError(f"{key!r} must be an integer, got {value!r}")
-            object.__setattr__(self, key, int(value))
+        object.__setattr__(self, "n", _integer("n", self.n, CorpusError))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, CorpusError))
         if not 100 <= self.n <= _MAX_ROWS:
             raise CorpusError(f"generator n must be from 100 to {_MAX_ROWS}, got {self.n!r}")
-        # A JSON `true` is not a 1 mm gauge, nor "0.2" a 0.2 mm one; the
-        # parameter records apply the same rule to params.
         disc = self.discretize_mm
-        if disc is not None and not 0.0 < _real_number("discretize_mm", disc) < math.inf:
-            raise CorpusError(f"discretize_mm must be finite and > 0, got {disc!r}")
+        if disc is not None:
+            object.__setattr__(self, "discretize_mm", _real_number("discretize_mm", disc, CorpusError))
+            if not 0.0 < self.discretize_mm < math.inf:
+                raise CorpusError(f"discretize_mm must be finite and > 0, got {disc!r}")
         try:
             self.model_params()
         except (TypeError, ValueError) as exc:
@@ -367,9 +361,10 @@ def load_manifest(path) -> Manifest:
         raise _not_utf8(path, exc) from None
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict) or type(raw.get("seed")) is not int:
-        raise CorpusError(f"{path}: manifest must be an object with an integer 'seed'")
-    seed = raw["seed"]
+    try:
+        seed = _integer("seed", raw["seed"])
+    except (KeyError, TypeError, ValueError):  # TypeError: raw is not an object
+        raise CorpusError(f"{path}: manifest must be an object with an integer 'seed'") from None
     sites, entries = raw.get("sites", []), raw.get("generators", [])
     if not (isinstance(sites, list) and all(isinstance(p, str) for p in sites)):
         raise CorpusError(f"{path}: 'sites' must be a list of CSV paths")

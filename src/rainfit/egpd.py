@@ -31,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluation import _real_number
 from .numerics import (
     LOG_CLAMP,
     MAX_ITER,
     MOMENTS_OUT_OF_RANGE,
     RngState,
-    _real_number,
     at_log_clamp,
     checked_array,
     jittered_starts,

@@ -42,12 +42,42 @@ __all__ = [
 PAPER_QUANTILES: tuple[float, ...] = (0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99)
 
 
+def _real_number(name: str, value, error: type[ValueError] = ValueError) -> float:
+    """float(value), for the field `name`: the one rule for a real number.
+
+    A `numbers.Real` that is not a boolean passes, numpy's floats and
+    integers and a `Fraction` among them.  Anything else is an `error`
+    that names the field: a boolean, Python's or numpy's, which float()
+    would read as 1.0 or 0.0, a string or bytes, which it would parse, a
+    `Decimal`, a numpy array or None.  A float returns at once: the
+    parameter records are built on the fits' hot paths.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    # numpy's boolean type is named `bool` (`bool_` before numpy 2).
+    kind = "a boolean" if type(value).__name__ in ("bool", "bool_") else f"a {type(value).__name__}"
+    raise error(f"'{name}' holds {kind}, not a number: {value!r}")
+
+
+def _integer(name: str, value, error: type[ValueError] = ValueError) -> int:
+    """int(value), for the count `name`: the one rule for a count.
+
+    A `numbers.Integral` that is not a boolean passes, numpy's integers
+    among them; anything else, 1.5, "1", True or None, is an `error` that
+    names the field.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"'{name}' must be an integer, got {value!r}")
+
+
 class QuantileSet(NamedTuple("_Levels", [("probabilities", tuple)])):
     """Strictly ascending probabilities in (0, 1) at which methods are scored.
 
-    Made from a sequence of levels, which it checks (a boolean, numpy's
-    too, or a string is not a level), or from a `QuantileSet`, which it
-    returns as it is.
+    Made from a sequence of levels, each a number by `_real_number`, or
+    from a `QuantileSet`, which it returns as it is.
     """
 
     __slots__ = ()
@@ -55,12 +85,7 @@ class QuantileSet(NamedTuple("_Levels", [("probabilities", tuple)])):
     def __new__(cls, probabilities: Iterable[float] = PAPER_QUANTILES) -> QuantileSet:
         if isinstance(probabilities, QuantileSet):
             return probabilities
-        ps = tuple(probabilities)
-        # float() reads "0.5" as 0.5 and True as 1.0; a string's levels are
-        # its characters.  np.float64 is a Real; np.True_ is not.
-        if not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in ps):
-            raise ValueError(f"quantile levels must be numbers, got {probabilities!r}")
-        ps = tuple(map(float, ps))
+        ps = tuple(_real_number("quantiles", p) for p in probabilities)
         if len(ps) == 0:
             raise ValueError("quantile set must be nonempty")
         if any(not 0.0 < p < 1.0 for p in ps):

@@ -18,12 +18,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .evaluation import _real_number
 from .numerics import (
     LOG_CLAMP,
     MAX_ITER,
     MOMENTS_OUT_OF_RANGE,
     RngState,
-    _real_number,
     at_log_clamp,
     checked_array,
     empirical_quantile,

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import sys
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .evaluation import EvaluationSummary, QuantileSet, summarize
+from .evaluation import EvaluationSummary, QuantileSet, _integer, _real_number, summarize
 from .report import write_report_files
 
 if TYPE_CHECKING:
@@ -189,10 +188,11 @@ class RunConfig(_RunFields):
 
     `methods` are `METHODS` names; `quantiles` is a `QuantileSet` or a
     sequence of levels that becomes one (whose own checks raise a
-    ValueError); neither is a string.  `threshold_mm`, a number (not a
-    boolean, numpy's too, or a string), feeds the censored estimators
-    only.  `seed`, `jobs`, the restart counts and `min_wet` are ints, and
-    a bool is not one.  A bad field is a ConfigError.  `min_wet` drops
+    ValueError); neither is a string.  `threshold_mm`, a real number
+    (`evaluation._real_number`), becomes a float and feeds the censored
+    estimators only.  `seed`, `jobs`, the restart counts and `min_wet` are
+    counts (`evaluation._integer`) and become ints.  A bad field is a
+    ConfigError.  `min_wet` drops
     sites with too few wet days before any fitting.  A fit's work is
     bounded by its solvers' iteration and evaluation caps, never by wall
     time.
@@ -213,12 +213,9 @@ class RunConfig(_RunFields):
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown method {unknown[0]!r}; known: {', '.join(METHODS)}")
-        for name in ("seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet"):
-            if type(getattr(self, name)) is not int:  # a bool is not a count
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        # True, np.True_ and "1" are not a 1 mm threshold; np.float64 is a Real.
-        if isinstance(self.threshold_mm, bool) or not isinstance(self.threshold_mm, numbers.Real):
-            raise ConfigError(f"threshold_mm must be a number, got {self.threshold_mm!r}")
+        self = self._replace(threshold_mm=_real_number("threshold_mm", self.threshold_mm, ConfigError),
+                             **{name: _integer(name, getattr(self, name), ConfigError)
+                                for name in ("seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet")})
         if not (math.isfinite(self.threshold_mm) and self.threshold_mm > 0.0):
             raise ConfigError("threshold_mm must be finite and > 0")
         if self.jobs < 1:

@@ -1,7 +1,11 @@
 """Quantile log-ratio metric, U/O/N classification, and summaries."""
 
 import math
+import numbers
 import random
+from decimal import Decimal
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +21,11 @@ from rainfit.evaluation import (
     log_ratio_metric,
     summarize,
 )
-from rainfit.pipeline import METHODS
+from rainfit import corpus
+from rainfit.corpus import CorpusError, GeneratorSpec, load_manifest
+from rainfit.egpd import EgpdParams, _censoring_threshold
+from rainfit.gamma_mixture import GammaMixtureParams
+from rainfit.pipeline import METHODS, ConfigError, RunConfig
 
 import oracles
 
@@ -180,13 +188,91 @@ def test_quantile_set_default_and_validation():
         QuantileSet((0.5, 1.0))
 
 
-@pytest.mark.parametrize("levels", ["0.5", ("0.25", "0.5"), (0.5, True), [np.float64(0.1), "0.9"],
-                                    [np.float64(0.1), np.True_], [0.1, np.False_]])
-def test_quantile_set_refuses_a_string_or_a_boolean(levels):
-    # float() would read "0.5" as 0.5 and True as 1.0; a string's levels
-    # would be its characters.  A numpy boolean is no level either.
-    with pytest.raises(ValueError, match="^quantile levels must be numbers, got "):
+@pytest.mark.parametrize("levels, first_bad", [("0.5", "0"), ([np.float64(0.1), "0.9"], "0.9")])
+def test_quantile_set_refuses_a_string_or_a_boolean(levels, first_bad):
+    # A string's levels would be its characters, and every level is checked.
+    with pytest.raises(ValueError, match=f"^'quantiles' holds a str, not a number: '{first_bad}'$"):
         QuantileSet(levels)
+
+
+# --- the number rules -----------------------------------------------------------
+
+
+def manifest_seed(value, tmp_path):
+    """load_manifest's seed, given a manifest whose decoded seed is value."""
+    path = tmp_path / "manifest.json"
+    path.write_text('{"seed": 1, "sites": ["a.csv"]}', encoding="utf-8")
+    with mock.patch.object(corpus.json, "loads", lambda text: {"seed": value, "sites": ["a.csv"]}):
+        return load_manifest(path).seed
+
+
+def generator(**fields):
+    return GeneratorSpec(**{**dict(site_id="x", family="egpd", params=dict(kappa=1.2, sigma=5.0, xi=0.1),
+                                   n=500, seed=1), **fields})
+
+
+# Each call site of `_real_number` ("number") and `_integer` ("count"):
+# (kind, field, the error it raises, the field's value as stored).
+RULE_SITES = {
+    "EgpdParams.kappa": ("number", "kappa", ValueError, lambda v, _: EgpdParams(v, 5.0, 0.1).kappa),
+    "EgpdParams.sigma": ("number", "sigma", ValueError, lambda v, _: EgpdParams(1.2, v, 0.1).sigma),
+    "EgpdParams.xi": ("number", "xi", ValueError, lambda v, _: EgpdParams(1.2, 5.0, v).xi),
+    "GammaMixtureParams.weights": ("number", "weights", ValueError,
+                                   lambda v, _: GammaMixtureParams((v,), (1.0,), (1.0,)).weights[0]),
+    "GammaMixtureParams.shapes": ("number", "shapes", ValueError,
+                                  lambda v, _: GammaMixtureParams((1.0,), (v,), (1.0,)).shapes[0]),
+    "GammaMixtureParams.scales": ("number", "scales", ValueError,
+                                  lambda v, _: GammaMixtureParams((1.0,), (1.0,), (v,)).scales[0]),
+    "egpd threshold": ("number", "threshold", ValueError, lambda v, _: _censoring_threshold(v)),
+    "GeneratorSpec.discretize_mm": ("number", "discretize_mm", CorpusError,
+                                    lambda v, _: generator(discretize_mm=v).discretize_mm),
+    "GeneratorSpec.n": ("count", "n", CorpusError, lambda v, _: generator(n=v).n),
+    "GeneratorSpec.seed": ("count", "seed", CorpusError, lambda v, _: generator(seed=v).seed),
+    "load_manifest seed": ("count", "seed", CorpusError, manifest_seed),
+    "RunConfig.threshold_mm": ("number", "threshold_mm", ConfigError,
+                               lambda v, _: RunConfig(threshold_mm=v).threshold_mm),
+    **{f"RunConfig.{name}": ("count", name, ConfigError, lambda v, _, name=name: getattr(RunConfig(**{name: v}), name))
+       for name in ("seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet")},
+    "QuantileSet": ("number", "quantiles", ValueError, lambda v, _: QuantileSet((v,)).probabilities[0]),
+}
+
+# Each value, and what it is refused as where it is refused.
+RULE_VALUES = [
+    (True, "a boolean"), (np.True_, "a boolean"), ("1", "a str"), (b"1", "a bytes"),
+    (Decimal("1"), "a Decimal"), (np.array(1.0), "a ndarray"), (None, "a NoneType"),
+    (Fraction(3, 2), None), (1, None), (np.int64(1), None), (1.5, None), (np.float64(1.5), None),
+]
+
+
+@pytest.mark.parametrize("value, kind_of_value", RULE_VALUES, ids=[repr(v) for v, _ in RULE_VALUES])
+@pytest.mark.parametrize("site", RULE_SITES)
+def test_every_site_gives_the_rule_s_verdict(site, value, kind_of_value, tmp_path):
+    # A number is a numbers.Real that is not a boolean, and a count a
+    # numbers.Integral that is not one.  Where the rule passes a value a
+    # range check may still refuse it (xi = 1.5, n = 1), never in the
+    # rule's words.
+    kind, field, error, stored = RULE_SITES[site]
+    if site == "GeneratorSpec.discretize_mm" and value is None:  # the field's default: no rounding
+        assert stored(value, tmp_path) is None
+        return
+    accepted = kind_of_value is None and (kind == "number" or isinstance(value, numbers.Integral))
+    if accepted:
+        try:
+            got = stored(value, tmp_path)
+        except ValueError as exc:
+            assert "not a number" not in str(exc) and "an integer" not in str(exc)
+        else:
+            assert (type(got), got) == ((float, float(value)) if kind == "number" else (int, 1))
+        return
+    if site == "load_manifest seed":
+        message = f"{tmp_path / 'manifest.json'}: manifest must be an object with an integer 'seed'"
+    elif kind == "number":
+        message = f"'{field}' holds {kind_of_value}, not a number: {value!r}"
+    else:
+        message = f"'{field}' must be an integer, got {value!r}"
+    with pytest.raises(error) as info:
+        stored(value, tmp_path)
+    assert str(info.value) == message
 
 
 # --- summarize --------------------------------------------------------------------

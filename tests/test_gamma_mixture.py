@@ -71,12 +71,12 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("fields, message", [
-    (((1.0,), ("2",), (1.0,)), "'shapes' holds a str, not a number: '2'"),
     ((np.array([True, False]), (1.0, 2.0), (1.0, 1.0)), "'weights' holds a boolean, not a number: np.True_"),
     (((0.5, 0.5), (1.0, 2.0), [1.0, False]), "'scales' holds a boolean, not a number: False"),
 ])
 def test_params_refuse_a_boolean_or_a_string(fields, message):
-    # float() would read "2" as 2.0 and the weights (True, False) as (1, 0).
+    # float() would read the weights (True, False) as (1, 0); every value of
+    # a field is checked.  One value of each type: test_evaluation.py's rule table.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         GammaMixtureParams(*fields)
 
