@@ -148,20 +148,27 @@ def _censoring_threshold(threshold) -> float:
 def _censored_mass(threshold: float, params: EgpdParams) -> tuple[float, float]:
     """(F(threshold), 1 - F(threshold)) for a scalar threshold >= 0.
 
-    F is egpd_cdf(threshold, params), by the same operations.  1 - F is
-    formed as -expm1(kappa ln H), so it keeps its relative accuracy as F
+    F is egpd_cdf(threshold, params), by the same operations on one
+    Python float: `_gp_tail`'s two branches written out, and numpy's
+    log1p, expm1 and power, whose results are those of the array path to
+    the bit, where math's need not be.  1 - F is formed as
+    -expm1(kappa ln H), so it keeps its relative accuracy as F
     approaches 1.
     """
     threshold = _censoring_threshold(threshold)
-    log_tail = _gp_tail(np.array([threshold]), params.sigma, params.xi)
-    h = -np.expm1(-log_tail)
+    sigma, xi = params.sigma, params.xi
+    if abs(xi) < XI_EPS:
+        tail = threshold / sigma
+    else:
+        z = xi * threshold / sigma
+        tail = math.inf if z <= -1.0 else float(np.log1p(z)) / xi
+    h = float(-np.expm1(-tail))
     # ln H = ln(1 - e^-L), from whichever side does not cancel.
-    tail, h0 = float(log_tail[0]), float(h[0])
     if tail > _LN2:
         log_h = math.log1p(-math.exp(-tail))
     else:
-        log_h = math.log(h0) if h0 > 0.0 else -math.inf
-    return float(np.power(h, params.kappa)[0]), -math.expm1(params.kappa * log_h)
+        log_h = math.log(h) if h > 0.0 else -math.inf
+    return float(np.power(h, params.kappa)), -math.expm1(params.kappa * log_h)
 
 
 def egpd_log_pdf(y, params: EgpdParams):

@@ -16,7 +16,11 @@ same objects.
 
 This module and `report` use the standard library alone, and their types
 are named tuples, so `rainfit report` rebuilds the tables without
-importing numpy or `dataclasses`.
+importing numpy or `dataclasses`.  Every path imports this module, so it
+also holds the one rule for a real number and the one for a count
+(`_real_number`, `_integer`) that each check of a number's type calls:
+`RunConfig`, `QuantileSet`, the parameter records, the EGPD threshold,
+`GeneratorSpec` and a manifest's seed.
 """
 
 from __future__ import annotations
@@ -49,12 +53,10 @@ def _real_number(name: str, value, error: type[ValueError] = ValueError) -> floa
     integers and a `Fraction` among them.  Anything else is an `error`
     that names the field: a boolean, Python's or numpy's, which float()
     would read as 1.0 or 0.0, a string or bytes, which it would parse, a
-    `Decimal`, a numpy array or None.  A float returns at once: the
-    parameter records are built on the fits' hot paths.
+    `Decimal`, a numpy array or None.  A float passes first, with no ABC
+    check: the parameter records are built on the fits' hot paths.
     """
-    if type(value) is float:
-        return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     # numpy's boolean type is named `bool` (`bool_` before numpy 2).
     kind = "a boolean" if type(value).__name__ in ("bool", "bool_") else f"a {type(value).__name__}"

@@ -43,6 +43,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
@@ -610,7 +611,10 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
 
     The records go to `fits.jsonl.partial` as the fits yield them, and that
     file becomes `fits.jsonl` once the last is written, so a run stopped
-    mid-fit leaves an earlier run's files as they were.  The tables are
+    mid-fit leaves an earlier run's files as they were.  Neither out_dir
+    nor that file is made before the first record is: a run whose fits
+    cannot start, serial or with workers that cannot load their scipy
+    functions, leaves out_dir as it was.  The tables are
     built from `fits.jsonl` by `load_records`, as `report` builds them,
     and `run.json`'s sums in the same pass: the file is read once and no
     record is kept.
@@ -625,9 +629,10 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
         raise CorpusError(f"no sites left after the min_wet={config.min_wet} filter ({dropped} dropped)")
     t1 = time.perf_counter()
     records = run_fits(kept, config)
+    first = next(records)  # a worker's ImportError comes with it
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(out_dir / "fits.jsonl.partial", records)
+    write_records(out_dir / "fits.jsonl.partial", chain([first], records))
     os.replace(out_dir / "fits.jsonl.partial", out_dir / "fits.jsonl")
     t2 = time.perf_counter()
     sums = {m: dict(n_eval=0, restarts_at_best=0, fit_seconds=0.0) for m in config.methods}

@@ -718,6 +718,31 @@ def test_censored_mass_is_egpd_cdf_to_the_bit():
     assert got == pytest.approx(expect, rel=1e-13)
 
 
+def array_censored_mass(threshold, params):
+    """`_censored_mass` as it was computed before it ran on one float: on
+    one-element arrays through `_gp_tail`."""
+    log_tail = rainfit.egpd._gp_tail(np.array([threshold]), params.sigma, params.xi)
+    h = -np.expm1(-log_tail)
+    tail, h0 = float(log_tail[0]), float(h[0])
+    if tail > math.log(2.0):
+        log_h = math.log1p(-math.exp(-tail))
+    else:
+        log_h = math.log(h0) if h0 > 0.0 else -math.inf
+    return float(np.power(h, params.kappa)[0]), -math.expm1(params.kappa * log_h)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(log_kappa=st.floats(-12.0, 12.0), log_sigma=st.floats(-12.0, 12.0),
+       xi=st.one_of(st.floats(-0.5, 0.95), st.floats(-2e-8, 2e-8)),
+       threshold=st.one_of(st.just(0.0), st.floats(-20.0, 12.0).map(math.exp)))
+def test_censored_mass_on_one_float_keeps_the_array_path_s_bits(log_kappa, log_sigma, xi, threshold):
+    # Over the fit box, and xi on both sides of the exponential branch.
+    params = EgpdParams(math.exp(log_kappa), math.exp(log_sigma), xi)
+    got = rainfit.egpd._censored_mass(threshold, params)
+    assert got == array_censored_mass(threshold, params)
+    assert got[0] == egpd_cdf(threshold, params)
+
+
 def test_censored_pwm_fit_calls_conditional_pwms_through_module_global(monkeypatch):
     # Benchmark tracing wraps rainfit.egpd.conditional_pwms in place; the fit
     # must look the name up at call time or those counters read zero.
