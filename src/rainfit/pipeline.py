@@ -193,10 +193,9 @@ class RunConfig(_RunFields):
     (`evaluation._real_number`), becomes a float and feeds the censored
     estimators only.  `seed`, `jobs`, the restart counts and `min_wet` are
     counts (`evaluation._integer`) and become ints.  A bad field is a
-    ConfigError.  `min_wet` drops
-    sites with too few wet days before any fitting.  A fit's work is
-    bounded by its solvers' iteration and evaluation caps, never by wall
-    time.
+    ConfigError.  `min_wet` drops sites with too few wet days before any
+    fitting.  A fit's work is bounded by its solvers' iteration and
+    evaluation caps, never by wall time.
     """
 
     __slots__ = ()
@@ -614,9 +613,9 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     mid-fit leaves an earlier run's files as they were.  Neither out_dir
     nor that file is made before the first record is: a run whose fits
     cannot start, serial or with workers that cannot load their scipy
-    functions, leaves out_dir as it was.  The tables are
-    built from `fits.jsonl` by `load_records`, as `report` builds them,
-    and `run.json`'s sums in the same pass: the file is read once and no
+    functions, leaves out_dir as it was.  The tables are built from
+    `fits.jsonl` by `load_records`, as `report` builds them, and
+    `run.json`'s sums in the same pass: the file is read once and no
     record is kept.
     """
     from .corpus import CorpusError, filter_corpus, load_manifest
@@ -628,7 +627,7 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     if not kept:
         raise CorpusError(f"no sites left after the min_wet={config.min_wet} filter ({dropped} dropped)")
     t1 = time.perf_counter()
-    records = run_fits(kept, config)
+    records = iter(run_fits(kept, config))
     first = next(records)  # a worker's ImportError comes with it
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Quantile log-ratio metric, U/O/N classification, and summaries."""
+"""Quantile log-ratio metric, U/O/N classification, summaries, and the one rule for a number and for a count."""
 
 import math
 import numbers
@@ -12,6 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainfit import corpus
+from rainfit.corpus import CorpusError, GeneratorSpec, load_manifest
+from rainfit.egpd import EgpdParams, _censoring_threshold
 from rainfit.evaluation import (
     PAPER_QUANTILES,
     QuantileSet,
@@ -21,9 +24,6 @@ from rainfit.evaluation import (
     log_ratio_metric,
     summarize,
 )
-from rainfit import corpus
-from rainfit.corpus import CorpusError, GeneratorSpec, load_manifest
-from rainfit.egpd import EgpdParams, _censoring_threshold
 from rainfit.gamma_mixture import GammaMixtureParams
 from rainfit.pipeline import METHODS, ConfigError, RunConfig
 
@@ -231,7 +231,8 @@ RULE_SITES = {
     "load_manifest seed": ("count", "seed", CorpusError, manifest_seed),
     "RunConfig.threshold_mm": ("number", "threshold_mm", ConfigError,
                                lambda v, _: RunConfig(threshold_mm=v).threshold_mm),
-    **{f"RunConfig.{name}": ("count", name, ConfigError, lambda v, _, name=name: getattr(RunConfig(**{name: v}), name))
+    **{f"RunConfig.{name}": ("count", name, ConfigError,
+                             lambda v, _, name=name: getattr(RunConfig(**{name: v}), name))
        for name in ("seed", "jobs", "egpd_restarts", "mixture_restarts", "min_wet")},
     "QuantileSet": ("number", "quantiles", ValueError, lambda v, _: QuantileSet((v,)).probabilities[0]),
 }

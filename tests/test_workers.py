@@ -152,10 +152,14 @@ def test_a_scipy_without_a_kernel_ends_a_parallel_run_as_it_ends_a_serial_one(tm
     # behind, and --out as it was: not made, or an earlier run's files
     # byte for byte, with no records file beside them.
     out = tmp_path / "run"
+
+    def files():
+        return {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
+
     if earlier_run:
         assert main(["benchmark", "--manifest", str(site_file_manifest(tmp_path, 40)), "--out", str(out),
                      "--methods", "naveau-mle", "--egpd-restarts", "0"]) == 0
-    before = {path.name: path.read_bytes() for path in out.iterdir()} if earlier_run else None
+    before = files()
     runs = [run_patched_benchmark(tmp_path, jobs, (
         "from rainfit import numerics\n"
         "numerics._SCIPY_FUNCTIONS['setulb'] = 'scipy.optimize._no_such_kernel'\n"
@@ -164,8 +168,7 @@ def test_a_scipy_without_a_kernel_ends_a_parallel_run_as_it_ends_a_serial_one(tm
     assert [rc for rc, _ in runs] == [2, 2]
     assert runs[1][1] == runs[0][1] and len(runs[0][1].splitlines()) == 1
     assert runs[0][1].startswith("error: scipy's compiled module scipy.optimize._no_such_kernel is not in ")
-    after = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
-    assert after == before
+    assert files() == before
 
 
 def test_a_worker_that_dies_ends_the_run_with_exit_3(tmp_path):
