@@ -613,7 +613,8 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     mid-fit leaves an earlier run's files as they were.  Neither out_dir
     nor that file is made before the first record is: a run whose fits
     cannot start, serial or with workers that cannot load their scipy
-    functions, leaves out_dir as it was.  The tables are built from
+    functions, leaves out_dir as it was, and one that stops before its
+    last record has reaped its workers when it raises.  The tables are built from
     `fits.jsonl` by `load_records`, as `report` builds them, and
     `run.json`'s sums in the same pass: the file is read once and no
     record is kept.
@@ -630,8 +631,12 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     records = iter(run_fits(kept, config))
     first = next(records)  # a worker's ImportError comes with it
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(out_dir / "fits.jsonl.partial", chain([first], records))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_records(out_dir / "fits.jsonl.partial", chain([first], records))
+    finally:  # reaps the workers of a run that stops here, not when its frame is freed
+        if hasattr(records, "close"):
+            records.close()
     os.replace(out_dir / "fits.jsonl.partial", out_dir / "fits.jsonl")
     t2 = time.perf_counter()
     sums = {m: dict(n_eval=0, restarts_at_best=0, fit_seconds=0.0) for m in config.methods}

@@ -171,6 +171,29 @@ def test_a_scipy_without_a_kernel_ends_a_parallel_run_as_it_ends_a_serial_one(tm
     assert files() == before
 
 
+def test_an_out_that_cannot_be_made_leaves_no_worker_to_a_caller_that_keeps_the_error(tmp_path):
+    # --out is a file, so making it fails after the workers have forked.  A
+    # library caller that keeps the error keeps the frame that ran the
+    # fits; the workers must be reaped all the same, before it returns.
+    manifest, out = site_file_manifest(tmp_path, 40), tmp_path / "run"
+    out.write_text("a file\n")
+    rc, stderr = run_in_session(
+        "import os, sys\n"
+        "from rainfit.pipeline import RunConfig, run_benchmark\n"
+        "config = RunConfig(methods=('naveau-mle',), egpd_restarts=0, jobs=2)\n"
+        "try:\n"
+        f"    run_benchmark({str(manifest)!r}, {str(out)!r}, config)\n"
+        "except FileExistsError as exc:\n"
+        "    kept = exc\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('a worker was not reaped')\n", timeout=60)
+    assert rc == 0, stderr
+    assert out.read_text() == "a file\n"
+
+
 def test_a_worker_that_dies_ends_the_run_with_exit_3(tmp_path):
     # The worker fitting s1 kills itself; the one fitting s0 would sleep
     # for ten minutes, so the run ends within the timeout only if the main
