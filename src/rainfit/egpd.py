@@ -104,11 +104,12 @@ class EgpdParams:
         return {"kappa": self.kappa, "sigma": self.sigma, "xi": self.xi}
 
 
-def _gp_tail(y: np.ndarray, sigma: float, xi: float) -> np.ndarray:
+def _gp_tail(y, sigma: float, xi: float):
     """L = -ln(1 - H) = ln(1 + xi y / sigma) / xi for the GP CDF H at y >= 0.
 
     L is y / sigma on the exponential branch |xi| < 1e-8, and inf at and
-    beyond the end -sigma/xi of the support of an xi < 0.
+    beyond the end -sigma/xi of the support of an xi < 0.  y is an array,
+    or one float, whose L has the bits it would have in an array.
     """
     if abs(xi) < XI_EPS:
         return y / sigma
@@ -149,19 +150,12 @@ def _censored_mass(threshold: float, params: EgpdParams) -> tuple[float, float]:
     """(F(threshold), 1 - F(threshold)) for a scalar threshold >= 0.
 
     F is egpd_cdf(threshold, params), by the same operations on one
-    Python float: `_gp_tail`'s two branches written out, and numpy's
-    log1p, expm1 and power, whose results are those of the array path to
-    the bit, where math's need not be.  1 - F is formed as
-    -expm1(kappa ln H), so it keeps its relative accuracy as F
-    approaches 1.
+    float: `_gp_tail`, and numpy's expm1 and power, whose results are
+    those of the array path to the bit, where math's need not be.  1 - F
+    is formed as -expm1(kappa ln H), so it keeps its relative accuracy as
+    F approaches 1.
     """
-    threshold = _censoring_threshold(threshold)
-    sigma, xi = params.sigma, params.xi
-    if abs(xi) < XI_EPS:
-        tail = threshold / sigma
-    else:
-        z = xi * threshold / sigma
-        tail = math.inf if z <= -1.0 else float(np.log1p(z)) / xi
+    tail = float(_gp_tail(_censoring_threshold(threshold), params.sigma, params.xi))
     h = float(-np.expm1(-tail))
     # ln H = ln(1 - e^-L), from whichever side does not cancel.
     if tail > _LN2:
