@@ -22,10 +22,12 @@ that `fits.jsonl` is compared without each record's `fit_seconds`, and
 method's `fit_seconds`.  One line is printed per file that differs.  Exit
 code 0 means no file differs, 1 that one does, 2 that a command failed.
 
-`golden_files` and `numeric_differences` compare a `benchmark` run with
-a golden one (`scripts/golden.py`, `tests/test_golden.py`) where bytes
-cannot be expected to match: on another numpy, scipy or SIMD dispatch
-target.  Standard library only.
+`golden_files` is what the golden runs keep of a `benchmark` run
+(`scripts/golden.py`, `tests/test_golden.py`).  `numeric_differences`
+names each cell in which two such runs differ by more than the
+AVX-512/AVX2 difference in ln q: it is the golden test's failure
+message, and the check of a run on another SIMD target.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -138,8 +140,9 @@ def golden_files(bench: Path) -> dict[str, bytes]:
     """What a golden run keeps of a `benchmark` output directory.
 
     `fits.jsonl` without each record's `fit_seconds`, the five tables, and
-    `environment.json`: the numpy and scipy versions and the SIMD dispatch
-    (`numpy_cpu`) from `run.json`'s `environment`.
+    `environment.json`, what of `run.json`'s `environment` decides the
+    bits: the numpy and scipy versions, numpy's baseline, and the dispatch
+    targets of `numpy_cpu` that the CPU has and that are not disabled.
     """
     records = [json.loads(line) for line in (bench / "fits.jsonl").read_text(encoding="utf-8").splitlines()]
     for record in records:
@@ -147,7 +150,9 @@ def golden_files(bench: Path) -> dict[str, bytes]:
     files = {"fits.jsonl": "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()}
     files.update((name, (bench / name).read_bytes()) for name in TABLES)
     env = json.loads((bench / "run.json").read_text(encoding="utf-8"))["environment"]
-    kept = {key: env[key] for key in ("numpy", "scipy", "numpy_cpu")}
+    cpu = env["numpy_cpu"]
+    kept = {"numpy": env["numpy"], "scipy": env["scipy"], "numpy_baseline": cpu["baseline"],
+            "numpy_dispatch": [target for target in cpu["dispatch"] if target in cpu["enabled"]]}
     files["environment.json"] = (json.dumps(kept, indent=2, sort_keys=True) + "\n").encode()
     return files
 
@@ -160,14 +165,13 @@ def _records(data: bytes) -> dict[tuple[str, str], dict]:
     return {(r["site_id"], r["method"]): r for r in map(json.loads, data.decode("utf-8").splitlines())}
 
 
-def numeric_differences(golden: dict[str, bytes], run: dict[str, bytes],
-                        tolerance: float = LN_Q_TOLERANCE) -> list[str]:
+def numeric_differences(golden: dict[str, bytes], run: dict[str, bytes]) -> list[str]:
     """Each way a run's `golden_files` fall outside the golden ones' tolerance.
 
     Exact: the (site, method) records in order, which converged and
     failed, each method's `n_eval` total, the quantile levels, and every
     cell of `classes.csv` and `classes.txt` and every count (`n_sites`,
-    `failed_fits`).  Within `tolerance`: each record's ln q, estimated
+    `failed_fits`).  Within `LN_Q_TOLERANCE`: each record's ln q, estimated
     and empirical, and each D cell of `medians.csv` and `boxplots.csv`.
     `medians.txt` is `medians.csv` rounded, so it is not compared, nor is
     `environment.json`.  One line per difference, naming the file and the
@@ -192,7 +196,7 @@ def numeric_differences(golden: dict[str, bytes], run: dict[str, bytes],
                 continue
             for p in qa:
                 if qa[p] != qb[p] and not (qa[p] > 0.0 and qb[p] > 0.0
-                                           and abs(math.log(qa[p] / qb[p])) <= tolerance):
+                                           and abs(math.log(qa[p] / qb[p])) <= LN_Q_TOLERANCE):
                     out.append(f"fits.jsonl {site} {method} {key} p={p}: {qa[p]!r} against {qb[p]!r}")
     out += [f"fits.jsonl {method}: n_eval total {a} against {b}" for method, (a, b) in n_eval.items() if a != b]
     if golden["classes.txt"] != run["classes.txt"]:
@@ -207,15 +211,15 @@ def numeric_differences(golden: dict[str, bytes], run: dict[str, bytes],
             row = " p=".join(row_a[:2] if name == "boxplots.csv" else row_a[:1])
             for column, a, b in zip(header, row_a, row_b):
                 exact = name == "classes.csv" or column in ("method", "p", "n_sites", "failed_fits")
-                if a != b and (exact or not _close(a, b, tolerance)):
+                if a != b and (exact or not _close(a, b)):
                     out.append(f"{name} {row} {column}: {a} against {b}")
     return out
 
 
-def _close(a: str, b: str, tolerance: float) -> bool:
-    """Whether two table cells are numbers within tolerance of each other."""
+def _close(a: str, b: str) -> bool:
+    """Whether two table cells are numbers within LN_Q_TOLERANCE of each other."""
     try:
-        return abs(float(a) - float(b)) <= tolerance
+        return abs(float(a) - float(b)) <= LN_Q_TOLERANCE
     except ValueError:
         return False
 
