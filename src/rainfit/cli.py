@@ -31,12 +31,11 @@ that saved 11-14 ms of a 0.08-0.11 s `report` and 27-29 ms of a
 0.23-0.33 s `mixture-large-n` benchmark run (median paired differences
 over two sets of 15 alternating pairs).  Nothing is lost by that:
 every file a command writes is closed by a `with` block or `write_text`
-before `main` returns, the
-iterator `run_fits` returns reaps every worker process it forked by the
-time it is exhausted, raises or is closed, and rainfit registers no
-`atexit` handler.  If a flush fails with an OSError (a closed pipe, a
-full disk) the status is 120, as CPython's own exit gives when it cannot
-flush, and no traceback is printed.  `main` returns its code to
+before `main` returns, the iterator `run_fits` returns reaps every worker
+process it forked by the time it is exhausted, raises or is closed, and
+rainfit registers no `atexit` handler.  If a flush fails with an OSError
+(a closed pipe, a full disk) the status is 120, as CPython's own exit
+gives when it cannot flush, and no traceback is printed.  `main` returns its code to
 in-process callers and never exits.
 """
 

@@ -4,10 +4,10 @@ The local solvers and the multistart driver every fit runs, the checks
 of a distribution function's argument and of a sample (`checked_array`,
 `positive_sample`), a sample's quantile (`empirical_quantile`), the box
 both model families keep their log parameters in (`LOG_CLAMP`,
-`at_log_clamp`), and deterministic
-splittable random streams.  Everything in this module is a pure function
-of its explicit inputs so that the statistical modules built on top stay
-reproducible to the bit across runs, platforms, and worker counts.
+`at_log_clamp`), and deterministic splittable random streams.
+Everything in this module is a pure function of its explicit inputs so
+that the statistical modules built on top stay reproducible to the bit
+across runs, platforms, and worker counts.
 
 `multistart` runs one local solve from each start and keeps the best; both
 model families call it.  Beside the best solve it returns the start of the

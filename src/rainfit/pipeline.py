@@ -614,9 +614,9 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     nor that file is made before the first record is: a run whose fits
     cannot start, serial or with workers that cannot load their scipy
     functions, leaves out_dir as it was, and one that stops before its
-    last record has reaped its workers when it raises.  The tables are built from
-    `fits.jsonl` by `load_records`, as `report` builds them, and
-    `run.json`'s sums in the same pass: the file is read once and no
+    last record has reaped its workers when it raises.  The tables are
+    built from `fits.jsonl` by `load_records`, as `report` builds them,
+    and `run.json`'s sums in the same pass: the file is read once and no
     record is kept.
     """
     from .corpus import CorpusError, filter_corpus, load_manifest
