@@ -10,11 +10,8 @@ instrument-style increment (half-to-even, zeros dropped).
 
 A manifest is a JSON file with a top-level `seed` and either `sites` (CSV
 paths relative to the manifest) or `generators` (specs as produced by the
-presets here), or both.
-
-Loading site CSVs needs the standard library alone: numpy, the model and
-RNG modules are imported only where generator specs are checked, sites
-drawn or seeds derived.
+presets here), or both.  numpy, the model and RNG modules are imported
+only where generator specs are checked, sites drawn or seeds derived.
 """
 
 from __future__ import annotations

@@ -14,13 +14,9 @@ they are, and scores each fit against the empirical quantiles its own
 record carries, so `benchmark` and `report` build the tables from the
 same objects.
 
-This module and `report` use the standard library alone, and their types
-are named tuples, so `rainfit report` rebuilds the tables without
-importing numpy or `dataclasses`.  Every path imports this module, so it
-also holds the one rule for a real number and the one for a count
-(`_real_number`, `_integer`) that each check of a number's type calls:
-`RunConfig`, `QuantileSet`, the parameter records, the EGPD threshold,
-`GeneratorSpec` and a manifest's seed.
+Every path imports this module, so it also holds the one rule for a real
+number and the one for a count (`_real_number`, `_integer`) that each
+check of a number's type calls.
 """
 
 from __future__ import annotations

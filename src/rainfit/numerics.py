@@ -1,58 +1,26 @@
 """Shared numerical kernels.
 
-The local solvers and the multistart driver every fit runs, the checks
-of a distribution function's argument and of a sample (`checked_array`,
-`positive_sample`), a sample's quantile (`empirical_quantile`), the box
-both model families keep their log parameters in (`LOG_CLAMP`,
-`at_log_clamp`), and deterministic splittable random streams.
-Everything in this module is a pure function of its explicit inputs so
-that the statistical modules built on top stay reproducible to the bit
-across runs, platforms, and worker counts.
+The local solvers and the multistart driver every fit runs, the checks of
+a distribution function's argument and of a sample, a sample's quantile,
+the box both model families keep their log parameters in, and
+deterministic splittable random streams.  Every function is a pure
+function of its explicit inputs, so the fits built on it repeat to the bit.
 
-`multistart` runs one local solve from each start and keeps the best; both
-model families call it.  Beside the best solve it returns the start of the
-fit's diagnostics, a dict of plain Python numbers that each fit completes
-and `fits.jsonl` stores as the record's `diagnostics` (the README's
-`fits.jsonl` paragraph lists its keys).  The local solves are `lbfgsb`
-(L-BFGS-B on an analytic gradient: the gamma-mixture MAP and the two EGPD
-likelihood fits) and `solve_least_squares` (Levenberg-Marquardt on a
-forward-difference Jacobian: the one moment system of the two EGPD PWM
-fits).  `lbfgsb` drives scipy's compiled kernel `setulb` directly,
-without the public `minimize` wrapper that copies and checks x and
-re-evaluates around every call; it takes the steps that wrapper takes, to
-the bit.  Every L-BFGS-B solve keeps `_LBFGSB_MEMORY` = 20 correction
-pairs, more than the 3K - 1 dimensions of the largest mixture.
-`solve_least_squares` is a short loop in Python floats, with no scipy: its
-systems have three unknowns and a root of zero residual.  No fit calls
-`nelder_mead`, which is scipy's Nelder-Mead simplex
-(`scipy.optimize.minimize`, imported when it is called) returning a
-`LocalResult`: it is kept as the name `rainbench/tracer.py` patches in
-`egpd` and `gamma_mixture`, and as an oracle for tests that is independent
-of the fits' own solvers.
+`multistart` runs one local solve from each start, keeps the best, and
+starts the diagnostics dict `fits.jsonl` stores.  The local solves are
+`lbfgsb`, L-BFGS-B on an analytic gradient (the likelihood and MAP fits),
+and `solve_least_squares`, Levenberg-Marquardt in Python floats (the PWM
+fits).  `nelder_mead` is no fit's solver: it is the name
+`rainbench/tracer.py` patches, and a test oracle.
 
-Importing any rainfit module loads numpy alone.  The functions that call
-scipy get each function by name from `scipy_function`: `setulb`, and
-`psi` and `gammainc`, scipy.special's `digamma` and `gammainc` (the gamma
-mixtures call them).  `_SCIPY_FUNCTIONS`, the one place that knows where
-scipy keeps them, names their two compiled extension files, L-BFGS-B's
-kernel and `_special_ufuncs`, which `_scipy_kernel` loads without running
-any package `__init__`.  No fit calls what the packages' `__init__`s load
-besides (scipy.linalg, sparse, fft, spatial, scipy's array-API layer),
-and no fit imports the `scipy` package itself.  Each process that fits
-calls `preload_scipy` once, before its first fit is timed, with the
-functions the requested methods call (`pipeline.Method.kernels`): the
-serial run in `pipeline.run_fits`, and each `--jobs` worker right after
-its fork, so the parent of the workers loads no compiled scipy module.
-No fit pays for the loading, and a scipy without a function the
-methods call stops the run before the first fit.  On a 2-core host,
-loading what two mixtures at restarts 0 call takes 0.029 s CPU (and
-importing scipy.special 0.43 s).
-
-No fit imports numpy.random either: a fit's only random draws, its
-jittered starts, come from `RngState.doubles`, which computes the Philox
-stream numpy's generator reads in Python, to the bit.  `RngState.generator`
-and `uniforms` keep numpy's generator for the bulk draws of `simulate` and
-the presets.
+The fits get each compiled scipy function by name from `scipy_function`,
+and `_SCIPY_FUNCTIONS` is the one place that knows which extension file
+holds it.  `_scipy_kernel` loads that file without running any package
+`__init__`: importing `scipy.optimize` and `scipy.special` would add
+0.38-0.46 s to each process that fits (2-core host), and the extension
+files alone add next to nothing.  Each process that fits calls
+`preload_scipy` before its first fit is timed, so a scipy without a
+function the methods call stops the run before any fit.
 """
 
 from __future__ import annotations
@@ -210,8 +178,7 @@ def scipy_version() -> str:
     """scipy's version string, read from the `version.py` beside its kernels.
 
     Loaded by `_scipy_kernel`, so reading it runs no scipy `__init__` and
-    adds nothing to sys.modules (0.3 ms, against about 30 ms of imports
-    for `importlib.metadata`).
+    adds nothing to sys.modules.
     """
     return _scipy_kernel("scipy.version").version
 
@@ -558,11 +525,9 @@ class RngState:
         The same values, to the bit, as `self.generator().random(n)`: numpy's
         Philox4x64-10 encrypts the counters 1, 2, ... under the key
         (seed, stream), each block gives four 64-bit outputs, and an output
-        x becomes (x >> 11) * 2**-53.  For the few draws of a jittered
-        start this costs less than importing numpy.random, which added
-        6.2-6.3 MB of peak RSS and 15-16 ms to a fresh process that had
-        imported numpy (3 runs, 2-core host): a fifth of `paper-mixed`'s
-        30.3 MB peak.
+        x becomes (x >> 11) * 2**-53.  So no fit imports numpy.random, which
+        adds 6.2-6.3 MB of peak RSS to a process (2-core host), a fifth of
+        `paper-mixed`'s 30.3 MB peak.
         """
         key = (self.seed & _MASK64, self.stream & _MASK64)
         out: list[float] = []

@@ -1,39 +1,19 @@
 """Benchmark pipeline: fit each (site, method) pair and write report files.
 
 The pipeline owns everything between a corpus manifest and the files on
-disk: building the deterministic task list, running fits (serially or in
-forked worker processes), yielding one record per task, in task order, no
-matter what the fit did, and writing the records file and `run.json`,
-what the run cost.
-`report.write_report_files`, imported here, writes the tables derived from
-the records.
+disk: the deterministic task list, the fits (serial, or in forked worker
+processes), one record per task in task order whatever the fit did, and
+the records file and `run.json`.  `report.write_report_files`, imported
+here, writes the tables.
 
-A fit is its record: `run_single_fit` returns the dict that `fits.jsonl`
-stores on one line.  `benchmark` has one path from fits to tables, the
-one `report` takes: `write_records` writes each record as it comes, and
-`load_records` reads the file back, once, into `evaluation.summarize`,
-`run.json`'s sums taken as the records pass (`_summed`), so no process
-holds the run's records.
-`_check_record` is the one shape check wherever a record enters: a line
-read by `load_records`, or a fit just made by `run_single_fit`.
-
-Determinism contract: with a fixed manifest, config and seed, the tables
-are byte-identical, regardless of the number of worker processes;
-`fits.jsonl` is identical apart from each record's `fit_seconds`, and
-`run.json` apart from its seconds, its environment and `jobs`.  Each task
-draws from its own RNG stream, derived from (config seed, site index, the
-method's position in the `METHODS` table), so no task's randomness
-depends on execution order.  Timings land only in `fits.jsonl` and
-`run.json`; the CSV and text tables never contain them.
-
-Import rule: this module imports the standard library and `evaluation`
-and `report` alone, so `rainfit report`, `--help` and `--version` load no
-numpy; nor `dataclasses`, with the `inspect`, `ast`, `dis` and
-`tokenize` it loads, for `RunConfig` is a named tuple.  Loading site CSVs
-imports `corpus`, on the standard library alone; `run_fits` loads numpy
-with the requested methods' fit modules before it forks a worker or
-times a fit, and the scipy functions those methods call in each process
-that fits, before its first fit.
+A fit is its record: `run_single_fit` returns the dict `fits.jsonl` stores
+on one line, and `_check_record` is the one shape check wherever a record
+enters.  `benchmark` takes `report`'s path from fits to tables: records
+are written as they come and read back once by `load_records` into
+`evaluation.summarize`, so no process holds the run's records.  Each task
+draws from its own RNG stream, derived from (seed, site index, the
+method's position in `METHODS`), so no record depends on execution order
+or on the number of workers.
 """
 
 from __future__ import annotations
@@ -288,19 +268,13 @@ def run_fits(sites: Iterable[SiteSeries], config: RunConfig) -> Iterator[dict]:
     to the serial path.  A worker that dies ends the run with a
     ChildProcessError, after every worker is reaped.
 
-    Loaded here, once, before any fit is timed and before a worker forks:
-    numpy with `egpd` for the `naveau-*` methods and `gamma_mixture` for
-    the mixtures, so no worker loads fit code itself.  The scipy
-    functions the requested methods call (their `Method.kernels`; never
-    the `scipy` package) are loaded by `numerics.preload_scipy` before the
-    first fit of each process that fits: here on the serial path, and in
-    each worker right after its fork, so the parent of workers holds no
-    compiled scipy module.  So no fit's seconds include an import, and a
-    scipy without one of those functions is an ImportError before any
-    fit: raised here, or sent back by the worker and raised once every
-    worker is reaped.  No fit loads numpy.random, in this process or a
-    worker: jittered starts are computed from the task's Philox stream in
-    Python (`RngState.doubles`).
+    The fit modules of the requested families load here, before a worker
+    forks, and the scipy functions their methods call (`Method.kernels`)
+    in each process that fits, before its first fit: so no fit's seconds
+    include an import, and a missing function is an ImportError before
+    any fit.  A worker loads its kernels after the fork, which took
+    `paper-mixed`'s peak memory from 33.14 to 30.28 MB (lower in 40 of 40
+    pairs, 2-core host).
     """
     sites = sorted(sites, key=lambda s: s.site_id)
     if not sites:
@@ -336,8 +310,13 @@ def _run_workers(tasks: list, jobs: int, kernels: tuple[str, ...]) -> Iterator[d
     descending `METHODS` position, `gamma-mixture-4` before `naveau-mle`
     (Graham's longest-processing-time rule), so that no worker idles
     while another runs a site's K=4 fit last.  A record that comes in
-    before an earlier task's waits for it.  A worker that cannot load
-    its kernels sends the ImportError instead of a record, and the run
+    before an earlier task's waits for it, and a free worker gets its next
+    task only while fewer than `per_site` (a site's task count) records
+    wait.  At most `per_site - 1` waiting records share the site of the
+    next record to yield, so a full window means that record's task is
+    out and the run cannot stall; at most `per_site - 1 + jobs` records
+    wait, however long one fit takes.  A worker that cannot load its
+    kernels sends the ImportError instead of a record, and the run
     raises it.  A result pipe that ends before its record does stops the
     run: ChildProcessError names the dead worker's exit status and the
     site and method it was fitting.  Either way, and when the consumer
@@ -391,9 +370,10 @@ def _run_workers(tasks: list, jobs: int, kernels: tuple[str, ...]) -> Iterator[d
             os.close(task_r)
             os.close(result_w)
             workers[open(result_r, "rb")] = [pid, task_w, None]
-        ready = list(workers)
-        while ready:
-            for result in ready:
+        idle = list(workers)  # workers without a task
+        while True:
+            while idle and len(arrived) < per_site:
+                result = idle.pop(0)
                 workers[result][2] = i = next(todo, None)
                 if i is None:
                     stop(result)
@@ -402,11 +382,14 @@ def _run_workers(tasks: list, jobs: int, kernels: tuple[str, ...]) -> Iterator[d
                         os.write(workers[result][1], i.to_bytes(4, "little"))
             # Yielded once the free workers have their next tasks, so they
             # fit while the consumer writes.
-            while done in arrived:
+            if done in arrived:
                 yield arrived.pop(done)
                 done += 1
-            ready = select.select(list(workers), [], [])[0] if workers else []
-            for result in ready:
+                continue
+            busy = [result for result in workers if result not in idle]
+            if not busy:
+                break
+            for result in select.select(busy, [], [])[0]:
                 try:
                     # At most one record is in flight on a pipe, so the
                     # buffered pipe never reads past it.
@@ -420,6 +403,7 @@ def _run_workers(tasks: list, jobs: int, kernels: tuple[str, ...]) -> Iterator[d
                 if isinstance(record, ImportError):
                     raise record
                 arrived[workers[result][2]] = record
+                idle.append(result)
     finally:
         for result in list(workers):
             os.kill(workers[result][0], signal.SIGKILL)
@@ -544,13 +528,40 @@ def materialize_corpus(manifest: Manifest) -> list[SiteSeries]:
     return [load_site(p) for p in manifest.site_paths] + simulate_corpus(manifest.generators)
 
 
+def _openblas_core() -> str | None:
+    """The kernel core numpy's OpenBLAS reports, None where no OpenBLAS
+    mapped into this process (read from /proc/self/maps) names one."""
+    import ctypes  # numpy has loaded it
+
+    import numpy
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = dict.fromkeys(line.split(None, 5)[5].strip() for line in fh if "openblas" in line)
+    except OSError:
+        return None
+    # numpy's own first: a wheel keeps it in `numpy.libs`, beside `numpy`.
+    numpy_dir = os.path.dirname(numpy.__file__)
+    for path in sorted(paths, key=lambda p: not p.startswith(numpy_dir)):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is gone, "(deleted)"
+            continue
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            if corename := getattr(library, name, None):
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def _environment() -> dict:
-    """The Python, numpy and scipy versions, numpy's SIMD dispatch, CPU
-    count and BLAS thread variables.
+    """The Python, numpy and scipy versions, numpy's SIMD dispatch and
+    OpenBLAS core, CPU count and BLAS thread variables.
 
     Read from what the run has loaded, scipy's version by
-    `numerics.scipy_version` and the dispatch from numpy's loaded
-    `_multiarray_umath`, so recording them imports no module.
+    `numerics.scipy_version`, the dispatch from numpy's loaded
+    `_multiarray_umath` and the core through ctypes, so recording them
+    imports no module.
     """
     import numpy
 
@@ -566,6 +577,7 @@ def _environment() -> dict:
         "numpy_cpu": {"baseline": umath.__cpu_baseline__, "dispatch": umath.__cpu_dispatch__,
                       "enabled": [name for name, on in umath.__cpu_features__.items() if on],
                       "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES")},
+        "openblas": {"core": _openblas_core(), "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE")},
         "cpu_count": os.cpu_count(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
@@ -611,13 +623,10 @@ def run_benchmark(manifest_path, out_dir, config: RunConfig) -> EvaluationSummar
     The records go to `fits.jsonl.partial` as the fits yield them, and that
     file becomes `fits.jsonl` once the last is written, so a run stopped
     mid-fit leaves an earlier run's files as they were.  Neither out_dir
-    nor that file is made before the first record is: a run whose fits
-    cannot start, serial or with workers that cannot load their scipy
-    functions, leaves out_dir as it was, and one that stops before its
-    last record has reaped its workers when it raises.  The tables are
-    built from `fits.jsonl` by `load_records`, as `report` builds them,
-    and `run.json`'s sums in the same pass: the file is read once and no
-    record is kept.
+    nor that file is made before the first record is, and a run that
+    stops before its last record has reaped its workers when it raises.
+    The tables and `run.json`'s sums are built in one pass over
+    `fits.jsonl` by `load_records`, as `report` builds them.
     """
     from .corpus import CorpusError, filter_corpus, load_manifest
 

@@ -1,4 +1,4 @@
-"""Import contract: each command loads only the modules its work needs.
+"""Import contract, stated in README.md: each command loads only the modules its work needs.
 
 `report`, `--help` and `--version` need the standard library alone:
 importing the CLI and rebuilding tables load neither numpy nor rainfit's
@@ -276,7 +276,8 @@ def test_seven_method_benchmark_never_imports_the_scipy_optimize_package(tmp_pat
 @pytest.mark.parametrize("methods", ["gamma-mixture-2,gamma-mixture-3", ",".join(METHODS)])
 def test_writing_run_json_loads_no_module(tmp_path, methods):
     # scipy's version comes from its version.py, read outside sys.modules:
-    # not from importlib.metadata, platform or `import scipy`.
+    # not from importlib.metadata, platform or `import scipy`.  The
+    # OpenBLAS core is asked through ctypes, which numpy has loaded.
     hook = (
         "_write_run_file = rainfit.pipeline._write_run_file\n"
         "def write_run_file(*args):\n"
@@ -289,7 +290,8 @@ def test_writing_run_json_loads_no_module(tmp_path, methods):
     code = benchmark_code(site_file_manifest(tmp_path, 70), tmp_path / "run", 1, hook, methods)
     rc, before, seen, _ = run_python(code)
     assert [rc, before, seen] == [0, False, [[], []]]
-    assert json.loads((tmp_path / "run" / "run.json").read_text(encoding="utf-8"))["environment"]["scipy"]
+    environment = json.loads((tmp_path / "run" / "run.json").read_text(encoding="utf-8"))["environment"]
+    assert environment["scipy"] and "core" in environment["openblas"]
 
 
 def loaded_by(methods: str) -> list[str]:

@@ -2,11 +2,13 @@
 every name it patches.  A fit is its record: what `run_single_fit` returns
 is what `fits.jsonl` holds, and `run.json` totals those records."""
 
+import ctypes
 import importlib.util
 import json
 import math
 import os
 import sys
+import time
 import tracemalloc
 from importlib.metadata import version
 from pathlib import Path
@@ -109,6 +111,15 @@ MIXTURE_SITE = GeneratorSpec(
 )
 
 
+def numpy_openblas_core() -> str | None:
+    """The core the OpenBLAS of a numpy wheel (in `numpy.libs`) reports."""
+    for path in Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"):
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def test_run_json_totals_the_records_and_does_not_depend_on_jobs(tmp_path):
     write_manifest(tmp_path / "manifest.json", seed=1, generators=[EGPD_SITE, MIXTURE_SITE])
     repeated = []
@@ -128,6 +139,8 @@ def test_run_json_totals_the_records_and_does_not_depend_on_jobs(tmp_path):
             "numpy_cpu": {"baseline": umath.__cpu_baseline__, "dispatch": umath.__cpu_dispatch__,
                           "enabled": [f for f in umath.__cpu_features__ if umath.__cpu_features__[f]],
                           "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES")},
+            "openblas": {"core": numpy_openblas_core(),
+                         "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE")},
             "cpu_count": os.cpu_count(),
             "blas_threads": {var: os.environ.get(var) for var in pipeline.BLAS_THREAD_VARS},
         }
@@ -334,6 +347,28 @@ def test_a_benchmark_keeps_no_record(tmp_path, monkeypatch, jobs):
             tracemalloc.stop()
         assert summary.cells[("naveau-pwm-c", 0.5)].n_sites == n_sites
     assert peaks[2] - peaks[1] < 2**20, peaks
+
+
+def test_a_stalled_worker_leaves_a_bounded_window_of_records(tmp_path, monkeypatch):
+    # Task 0 goes out last of its site, and the other worker's records wait
+    # for it.  A free worker gets a task only while fewer than a site's 4
+    # records wait, so at most 4 - 1 + 2 records are fitted while it stalls,
+    # not the other 63.
+    log = tmp_path / "fitted"
+
+    def stalling_fit(series, method, config, rng):
+        if (series.site_id, method) == ("s00", "naveau-mle"):
+            time.sleep(0.5)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{series.site_id} {method}\n")
+        return stub_fit(series, method, config, rng)
+
+    monkeypatch.setattr(pipeline, "run_single_fit", stalling_fit)
+    config = RunConfig(methods=tuple(METHODS)[:4], quantiles=QuantileSet((0.5,)), jobs=2)
+    sites = [SiteSeries(f"s{i:02d}", np.linspace(0.5, 50.0, 100)) for i in range(16)]
+    records = [(r["site_id"], r["method"]) for r in run_fits(sites, config)]
+    assert records == [(s.site_id, m) for s in sites for m in config.methods]
+    assert log.read_text(encoding="utf-8").splitlines().index("s00 naveau-mle") <= 4 - 1 + 2
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

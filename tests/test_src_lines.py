@@ -1,4 +1,5 @@
-"""`scripts/src_lines.py`: line and code-line counts of a package's modules."""
+"""`scripts/src_lines.py`: line, code-line and docstring-line counts of a
+package's modules."""
 
 import importlib.util
 from pathlib import Path
@@ -49,16 +50,20 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
     assert load_script().code_lines(SOURCE) == 11
 
 
+def test_docstring_lines_are_those_of_module_class_and_function_docstrings():
+    assert sorted(load_script().docstring_lines(SOURCE)) == [1, 2, 9, 14, 15, 16, 24]
+
+
 def test_counts_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text(SOURCE, encoding="utf-8")
     (tmp_path / "a.py").write_text("x = 1\n\n# note\n", encoding="utf-8")
     (tmp_path / "notes.txt").write_text("not python\n", encoding="utf-8")
     script = load_script()
-    assert script.count(tmp_path) == [("a.py", 3, 1), ("b.py", 27, 11)]
+    assert script.count(tmp_path) == [("a.py", 3, 1, 0), ("b.py", 27, 11, 7)]
     assert script.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "module   lines    code",
-        "a.py         3       1",
-        "b.py        27      11",
-        "total       30      12",
+        "module   lines    code    docs",
+        "a.py         3       1       0",
+        "b.py        27      11       7",
+        "total       30      12       7",
     ]
